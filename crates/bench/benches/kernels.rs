@@ -1,11 +1,9 @@
-//! E7 bench: the EREW PRAM kernels — phased tournament vs model reduction vs
-//! the pool-backed threaded kernels.
+//! E7 bench: the EREW PRAM kernels — phased tournament vs model reduction.
 //!
 //! Runs on the in-repo harness (`pdmsf_bench::harness`), so it works offline:
 //! `cargo bench -p pdmsf-bench --bench kernels`.
 
 use pdmsf_bench::harness::BenchGroup;
-use pdmsf_pram::kernels::{threaded_entrywise_min, threaded_min_index};
 use pdmsf_pram::{erew_tournament_min, par_entrywise_min, par_min_index, CostMeter};
 
 fn main() {
@@ -20,16 +18,10 @@ fn main() {
         group.bench(&format!("phased_tournament/{size}"), || {
             erew_tournament_min(&xs, &mut CostMeter::new(), None)
         });
-        group.bench(&format!("pooled_min/{size}"), || threaded_min_index(&xs));
         let src: Vec<u64> = xs.iter().rev().copied().collect();
         group.bench(&format!("entrywise_min/{size}"), || {
             let mut dst = xs.clone();
             par_entrywise_min(&mut dst, &src, &mut CostMeter::new());
-            dst
-        });
-        group.bench(&format!("pooled_entrywise_min/{size}"), || {
-            let mut dst = xs.clone();
-            threaded_entrywise_min(&mut dst, &src);
             dst
         });
     }

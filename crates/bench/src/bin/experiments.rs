@@ -143,10 +143,9 @@ fn main() {
 
 /// E0: the machine-readable update-time benchmark — ops/sec for insert-only,
 /// delete-only and mixed streams at n ∈ {1e3, 1e4, 1e5}, for the arena-backed
-/// structure, the map-backed bookkeeping baseline and the thread-executing
-/// parallel structure. Emits `BENCH_update_time.json` (stamped with git SHA,
-/// `K`, pool width and execution mode) so every future change has an
-/// attributable trajectory to beat.
+/// structure and the map-backed bookkeeping baseline. Emits
+/// `BENCH_update_time.json` (stamped with git SHA, `K`, core count and pool
+/// width) so every future change has an attributable trajectory to beat.
 ///
 /// With `gate`, the mixed stream is measured five times per structure (a
 /// single rep's ratio can swing ±20% on a noisy shared runner; the median
@@ -158,7 +157,7 @@ fn e0_bench_json(quick: bool, gate: bool) {
     println!("\n== E0: update-time benchmark (writes BENCH_update_time.json) ==");
     println!("structures: arena-seq (flat bookkeeping on the SoA chunk banks), map-seq");
     println!("(the seed's keyed-map bookkeeping and refresh policies, kept for");
-    println!("comparison), par-threads (EREW structure executing kernels on the pool)");
+    println!("comparison)");
     // The headline comparison (and acceptance gate) is the mixed stream at
     // n = 1e5; the insert/delete streams stop a decade earlier by default to
     // keep the full run under a few minutes (the seed baseline's base-graph
@@ -190,78 +189,51 @@ fn e0_bench_json(quick: bool, gate: bool) {
     // Median mixed-stream ops/sec per (structure, n), for the gate.
     let mut mixed_medians: Vec<(String, usize, f64)> = Vec::new();
     println!(
-        "{:>8} {:>8} {:>14} {:>14} {:>14} {:>10}",
-        "stream", "n", "arena (op/s)", "map (op/s)", "par-thr (op/s)", "arena/map"
+        "{:>8} {:>8} {:>14} {:>14} {:>10}",
+        "stream", "n", "arena (op/s)", "map (op/s)", "arena/map"
     );
     for (stream_name, sizes, make) in streams {
         // The gate compares medians, so gated mixed cells get repetitions.
         let reps = if gate && stream_name == "mixed" { 5 } else { 1 };
         for &n in sizes {
             let stream = make(n, ops);
-            let mut rates: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+            let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
             for _ in 0..reps {
-                let mut run =
-                    |structure: &str, k: usize, exec: &'static str, t: Duration, o: usize| {
-                        records.push(BenchRecord {
-                            structure: structure.to_string(),
-                            stream: stream_name.to_string(),
-                            n,
-                            k,
-                            exec,
-                            ops: o,
-                            elapsed_ns: t.as_nanos(),
-                        });
-                        records.last().unwrap().ops_per_sec()
-                    };
+                let mut run = |structure: &str, k: usize, t: Duration, o: usize| {
+                    records.push(BenchRecord {
+                        structure: structure.to_string(),
+                        stream: stream_name.to_string(),
+                        n,
+                        k,
+                        ops: o,
+                        elapsed_ns: t.as_nanos(),
+                    });
+                    records.last().unwrap().ops_per_sec()
+                };
                 let mut arena = SeqDynamicMsf::new(n);
                 let (t_arena, o_arena) = drive_updates_only(&mut arena, &stream);
-                rates[0].push(run(
-                    "arena-seq",
-                    arena.chunk_parameter(),
-                    "simulated",
-                    t_arena,
-                    o_arena,
-                ));
+                rates[0].push(run("arena-seq", arena.chunk_parameter(), t_arena, o_arena));
 
                 let mut map = MapSeqDynamicMsf::new(n);
                 let (t_map, o_map) = drive_updates_only(&mut map, &stream);
-                rates[1].push(run(
-                    "map-seq",
-                    map.chunk_parameter(),
-                    "simulated",
-                    t_map,
-                    o_map,
-                ));
+                rates[1].push(run("map-seq", map.chunk_parameter(), t_map, o_map));
 
-                let mut par = ParDynamicMsf::new_threaded(n);
-                let (t_par, o_par) = drive_updates_only(&mut par, &stream);
-                rates[2].push(run(
-                    "par-threads",
-                    par.chunk_parameter(),
-                    "threads",
-                    t_par,
-                    o_par,
-                ));
-
-                // The three structures must agree — this benchmark doubles as
+                // The two structures must agree — this benchmark doubles as
                 // a large-n differential test.
                 assert_eq!(arena.forest_weight(), map.forest_weight());
-                assert_eq!(arena.forest_weight(), par.forest_weight());
             }
             let m_arena = median(&mut rates[0]);
             let m_map = median(&mut rates[1]);
-            let m_par = median(&mut rates[2]);
             if stream_name == "mixed" {
                 mixed_medians.push(("arena-seq".into(), n, m_arena));
                 mixed_medians.push(("map-seq".into(), n, m_map));
             }
             println!(
-                "{:>8} {:>8} {:>14.0} {:>14.0} {:>14.0} {:>9.2}x",
+                "{:>8} {:>8} {:>14.0} {:>14.0} {:>9.2}x",
                 stream_name,
                 n,
                 m_arena,
                 m_map,
-                m_par,
                 if m_map > 0.0 { m_arena / m_map } else { 0.0 }
             );
         }
@@ -369,7 +341,6 @@ fn e1_batch_throughput(quick: bool) {
                             stream: stream_name.to_string(),
                             n,
                             k: engine.structure().chunk_parameter(),
-                            exec: "threads",
                             batch_size,
                             batches,
                             ops,

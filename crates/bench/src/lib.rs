@@ -563,7 +563,7 @@ pub fn seq_mean_update_time(n: usize, k: usize, ops: usize, seed: u64) -> Durati
 /// One measured (structure, stream, n) cell of the update-time benchmark.
 #[derive(Clone, Debug)]
 pub struct BenchRecord {
-    /// Structure label (e.g. `"arena-seq"`, `"map-seq"`, `"par-threads"`).
+    /// Structure label (e.g. `"arena-seq"`, `"map-seq"`).
     pub structure: String,
     /// Stream label (`"insert"`, `"delete"`, `"mixed"`).
     pub stream: String,
@@ -571,8 +571,6 @@ pub struct BenchRecord {
     pub n: usize,
     /// Chunk parameter `K` the structure ran with.
     pub k: usize,
-    /// Kernel execution mode label (`"simulated"` / `"threads"`).
-    pub exec: &'static str,
     /// Number of timed update operations.
     pub ops: usize,
     /// Wall-clock nanoseconds spent inside the timed updates.
@@ -592,14 +590,18 @@ impl BenchRecord {
 
 /// Run-level metadata stamped into the benchmark JSON so perf trajectories
 /// across PRs stay attributable: which commit produced the numbers, how many
-/// pool threads the kernels could use, and the threading cutoff in force.
+/// cores the machine offered, how wide the worker pool was, and the pooling
+/// cutoff in force.
 #[derive(Clone, Debug)]
 pub struct RunMeta {
     /// `git rev-parse HEAD` of the working tree (`"unknown"` outside git),
     /// with a `-dirty` suffix when uncommitted changes were present.
     pub git_sha: String,
-    /// Worker-pool width available to the threaded kernels (workers + the
-    /// calling thread).
+    /// Cores available to the process (`available_parallelism`), stamped
+    /// next to `threads` because `PDMSF_POOL_THREADS` can make the pool
+    /// wider than the machine.
+    pub cores: usize,
+    /// Worker-pool width (workers + the calling thread).
     pub threads: usize,
     /// [`pdmsf_pram::kernels::PAR_CUTOFF`] at build time.
     pub par_cutoff: usize,
@@ -628,9 +630,18 @@ impl RunMeta {
             } else {
                 git_sha
             },
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             threads: pdmsf_pram::pool::parallelism(),
             par_cutoff: pdmsf_pram::kernels::PAR_CUTOFF,
         }
+    }
+
+    /// The `"meta"` object of a `BENCH_*.json` file.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"git_sha\": \"{}\", \"cores\": {}, \"threads\": {}, \"par_cutoff\": {}}}",
+            self.git_sha, self.cores, self.threads, self.par_cutoff
+        )
     }
 }
 
@@ -642,19 +653,15 @@ pub fn bench_records_to_json(benchmark: &str, meta: &RunMeta, records: &[BenchRe
     out.push_str("{\n");
     out.push_str(&format!("  \"benchmark\": \"{benchmark}\",\n"));
     out.push_str("  \"unit\": \"ops_per_sec\",\n");
-    out.push_str(&format!(
-        "  \"meta\": {{\"git_sha\": \"{}\", \"threads\": {}, \"par_cutoff\": {}}},\n",
-        meta.git_sha, meta.threads, meta.par_cutoff
-    ));
+    out.push_str(&format!("  \"meta\": {},\n", meta.to_json()));
     out.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"structure\": \"{}\", \"stream\": \"{}\", \"n\": {}, \"k\": {}, \"exec\": \"{}\", \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}}}{}\n",
+            "    {{\"structure\": \"{}\", \"stream\": \"{}\", \"n\": {}, \"k\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}}}{}\n",
             r.structure,
             r.stream,
             r.n,
             r.k,
-            r.exec,
             r.ops,
             r.elapsed_ns,
             r.ops_per_sec(),
@@ -681,8 +688,6 @@ pub struct BatchRecord {
     pub n: usize,
     /// Chunk parameter `K` the backing structure ran with.
     pub k: usize,
-    /// Kernel execution mode label.
-    pub exec: &'static str,
     /// Operations per batch.
     pub batch_size: usize,
     /// Number of timed batches.
@@ -712,19 +717,15 @@ pub fn batch_records_to_json(meta: &RunMeta, records: &[BatchRecord]) -> String 
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"batch_throughput\",\n");
     out.push_str("  \"unit\": \"ops_per_sec\",\n");
-    out.push_str(&format!(
-        "  \"meta\": {{\"git_sha\": \"{}\", \"threads\": {}, \"par_cutoff\": {}}},\n",
-        meta.git_sha, meta.threads, meta.par_cutoff
-    ));
+    out.push_str(&format!("  \"meta\": {},\n", meta.to_json()));
     out.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"path\": \"{}\", \"stream\": \"{}\", \"n\": {}, \"k\": {}, \"exec\": \"{}\", \"batch_size\": {}, \"batches\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}}}{}\n",
+            "    {{\"path\": \"{}\", \"stream\": \"{}\", \"n\": {}, \"k\": {}, \"batch_size\": {}, \"batches\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}}}{}\n",
             r.path,
             r.stream,
             r.n,
             r.k,
-            r.exec,
             r.batch_size,
             r.batches,
             r.ops,
@@ -801,10 +802,7 @@ pub fn shard_records_to_json(meta: &RunMeta, records: &[ShardRecord]) -> String 
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"shard_throughput\",\n");
     out.push_str("  \"unit\": \"ops_per_sec\",\n");
-    out.push_str(&format!(
-        "  \"meta\": {{\"git_sha\": \"{}\", \"threads\": {}, \"par_cutoff\": {}}},\n",
-        meta.git_sha, meta.threads, meta.par_cutoff
-    ));
+    out.push_str(&format!("  \"meta\": {},\n", meta.to_json()));
     out.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
@@ -891,10 +889,7 @@ pub fn sched_records_to_json(meta: &RunMeta, records: &[SchedRecord]) -> String 
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"sched_throughput\",\n");
     out.push_str("  \"unit\": \"ops_per_sec\",\n");
-    out.push_str(&format!(
-        "  \"meta\": {{\"git_sha\": \"{}\", \"threads\": {}, \"par_cutoff\": {}}},\n",
-        meta.git_sha, meta.threads, meta.par_cutoff
-    ));
+    out.push_str(&format!("  \"meta\": {},\n", meta.to_json()));
     out.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
@@ -969,10 +964,7 @@ pub fn persist_records_to_json(meta: &RunMeta, records: &[PersistRecord]) -> Str
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"persist_warm_start\",\n");
     out.push_str("  \"unit\": \"ns\",\n");
-    out.push_str(&format!(
-        "  \"meta\": {{\"git_sha\": \"{}\", \"threads\": {}, \"par_cutoff\": {}}},\n",
-        meta.git_sha, meta.threads, meta.par_cutoff
-    ));
+    out.push_str(&format!("  \"meta\": {},\n", meta.to_json()));
     out.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
@@ -1061,8 +1053,8 @@ pub fn intra_batch_records_to_json(meta: &RunMeta, records: &[IntraBatchRecord])
     out.push_str("  \"benchmark\": \"intra_batch\",\n");
     out.push_str("  \"unit\": \"ops_per_sec\",\n");
     out.push_str(&format!(
-        "  \"meta\": {{\"git_sha\": \"{}\", \"par_cutoff\": {}}},\n",
-        meta.git_sha, meta.par_cutoff
+        "  \"meta\": {{\"git_sha\": \"{}\", \"cores\": {}, \"par_cutoff\": {}}},\n",
+        meta.git_sha, meta.cores, meta.par_cutoff
     ));
     out.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
@@ -1094,6 +1086,15 @@ mod tests {
     use super::*;
     use pdmsf_baselines::NaiveDynamicMsf;
 
+    fn test_meta() -> RunMeta {
+        RunMeta {
+            git_sha: "deadbeef".into(),
+            cores: 2,
+            threads: 4,
+            par_cutoff: 512,
+        }
+    }
+
     #[test]
     fn bench_json_is_well_formed() {
         let records = vec![
@@ -1102,7 +1103,6 @@ mod tests {
                 stream: "mixed".into(),
                 n: 1000,
                 k: 100,
-                exec: "simulated",
                 ops: 500,
                 elapsed_ns: 2_000_000,
             },
@@ -1111,25 +1111,19 @@ mod tests {
                 stream: "mixed".into(),
                 n: 1000,
                 k: 100,
-                exec: "simulated",
                 ops: 500,
                 elapsed_ns: 4_000_000,
             },
         ];
-        let meta = RunMeta {
-            git_sha: "deadbeef".into(),
-            threads: 4,
-            par_cutoff: 512,
-        };
+        let meta = test_meta();
         let json = bench_records_to_json("update_time", &meta, &records);
         assert!(json.contains("\"benchmark\": \"update_time\""));
         assert!(json.contains("\"structure\": \"arena-seq\""));
         assert!(json.contains("\"ops_per_sec\": 250000.00"));
         assert!(json.contains("\"git_sha\": \"deadbeef\""));
-        assert!(json.contains("\"threads\": 4"));
+        assert!(json.contains("\"cores\": 2, \"threads\": 4"));
         assert!(json.contains("\"par_cutoff\": 512"));
         assert!(json.contains("\"k\": 100"));
-        assert!(json.contains("\"exec\": \"simulated\""));
         // Exactly one separating comma between the two records (meta is an
         // inline object, not a record).
         assert_eq!(json.matches("},\n").count(), 2);
@@ -1144,7 +1138,6 @@ mod tests {
                 stream: "bursty".into(),
                 n: 1000,
                 k: 32,
-                exec: "threads",
                 batch_size: 256,
                 batches: 8,
                 ops: 2048,
@@ -1155,18 +1148,13 @@ mod tests {
                 stream: "bursty".into(),
                 n: 1000,
                 k: 32,
-                exec: "threads",
                 batch_size: 256,
                 batches: 8,
                 ops: 2048,
                 elapsed_ns: 2_048_000,
             },
         ];
-        let meta = RunMeta {
-            git_sha: "deadbeef".into(),
-            threads: 4,
-            par_cutoff: 512,
-        };
+        let meta = test_meta();
         let json = batch_records_to_json(&meta, &records);
         assert!(json.contains("\"benchmark\": \"batch_throughput\""));
         assert!(json.contains("\"path\": \"batched\""));
@@ -1231,11 +1219,7 @@ mod tests {
                 pool_steals: 0,
             },
         ];
-        let meta = RunMeta {
-            git_sha: "deadbeef".into(),
-            threads: 4,
-            par_cutoff: 512,
-        };
+        let meta = test_meta();
         let json = shard_records_to_json(&meta, &records);
         assert!(json.contains("\"benchmark\": \"shard_throughput\""));
         assert!(json.contains("\"path\": \"sharded\""));
@@ -1282,11 +1266,7 @@ mod tests {
                 pool_steals: 7,
             },
         ];
-        let meta = RunMeta {
-            git_sha: "deadbeef".into(),
-            threads: 4,
-            par_cutoff: 512,
-        };
+        let meta = test_meta();
         let json = sched_records_to_json(&meta, &records);
         assert!(json.contains("\"benchmark\": \"sched_throughput\""));
         assert!(json.contains("\"scenario\": \"many-small\""));
@@ -1361,11 +1341,7 @@ mod tests {
                 elapsed_ns: 1_500_000,
             },
         ];
-        let meta = RunMeta {
-            git_sha: "deadbeef".into(),
-            threads: 4,
-            par_cutoff: 512,
-        };
+        let meta = test_meta();
         let json = intra_batch_records_to_json(&meta, &records);
         assert!(json.contains("\"benchmark\": \"intra_batch\""));
         assert!(json.contains("\"path\": \"grouped\""));
@@ -1374,8 +1350,10 @@ mod tests {
         assert!(json.contains("\"update_groups\": 96"));
         assert!(json.contains("\"migrations\": 42"));
         assert!(json.contains("\"rebalances\": 5"));
-        // Threads is per-record (merged multi-width artifact), not run-level.
+        // Threads is per-record (merged multi-width artifact), not run-level;
+        // the core count is run-level.
         assert!(json.contains("\"threads\": 1") && json.contains("\"threads\": 4"));
+        assert!(json.contains("\"cores\": 2, \"par_cutoff\": 512}"));
         assert_eq!(records[0].ops_per_sec(), 4_096_000_000.0 / 1_000.0);
         assert_eq!(json.matches("},\n").count(), 3);
     }
@@ -1419,9 +1397,32 @@ mod tests {
         );
     }
 
+    /// Every `BENCH_*.json` writer stamps the core count next to the pool
+    /// width (E6 stamps its width per record).
+    #[test]
+    fn every_writer_stamps_cores_next_to_threads() {
+        let meta = test_meta();
+        let both = "\"meta\": {\"git_sha\": \"deadbeef\", \"cores\": 2, \"threads\": 4, \"par_cutoff\": 512}";
+        for json in [
+            bench_records_to_json("update_time", &meta, &[]),
+            batch_records_to_json(&meta, &[]),
+            shard_records_to_json(&meta, &[]),
+            sched_records_to_json(&meta, &[]),
+            persist_records_to_json(&meta, &[]),
+            crate::serve::serve_records_to_json(&meta, &crate::serve::RampConfig::quick(), &[]),
+        ] {
+            assert!(
+                json.contains(both),
+                "meta line missing cores/threads: {json}"
+            );
+        }
+        assert!(intra_batch_records_to_json(&meta, &[]).contains("\"cores\": 2"));
+    }
+
     #[test]
     fn run_meta_collects_plausible_values() {
         let meta = RunMeta::collect();
+        assert!(meta.cores >= 1);
         assert!(meta.threads >= 1);
         assert_eq!(meta.par_cutoff, pdmsf_pram::kernels::PAR_CUTOFF);
         assert!(!meta.git_sha.is_empty());

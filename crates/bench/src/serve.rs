@@ -422,10 +422,7 @@ pub fn serve_records_to_json(
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"serve_latency\",\n");
     out.push_str("  \"unit\": \"rps\",\n");
-    out.push_str(&format!(
-        "  \"meta\": {{\"git_sha\": \"{}\", \"threads\": {}, \"par_cutoff\": {}}},\n",
-        meta.git_sha, meta.threads, meta.par_cutoff
-    ));
+    out.push_str(&format!("  \"meta\": {},\n", meta.to_json()));
     out.push_str(&format!(
         "  \"config\": {{\"initial_rps\": {}, \"increment_rps\": {}, \"max_rps\": {}, \"round_ops\": {}, \"slo_ms\": {}, \"timeout_ms\": {}, \"stop_failure_rate\": {}, \"stop_t_median_ms\": {}}},\n",
         config.initial_rps,

@@ -19,8 +19,7 @@
 //!   backing `Vec<WKey>` (and every `memb` row in one `Vec<bool>`), addressed
 //!   by a compact slab handle that encodes `(offset, len)` as
 //!   `offset = slab * stride`, `len = stride`. Entry-wise merges, argmin
-//!   scans and row rebuilds become linear sweeps over dense memory, and the
-//!   threaded kernels borrow the slab slices directly.
+//!   scans and row rebuilds become linear sweeps over dense memory.
 //!
 //! Slabs are recycled through a free list (the frequent short-list slot
 //! transitions never hit the allocator), and when the chunk-id capacity

@@ -42,7 +42,7 @@ mod tests;
 
 use pdmsf_graph::arena::{edges_where, sorted_ids_where, EdgeSlotMap, EdgeStore};
 use pdmsf_graph::{Edge, EdgeId, VertexId, WKey};
-use pdmsf_pram::{CostMeter, ExecMode};
+use pdmsf_pram::CostMeter;
 
 pub(crate) use arena::{ChunkArena, RowBank};
 pub use arena::{ChunkArenaImage, RowBankImage};
@@ -107,9 +107,6 @@ pub struct ChunkedEulerForest<S: EdgeStore<EdgeRec> = ArenaEdgeStore> {
     /// Chunk-size parameter `K`.
     pub(crate) k: usize,
     pub(crate) model: CostModel,
-    /// How bulk kernels execute (simulated on the calling thread, or fanned
-    /// out over OS threads).
-    pub(crate) exec: ExecMode,
     /// PRAM / sequential cost meter.
     pub meter: CostMeter,
 
@@ -158,15 +155,9 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
     /// A forest over `n` isolated vertices with chunk parameter `k` and the
     /// given cost model, executing kernels on the calling thread.
     pub fn new(n: usize, k: usize, model: CostModel) -> Self {
-        Self::with_execution(n, k, model, ExecMode::Simulated)
-    }
-
-    /// Full control, including the kernel execution mode.
-    pub fn with_execution(n: usize, k: usize, model: CostModel, exec: ExecMode) -> Self {
         let mut forest = ChunkedEulerForest {
             k: k.max(2),
             model,
-            exec,
             meter: CostMeter::new(),
             edges: S::default(),
             adj: Vec::new(),
@@ -190,11 +181,6 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             forest.add_vertex();
         }
         forest
-    }
-
-    /// The kernel execution mode in use.
-    pub fn execution_mode(&self) -> ExecMode {
-        self.exec
     }
 
     /// Chunk parameter `K`.

@@ -13,51 +13,36 @@
 //!   tournament tree).
 //!
 //! Candidate edges are gathered into reusable scratch buffers and the final
-//! argmin runs through [`ChunkedEulerForest::argmin_keys`], which dispatches
-//! to the thread-backed tournament kernel when the forest executes in
-//! [`ExecMode::Threads`] — with identical (leftmost-on-tie) results either
-//! way.
+//! argmin is a leftmost-on-tie scan (`argmin_keys`).
 
 use super::{ChunkedEulerForest, EdgeRec, NONE};
 use pdmsf_graph::arena::EdgeStore;
 use pdmsf_graph::{Edge, WKey};
-use pdmsf_pram::kernels::{log2_ceil, threaded_masked_min_index, threaded_min_index};
-use pdmsf_pram::ExecMode;
+use pdmsf_pram::kernels::log2_ceil;
+
+/// Leftmost index of the minimum key.
+fn argmin_keys(keys: &[WKey]) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    for (i, k) in keys.iter().enumerate() {
+        if best.is_none_or(|b| *k < keys[b]) {
+            best = Some(i);
+        }
+    }
+    best
+}
+
+/// Leftmost index of the minimum key among masked entries.
+fn argmin_masked(keys: &[WKey], mask: &[bool]) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    for (i, (k, keep)) in keys.iter().zip(mask).enumerate() {
+        if *keep && best.is_none_or(|b| *k < keys[b]) {
+            best = Some(i);
+        }
+    }
+    best
+}
 
 impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
-    /// Leftmost index of the minimum key, executed serially or on the
-    /// thread-backed kernel depending on the configured [`ExecMode`].
-    pub(crate) fn argmin_keys(&self, keys: &[WKey]) -> Option<usize> {
-        match self.exec {
-            ExecMode::Threads => threaded_min_index(keys),
-            ExecMode::Simulated => {
-                let mut best: Option<usize> = None;
-                for (i, k) in keys.iter().enumerate() {
-                    if best.is_none_or(|b| *k < keys[b]) {
-                        best = Some(i);
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    /// Leftmost index of the minimum key among masked entries.
-    fn argmin_masked(&self, keys: &[WKey], mask: &[bool]) -> Option<usize> {
-        match self.exec {
-            ExecMode::Threads => threaded_masked_min_index(keys, mask),
-            ExecMode::Simulated => {
-                let mut best: Option<usize> = None;
-                for (i, (k, keep)) in keys.iter().zip(mask).enumerate() {
-                    if *keep && best.is_none_or(|b| *k < keys[b]) {
-                        best = Some(i);
-                    }
-                }
-                best
-            }
-        }
-    }
-
     /// The minimum-weight edge with one endpoint (principal copy) in the list
     /// rooted at `root_a` and the other in the list rooted at `root_b`.
     pub fn find_mwr(&mut self, root_a: u32, root_b: u32) -> Option<Edge> {
@@ -105,7 +90,7 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
                 cands.push(e);
             }
         }
-        let best = self.argmin_keys(&keys).map(|i| cands[i]);
+        let best = argmin_keys(&keys).map(|i| cands[i]);
         self.charge(
             scanned + 1,
             log2_ceil((scanned as usize).max(2)) + 1,
@@ -129,7 +114,7 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             let ra_agg = self.rows.agg(self.chunks.row[root_a as usize]);
             let rb_memb = self.rows.memb(self.chunks.row[root_b as usize]);
             // Masked argmin over γ; an `∞` winner means no candidate exists.
-            self.argmin_masked(ra_agg, rb_memb).and_then(|i| {
+            argmin_masked(ra_agg, rb_memb).and_then(|i| {
                 let key = ra_agg[i];
                 if key.is_inf() {
                     None
@@ -175,7 +160,7 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
                 cands.push(e);
             }
         }
-        let best = self.argmin_keys(&keys).map(|i| (keys[i], cands[i]));
+        let best = argmin_keys(&keys).map(|i| (keys[i], cands[i]));
         self.charge(
             scanned + 1,
             log2_ceil((scanned as usize).max(2)) + 1,

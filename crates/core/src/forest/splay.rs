@@ -11,13 +11,10 @@
 //! All topology lives in the flat banks of [`super::ChunkArena`]
 //! (`parent` / `left` / `right` / `size`), so the rotation and walk loops
 //! below touch four `u32` arrays and nothing else; aggregate vectors are
-//! dense [`super::RowBank`] slabs merged in place (threaded kernels borrow
-//! the slab slices directly when [`ExecMode::Threads`] is active).
+//! dense [`super::RowBank`] slabs merged in place.
 
 use super::{ChunkedEulerForest, EdgeRec, NONE};
 use pdmsf_graph::arena::EdgeStore;
-use pdmsf_pram::kernels::{threaded_entrywise_min, threaded_entrywise_or};
-use pdmsf_pram::ExecMode;
 
 impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
     /// Current chunk-id capacity (`J` upper bound); rows/aggregates are sized
@@ -62,28 +59,16 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             }
             let crow = self.chunks.row[child as usize];
             debug_assert!(crow != NONE, "child chunk without a slot");
-            match self.exec {
-                // Lemma 3.2's entry-wise merge, fanned out over the worker
-                // pool (identical results: entry-wise min/or is
-                // deterministic).
-                ExecMode::Threads => {
-                    let (agg, cagg) = self.rows.agg_pair(row, crow);
-                    threaded_entrywise_min(agg, cagg);
-                    let (memb, cmemb) = self.rows.memb_pair(row, crow);
-                    threaded_entrywise_or(memb, cmemb);
+            // Lemma 3.2's entry-wise merge.
+            let (agg, cagg) = self.rows.agg_pair(row, crow);
+            for (a, ca) in agg.iter_mut().zip(cagg) {
+                if *ca < *a {
+                    *a = *ca;
                 }
-                ExecMode::Simulated => {
-                    let (agg, cagg) = self.rows.agg_pair(row, crow);
-                    for (a, ca) in agg.iter_mut().zip(cagg) {
-                        if *ca < *a {
-                            *a = *ca;
-                        }
-                    }
-                    let (memb, cmemb) = self.rows.memb_pair(row, crow);
-                    for (m, cm) in memb.iter_mut().zip(cmemb) {
-                        *m |= *cm;
-                    }
-                }
+            }
+            let (memb, cmemb) = self.rows.memb_pair(row, crow);
+            for (m, cm) in memb.iter_mut().zip(cmemb) {
+                *m |= *cm;
             }
         }
     }

@@ -333,19 +333,12 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
 
         // Entry-wise minimum of the remaining entries (the folded self-entry
         // already is the minimum of its column, so a plain entry-wise min is
-        // equivalent in every mode). The two rows are disjoint bank slabs.
+        // equivalent). The two rows are disjoint bank slabs.
         {
             let (dst, src) = self.rows.base_pair(row_c, row_nxt);
-            match self.exec {
-                pdmsf_pram::ExecMode::Threads => {
-                    pdmsf_pram::kernels::threaded_entrywise_min(dst, src);
-                }
-                pdmsf_pram::ExecMode::Simulated => {
-                    for (d, s) in dst.iter_mut().zip(src) {
-                        if *s < *d {
-                            *d = *s;
-                        }
-                    }
+            for (d, s) in dst.iter_mut().zip(src) {
+                if *s < *d {
+                    *d = *s;
                 }
             }
         }

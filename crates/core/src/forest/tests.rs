@@ -338,7 +338,6 @@ mod soa_vs_aos {
     //! straightforward recursive walk over an AoS snapshot computes.
 
     use crate::forest::NONE;
-    use crate::par::ParDynamicMsf;
     use crate::seq::SeqDynamicMsf;
     use pdmsf_graph::{DynamicMsf, Edge, EdgeId, VertexId, WKey, Weight};
     use proptest::prelude::*;
@@ -563,39 +562,6 @@ mod soa_vs_aos {
                 }
                 check_against_aos(s.forest());
                 check_occs_against_aos(s.forest());
-            }
-        }
-
-        /// Same property through the threaded parallel front-end: the pooled
-        /// kernels must leave the banks bit-for-bit in the reference state.
-        #[test]
-        fn soa_banks_match_aos_reference_threaded(ops in proptest::collection::vec(op_strategy(10), 1..80)) {
-            let n = 10usize;
-            let mut p = ParDynamicMsf::with_execution(n, 2, pdmsf_pram::ExecMode::Threads);
-            let mut live: Vec<Edge> = Vec::new();
-            let mut next_id = 0u32;
-            for op in &ops {
-                match *op {
-                    Op::Insert { u, v, w } => {
-                        let e = Edge {
-                            id: EdgeId(next_id),
-                            u: VertexId(u as u32 % n as u32),
-                            v: VertexId(v as u32 % n as u32),
-                            weight: Weight::new(w as i64),
-                        };
-                        next_id += 1;
-                        live.push(e);
-                        p.insert(e);
-                    }
-                    Op::DeleteNth(k) => {
-                        if live.is_empty() { continue; }
-                        let e = live.swap_remove(k as usize % live.len());
-                        p.delete(e.id);
-                    }
-                }
-                p.validate();
-                check_against_aos(p.forest());
-                check_occs_against_aos(p.forest());
             }
         }
     }

@@ -21,7 +21,7 @@
 //!   generic over the per-level dynamic-MSF structure, which removes the
 //!   sparsity assumption (`m = O(n)`) without changing the asymptotic costs.
 //!
-//! ## Performance architecture: SoA chunk banks + row bank + worker pool
+//! ## Performance architecture: SoA chunk banks + row bank
 //!
 //! The chunked forest stores **no per-chunk structs**. Chunk state is split
 //! by access pattern into the structure-of-arrays banks of
@@ -44,18 +44,14 @@
 //!   full-row rebuilds are linear sweeps over dense memory; slabs recycle
 //!   through a free list and a stride growth is one compacting re-layout.
 //!
-//! When a structure runs with [`pdmsf_pram::ExecMode::Threads`], the bulk
-//! kernels borrow those slab slices directly and dispatch shard **ranges**
-//! over the work-stealing scheduler of `pdmsf_pram::pool` (parked workers,
-//! per-executor deques, chunked claiming, deterministic stealing; the
-//! caller participates) instead of spawning per call — inputs below
-//! `pdmsf_pram::kernels::PAR_CUTOFF`, single-chunk lists and `K < 2`
-//! graphs degrade to inline execution and never spawn the pool. Every
-//! reduction stays leftmost-on-tie, so `ExecMode::Threads` remains
-//! bit-for-bit identical to `ExecMode::Simulated` under any steal
-//! interleaving (enforced by the four-way lockstep proptest, and by
-//! SoA-vs-AoS reference-walk proptests over the chunk, row **and
-//! occurrence** banks themselves).
+//! Every kernel runs on the calling thread. The serving engines build
+//! their structures at the sequential `K = sqrt(n log n)`
+//! ([`seq::default_sequential_k`]), which keeps rows at about
+//! `2 sqrt(n / log n)` entries — below `pdmsf_pram::kernels::PAR_CUTOFF`
+//! until roughly 1.3M vertices per engine, so a pooled scan could not pay.
+//! Bank layouts are pinned by SoA-vs-AoS reference-walk proptests over the
+//! chunk, row **and occurrence** banks, and the seq/par/Kruskal lockstep
+//! proptest pins behaviour across chunk parameters and cost models.
 
 pub mod forest;
 pub mod par;

@@ -11,16 +11,15 @@
 //! quantities Theorem 3.1 bounds: `O(log n)` depth, `O(sqrt n)` processors,
 //! `O(sqrt n log n)` work per update.
 //!
-//! On top of the accounting, the structure has a real **execution mode**
-//! ([`ExecMode`]): with [`ExecMode::Threads`] (see
-//! [`ParDynamicMsf::new_threaded`]) the bulk kernels — the `γ`/MWR argmin
-//! tournaments and the entry-wise LSDS aggregate merges — dispatch to the
-//! thread-backed kernels of `pdmsf-pram` (`threaded_*`), which fan out over
-//! OS threads above a size cutoff while still charging the same EREW costs.
-//! All kernels reduce deterministically (leftmost-on-tie), so both execution
-//! modes are **bit-for-bit identical** to [`SeqDynamicMsf`]; the test-suite
-//! checks this on randomized update streams with the threaded path on and
-//! off.
+//! The kernels themselves run on the calling thread ([`ExecMode::Simulated`]),
+//! so the structure is **bit-for-bit identical** to [`SeqDynamicMsf`] at the
+//! same `K`; only the charged costs differ. The serving engines build this
+//! structure at the *sequential* parameter `K = sqrt(n log n)` instead
+//! ([`ParDynamicMsf::with_chunk_parameter`] with
+//! [`crate::seq::default_sequential_k`]): without `sqrt n` processors to
+//! run the `O(J)` row scans in `O(log J)` depth, the paper's own sequential
+//! trade-off (Theorem 1.2) is the faster one, and it keeps the rows short
+//! enough that no scan would pay for a pool job.
 
 use crate::forest::{CostModel, ForestStats};
 use crate::seq::{GenericSeqDynamicMsf, SeqDynamicMsf};
@@ -34,34 +33,23 @@ pub fn default_parallel_k(n: usize) -> usize {
 }
 
 /// Worst-case deterministic parallel dynamic MSF (Theorem 1.1) in the EREW
-/// PRAM cost model, with an optional thread-backed execution path.
+/// PRAM cost model.
 pub struct ParDynamicMsf {
     inner: SeqDynamicMsf,
 }
 
 impl ParDynamicMsf {
-    /// A structure over `n` isolated vertices with `K = sqrt(n)`, EREW
-    /// accounting and simulated (single-thread) kernel execution.
+    /// A structure over `n` isolated vertices with the paper's parallel
+    /// `K = sqrt(n)` and EREW accounting.
     pub fn new(n: usize) -> Self {
         Self::with_chunk_parameter(n, default_parallel_k(n))
     }
 
-    /// Like [`ParDynamicMsf::new`], but bulk kernels execute on real OS
-    /// threads ([`ExecMode::Threads`]). Results are bit-for-bit identical to
-    /// the simulated mode and to [`SeqDynamicMsf`].
-    pub fn new_threaded(n: usize) -> Self {
-        Self::with_execution(n, default_parallel_k(n), ExecMode::Threads)
-    }
-
-    /// Explicit chunk parameter (ablation experiments).
+    /// Explicit chunk parameter (the serving engines and the ablation
+    /// experiments), still with EREW accounting.
     pub fn with_chunk_parameter(n: usize, k: usize) -> Self {
-        Self::with_execution(n, k, ExecMode::Simulated)
-    }
-
-    /// Full control over chunk parameter and kernel execution mode.
-    pub fn with_execution(n: usize, k: usize, exec: ExecMode) -> Self {
         ParDynamicMsf {
-            inner: GenericSeqDynamicMsf::with_execution(n, k, CostModel::Erew, exec),
+            inner: GenericSeqDynamicMsf::with_parameters(n, k, CostModel::Erew),
         }
     }
 
@@ -85,9 +73,10 @@ impl ParDynamicMsf {
         self.inner.chunk_parameter()
     }
 
-    /// The kernel execution mode in use.
+    /// The kernel execution mode: always [`ExecMode::Simulated`] (kernels
+    /// run on the calling thread).
     pub fn execution_mode(&self) -> ExecMode {
-        self.inner.execution_mode()
+        ExecMode::Simulated
     }
 
     /// Validate every internal invariant (test-only helper).
@@ -159,9 +148,6 @@ impl DynamicMsf for ParDynamicMsf {
     }
 
     fn name(&self) -> &'static str {
-        match self.execution_mode() {
-            ExecMode::Threads => "kpr-parallel-threads",
-            ExecMode::Simulated => "kpr-parallel-erew",
-        }
+        "kpr-parallel-erew"
     }
 }

@@ -59,10 +59,9 @@
 //! function of structure state, fires identically under grouped and
 //! forced-serial execution.
 
-use crate::par::{default_parallel_k, ParDynamicMsf};
+use crate::par::ParDynamicMsf;
 use pdmsf_graph::{DynamicMsf, Edge, EdgeId, EdgeStore, MsfDelta, VertexId, WKey};
-use pdmsf_pram::kernels::SendPtr;
-use pdmsf_pram::{pool, ExecMode};
+use pdmsf_pram::pool::{self, SendPtr};
 use std::collections::HashSet;
 
 /// One structure-surviving update of a planned batch, in the resolved form
@@ -145,19 +144,14 @@ pub const REBALANCE_MIN_OCCUPANCY: u64 = 64;
 
 impl ComponentPartitionedMsf {
     /// A structure over `n` isolated vertices split into `num_parts`
-    /// partitions, with thread-backed kernels inside each partition.
-    /// Initial homes are contiguous vertex blocks (`v * P / n`), which
-    /// aligns with the block-clustered workload generators.
-    pub fn new_threaded(n: usize, num_parts: usize) -> Self {
-        Self::with_execution(n, num_parts, default_parallel_k(n), ExecMode::Threads)
-    }
-
-    /// Full control over partition count, chunk parameter and kernel
-    /// execution mode (tests and ablations).
-    pub fn with_execution(n: usize, num_parts: usize, k: usize, exec: ExecMode) -> Self {
+    /// partitions, each with chunk parameter `k` (the engine serves at
+    /// `K = sqrt(n log n)`). Initial homes are contiguous vertex blocks
+    /// (`v * P / n`), which aligns with the block-clustered workload
+    /// generators.
+    pub fn with_chunk_parameter(n: usize, num_parts: usize, k: usize) -> Self {
         let p = num_parts.clamp(1, n.max(1));
         let parts = (0..p)
-            .map(|_| ParDynamicMsf::with_execution(n, k, exec))
+            .map(|_| ParDynamicMsf::with_chunk_parameter(n, k))
             .collect();
         let home = (0..n)
             .map(|v| ((v * p / n.max(1)) as u32).min(p as u32 - 1))
@@ -753,7 +747,7 @@ mod tests {
     #[test]
     fn cross_partition_links_migrate_and_match_reference() {
         let n = 24;
-        let mut part = ComponentPartitionedMsf::with_execution(n, 4, 5, ExecMode::Simulated);
+        let mut part = ComponentPartitionedMsf::with_chunk_parameter(n, 4, 5);
         let mut reference = ParDynamicMsf::with_chunk_parameter(n, 5);
         let mut rng = Rng(0x1234_5678);
         let mut live: Vec<Edge> = Vec::new();
@@ -797,7 +791,7 @@ mod tests {
         // split over 16 vertices) plus one block that merges partitions 2
         // and 3 via a cross-partition link.
         let n = 16;
-        let build = || ComponentPartitionedMsf::with_execution(n, 4, 4, ExecMode::Simulated);
+        let build = || ComponentPartitionedMsf::with_chunk_parameter(n, 4, 4);
         let g0 = vec![
             GroupUpdate::Link(edge(0, 0, 1, 5)),
             GroupUpdate::Link(edge(1, 1, 2, 3)),
@@ -853,7 +847,7 @@ mod tests {
 
     #[test]
     fn add_vertex_lands_in_every_partition() {
-        let mut part = ComponentPartitionedMsf::with_execution(4, 2, 2, ExecMode::Simulated);
+        let mut part = ComponentPartitionedMsf::with_chunk_parameter(4, 2, 2);
         let v = part.add_vertex();
         assert_eq!(v, VertexId(4));
         assert_eq!(part.num_vertices(), 5);
@@ -872,7 +866,7 @@ mod tests {
         // dragged them). Linking `(8b, 0)` moves the `u` side — block `b`'s
         // chain — into partition 0 on the size tie.
         let n = 32;
-        let mut part = ComponentPartitionedMsf::with_execution(n, 4, 4, ExecMode::Simulated);
+        let mut part = ComponentPartitionedMsf::with_chunk_parameter(n, 4, 4);
         let mut id = 0u32;
         for b in 0..4u32 {
             for i in 0..7 {
@@ -916,7 +910,7 @@ mod tests {
     #[test]
     fn rebalance_keeps_a_single_giant_component_in_place() {
         let n = 16;
-        let mut part = ComponentPartitionedMsf::with_execution(n, 4, 4, ExecMode::Simulated);
+        let mut part = ComponentPartitionedMsf::with_chunk_parameter(n, 4, 4);
         part.set_rebalance_min(1);
         // One chain spanning every vertex: everything migrates into one
         // partition, but a lone component cannot be split across
@@ -935,7 +929,7 @@ mod tests {
     #[test]
     fn migration_moves_the_smaller_component() {
         let n = 12;
-        let mut part = ComponentPartitionedMsf::with_execution(n, 2, 4, ExecMode::Simulated);
+        let mut part = ComponentPartitionedMsf::with_chunk_parameter(n, 2, 4);
         // Big component in partition 0 (vertices 0..6), small one in
         // partition 1 (vertices 6..12).
         for (i, (u, v)) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)].iter().enumerate() {

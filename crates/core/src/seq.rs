@@ -20,7 +20,7 @@ use pdmsf_dyntree::LinkCutForest;
 use pdmsf_graph::arena::EdgeStore;
 use pdmsf_graph::{DynamicMsf, Edge, EdgeId, HashEdgeStore, MsfDelta, VertexId, WKey};
 use pdmsf_pram::kernels::log2_ceil;
-use pdmsf_pram::{CostMeter, CostReport, ExecMode};
+use pdmsf_pram::{CostMeter, CostReport};
 
 /// The paper's default sequential chunk parameter `K = sqrt(n log n)`,
 /// clamped to a small minimum so tiny graphs stay well-formed.
@@ -65,14 +65,8 @@ impl<S: EdgeStore<EdgeRec>> GenericSeqDynamicMsf<S> {
     /// Full control over chunk parameter and cost model (the parallel
     /// front-end uses `CostModel::Erew`).
     pub fn with_parameters(n: usize, k: usize, model: CostModel) -> Self {
-        Self::with_execution(n, k, model, ExecMode::Simulated)
-    }
-
-    /// Full control, including the kernel execution mode (the threaded
-    /// parallel front-end passes [`ExecMode::Threads`]).
-    pub fn with_execution(n: usize, k: usize, model: CostModel, exec: ExecMode) -> Self {
         GenericSeqDynamicMsf {
-            forest: ChunkedEulerForest::with_execution(n, k, model, exec),
+            forest: ChunkedEulerForest::new(n, k, model),
             lct: LinkCutForest::new(n),
             num_tree_edges: 0,
             forest_weight: 0,
@@ -98,11 +92,6 @@ impl<S: EdgeStore<EdgeRec>> GenericSeqDynamicMsf<S> {
     /// The chunk parameter `K` in use.
     pub fn chunk_parameter(&self) -> usize {
         self.forest.chunk_parameter()
-    }
-
-    /// The kernel execution mode in use.
-    pub fn execution_mode(&self) -> ExecMode {
-        self.forest.execution_mode()
     }
 
     /// Access to the underlying chunked Euler-tour forest (read-only).

@@ -34,7 +34,7 @@ use crate::seq::GenericSeqDynamicMsf;
 use pdmsf_dyntree::LinkCutForest;
 use pdmsf_graph::arena::EdgeStore;
 use pdmsf_graph::{Edge, EdgeId, EdgeSlotMap, VertexId, WKey, Weight};
-use pdmsf_pram::{CostMeter, CostReport, ExecMode};
+use pdmsf_pram::{CostMeter, CostReport};
 
 /// Sentinel shared with the forest module.
 use crate::forest::NONE;
@@ -50,7 +50,10 @@ pub struct MsfImage {
     pub k: u64,
     /// Cost model (0 = sequential, 1 = EREW).
     pub model: u8,
-    /// Kernel execution mode (0 = simulated, 1 = threads).
+    /// Kernel execution mode. Written as 0 (kernels inline on the calling
+    /// thread). Images from structures that fanned kernels out over the
+    /// worker pool carry 1 and import as inline, since the mode never
+    /// changed results; anything larger is refused.
     pub exec: u8,
     /// Edge-store slot owner ids ([`EdgeId::NONE`] marks a vacant slot).
     pub edge_ids: Vec<u32>,
@@ -162,10 +165,7 @@ pub(crate) fn forest_to_image(
             CostModel::Sequential => 0,
             CostModel::Erew => 1,
         },
-        exec: match forest.exec {
-            ExecMode::Simulated => 0,
-            ExecMode::Threads => 1,
-        },
+        exec: 0,
         edge_ids: ids.iter().map(|id| id.0).collect(),
         edge_u,
         edge_v,
@@ -254,17 +254,15 @@ pub(crate) fn forest_from_image(
     if image.k < 2 {
         return Err("msf image chunk parameter below 2".to_string());
     }
+    if image.exec > 1 {
+        return Err(format!("msf image has unknown exec mode {}", image.exec));
+    }
     Ok(ChunkedEulerForest {
         k: image.k as usize,
         model: match image.model {
             0 => CostModel::Sequential,
             1 => CostModel::Erew,
             other => return Err(format!("msf image has unknown cost model {other}")),
-        },
-        exec: match image.exec {
-            0 => ExecMode::Simulated,
-            1 => ExecMode::Threads,
-            other => return Err(format!("msf image has unknown exec mode {other}")),
         },
         meter: CostMeter::new(),
         edges,
@@ -424,5 +422,39 @@ mod tests {
         let mut bad = good;
         bad.model = 9;
         assert!(ParDynamicMsf::from_image(&bad).is_err());
+    }
+
+    /// Images are written with exec mode 0; images written while engines
+    /// fanned kernels out over the pool carry 1 and still import.
+    #[test]
+    fn msf_image_exec_mode_is_written_as_zero_and_legacy_one_imports() {
+        let mut m = ParDynamicMsf::with_chunk_parameter(8, 3);
+        for i in 0..6u32 {
+            m.insert(e(i, i, i + 1, 7 - i as i64));
+        }
+        let image = m.to_image();
+        assert_eq!(image.exec, 0);
+
+        let mut legacy = image.clone();
+        legacy.exec = 1;
+        let mut restored = ParDynamicMsf::from_image(&legacy).expect("exec 1 imports");
+        restored.validate();
+        assert_eq!(restored.forest_edges(), m.forest_edges());
+        assert_eq!(restored.chunk_parameter(), 3);
+        // Re-exported images normalise the mode and are otherwise identical.
+        assert_eq!(restored.to_image(), image);
+        assert_eq!(m.delete(EdgeId(2)), restored.delete(EdgeId(2)));
+    }
+
+    #[test]
+    fn msf_image_import_refuses_unknown_exec_modes() {
+        let mut m = ParDynamicMsf::with_chunk_parameter(4, 2);
+        m.insert(e(0, 0, 1, 1));
+        for exec in [2u8, 7, u8::MAX] {
+            let mut bad = m.to_image();
+            bad.exec = exec;
+            let err = ParDynamicMsf::from_image(&bad).err().expect("refused");
+            assert!(err.contains("exec mode"), "{err}");
+        }
     }
 }

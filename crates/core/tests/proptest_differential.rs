@@ -5,6 +5,7 @@
 //! throughout.
 
 use pdmsf_baselines::RecomputeMsf;
+use pdmsf_core::seq::default_sequential_k;
 use pdmsf_core::{MapSeqDynamicMsf, ParDynamicMsf, SeqDynamicMsf, SparsifiedMsf};
 use pdmsf_graph::{DegreeReduced, DynamicMsf, Edge, EdgeId, VertexId, Weight};
 use proptest::prelude::*;
@@ -94,13 +95,6 @@ proptest! {
         run_differential(12, &ops, structure, |s| s.validate());
     }
 
-    /// The thread-backed execution path is exactly equivalent too.
-    #[test]
-    fn threaded_par_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(12), 1..100)) {
-        let structure = ParDynamicMsf::new_threaded(12);
-        run_differential(12, &ops, structure, |s| s.validate());
-    }
-
     /// The map-backed benchmark baseline is exactly equivalent (same
     /// algorithm, different bookkeeping).
     #[test]
@@ -110,18 +104,19 @@ proptest! {
     }
 
     /// Four-way lockstep differential: identical randomized update streams
-    /// through the sequential structure, the parallel structure with the
-    /// threaded kernel path **off and on**, and the Kruskal-based recompute
-    /// reference — asserting identical deltas, forests and MSF weight after
-    /// every single operation.
+    /// through the sequential structure, the parallel structure at the
+    /// paper's `K = sqrt n` **and** at the serving engines'
+    /// `K = sqrt(n log n)`, and the Kruskal-based recompute reference —
+    /// asserting identical deltas, forests and MSF weight after every
+    /// single operation.
     #[test]
-    fn seq_par_threaded_and_kruskal_agree_in_lockstep(
+    fn seq_par_and_kruskal_agree_in_lockstep(
         ops in proptest::collection::vec(op_strategy(14), 1..110),
     ) {
         let n = 14;
         let mut seq = SeqDynamicMsf::new(n);
         let mut par_sim = ParDynamicMsf::new(n);
-        let mut par_thr = ParDynamicMsf::new_threaded(n);
+        let mut par_served = ParDynamicMsf::with_chunk_parameter(n, default_sequential_k(n));
         let mut oracle = RecomputeMsf::new(n);
         let mut live: Vec<Edge> = Vec::new();
         let mut next_id = 0u32;
@@ -136,7 +131,7 @@ proptest! {
                     };
                     next_id += 1;
                     live.push(e);
-                    [seq.insert(e), par_sim.insert(e), par_thr.insert(e), oracle.insert(e)]
+                    [seq.insert(e), par_sim.insert(e), par_served.insert(e), oracle.insert(e)]
                 }
                 Op::DeleteNth(k) => {
                     if live.is_empty() {
@@ -144,19 +139,19 @@ proptest! {
                     }
                     let idx = k as usize % live.len();
                     let e = live.swap_remove(idx);
-                    [seq.delete(e.id), par_sim.delete(e.id), par_thr.delete(e.id), oracle.delete(e.id)]
+                    [seq.delete(e.id), par_sim.delete(e.id), par_served.delete(e.id), oracle.delete(e.id)]
                 }
             };
             prop_assert_eq!(deltas[0], deltas[1], "simulated par delta diverged from seq");
-            prop_assert_eq!(deltas[0], deltas[2], "threaded par delta diverged from seq");
+            prop_assert_eq!(deltas[0], deltas[2], "served-K par delta diverged from seq");
             prop_assert_eq!(deltas[0], deltas[3], "seq delta diverged from Kruskal oracle");
             let forest = seq.forest_edges();
             prop_assert_eq!(&forest, &par_sim.forest_edges());
-            prop_assert_eq!(&forest, &par_thr.forest_edges());
+            prop_assert_eq!(&forest, &par_served.forest_edges());
             prop_assert_eq!(&forest, &oracle.forest_edges());
             let weight = seq.forest_weight();
             prop_assert_eq!(weight, par_sim.forest_weight());
-            prop_assert_eq!(weight, par_thr.forest_weight());
+            prop_assert_eq!(weight, par_served.forest_weight());
             prop_assert_eq!(weight, oracle.forest_weight());
         }
     }

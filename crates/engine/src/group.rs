@@ -146,7 +146,6 @@ mod tests {
     use super::*;
     use pdmsf_core::ComponentPartitionedMsf;
     use pdmsf_graph::{EdgeId, VertexId, Weight};
-    use pdmsf_pram::ExecMode;
 
     fn link(id: u32, u: u32, v: u32) -> GroupUpdate {
         GroupUpdate::Link(Edge {
@@ -160,7 +159,7 @@ mod tests {
     #[test]
     fn disjoint_partitions_get_disjoint_groups() {
         // 16 vertices, 4 block partitions of 4 vertices each.
-        let structure = ComponentPartitionedMsf::with_execution(16, 4, 4, ExecMode::Simulated);
+        let structure = ComponentPartitionedMsf::with_chunk_parameter(16, 4, 4);
         let resolved = vec![
             link(0, 0, 1),   // partition 0
             link(1, 4, 5),   // partition 1
@@ -180,7 +179,7 @@ mod tests {
 
     #[test]
     fn cuts_color_by_their_edge_partition() {
-        let structure = ComponentPartitionedMsf::with_execution(8, 2, 3, ExecMode::Simulated);
+        let structure = ComponentPartitionedMsf::with_chunk_parameter(8, 2, 3);
         let resolved = vec![
             GroupUpdate::Cut {
                 id: EdgeId(0),

@@ -24,7 +24,7 @@
 //!    connectivity query with two array loads, instead of paying a
 //!    `&mut`-self link-cut tree walk per query. Large query sets fan out
 //!    across the worker pool of `pdmsf_pram::pool` — possible while other
-//!    submitters run kernels, because the pool queues multiple jobs.
+//!    submitters run their own jobs, because the pool queues multiple jobs.
 //! 3. **Deduplication** — repeated questions (the common case in serving
 //!    traffic) collapse to one computed answer; duplicate deletes and other
 //!    invalid operations are rejected up front with a per-op
@@ -97,11 +97,11 @@
 //! assert_eq!(result.summary.cancelled_pairs, 1);
 //! ```
 
+use pdmsf_core::seq::default_sequential_k;
 use pdmsf_core::{ComponentPartitionedMsf, ParDynamicMsf};
 use pdmsf_graph::{DynGraph, DynamicMsf, Edge, EdgeId, MsfDelta, VertexId, Weight};
 use pdmsf_obs as obs;
 use pdmsf_obs::{PhaseTimer, Span};
-use pdmsf_pram::ExecMode;
 use std::io;
 use std::sync::Arc;
 
@@ -609,48 +609,41 @@ const _: () = {
 };
 
 impl Engine {
-    /// An engine over `n` isolated vertices, backed by the parallel
-    /// structure with thread-backed kernels (`K = sqrt(n)`,
-    /// [`ExecMode::Threads`]).
+    /// An engine over `n` isolated vertices, backed by the EREW-metered
+    /// parallel structure at the sequential chunk parameter
+    /// `K = sqrt(n log n)` ([`default_sequential_k`]). Every kernel runs on
+    /// the calling thread: on a machine without `sqrt n` processors the
+    /// paper's sequential trade-off is the faster one (about 1.5x per
+    /// update at 32 768 vertices against `K = sqrt n`).
     pub fn new(n: usize) -> Engine {
-        Engine::with_structure(
-            n,
-            EngineStructure::Single(Box::new(ParDynamicMsf::new_threaded(n))),
-        )
+        Engine::with_chunk_parameter(n, default_sequential_k(n))
     }
 
-    /// Full control over the chunk parameter and kernel execution mode of
-    /// the backing structure.
-    pub fn with_execution(n: usize, k: usize, exec: ExecMode) -> Engine {
+    /// [`Engine::new`] with an explicit chunk parameter (tests and
+    /// ablations).
+    pub fn with_chunk_parameter(n: usize, k: usize) -> Engine {
         Engine::with_structure(
             n,
-            EngineStructure::Single(Box::new(ParDynamicMsf::with_execution(n, k, exec))),
+            EngineStructure::Single(Box::new(ParDynamicMsf::with_chunk_parameter(n, k))),
         )
     }
 
     /// An engine backed by the component-partitioned structure with
-    /// `num_parts` partitions: batches apply their surviving updates as
-    /// concurrent conflict-free groups (see the crate docs). Observable
-    /// behaviour is identical to [`Engine::new`].
+    /// `num_parts` partitions, each at the same `K` as [`Engine::new`]:
+    /// batches apply their surviving updates as concurrent conflict-free
+    /// groups (see the crate docs). Observable behaviour is identical to
+    /// [`Engine::new`].
     pub fn new_partitioned(n: usize, num_parts: usize) -> Engine {
-        Engine::with_structure(
-            n,
-            EngineStructure::Partitioned(ComponentPartitionedMsf::new_threaded(n, num_parts)),
-        )
+        Engine::with_partitioned_chunk_parameter(n, num_parts, default_sequential_k(n))
     }
 
-    /// [`Engine::new_partitioned`] with full control over the chunk
-    /// parameter and kernel execution mode (deterministic tests).
-    pub fn with_partitioned_execution(
-        n: usize,
-        num_parts: usize,
-        k: usize,
-        exec: ExecMode,
-    ) -> Engine {
+    /// [`Engine::new_partitioned`] with an explicit chunk parameter
+    /// (deterministic tests).
+    pub fn with_partitioned_chunk_parameter(n: usize, num_parts: usize, k: usize) -> Engine {
         Engine::with_structure(
             n,
-            EngineStructure::Partitioned(ComponentPartitionedMsf::with_execution(
-                n, num_parts, k, exec,
+            EngineStructure::Partitioned(ComponentPartitionedMsf::with_chunk_parameter(
+                n, num_parts, k,
             )),
         )
     }
@@ -710,6 +703,11 @@ impl Engine {
     /// edge by edge — same liveness, endpoints and weight for every id below
     /// the allocation frontier — so a checkpoint whose sections passed their
     /// CRCs individually but disagree with each other is still refused.
+    ///
+    /// The engine keeps the structure's checkpointed chunk parameter `K`,
+    /// even where it differs from what [`Engine::new`] would pick today
+    /// (checkpoints written when engines served at `K = sqrt n` restore at
+    /// that `K`); re-chunking would change the structure's bytes.
     pub fn from_restored_parts(
         graph: DynGraph,
         msf: ParDynamicMsf,
@@ -1378,7 +1376,28 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdmsf_core::par::default_parallel_k;
     use pdmsf_graph::{VertexId, Weight};
+
+    /// Engines serve at the paper's sequential `K = sqrt(n log n)`; the
+    /// bare parallel structure keeps the paper's `K = sqrt n`, so its
+    /// EREW depth/work tables stay the paper's.
+    #[test]
+    fn engines_serve_at_the_sequential_chunk_parameter() {
+        for n in [2usize, 100, 4096, 32_768] {
+            let k = default_sequential_k(n);
+            assert_eq!(Engine::new(n).structure().chunk_parameter(), k);
+            let parts = Engine::new_partitioned(n, 4);
+            let parts = parts.partitioned_structure().expect("partitioned");
+            assert_eq!(parts.chunk_parameter(), k);
+            assert_eq!(
+                ParDynamicMsf::new(n).chunk_parameter(),
+                default_parallel_k(n)
+            );
+        }
+        assert_eq!(Engine::new(32_768).structure().chunk_parameter(), 702);
+        assert_eq!(ParDynamicMsf::new(32_768).chunk_parameter(), 182);
+    }
 
     fn link(u: u32, v: u32, w: i64) -> Op {
         Op::Link {
@@ -1677,10 +1696,10 @@ mod tests {
             qconn(8, 13),
             Op::QueryForestWeight,
         ];
-        let mut partitioned = Engine::with_partitioned_execution(16, 4, 4, ExecMode::Simulated);
-        let mut forced_serial = Engine::with_partitioned_execution(16, 4, 4, ExecMode::Simulated);
+        let mut partitioned = Engine::with_partitioned_chunk_parameter(16, 4, 4);
+        let mut forced_serial = Engine::with_partitioned_chunk_parameter(16, 4, 4);
         forced_serial.set_serial_apply(true);
-        let mut single = Engine::with_execution(16, 4, ExecMode::Simulated);
+        let mut single = Engine::with_chunk_parameter(16, 4);
         for ops in [&ops1, &ops2] {
             let rp = partitioned.execute(ops);
             let rf = forced_serial.execute(ops);
@@ -1710,7 +1729,7 @@ mod tests {
     #[test]
     fn rebalance_restores_grouping_after_migration_pileup() {
         // 32 vertices, 4 block partitions, one 8-vertex chain per block.
-        let mut engine = Engine::with_partitioned_execution(32, 4, 4, ExecMode::Simulated);
+        let mut engine = Engine::with_partitioned_chunk_parameter(32, 4, 4);
         engine.set_rebalance_min(1);
         let mut chains = Vec::new();
         for b in 0..4u32 {
@@ -1757,7 +1776,7 @@ mod tests {
 
         // A forced-serial twin of the same stream lands on identical homes
         // and forests (rebalance runs on both paths).
-        let mut serial = Engine::with_partitioned_execution(32, 4, 4, ExecMode::Simulated);
+        let mut serial = Engine::with_partitioned_chunk_parameter(32, 4, 4);
         serial.set_rebalance_min(1);
         serial.set_serial_apply(true);
         serial.execute(&chains);

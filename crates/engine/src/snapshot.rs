@@ -19,8 +19,7 @@
 use crate::plan::PlannedQuery;
 use crate::Outcome;
 use pdmsf_graph::{DynGraph, DynamicMsf, UnionFind, VertexId};
-use pdmsf_pram::kernels::SendPtr;
-use pdmsf_pram::pool;
+use pdmsf_pram::pool::{self, SendPtr};
 
 /// An immutable connectivity + weight snapshot of the maintained forest.
 pub struct QuerySnapshot {

@@ -19,7 +19,6 @@ use pdmsf_graph::{
     kruskal_msf, BatchKind, BatchStream, BatchStreamSpec, DynGraph, DynamicMsf, EdgeId, GraphSpec,
     VertexId, Weight,
 };
-use pdmsf_pram::ExecMode;
 use proptest::prelude::*;
 
 /// Compact encoding of a batch operation; concretised against the running
@@ -283,7 +282,7 @@ proptest! {
     }
 
     /// Same property with a tiny chunk parameter (maximal chunk churn in
-    /// the underlying structure) and thread-backed kernels.
+    /// the underlying structure).
     #[test]
     fn batched_engine_matches_under_stress_configuration(
         raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 0..24), 1..6)
@@ -293,10 +292,10 @@ proptest! {
         check_lockstep(
             n,
             &batches,
-            Engine::with_execution(n, 2, ExecMode::Threads),
-            Engine::with_execution(n, 2, ExecMode::Simulated),
-            Engine::with_partitioned_execution(n, 4, 2, ExecMode::Threads),
-            Engine::with_partitioned_execution(n, 4, 2, ExecMode::Simulated),
+            Engine::with_chunk_parameter(n, 2),
+            Engine::with_chunk_parameter(n, 2),
+            Engine::with_partitioned_chunk_parameter(n, 4, 2),
+            Engine::with_partitioned_chunk_parameter(n, 4, 2),
         );
     }
 

@@ -268,7 +268,8 @@ pub trait EngineCheckpointExt: Sized {
     /// [`EngineCheckpointExt::checkpoint`]. Truncated or bit-flipped
     /// streams, and internally inconsistent ones, are refused. The restored
     /// engine has **no op-log sink attached** — recovery attaches one after
-    /// replaying the log tail.
+    /// replaying the log tail — and keeps the checkpointed chunk parameter
+    /// `K` (see [`Engine::from_restored_parts`]).
     fn restore<R: Read>(r: R) -> Result<Self, PersistError>;
 }
 
@@ -422,6 +423,16 @@ mod tests {
         let mut buf2 = Vec::new();
         restored.checkpoint(&mut buf2).unwrap();
         assert_eq!(buf, buf2);
+
+        // A checkpoint keeps its own K, even one `Engine::new` no longer
+        // picks (engines once served at K = sqrt n = 4 here).
+        let mut sqrt_k = Engine::with_chunk_parameter(16, 4);
+        sqrt_k.execute(&[link(0, 1, 5), link(1, 2, 3)]);
+        let mut buf = Vec::new();
+        sqrt_k.checkpoint(&mut buf).unwrap();
+        let restored = Engine::restore(&buf[..]).unwrap();
+        assert_eq!(restored.structure().chunk_parameter(), 4);
+        assert_ne!(Engine::new(16).structure().chunk_parameter(), 4);
     }
 
     #[test]

@@ -13,6 +13,14 @@
 //! restore, a torn log tail is truncated and **reported**, and a log that
 //! cannot reach the engine's expected next sequence number fails recovery
 //! with an error instead of shipping a shortened history.
+//!
+//! A recovered engine keeps the chunk parameter `K` its checkpoint was
+//! written with (see [`pdmsf_engine::Engine::from_restored_parts`]), so a
+//! checkpoint from an engine that served at `K = sqrt n` recovers at that
+//! `K`, not at the `K = sqrt(n log n)` a fresh [`Engine::new`] picks. The
+//! replayed history and every answer are the same either way; only the
+//! per-update cost differs. Rebuild from the op stream to move to the new
+//! `K`.
 
 use pdmsf_engine::Engine;
 use pdmsf_shard::ShardedService;

@@ -13,17 +13,18 @@
 //! cost of one graph update so the experiments can report per-update
 //! worst-case and mean values, exactly the quantities in Theorems 1.1/3.1.
 
-/// How the parallel structure should execute its kernels.
+/// How the structures execute their kernels.
+///
+/// Kernels run on the calling thread and charge the PRAM rounds to the
+/// meter; this is the only mode. At the chunk parameter the engines serve
+/// with, `CAdj` rows stay below [`crate::kernels::PAR_CUTOFF`] entries, where
+/// a pooled row scan loses to an inline one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Simulate the PRAM rounds on the calling thread, charging costs to the
-    /// meter. Deterministic; used by tests and the depth/work experiments.
+    /// meter. Deterministic.
     #[default]
     Simulated,
-    /// Execute bulk rounds with real OS worker threads (still charging the
-    /// same model costs). Used by the wall-clock benchmarks; results are
-    /// bit-for-bit identical to [`ExecMode::Simulated`].
-    Threads,
 }
 
 /// Cost of one operation (or of a whole run) in the PRAM model.

@@ -9,12 +9,8 @@
 //! [`AccessLog`], so the exclusive-read-exclusive-write argument of the paper
 //! is checked by the test-suite rather than taken on faith.
 //!
-//! The bulk kernels also have thread-backed twins (`threaded_*`) that execute
-//! on real OS threads via the persistent worker pool of [`crate::pool`]; the
-//! parallel structure dispatches to them when configured with
-//! [`crate::ExecMode::Threads`]. They reduce deterministically
-//! (leftmost-on-tie), so their results are bit-for-bit identical to the model
-//! kernels.
+//! The structures run these scans on the calling thread; see [`PAR_CUTOFF`]
+//! for why none of them fans out over the worker pool.
 
 use crate::cost::CostMeter;
 use crate::erew::{cell, AccessKind, AccessLog};
@@ -235,206 +231,15 @@ pub fn sweep_up_costs(num_leaves: usize, meter: &mut CostMeter) {
     );
 }
 
-// ---------------------------------------------------------------------
-// Threaded twins (real OS-thread execution of the bulk kernels).
-//
-// Rayon is unavailable in offline builds, so the wall-clock execution path
-// fans out over the persistent worker pool of [`crate::pool`]: each kernel
-// splits its input into shards, shards execute on parked pool workers (plus
-// the calling thread), and shard-local results reduce deterministically
-// (leftmost-on-tie), so the threaded kernels are bit-for-bit identical to
-// their model counterparts. Inputs below [`PAR_CUTOFF`] are computed on the
-// calling thread — even pooled dispatch overhead would otherwise dominate —
-// and never spawn the pool.
-// ---------------------------------------------------------------------
-
-use crate::pool::run_shard_ranges;
-
-/// Minimum slice length before the `threaded_*` kernels fan out to the
-/// worker pool. Pooled dispatch costs a mutex round-trip and two condvar
-/// signals instead of a thread spawn + join, so the break-even input is an
-/// order of magnitude smaller than under the original `std::thread::scope`
-/// dispatch (4096).
+/// The input size below which fanning a bulk kernel out over the worker
+/// pool cannot pay: publishing the job and waking a worker cost more than
+/// the scan itself (on a 2-core x86-64 VM a pooled minimum took 1.24 µs
+/// against 0.75 µs inline at 1 024 entries, median, and still lost at
+/// 16 384). The structures run every
+/// kernel inline, and the chunk parameter they serve with keeps `CAdj` rows
+/// (about `2n / K` entries) under this size until roughly 1.3M vertices per
+/// engine. Benchmark metadata stamps it next to the pool width.
 pub const PAR_CUTOFF: usize = 512;
-
-/// Number of shards to split `len` elements into (1 = stay on the calling
-/// thread).
-fn num_shards(len: usize) -> usize {
-    if len < PAR_CUTOFF {
-        return 1;
-    }
-    crate::pool::parallelism()
-        .clamp(1, 16)
-        .min(len / (PAR_CUTOFF / 2))
-        .max(1)
-}
-
-/// A raw pointer that may cross thread boundaries. Shards receive disjoint
-/// index ranges, so reconstructing per-shard `&mut` slices from the base
-/// pointer is sound; the pool blocks until every shard finishes, keeping the
-/// underlying borrow alive.
-#[derive(Clone, Copy)]
-pub struct SendPtr<T>(pub *mut T);
-
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// The wrapped pointer. Going through a method (rather than field
-    /// access) makes edition-2021 closures capture the `Sync` wrapper, not
-    /// the bare raw pointer.
-    #[inline]
-    pub fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-#[inline]
-fn serial_min_index<T: Ord + Copy>(xs: &[T]) -> Option<usize> {
-    let mut best = 0usize;
-    for (i, x) in xs.iter().enumerate().skip(1) {
-        if *x < xs[best] {
-            best = i;
-        }
-    }
-    if xs.is_empty() {
-        None
-    } else {
-        Some(best)
-    }
-}
-
-/// Thread-backed minimum index (same result as [`par_min_index`], leftmost
-/// on ties); used by the wall-clock execution path of the parallel
-/// structure.
-pub fn threaded_min_index<T: Ord + Copy + Send + Sync>(xs: &[T]) -> Option<usize> {
-    let shards = num_shards(xs.len());
-    if shards <= 1 {
-        return serial_min_index(xs);
-    }
-    let shard_len = xs.len().div_ceil(shards);
-    let mut locals: Vec<Option<(T, usize)>> = vec![None; shards];
-    let locals_ptr = SendPtr(locals.as_mut_ptr());
-    // The scheduler hands out contiguous shard runs; one closure dispatch
-    // covers the whole run.
-    run_shard_ranges(shards, |range| {
-        for shard in range {
-            let chunk = &xs[shard * shard_len..xs.len().min((shard + 1) * shard_len)];
-            let local = serial_min_index(chunk).map(|i| (chunk[i], shard * shard_len + i));
-            // Each shard owns exactly one `locals` cell.
-            unsafe { *locals_ptr.get().add(shard) = local };
-        }
-    });
-    locals
-        .into_iter()
-        .flatten()
-        .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)))
-        .map(|(_, i)| i)
-}
-
-/// Thread-backed minimum index over the masked entries only (leftmost on
-/// ties): the `argmin γ[i]` step of the MWR search (Lemma 3.3) with the
-/// `Memb` mask applied on the fly.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn threaded_masked_min_index<T: Ord + Copy + Send + Sync>(
-    xs: &[T],
-    mask: &[bool],
-) -> Option<usize> {
-    assert_eq!(xs.len(), mask.len(), "masked min over unequal lengths");
-    let serial = |xs: &[T], mask: &[bool]| -> Option<(T, usize)> {
-        let mut best: Option<(T, usize)> = None;
-        for (i, (x, keep)) in xs.iter().zip(mask).enumerate() {
-            if *keep && best.is_none_or(|(b, _)| *x < b) {
-                best = Some((*x, i));
-            }
-        }
-        best
-    };
-    let shards = num_shards(xs.len());
-    if shards <= 1 {
-        return serial(xs, mask).map(|(_, i)| i);
-    }
-    let shard_len = xs.len().div_ceil(shards);
-    let mut locals: Vec<Option<(T, usize)>> = vec![None; shards];
-    let locals_ptr = SendPtr(locals.as_mut_ptr());
-    run_shard_ranges(shards, |range| {
-        for shard in range {
-            let start = shard * shard_len;
-            let end = xs.len().min(start + shard_len);
-            let local = serial(&xs[start..end], &mask[start..end]).map(|(x, i)| (x, start + i));
-            // Each shard owns exactly one `locals` cell.
-            unsafe { *locals_ptr.get().add(shard) = local };
-        }
-    });
-    locals
-        .into_iter()
-        .flatten()
-        .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)))
-        .map(|(_, i)| i)
-}
-
-/// Thread-backed entry-wise minimum (same result as [`par_entrywise_min`]).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn threaded_entrywise_min<T: Ord + Copy + Send + Sync>(dst: &mut [T], src: &[T]) {
-    assert_eq!(dst.len(), src.len(), "entry-wise min over unequal lengths");
-    let serial = |dst: &mut [T], src: &[T]| {
-        for (d, s) in dst.iter_mut().zip(src) {
-            if *s < *d {
-                *d = *s;
-            }
-        }
-    };
-    let shards = num_shards(dst.len());
-    if shards <= 1 {
-        serial(dst, src);
-        return;
-    }
-    let shard_len = dst.len().div_ceil(shards);
-    let n = dst.len();
-    let dst_ptr = SendPtr(dst.as_mut_ptr());
-    // Consecutive shards cover consecutive element ranges, so a claimed run
-    // of shards collapses into one contiguous slice operation.
-    run_shard_ranges(shards, |range| {
-        let start = range.start * shard_len;
-        let end = n.min(range.end * shard_len);
-        // Shard ranges cover disjoint ranges of `dst`.
-        let dc = unsafe { std::slice::from_raw_parts_mut(dst_ptr.get().add(start), end - start) };
-        serial(dc, &src[start..end]);
-    });
-}
-
-/// Thread-backed entry-wise OR over boolean vectors (the `Memb` merge of
-/// Lemma 3.2).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn threaded_entrywise_or(dst: &mut [bool], src: &[bool]) {
-    assert_eq!(dst.len(), src.len(), "entry-wise or over unequal lengths");
-    let serial = |dst: &mut [bool], src: &[bool]| {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d |= *s;
-        }
-    };
-    let shards = num_shards(dst.len());
-    if shards <= 1 {
-        serial(dst, src);
-        return;
-    }
-    let shard_len = dst.len().div_ceil(shards);
-    let n = dst.len();
-    let dst_ptr = SendPtr(dst.as_mut_ptr());
-    run_shard_ranges(shards, |range| {
-        let start = range.start * shard_len;
-        let end = n.min(range.end * shard_len);
-        // Shard ranges cover disjoint ranges of `dst`.
-        let dc = unsafe { std::slice::from_raw_parts_mut(dst_ptr.get().add(start), end - start) };
-        serial(dc, &src[start..end]);
-    });
-}
 
 #[cfg(test)]
 mod tests {
@@ -518,68 +323,6 @@ mod tests {
         sweep_up_costs(128, &mut meter);
         assert_eq!(meter.total().depth, 7);
         assert_eq!(meter.total().peak_processors, 128);
-    }
-
-    #[test]
-    fn threaded_kernels_match_model_kernels() {
-        let xs = vec![5, 3, 8, 3, 1, 1, 9];
-        let mut meter = CostMeter::new();
-        assert_eq!(threaded_min_index(&xs), par_min_index(&xs, &mut meter));
-        let mut a = vec![4, 5, 6];
-        let mut b = a.clone();
-        threaded_entrywise_min(&mut a, &[9, 1, 6]);
-        par_entrywise_min(&mut b, &[9, 1, 6], &mut meter);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn threaded_kernels_match_above_the_cutoff() {
-        // Large enough to actually fan out over threads.
-        let n = PAR_CUTOFF * 3 + 17;
-        let xs: Vec<u64> = (0..n as u64).map(|i| (i * 2654435761) % 100_003).collect();
-        let mut meter = CostMeter::new();
-        assert_eq!(threaded_min_index(&xs), par_min_index(&xs, &mut meter));
-
-        let mut a: Vec<u64> = xs.iter().map(|x| x ^ 0x5555).collect();
-        let mut b = a.clone();
-        threaded_entrywise_min(&mut a, &xs);
-        par_entrywise_min(&mut b, &xs, &mut meter);
-        assert_eq!(a, b);
-
-        let mask: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
-        let expected = xs
-            .iter()
-            .zip(&mask)
-            .enumerate()
-            .filter(|(_, (_, &keep))| keep)
-            .min_by(|a, b| a.1 .0.cmp(b.1 .0).then(a.0.cmp(&b.0)))
-            .map(|(i, _)| i);
-        assert_eq!(threaded_masked_min_index(&xs, &mask), expected);
-
-        let mut ba: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-        let mut bb = ba.clone();
-        threaded_entrywise_or(&mut ba, &mask);
-        for (d, s) in bb.iter_mut().zip(&mask) {
-            *d |= *s;
-        }
-        assert_eq!(ba, bb);
-    }
-
-    #[test]
-    fn threaded_min_index_tie_breaks_leftmost() {
-        let n = PAR_CUTOFF * 2;
-        // Duplicate strict minimum planted in two different shards: the
-        // reducer must pick the leftmost occurrence.
-        let mut xs = vec![7u32; n];
-        xs[3] = 1;
-        xs[PAR_CUTOFF + 5] = 1;
-        assert_eq!(threaded_min_index(&xs), Some(3));
-        assert_eq!(threaded_masked_min_index(&xs, &vec![true; n]), Some(3));
-        // With the first duplicate masked out, the later shard's copy wins.
-        let mut mask = vec![true; n];
-        mask[3] = false;
-        assert_eq!(threaded_masked_min_index(&xs, &mask), Some(PAR_CUTOFF + 5));
-        assert_eq!(threaded_min_index::<u32>(&[]), None);
     }
 
     proptest! {

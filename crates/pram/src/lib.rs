@@ -22,31 +22,29 @@
 //! * [`kernels`] — the parallel primitives the paper's Section 3 is built
 //!   from: tournament-tree minimum reduction, entry-wise vector minimum,
 //!   leftmost-child tree sweep-up, and ranked assignment of processors to
-//!   edges (`getEdge`). Each kernel has a *simulated* phased implementation
-//!   (used for cost accounting and EREW checking) and a thread-backed twin
-//!   (`threaded_*`, dispatched over the persistent worker pool of [`pool`])
-//!   used by the wall-clock execution path when [`ExecMode::Threads`] is
-//!   selected.
+//!   edges (`getEdge`). Each kernel runs on the calling thread and charges
+//!   its PRAM cost; the tournament also has a phased simulation for EREW
+//!   checking ([`ExecMode::Simulated`] is the only execution mode; see
+//!   [`kernels::PAR_CUTOFF`] for why no kernel fans out over the pool).
 //! * [`pool`] — a lazily spawned, process-wide pool of parked worker
-//!   threads with a **work-stealing scheduler**. Kernel invocations publish
+//!   threads with a **work-stealing scheduler**, used by the serving layers
+//!   (shard dispatch, grouped apply, query fan-out). A submission publishes
 //!   a borrowed sharded closure, the calling thread participates, and the
 //!   call blocks until every shard is done — scoped-spawn semantics without
-//!   per-call thread creation, which moves the threaded path's break-even
-//!   input size down by an order of magnitude ([`kernels::PAR_CUTOFF`]).
-//!   Inputs below the cutoff (tiny graphs, single-chunk lists) never spawn
-//!   the pool at all. Scheduling is Cilk-style: every executor (worker or
+//!   per-call thread creation. Single-shard jobs never spawn the pool at
+//!   all. Scheduling is Cilk-style: every executor (worker or
 //!   submitter) owns a deque of shard *ranges*, popped LIFO for cache
 //!   locality; jobs are claimed from the shared injector queue in chunks
 //!   of `ceil(remaining / executors)` shards instead of one-at-a-time
 //!   through the lock; idle workers steal half of a victim's oldest
-//!   remaining range, scanning victims in deterministic order (no RNG —
-//!   results stay bit-for-bit identical to [`ExecMode::Simulated`]); and a
-//!   shard submitting a nested job pushes it onto its own executor's deque,
-//!   which keeps nested submission deadlock-free. Kernels consume work
-//!   through the range API ([`pool::run_shard_ranges`]; [`pool::run_shards`]
-//!   is the per-shard wrapper). [`pool::stats`] exposes process-wide
-//!   counters (jobs run, shards executed, inline runs, injector chunks
-//!   claimed, steals, parked workers) and [`pool::snapshot`] differences
+//!   remaining range, scanning victims in deterministic order (no RNG);
+//!   and a shard submitting a nested job pushes it onto its own executor's
+//!   deque, which keeps nested submission deadlock-free. Callers consume
+//!   work through the range API ([`pool::run_shard_ranges`];
+//!   [`pool::run_shards`] is the per-shard wrapper). [`pool::stats`]
+//!   exposes process-wide counters (jobs run, shards executed, inline
+//!   runs, injector chunks claimed, steals, parked workers) and
+//!   [`pool::snapshot`] differences
 //!   them per phase; the `PDMSF_POOL_THREADS` environment variable (read
 //!   once at first use, clamped to `1..=128`) overrides the hardware-probed
 //!   pool width — `PDMSF_POOL_THREADS=1` forces fully inline execution,
@@ -62,6 +60,5 @@ pub use cost::{CostMeter, CostReport, ExecMode};
 pub use erew::{AccessKind, AccessLog, Violation};
 pub use kernels::{
     erew_tournament_min, par_entrywise_min, par_min_index, ranked_descent, sweep_up_costs,
-    threaded_entrywise_min, threaded_entrywise_or, threaded_masked_min_index, threaded_min_index,
 };
 pub use pool::PoolStats;

@@ -1,51 +1,25 @@
-//! The 1-core / tiny-input degradation audit, in its own integration
-//! binary so the global pool's process-wide state is fully isolated: with
-//! the work-stealing scheduler in place, inputs below `PAR_CUTOFF`,
-//! single-shard jobs and zero-shard jobs must still run inline — without
-//! spawning the pool, let alone waking it — and must be visible as
-//! `inline_runs` in the stats, never as pooled jobs.
+//! The 1-core / tiny-job degradation audit, in its own integration binary
+//! so the global pool's process-wide state is fully isolated: with the
+//! work-stealing scheduler in place, single-shard and zero-shard jobs must
+//! still run inline — without spawning the pool, let alone waking it — and
+//! must be visible as `inline_runs` in the stats, never as pooled jobs.
+//! The below-cutoff half (structure updates never reaching the pool) is
+//! audited end to end by `pdmsf-engine`'s `inline_updates` test.
 //!
 //! Everything lives in ONE `#[test]` on purpose: the assertions are about
 //! process-global state (`pool::is_initialized`, the cumulative counters),
 //! so a second concurrently running test would race them.
 
-use pdmsf_pram::kernels::{
-    threaded_entrywise_min, threaded_entrywise_or, threaded_masked_min_index, threaded_min_index,
-    PAR_CUTOFF,
-};
 use pdmsf_pram::pool;
 
 #[test]
 fn below_cutoff_and_single_shard_work_never_wakes_the_pool() {
     assert!(
         !pool::is_initialized(),
-        "the pool must not exist before any kernel ran"
+        "the pool must not exist before any job ran"
     );
     let before = pool::stats();
     assert_eq!(before.workers, 0);
-
-    // Below-cutoff kernels: computed on the calling thread, no pool, and no
-    // run_shards dispatch at all (the kernels short-circuit before the
-    // pool's inline path).
-    let xs: Vec<u64> = (0..PAR_CUTOFF as u64 - 1)
-        .map(|i| (i * 37) % 101 + 1)
-        .collect();
-    let mask: Vec<bool> = (0..xs.len()).map(|i| i % 2 == 0).collect();
-    let expected = xs
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(&b.0)))
-        .map(|(i, _)| i);
-    assert_eq!(threaded_min_index(&xs), expected);
-    assert!(threaded_masked_min_index(&xs, &mask).is_some());
-    let mut a = xs.clone();
-    threaded_entrywise_min(&mut a, &xs);
-    let mut b = mask.clone();
-    threaded_entrywise_or(&mut b, &mask);
-    assert!(
-        !pool::is_initialized(),
-        "below-cutoff kernels spawned the pool"
-    );
 
     // Single-shard and zero-shard jobs: inline, counted as inline runs.
     pool::run_shards(1, |i| assert_eq!(i, 0));

@@ -19,8 +19,8 @@
 //! * **An algorithmic win that needs no cores at all.** The paper's update
 //!   bound is `O(sqrt(n) log n)` per update — sublinear in `n` — so
 //!   routing a tenant's updates to a shard with `n_shard << n_total`
-//!   vertices makes every update cheaper (`K = sqrt(n)` shrinks with the
-//!   shard), and the engine's `O(n)` query-snapshot capture shrinks with
+//!   vertices makes every update cheaper (`K = sqrt(n log n)` shrinks
+//!   with the shard), and the engine's `O(n)` query-snapshot capture shrinks with
 //!   it. This is why the sharded service beats a single flat engine over
 //!   the merged stream even on one core (experiment E2).
 //! * **Concurrency across shards.** Per batch, [`ShardedService::execute`]
@@ -33,7 +33,7 @@
 //!   shard batch ([`Engine::execute_planned`]) reuses the full
 //!   plan/cancel/dedup/snapshot pipeline internally, including nested
 //!   pool submissions (which land on the submitting executor's own deque)
-//!   for its kernels and query fan-outs. Outcomes are reassembled into
+//!   for its group applies and query fan-outs. Outcomes are reassembled into
 //!   the caller's original op order, and the apply phase's pool delta
 //!   (jobs, chunk claims, **steals**, inline runs) is stamped into the
 //!   returned [`ServiceSummary`].
@@ -80,8 +80,7 @@
 use pdmsf_engine::{Engine, Outcome, PlannedBatch};
 use pdmsf_graph::{TenantId, TenantOp, VertexId};
 use pdmsf_obs as obs;
-use pdmsf_pram::kernels::SendPtr;
-use pdmsf_pram::pool;
+use pdmsf_pram::pool::{self, SendPtr};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -244,7 +243,7 @@ pub struct ServiceSummary {
     /// Total forest weight across **all** shards after the batch.
     pub forest_weight: i128,
     /// Pool jobs completed during the apply phase (the per-shard jobs plus
-    /// any nested kernel / fan-out submissions they made). The pool's
+    /// any nested group-apply / fan-out submissions they made). The pool's
     /// counters are **process-wide**, so when other threads use the pool
     /// concurrently their activity lands in this window too — exact for a
     /// single-service process, an upper bound otherwise.
@@ -366,8 +365,8 @@ pub struct ShardedService {
 
 impl ShardedService {
     /// A service of `shards` shards hosting `tenants`, each shard backed by
-    /// the default engine configuration ([`Engine::new`]: thread-backed
-    /// kernels, `K = sqrt(n_shard)`).
+    /// the default engine configuration ([`Engine::new`]:
+    /// `K = sqrt(n_shard log n_shard)`, kernels inline).
     ///
     /// # Panics
     /// Panics on zero shards, duplicate tenant ids, or a pin outside
@@ -392,7 +391,7 @@ impl ShardedService {
     }
 
     /// Full control over how each shard's engine is built from its vertex
-    /// count (chunk parameter, execution mode) — used by the lockstep tests
+    /// count (chunk parameter, partitioning) — used by the lockstep tests
     /// to force stress configurations.
     pub fn with_engine_factory(
         shards: usize,

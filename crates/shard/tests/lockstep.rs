@@ -13,7 +13,6 @@ use pdmsf_graph::{
     kruskal_msf, BatchKind, BatchOp, EdgeId, TenantId, TenantOp, TenantStream, TenantStreamSpec,
     VertexId, Weight,
 };
-use pdmsf_pram::ExecMode;
 use pdmsf_shard::{ShardedService, TenantSpec};
 use proptest::prelude::*;
 
@@ -237,15 +236,15 @@ proptest! {
         );
     }
 
-    /// Stress configuration: tiny chunk parameter (maximal chunk churn) and
-    /// simulated kernels, so the shard engines take different internal
-    /// paths from the reference's defaults.
+    /// Stress configuration: tiny chunk parameter (maximal chunk churn), so
+    /// the shard engines take different internal paths from the
+    /// reference's defaults.
     #[test]
     fn sharded_matches_under_stress_configuration(
         raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 0..20), 1..5),
     ) {
         let batches = concretise(&raw);
-        let stress = |n: usize| Engine::with_execution(n, 2, ExecMode::Simulated);
+        let stress = |n: usize| Engine::with_chunk_parameter(n, 2);
         check_lockstep(
             &batches,
             ShardedService::with_engine_factory(3, &specs(), stress),

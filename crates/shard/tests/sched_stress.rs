@@ -2,8 +2,8 @@
 //! creates — several submitter threads, each dispatching per-shard jobs
 //! (with nested submissions inside) onto the work-stealing pool — must
 //! produce outcomes identical to the serial (dispatcher-off) path, which
-//! itself is lockstep with `ExecMode::Simulated` semantics (pinned by the
-//! shard crate's lockstep suite).
+//! the shard crate's lockstep suite pins against per-tenant engines and
+//! Kruskal.
 //!
 //! A single `#[test]` in its own integration binary: the pool width
 //! override below is process-global and must be set before anything

@@ -73,18 +73,16 @@
 //! records the trajectory in `BENCH_update_time.json`.
 //!
 //! The parallel front-end [`core::ParDynamicMsf`] charges EREW PRAM costs
-//! either way; with [`pram::ExecMode::Threads`]
-//! ([`core::ParDynamicMsf::new_threaded`]) its bulk kernels — the `γ`/MWR
-//! argmin tournaments and the entry-wise LSDS merges — actually execute on
-//! OS threads: the `threaded_*` kernels in [`pram::kernels`] borrow row-bank
-//! slices and dispatch shards over the **persistent worker pool** of
-//! [`pram::pool`] (parked threads; no per-call spawn, which lowered the
-//! threading cutoff by an order of magnitude). Inputs below
-//! [`pram::kernels::PAR_CUTOFF`] — tiny graphs, single-chunk lists — run
-//! inline and never spawn the pool. Deterministic leftmost-on-tie
-//! reductions keep results bit-for-bit identical to the sequential
-//! structure, which the differential test-suite checks with the threaded
-//! path on and off.
+//! for every kernel — the `γ`/MWR argmin tournaments and the entry-wise
+//! LSDS merges — and runs them on the calling thread, so its forests are
+//! bit-for-bit those of the sequential structure. The paper picks
+//! `K = sqrt n` for `sqrt n` processors and `K = sqrt(n log n)` for one;
+//! the serving engines run on a few cores, so they build the structure at
+//! the sequential `K` ([`core::seq::default_sequential_k`]). At 32 768
+//! vertices on a 2-core machine that is about 1.5× faster per update than
+//! `K = sqrt n` with the same inline kernels, and it keeps `CAdj` rows
+//! below [`pram::kernels::PAR_CUTOFF`], the size under which a pooled scan
+//! cannot pay.
 //!
 //! ## The batch engine layer
 //!
@@ -99,7 +97,8 @@
 //!   never reach the `O(sqrt(n) log n)` update path — only the cheap
 //!   id-allocating mirror sees them, keeping ids identical to a serial
 //!   execution), and **dedups queries**,
-//! * **applies** the surviving updates through [`core::ParDynamicMsf`],
+//! * **applies** the surviving updates through [`core::ParDynamicMsf`]
+//!   (at `K = sqrt(n log n)`, see above),
 //! * **answers all queries at one snapshot point** (after the batch's
 //!   updates): the forest is captured once into flat component labels
 //!   ([`engine::QuerySnapshot`], `O(n + f·α)`) and every connectivity query
@@ -111,16 +110,16 @@
 //! **work-stealing scheduler**: every executor (worker or submitter) owns
 //! a deque of shard ranges, jobs are claimed from the shared injector in
 //! chunks rather than shard-by-shard, idle workers steal half of a
-//! victim's remaining range in deterministic order (no RNG — results stay
-//! bit-for-bit identical to simulated execution), and nested submissions
-//! land on the submitting executor's own deque. Query fan-out therefore
-//! proceeds while other submitters run kernels; `PDMSF_POOL_THREADS`
-//! overrides the pool width and [`pram::pool::stats`] exposes its counters
-//! (jobs, shards, inline runs, chunk claims, steals). Batch semantics are pinned
-//! by a lockstep proptest: batched execution is observationally identical
-//! (outcomes, forest, weights) to applying the same ops one at a time
-//! against [`core::SeqDynamicMsf`] and to a Kruskal recompute, under
-//! duplicate cuts, flap pairs, self-loops and out-of-range endpoints.
+//! victim's remaining range in deterministic order (no RNG), and nested
+//! submissions land on the submitting executor's own deque. Query fan-out
+//! therefore proceeds while other submitters run shard jobs;
+//! `PDMSF_POOL_THREADS` overrides the pool width and [`pram::pool::stats`]
+//! exposes its counters (jobs, shards, inline runs, chunk claims, steals).
+//! Batch semantics are pinned by a lockstep proptest: batched execution is
+//! observationally identical (outcomes, forest, weights) to applying the
+//! same ops one at a time against [`core::SeqDynamicMsf`] and to a Kruskal
+//! recompute, under duplicate cuts, flap pairs, self-loops and
+//! out-of-range endpoints.
 //! Experiment E1 (`cargo run --release -p pdmsf-bench --bin experiments --
 //! e1`) measures the batched path against the one-op-at-a-time path on
 //! bursty and tenant-clustered streams and records the trajectory in
