@@ -43,6 +43,9 @@ use super::NONE;
 
 const ALIVE: u8 = 1;
 const QUEUED: u8 = 2;
+/// The chunk's `agg`/`memb` await recomputation. Never set between public
+/// operations, so never written to an image.
+const STALE: u8 = 4;
 
 // ---- occurrence flag bits ----
 const OCC_ALIVE: u8 = 1;
@@ -118,6 +121,20 @@ impl ChunkArena {
             self.flags[c as usize] |= QUEUED;
         } else {
             self.flags[c as usize] &= !QUEUED;
+        }
+    }
+
+    #[inline]
+    pub(crate) fn stale(&self, c: u32) -> bool {
+        self.flags[c as usize] & STALE != 0
+    }
+
+    #[inline]
+    pub(crate) fn set_stale(&mut self, c: u32, s: bool) {
+        if s {
+            self.flags[c as usize] |= STALE;
+        } else {
+            self.flags[c as usize] &= !STALE;
         }
     }
 
@@ -261,14 +278,40 @@ impl ChunkArena {
     }
 
     /// Re-stamp `occ_chunk` / `occ_pos` over chunk `c`'s occurrence list
-    /// from index `from` on — the reindex after an in-chunk insert/remove
-    /// or a split/merge re-chunking, as one sweep over the flat banks.
+    /// from index `from` on — the reindex after an in-chunk insert/remove,
+    /// as one sweep over the flat banks.
     pub(crate) fn restamp_occs(&mut self, c: u32, from: usize) {
         let ci = c as usize;
         for (p, &o) in self.occs[ci].iter().enumerate().skip(from) {
             self.occ_chunk[o as usize] = c;
             self.occ_pos[o as usize] = p as u32;
         }
+    }
+
+    /// Re-chunk chunk `c`'s occurrences from index `from` on — a split's
+    /// tail or a merge's absorbed run — in one pass: restamp `occ_chunk` /
+    /// `occ_pos`, point `vertex_chunk` of every principal copy at `c`, and
+    /// return the adjacency count those principals carry (`degree` of their
+    /// vertices, summed).
+    pub(crate) fn rechunk_occs(
+        &mut self,
+        c: u32,
+        from: usize,
+        vertex_chunk: &mut [u32],
+        degree: impl Fn(u32) -> usize,
+    ) -> usize {
+        let mut adj = 0;
+        for (p, &o) in self.occs[c as usize].iter().enumerate().skip(from) {
+            let oi = o as usize;
+            self.occ_chunk[oi] = c;
+            self.occ_pos[oi] = p as u32;
+            if self.occ_flags[oi] & OCC_PRINCIPAL != 0 {
+                let v = self.occ_vertex[oi];
+                vertex_chunk[v as usize] = c;
+                adj += degree(v);
+            }
+        }
+        adj
     }
 
     // ---- checkpoint images ----------------------------------------------
@@ -341,6 +384,9 @@ impl ChunkArena {
                 return Err(format!("chunk arena image occ range of chunk {c} invalid"));
             }
             occs.push(image.occ_data[lo..hi].to_vec());
+        }
+        if image.flags.iter().any(|&f| f & !(ALIVE | QUEUED) != 0) {
+            return Err("chunk arena image flags hold unknown bits".to_string());
         }
         check_free_list("chunk", &image.free_ids, &image.flags, ALIVE)?;
         let m = image.occ_vertex.len();

@@ -9,8 +9,13 @@
 //!   (Lemma 2.2; in the EREW model this is the tournament-tree construction
 //!   of Lemma 3.1),
 //! * the symmetric "cross update" of every other chunk's row,
+//! * the single pair entry an edge insertion or deletion changes (Section
+//!   2.6): rows hold exact minima, so a deletion rescans the pair only when
+//!   it removes the pair's minimum and is `O(1)` otherwise,
 //! * the global per-entry refresh of aggregate vectors (the second half of
-//!   `UpdateAdj`, Lemma 2.3).
+//!   `UpdateAdj`, Lemma 2.3). Walks stop at the first *stale* chunk and
+//!   subtree sweeps skip stale chunks: a stale chunk and all its ancestors
+//!   get their whole aggregate recomputed later (see [`super::splay`]).
 //!
 //! Rows live in the forest's [`super::RowBank`]: one slab per slotted chunk,
 //! recycled through the bank's free list, so the frequent short-list slot
@@ -84,21 +89,12 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
                 continue;
             }
             let v = self.chunks.occ_vert(o);
-            let handles = &self.adj[v.index()];
-            for (i, &h) in handles.iter().enumerate() {
-                if let Some(&ahead) = handles.get(i + 2) {
-                    self.edges.prefetch(ahead);
-                }
-                scanned += 1;
-                let e = self.edges.get(h).edge;
-                let other = e.other(v);
-                let co = self.vertex_chunk[other.index()];
-                let so = self.chunks.slot[co as usize];
-                if so == NONE {
-                    continue;
-                }
-                let key = WKey::new(e.weight, e.id);
-                if key < row[so as usize] {
+            let adj = &self.adj[v.index()];
+            scanned += adj.len() as u64;
+            for &a in adj {
+                let (key, other) = self.adj_key(v, a);
+                let so = self.chunks.slot[self.vertex_chunk[other.index()] as usize];
+                if so != NONE && key < row[so as usize] {
                     row[so as usize] = key;
                 }
             }
@@ -210,6 +206,7 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         );
         self.chunks.slot[c as usize] = NONE;
         self.chunks.row[c as usize] = NONE;
+        self.chunks.set_stale(c, false);
         self.slot_owner[s as usize] = NONE;
         self.slot_free.push(s);
         self.charge(work + 1, 1, work.max(1));
@@ -312,8 +309,8 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         );
     }
 
-    /// Bottom-up recomputation of entry `s` in the subtree rooted at `c`.
-    /// Returns the number of chunks visited.
+    /// Bottom-up recomputation of entry `s` in the subtree rooted at `c`,
+    /// skipping stale chunks. Returns the number of chunks visited.
     fn refresh_entry_subtree(&mut self, c: u32, s: u32) -> u64 {
         // Explicit traversal: `order` ends up parent-before-children, so the
         // reverse iteration below recomputes children before parents.
@@ -337,7 +334,7 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         }
         for &node in order.iter().rev() {
             let row = self.chunks.row[node as usize];
-            if row == NONE {
+            if row == NONE || self.chunks.stale(node) {
                 continue;
             }
             let mut agg = self.rows.base(row)[s as usize];
@@ -423,11 +420,11 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
     }
 
     /// Leaf-to-root walk refreshing two entries at once (one traversal, two
-    /// `O(1)` recomputations per level).
+    /// `O(1)` recomputations per level), up to the first stale chunk.
     fn refresh_entry_pair_path(&mut self, c: u32, s1: u32, s2: u32) {
         let mut node = c;
         let mut steps = 0u64;
-        loop {
+        while !self.chunks.stale(node) {
             steps += 1;
             let row = self.chunks.row[node as usize];
             let base = self.rows.base(row);
@@ -457,18 +454,24 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             }
             node = parent;
         }
-        self.charge(steps, log2_ceil((steps as usize).max(2)) + 1, steps.max(1));
+        self.charge(
+            steps.max(1),
+            log2_ceil((steps as usize).max(2)) + 1,
+            steps.max(1),
+        );
     }
 
     /// Recompute entry `s` of the aggregates on the leaf-to-root path of
     /// chunk `c` (the paper's `UpdateAdj` path refresh for a *single*
     /// changed `CAdj` entry, Lemma 2.3): `O(1)` work per level instead of
-    /// the full `O(J)`-vector pull-up a structural splay performs.
-    /// Membership is untouched — `Memb` only changes when ids move.
+    /// the full `O(J)`-vector pull-up a structural splay performs. The walk
+    /// ends at the first stale chunk: it and every chunk above it are
+    /// recomputed in full later. Membership is untouched — `Memb` only
+    /// changes when ids move.
     pub(crate) fn refresh_entry_path(&mut self, c: u32, s: u32) {
         let mut node = c;
         let mut steps = 0u64;
-        loop {
+        while !self.chunks.stale(node) {
             steps += 1;
             let row = self.chunks.row[node as usize];
             let mut agg = self.rows.base(row)[s as usize];
@@ -492,7 +495,11 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             node = parent;
         }
         // One processor per level in the per-entry tree S_j (Lemma 3.2).
-        self.charge(steps, log2_ceil((steps as usize).max(2)) + 1, steps.max(1));
+        self.charge(
+            steps.max(1),
+            log2_ceil((steps as usize).max(2)) + 1,
+            steps.max(1),
+        );
     }
 
     /// Cheap path for a *single* new edge between two id-bearing chunks
@@ -537,13 +544,19 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         }
     }
 
-    /// Recompute the single pair entry between `c1` and `c2` by scanning the
-    /// edges adjacent to `c1` (edge-deletion case of Section 2.6), then
-    /// refresh the two leaf-to-root paths.
-    pub(crate) fn recompute_pair_entry(&mut self, c1: u32, c2: u32) {
+    /// Edge-deletion case of Section 2.6: an edge with `key` between `c1`
+    /// and `c2` is gone. Rows hold exact minima, so the pair entry changes
+    /// only when `key` was its minimum; then it is recomputed by scanning
+    /// the edges adjacent to `c1` and the two leaf-to-root paths are
+    /// refreshed. Otherwise nothing changes, in `O(1)`.
+    pub(crate) fn forget_edge_between(&mut self, c1: u32, c2: u32, key: WKey) {
         let s1 = self.chunks.slot[c1 as usize];
         let s2 = self.chunks.slot[c2 as usize];
         if s1 == NONE || s2 == NONE {
+            return;
+        }
+        if self.rows.base(self.chunks.row[c1 as usize])[s2 as usize] != key {
+            self.charge(1, 1, 1);
             return;
         }
         let mut best = WKey::PLUS_INF;
@@ -553,20 +566,12 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
                 continue;
             }
             let v = self.chunks.occ_vert(o);
-            let handles = &self.adj[v.index()];
-            for (i, &h) in handles.iter().enumerate() {
-                if let Some(&ahead) = handles.get(i + 2) {
-                    self.edges.prefetch(ahead);
-                }
-                scanned += 1;
-                let e = self.edges.get(h).edge;
-                let other = e.other(v);
-                if self.vertex_chunk[other.index()] != c2 {
-                    continue;
-                }
-                let key = WKey::new(e.weight, e.id);
-                if key < best {
-                    best = key;
+            let adj = &self.adj[v.index()];
+            scanned += adj.len() as u64;
+            for &a in adj {
+                let (k, other) = self.adj_key(v, a);
+                if k < best && self.vertex_chunk[other.index()] == c2 {
+                    best = k;
                 }
             }
         }

@@ -8,9 +8,9 @@
 //! SoA banks' pair-merge and in-place-refresh code paths. It is `O(n·m)` and
 //! only meant for tests on small inputs.
 
-use super::{ChunkedEulerForest, EdgeRec, NONE};
+use super::{AdjEntry, ChunkedEulerForest, EdgeRec, NONE};
 use pdmsf_graph::arena::EdgeStore;
-use pdmsf_graph::{Edge, UnionFind, WKey};
+use pdmsf_graph::{Edge, EdgeId, UnionFind, WKey};
 
 impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
     /// Validate every structural invariant against the given set of forest
@@ -161,17 +161,32 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             }
         }
 
-        // ---- adjacency lists hold live handles of the right endpoints ----
-        for (v, handles) in self.adj.iter().enumerate() {
-            for &h in handles {
-                let rec = self.edges.get(h);
-                assert!(
-                    rec.edge.touches(pdmsf_graph::VertexId::from(v)),
-                    "adjacency of vertex {v} holds a handle of {:?}",
-                    rec.edge
-                );
+        // ---- adjacency lists: every entry mirrors a live edge incident to
+        // its vertex, no list repeats an edge, and every edge is listed at
+        // each endpoint (once in all for a self-loop) ----
+        let mut entries = 0usize;
+        for (v, list) in self.adj.iter().enumerate() {
+            let v = pdmsf_graph::VertexId::from(v);
+            for &a in list {
+                let e = self
+                    .edges
+                    .get_by_id(a.id)
+                    .unwrap_or_else(|| panic!("adjacency of {v:?} names dead edge {:?}", a.id))
+                    .edge;
+                assert!(e.touches(v), "adjacency of {v:?} holds {e:?}");
+                assert_eq!(a, AdjEntry::new(e, v), "adjacency entry of {v:?} is stale");
             }
+            let mut ids: Vec<EdgeId> = list.iter().map(|a| a.id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), list.len(), "adjacency of {v:?} repeats an edge");
+            entries += list.len();
         }
+        let mut expected_entries = 0usize;
+        self.edges.for_each(|_, rec| {
+            expected_entries += if rec.edge.u == rec.edge.v { 1 } else { 2 };
+        });
+        assert_eq!(entries, expected_entries, "adjacency lists miss edges");
 
         // ---- adjacency counts ----
         for ci in 0..num_chunks {
@@ -247,7 +262,12 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         }
 
         // ---- LSDS aggregates at every slotted chunk, checked against an
-        // AoS-style reference walk over a private snapshot ----
+        // AoS-style reference walk over a private snapshot; between public
+        // operations no aggregate awaits recomputation ----
+        assert!(self.stale.is_empty(), "stale list not flushed");
+        for ci in 0..num_chunks {
+            assert!(!self.chunks.stale(ci as u32), "chunk {ci} is still stale");
+        }
         for ci in 0..num_chunks {
             if !self.chunks.alive(ci as u32) || self.chunks.slot[ci] == NONE {
                 continue;

@@ -3,10 +3,10 @@
 //! deletion (Section 2.6).
 //!
 //! All bookkeeping is flat: each edge lives in one [`EdgeRec`] slot of the
-//! forest's [`pdmsf_graph::arena::EdgeStore`], and adjacency lists hold the
-//! slot *handles*, so none of this touches a keyed map.
+//! forest's [`pdmsf_graph::arena::EdgeStore`], and each endpoint's adjacency
+//! list holds an inline [`AdjEntry`] (key and far endpoint) for it.
 
-use super::{ChunkedEulerForest, EdgeRec, NONE};
+use super::{AdjEntry, ChunkedEulerForest, EdgeRec, NONE};
 use pdmsf_graph::arena::EdgeStore;
 use pdmsf_graph::{Edge, EdgeId, WKey};
 
@@ -32,8 +32,8 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
     ///
     /// # Panics
     /// Panics if the edge id is already registered.
-    pub fn insert_graph_edge(&mut self, e: Edge) {
-        let h = self.edges.insert(
+    pub(crate) fn insert_graph_edge(&mut self, e: Edge) {
+        self.edges.insert(
             e.id,
             EdgeRec {
                 edge: e,
@@ -41,9 +41,9 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
                 bwd: NONE,
             },
         );
-        self.adj[e.u.index()].push(h);
+        self.adj[e.u.index()].push(AdjEntry::new(e, e.u));
         if e.v != e.u {
-            self.adj[e.v.index()].push(h);
+            self.adj[e.v.index()].push(AdjEntry::new(e, e.v));
         }
         let c1 = self.vertex_chunk[e.u.index()];
         let c2 = self.vertex_chunk[e.v.index()];
@@ -66,27 +66,23 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
     ///
     /// # Panics
     /// Panics if the edge is not registered.
-    pub fn delete_graph_edge(&mut self, id: EdgeId) -> EdgeRec {
-        let h = self
-            .edges
-            .handle_of(id)
-            .unwrap_or_else(|| panic!("edge {id:?} is not registered"));
-        let e = self.edges.get(h).edge;
-        self.adj[e.u.index()].retain(|&x| x != h);
-        if e.v != e.u {
-            self.adj[e.v.index()].retain(|&x| x != h);
-        }
+    pub(crate) fn delete_graph_edge(&mut self, id: EdgeId) -> EdgeRec {
         let rec = self
             .edges
             .remove(id)
-            .expect("handle was resolved a moment ago");
+            .unwrap_or_else(|| panic!("edge {id:?} is not registered"));
+        let e = rec.edge;
+        self.adj[e.u.index()].retain(|a| a.id != id);
+        if e.v != e.u {
+            self.adj[e.v.index()].retain(|a| a.id != id);
+        }
         let c1 = self.vertex_chunk[e.u.index()];
         let c2 = self.vertex_chunk[e.v.index()];
         self.chunks.adj_count[c1 as usize] -= 1;
         if e.v != e.u {
             self.chunks.adj_count[c2 as usize] -= 1;
         }
-        self.recompute_pair_entry(c1, c2);
+        self.forget_edge_between(c1, c2, WKey::new(e.weight, e.id));
         self.touch(c1);
         self.touch(c2);
         self.charge(2, 1, 2);

@@ -3,7 +3,9 @@
 //! One [`ChunkedEulerForest`] instance stores, for the dynamic graph it is
 //! given:
 //!
-//! * the **graph edges** (adjacency lists keyed by vertex),
+//! * the **graph edges** (adjacency lists keyed by vertex; each entry carries
+//!   the edge's weight, id and far endpoint inline, so the `O(K)` edge scans
+//!   never load an edge record),
 //! * the **Euler tour of every tree** of the maintained spanning forest,
 //!   represented as a cyclic list of *vertex occurrences* (Section 2.1 /
 //!   Lemma 2.1) partitioned into **chunks** of `Θ(K)` elements
@@ -41,7 +43,7 @@ mod surgery;
 mod tests;
 
 use pdmsf_graph::arena::{edges_where, sorted_ids_where, EdgeSlotMap, EdgeStore};
-use pdmsf_graph::{Edge, EdgeId, VertexId, WKey};
+use pdmsf_graph::{Edge, EdgeId, VertexId, WKey, Weight};
 use pdmsf_pram::CostMeter;
 
 pub(crate) use arena::{ChunkArena, RowBank};
@@ -69,6 +71,35 @@ pub struct EdgeRec {
 
 /// The production storage for [`EdgeRec`]s: dense slots, no hashing.
 pub type ArenaEdgeStore = EdgeSlotMap<EdgeRec>;
+
+/// One adjacency-list entry of vertex `v`: the incident edge's key and its
+/// far endpoint, stored inline (16 bytes). Row rebuilds, pair recomputes
+/// and MWR scans read only these entries; the full [`Edge`] is looked up by
+/// id where one is returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct AdjEntry {
+    pub(crate) weight: Weight,
+    pub(crate) id: EdgeId,
+    /// The endpoint other than `v` (`v` itself for a self-loop).
+    pub(crate) other: VertexId,
+}
+
+impl AdjEntry {
+    /// The entry of `e` in the adjacency list of its endpoint `v`.
+    #[inline]
+    pub(crate) fn new(e: Edge, v: VertexId) -> Self {
+        AdjEntry {
+            weight: e.weight,
+            id: e.id,
+            other: e.other(v),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn key(self) -> WKey {
+        WKey::new(self.weight, self.id)
+    }
+}
 
 /// How primitive operations are charged to the cost meter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -112,9 +143,7 @@ pub struct ChunkedEulerForest<S: EdgeStore<EdgeRec> = ArenaEdgeStore> {
 
     // ---- graph + arc storage (one flat record per edge) ----
     pub(crate) edges: S,
-    /// Adjacency lists hold edge-store *handles*, so scan loops resolve each
-    /// incident edge with a single indexed load.
-    pub(crate) adj: Vec<Vec<u32>>,
+    pub(crate) adj: Vec<Vec<AdjEntry>>,
 
     // ---- occurrences (per-vertex indexes; the occurrence *records* live
     // in the flat banks of [`ChunkArena`]) ----
@@ -136,10 +165,8 @@ pub struct ChunkedEulerForest<S: EdgeStore<EdgeRec> = ArenaEdgeStore> {
     pub(crate) slot_owner: Vec<u32>,
     pub(crate) slot_free: Vec<u32>,
 
-    // ---- scratch buffers reused by the MWR search and the CAdj upkeep
-    // (row rebuilds, targeted entry refreshes) ----
-    pub(crate) scratch_keys: Vec<WKey>,
-    pub(crate) scratch_cands: Vec<Edge>,
+    // ---- scratch buffers reused by the CAdj upkeep (row rebuilds,
+    // targeted entry refreshes, stale-aggregate recomputation) ----
     pub(crate) scratch_row: Vec<WKey>,
     pub(crate) scratch_row2: Vec<WKey>,
     pub(crate) scratch_order: Vec<u32>,
@@ -149,6 +176,9 @@ pub struct ChunkedEulerForest<S: EdgeStore<EdgeRec> = ArenaEdgeStore> {
     /// Chunks touched by the current operation, pending Invariant-1 fix-up
     /// (a stack; membership is the `queued` flag on each chunk).
     pub(crate) touched: Vec<u32>,
+    /// Slotted chunks whose `agg`/`memb` await recomputation (membership is
+    /// the `stale` flag; see [`splay`]). Empty between public operations.
+    pub(crate) stale: Vec<u32>,
 }
 
 impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
@@ -168,14 +198,13 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             rows: RowBank::default(),
             slot_owner: Vec::new(),
             slot_free: Vec::new(),
-            scratch_keys: Vec::new(),
-            scratch_cands: Vec::new(),
             scratch_row: Vec::new(),
             scratch_row2: Vec::new(),
             scratch_order: Vec::new(),
             scratch_dirty: Vec::new(),
             scratch_dirty2: Vec::new(),
             touched: Vec::new(),
+            stale: Vec::new(),
         };
         for _ in 0..n {
             forest.add_vertex();
@@ -288,6 +317,22 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
     /// Degree of a vertex in the maintained graph.
     pub(crate) fn degree(&self, v: VertexId) -> usize {
         self.adj[v.index()].len()
+    }
+
+    /// Key and far endpoint of an adjacency entry of `v`. The map baseline
+    /// resolves every entry through its `HashMap`, the per-entry lookup it
+    /// exists to measure; the production store reads the entry inline.
+    #[inline]
+    pub(crate) fn adj_key(&self, v: VertexId, a: AdjEntry) -> (WKey, VertexId) {
+        if S::SEED_BASELINE {
+            let e = self
+                .edges
+                .get_by_id(a.id)
+                .expect("adjacency entries name live edges")
+                .edge;
+            return (WKey::new(e.weight, e.id), e.other(v));
+        }
+        (a.key(), a.other)
     }
 
     /// The current forest (tree) edges, sorted by id.

@@ -12,23 +12,19 @@
 //!   is scanned directly in `O(K)` time (`O(log K)` parallel depth with a
 //!   tournament tree).
 //!
-//! Candidate edges are gathered into reusable scratch buffers and the final
-//! argmin is a leftmost-on-tie scan (`argmin_keys`).
+//! Both scans keep a running minimum over the inline adjacency keys (keys
+//! are unique, so it is the argmin) and look up the winning edge by id.
 
 use super::{ChunkedEulerForest, EdgeRec, NONE};
 use pdmsf_graph::arena::EdgeStore;
 use pdmsf_graph::{Edge, WKey};
 use pdmsf_pram::kernels::log2_ceil;
 
-/// Leftmost index of the minimum key.
-fn argmin_keys(keys: &[WKey]) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (i, k) in keys.iter().enumerate() {
-        if best.is_none_or(|b| *k < keys[b]) {
-            best = Some(i);
-        }
-    }
-    best
+#[cfg(test)]
+thread_local! {
+    /// γ searches run on this thread, so tests can check their streams
+    /// reach the search.
+    pub(crate) static GAMMA_SEARCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Leftmost index of the minimum key among masked entries.
@@ -45,7 +41,7 @@ fn argmin_masked(keys: &[WKey], mask: &[bool]) -> Option<usize> {
 impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
     /// The minimum-weight edge with one endpoint (principal copy) in the list
     /// rooted at `root_a` and the other in the list rooted at `root_b`.
-    pub fn find_mwr(&mut self, root_a: u32, root_b: u32) -> Option<Edge> {
+    pub(crate) fn find_mwr(&mut self, root_a: u32, root_b: u32) -> Option<Edge> {
         debug_assert_ne!(root_a, root_b, "MWR requires two distinct lists");
         let a_short =
             self.chunks.size[root_a as usize] == 1 && self.chunks.slot[root_a as usize] == NONE;
@@ -64,47 +60,43 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
     /// incident to its principal copies and keep the lightest one whose other
     /// endpoint lies in the list rooted at `other_root`.
     fn scan_short_list(&mut self, short_root: u32, other_root: u32) -> Option<Edge> {
-        let mut keys = std::mem::take(&mut self.scratch_keys);
-        let mut cands = std::mem::take(&mut self.scratch_cands);
-        keys.clear();
-        cands.clear();
+        let mut best = WKey::PLUS_INF;
         let mut scanned = 0u64;
         for &o in &self.chunks.occs[short_root as usize] {
             if !self.chunks.occ_principal(o) {
                 continue;
             }
             let v = self.chunks.occ_vert(o);
-            let handles = &self.adj[v.index()];
-            for (i, &h) in handles.iter().enumerate() {
-                if let Some(&ahead) = handles.get(i + 2) {
-                    self.edges.prefetch(ahead);
+            let adj = &self.adj[v.index()];
+            scanned += adj.len() as u64;
+            for &a in adj {
+                let (key, other) = self.adj_key(v, a);
+                if key < best && self.tree_root(self.vertex_chunk[other.index()]) == other_root {
+                    best = key;
                 }
-                scanned += 1;
-                let e = self.edges.get(h).edge;
-                let other = e.other(v);
-                let co = self.vertex_chunk[other.index()];
-                if self.tree_root(co) != other_root {
-                    continue;
-                }
-                keys.push(WKey::new(e.weight, e.id));
-                cands.push(e);
             }
         }
-        let best = argmin_keys(&keys).map(|i| cands[i]);
         self.charge(
             scanned + 1,
             log2_ceil((scanned as usize).max(2)) + 1,
             scanned.max(1),
         );
-        self.scratch_keys = keys;
-        self.scratch_cands = cands;
-        best
+        self.edge_of_key(best)
+    }
+
+    /// The registered edge behind a scan's winning key (`None` for `∞`).
+    fn edge_of_key(&self, key: WKey) -> Option<Edge> {
+        (!key.is_inf()).then(|| self.edge(key.edge).expect("scanned keys name live edges"))
     }
 
     /// The `γ`-array search of Lemma 2.4: `γ[i] = CAdj_{root_a}[i]` masked by
     /// `Memb_{root_b}[i]`; the winning chunk of the other list is then
     /// scanned for the witness edge.
     fn gamma_search(&mut self, root_a: u32, root_b: u32) -> Option<Edge> {
+        // γ reads the two roots' aggregates, so they must be exact.
+        self.recompute_stale();
+        #[cfg(test)]
+        GAMMA_SEARCHES.with(|n| n.set(n.get() + 1));
         let cap = self.slot_cap();
         let best_slot = {
             debug_assert!(
@@ -132,10 +124,7 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         // other endpoint against the membership of `root_a`.
         let chunk = self.slot_owner[slot];
         debug_assert_ne!(chunk, NONE);
-        let mut keys = std::mem::take(&mut self.scratch_keys);
-        let mut cands = std::mem::take(&mut self.scratch_cands);
-        keys.clear();
-        cands.clear();
+        let mut best = WKey::PLUS_INF;
         let mut scanned = 0u64;
         let root_a_memb = self.rows.memb(self.chunks.row[root_a as usize]);
         for &o in &self.chunks.occs[chunk as usize] {
@@ -143,36 +132,28 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
                 continue;
             }
             let v = self.chunks.occ_vert(o);
-            let handles = &self.adj[v.index()];
-            for (i, &h) in handles.iter().enumerate() {
-                if let Some(&ahead) = handles.get(i + 2) {
-                    self.edges.prefetch(ahead);
+            let adj = &self.adj[v.index()];
+            scanned += adj.len() as u64;
+            for &a in adj {
+                let (key, other) = self.adj_key(v, a);
+                if key < best {
+                    let so = self.chunks.slot[self.vertex_chunk[other.index()] as usize];
+                    if so != NONE && root_a_memb[so as usize] {
+                        best = key;
+                    }
                 }
-                scanned += 1;
-                let e = self.edges.get(h).edge;
-                let other = e.other(v);
-                let co = self.vertex_chunk[other.index()];
-                let so = self.chunks.slot[co as usize];
-                if so == NONE || !root_a_memb[so as usize] {
-                    continue;
-                }
-                keys.push(WKey::new(e.weight, e.id));
-                cands.push(e);
             }
         }
-        let best = argmin_keys(&keys).map(|i| (keys[i], cands[i]));
         self.charge(
             scanned + 1,
             log2_ceil((scanned as usize).max(2)) + 1,
             scanned.max(1),
         );
-        self.scratch_keys = keys;
-        self.scratch_cands = cands;
-        let (found_key, edge) = best.expect("γ promised an edge between the two lists");
+        assert!(!best.is_inf(), "γ promised an edge between the two lists");
         debug_assert_eq!(
-            found_key, expected_key,
+            best, expected_key,
             "γ aggregate and chunk scan disagree on the MWR edge"
         );
-        Some(edge)
+        self.edge_of_key(best)
     }
 }

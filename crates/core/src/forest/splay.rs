@@ -5,8 +5,21 @@
 //! structural operations; we use a splay tree keyed by list position, which
 //! supports the same operation set (insert / delete / split / join /
 //! leaf-to-root refresh) with amortised `O(log J)` structural cost. Every
-//! touched node recomputes its `O(J)`-sized aggregate vectors, exactly as in
-//! Lemma 2.3, so the per-operation aggregate cost is `O(J log J)` amortised.
+//! touched node needs its `O(J)`-sized aggregate vectors recomputed, exactly
+//! as in Lemma 2.3, so the per-operation aggregate cost is `O(J log J)`
+//! amortised.
+//!
+//! An update touches the same few chunks many times (rotations, joins,
+//! splits, row rebuilds), so aggregates are recomputed **once per update**:
+//! [`ChunkedEulerForest::pull_up`] fixes `size` at once but only marks a
+//! slotted chunk *stale*, keeping the invariant that every ancestor of a
+//! stale chunk is stale. [`ChunkedEulerForest::recompute_stale`] then
+//! recomputes each stale chunk once, children before parents — before the
+//! `γ` search reads a list root, and at the end of every insert and delete.
+//! Each recomputation replaces at least one eager one, so the amortised
+//! bound is unchanged, and the meter still charges every splay at the
+//! model's `O(J)` per touched node. Aggregates are exact between public
+//! operations.
 //!
 //! All topology lives in the flat banks of [`super::ChunkArena`]
 //! (`parent` / `left` / `right` / `size`), so the rotation and walk loops
@@ -23,15 +36,12 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         self.slot_owner.len()
     }
 
-    /// Recompute `size`, `agg` and `memb` of `c` from its own data and its
-    /// children. `O(slot_cap)` when the chunk carries rows, `O(1)` otherwise.
+    /// Recompute `size` of `c` from its children and mark a slotted `c`
+    /// stale (its `agg` and `memb` wait for [`Self::recompute_stale`]).
+    /// `O(1)`.
     pub(crate) fn pull_up(&mut self, c: u32) {
         let ci = c as usize;
-        let (l, r, slot) = (
-            self.chunks.left[ci],
-            self.chunks.right[ci],
-            self.chunks.slot[ci],
-        );
+        let (l, r) = (self.chunks.left[ci], self.chunks.right[ci]);
         let mut size = 1;
         if l != NONE {
             size += self.chunks.size[l as usize];
@@ -40,10 +50,61 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             size += self.chunks.size[r as usize];
         }
         self.chunks.size[ci] = size;
-        if slot == NONE {
+        if self.chunks.slot[ci] == NONE {
             debug_assert!(l == NONE && r == NONE, "slotless chunk with children");
             return;
         }
+        if !self.chunks.stale(c) {
+            self.chunks.set_stale(c, true);
+            self.stale.push(c);
+        }
+    }
+
+    /// Recompute the aggregates of every stale chunk, each once and
+    /// children before parents, and clear the stale set. Since every
+    /// ancestor of a stale chunk is stale, the stale chunks of a list form a
+    /// subtree at its root: one top-down pass collects it, and the reverse
+    /// order recomputes it bottom-up.
+    pub(crate) fn recompute_stale(&mut self) {
+        let mut stale = std::mem::take(&mut self.stale);
+        let mut order = std::mem::take(&mut self.scratch_order);
+        for &c in &stale {
+            if !self.chunks.stale(c) {
+                continue; // already recomputed with its list, or dropped
+            }
+            let root = self.tree_root(c);
+            debug_assert!(self.chunks.stale(root), "stale chunk under a fresh root");
+            order.clear();
+            order.push(root);
+            let mut next = 0;
+            while next < order.len() {
+                let node = order[next] as usize;
+                next += 1;
+                for child in [self.chunks.left[node], self.chunks.right[node]] {
+                    if child != NONE && self.chunks.stale(child) {
+                        order.push(child);
+                    }
+                }
+            }
+            for &node in order.iter().rev() {
+                self.recompute_aggregate(node);
+                self.chunks.set_stale(node, false);
+            }
+        }
+        stale.clear();
+        self.stale = stale;
+        self.scratch_order = order;
+    }
+
+    /// Recompute `agg` and `memb` of slotted chunk `c` from its own row and
+    /// its children's (fresh) aggregates. `O(slot_cap)`.
+    fn recompute_aggregate(&mut self, c: u32) {
+        let ci = c as usize;
+        let (l, r, slot) = (
+            self.chunks.left[ci],
+            self.chunks.right[ci],
+            self.chunks.slot[ci],
+        );
         let row = self.chunks.row[ci];
         {
             // agg := base, memb := {slot}, in place on the slab.
@@ -107,21 +168,14 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
                 self.chunks.right[g as usize] = x;
             }
         }
-        // Only the demoted node is pulled up here: the promoted node's
-        // aggregate is never read before `splay` pulls it up once at the end
-        // (each rotation only reads the aggregates of unchanged subtrees and
-        // of previously demoted nodes), which halves the `O(J)` vector
-        // merges per splay. (The seed baseline keeps its original
-        // both-nodes-per-rotation policy.)
+        // Only the demoted node is pulled up here: the promoted node's size
+        // is never read before `splay` pulls it up once at the end.
         self.pull_up(p);
-        if S::SEED_BASELINE {
-            self.pull_up(x);
-        }
     }
 
     /// Splay `c` to the root of its list's tree (this is also the paper's
-    /// `UpdateAdj` path refresh: every node on the leaf-to-root path has its
-    /// aggregate vectors recomputed).
+    /// `UpdateAdj` path refresh: every node on the leaf-to-root path gets its
+    /// aggregate vectors recomputed, here by marking it stale).
     pub(crate) fn splay(&mut self, c: u32) {
         let mut rotations: u64 = 0;
         while self.chunks.parent[c as usize] != NONE {

@@ -164,18 +164,6 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         self.touch(c_new);
     }
 
-    /// Recompute a chunk's adjacency count from scratch: one sweep over the
-    /// occurrence list against the flag/vertex banks.
-    pub(crate) fn recompute_adj_count(&mut self, c: u32) {
-        let mut count = 0;
-        for &o in &self.chunks.occs[c as usize] {
-            if self.chunks.occ_principal(o) {
-                count += self.degree(self.chunks.occ_vert(o));
-            }
-        }
-        self.chunks.adj_count[c as usize] = count;
-    }
-
     // ------------------------------------------------------------------
     // Chunk split / merge (Lemma 2.2, parallelised in Lemma 3.1)
     // ------------------------------------------------------------------
@@ -192,17 +180,12 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         let tail: Vec<u32> = self.chunks.occs[c as usize].split_off(p + 1);
         let c2 = self.chunks.alloc();
         self.chunks.occs[c2 as usize] = tail;
-        // Re-chunk the moved occurrences: one sweep over the
-        // `occ_chunk`/`occ_pos` banks, then a flag-bank sweep to retarget
-        // the principal-chunk cache.
-        self.chunks.restamp_occs(c2, 0);
-        for &o in &self.chunks.occs[c2 as usize] {
-            if self.chunks.occ_principal(o) {
-                self.vertex_chunk[self.chunks.occ_vertex[o as usize] as usize] = c2;
-            }
-        }
-        self.recompute_adj_count(c);
-        self.recompute_adj_count(c2);
+        let adj = &self.adj;
+        let moved_adj = self
+            .chunks
+            .rechunk_occs(c2, 0, &mut self.vertex_chunk, |v| adj[v as usize].len());
+        self.chunks.adj_count[c2 as usize] = moved_adj;
+        self.chunks.adj_count[c as usize] -= moved_adj;
         self.charge(len as u64, log2_ceil(len.max(2)) + 1, len as u64);
         // After the split the list has at least two chunks, so both carry
         // ids; rebuild both rows in one batched pass (the seed baseline
@@ -244,17 +227,12 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         let offset = self.chunks.occs[c as usize].len();
         let moved_len = moved.len();
         self.chunks.occs[c as usize].extend(moved);
-        // Re-chunk the absorbed occurrences as one bank sweep, then
-        // retarget the principal-chunk cache of any principals that moved.
-        self.chunks.restamp_occs(c, offset);
-        for i in offset..offset + moved_len {
-            let o = self.chunks.occs[c as usize][i];
-            if self.chunks.occ_principal(o) {
-                self.vertex_chunk[self.chunks.occ_vertex[o as usize] as usize] = c;
-            }
-        }
-        let nxt_adj = self.chunks.adj_count[nxt as usize];
-        self.chunks.adj_count[c as usize] += nxt_adj;
+        let adj = &self.adj;
+        let moved_adj = self
+            .chunks
+            .rechunk_occs(c, offset, &mut self.vertex_chunk, |v| adj[v as usize].len());
+        debug_assert_eq!(moved_adj, self.chunks.adj_count[nxt as usize]);
+        self.chunks.adj_count[c as usize] += moved_adj;
         self.charge(
             moved_len as u64 + 1,
             log2_ceil(moved_len.max(2)) + 1,

@@ -331,6 +331,67 @@ fn forest_stats_report_invariant_one() {
     assert_eq!(stats.k, 6);
 }
 
+/// The `CAdj` entry between the chunks holding `a`'s and `b`'s principal
+/// copies (both chunks must carry ids).
+fn pair_entry(s: &SeqDynamicMsf, a: u32, b: u32) -> pdmsf_graph::WKey {
+    let f = s.forest();
+    let (ca, cb) = (f.vertex_chunk[a as usize], f.vertex_chunk[b as usize]);
+    let sb = f.chunks.slot[cb as usize];
+    assert_ne!(sb, crate::forest::NONE, "chunk of {b} carries no id");
+    f.rows.base(f.chunks.row[ca as usize])[sb as usize]
+}
+
+#[test]
+fn deleting_a_non_minimum_edge_keeps_the_pair_entry_in_o1() {
+    // A path long enough to span several chunks (so every chunk carries an
+    // id), plus three parallel non-tree edges between two far-apart
+    // vertices, whose chunks end up holding them as one CAdj pair entry.
+    let (n, k) = (24u32, 4usize);
+    let mut s = SeqDynamicMsf::with_chunk_parameter(n as usize, k);
+    for i in 0..n - 1 {
+        s.insert(edge(i, i, i + 1, 1 + i as i64));
+    }
+    let (a, b) = (2u32, 20u32);
+    let (e1, e2, e3) = (
+        edge(100, a, b, 100),
+        edge(101, a, b, 200),
+        edge(102, a, b, 300),
+    );
+    for e in [e1, e2, e3] {
+        assert_eq!(s.insert(e), pdmsf_graph::MsfDelta::NONE);
+    }
+    s.validate();
+    let f = s.forest();
+    let (ca, cb) = (f.vertex_chunk[a as usize], f.vertex_chunk[b as usize]);
+    assert_ne!(ca, cb, "the endpoints must sit in different chunks");
+    // Two deletions must not push either chunk under K (no merge moves
+    // the principal copies).
+    for c in [ca, cb] {
+        assert!(f.chunks.nc(c) >= k + 2, "chunk {c} too small for the test");
+    }
+    let key = |e: Edge| pdmsf_graph::WKey::new(e.weight, e.id);
+    assert_eq!(pair_entry(&s, a, b), key(e1));
+
+    // Not the minimum: the entry stays, and the deletion costs the two
+    // O(1) registration charges plus the O(1) comparison — no scan.
+    assert_eq!(s.delete(e2.id), pdmsf_graph::MsfDelta::NONE);
+    assert_eq!(pair_entry(&s, a, b), key(e1));
+    assert_eq!(pair_entry(&s, b, a), key(e1));
+    assert_eq!(s.last_op_cost().work, 3);
+    s.validate();
+
+    // The minimum: the pair is rescanned and the entry moves to the next
+    // minimum.
+    assert_eq!(s.delete(e1.id), pdmsf_graph::MsfDelta::NONE);
+    assert_eq!(pair_entry(&s, a, b), key(e3));
+    assert_eq!(pair_entry(&s, b, a), key(e3));
+    assert!(
+        s.last_op_cost().work > 3,
+        "a minimum deletion rescans the pair"
+    );
+    s.validate();
+}
+
 mod soa_vs_aos {
     //! Property test pinning the structure-of-arrays banks to a plain
     //! array-of-structs reference: after arbitrary update streams, the
@@ -530,39 +591,59 @@ mod soa_vs_aos {
         ]
     }
 
+    /// Apply `ops` to a fresh `n`-vertex structure at chunk parameter `k`,
+    /// calling `check` after every op.
+    fn run_ops(n: usize, k: usize, ops: &[Op], mut check: impl FnMut(&SeqDynamicMsf)) {
+        let mut s = SeqDynamicMsf::with_chunk_parameter(n, k);
+        let mut live: Vec<Edge> = Vec::new();
+        let mut next_id = 0u32;
+        for op in ops {
+            match *op {
+                Op::Insert { u, v, w } => {
+                    let e = Edge {
+                        id: EdgeId(next_id),
+                        u: VertexId(u as u32 % n as u32),
+                        v: VertexId(v as u32 % n as u32),
+                        weight: Weight::new(w as i64),
+                    };
+                    next_id += 1;
+                    live.push(e);
+                    s.insert(e);
+                }
+                Op::DeleteNth(nth) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let e = live.swap_remove(nth as usize % live.len());
+                    s.delete(e.id);
+                }
+            }
+            check(&s);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
+
+        /// Small K with `validate()` (exact CAdj rows and aggregates, empty
+        /// stale set) after every op; each case must reach the γ search,
+        /// which recomputes stale aggregates before reading list roots.
+        #[test]
+        fn small_k_streams_validate_after_every_op(ops in proptest::collection::vec(op_strategy(16), 80..160)) {
+            let searches = || crate::forest::mwr::GAMMA_SEARCHES.with(|c| c.get());
+            let before = searches();
+            run_ops(16, 2, &ops, |s| s.validate());
+            prop_assert!(searches() > before, "the stream never reached the γ search");
+        }
 
         /// Tiny K maximises chunk churn (splits, merges, slot transitions),
         /// exercising every RowBank alloc/free/grow path.
         #[test]
         fn soa_banks_match_aos_reference(ops in proptest::collection::vec(op_strategy(12), 1..100)) {
-            let n = 12usize;
-            let mut s = SeqDynamicMsf::with_chunk_parameter(n, 2);
-            let mut live: Vec<Edge> = Vec::new();
-            let mut next_id = 0u32;
-            for op in &ops {
-                match *op {
-                    Op::Insert { u, v, w } => {
-                        let e = Edge {
-                            id: EdgeId(next_id),
-                            u: VertexId(u as u32 % n as u32),
-                            v: VertexId(v as u32 % n as u32),
-                            weight: Weight::new(w as i64),
-                        };
-                        next_id += 1;
-                        live.push(e);
-                        s.insert(e);
-                    }
-                    Op::DeleteNth(k) => {
-                        if live.is_empty() { continue; }
-                        let e = live.swap_remove(k as usize % live.len());
-                        s.delete(e.id);
-                    }
-                }
+            run_ops(12, 2, &ops, |s| {
                 check_against_aos(s.forest());
                 check_occs_against_aos(s.forest());
-            }
+            });
         }
     }
 }

@@ -40,9 +40,30 @@
 //! * `RowBank` stores every `CAdj` `base`/`agg` row contiguously in one
 //!   backing `Vec<WKey>` (and every `Memb` row in one `Vec<bool>`),
 //!   addressed by compact slab handles (`offset = slab · stride`,
-//!   `len = stride`). `pull_up`'s entry-wise merges, the `γ`/MWR argmin and
-//!   full-row rebuilds are linear sweeps over dense memory; slabs recycle
-//!   through a free list and a stride growth is one compacting re-layout.
+//!   `len = stride`). The aggregates' entry-wise merges, the `γ`/MWR argmin
+//!   and full-row rebuilds are linear sweeps over dense memory; slabs
+//!   recycle through a free list and a stride growth is one compacting
+//!   re-layout.
+//!
+//! With `K` fixed, an update's time is constant factors, and four choices
+//! cut them:
+//!
+//! * **Inline adjacency.** An adjacency entry is `{weight, id, other}`
+//!   (16 bytes), so the `O(K)` edge scans (row rebuilds, pair recomputes,
+//!   the short-list and `γ`-winner scans) never load an edge record; the
+//!   full edge is looked up by id only for a scan's winner.
+//! * **Minimum-only pair rescans.** Rows hold exact minima, so an edge
+//!   deletion rescans its chunk pair only when it removes the pair's
+//!   minimum; otherwise the step is `O(1)`.
+//! * **One-pass re-chunking.** A chunk split or merge walks the moved
+//!   occurrences once, restamping them, retargeting the principal-chunk
+//!   cache and summing their adjacency count.
+//! * **Aggregates recomputed once per update.** A structural change marks
+//!   the touched chunks stale instead of recomputing their `O(J)` vectors;
+//!   each stale chunk is recomputed once, bottom-up, before the `γ` search
+//!   and at the end of every insert and delete. Aggregates are exact
+//!   between public operations, and the meter still charges the model's
+//!   `O(J)` per touched node.
 //!
 //! Every kernel runs on the calling thread. The serving engines build
 //! their structures at the sequential `K = sqrt(n log n)`

@@ -60,7 +60,7 @@
 //! forced-serial execution.
 
 use crate::par::ParDynamicMsf;
-use pdmsf_graph::{DynamicMsf, Edge, EdgeId, EdgeStore, MsfDelta, VertexId, WKey};
+use pdmsf_graph::{DynamicMsf, Edge, EdgeId, MsfDelta, VertexId, WKey};
 use pdmsf_pram::pool::{self, SendPtr};
 use std::collections::HashSet;
 
@@ -388,16 +388,14 @@ impl ComponentPartitionedMsf {
             for (pi, part) in self.parts.iter().enumerate() {
                 let adj = &part.forest().adj[v];
                 if pi as u32 == h {
-                    for &handle in adj {
-                        let e = part.forest().edges.get(handle).edge;
-                        let o = e.other(VertexId(v as u32));
+                    for a in adj {
                         assert_eq!(
-                            self.home[o.index()],
+                            self.home[a.other.index()],
                             h,
                             "edge {} crosses partitions ({} vs {})",
-                            e.id.0,
+                            a.id.0,
                             h,
-                            self.home[o.index()]
+                            self.home[a.other.index()]
                         );
                     }
                 } else {
@@ -660,14 +658,13 @@ impl Bfs {
         let w = self.verts[self.head];
         self.head += 1;
         let forest = part.forest();
-        for &handle in &forest.adj[w.index()] {
-            let e = forest.edges.get(handle).edge;
-            if self.seen_edges.insert(e.id.0) {
-                self.edges.push(e);
+        for a in &forest.adj[w.index()] {
+            if self.seen_edges.insert(a.id.0) {
+                self.edges
+                    .push(forest.edge(a.id).expect("adjacency names a live edge"));
             }
-            let o = e.other(w);
-            if self.seen_verts.insert(o.0) {
-                self.verts.push(o);
+            if self.seen_verts.insert(a.other.0) {
+                self.verts.push(a.other);
             }
         }
         false

@@ -205,6 +205,7 @@ impl<S: EdgeStore<EdgeRec>> DynamicMsf for GenericSeqDynamicMsf<S> {
                 MsfDelta::NONE
             }
         };
+        self.forest.recompute_stale();
         self.last_op = self.forest.meter.finish_op();
         delta
     }
@@ -226,6 +227,7 @@ impl<S: EdgeStore<EdgeRec>> DynamicMsf for GenericSeqDynamicMsf<S> {
                 None => MsfDelta::removed(id),
             }
         };
+        self.forest.recompute_stale();
         self.last_op = self.forest.meter.finish_op();
         delta
     }

@@ -27,8 +27,8 @@
 //! that would misbehave later.
 
 use crate::forest::{
-    ArenaEdgeStore, ChunkArena, ChunkArenaImage, ChunkedEulerForest, CostModel, EdgeRec, RowBank,
-    RowBankImage,
+    AdjEntry, ArenaEdgeStore, ChunkArena, ChunkArenaImage, ChunkedEulerForest, CostModel, EdgeRec,
+    RowBank, RowBankImage,
 };
 use crate::seq::GenericSeqDynamicMsf;
 use pdmsf_dyntree::LinkCutForest;
@@ -71,7 +71,8 @@ pub struct MsfImage {
     pub edge_free: Vec<u32>,
     /// Per-vertex ranges into `adj_data` (`n + 1` entries, starts at 0).
     pub adj_offsets: Vec<u64>,
-    /// Concatenated adjacency lists (edge-store handles).
+    /// Concatenated adjacency lists (edge-store handles; import checks each
+    /// names a live edge touching its vertex, listed once per endpoint).
     pub adj_data: Vec<u32>,
     /// Per-vertex ranges into `vocc_data`.
     pub vocc_offsets: Vec<u64>,
@@ -98,13 +99,15 @@ pub struct MsfImage {
     pub forest_weight: i128,
 }
 
-/// Flatten ragged `Vec<Vec<u32>>` lists into an offsets + data pair.
-fn flatten(lists: &[Vec<u32>]) -> (Vec<u64>, Vec<u32>) {
+/// Flatten ragged lists into an offsets + data pair.
+fn flatten<L: IntoIterator<Item = u32>>(
+    lists: impl ExactSizeIterator<Item = L>,
+) -> (Vec<u64>, Vec<u32>) {
     let mut offsets = Vec::with_capacity(lists.len() + 1);
     let mut data = Vec::new();
     offsets.push(0u64);
     for list in lists {
-        data.extend_from_slice(list);
+        data.extend(list);
         offsets.push(data.len() as u64);
     }
     (offsets, data)
@@ -157,8 +160,17 @@ pub(crate) fn forest_to_image(
             edge_bwd.push(rec.bwd);
         }
     }
-    let (adj_offsets, adj_data) = flatten(&forest.adj);
-    let (vocc_offsets, vocc_data) = flatten(&forest.vertex_occs);
+    // The image stores adjacency as edge-store handles; import rebuilds the
+    // inline entries from them.
+    let (adj_offsets, adj_data) = flatten(forest.adj.iter().map(|list| {
+        list.iter().map(|a| {
+            forest
+                .edges
+                .handle_of(a.id)
+                .expect("adjacency entries name live edges")
+        })
+    }));
+    let (vocc_offsets, vocc_data) = flatten(forest.vertex_occs.iter().map(|l| l.iter().copied()));
     MsfImage {
         k: forest.k as u64,
         model: match forest.model {
@@ -227,6 +239,7 @@ pub(crate) fn forest_from_image(
     )
     .map_err(|e| format!("msf image edge store: {e}"))?;
     let adj = unflatten("msf image adjacency", &image.adj_offsets, &image.adj_data)?;
+    let adj = adjacency_from_handles(&edges, &adj)?;
     let vertex_occs = unflatten(
         "msf image vertex-occurrence",
         &image.vocc_offsets,
@@ -274,15 +287,76 @@ pub(crate) fn forest_from_image(
         rows,
         slot_owner: image.slot_owner.clone(),
         slot_free: image.slot_free.clone(),
-        scratch_keys: Vec::new(),
-        scratch_cands: Vec::new(),
         scratch_row: Vec::new(),
         scratch_row2: Vec::new(),
         scratch_order: Vec::new(),
         scratch_dirty: Vec::new(),
         scratch_dirty2: Vec::new(),
         touched: image.touched.clone(),
+        stale: Vec::new(),
     })
+}
+
+/// Rebuild the inline adjacency entries from an image's per-vertex handle
+/// lists. Every handle must name a live slot whose edge touches the list's
+/// vertex, and every live edge must be listed exactly once at each endpoint
+/// (once in all for a self-loop); anything else is refused.
+fn adjacency_from_handles(
+    edges: &ArenaEdgeStore,
+    handles: &[Vec<u32>],
+) -> Result<Vec<Vec<AdjEntry>>, String> {
+    let (ids, vals, _) = edges.raw_parts();
+    // Per slot: bit 0 = listed at `u`, bit 1 = listed at `v`.
+    let mut listed = vec![0u8; ids.len()];
+    let mut adj = Vec::with_capacity(handles.len());
+    for (v, list) in handles.iter().enumerate() {
+        let v = VertexId(v as u32);
+        let mut entries = Vec::with_capacity(list.len());
+        for &h in list {
+            let e = match ids.get(h as usize) {
+                Some(id) if !id.is_none() => vals[h as usize].edge,
+                _ => {
+                    return Err(format!(
+                        "msf image adjacency of vertex {} names dead or out-of-range handle {h}",
+                        v.0
+                    ))
+                }
+            };
+            let bit = if v == e.u {
+                1
+            } else if v == e.v {
+                2
+            } else {
+                return Err(format!(
+                    "msf image adjacency of vertex {} holds edge {} of {}–{}",
+                    v.0, e.id.0, e.u.0, e.v.0
+                ));
+            };
+            if listed[h as usize] & bit != 0 {
+                return Err(format!(
+                    "msf image adjacency of vertex {} lists edge {} twice",
+                    v.0, e.id.0
+                ));
+            }
+            listed[h as usize] |= bit;
+            entries.push(AdjEntry::new(e, v));
+        }
+        adj.push(entries);
+    }
+    for (h, id) in ids.iter().enumerate() {
+        if id.is_none() {
+            continue;
+        }
+        let e = vals[h].edge;
+        let want = if e.u == e.v { 1 } else { 3 };
+        if listed[h] != want {
+            return Err(format!(
+                "msf image adjacency misses edge {} at an endpoint",
+                e.id.0
+            ));
+        }
+    }
+    Ok(adj)
 }
 
 /// Rebuild the seq front-end around an imported forest: reconstruct the
@@ -421,6 +495,48 @@ mod tests {
 
         let mut bad = good;
         bad.model = 9;
+        assert!(ParDynamicMsf::from_image(&bad).is_err());
+    }
+
+    #[test]
+    fn msf_image_import_rejects_bad_adjacency() {
+        let mut m = ParDynamicMsf::with_chunk_parameter(8, 2);
+        for i in 0..6u32 {
+            m.insert(e(i, i, i + 1, i as i64));
+        }
+        m.insert(e(6, 3, 3, 1));
+        let good = m.to_image();
+        assert!(ParDynamicMsf::from_image(&good).is_ok());
+
+        // A handle past the edge store.
+        let mut bad = good.clone();
+        bad.adj_data[0] = good.edge_ids.len() as u32;
+        let err = ParDynamicMsf::from_image(&bad).err().expect("refused");
+        assert!(err.contains("adjacency"), "{err}");
+
+        // A handle taken from another vertex's list: vertex 0's only edge
+        // (0–1) replaced by vertex 5's last edge (5–6), which misses 0.
+        let mut bad = good.clone();
+        let v5_last = good.adj_offsets[6] as usize - 1;
+        bad.adj_data[good.adj_offsets[0] as usize] = good.adj_data[v5_last];
+        let err = ParDynamicMsf::from_image(&bad).err().expect("refused");
+        assert!(err.contains("adjacency"), "{err}");
+
+        // An edge listed twice at one endpoint and missing at the other:
+        // vertex 1's entry for edge 0–1 replaced by its entry for 1–2.
+        let mut bad = good.clone();
+        let v1 = good.adj_offsets[1] as usize;
+        bad.adj_data[v1] = good.adj_data[v1 + 1];
+        assert!(ParDynamicMsf::from_image(&bad).is_err());
+
+        // A self-loop listed twice at its vertex.
+        let mut bad = good;
+        let v3 = bad.adj_offsets[3] as usize;
+        let loop_at = (v3..bad.adj_offsets[4] as usize)
+            .find(|&i| bad.edge_ids[bad.adj_data[i] as usize] == 6)
+            .expect("self-loop listed at vertex 3");
+        let other = if loop_at == v3 { v3 + 1 } else { v3 };
+        bad.adj_data[other] = bad.adj_data[loop_at];
         assert!(ParDynamicMsf::from_image(&bad).is_err());
     }
 

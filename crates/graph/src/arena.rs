@@ -14,9 +14,9 @@
 //!   a dense `u32` slot (with a free-list, so slot storage stays proportional
 //!   to the number of *live* edges no matter how many ids history has
 //!   consumed). The slot is a stable handle for the lifetime of the edge:
-//!   callers store handles in their adjacency lists and resolve them with a
-//!   single indexed load, skipping even the id-to-slot translation on scan
-//!   loops.
+//!   callers store handles (the chunked forest's Euler-tour arc tails, its
+//!   checkpointed adjacency) and resolve them with a single indexed load,
+//!   skipping even the id-to-slot translation.
 //! * [`EdgeStore`] — the storage interface the core structures are generic
 //!   over, with [`EdgeSlotMap`] as the production implementation and
 //!   [`HashEdgeStore`] (a `std::collections::HashMap` wrapper) kept as the
@@ -126,11 +126,12 @@ impl EdgeIdIndex {
 pub trait EdgeStore<T>: Default {
     /// Whether this store represents the **seed baseline**: structures
     /// instantiated over it also keep the seed's hot-path *policies*
-    /// (global aggregate refreshes, rescan-on-merge, per-rotation double
-    /// pull-ups) so that benchmarks compare this PR's hot path against the
-    /// faithful pre-arena implementation, not against a hybrid that already
-    /// received every shared improvement. Results are identical either way —
-    /// only the work schedule differs.
+    /// (global aggregate refreshes, rescan-on-merge, splay-based entry
+    /// refreshes, an edge lookup per adjacency entry scanned) so that
+    /// benchmarks compare the production hot path against the faithful
+    /// pre-arena implementation, not against a hybrid that already received
+    /// every shared improvement. Results are identical either way — only
+    /// the work schedule differs.
     const SEED_BASELINE: bool = false;
 
     /// Register `id`, returning its handle.
@@ -170,15 +171,6 @@ pub trait EdgeStore<T>: Default {
     /// Whether the store is empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Hint that `handle` will be resolved shortly (scan loops call this a
-    /// few iterations ahead). Flat stores can prefetch the slot — a keyed
-    /// map cannot know the bucket address without hashing, which is the
-    /// point of the comparison. Default: no-op.
-    #[inline]
-    fn prefetch(&self, handle: u32) {
-        let _ = handle;
     }
 
     /// Visit every live entry (order unspecified).
@@ -329,21 +321,6 @@ impl<T: Copy> EdgeStore<T> for EdgeSlotMap<T> {
     #[inline]
     fn len(&self) -> usize {
         self.index.len()
-    }
-
-    #[inline]
-    fn prefetch(&self, handle: u32) {
-        #[cfg(target_arch = "x86_64")]
-        if (handle as usize) < self.vals.len() {
-            unsafe {
-                core::arch::x86_64::_mm_prefetch(
-                    self.vals.as_ptr().add(handle as usize) as *const i8,
-                    core::arch::x86_64::_MM_HINT_T0,
-                );
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = handle;
     }
 
     fn for_each(&self, mut f: impl FnMut(EdgeId, &T)) {

@@ -36,13 +36,13 @@
 //!
 //! * [`graph::arena`] interns each live [`graph::EdgeId`] into a dense
 //!   `u32` slot ([`graph::EdgeSlotMap`], free-listed so slot storage stays
-//!   proportional to the *live* edge count). The slot is a stable handle:
-//!   adjacency lists store handles, so the `O(K)`-edge scans of the chunked
-//!   forest resolve each incident edge with a single indexed load — and,
-//!   because the address is known in advance, the store prefetches upcoming
-//!   records ([`graph::arena::EdgeStore::prefetch`]), which no hash map can
-//!   do. Sparse id regions (the degree-reduction's auxiliary ids) are
-//!   handled by a paged id index ([`graph::EdgeIdIndex`]).
+//!   proportional to the *live* edge count). The slot is a stable handle
+//!   that resolves with a single indexed load. The `O(K)`-edge scans of the
+//!   chunked forest do not even do that: each adjacency entry carries the
+//!   edge's weight, id and far endpoint inline (16 bytes), and the full edge
+//!   is looked up by id only for a scan's winner. Sparse id regions (the
+//!   degree-reduction's auxiliary ids) are handled by a paged id index
+//!   ([`graph::EdgeIdIndex`]).
 //! * One [`core::EdgeRec`] per edge carries the edge *and* its Euler-tour
 //!   arc tails, replacing the seed's `HashMap<EdgeId, Edge>` +
 //!   `HashMap<EdgeId, (u32, u32)>` + `BTreeMap<EdgeId, Edge>` triple; the
@@ -60,10 +60,13 @@
 //!   (see the `pdmsf-core` crate docs for the bank layout).
 //! * Aggregate upkeep is *targeted*: chunk merges use the paper's
 //!   entry-wise row minimum instead of an `O(K)` rescan (Lemma 2.2/3.1),
-//!   single-entry `CAdj` changes refresh one leaf-to-root path per affected
-//!   list (Lemma 2.3) instead of splaying whole vectors, split pairs rebuild
-//!   both rows in one batched pass, and retired row slabs are recycled
-//!   through the bank's free list.
+//!   an edge deletion rescans its chunk pair only when it removes the
+//!   pair's minimum, single-entry `CAdj` changes refresh one leaf-to-root
+//!   path per affected list (Lemma 2.3) instead of splaying whole vectors,
+//!   split pairs rebuild both rows in one batched pass, and retired row
+//!   slabs are recycled through the bank's free list. The `O(J)` aggregate
+//!   vectors of the chunks an update touches are recomputed once per
+//!   update, not at every rotation that touches them.
 //!
 //! The structures stay generic over the bookkeeping store: the
 //! `HashMap`-backed [`core::MapSeqDynamicMsf`] is **kept for comparison**
