@@ -767,12 +767,12 @@ fn e4_serve_latency(quick: bool) {
     } else {
         RampConfig::standard()
     };
-    // Every run drives each workload twice: once on classic
-    // single-structure shard engines (`partitions: 0`) and once on
-    // component-partitioned engines (grouped intra-batch apply + adaptive
-    // rebalancing) — the `*_parts` rows. Comparing the two knees in one
-    // run is the E4 read on whether partitioned serving holds the
-    // single-structure capacity while stamping group attribution.
+    // Every run drives each workload twice: once on one-partition shard
+    // engines (`partitions: 0`) and once on multi-partition engines
+    // (grouped intra-batch apply + adaptive rebalancing) — the `*_parts`
+    // rows. Comparing the two knees in one run is the E4 read on whether
+    // partitioned serving holds the one-partition capacity while stamping
+    // group attribution.
     let scenarios: &[ServeScenario] = if quick {
         &[
             ServeScenario {
@@ -883,7 +883,7 @@ fn e4_serve_latency(quick: bool) {
         records.extend(ramp);
     }
     // Pairwise knee read: each partitioned scenario against its
-    // single-structure twin from the same run.
+    // one-partition twin from the same run.
     for scenario in scenarios.iter().filter(|s| s.partitions > 0) {
         let base = scenario.name.trim_end_matches("_parts");
         let knee_of = |name: &str| {
@@ -1207,12 +1207,13 @@ fn e6_intra_batch(quick: bool) {
                     });
                     records.last().unwrap().ops_per_sec()
                 };
-                let mut grouped = Engine::new_partitioned(n, partitions);
+                let k = default_sequential_k(n);
+                let mut grouped = Engine::with_partitions(n, partitions, k);
                 let (t_g, ops_g) = drive_engine_batched(&mut grouped, &stream);
                 rates[0].push(run("grouped", &grouped, t_g, ops_g));
                 groups_dispatched = grouped.stats().update_groups;
 
-                let mut serial = Engine::new_partitioned(n, partitions);
+                let mut serial = Engine::with_partitions(n, partitions, k);
                 serial.set_serial_apply(true);
                 let (t_s, ops_s) = drive_engine_batched(&mut serial, &stream);
                 rates[1].push(run("serial", &serial, t_s, ops_s));
@@ -1221,7 +1222,7 @@ fn e6_intra_batch(quick: bool) {
                 // large-n differential test of the grouped apply.
                 assert_eq!(grouped.forest_weight(), serial.forest_weight());
                 assert_eq!(grouped.forest_edges(), serial.forest_edges());
-                grouped.validate_structure();
+                grouped.structure().validate();
             }
             let m_grouped = median(&mut rates[0]);
             let m_serial = median(&mut rates[1]);
@@ -1247,7 +1248,7 @@ fn e6_intra_batch(quick: bool) {
     // there; the rest of the stream is block-local churn. The adaptive arm
     // (default engine) re-homes components right after the pile-up and
     // runs the churn as ~one group per block on small per-partition
-    // structures; the static arm (`set_rebalance(false)`) stays collapsed
+    // structures; the static arm (floor `u64::MAX`) stays collapsed
     // forever — a single serial group against one partition holding every
     // live edge. Same stream, bit-identical forests — the ratio is pure
     // rebalancing leverage. The cycle spans the whole stream (one pile-up):
@@ -1291,14 +1292,15 @@ fn e6_intra_batch(quick: bool) {
             });
             records.last().unwrap().ops_per_sec()
         };
-        let mut adaptive = Engine::new_partitioned(mig_n, partitions);
+        let mig_k = default_sequential_k(mig_n);
+        let mut adaptive = Engine::with_partitions(mig_n, partitions, mig_k);
         let (t_a, ops_a) = drive_engine_batched(&mut adaptive, &mig_stream);
         mig_rates[0].push(run("adaptive", &adaptive, t_a, ops_a));
         mig_rebalances = adaptive.stats().rebalances;
         mig_migrations = adaptive.stats().migrations;
 
-        let mut static_e = Engine::new_partitioned(mig_n, partitions);
-        static_e.set_rebalance(false);
+        let mut static_e = Engine::with_partitions(mig_n, partitions, mig_k);
+        static_e.set_rebalance_min(u64::MAX);
         let (t_s, ops_s) = drive_engine_batched(&mut static_e, &mig_stream);
         mig_rates[1].push(run("static", &static_e, t_s, ops_s));
 
@@ -1308,8 +1310,8 @@ fn e6_intra_batch(quick: bool) {
         assert_eq!(static_e.stats().rebalances, 0);
         assert_eq!(adaptive.forest_weight(), static_e.forest_weight());
         assert_eq!(adaptive.forest_edges(), static_e.forest_edges());
-        adaptive.validate_structure();
-        static_e.validate_structure();
+        adaptive.structure().validate();
+        static_e.structure().validate();
     }
     let m_adaptive = median(&mut mig_rates[0]);
     let m_static = median(&mut mig_rates[1]);

@@ -420,20 +420,26 @@ pub fn drive_service_flat(
 /// every batch through [`Engine::execute`] (timed). Returns (batch wall
 /// clock, operations processed).
 pub fn drive_engine_batched(engine: &mut Engine, stream: &BatchStream) -> (Duration, usize) {
-    drive_engine(engine, stream, Engine::execute)
+    drive_engine(engine, stream, |engine, ops| {
+        engine.execute(ops);
+    })
 }
 
-/// Same stream, but every batch goes through the one-op-at-a-time path
-/// ([`Engine::execute_one_by_one`]) — the baseline the batched path is
-/// measured against.
+/// Same stream, but every op runs as its own single-op batch through
+/// [`Engine::execute`] — no cancellation, no dedup, no snapshot: the
+/// baseline the batched path is measured against.
 pub fn drive_engine_one_by_one(engine: &mut Engine, stream: &BatchStream) -> (Duration, usize) {
-    drive_engine(engine, stream, Engine::execute_one_by_one)
+    drive_engine(engine, stream, |engine, ops| {
+        for op in ops {
+            engine.execute(std::slice::from_ref(op));
+        }
+    })
 }
 
 fn drive_engine(
     engine: &mut Engine,
     stream: &BatchStream,
-    step: impl Fn(&mut Engine, &[Op]) -> pdmsf_engine::BatchResult,
+    step: impl Fn(&mut Engine, &[Op]),
 ) -> (Duration, usize) {
     let base: Vec<Op> = stream
         .base_edges
@@ -1368,28 +1374,25 @@ mod tests {
 
         // Adaptive (default) vs static (rebalance off): identical forests,
         // but only adaptive ever rebalances.
-        let mut adaptive = Engine::new_partitioned(n, blocks);
-        let mut static_e = Engine::new_partitioned(n, blocks);
-        static_e.set_rebalance(false);
+        let k = pdmsf_core::seq::default_sequential_k(n);
+        let mut adaptive = Engine::with_partitions(n, blocks, k);
+        let mut static_e = Engine::with_partitions(n, blocks, k);
+        static_e.set_rebalance_min(u64::MAX);
         for batch in &stream.batches {
             adaptive.execute(batch);
             static_e.execute(batch);
         }
         assert_eq!(adaptive.forest_weight(), static_e.forest_weight());
         assert_eq!(adaptive.forest_edges(), static_e.forest_edges());
-        adaptive.validate_structure();
-        static_e.validate_structure();
+        adaptive.structure().validate();
+        static_e.structure().validate();
         let (a, s) = (adaptive.stats(), static_e.stats());
         assert!(a.migrations > 0, "bridges must force migrations");
         assert!(a.rebalances > 0, "cut batches must trigger rebalances");
         assert_eq!(s.rebalances, 0);
         // The static engine stays collapsed: every component homed in one
         // partition, so the cut batch leaves occupancy concentrated.
-        let occ = static_e
-            .partitioned_structure()
-            .expect("partitioned engine")
-            .occupancy()
-            .to_vec();
+        let occ = static_e.structure().occupancy().to_vec();
         let total: u64 = occ.iter().sum();
         assert!(
             occ.iter().any(|&o| o * 2 > total),

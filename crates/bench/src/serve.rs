@@ -32,6 +32,8 @@
 
 use std::time::{Duration, Instant};
 
+use pdmsf_core::seq::default_sequential_k;
+use pdmsf_engine::Engine;
 use pdmsf_obs as obs;
 use pdmsf_shard::{ShardedService, TenantSpec};
 
@@ -51,10 +53,9 @@ pub struct ServeScenario {
     pub batch_size: usize,
     /// Tenant-pick skew for the stream generator (0 = uniform).
     pub zipf_permille: u32,
-    /// Partitions per shard engine: `> 0` builds the service with
-    /// component-partitioned engines ([`ShardedService::new_partitioned`],
-    /// grouped intra-batch apply + adaptive rebalancing), `0` keeps the
-    /// classic single-structure engines.
+    /// Partitions per shard engine ([`Engine::with_partitions`]): `> 1`
+    /// gives grouped intra-batch apply + adaptive rebalancing, `0` (or 1)
+    /// keeps one partition, as [`ShardedService::new`] does.
     pub partitions: usize,
     pub seed: u64,
 }
@@ -120,7 +121,7 @@ pub struct ServeRecord {
     pub tenants: usize,
     /// Chunk parameter K of shard 0's structure.
     pub k: usize,
-    /// Partitions per shard engine (0 = single-structure engines).
+    /// Partitions per shard engine (0 = one-partition engines).
     pub partitions: usize,
     pub round: usize,
     pub offered_rps: u64,
@@ -248,17 +249,12 @@ pub fn drive_serve_ramp(
         let specs: Vec<TenantSpec> = (0..scenario.tenants)
             .map(|t| TenantSpec::new(pdmsf_graph::TenantId(t as u32), scenario.tenant_vertices))
             .collect();
-        let mut service = if scenario.partitions > 0 {
-            ShardedService::new_partitioned(scenario.shards, &specs, scenario.partitions)
-        } else {
-            ShardedService::new(scenario.shards, &specs)
-        };
+        let parts = scenario.partitions.max(1);
+        let mut service = ShardedService::with_engine_factory(scenario.shards, &specs, |n| {
+            Engine::with_partitions(n, parts, default_sequential_k(n))
+        });
         service.enable_metrics();
-        let engine0 = service.shard_engine(0);
-        let k = match engine0.partitioned_structure() {
-            Some(p) => p.chunk_parameter(),
-            None => engine0.structure().chunk_parameter(),
-        };
+        let k = service.shard_engine(0).structure().chunk_parameter();
 
         let batches = (config.round_ops / scenario.batch_size).max(1);
         let stream = tenant_stream(

@@ -62,6 +62,7 @@
 use crate::par::ParDynamicMsf;
 use pdmsf_graph::{DynamicMsf, Edge, EdgeId, MsfDelta, VertexId, WKey};
 use pdmsf_pram::pool::{self, SendPtr};
+use pdmsf_pram::{CostReport, ExecMode};
 use std::collections::HashSet;
 
 /// One structure-surviving update of a planned batch, in the resolved form
@@ -165,14 +166,69 @@ impl ComponentPartitionedMsf {
         }
     }
 
+    /// Reassemble a structure from its parts (the checkpoint import path):
+    /// the partitions, the `home` lane, the rebalance floor and the
+    /// cumulative counters. Occupancy is recounted from the partitions.
+    /// Refused unless there is at least one partition, every partition has
+    /// `home.len()` vertices and the same `K`, every home names an existing
+    /// partition, and every vertex with edges in a partition is homed there
+    /// (component containment) — never a panic.
+    pub fn from_parts(
+        parts: Vec<ParDynamicMsf>,
+        home: Vec<u32>,
+        rebalance_min: u64,
+        stats: PartitionStats,
+    ) -> Result<Self, String> {
+        check_parts(&parts, &home)?;
+        let occupancy = live_edge_counts(&parts, home.len());
+        Ok(ComponentPartitionedMsf {
+            parts,
+            home,
+            occupancy,
+            rebalance_min,
+            stats,
+        })
+    }
+
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
         self.parts.len()
     }
 
+    /// The partitions, in partition-id order (checkpointing and
+    /// diagnostics).
+    pub fn partitions(&self) -> &[ParDynamicMsf] {
+        &self.parts
+    }
+
+    /// The `home` lane: `homes()[v]` is the partition owning vertex `v`.
+    pub fn homes(&self) -> &[u32] {
+        &self.home
+    }
+
     /// Chunk parameter K shared by every partition's structure.
     pub fn chunk_parameter(&self) -> usize {
         self.parts[0].chunk_parameter()
+    }
+
+    /// PRAM cost of the most recent update. Each partition meters its own
+    /// updates, so with one partition this is exactly that structure's
+    /// [`ParDynamicMsf::last_op_cost`]. With more, it is the most recent
+    /// update cost of the partition whose latest update was deepest (ties
+    /// by work): an upper bound on the depth of any partition's latest
+    /// update, not necessarily the cost of the batch's final update.
+    pub fn last_op_cost(&self) -> CostReport {
+        self.parts
+            .iter()
+            .map(ParDynamicMsf::last_op_cost)
+            .max_by_key(|c| (c.depth, c.work))
+            .expect("at least one partition")
+    }
+
+    /// The kernel execution mode: always [`ExecMode::Simulated`], as for
+    /// every partition.
+    pub fn execution_mode(&self) -> ExecMode {
+        self.parts[0].execution_mode()
     }
 
     /// The partition currently owning vertex `v`'s component.
@@ -190,25 +246,16 @@ impl ComponentPartitionedMsf {
         &self.occupancy
     }
 
-    /// Lower the occupancy floor below which [`Self::maybe_rebalance`] is a
-    /// no-op (tests force small structures through the rebalance path).
+    /// Set the occupancy floor below which [`Self::maybe_rebalance`] is a
+    /// no-op (tests force small structures through the rebalance path with
+    /// 1; `u64::MAX` switches rebalancing off).
     pub fn set_rebalance_min(&mut self, min: u64) {
         self.rebalance_min = min;
     }
 
-    /// Delete edge `id` given one of its endpoints (locates the partition
-    /// with one `home` load instead of scanning all partitions).
-    pub fn delete_hinted(&mut self, id: EdgeId, endpoint: VertexId) -> MsfDelta {
-        let p = self.home[endpoint.index()];
-        debug_assert!(
-            self.parts[p as usize].contains_edge(id),
-            "delete_hinted: edge {} absent from partition {} (endpoint {})",
-            id.0,
-            p,
-            endpoint.index()
-        );
-        self.occupancy[p as usize] -= 1;
-        self.parts[p as usize].delete(id)
+    /// The current rebalance occupancy floor.
+    pub fn rebalance_min(&self) -> u64 {
+        self.rebalance_min
     }
 
     /// Spread load back across partitions after migrations have
@@ -353,59 +400,31 @@ impl ComponentPartitionedMsf {
         }
     }
 
-    /// Apply updates serially in arrival order, with no grouping at all —
-    /// the baseline arm of the E6 experiment and the WAL-identity tests.
-    pub fn apply_serial(&mut self, updates: &[GroupUpdate]) {
+    /// Apply one update at once, outside any grouping — the engine's
+    /// immediate arm (one partition, or forced-serial apply). Runs the same
+    /// `apply_group` loop as [`Self::apply_groups`].
+    pub fn apply(&mut self, update: GroupUpdate) {
         let view = self.full_view();
         let mut st = PartitionStats::default();
-        apply_group(&view, &mut st, updates);
+        apply_group(&view, &mut st, std::slice::from_ref(&update));
         self.stats.add(&st);
     }
 
-    /// Validate every partition's internal invariants plus the component
-    /// containment invariant: every live edge joins two vertices homed in
-    /// the partition holding it, and a vertex is isolated in every
-    /// partition except its home. Test-only helper, `O(P·n + m)`.
+    /// Validate every partition's internal invariants, the occupancy
+    /// counters, and the shape and containment checks of
+    /// [`Self::from_parts`]. Test-only helper, `O(P·n + m)`.
     pub fn validate(&self) {
         for part in &self.parts {
             part.validate();
         }
-        // The incremental occupancy counters must agree with a from-scratch
-        // live-edge count of every partition.
-        for (pi, part) in self.parts.iter().enumerate() {
-            let live: usize = (0..self.home.len())
-                .map(|v| part.forest().adj[v].len())
-                .sum::<usize>()
-                / 2;
-            assert_eq!(
-                self.occupancy[pi], live as u64,
-                "occupancy counter of partition {pi} drifted"
-            );
+        if let Err(e) = check_parts(&self.parts, &self.home) {
+            panic!("{e}");
         }
-        for v in 0..self.home.len() {
-            let h = self.home[v];
-            assert!((h as usize) < self.parts.len(), "home out of range");
-            for (pi, part) in self.parts.iter().enumerate() {
-                let adj = &part.forest().adj[v];
-                if pi as u32 == h {
-                    for a in adj {
-                        assert_eq!(
-                            self.home[a.other.index()],
-                            h,
-                            "edge {} crosses partitions ({} vs {})",
-                            a.id.0,
-                            h,
-                            self.home[a.other.index()]
-                        );
-                    }
-                } else {
-                    assert!(
-                        adj.is_empty(),
-                        "vertex {v} has edges in partition {pi} but is homed in {h}"
-                    );
-                }
-            }
-        }
+        assert_eq!(
+            self.occupancy,
+            live_edge_counts(&self.parts, self.home.len()),
+            "occupancy counters drifted from the partitions' live edges"
+        );
     }
 
     fn full_view(&mut self) -> PartView<'static> {
@@ -446,8 +465,8 @@ impl DynamicMsf for ComponentPartitionedMsf {
     }
 
     fn delete(&mut self, id: EdgeId) -> MsfDelta {
-        // Unhinted path (trait callers only — the engine always hints):
-        // scan for the owning partition.
+        // Trait callers name no endpoint (the engine's cuts carry one, see
+        // `GroupUpdate::Cut`): scan for the owning partition.
         for p in 0..self.parts.len() {
             if self.parts[p].contains_edge(id) {
                 self.occupancy[p] -= 1;
@@ -489,6 +508,63 @@ impl DynamicMsf for ComponentPartitionedMsf {
     fn name(&self) -> &'static str {
         "kpr-component-partitioned"
     }
+}
+
+/// The shape and containment checks shared by
+/// [`ComponentPartitionedMsf::from_parts`] and `validate`: at least one
+/// partition, all with `home.len()` vertices and one `K`, every home in
+/// range, and every vertex with edges in a partition homed there. Given
+/// valid partitions, the last check is component containment: an edge's
+/// two endpoints both list it, so both are homed in the partition holding
+/// it. `O(P·n)`.
+fn check_parts(parts: &[ParDynamicMsf], home: &[u32]) -> Result<(), String> {
+    let first = parts
+        .first()
+        .ok_or("a partitioned structure needs at least one partition")?;
+    let (n, k) = (home.len(), first.chunk_parameter());
+    for (pi, part) in parts.iter().enumerate() {
+        if part.num_vertices() != n {
+            return Err(format!(
+                "partition {pi} has {} vertices but the home lane has {n}",
+                part.num_vertices()
+            ));
+        }
+        if part.chunk_parameter() != k {
+            return Err(format!(
+                "partition {pi} has K = {} but partition 0 has K = {k}",
+                part.chunk_parameter()
+            ));
+        }
+    }
+    if let Some(v) = home.iter().position(|&h| h as usize >= parts.len()) {
+        return Err(format!(
+            "vertex {v} is homed in partition {} of {}",
+            home[v],
+            parts.len()
+        ));
+    }
+    for (pi, part) in parts.iter().enumerate() {
+        let adj = &part.forest().adj;
+        if let Some(v) = (0..n).find(|&v| !adj[v].is_empty() && home[v] as usize != pi) {
+            return Err(format!(
+                "vertex {v} has edges in partition {pi} but is homed in {}",
+                home[v]
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Live edges held by each partition, counted from scratch (each edge is
+/// listed once per endpoint).
+fn live_edge_counts(parts: &[ParDynamicMsf], n: usize) -> Vec<u64> {
+    parts
+        .iter()
+        .map(|part| {
+            let adj = &part.forest().adj;
+            ((0..n).map(|v| adj[v].len()).sum::<usize>() / 2) as u64
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -763,7 +839,7 @@ mod tests {
             } else {
                 let k = rng.below(live.len() as u64) as usize;
                 let e = live.swap_remove(k);
-                assert_eq!(part.delete_hinted(e.id, e.u), reference.delete(e.id));
+                assert_eq!(part.delete(e.id), reference.delete(e.id));
             }
         }
         assert!(part.partition_stats().migrations > 0);
@@ -825,9 +901,9 @@ mod tests {
         grouped.apply_groups(&groups);
         let mut serial = build();
         // Interleave the groups the way an arrival-order batch would.
-        let arrival: Vec<GroupUpdate> =
-            vec![g0[0], g1[0], g2[0], g0[1], g1[1], g2[1], g0[2], g2[2]];
-        serial.apply_serial(&arrival);
+        for update in [g0[0], g1[0], g2[0], g0[1], g1[1], g2[1], g0[2], g2[2]] {
+            serial.apply(update);
+        }
         assert_eq!(grouped.forest_edges(), serial.forest_edges());
         assert_eq!(grouped.forest_weight(), serial.forest_weight());
         for v in 0..n {
@@ -875,7 +951,7 @@ mod tests {
             let bridge = id;
             part.insert(edge(bridge, 8 * b, 0, 1));
             id += 1;
-            part.delete_hinted(EdgeId(bridge), VertexId(0));
+            part.delete(EdgeId(bridge));
         }
         assert_eq!(part.occupancy(), &[28, 0, 0, 0]);
         part.validate();

@@ -1,9 +1,11 @@
 //! Conflict coloring of a planned batch's surviving updates.
 //!
-//! The partitioned apply path (see [`crate::Engine::new_partitioned`])
-//! splits a batch's structure-surviving updates into [`UpdateGroup`]s whose
+//! On an engine with more than one partition (see
+//! [`crate::Engine::with_partitions`]) the apply pass defers a batch's
+//! structure-surviving updates and splits them into [`UpdateGroup`]s whose
 //! **partition classes are disjoint**, so the groups can mutate the
 //! component-partitioned structure concurrently with no synchronization.
+//! One-partition engines and forced-serial apply never color.
 //!
 //! The coloring is **component-granular with partition-bank escalation**:
 //! every update is keyed by its endpoints' component representatives —
@@ -34,41 +36,7 @@
 //! `pdmsf_core::partition`).
 
 use pdmsf_core::{ComponentPartitionedMsf, GroupUpdate, UpdateGroup};
-use pdmsf_graph::{DynGraph, Edge, UnionFind};
-
-use crate::plan::PlannedUpdate;
-
-/// Resolve the structure-surviving updates of a plan into the form the
-/// partitioned structure consumes: cancelled pairs drop out, links carry
-/// their full edge record, cuts carry one current endpoint of the doomed
-/// edge (read from the mirror **before** the mirror pass deletes it — a
-/// surviving cut always targets a pre-batch edge, because the planner
-/// cancels every cut of an in-batch link).
-pub(crate) fn resolve_surviving(graph: &DynGraph, updates: &[PlannedUpdate]) -> Vec<GroupUpdate> {
-    let mut resolved = Vec::new();
-    for update in updates {
-        match *update {
-            PlannedUpdate::Link {
-                id,
-                u,
-                v,
-                weight,
-                cancelled,
-            } => {
-                if !cancelled {
-                    resolved.push(GroupUpdate::Link(Edge { id, u, v, weight }));
-                }
-            }
-            PlannedUpdate::Cut { id, cancelled } => {
-                if !cancelled {
-                    let endpoint = graph.edge_unchecked(id).u;
-                    resolved.push(GroupUpdate::Cut { id, endpoint });
-                }
-            }
-        }
-    }
-    resolved
-}
+use pdmsf_graph::UnionFind;
 
 /// Color the resolved updates into conflict-free groups (see module docs).
 /// Groups appear in order of their first update's arrival; updates keep
@@ -145,7 +113,7 @@ pub(crate) fn color_groups(
 mod tests {
     use super::*;
     use pdmsf_core::ComponentPartitionedMsf;
-    use pdmsf_graph::{EdgeId, VertexId, Weight};
+    use pdmsf_graph::{Edge, EdgeId, VertexId, Weight};
 
     fn link(id: u32, u: u32, v: u32) -> GroupUpdate {
         GroupUpdate::Link(Edge {

@@ -29,51 +29,55 @@
 //!    traffic) collapse to one computed answer; duplicate deletes and other
 //!    invalid operations are rejected up front with a per-op
 //!    [`Outcome::Rejected`] instead of panicking mid-batch.
-//! 4. **Intra-batch update parallelism** (partitioned engines,
-//!    [`Engine::new_partitioned`]) — the surviving updates are colored into
-//!    conflict-free groups (a union-find over the home partitions of each
-//!    update's endpoints; see `group.rs`) and the groups apply as
-//!    concurrent pool jobs against a
-//!    [`pdmsf_core::ComponentPartitionedMsf`], serial in arrival order
-//!    *inside* each group. A batch that yields a single group, or a pool of
-//!    width 1, falls back to the inline serial loop.
+//! 4. **Intra-batch update parallelism** (engines with more than one
+//!    partition, [`Engine::with_partitions`]) — the surviving updates are
+//!    colored into conflict-free groups (a union-find over the home
+//!    partitions of each update's endpoints; see `group.rs`) and the groups
+//!    apply as concurrent pool jobs, serial in arrival order *inside* each
+//!    group. A batch that yields a single group, or a pool of width 1, runs
+//!    the groups inline.
+//!
+//! Every engine runs on one structure, a
+//! [`pdmsf_core::ComponentPartitionedMsf`]: [`Engine::new`] builds it with
+//! a single partition (no migrations, no coloring, every update applied at
+//! once), [`Engine::with_partitions`] with `P` of them.
 //!
 //! ## The apply path
 //!
-//! [`Engine::execute_planned`] applies a planned batch in four strict
-//! phases, and the first two are what make apply-order flexibility safe:
+//! [`Engine::execute_planned`] applies a planned batch in three strict
+//! phases, and the first is what makes apply-order flexibility safe:
 //!
 //! 1. **Write-ahead log.** The [`LoggedBatch`] is serialized from the
 //!    *plan* — before any update applies — so the WAL byte stream is a
 //!    pure function of the plan and can never observe (or depend on) the
 //!    apply order chosen below.
-//! 2. **Resolve + mirror.** For partitioned engines, each surviving cut
-//!    resolves one current endpoint of its edge from the [`DynGraph`]
-//!    mirror (valid because a surviving cut always targets a pre-batch
-//!    edge — the planner cancels every cut of an in-batch link). Then the
-//!    mirror pass runs serially in arrival order: id allocation is
-//!    push-order-dependent and stays identical across all apply paths.
-//! 3. **Apply.** Single-structure engines run the serial arrival-order
-//!    loop. Partitioned engines color the resolved updates into groups and
-//!    call [`pdmsf_core::ComponentPartitionedMsf::apply_groups`]; the
-//!    per-partition operation sequences are the same as the serial loop's
+//! 2. **Apply**, one pass over the planned updates in arrival order. Each
+//!    surviving cut first reads one current endpoint of its edge from the
+//!    [`DynGraph`] mirror (valid because a surviving cut always targets a
+//!    pre-batch edge — the planner cancels every cut of an in-batch link);
+//!    then the update applies to the mirror (id allocation is
+//!    push-order-dependent, so the mirror always sees arrival order); then
+//!    it reaches the structure — at once on one partition or under
+//!    [`Engine::set_serial_apply`], otherwise deferred, colored into groups
+//!    and applied by [`pdmsf_core::ComponentPartitionedMsf::apply_groups`].
+//!    The per-partition operation sequences are the same either way
 //!    (groups own disjoint partition classes, closed under migration), so
 //!    outcomes, forest state and even the structures' internal bytes are
 //!    bit-for-bit identical — pinned by the lockstep proptests and the WAL
 //!    byte-identity test in `pdmsf-persist`.
-//! 4. **Answer queries** at the post-update snapshot point, exactly as
-//!    before.
+//! 3. **Answer queries** at the post-update snapshot point.
 //!
 //! ## Semantics
 //!
 //! A batch is **observationally identical** to the following serial
-//! execution, which [`Engine::execute_one_by_one`] implements literally and
-//! the lockstep proptest checks against `SeqDynamicMsf` and a Kruskal
-//! recompute: apply the batch's updates one at a time in arrival order
-//! (validating each against the current edge set), then answer the batch's
-//! queries in arrival order against the resulting forest. Rejected
-//! operations consume no edge id and have no effect. The per-op
-//! [`Outcome`]s of the two paths are equal, as are the resulting forests.
+//! execution, which the lockstep proptest implements literally against
+//! `SeqDynamicMsf` and checks along with a Kruskal recompute: apply the
+//! batch's updates one at a time in arrival order (validating each against
+//! the current edge set), then answer the batch's queries in arrival order
+//! against the resulting forest. Rejected operations consume no edge id
+//! and have no effect. Running each op as its own single-op batch gives the
+//! same per-op [`Outcome`]s and the same forest, with no batch leverage —
+//! the baseline experiment E1 measures against.
 //!
 //! ```
 //! use pdmsf_engine::{Engine, Op, Outcome};
@@ -98,10 +102,11 @@
 //! ```
 
 use pdmsf_core::seq::default_sequential_k;
-use pdmsf_core::{ComponentPartitionedMsf, ParDynamicMsf};
-use pdmsf_graph::{DynGraph, DynamicMsf, Edge, EdgeId, MsfDelta, VertexId, Weight};
+use pdmsf_core::{ComponentPartitionedMsf, GroupUpdate};
+use pdmsf_graph::{DynGraph, DynamicMsf, Edge, EdgeId, VertexId};
 use pdmsf_obs as obs;
 use pdmsf_obs::{PhaseTimer, Span};
+use std::collections::HashSet;
 use std::io;
 use std::sync::Arc;
 
@@ -110,39 +115,10 @@ mod plan;
 pub mod snapshot;
 
 pub use pdmsf_graph::BatchOp as Op;
+pub use plan::PlannedUpdate;
 pub use snapshot::QuerySnapshot;
 
-use plan::{PlannedQuery, PlannedUpdate};
-
-/// One update of a logged batch — the post-planning form of a mutation, with
-/// its pre-assigned edge id and cancellation flag. Replaying the logged
-/// updates through [`Engine::replay_logged`] reproduces exactly the state
-/// transitions of the original [`Engine::execute_planned`] call: cancelled
-/// links still consume their id in the [`DynGraph`] mirror, cancelled cuts
-/// still free theirs, and only the surviving updates touch the structure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LoggedUpdate {
-    /// Insert `id = (u, v, weight)`.
-    Link {
-        /// The pre-assigned edge id.
-        id: EdgeId,
-        /// First endpoint.
-        u: VertexId,
-        /// Second endpoint.
-        v: VertexId,
-        /// Weight.
-        weight: Weight,
-        /// Elided from the structure by an in-batch opposing cut.
-        cancelled: bool,
-    },
-    /// Delete edge `id`.
-    Cut {
-        /// The edge to delete.
-        id: EdgeId,
-        /// The opposing link arrived earlier in the same batch.
-        cancelled: bool,
-    },
-}
+use plan::PlannedQuery;
 
 /// The durable form of one state-mutating batch: its sequence number, the
 /// id-allocation frontier it was planned against, and its planned updates
@@ -156,7 +132,7 @@ pub struct LoggedBatch {
     /// log can never be applied against the wrong base state.
     pub id_base: u64,
     /// The planned updates, in application order.
-    pub updates: Vec<LoggedUpdate>,
+    pub updates: Vec<PlannedUpdate>,
 }
 
 /// A write-ahead sink for the engine's op log. When a sink is attached
@@ -253,26 +229,24 @@ pub struct BatchSummary {
     pub ops: usize,
     /// Updates that reached the MSF structure (valid, not cancelled).
     pub applied_updates: usize,
-    /// Opposing link/cut pairs elided from the structure (batched path
-    /// only; the one-by-one path applies them and reports 0).
+    /// Opposing link/cut pairs elided from the structure.
     pub cancelled_pairs: usize,
     /// Operations rejected by validation.
     pub rejected: usize,
     /// Query operations.
     pub queries: usize,
-    /// Distinct answers computed for those queries (batched path; the
-    /// one-by-one path computes every answer and reports `queries`).
+    /// Distinct answers computed for those queries.
     pub unique_queries: usize,
-    /// Conflict-free update groups the batch was colored into (partitioned
-    /// grouped-apply path only; 0 on single-structure engines, on the
-    /// forced-serial path and on the one-by-one path).
+    /// Conflict-free update groups the batch was colored into (grouped
+    /// apply only; 0 on one-partition engines and on the forced-serial
+    /// path, where coloring never runs).
     pub update_groups: usize,
     /// Surviving updates that shared a group with an earlier update
     /// (`applied_updates - update_groups` when grouping ran) — the
     /// conflicts that bounded the batch's apply fan-out.
     pub group_conflicts: usize,
     /// Component migrations this batch triggered (cross-partition links
-    /// plus post-batch rebalance moves; partitioned engines only).
+    /// plus post-batch rebalance moves; always 0 with one partition).
     pub migrations: u64,
     /// Vertices re-homed by those migrations.
     pub migrated_vertices: u64,
@@ -294,7 +268,7 @@ pub struct BatchResult {
 /// Cumulative engine counters across all executed batches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Batches executed (either path).
+    /// Batches executed.
     pub batches: u64,
     /// Operations processed.
     pub ops: u64,
@@ -335,8 +309,8 @@ const SNAPSHOT_MIN_QUERIES: usize = 8;
 const SNAPSHOT_AMORTIZE: usize = 32;
 
 /// Validate a `Link`'s endpoints against a structure of `n` vertices. The
-/// single source of the link validation rules — shared by the batched
-/// planner and the one-by-one path so the two can never desynchronize.
+/// single source of the link validation rules — shared by the planner and
+/// the replay check of logged records so the two can never desynchronize.
 pub(crate) fn link_reject(n: usize, u: VertexId, v: VertexId) -> Option<Reject> {
     if u.index() >= n || v.index() >= n {
         Some(Reject::EndpointOutOfRange)
@@ -347,7 +321,7 @@ pub(crate) fn link_reject(n: usize, u: VertexId, v: VertexId) -> Option<Reject> 
     }
 }
 
-/// Validate a `QueryConnected`'s endpoints (shared like [`link_reject`]).
+/// Validate a `QueryConnected`'s endpoints.
 pub(crate) fn query_reject(n: usize, u: VertexId, v: VertexId) -> Option<Reject> {
     if u.index() >= n || v.index() >= n {
         Some(Reject::EndpointOutOfRange)
@@ -387,104 +361,6 @@ impl PlannedBatch {
     /// Distinct queries the batch will answer.
     pub fn num_unique_queries(&self) -> usize {
         self.plan.unique_queries.len()
-    }
-}
-
-/// The MSF structure behind an engine: one monolithic [`ParDynamicMsf`],
-/// or the component-partitioned structure that unlocks grouped concurrent
-/// apply. Observable behaviour is identical; only the apply path differs.
-enum EngineStructure {
-    Single(Box<ParDynamicMsf>),
-    Partitioned(ComponentPartitionedMsf),
-}
-
-impl EngineStructure {
-    /// Delete with a partition hint: `endpoint` must be a current endpoint
-    /// of the edge (resolved from the mirror before it was deleted there).
-    fn delete_hinted(&mut self, id: EdgeId, endpoint: VertexId) -> MsfDelta {
-        match self {
-            EngineStructure::Single(m) => m.delete(id),
-            EngineStructure::Partitioned(p) => p.delete_hinted(id, endpoint),
-        }
-    }
-}
-
-impl DynamicMsf for EngineStructure {
-    fn num_vertices(&self) -> usize {
-        match self {
-            EngineStructure::Single(m) => m.num_vertices(),
-            EngineStructure::Partitioned(p) => p.num_vertices(),
-        }
-    }
-
-    fn add_vertex(&mut self) -> VertexId {
-        match self {
-            EngineStructure::Single(m) => m.add_vertex(),
-            EngineStructure::Partitioned(p) => p.add_vertex(),
-        }
-    }
-
-    fn insert(&mut self, e: Edge) -> MsfDelta {
-        match self {
-            EngineStructure::Single(m) => m.insert(e),
-            EngineStructure::Partitioned(p) => p.insert(e),
-        }
-    }
-
-    fn delete(&mut self, id: EdgeId) -> MsfDelta {
-        match self {
-            EngineStructure::Single(m) => m.delete(id),
-            EngineStructure::Partitioned(p) => p.delete(id),
-        }
-    }
-
-    fn contains_edge(&self, id: EdgeId) -> bool {
-        match self {
-            EngineStructure::Single(m) => m.contains_edge(id),
-            EngineStructure::Partitioned(p) => p.contains_edge(id),
-        }
-    }
-
-    fn is_forest_edge(&self, id: EdgeId) -> bool {
-        match self {
-            EngineStructure::Single(m) => m.is_forest_edge(id),
-            EngineStructure::Partitioned(p) => p.is_forest_edge(id),
-        }
-    }
-
-    fn forest_edges(&self) -> Vec<EdgeId> {
-        match self {
-            EngineStructure::Single(m) => m.forest_edges(),
-            EngineStructure::Partitioned(p) => p.forest_edges(),
-        }
-    }
-
-    fn forest_weight(&self) -> i128 {
-        match self {
-            EngineStructure::Single(m) => m.forest_weight(),
-            EngineStructure::Partitioned(p) => p.forest_weight(),
-        }
-    }
-
-    fn num_forest_edges(&self) -> usize {
-        match self {
-            EngineStructure::Single(m) => m.num_forest_edges(),
-            EngineStructure::Partitioned(p) => p.num_forest_edges(),
-        }
-    }
-
-    fn connected(&mut self, u: VertexId, v: VertexId) -> bool {
-        match self {
-            EngineStructure::Single(m) => m.connected(u, v),
-            EngineStructure::Partitioned(p) => p.connected(u, v),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            EngineStructure::Single(m) => m.name(),
-            EngineStructure::Partitioned(p) => p.name(),
-        }
     }
 }
 
@@ -578,20 +454,15 @@ impl EngineMetrics {
 /// mirror and the MSF structure; see the crate docs for semantics.
 pub struct Engine {
     graph: DynGraph,
-    msf: EngineStructure,
+    msf: ComponentPartitionedMsf,
     stats: EngineStats,
     /// Sequence number of the last state-mutating batch applied.
     applied_seq: u64,
     /// Optional write-ahead op log; see [`OpSink`].
     sink: Option<Box<dyn OpSink>>,
-    /// Force the arrival-order serial apply loop even on a partitioned
-    /// engine (the E6 baseline arm and the identity tests).
+    /// Apply every update at once, in arrival order, even with more than
+    /// one partition (the E6 baseline arm and the identity tests).
     serial_apply: bool,
-    /// Run the adaptive partition rebalance pass after every mutating
-    /// batch (partitioned engines; on by default). Note this is *not* tied
-    /// to `serial_apply`: grouped and forced-serial arms must rebalance
-    /// identically for their per-vertex homes to stay comparable.
-    rebalance: bool,
     /// Optional registry-backed instrumentation ([`Engine::enable_metrics`]);
     /// `None` keeps every phase timer a near-no-op.
     metrics: Option<EngineMetrics>,
@@ -609,54 +480,44 @@ const _: () = {
 };
 
 impl Engine {
-    /// An engine over `n` isolated vertices, backed by the EREW-metered
-    /// parallel structure at the sequential chunk parameter
-    /// `K = sqrt(n log n)` ([`default_sequential_k`]). Every kernel runs on
-    /// the calling thread: on a machine without `sqrt n` processors the
-    /// paper's sequential trade-off is the faster one (about 1.5x per
-    /// update at 32 768 vertices against `K = sqrt n`).
+    /// An engine over `n` isolated vertices with one partition, backed by
+    /// the EREW-metered parallel structure at the sequential chunk
+    /// parameter `K = sqrt(n log n)` ([`default_sequential_k`]). Every
+    /// kernel runs on the calling thread: on a machine without `sqrt n`
+    /// processors the paper's sequential trade-off is the faster one (about
+    /// 1.5x per update at 32 768 vertices against `K = sqrt n`).
     pub fn new(n: usize) -> Engine {
-        Engine::with_chunk_parameter(n, default_sequential_k(n))
+        Engine::with_partitions(n, 1, default_sequential_k(n))
     }
 
-    /// [`Engine::new`] with an explicit chunk parameter (tests and
-    /// ablations).
-    pub fn with_chunk_parameter(n: usize, k: usize) -> Engine {
-        Engine::with_structure(
-            n,
-            EngineStructure::Single(Box::new(ParDynamicMsf::with_chunk_parameter(n, k))),
+    /// An engine over `n` isolated vertices split into `partitions`
+    /// component-containing partitions (clamped to `1..=n`), each at chunk
+    /// parameter `k`. With more than one partition, batches apply their
+    /// surviving updates as concurrent conflict-free groups (see the crate
+    /// docs); observable behaviour is identical to [`Engine::new`] for any
+    /// partition count and `k`.
+    pub fn with_partitions(n: usize, partitions: usize, k: usize) -> Engine {
+        Engine::assemble(
+            DynGraph::new(n),
+            ComponentPartitionedMsf::with_chunk_parameter(n, partitions, k),
+            EngineStats::default(),
+            0,
         )
     }
 
-    /// An engine backed by the component-partitioned structure with
-    /// `num_parts` partitions, each at the same `K` as [`Engine::new`]:
-    /// batches apply their surviving updates as concurrent conflict-free
-    /// groups (see the crate docs). Observable behaviour is identical to
-    /// [`Engine::new`].
-    pub fn new_partitioned(n: usize, num_parts: usize) -> Engine {
-        Engine::with_partitioned_chunk_parameter(n, num_parts, default_sequential_k(n))
-    }
-
-    /// [`Engine::new_partitioned`] with an explicit chunk parameter
-    /// (deterministic tests).
-    pub fn with_partitioned_chunk_parameter(n: usize, num_parts: usize, k: usize) -> Engine {
-        Engine::with_structure(
-            n,
-            EngineStructure::Partitioned(ComponentPartitionedMsf::with_chunk_parameter(
-                n, num_parts, k,
-            )),
-        )
-    }
-
-    fn with_structure(n: usize, msf: EngineStructure) -> Engine {
+    fn assemble(
+        graph: DynGraph,
+        msf: ComponentPartitionedMsf,
+        stats: EngineStats,
+        applied_seq: u64,
+    ) -> Engine {
         Engine {
-            graph: DynGraph::new(n),
+            graph,
             msf,
-            stats: EngineStats::default(),
-            applied_seq: 0,
+            stats,
+            applied_seq,
             sink: None,
             serial_apply: false,
-            rebalance: true,
             metrics: None,
         }
     }
@@ -672,45 +533,40 @@ impl Engine {
         self.metrics = Some(EngineMetrics::resolve());
     }
 
-    /// Force the arrival-order serial apply loop even on a partitioned
-    /// engine. The resulting state is bit-for-bit identical to grouped
-    /// apply — this switch exists so the E6 experiment and the identity
-    /// tests can measure/verify exactly that.
+    /// Apply every update at once, in arrival order, even with more than
+    /// one partition (no conflict coloring). The resulting state is
+    /// bit-for-bit identical to grouped apply — this switch exists so the
+    /// E6 experiment and the identity tests can measure/verify exactly that.
     pub fn set_serial_apply(&mut self, serial: bool) {
         self.serial_apply = serial;
     }
 
-    /// Turn the post-batch adaptive rebalance pass off (or back on). On by
-    /// default for partitioned engines; re-homing never changes outcomes,
-    /// forests or WAL bytes, only where components live. The E6 "static
-    /// partitioning" arm measures with it off.
-    pub fn set_rebalance(&mut self, on: bool) {
-        self.rebalance = on;
-    }
-
-    /// Lower the partitioned structure's rebalance occupancy floor (see
-    /// [`pdmsf_core::ComponentPartitionedMsf::set_rebalance_min`]); no-op
-    /// on single-structure engines. Tests use this to force rebalances on
-    /// tiny graphs.
+    /// Set the structure's rebalance occupancy floor (see
+    /// [`pdmsf_core::ComponentPartitionedMsf::set_rebalance_min`]). Tests
+    /// lower it to 1 to force rebalances on tiny graphs; `u64::MAX` turns
+    /// the post-batch rebalance pass off (the E6 "static partitioning"
+    /// arm). Re-homing never changes outcomes, forests or WAL bytes, only
+    /// where components live; one partition never rebalances.
     pub fn set_rebalance_min(&mut self, min: u64) {
-        if let EngineStructure::Partitioned(p) = &mut self.msf {
-            p.set_rebalance_min(min);
-        }
+        self.msf.set_rebalance_min(min);
     }
 
     /// Assemble an engine from restored parts (the checkpoint/restore path
     /// of `pdmsf-persist`). The mirror and the structure are cross-validated
-    /// edge by edge — same liveness, endpoints and weight for every id below
-    /// the allocation frontier — so a checkpoint whose sections passed their
-    /// CRCs individually but disagree with each other is still refused.
+    /// edge by edge: every live mirror edge is held, with the same endpoints
+    /// and weight, by its home partition, and the partitions hold no other
+    /// edge (no dead or unknown id, no second copy in another partition).
+    /// So a checkpoint whose sections passed their CRCs individually but
+    /// disagree with each other is still refused.
     ///
-    /// The engine keeps the structure's checkpointed chunk parameter `K`,
-    /// even where it differs from what [`Engine::new`] would pick today
-    /// (checkpoints written when engines served at `K = sqrt n` restore at
-    /// that `K`); re-chunking would change the structure's bytes.
+    /// The engine keeps the structure's partitions, homes, rebalance floor
+    /// and checkpointed chunk parameter `K`, even where `K` differs from
+    /// what [`Engine::new`] would pick today (checkpoints written when
+    /// engines served at `K = sqrt n` restore at that `K`); re-chunking
+    /// would change the structure's bytes.
     pub fn from_restored_parts(
         graph: DynGraph,
-        msf: ParDynamicMsf,
+        msf: ComponentPartitionedMsf,
         stats: EngineStats,
         applied_seq: u64,
     ) -> Result<Engine, String> {
@@ -722,41 +578,32 @@ impl Engine {
             ));
         }
         for raw in 0..graph.edge_id_bound() as u32 {
-            let id = EdgeId(raw);
-            match (graph.is_live(id), msf.contains_edge(id)) {
-                (true, false) => {
-                    return Err(format!(
-                        "edge {raw} is live in the mirror, absent in the msf"
-                    ));
-                }
-                (false, true) => {
-                    return Err(format!(
-                        "edge {raw} is live in the msf, absent in the mirror"
-                    ));
-                }
-                (true, true) => {
-                    let g = graph.edge_unchecked(id);
-                    let m = msf
-                        .forest()
-                        .edge(id)
-                        .ok_or_else(|| format!("edge {raw} lost its record in the msf store"))?;
-                    if (g.u, g.v, g.weight) != (m.u, m.v, m.weight) {
-                        return Err(format!("edge {raw} differs between mirror and msf"));
-                    }
-                }
-                (false, false) => {}
+            let Some(g) = graph.edge(EdgeId(raw)) else {
+                continue;
+            };
+            let home = msf.home_of(g.u);
+            let held = msf.partitions()[home as usize]
+                .forest()
+                .edge(g.id)
+                .ok_or_else(|| {
+                    format!(
+                        "edge {raw} is live in the mirror, absent from its home partition {home}"
+                    )
+                })?;
+            if (g.u, g.v, g.weight) != (held.u, held.v, held.weight) {
+                return Err(format!("edge {raw} differs between mirror and msf"));
             }
         }
-        Ok(Engine {
-            graph,
-            msf: EngineStructure::Single(Box::new(msf)),
-            stats,
-            applied_seq,
-            sink: None,
-            serial_apply: false,
-            rebalance: true,
-            metrics: None,
-        })
+        // Every live mirror edge sits in its home partition, so equal totals
+        // leave no room for any other edge in any partition.
+        let held: u64 = msf.occupancy().iter().sum();
+        if held != graph.num_edges() as u64 {
+            return Err(format!(
+                "the partitions hold {held} edges but the mirror has {} live edges",
+                graph.num_edges()
+            ));
+        }
+        Ok(Engine::assemble(graph, msf, stats, applied_seq))
     }
 
     /// Attach a write-ahead op log. Every subsequent state-mutating batch is
@@ -787,44 +634,10 @@ impl Engine {
         &self.graph
     }
 
-    /// The backing MSF structure of a single-structure engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a partitioned engine ([`Engine::new_partitioned`]) — use
-    /// [`Engine::partitioned_structure`] there. Checkpointing, which
-    /// flattens this structure, is not yet supported for partitioned
-    /// engines.
-    pub fn structure(&self) -> &ParDynamicMsf {
-        match &self.msf {
-            EngineStructure::Single(m) => m,
-            EngineStructure::Partitioned(_) => {
-                panic!("structure(): engine is component-partitioned; use partitioned_structure()")
-            }
-        }
-    }
-
-    /// The backing component-partitioned structure, if this engine was
-    /// built with [`Engine::new_partitioned`].
-    pub fn partitioned_structure(&self) -> Option<&ComponentPartitionedMsf> {
-        match &self.msf {
-            EngineStructure::Single(_) => None,
-            EngineStructure::Partitioned(p) => Some(p),
-        }
-    }
-
-    /// Whether this engine uses the component-partitioned structure.
-    pub fn is_partitioned(&self) -> bool {
-        matches!(self.msf, EngineStructure::Partitioned(_))
-    }
-
-    /// Validate the backing structure's internal invariants (test helper;
-    /// works for both structure kinds).
-    pub fn validate_structure(&self) {
-        match &self.msf {
-            EngineStructure::Single(m) => m.validate(),
-            EngineStructure::Partitioned(p) => p.validate(),
-        }
+    /// The backing MSF structure (one partition unless built with
+    /// [`Engine::with_partitions`]).
+    pub fn structure(&self) -> &ComponentPartitionedMsf {
+        &self.msf
     }
 
     /// Cumulative engine counters.
@@ -964,40 +777,22 @@ impl Engine {
         if !plan.updates.is_empty() {
             let seq = self.applied_seq + 1;
             if let Some(sink) = self.sink.as_mut() {
+                // The record borrows the plan's updates for the write and
+                // hands them back: the log holds exactly the planned form.
                 let logged = LoggedBatch {
                     seq,
                     id_base: id_base as u64,
-                    updates: plan
-                        .updates
-                        .iter()
-                        .map(|u| match *u {
-                            PlannedUpdate::Link {
-                                id,
-                                u,
-                                v,
-                                weight,
-                                cancelled,
-                            } => LoggedUpdate::Link {
-                                id,
-                                u,
-                                v,
-                                weight,
-                                cancelled,
-                            },
-                            PlannedUpdate::Cut { id, cancelled } => {
-                                LoggedUpdate::Cut { id, cancelled }
-                            }
-                        })
-                        .collect(),
+                    updates: std::mem::take(&mut plan.updates),
                 };
                 sink.record(seq, &logged)
                     .expect("op-log write failed; refusing to apply an unlogged batch");
+                plan.updates = logged.updates;
             }
             self.applied_seq = seq;
         }
         // Owned spans (Arc clones), not borrowed timers: the timed phases
         // need `&mut self` while a borrowed guard would pin `&self.metrics`.
-        let pstats_before = self.partition_stats_snapshot();
+        let pstats_before = self.msf.partition_stats();
         let apply_span = Span::start(self.metrics.as_ref().map(|m| m.apply_ns.clone()));
         let apply_tspan =
             obs::trace::TSpan::start(obs::trace::Phase::Apply, plan.updates.len() as u64, 0);
@@ -1010,12 +805,10 @@ impl Engine {
         // only sees logged (mutating) batches — re-runs the identical
         // sequence of rebalance decisions. Runs under `serial_apply` too:
         // grouped and forced-serial arms must keep identical homes.
-        if self.rebalance && !plan.updates.is_empty() {
-            if let EngineStructure::Partitioned(p) = &mut self.msf {
-                p.maybe_rebalance();
-            }
+        if !plan.updates.is_empty() {
+            self.msf.maybe_rebalance();
         }
-        let pstats = self.partition_stats_snapshot();
+        let pstats = self.msf.partition_stats();
 
         if !plan.unique_queries.is_empty() {
             let unique = plan.unique_queries.len();
@@ -1097,37 +890,19 @@ impl Engine {
         }
     }
 
-    /// Apply a plan's updates: mirror pass (always serial, arrival order —
-    /// id allocation is push-order-dependent) plus the structural pass,
-    /// grouped on partitioned engines and serial otherwise. Returns
+    /// Apply a plan's updates in one pass, arrival order (see the crate
+    /// docs): resolve a surviving cut's endpoint, apply the mirror op, then
+    /// apply the structure op at once — one partition, or forced-serial
+    /// apply — or defer it for conflict coloring and grouped apply. Returns
     /// `(applied, update_groups, group_conflicts)`.
     fn apply_updates(&mut self, updates: &[PlannedUpdate]) -> (usize, usize, usize) {
-        let grouped = self.is_partitioned() && !self.serial_apply;
-        if grouped {
-            // Resolve each surviving cut's endpoint *before* the mirror
-            // pass deletes the edge there (see the crate docs).
-            let resolved = group::resolve_surviving(&self.graph, updates);
-            let mirror_tspan =
-                obs::trace::TSpan::start(obs::trace::Phase::Mirror, updates.len() as u64, 0);
-            self.mirror_pass(updates);
-            mirror_tspan.stop();
-            let coloring_span = Span::start(self.metrics.as_ref().map(|m| m.coloring_ns.clone()));
-            let group_tspan =
-                obs::trace::TSpan::start(obs::trace::Phase::Group, resolved.len() as u64, 0);
-            let EngineStructure::Partitioned(p) = &mut self.msf else {
-                unreachable!("is_partitioned() held above");
-            };
-            let groups = group::color_groups(p, &resolved);
-            group_tspan.stop();
-            coloring_span.stop();
-            let update_groups = groups.len();
-            let group_conflicts = resolved.len() - update_groups;
-            p.apply_groups(&groups);
-            return (resolved.len(), update_groups, group_conflicts);
-        }
+        let immediate = self.serial_apply || self.msf.num_partitions() == 1;
+        let mirror_tspan = (!immediate)
+            .then(|| obs::trace::TSpan::start(obs::trace::Phase::Mirror, updates.len() as u64, 0));
+        let mut deferred = Vec::new();
         let mut applied = 0usize;
         for update in updates {
-            match *update {
+            let surviving = match *update {
                 PlannedUpdate::Link {
                     id,
                     u,
@@ -1137,49 +912,54 @@ impl Engine {
                 } => {
                     let got = self.graph.insert_edge(u, v, weight);
                     debug_assert_eq!(got, id, "plan id allocation diverged from the mirror");
-                    if !cancelled {
-                        self.msf.insert(self.graph.edge_unchecked(id));
-                        applied += 1;
-                    }
+                    (!cancelled).then_some(GroupUpdate::Link(Edge { id, u, v, weight }))
                 }
                 PlannedUpdate::Cut { id, cancelled } => {
-                    // Resolve the endpoint hint before the mirror forgets
-                    // the edge (surviving cuts always target a live edge).
+                    // Read the endpoint before the mirror forgets the edge.
                     let endpoint = (!cancelled).then(|| self.graph.edge_unchecked(id).u);
                     self.graph.delete_edge(id);
-                    if let Some(endpoint) = endpoint {
-                        self.msf.delete_hinted(id, endpoint);
-                        applied += 1;
-                    }
+                    endpoint.map(|endpoint| GroupUpdate::Cut { id, endpoint })
                 }
+            };
+            let Some(surviving) = surviving else {
+                continue;
+            };
+            applied += 1;
+            if immediate {
+                self.msf.apply(surviving);
+            } else {
+                deferred.push(surviving);
             }
         }
-        (applied, 0, 0)
-    }
-
-    /// The serial mirror pass of the grouped apply path: identical id
-    /// allocation and liveness transitions to the serial loop.
-    fn mirror_pass(&mut self, updates: &[PlannedUpdate]) {
-        for update in updates {
-            match *update {
-                PlannedUpdate::Link {
-                    id, u, v, weight, ..
-                } => {
-                    let got = self.graph.insert_edge(u, v, weight);
-                    debug_assert_eq!(got, id, "plan id allocation diverged from the mirror");
-                }
-                PlannedUpdate::Cut { id, .. } => {
-                    self.graph.delete_edge(id);
-                }
-            }
-        }
+        let Some(mirror_tspan) = mirror_tspan else {
+            return (applied, 0, 0);
+        };
+        mirror_tspan.stop();
+        let coloring_span = Span::start(self.metrics.as_ref().map(|m| m.coloring_ns.clone()));
+        let group_tspan =
+            obs::trace::TSpan::start(obs::trace::Phase::Group, deferred.len() as u64, 0);
+        let groups = group::color_groups(&self.msf, &deferred);
+        group_tspan.stop();
+        coloring_span.stop();
+        self.msf.apply_groups(&groups);
+        (applied, groups.len(), applied - groups.len())
     }
 
     /// Re-apply one logged batch during recovery. Validates that the record
-    /// is the *next* batch for this engine (`seq == applied_seq + 1`) and
-    /// that it was planned against exactly this id-allocation frontier, then
-    /// routes the updates through the normal [`Engine::execute_planned`]
-    /// path — replay exercises the same application code as live traffic.
+    /// is the *next* batch for this engine (`seq == applied_seq + 1`), that
+    /// it was planned against exactly this id-allocation frontier, and that
+    /// the planner could have produced it from this state (see below) —
+    /// then routes the updates through the normal
+    /// [`Engine::execute_planned`] path, so replay exercises the same
+    /// application code as live traffic.
+    ///
+    /// The whole record is checked against the mirror before anything
+    /// mutates: link ids run consecutively from `id_base`, link endpoints
+    /// are in range and distinct, each uncancelled cut names an edge that
+    /// was live before the record and is not cut earlier in it, and
+    /// cancelled links and cancelled cuts pair one-to-one, each cut after
+    /// its link. A record failing any of these returns `Err` and leaves the
+    /// engine untouched.
     ///
     /// Replay never re-records: the batch is already in the log. Call this
     /// only before attaching a sink for new traffic (the recovery driver in
@@ -1202,47 +982,29 @@ impl Engine {
         if batch.updates.is_empty() {
             return Err("logged batch has no updates (never written by the engine)".to_string());
         }
-        let mut updates = Vec::with_capacity(batch.updates.len());
-        let mut outcomes = Vec::with_capacity(batch.updates.len());
-        let mut cancelled_cuts = 0usize;
-        for u in &batch.updates {
-            match *u {
-                LoggedUpdate::Link {
-                    id,
-                    u,
-                    v,
-                    weight,
-                    cancelled,
-                } => {
-                    updates.push(PlannedUpdate::Link {
-                        id,
-                        u,
-                        v,
-                        weight,
-                        cancelled,
-                    });
-                    outcomes.push(Outcome::Linked { id });
+        self.check_record(&batch.updates)?;
+        let mut cancelled_pairs = 0usize;
+        let outcomes = batch
+            .updates
+            .iter()
+            .map(|u| match *u {
+                PlannedUpdate::Link { id, .. } => Outcome::Linked { id },
+                PlannedUpdate::Cut { id, cancelled } => {
+                    cancelled_pairs += usize::from(cancelled);
+                    Outcome::Cut { id }
                 }
-                LoggedUpdate::Cut { id, cancelled } => {
-                    if cancelled {
-                        cancelled_cuts += 1;
-                    }
-                    updates.push(PlannedUpdate::Cut { id, cancelled });
-                    outcomes.push(Outcome::Cut { id });
-                }
-            }
-        }
-        let ops = updates.len();
+            })
+            .collect();
         let planned = PlannedBatch {
             plan: plan::BatchPlan {
-                updates,
+                updates: batch.updates.clone(),
                 unique_queries: Vec::new(),
                 query_refs: Vec::new(),
                 outcomes,
-                cancelled_pairs: cancelled_cuts,
+                cancelled_pairs,
                 rejected: 0,
             },
-            ops,
+            ops: batch.updates.len(),
             id_base: batch.id_base as usize,
         };
         let saved = self.sink.take();
@@ -1251,91 +1013,75 @@ impl Engine {
         Ok(result)
     }
 
-    /// Execute one batch with **no** batch leverage: every valid update is
-    /// applied to the structure in arrival order (cancelled pairs
-    /// included), and every query is answered individually through the
-    /// structure at the batch's snapshot point. Same outcomes as
-    /// [`Engine::execute`]; this is the baseline the `E1` batch-throughput
-    /// experiment measures against.
-    pub fn execute_one_by_one(&mut self, ops: &[Op]) -> BatchResult {
-        // The serial baseline bypasses planning, so it has no `LoggedBatch`
-        // to record — running it with a write-ahead sink attached would
-        // silently punch unlogged mutations into a supposedly durable
-        // engine. Refuse loudly instead.
-        assert!(
-            self.sink.is_none(),
-            "execute_one_by_one bypasses the op log; detach the sink or use execute"
-        );
+    /// The read-only record check of [`Engine::replay_logged`]: could the
+    /// planner have produced `updates` from the current mirror?
+    fn check_record(&self, updates: &[PlannedUpdate]) -> Result<(), String> {
         let n = self.graph.num_vertices();
-        let mut outcomes = Vec::with_capacity(ops.len());
-        let mut deferred_queries: Vec<(usize, PlannedQuery)> = Vec::new();
-        let mut applied = 0usize;
-        let mut rejected = 0usize;
-        for (i, op) in ops.iter().enumerate() {
-            let outcome = match *op {
-                Op::Link { u, v, weight } => {
+        let mut next_id = self.graph.edge_id_bound() as u64;
+        // Cancelled links still waiting for their cancelled cut.
+        let mut open: HashSet<EdgeId> = HashSet::new();
+        // Pre-record edges the record has already cut.
+        let mut cut: HashSet<EdgeId> = HashSet::new();
+        for (i, update) in updates.iter().enumerate() {
+            match *update {
+                PlannedUpdate::Link {
+                    id,
+                    u,
+                    v,
+                    cancelled,
+                    ..
+                } => {
+                    if u64::from(id.0) != next_id {
+                        return Err(format!(
+                            "log record update {i}: link id {} where the next id is {next_id}",
+                            id.0
+                        ));
+                    }
+                    next_id += 1;
                     if let Some(reason) = link_reject(n, u, v) {
-                        rejected += 1;
-                        Outcome::Rejected { reason }
-                    } else {
-                        let id = self.graph.insert_edge(u, v, weight);
-                        self.msf.insert(self.graph.edge_unchecked(id));
-                        applied += 1;
-                        Outcome::Linked { id }
+                        return Err(format!(
+                            "log record update {i}: link {} is invalid ({})",
+                            id.0,
+                            reason.metric_label()
+                        ));
+                    }
+                    if cancelled {
+                        open.insert(id);
                     }
                 }
-                Op::Cut { id } => {
-                    if !self.graph.is_live(id) {
-                        rejected += 1;
-                        Outcome::Rejected {
-                            reason: Reject::UnknownOrDeadEdge,
-                        }
-                    } else {
-                        let endpoint = self.graph.edge_unchecked(id).u;
-                        self.graph.delete_edge(id);
-                        self.msf.delete_hinted(id, endpoint);
-                        applied += 1;
-                        Outcome::Cut { id }
+                PlannedUpdate::Cut {
+                    id,
+                    cancelled: true,
+                } => {
+                    if !open.remove(&id) {
+                        return Err(format!(
+                            "log record update {i}: cancelled cut of edge {} follows no \
+                             cancelled link of it",
+                            id.0
+                        ));
                     }
                 }
-                Op::QueryConnected { u, v } => {
-                    if let Some(reason) = query_reject(n, u, v) {
-                        rejected += 1;
-                        Outcome::Rejected { reason }
-                    } else {
-                        deferred_queries.push((i, PlannedQuery::Connected { u, v }));
-                        Outcome::Connected { connected: false }
+                PlannedUpdate::Cut {
+                    id,
+                    cancelled: false,
+                } => {
+                    if !self.graph.is_live(id) || !cut.insert(id) {
+                        return Err(format!(
+                            "log record update {i}: cut of edge {}, which was not live \
+                             before the record or is already cut in it",
+                            id.0
+                        ));
                     }
                 }
-                Op::QueryForestWeight => {
-                    deferred_queries.push((i, PlannedQuery::ForestWeight));
-                    Outcome::ForestWeight { weight: 0 }
-                }
-            };
-            outcomes.push(outcome);
+            }
         }
-        if applied > 0 {
-            self.applied_seq += 1;
+        match open.iter().min() {
+            Some(id) => Err(format!(
+                "log record: cancelled link {} has no cancelled cut",
+                id.0
+            )),
+            None => Ok(()),
         }
-        let queries = deferred_queries.len();
-        for (i, q) in deferred_queries {
-            outcomes[i] = self.answer_through_structure(&q);
-        }
-        let summary = BatchSummary {
-            ops: ops.len(),
-            applied_updates: applied,
-            cancelled_pairs: 0,
-            rejected,
-            queries,
-            unique_queries: queries,
-            update_groups: 0,
-            group_conflicts: 0,
-            migrations: 0,
-            migrated_vertices: 0,
-            rebalances: 0,
-        };
-        self.bump_stats(&summary);
-        BatchResult { outcomes, summary }
     }
 
     fn answer_through_structure(&mut self, q: &PlannedQuery) -> Outcome {
@@ -1361,22 +1107,13 @@ impl Engine {
         self.stats.migrated_vertices += summary.migrated_vertices;
         self.stats.rebalances += summary.rebalances;
     }
-
-    /// The partitioned structure's migration counters (zeros on a
-    /// single-structure engine) — the before/after pair around a batch
-    /// yields the per-batch deltas stamped into [`BatchSummary`].
-    fn partition_stats_snapshot(&self) -> pdmsf_core::PartitionStats {
-        match &self.msf {
-            EngineStructure::Single(_) => pdmsf_core::PartitionStats::default(),
-            EngineStructure::Partitioned(p) => p.partition_stats(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdmsf_core::par::default_parallel_k;
+    use pdmsf_core::ParDynamicMsf;
     use pdmsf_graph::{VertexId, Weight};
 
     /// Engines serve at the paper's sequential `K = sqrt(n log n)`; the
@@ -1387,9 +1124,9 @@ mod tests {
         for n in [2usize, 100, 4096, 32_768] {
             let k = default_sequential_k(n);
             assert_eq!(Engine::new(n).structure().chunk_parameter(), k);
-            let parts = Engine::new_partitioned(n, 4);
-            let parts = parts.partitioned_structure().expect("partitioned");
-            assert_eq!(parts.chunk_parameter(), k);
+            assert_eq!(Engine::new(n).structure().num_partitions(), 1);
+            let parts = Engine::with_partitions(n, 4, k);
+            assert_eq!(parts.structure().chunk_parameter(), k);
             assert_eq!(
                 ParDynamicMsf::new(n).chunk_parameter(),
                 default_parallel_k(n)
@@ -1484,32 +1221,6 @@ mod tests {
             }
         );
         assert_eq!(engine.forest_edges(), Vec::<EdgeId>::new());
-    }
-
-    #[test]
-    fn batched_and_one_by_one_paths_agree() {
-        let ops = vec![
-            link(0, 1, 3),
-            link(1, 2, 1),
-            link(2, 3, 9),             // flap
-            Op::Cut { id: EdgeId(2) }, // cancels
-            Op::Cut { id: EdgeId(0) },
-            qconn(0, 1),
-            qconn(0, 1),
-            qconn(2, 0),
-            Op::QueryForestWeight,
-            Op::Cut { id: EdgeId(7) }, // rejected
-        ];
-        let mut batched = Engine::new(5);
-        let mut serial = Engine::new(5);
-        let rb = batched.execute(&ops);
-        let rs = serial.execute_one_by_one(&ops);
-        assert_eq!(rb.outcomes, rs.outcomes);
-        assert_eq!(batched.forest_edges(), serial.forest_edges());
-        assert_eq!(batched.forest_weight(), serial.forest_weight());
-        // The batched path did strictly less structural work.
-        assert!(rb.summary.applied_updates < rs.summary.applied_updates);
-        assert!(rb.summary.unique_queries < rs.summary.unique_queries);
     }
 
     #[test]
@@ -1646,24 +1357,122 @@ mod tests {
         assert_eq!(recovered.forest_weight(), live.forest_weight());
     }
 
-    #[test]
-    #[should_panic(expected = "bypasses the op log")]
-    fn one_by_one_refuses_to_run_with_a_sink_attached() {
-        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    /// Replay `updates` as the next record of `engine` and assert it is
+    /// refused with the engine untouched.
+    fn assert_replay_refused(engine: &mut Engine, updates: Vec<PlannedUpdate>) {
+        let record = LoggedBatch {
+            seq: engine.applied_seq() + 1,
+            id_base: engine.graph().edge_id_bound() as u64,
+            updates,
+        };
+        let seq = engine.applied_seq();
+        let forest = engine.forest_edges();
+        let mirror = engine.graph().to_image();
+        assert!(
+            engine.replay_logged(&record).is_err(),
+            "impossible record replayed: {record:?}"
+        );
+        assert_eq!(engine.applied_seq(), seq);
+        assert_eq!(engine.forest_edges(), forest);
+        assert_eq!(engine.graph().to_image(), mirror);
+        engine.structure().validate();
+    }
+
+    /// Live edges 0 = (0, 1) and 1 = (1, 2), dead edge 2; next id 3.
+    fn replay_base() -> Engine {
         let mut engine = Engine::new(4);
-        engine.set_sink(Box::new(VecSink(log)));
-        engine.execute_one_by_one(&[link(0, 1, 1)]);
+        engine.execute(&[link(0, 1, 5), link(1, 2, 3), link(2, 3, 1)]);
+        engine.execute(&[Op::Cut { id: EdgeId(2) }]);
+        engine
+    }
+
+    fn plink(id: u32, u: u32, v: u32, cancelled: bool) -> PlannedUpdate {
+        PlannedUpdate::Link {
+            id: EdgeId(id),
+            u: VertexId(u),
+            v: VertexId(v),
+            weight: Weight::new(4),
+            cancelled,
+        }
+    }
+
+    fn pcut(id: u32, cancelled: bool) -> PlannedUpdate {
+        PlannedUpdate::Cut {
+            id: EdgeId(id),
+            cancelled,
+        }
+    }
+
+    #[test]
+    fn replay_refuses_link_ids_off_the_frontier() {
+        let mut engine = replay_base();
+        assert_replay_refused(&mut engine, vec![plink(4, 0, 2, false)]);
+        assert_replay_refused(&mut engine, vec![plink(2, 0, 2, false)]);
+        assert_replay_refused(
+            &mut engine,
+            vec![plink(3, 0, 2, false), plink(3, 2, 3, false)],
+        );
+    }
+
+    #[test]
+    fn replay_refuses_invalid_link_endpoints() {
+        let mut engine = replay_base();
+        assert_replay_refused(&mut engine, vec![plink(3, 0, 9, false)]);
+        assert_replay_refused(&mut engine, vec![plink(3, 2, 2, false)]);
+    }
+
+    #[test]
+    fn replay_refuses_cuts_of_edges_that_were_not_live() {
+        let mut engine = replay_base();
+        // Dead, never allocated, cut twice, born in the same record.
+        assert_replay_refused(&mut engine, vec![pcut(2, false)]);
+        assert_replay_refused(&mut engine, vec![pcut(77, false)]);
+        assert_replay_refused(&mut engine, vec![pcut(0, false), pcut(0, false)]);
+        assert_replay_refused(&mut engine, vec![plink(3, 0, 2, false), pcut(3, false)]);
+    }
+
+    #[test]
+    fn replay_refuses_unpaired_cancellations() {
+        let mut engine = replay_base();
+        // A cancelled cut of a pre-record edge with no link to pair with
+        // would leave the edge in the structure but not in the mirror.
+        assert_replay_refused(&mut engine, vec![pcut(0, true)]);
+        // A cancelled link whose cut never comes.
+        assert_replay_refused(&mut engine, vec![plink(3, 0, 2, true)]);
+        // The cut before its link, and a cancelled cut of a surviving link.
+        assert_replay_refused(&mut engine, vec![pcut(3, true), plink(3, 0, 2, true)]);
+        assert_replay_refused(&mut engine, vec![plink(3, 0, 2, false), pcut(3, true)]);
+        // The same record, paired properly, replays.
+        let record = LoggedBatch {
+            seq: engine.applied_seq() + 1,
+            id_base: 3,
+            updates: vec![plink(3, 0, 2, true), pcut(3, true)],
+        };
+        assert_eq!(
+            engine
+                .replay_logged(&record)
+                .unwrap()
+                .summary
+                .cancelled_pairs,
+            1
+        );
     }
 
     #[test]
     fn restored_parts_are_cross_validated() {
         let mut engine = Engine::new(6);
         engine.execute(&[link(0, 1, 2), link(1, 2, 5), Op::Cut { id: EdgeId(0) }]);
-        let image = engine.structure().to_image();
+        let image = engine.structure().partitions()[0].to_image();
         let mirror = engine.graph().to_image();
 
+        let restore = |image: &pdmsf_core::MsfImage| {
+            let part = ParDynamicMsf::from_image(image).unwrap();
+            let floor = engine.structure().rebalance_min();
+            ComponentPartitionedMsf::from_parts(vec![part], vec![0; 6], floor, Default::default())
+                .unwrap()
+        };
         let graph = pdmsf_graph::DynGraph::from_image(&mirror).unwrap();
-        let msf = ParDynamicMsf::from_image(&image).unwrap();
+        let msf = restore(&image);
         let restored =
             Engine::from_restored_parts(graph, msf, engine.stats(), engine.applied_seq()).unwrap();
         assert_eq!(restored.forest_edges(), engine.forest_edges());
@@ -1676,7 +1485,7 @@ mod tests {
         let mut tampered = mirror.clone();
         tampered.edge_alive[0] = 1;
         let graph2 = pdmsf_graph::DynGraph::from_image(&tampered).unwrap();
-        let msf2 = ParDynamicMsf::from_image(&image).unwrap();
+        let msf2 = restore(&image);
         assert!(Engine::from_restored_parts(graph2, msf2, engine.stats(), 1).is_err());
     }
 
@@ -1696,10 +1505,10 @@ mod tests {
             qconn(8, 13),
             Op::QueryForestWeight,
         ];
-        let mut partitioned = Engine::with_partitioned_chunk_parameter(16, 4, 4);
-        let mut forced_serial = Engine::with_partitioned_chunk_parameter(16, 4, 4);
+        let mut partitioned = Engine::with_partitions(16, 4, 4);
+        let mut forced_serial = Engine::with_partitions(16, 4, 4);
         forced_serial.set_serial_apply(true);
-        let mut single = Engine::with_chunk_parameter(16, 4);
+        let mut single = Engine::with_partitions(16, 1, 4);
         for ops in [&ops1, &ops2] {
             let rp = partitioned.execute(ops);
             let rf = forced_serial.execute(ops);
@@ -1708,12 +1517,13 @@ mod tests {
             assert_eq!(rf.outcomes, rs.outcomes);
             assert!(rp.summary.update_groups > 0);
             assert_eq!(rf.summary.update_groups, 0);
+            assert_eq!(rs.summary.update_groups, 0);
         }
         assert_eq!(partitioned.forest_edges(), single.forest_edges());
         assert_eq!(forced_serial.forest_edges(), single.forest_edges());
         assert_eq!(partitioned.forest_weight(), single.forest_weight());
-        partitioned.validate_structure();
-        forced_serial.validate_structure();
+        partitioned.structure().validate();
+        forced_serial.structure().validate();
         // Batch 1: groups {0}, {1}, {2,3} → 3 groups, 1 conflict (4 updates).
         // Batch 2: groups {0}, {2,3} (partitions 2 and 3 merged in batch 1,
         // so the cut of edge 2's component and the 12–15 link now share a
@@ -1721,15 +1531,14 @@ mod tests {
         let stats = partitioned.stats();
         assert_eq!(stats.update_groups, 5);
         assert_eq!(stats.group_conflicts, 2);
-        assert!(partitioned.is_partitioned());
-        assert!(partitioned.partitioned_structure().is_some());
-        assert!(!single.is_partitioned());
+        assert_eq!(partitioned.structure().num_partitions(), 4);
+        assert_eq!(single.structure().num_partitions(), 1);
     }
 
     #[test]
     fn rebalance_restores_grouping_after_migration_pileup() {
         // 32 vertices, 4 block partitions, one 8-vertex chain per block.
-        let mut engine = Engine::with_partitioned_chunk_parameter(32, 4, 4);
+        let mut engine = Engine::with_partitions(32, 4, 4);
         engine.set_rebalance_min(1);
         let mut chains = Vec::new();
         for b in 0..4u32 {
@@ -1772,11 +1581,11 @@ mod tests {
         assert_eq!(r4.summary.update_groups, 4);
         assert_eq!(engine.stats().rebalances, 1);
         assert_eq!(engine.stats().migrations, 6);
-        engine.validate_structure();
+        engine.structure().validate();
 
         // A forced-serial twin of the same stream lands on identical homes
         // and forests (rebalance runs on both paths).
-        let mut serial = Engine::with_partitioned_chunk_parameter(32, 4, 4);
+        let mut serial = Engine::with_partitions(32, 4, 4);
         serial.set_rebalance_min(1);
         serial.set_serial_apply(true);
         serial.execute(&chains);
@@ -1793,10 +1602,7 @@ mod tests {
             link(24, 26, 203),
         ]);
         assert_eq!(engine.forest_edges(), serial.forest_edges());
-        let (p, s) = (
-            engine.partitioned_structure().unwrap(),
-            serial.partitioned_structure().unwrap(),
-        );
+        let (p, s) = (engine.structure(), serial.structure());
         for v in 0..32u32 {
             assert_eq!(
                 p.home_of(VertexId(v)),
@@ -1805,7 +1611,7 @@ mod tests {
             );
         }
         assert_eq!(p.occupancy(), s.occupancy());
-        serial.validate_structure();
+        serial.structure().validate();
     }
 
     #[test]

@@ -11,12 +11,15 @@ use crate::{Outcome, Reject};
 use pdmsf_graph::{BatchOp, DynGraph, EdgeId, VertexId, Weight};
 use std::collections::HashMap;
 
-/// An update that survived validation, in arrival order. `cancelled`
+/// An update that survived validation, in arrival order — the planned form
+/// of a mutation, with its pre-assigned edge id and cancellation flag, and
+/// the record the op log stores ([`crate::LoggedBatch`]). `cancelled`
 /// updates still apply to the engine's [`DynGraph`] mirror (the mirror is
 /// the id allocator, so cancelled links must consume their id exactly as a
-/// one-by-one execution would) but skip the MSF structure entirely.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum PlannedUpdate {
+/// one-op-at-a-time execution would, and cancelled cuts still free theirs)
+/// but skip the MSF structure entirely.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlannedUpdate {
     /// Insert `id = (u, v, weight)`.
     Link {
         /// Pre-assigned edge id (next sequential id of the mirror).

@@ -7,12 +7,13 @@
 //! cuts, cuts of unknown ids, opposing insert/delete pairs, self-loops,
 //! out-of-range endpoints and duplicate interleaved queries.
 //!
-//! The partitioned engine rides the same harness in two arms — grouped
-//! concurrent apply and forced arrival-order serial apply — and must match
-//! the single-structure engine, the one-by-one `SeqDynamicMsf` reference
-//! and Kruskal exactly, including the component-containment invariants
-//! checked by `validate()` after every stream.
+//! Engines with several partitions ride the same harness in two arms —
+//! grouped concurrent apply and forced arrival-order serial apply — and
+//! must match the one-partition engine, the one-by-one `SeqDynamicMsf`
+//! reference and Kruskal exactly, including the component-containment
+//! invariants checked by `validate()` after every stream.
 
+use pdmsf_core::seq::default_sequential_k;
 use pdmsf_core::SeqDynamicMsf;
 use pdmsf_engine::{Engine, Op, Outcome, Reject};
 use pdmsf_graph::{
@@ -50,6 +51,11 @@ fn raw_op() -> impl Strategy<Value = RawOp> {
         3 => (any::<u8>(), any::<u8>()).prop_map(|(u, v)| RawOp::QueryConn { u, v }),
         1 => (0u32..1).prop_map(|_| RawOp::QueryWeight),
     ]
+}
+
+/// An engine with `parts` partitions at the serving chunk parameter.
+fn partitioned(n: usize, parts: usize) -> Engine {
+    Engine::with_partitions(n, parts, default_sequential_k(n))
 }
 
 /// Reference executor: the documented batch semantics implemented the
@@ -184,18 +190,18 @@ fn concretise(n: usize, raw_batches: &[Vec<RawOp>]) -> Vec<Vec<Op>> {
     batches
 }
 
-/// The core lockstep check shared by the proptest cases. `grouped` and
-/// `part_serial` are partitioned engines — the first applies batches as
-/// concurrent conflict-free groups, the second is forced onto the
-/// arrival-order serial loop — and both must stay bit-for-bit in lockstep
-/// with the single-structure engine and the references. Returns the two
-/// partitioned engines so callers can assert on their cumulative stats
-/// (e.g. that a migration-heavy stream really did rebalance).
+/// The core lockstep check shared by the proptest cases. `batched` is a
+/// one-partition engine; `grouped` and `part_serial` have several
+/// partitions — the first applies batches as concurrent conflict-free
+/// groups, the second is forced onto immediate arrival-order apply — and
+/// all three must stay bit-for-bit in lockstep with the references.
+/// Returns the two partitioned engines so callers can assert on their
+/// cumulative stats (e.g. that a migration-heavy stream really did
+/// rebalance).
 fn check_lockstep(
     n: usize,
     batches: &[Vec<Op>],
     mut batched: Engine,
-    mut serial: Engine,
     mut grouped: Engine,
     mut part_serial: Engine,
 ) -> (Engine, Engine) {
@@ -204,16 +210,11 @@ fn check_lockstep(
     for (b, ops) in batches.iter().enumerate() {
         let expected = reference.run_batch(ops);
         let got_batched = batched.execute(ops);
-        let got_serial = serial.execute_one_by_one(ops);
         let got_grouped = grouped.execute(ops);
         let got_part_serial = part_serial.execute(ops);
         assert_eq!(
             got_batched.outcomes, expected,
             "batched outcomes diverged from one-by-one SeqDynamicMsf in batch {b}"
-        );
-        assert_eq!(
-            got_serial.outcomes, expected,
-            "one-by-one engine outcomes diverged from the reference in batch {b}"
         );
         assert_eq!(
             got_grouped.outcomes, expected,
@@ -232,18 +233,13 @@ fn check_lockstep(
         );
         assert_eq!(batched.forest_edges(), reference.msf.forest_edges());
         assert_eq!(batched.forest_weight(), kruskal.total_weight);
-        assert_eq!(serial.forest_edges(), kruskal.edges);
-        assert_eq!(serial.forest_weight(), kruskal.total_weight);
         assert_eq!(grouped.forest_edges(), kruskal.edges, "batch {b} grouped");
         assert_eq!(grouped.forest_weight(), kruskal.total_weight);
         assert_eq!(part_serial.forest_edges(), kruskal.edges);
         assert_eq!(part_serial.forest_weight(), kruskal.total_weight);
         // Grouped vs forced-serial apply: identical component homes, not
         // just identical forests.
-        let (gp, sp) = (
-            grouped.partitioned_structure().unwrap(),
-            part_serial.partitioned_structure().unwrap(),
-        );
+        let (gp, sp) = (grouped.structure(), part_serial.structure());
         for v in 0..n as u32 {
             assert_eq!(
                 gp.home_of(VertexId(v)),
@@ -252,8 +248,8 @@ fn check_lockstep(
             );
         }
     }
-    grouped.validate_structure();
-    part_serial.validate_structure();
+    grouped.structure().validate();
+    part_serial.structure().validate();
     (grouped, part_serial)
 }
 
@@ -275,9 +271,8 @@ proptest! {
             n,
             &batches,
             Engine::new(n),
-            Engine::new(n),
-            Engine::new_partitioned(n, 3),
-            Engine::new_partitioned(n, 3),
+            partitioned(n, 3),
+            partitioned(n, 3),
         );
     }
 
@@ -292,10 +287,9 @@ proptest! {
         check_lockstep(
             n,
             &batches,
-            Engine::with_chunk_parameter(n, 2),
-            Engine::with_chunk_parameter(n, 2),
-            Engine::with_partitioned_chunk_parameter(n, 4, 2),
-            Engine::with_partitioned_chunk_parameter(n, 4, 2),
+            Engine::with_partitions(n, 1, 2),
+            Engine::with_partitions(n, 4, 2),
+            Engine::with_partitions(n, 4, 2),
         );
     }
 
@@ -311,11 +305,11 @@ proptest! {
     ) {
         let n = 12;
         let batches = concretise(n, &raw);
-        let mut grouped = Engine::new_partitioned(n, 4);
+        let mut grouped = partitioned(n, 4);
         grouped.set_rebalance_min(1);
-        let mut part_serial = Engine::new_partitioned(n, 4);
+        let mut part_serial = partitioned(n, 4);
         part_serial.set_rebalance_min(1);
-        check_lockstep(n, &batches, Engine::new(n), Engine::new(n), grouped, part_serial);
+        check_lockstep(n, &batches, Engine::new(n), grouped, part_serial);
     }
 }
 
@@ -329,7 +323,7 @@ proptest! {
 fn forced_migration_pileup_rebalances_in_lockstep() {
     let n = 16;
     let mk = || {
-        let mut e = Engine::new_partitioned(n, 4);
+        let mut e = partitioned(n, 4);
         e.set_rebalance_min(1);
         e
     };
@@ -363,8 +357,7 @@ fn forced_migration_pileup_rebalances_in_lockstep() {
             link(13, 15, 53),
         ],
     ];
-    let (grouped, part_serial) =
-        check_lockstep(n, &batches, Engine::new(n), Engine::new(n), mk(), mk());
+    let (grouped, part_serial) = check_lockstep(n, &batches, Engine::new(n), mk(), mk());
     assert!(
         grouped.stats().rebalances > 0,
         "the stranded pile-up must trigger a rebalance"
@@ -408,8 +401,7 @@ fn generated_batch_streams_hold_the_lockstep_property() {
         });
         let n = stream.num_vertices;
         let mut batched = Engine::new(n);
-        let mut serial = Engine::new(n);
-        let mut grouped = Engine::new_partitioned(n, 4);
+        let mut grouped = partitioned(n, 4);
         let mut reference = Reference::new(n);
         // Load the base graph as one initial batch.
         let base: Vec<Op> = stream
@@ -417,19 +409,13 @@ fn generated_batch_streams_hold_the_lockstep_property() {
             .iter()
             .map(|&(u, v, weight)| Op::Link { u, v, weight })
             .collect();
-        check_lockstep_prefix(
-            &mut batched,
-            &mut serial,
-            &mut grouped,
-            &mut reference,
-            &base,
-        );
+        check_lockstep_prefix(&mut batched, &mut grouped, &mut reference, &base);
         let mut saw_cancellation = false;
         for ops in &stream.batches {
-            check_lockstep_prefix(&mut batched, &mut serial, &mut grouped, &mut reference, ops);
+            check_lockstep_prefix(&mut batched, &mut grouped, &mut reference, ops);
             saw_cancellation |= batched.stats().cancelled_pairs > 0;
         }
-        grouped.validate_structure();
+        grouped.structure().validate();
         if matches!(kind, BatchKind::Bursty { .. }) {
             assert!(
                 saw_cancellation,
@@ -441,19 +427,16 @@ fn generated_batch_streams_hold_the_lockstep_property() {
 
 fn check_lockstep_prefix(
     batched: &mut Engine,
-    serial: &mut Engine,
     grouped: &mut Engine,
     reference: &mut Reference,
     ops: &[Op],
 ) {
     let expected = reference.run_batch(ops);
     assert_eq!(batched.execute(ops).outcomes, expected);
-    assert_eq!(serial.execute_one_by_one(ops).outcomes, expected);
     assert_eq!(grouped.execute(ops).outcomes, expected);
     let kruskal = kruskal_msf(&reference.graph);
     assert_eq!(batched.forest_edges(), kruskal.edges);
     assert_eq!(batched.forest_weight(), kruskal.total_weight);
-    assert_eq!(serial.forest_edges(), kruskal.edges);
     assert_eq!(grouped.forest_edges(), kruskal.edges);
     assert_eq!(grouped.forest_weight(), kruskal.total_weight);
 }

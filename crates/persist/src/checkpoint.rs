@@ -6,17 +6,30 @@
 //! refused with an error naming what broke.
 //!
 //! What a checkpoint holds is the serializable image layer of the stack:
-//! the [`DynGraph`] mirror image, the full SoA bank image of the MSF
-//! structure ([`pdmsf_core::MsfImage`] — chunk banks, row bank, free lists
-//! in recycling order), the engine's op-log sequence number and counters,
-//! and (for a service) the tenant table. Everything rebuilt instead of
-//! stored — the link-cut tree, the cost meter, scratch buffers — is
-//! documented in `pdmsf_core::snapshot`.
+//! the [`DynGraph`] mirror image, the full SoA bank image of each partition
+//! of the MSF structure ([`pdmsf_core::MsfImage`] — chunk banks, row bank,
+//! free lists in recycling order), the engine's op-log sequence number and
+//! counters, and (for a service) the tenant table. Everything rebuilt
+//! instead of stored — the link-cut tree, the cost meter, scratch buffers,
+//! the per-partition occupancy counters — is documented in
+//! `pdmsf_core::snapshot` and [`ComponentPartitionedMsf::from_parts`].
+//!
+//! An engine section holds partition 0's image where a checkpoint has
+//! always held the structure's image, so a one-partition engine writes
+//! exactly the bytes it always wrote and every older checkpoint restores as
+//! one partition. An engine with `P > 1` partitions appends a **tail**:
+//! the partition count, the rebalance floor, the cumulative partition
+//! counters (which also restore the engine's migration counters), the
+//! `home` lane, and the images of partitions `1..P`. The decoder reads a
+//! tail only when bytes remain in the section.
 
 use std::io::{Read, Write};
 use std::time::Instant;
 
-use pdmsf_core::{ChunkArenaImage, MsfImage, ParDynamicMsf, RowBankImage};
+use pdmsf_core::partition::REBALANCE_MIN_OCCUPANCY;
+use pdmsf_core::{
+    ChunkArenaImage, ComponentPartitionedMsf, MsfImage, ParDynamicMsf, PartitionStats, RowBankImage,
+};
 use pdmsf_engine::{Engine, EngineStats};
 use pdmsf_graph::{DynGraph, DynGraphImage, EdgeId, TenantId};
 use pdmsf_shard::{ServiceStats, ShardedService, TenantRecord};
@@ -65,7 +78,95 @@ fn encode_engine(engine: &Engine) -> Vec<u8> {
     e.lane_u64(&g.adj_offsets);
     e.lane_u32(&g.adj_data);
 
-    let m = engine.structure().to_image();
+    let msf = engine.structure();
+    let parts = msf.partitions();
+    encode_msf(&mut e, &parts[0].to_image());
+    if parts.len() > 1 {
+        e.u64(parts.len() as u64);
+        e.u64(msf.rebalance_min());
+        let st = msf.partition_stats();
+        e.u64(st.migrations);
+        e.u64(st.migrated_vertices);
+        e.u64(st.migrated_edges);
+        e.u64(st.rebalances);
+        e.lane_u32(msf.homes());
+        for part in &parts[1..] {
+            encode_msf(&mut e, &part.to_image());
+        }
+    }
+    e.into_bytes()
+}
+
+fn decode_engine(payload: &[u8]) -> Result<Engine, PersistError> {
+    let mut d = Dec::new(payload);
+    let applied_seq = d.u64()?;
+    let stats = EngineStats {
+        batches: d.u64()?,
+        ops: d.u64()?,
+        applied_updates: d.u64()?,
+        cancelled_pairs: d.u64()?,
+        rejected: d.u64()?,
+        queries: d.u64()?,
+        deduped_queries: d.u64()?,
+        snapshots: d.u64()?,
+        update_groups: d.u64()?,
+        group_conflicts: d.u64()?,
+        // Migration counters come from the tail's partition counters,
+        // which they always equal (zero with one partition).
+        ..EngineStats::default()
+    };
+    let graph_image = DynGraphImage {
+        edge_u: d.lane_u32()?,
+        edge_v: d.lane_u32()?,
+        edge_weight: d.lane_i64()?,
+        edge_alive: d.lane_u8()?,
+        adj_offsets: d.lane_u64()?,
+        adj_data: d.lane_u32()?,
+    };
+    let mut images = vec![decode_msf(&mut d)?];
+    let mut home = None;
+    let mut floor = REBALANCE_MIN_OCCUPANCY;
+    let mut pstats = PartitionStats::default();
+    if d.remaining() > 0 {
+        let count = d.u64()?;
+        if count < 2 {
+            return Err(PersistError::Corrupt(format!(
+                "engine tail declares {count} partitions; only multi-partition engines write one"
+            )));
+        }
+        floor = d.u64()?;
+        pstats = PartitionStats {
+            migrations: d.u64()?,
+            migrated_vertices: d.u64()?,
+            migrated_edges: d.u64()?,
+            rebalances: d.u64()?,
+        };
+        home = Some(d.lane_u32()?);
+        for _ in 1..count {
+            images.push(decode_msf(&mut d)?);
+        }
+    }
+    d.finish("engine section")?;
+
+    let graph = DynGraph::from_image(&graph_image).map_err(PersistError::Inconsistent)?;
+    let parts = images
+        .iter()
+        .map(ParDynamicMsf::from_image)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(PersistError::Inconsistent)?;
+    let home = home.unwrap_or_else(|| vec![0; graph.num_vertices()]);
+    let msf = ComponentPartitionedMsf::from_parts(parts, home, floor, pstats)
+        .map_err(PersistError::Inconsistent)?;
+    let stats = EngineStats {
+        migrations: pstats.migrations,
+        migrated_vertices: pstats.migrated_vertices,
+        rebalances: pstats.rebalances,
+        ..stats
+    };
+    Engine::from_restored_parts(graph, msf, stats, applied_seq).map_err(PersistError::Inconsistent)
+}
+
+fn encode_msf(e: &mut Enc, m: &MsfImage) {
     e.u64(m.k);
     e.u8(m.model);
     e.u8(m.exec);
@@ -113,37 +214,10 @@ fn encode_engine(engine: &Engine) -> Vec<u8> {
     e.lane_u32(&m.touched);
     e.u64(m.num_tree_edges);
     e.i128(m.forest_weight);
-    e.into_bytes()
 }
 
-fn decode_engine(payload: &[u8]) -> Result<Engine, PersistError> {
-    let mut d = Dec::new(payload);
-    let applied_seq = d.u64()?;
-    let stats = EngineStats {
-        batches: d.u64()?,
-        ops: d.u64()?,
-        applied_updates: d.u64()?,
-        cancelled_pairs: d.u64()?,
-        rejected: d.u64()?,
-        queries: d.u64()?,
-        deduped_queries: d.u64()?,
-        snapshots: d.u64()?,
-        update_groups: d.u64()?,
-        group_conflicts: d.u64()?,
-        // Not part of the format: checkpoints exist only for
-        // single-structure engines, where the partitioned structure's
-        // migration/rebalance counters are identically zero.
-        ..EngineStats::default()
-    };
-    let graph_image = DynGraphImage {
-        edge_u: d.lane_u32()?,
-        edge_v: d.lane_u32()?,
-        edge_weight: d.lane_i64()?,
-        edge_alive: d.lane_u8()?,
-        adj_offsets: d.lane_u64()?,
-        adj_data: d.lane_u32()?,
-    };
-    let msf_image = MsfImage {
+fn decode_msf(d: &mut Dec) -> Result<MsfImage, PersistError> {
+    Ok(MsfImage {
         k: d.u64()?,
         model: d.u8()?,
         exec: d.u8()?,
@@ -193,12 +267,7 @@ fn decode_engine(payload: &[u8]) -> Result<Engine, PersistError> {
         touched: d.lane_u32()?,
         num_tree_edges: d.u64()?,
         forest_weight: d.i128()?,
-    };
-    d.finish("engine section")?;
-
-    let graph = DynGraph::from_image(&graph_image).map_err(PersistError::Inconsistent)?;
-    let msf = ParDynamicMsf::from_image(&msf_image).map_err(PersistError::Inconsistent)?;
-    Engine::from_restored_parts(graph, msf, stats, applied_seq).map_err(PersistError::Inconsistent)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -275,17 +344,6 @@ pub trait EngineCheckpointExt: Sized {
 
 impl EngineCheckpointExt for Engine {
     fn checkpoint<W: Write>(&self, w: W) -> Result<(), PersistError> {
-        if self.is_partitioned() {
-            // Flattening a component-partitioned structure into the
-            // single-structure image format is not supported yet; refuse
-            // with a clear error instead of panicking inside
-            // `Engine::structure()`.
-            return Err(PersistError::Inconsistent(
-                "component-partitioned engines do not support checkpointing yet \
-                 (their op log is replayable as usual)"
-                    .to_string(),
-            ));
-        }
         let t0 = Instant::now();
         let mut w = CountingWriter::new(w);
         write_header(&mut w, KIND_ENGINE)?;
@@ -325,13 +383,6 @@ pub trait ServiceCheckpointExt: Sized {
 
 impl ServiceCheckpointExt for ShardedService {
     fn checkpoint_all<W: Write>(&self, w: W) -> Result<(), PersistError> {
-        if (0..self.num_shards()).any(|s| self.shard_engine(s).is_partitioned()) {
-            return Err(PersistError::Inconsistent(
-                "component-partitioned shard engines do not support checkpointing yet \
-                 (their op log is replayable as usual)"
-                    .to_string(),
-            ));
-        }
         let t0 = Instant::now();
         let mut w = CountingWriter::new(w);
         write_header(&mut w, KIND_SERVICE)?;
@@ -384,7 +435,7 @@ impl ServiceCheckpointExt for ShardedService {
 mod tests {
     use super::*;
     use crate::format::read_section;
-    use pdmsf_graph::{BatchOp, TenantOp, VertexId, Weight};
+    use pdmsf_graph::{BatchOp, DynamicMsf, TenantOp, VertexId, Weight};
     use pdmsf_shard::TenantSpec;
 
     fn link(u: u32, v: u32, w: i64) -> BatchOp {
@@ -426,7 +477,7 @@ mod tests {
 
         // A checkpoint keeps its own K, even one `Engine::new` no longer
         // picks (engines once served at K = sqrt n = 4 here).
-        let mut sqrt_k = Engine::with_chunk_parameter(16, 4);
+        let mut sqrt_k = Engine::with_partitions(16, 1, 4);
         sqrt_k.execute(&[link(0, 1, 5), link(1, 2, 3)]);
         let mut buf = Vec::new();
         sqrt_k.checkpoint(&mut buf).unwrap();
@@ -460,14 +511,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn service_checkpoint_round_trips_and_rewires_tenants() {
-        let tenants: Vec<TenantSpec> = (0..6).map(|t| TenantSpec::new(TenantId(t), 8)).collect();
-        let mut service = ShardedService::new(3, &tenants);
-        let op = |t: u32, u: u32, v: u32, w: i64| TenantOp {
+    fn tenant_link(t: u32, u: u32, v: u32, w: i64) -> TenantOp {
+        TenantOp {
             tenant: TenantId(t),
             op: link(u, v, w),
-        };
+        }
+    }
+
+    /// Six 8-vertex tenants over three shards built by `factory`, after a
+    /// link batch and a cut.
+    fn build_service(factory: impl Fn(usize) -> Engine) -> ShardedService {
+        let tenants: Vec<TenantSpec> = (0..6).map(|t| TenantSpec::new(TenantId(t), 8)).collect();
+        let mut service = ShardedService::with_engine_factory(3, &tenants, factory);
+        let op = tenant_link;
         service.execute(&[
             op(0, 0, 1, 5),
             op(1, 2, 3, 7),
@@ -480,7 +536,13 @@ mod tests {
             tenant: TenantId(1),
             op: BatchOp::Cut { id: EdgeId(0) },
         }]);
+        service
+    }
 
+    #[test]
+    fn service_checkpoint_round_trips_and_rewires_tenants() {
+        let mut service = build_service(Engine::new);
+        let op = tenant_link;
         let mut buf = Vec::new();
         service.checkpoint_all(&mut buf).unwrap();
         let mut restored = ShardedService::restore_all(&buf[..]).unwrap();
@@ -531,5 +593,200 @@ mod tests {
         write_section(&mut swapped, SEC_SHARD, &shard0).unwrap();
         write_section(&mut swapped, SEC_END, &[]).unwrap();
         assert!(ShardedService::restore_all(&swapped[..]).is_err());
+    }
+
+    /// One-partition engines keep the format's original bytes, so existing
+    /// checkpoints restore and re-checkpoint unchanged (lengths and CRCs
+    /// pinned from checkpoints written before the partition tail existed).
+    #[test]
+    fn one_partition_checkpoint_bytes_did_not_move() {
+        let mut buf = Vec::new();
+        build_engine().checkpoint(&mut buf).unwrap();
+        assert_eq!((buf.len(), crate::crc32(&buf)), (4_029, 0xa91d_c2ba));
+        let mut buf = Vec::new();
+        build_service(Engine::new).checkpoint_all(&mut buf).unwrap();
+        assert_eq!((buf.len(), crate::crc32(&buf)), (9_973, 0x2e65_eca6));
+    }
+
+    /// A 32-vertex, 4-partition engine (floor 1) driven through migrations
+    /// and a rebalance: bridges pile every block's chain into one
+    /// partition, cutting them strands the chains there, and the post-batch
+    /// rebalance spreads them out again.
+    fn build_partitioned_engine() -> Engine {
+        let mut engine = Engine::with_partitions(32, 4, 4);
+        engine.set_rebalance_min(1);
+        let chains: Vec<BatchOp> = (0..4u32)
+            .flat_map(|b| (0..7).map(move |i| link(8 * b + i, 8 * b + i + 1, (8 * b + i) as i64)))
+            .collect();
+        engine.execute(&chains);
+        engine.execute(&[link(8, 0, 100), link(16, 0, 101), link(24, 0, 102)]);
+        engine.execute(&[
+            BatchOp::Cut { id: EdgeId(28) },
+            BatchOp::Cut { id: EdgeId(29) },
+            BatchOp::Cut { id: EdgeId(30) },
+            BatchOp::Cut { id: EdgeId(3) },
+        ]);
+        engine.execute(&[link(0, 2, 50), link(9, 11, 51), link(17, 19, 52)]);
+        engine
+    }
+
+    fn assert_same_partitioned_state(a: &Engine, b: &Engine) {
+        assert_eq!(a.forest_edges(), b.forest_edges());
+        assert_eq!(a.forest_weight(), b.forest_weight());
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.applied_seq(), b.applied_seq());
+        let (sa, sb) = (a.structure(), b.structure());
+        assert_eq!(sa.num_partitions(), sb.num_partitions());
+        assert_eq!(sa.chunk_parameter(), sb.chunk_parameter());
+        assert_eq!(sa.partition_stats(), sb.partition_stats());
+        assert_eq!(sa.homes(), sb.homes());
+        assert_eq!(sa.occupancy(), sb.occupancy());
+        assert_eq!(sa.rebalance_min(), sb.rebalance_min());
+    }
+
+    #[test]
+    fn partitioned_engine_checkpoint_round_trips() {
+        let mut engine = build_partitioned_engine();
+        assert!(engine.stats().migrations > 0 && engine.stats().rebalances > 0);
+        let mut buf = Vec::new();
+        engine.checkpoint(&mut buf).unwrap();
+        let mut restored = Engine::restore(&buf[..]).unwrap();
+        assert_same_partitioned_state(&restored, &engine);
+        restored.structure().validate();
+        let mut buf2 = Vec::new();
+        restored.checkpoint(&mut buf2).unwrap();
+        assert_eq!(buf, buf2);
+        // Future batches migrate and rebalance identically.
+        for ops in [
+            vec![link(8, 0, 200), link(16, 0, 201)],
+            vec![
+                BatchOp::Cut { id: EdgeId(34) },
+                BatchOp::Cut { id: EdgeId(35) },
+            ],
+        ] {
+            assert_eq!(
+                restored.execute(&ops).outcomes,
+                engine.execute(&ops).outcomes
+            );
+            assert_same_partitioned_state(&restored, &engine);
+        }
+        // A static arm (rebalancing off) stays static through a restore.
+        let mut static_e = Engine::with_partitions(32, 4, 4);
+        static_e.set_rebalance_min(u64::MAX);
+        static_e.execute(&[link(0, 9, 1)]);
+        let mut buf = Vec::new();
+        static_e.checkpoint(&mut buf).unwrap();
+        let restored = Engine::restore(&buf[..]).unwrap();
+        assert_eq!(restored.structure().rebalance_min(), u64::MAX);
+    }
+
+    #[test]
+    fn partitioned_engine_checkpoint_detects_corruption_everywhere() {
+        let mut buf = Vec::new();
+        build_partitioned_engine().checkpoint(&mut buf).unwrap();
+        for cut in 0..buf.len() {
+            assert!(
+                Engine::restore(&buf[..cut]).is_err(),
+                "truncation at {cut} of {} restored silently",
+                buf.len()
+            );
+        }
+        for byte in (0..buf.len()).step_by(7) {
+            let mut bad = buf.clone();
+            bad[byte] ^= 0x10;
+            assert!(
+                Engine::restore(&bad[..]).is_err(),
+                "bit flip at byte {byte} restored silently"
+            );
+        }
+    }
+
+    /// `build_engine()`'s section with a hand-written two-partition tail.
+    fn with_tail(home: &[u32], second: &ParDynamicMsf) -> Vec<u8> {
+        let mut tail = Enc::new();
+        tail.u64(2);
+        tail.u64(REBALANCE_MIN_OCCUPANCY);
+        for _ in 0..4 {
+            tail.u64(0);
+        }
+        tail.lane_u32(home);
+        encode_msf(&mut tail, &second.to_image());
+        let mut payload = encode_engine(&build_engine());
+        payload.extend(tail.into_bytes());
+        payload
+    }
+
+    #[test]
+    fn partitioned_import_refuses_inconsistent_parts() {
+        let n = 16;
+        let k = build_engine().structure().chunk_parameter();
+        let empty = ParDynamicMsf::with_chunk_parameter(n, k);
+        // Edges of `build_engine()` touch vertices 0..7; homing 8.. in
+        // partition 1 keeps containment.
+        let home: Vec<u32> = (0..n as u32).map(|v| u32::from(v >= 8)).collect();
+        assert!(decode_engine(&with_tail(&home, &empty)).is_ok());
+        let refused = |payload: Vec<u8>, what: &str| {
+            assert!(
+                matches!(decode_engine(&payload), Err(PersistError::Inconsistent(_))),
+                "{what} was not refused"
+            );
+        };
+        refused(with_tail(&home[..n - 1], &empty), "a short home lane");
+        let mut out_of_range = home.clone();
+        out_of_range[n - 1] = 2;
+        refused(
+            with_tail(&out_of_range, &empty),
+            "a home beyond the last partition",
+        );
+        refused(
+            with_tail(&vec![1; n], &empty),
+            "edges outside their home partition",
+        );
+        let other_k = ParDynamicMsf::with_chunk_parameter(n, k + 1);
+        refused(with_tail(&home, &other_k), "partitions with different K");
+        // Edge 1 is live in partition 0; a second copy in partition 1 (on
+        // vertices homed there) passes containment but not the mirror.
+        let mut twice = ParDynamicMsf::with_chunk_parameter(n, k);
+        twice.insert(pdmsf_graph::Edge {
+            id: EdgeId(1),
+            u: VertexId(8),
+            v: VertexId(9),
+            weight: Weight::new(3),
+        });
+        refused(with_tail(&home, &twice), "an edge held by two partitions");
+        // A one-partition tail is never written.
+        let mut payload = encode_engine(&build_engine());
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        assert!(matches!(
+            decode_engine(&payload),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn partitioned_service_checkpoint_round_trips() {
+        let parts = |n| Engine::with_partitions(n, 4, pdmsf_core::seq::default_sequential_k(n));
+        let mut service = build_service(parts);
+        // A cross-block link migrates inside tenant 2's shard.
+        service.execute(&[tenant_link(2, 1, 7, 6)]);
+        let mut buf = Vec::new();
+        service.checkpoint_all(&mut buf).unwrap();
+        let mut restored = ShardedService::restore_all(&buf[..]).unwrap();
+        for s in 0..service.num_shards() {
+            assert_same_partitioned_state(restored.shard_engine(s), service.shard_engine(s));
+            assert_eq!(restored.shard_engine(s).structure().num_partitions(), 4);
+        }
+        let mut buf2 = Vec::new();
+        restored.checkpoint_all(&mut buf2).unwrap();
+        assert_eq!(buf, buf2);
+        let probe = [tenant_link(3, 3, 4, 6), tenant_link(5, 1, 6, 2)];
+        assert_eq!(
+            restored.execute(&probe).outcomes,
+            service.execute(&probe).outcomes
+        );
+        assert_eq!(
+            restored.total_forest_weight(),
+            service.total_forest_weight()
+        );
     }
 }

@@ -30,7 +30,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::time::Instant;
 
-use pdmsf_engine::{LoggedBatch, LoggedUpdate, OpSink};
+use pdmsf_engine::{LoggedBatch, OpSink, PlannedUpdate};
 use pdmsf_graph::{EdgeId, VertexId, Weight};
 use pdmsf_obs as obs;
 
@@ -207,7 +207,7 @@ fn encode_batch(batch: &LoggedBatch) -> Vec<u8> {
     out.extend_from_slice(&(batch.updates.len() as u64).to_le_bytes());
     for u in &batch.updates {
         match *u {
-            LoggedUpdate::Link {
+            PlannedUpdate::Link {
                 id,
                 u,
                 v,
@@ -221,7 +221,7 @@ fn encode_batch(batch: &LoggedBatch) -> Vec<u8> {
                 out.extend_from_slice(&weight.raw().to_le_bytes());
                 out.push(u8::from(cancelled));
             }
-            LoggedUpdate::Cut { id, cancelled } => {
+            PlannedUpdate::Cut { id, cancelled } => {
                 out.push(UPD_CUT);
                 out.extend_from_slice(&id.0.to_le_bytes());
                 out.push(u8::from(cancelled));
@@ -245,7 +245,7 @@ fn decode_batch(seq: u64, payload: &[u8]) -> Result<LoggedBatch, PersistError> {
     for _ in 0..count {
         let tag = d.u8()?;
         let update = match tag {
-            UPD_LINK => LoggedUpdate::Link {
+            UPD_LINK => PlannedUpdate::Link {
                 id: EdgeId(d.u32()?),
                 u: VertexId(d.u32()?),
                 v: VertexId(d.u32()?),
@@ -260,7 +260,7 @@ fn decode_batch(seq: u64, payload: &[u8]) -> Result<LoggedBatch, PersistError> {
                     }
                 },
             },
-            UPD_CUT => LoggedUpdate::Cut {
+            UPD_CUT => PlannedUpdate::Cut {
                 id: EdgeId(d.u32()?),
                 cancelled: match d.u8()? {
                     0 => false,
@@ -385,14 +385,14 @@ mod tests {
             seq,
             id_base,
             updates: vec![
-                LoggedUpdate::Link {
+                PlannedUpdate::Link {
                     id: EdgeId(id_base as u32),
                     u: VertexId(0),
                     v: VertexId(1),
                     weight: Weight::new(5),
                     cancelled: false,
                 },
-                LoggedUpdate::Cut {
+                PlannedUpdate::Cut {
                     id: EdgeId(0),
                     cancelled: false,
                 },

@@ -9,12 +9,17 @@
 //! state must equal a fresh engine that executed exactly the surviving
 //! prefix of mutating batches (plus all interleaved queries, which mutate
 //! nothing).
+//!
+//! Every proptest runs twice: on the default one-partition engine and on a
+//! rebalancing four-partition engine (floor 1), whose twin check adds
+//! per-vertex homes, occupancy and partition counters.
 
-use pdmsf_engine::{Engine, Op};
+use pdmsf_core::seq::default_sequential_k;
+use pdmsf_engine::{Engine, LoggedBatch, Op, OpSink, PlannedUpdate};
 use pdmsf_graph::{EdgeId, TenantId, TenantOp, VertexId, Weight};
 use pdmsf_persist::{
     read_log, recover_engine, recover_service, EngineCheckpointExt, FlushPolicy, OpLogWriter,
-    ServiceCheckpointExt, SharedDisk,
+    PersistError, ServiceCheckpointExt, SharedDisk,
 };
 use pdmsf_shard::{ShardedService, TenantSpec};
 use proptest::prelude::*;
@@ -84,13 +89,28 @@ fn concretise(n: usize, raw_batches: &[Vec<RawOp>]) -> Vec<Vec<Op>> {
     batches
 }
 
-/// Assert two engines are in the same state: forest, weight, component
-/// structure over every vertex pair, internal invariants, and identical
-/// future behaviour on a probe batch.
+/// Builds the engine under test for `n` vertices.
+type MakeEngine = fn(usize) -> Engine;
+
+/// Four partitions at the serving `K`, rebalancing at the lowest floor.
+fn rebalancing_partitioned(n: usize) -> Engine {
+    let mut engine = Engine::with_partitions(n, 4, default_sequential_k(n));
+    engine.set_rebalance_min(1);
+    engine
+}
+
+/// Assert two engines are in the same state: forest, weight, partition
+/// homes, occupancy and counters, component structure over every vertex
+/// pair, internal invariants, and identical future behaviour on a probe
+/// batch.
 fn assert_same_state(recovered: &mut Engine, twin: &mut Engine) {
     assert_eq!(recovered.forest_edges(), twin.forest_edges());
     assert_eq!(recovered.forest_weight(), twin.forest_weight());
     assert_eq!(recovered.applied_seq(), twin.applied_seq());
+    let (r, t) = (recovered.structure(), twin.structure());
+    assert_eq!(r.homes(), t.homes(), "per-vertex homes diverged");
+    assert_eq!(r.occupancy(), t.occupancy());
+    assert_eq!(r.partition_stats(), t.partition_stats());
     recovered.structure().validate();
     let n = recovered.num_vertices() as u32;
     let pairs: Vec<Op> = (0..n)
@@ -130,12 +150,13 @@ fn assert_same_state(recovered: &mut Engine, twin: &mut Engine) {
 /// `checkpoint_after`. Returns the checkpoint bytes, the log disk, and the
 /// engine's applied_seq after each batch.
 fn run_logged(
+    make: MakeEngine,
     n: usize,
     batches: &[Vec<Op>],
     checkpoint_after: usize,
 ) -> (Vec<u8>, SharedDisk, Vec<u64>, Engine) {
     let disk = SharedDisk::new();
-    let mut engine = Engine::new(n);
+    let mut engine = make(n);
     engine.set_sink(Box::new(
         OpLogWriter::create(disk.clone(), 0, FlushPolicy::EveryBatch).unwrap(),
     ));
@@ -158,8 +179,14 @@ fn run_logged(
 /// The twin: a fresh, unlogged engine that executes every batch whose
 /// mutations are covered by `covered_seq` (query-only batches included —
 /// they mutate nothing).
-fn build_twin(n: usize, batches: &[Vec<Op>], seq_after: &[u64], covered_seq: u64) -> Engine {
-    let mut twin = Engine::new(n);
+fn build_twin(
+    make: MakeEngine,
+    n: usize,
+    batches: &[Vec<Op>],
+    seq_after: &[u64],
+    covered_seq: u64,
+) -> Engine {
+    let mut twin = make(n);
     for (i, ops) in batches.iter().enumerate() {
         if seq_after[i] > covered_seq {
             break;
@@ -169,92 +196,150 @@ fn build_twin(n: usize, batches: &[Vec<Op>], seq_after: &[u64], covered_seq: u64
     twin
 }
 
+/// Crash at an arbitrary byte offset of the op log: recovery from the
+/// checkpoint plus the surviving log prefix reproduces exactly the state of
+/// an uninterrupted twin that executed the surviving batches.
+fn crash_recovers_the_acked_prefix(
+    make: MakeEngine,
+    raw: &[Vec<RawOp>],
+    checkpoint_after: u8,
+    crash_permille: u32,
+) {
+    let n = 8;
+    let batches = concretise(n, raw);
+    let ckpt_ix = checkpoint_after as usize % batches.len();
+    let (checkpoint, disk, seq_after, _live) = run_logged(make, n, &batches, ckpt_ix);
+
+    // Crash: only a prefix of the log survives (never shorter than the
+    // header — a missing log file is a different failure mode).
+    let full_log = disk.snapshot();
+    let crash_at = 16 + ((full_log.len() - 16) as u64 * crash_permille as u64 / 1000) as usize;
+    let torn = &full_log[..crash_at];
+
+    let (mut recovered, report) = recover_engine(&checkpoint[..], torn, 0).unwrap();
+    assert_eq!(
+        report.dropped_log_bytes as usize,
+        crash_at - report.log_valid_len as usize
+    );
+
+    // The twin executes exactly the batches recovery could cover: the
+    // checkpoint's seq or the last surviving log record, whichever is
+    // newer.
+    let surviving_seq = read_log(torn).unwrap().records.last().map_or(0, |r| r.seq);
+    let covered = surviving_seq.max(report.checkpoint_seq);
+    assert_eq!(report.recovered_seq, covered);
+    let mut twin = build_twin(make, n, &batches, &seq_after, covered);
+    assert_same_state(&mut recovered, &mut twin);
+}
+
+/// A flipped bit anywhere in the checkpoint refuses to restore — never a
+/// silently wrong engine.
+fn checkpoint_bit_flip_is_refused(
+    make: MakeEngine,
+    raw: &[Vec<RawOp>],
+    flip_byte: u32,
+    flip_bit: u8,
+) {
+    let n = 8;
+    let batches = concretise(n, raw);
+    let (checkpoint, _disk, _seq, _live) = run_logged(make, n, &batches, batches.len() - 1);
+    let mut bad = checkpoint.clone();
+    let byte = flip_byte as usize % bad.len();
+    bad[byte] ^= 1 << flip_bit;
+    assert!(
+        Engine::restore(&bad[..]).is_err(),
+        "flip at byte {} of {} restored silently",
+        byte,
+        bad.len()
+    );
+}
+
+/// A flipped bit in the op log is either caught as a clean tail truncation
+/// (recovery lands on the surviving prefix, twin-verified) or refused
+/// outright — never absorbed into a diverged state.
+fn log_bit_flip_truncates_or_refuses(
+    make: MakeEngine,
+    raw: &[Vec<RawOp>],
+    flip_byte: u32,
+    flip_bit: u8,
+) {
+    let n = 8;
+    let batches = concretise(n, raw);
+    let (checkpoint, disk, seq_after, _live) = run_logged(make, n, &batches, 0);
+    let full_log = disk.snapshot();
+    let mut bad = full_log.clone();
+    let byte = flip_byte as usize % bad.len();
+    bad[byte] ^= 1 << flip_bit;
+
+    match recover_engine(&checkpoint[..], &bad, 0) {
+        Err(_) => {} // header flip, or a replay that no longer lines up
+        Ok((mut recovered, report)) => {
+            let surviving_seq = read_log(&bad).unwrap().records.last().map_or(0, |r| r.seq);
+            let covered = surviving_seq.max(report.checkpoint_seq);
+            let mut twin = build_twin(make, n, &batches, &seq_after, covered);
+            assert_same_state(&mut recovered, &mut twin);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 16,
         .. ProptestConfig::default()
     })]
 
-    /// Crash at an arbitrary byte offset of the op log: recovery from the
-    /// checkpoint plus the surviving log prefix reproduces exactly the
-    /// state of an uninterrupted twin that executed the surviving batches.
     #[test]
     fn recovery_reproduces_the_acked_prefix(
         raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 0..16), 1..7),
         checkpoint_after in any::<u8>(),
         crash_permille in 0u32..=1000,
     ) {
-        let n = 8;
-        let batches = concretise(n, &raw);
-        let ckpt_ix = checkpoint_after as usize % batches.len();
-        let (checkpoint, disk, seq_after, _live) = run_logged(n, &batches, ckpt_ix);
-
-        // Crash: only a prefix of the log survives (never shorter than the
-        // header — a missing log file is a different failure mode).
-        let full_log = disk.snapshot();
-        let crash_at = 16 + ((full_log.len() - 16) as u64 * crash_permille as u64 / 1000) as usize;
-        let torn = &full_log[..crash_at];
-
-        let (mut recovered, report) = recover_engine(&checkpoint[..], torn, 0).unwrap();
-        prop_assert_eq!(report.dropped_log_bytes as usize, crash_at - report.log_valid_len as usize);
-
-        // The twin executes exactly the batches recovery could cover: the
-        // checkpoint's seq or the last surviving log record, whichever is
-        // newer.
-        let surviving_seq = read_log(torn).unwrap().records.last().map_or(0, |r| r.seq);
-        let covered = surviving_seq.max(report.checkpoint_seq);
-        prop_assert_eq!(report.recovered_seq, covered);
-        let mut twin = build_twin(n, &batches, &seq_after, covered);
-        assert_same_state(&mut recovered, &mut twin);
+        crash_recovers_the_acked_prefix(Engine::new, &raw, checkpoint_after, crash_permille);
     }
 
-    /// A flipped bit anywhere in the checkpoint refuses to restore — never
-    /// a silently wrong engine.
+    #[test]
+    fn partitioned_recovery_reproduces_the_acked_prefix(
+        raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 0..16), 1..7),
+        checkpoint_after in any::<u8>(),
+        crash_permille in 0u32..=1000,
+    ) {
+        crash_recovers_the_acked_prefix(rebalancing_partitioned, &raw, checkpoint_after, crash_permille);
+    }
+
     #[test]
     fn checkpoint_bit_flips_never_restore(
         raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 1..16), 1..4),
         flip_byte in any::<u32>(),
         flip_bit in 0u8..8,
     ) {
-        let n = 8;
-        let batches = concretise(n, &raw);
-        let (checkpoint, _disk, _seq, _live) = run_logged(n, &batches, batches.len() - 1);
-        let mut bad = checkpoint.clone();
-        let byte = flip_byte as usize % bad.len();
-        bad[byte] ^= 1 << flip_bit;
-        prop_assert!(
-            Engine::restore(&bad[..]).is_err(),
-            "flip at byte {} of {} restored silently", byte, bad.len()
-        );
+        checkpoint_bit_flip_is_refused(Engine::new, &raw, flip_byte, flip_bit);
     }
 
-    /// A flipped bit in the op log is either caught as a clean tail
-    /// truncation (recovery lands on the surviving prefix, twin-verified)
-    /// or refused outright — never absorbed into a diverged state.
+    #[test]
+    fn partitioned_checkpoint_bit_flips_never_restore(
+        raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 1..16), 1..4),
+        flip_byte in any::<u32>(),
+        flip_bit in 0u8..8,
+    ) {
+        checkpoint_bit_flip_is_refused(rebalancing_partitioned, &raw, flip_byte, flip_bit);
+    }
+
     #[test]
     fn log_bit_flips_truncate_or_refuse(
         raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 2..16), 2..6),
         flip_byte in any::<u32>(),
         flip_bit in 0u8..8,
     ) {
-        let n = 8;
-        let batches = concretise(n, &raw);
-        let (checkpoint, disk, seq_after, _live) = run_logged(n, &batches, 0);
-        let full_log = disk.snapshot();
-        let mut bad = full_log.clone();
-        let byte = flip_byte as usize % bad.len();
-        bad[byte] ^= 1 << flip_bit;
+        log_bit_flip_truncates_or_refuses(Engine::new, &raw, flip_byte, flip_bit);
+    }
 
-        match recover_engine(&checkpoint[..], &bad, 0) {
-            Err(_) => {} // header flip, or a replay that no longer lines up
-            Ok((mut recovered, report)) => {
-                let surviving_seq =
-                    read_log(&bad).unwrap().records.last().map_or(0, |r| r.seq);
-                let covered = surviving_seq.max(report.checkpoint_seq);
-                let mut twin = build_twin(n, &batches, &seq_after, covered);
-                assert_same_state(&mut recovered, &mut twin);
-            }
-        }
+    #[test]
+    fn partitioned_log_bit_flips_truncate_or_refuse(
+        raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 2..16), 2..6),
+        flip_byte in any::<u32>(),
+        flip_bit in 0u8..8,
+    ) {
+        log_bit_flip_truncates_or_refuses(rebalancing_partitioned, &raw, flip_byte, flip_bit);
     }
 }
 
@@ -443,7 +528,7 @@ fn every_fully_logged_batch_survives_recovery() {
             }]
         })
         .collect();
-    let (checkpoint, disk, seq_after, _live) = run_logged(n, &batches, 0);
+    let (checkpoint, disk, seq_after, _live) = run_logged(Engine::new, n, &batches, 0);
     let full_log = disk.snapshot();
     // Find each record boundary by re-reading prefixes.
     for cut in 16..=full_log.len() {
@@ -451,7 +536,45 @@ fn every_fully_logged_batch_survives_recovery() {
         let report = read_log(torn).unwrap();
         let (mut recovered, _) = recover_engine(&checkpoint[..], torn, 0).unwrap();
         let covered = report.records.last().map_or(1, |r| r.seq);
-        let mut twin = build_twin(n, &batches, &seq_after, covered.max(1));
+        let mut twin = build_twin(Engine::new, n, &batches, &seq_after, covered.max(1));
         assert_same_state(&mut recovered, &mut twin);
     }
+}
+
+/// A log record the planner could never have written — here a cancelled
+/// cut of a pre-record edge with no link to pair with — fails recovery
+/// instead of replaying into a structure that disagrees with its mirror.
+#[test]
+fn recovery_refuses_an_impossible_log_record() {
+    let mut checkpoint = Vec::new();
+    Engine::new(4).checkpoint(&mut checkpoint).unwrap();
+    let disk = SharedDisk::new();
+    let mut writer = OpLogWriter::create(disk.clone(), 0, FlushPolicy::EveryBatch).unwrap();
+    let records = [
+        vec![PlannedUpdate::Link {
+            id: EdgeId(0),
+            u: VertexId(0),
+            v: VertexId(1),
+            weight: Weight::new(5),
+            cancelled: false,
+        }],
+        vec![PlannedUpdate::Cut {
+            id: EdgeId(0),
+            cancelled: true,
+        }],
+    ];
+    for (i, updates) in records.into_iter().enumerate() {
+        let batch = LoggedBatch {
+            seq: i as u64 + 1,
+            id_base: 1.min(i as u64),
+            updates,
+        };
+        writer.record(batch.seq, &batch).unwrap();
+    }
+    let log = disk.snapshot();
+    assert_eq!(read_log(&log).unwrap().records.len(), 2);
+    assert!(matches!(
+        recover_engine(&checkpoint[..], &log, 0),
+        Err(PersistError::Inconsistent(_))
+    ));
 }

@@ -1,15 +1,23 @@
 //! WAL byte-identity: the op log is serialized from the *plan*, before any
 //! update applies, so the apply path — grouped concurrent apply on a
-//! partitioned engine, forced arrival-order serial apply, or the
-//! single-structure engine — can never influence the log bytes. This test
+//! partitioned engine, forced arrival-order serial apply, or a
+//! one-partition engine — can never influence the log bytes. This test
 //! pins that: three engines with all three apply paths, fed identical
 //! batches through identically-configured log sinks, must produce
 //! **byte-identical** log streams, and replaying that one stream must
 //! reproduce the same forest on every engine kind.
 
+use pdmsf_core::seq::default_sequential_k;
 use pdmsf_engine::{Engine, Op};
 use pdmsf_graph::{EdgeId, VertexId, Weight};
-use pdmsf_persist::{read_log, EngineCheckpointExt, FlushPolicy, OpLogWriter, SharedDisk};
+use pdmsf_persist::{
+    read_log, recover_engine, EngineCheckpointExt, FlushPolicy, OpLogWriter, SharedDisk,
+};
+
+/// An engine with four partitions at the serving chunk parameter.
+fn partitioned(n: usize) -> Engine {
+    Engine::with_partitions(n, 4, default_sequential_k(n))
+}
 
 fn link(u: u32, v: u32, w: i64) -> Op {
     Op::Link {
@@ -68,8 +76,8 @@ fn run_with_log(mut engine: Engine) -> (SharedDisk, Engine) {
 #[test]
 fn grouped_serial_and_single_apply_write_identical_log_bytes() {
     let n = 32;
-    let grouped = Engine::new_partitioned(n, 4);
-    let mut forced_serial = Engine::new_partitioned(n, 4);
+    let grouped = partitioned(n);
+    let mut forced_serial = partitioned(n);
     forced_serial.set_serial_apply(true);
     let single = Engine::new(n);
 
@@ -87,7 +95,7 @@ fn grouped_serial_and_single_apply_write_identical_log_bytes() {
     assert_eq!(
         bytes,
         single_disk.snapshot(),
-        "partitioned vs single-structure engine diverged in WAL bytes"
+        "partitioned vs one-partition engine diverged in WAL bytes"
     );
 
     // The engines agree on state too (the log equality is not vacuous).
@@ -96,7 +104,7 @@ fn grouped_serial_and_single_apply_write_identical_log_bytes() {
     assert_eq!(forced_serial.forest_edges(), single.forest_edges());
     assert!(grouped.stats().update_groups > 0);
     assert_eq!(forced_serial.stats().update_groups, 0);
-    grouped.validate_structure();
+    grouped.structure().validate();
 
     // One log stream replays onto every engine kind and lands on the same
     // forest — grouped replay included (replay routes through the normal
@@ -104,7 +112,7 @@ fn grouped_serial_and_single_apply_write_identical_log_bytes() {
     let report = read_log(&bytes).unwrap();
     assert_eq!(report.dropped_bytes, 0);
     assert_eq!(report.records.len(), 3);
-    let mut replay_grouped = Engine::new_partitioned(n, 4);
+    let mut replay_grouped = partitioned(n);
     let mut replay_single = Engine::new(n);
     for record in &report.records {
         replay_grouped.replay_logged(record).unwrap();
@@ -113,7 +121,7 @@ fn grouped_serial_and_single_apply_write_identical_log_bytes() {
     assert_eq!(replay_grouped.forest_edges(), grouped.forest_edges());
     assert_eq!(replay_single.forest_edges(), grouped.forest_edges());
     assert_eq!(replay_grouped.forest_weight(), grouped.forest_weight());
-    replay_grouped.validate_structure();
+    replay_grouped.structure().validate();
 }
 
 /// Pile-up workload over the same 32-vertex/4-block layout: per-block
@@ -162,7 +170,7 @@ fn migration_batches() -> Vec<Vec<Op>> {
 /// Rebalancing must be WAL-invisible: re-homing components between
 /// batches re-inserts the same edges in ascending `WKey` order and never
 /// touches the plan, so a rebalancing engine, a forced-serial rebalancing
-/// engine and a single-structure engine (which never migrates at all)
+/// engine and a one-partition engine (which never migrates at all)
 /// write **byte-identical** logs — and replay, itself rebalancing under
 /// the same floor, reconstructs identical forests *and* identical homes.
 #[test]
@@ -178,9 +186,9 @@ fn migration_and_rebalance_heavy_stream_keeps_wal_bytes_identical() {
         }
         (disk, engine)
     };
-    let mut grouped = Engine::new_partitioned(n, 4);
+    let mut grouped = partitioned(n);
     grouped.set_rebalance_min(1);
-    let mut forced_serial = Engine::new_partitioned(n, 4);
+    let mut forced_serial = partitioned(n);
     forced_serial.set_serial_apply(true);
     forced_serial.set_rebalance_min(1);
     let single = Engine::new(n);
@@ -199,7 +207,7 @@ fn migration_and_rebalance_heavy_stream_keeps_wal_bytes_identical() {
     assert_eq!(
         bytes,
         single_disk.snapshot(),
-        "rebalancing partitioned vs single-structure engine diverged in WAL bytes"
+        "rebalancing partitioned vs one-partition engine diverged in WAL bytes"
     );
 
     // The stream really exercised the machinery, and it stayed invisible.
@@ -209,25 +217,22 @@ fn migration_and_rebalance_heavy_stream_keeps_wal_bytes_identical() {
     assert_eq!(grouped.forest_edges(), single.forest_edges());
     assert_eq!(grouped.forest_weight(), single.forest_weight());
     assert_eq!(forced_serial.forest_edges(), single.forest_edges());
-    grouped.validate_structure();
-    forced_serial.validate_structure();
+    grouped.structure().validate();
+    forced_serial.structure().validate();
 
     // Replay under the same rebalance floor reproduces not just the
     // forest but the exact component homes — the rebalance decision
     // sequence is a pure function of the logged update stream.
     let report = read_log(&bytes).unwrap();
     assert_eq!(report.dropped_bytes, 0);
-    let mut replay = Engine::new_partitioned(n, 4);
+    let mut replay = partitioned(n);
     replay.set_rebalance_min(1);
     for record in &report.records {
         replay.replay_logged(record).unwrap();
     }
     assert_eq!(replay.forest_edges(), grouped.forest_edges());
     assert_eq!(replay.forest_weight(), grouped.forest_weight());
-    let (rp, gp) = (
-        replay.partitioned_structure().unwrap(),
-        grouped.partitioned_structure().unwrap(),
-    );
+    let (rp, gp) = (replay.structure(), grouped.structure());
     for v in 0..n as u32 {
         assert_eq!(
             rp.home_of(VertexId(v)),
@@ -235,18 +240,48 @@ fn migration_and_rebalance_heavy_stream_keeps_wal_bytes_identical() {
             "replay diverged from live execution on the home of vertex {v}"
         );
     }
-    replay.validate_structure();
+    replay.structure().validate();
 }
 
+/// A rebalancing partitioned engine checkpoints mid-stream; recovery from
+/// that checkpoint plus the log tail lands on the live engine's forest,
+/// homes and counters, and keeps logging byte-identically afterwards.
 #[test]
-fn partitioned_checkpoint_is_refused_gracefully() {
-    let mut engine = Engine::new_partitioned(8, 2);
-    engine.execute(&[link(0, 1, 1), link(4, 5, 2)]);
-    let mut buf = Vec::new();
-    let err = engine.checkpoint(&mut buf).unwrap_err();
+fn partitioned_checkpoint_recovers_through_the_log_tail() {
+    let n = 32;
+    let disk = SharedDisk::new();
+    let mut live = partitioned(n);
+    live.set_rebalance_min(1);
+    live.set_sink(Box::new(
+        OpLogWriter::create(disk.clone(), 0, FlushPolicy::EveryBatch).unwrap(),
+    ));
+    let mut checkpoint = Vec::new();
+    for (i, ops) in migration_batches().iter().enumerate() {
+        live.execute(ops);
+        if i == 1 {
+            live.checkpoint(&mut checkpoint).unwrap();
+        }
+    }
+    let (recovered, report) = recover_engine(&checkpoint[..], &disk.snapshot(), 0).unwrap();
     assert!(
-        err.to_string().contains("component-partitioned"),
-        "unexpected error: {err}"
+        report.replayed >= 4,
+        "the tail must replay the rebalancing batches"
     );
-    assert!(buf.is_empty(), "a refused checkpoint must write nothing");
+    assert_eq!(recovered.forest_edges(), live.forest_edges());
+    // Queries are not logged, so only the update-side counters compare.
+    let (r, l) = (recovered.stats(), live.stats());
+    assert_eq!(
+        (r.applied_updates, r.migrations, r.rebalances),
+        (l.applied_updates, l.migrations, l.rebalances)
+    );
+    assert_eq!(recovered.structure().homes(), live.structure().homes());
+    assert_eq!(
+        recovered.structure().occupancy(),
+        live.structure().occupancy()
+    );
+    assert_eq!(
+        recovered.structure().partition_stats(),
+        live.structure().partition_stats()
+    );
+    recovered.structure().validate();
 }

@@ -5,7 +5,7 @@
 //! worker pool runs *many* simultaneous jobs.
 //!
 //! A [`ShardedService`] owns `S` independent **shards**, each wrapping its
-//! own [`Engine`] (own `DynGraph` mirror, own `ParDynamicMsf`). **Tenants**
+//! own [`Engine`] (own `DynGraph` mirror, own MSF structure). **Tenants**
 //! — independent customers, each owning a private vertex space
 //! `0..tenant_n` and a private sequential edge-id space — are placed onto
 //! shards deterministically (a stable hash of the tenant id, overridable
@@ -178,14 +178,14 @@ pub struct ShardSummary {
     /// Updates that reached the shard's MSF structure.
     pub applied_updates: usize,
     /// Conflict-free update groups the shard's grouped apply dispatched
-    /// (zero when the shard engine applies serially — single-structure
-    /// engines or forced-serial partitioned ones).
+    /// (zero when the shard engine applies every update at once — one
+    /// partition, or forced-serial apply).
     pub update_groups: usize,
     /// Surviving updates beyond the first of their group — updates that
     /// *shared* a group because their partition classes collided.
     pub group_conflicts: usize,
-    /// Component migrations in the shard's partitioned structure this
-    /// batch (cross-partition links + rebalance moves; zero otherwise).
+    /// Component migrations in the shard's structure this batch
+    /// (cross-partition links + rebalance moves; zero with one partition).
     pub migrations: u64,
     /// Vertices re-homed by those migrations.
     pub migrated_vertices: u64,
@@ -217,12 +217,12 @@ pub struct ServiceSummary {
     /// Updates applied across all shard structures.
     pub applied_updates: usize,
     /// Conflict-free update groups dispatched across all shards' grouped
-    /// apply paths (zero unless shards run partitioned engines).
+    /// apply paths (zero unless shards run several partitions).
     pub update_groups: usize,
     /// Updates that shared a group across all shards (see
     /// [`ShardSummary::group_conflicts`]).
     pub group_conflicts: usize,
-    /// Component migrations across all shards' partitioned structures
+    /// Component migrations across all shards' structures
     /// (see [`ShardSummary::migrations`]).
     pub migrations: u64,
     /// Vertices re-homed across all shards.
@@ -375,24 +375,13 @@ impl ShardedService {
         ShardedService::with_engine_factory(shards, tenants, Engine::new)
     }
 
-    /// Like [`ShardedService::new`], but every shard runs a
-    /// component-partitioned engine with `num_parts` partitions, so each
-    /// shard's batch additionally applies its independent update groups as
-    /// concurrent pool jobs (nested inside the per-shard jobs; the
-    /// work-stealing pool handles nested submissions without deadlock).
-    pub fn new_partitioned(
-        shards: usize,
-        tenants: &[TenantSpec],
-        num_parts: usize,
-    ) -> ShardedService {
-        ShardedService::with_engine_factory(shards, tenants, move |n| {
-            Engine::new_partitioned(n, num_parts)
-        })
-    }
-
     /// Full control over how each shard's engine is built from its vertex
-    /// count (chunk parameter, partitioning) — used by the lockstep tests
-    /// to force stress configurations.
+    /// count — chunk parameter and partition count through
+    /// [`Engine::with_partitions`]. With more than one partition per shard,
+    /// each shard's batch additionally applies its independent update
+    /// groups as concurrent pool jobs (nested inside the per-shard jobs;
+    /// the work-stealing pool handles nested submissions without
+    /// deadlock). The lockstep tests use it to force stress configurations.
     pub fn with_engine_factory(
         shards: usize,
         tenants: &[TenantSpec],
@@ -1135,7 +1124,9 @@ mod tests {
     fn partitioned_shards_agree_with_plain_ones_and_report_groups() {
         let specs: Vec<TenantSpec> = (0..4).map(|t| TenantSpec::new(TenantId(t), 16)).collect();
         let mut plain = ShardedService::new(2, &specs);
-        let mut parted = ShardedService::new_partitioned(2, &specs, 4);
+        let mut parted = ShardedService::with_engine_factory(2, &specs, |n| {
+            Engine::with_partitions(n, 4, pdmsf_core::seq::default_sequential_k(n))
+        });
         let batches: Vec<Vec<TenantOp>> = vec![
             (0..4)
                 .flat_map(|t| [link(t, 0, 1, 3), link(t, 8, 9, 5), link(t, 4, 12, 7)])
@@ -1155,7 +1146,7 @@ mod tests {
             assert_eq!(a.outcomes, b.outcomes);
             assert_eq!(a.summary.forest_weight, b.summary.forest_weight);
             assert_eq!(a.summary.applied_updates, b.summary.applied_updates);
-            // Plain single-structure shards never report groups; partitioned
+            // One-partition shards never report groups; partitioned
             // ones do, and the per-shard numbers add up to the service sums.
             assert_eq!(a.summary.update_groups, 0);
             assert_eq!(a.summary.group_conflicts, 0);

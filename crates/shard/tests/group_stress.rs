@@ -2,13 +2,14 @@
 //! concurrency at once. Several submitter threads each drive a partitioned
 //! service (whose shard jobs nest group jobs inside themselves on the same
 //! pool) against a forced-serial-apply partitioned service and a plain
-//! single-structure service over the same tenant stream — all three must
+//! one-partition service over the same tenant stream — all three must
 //! agree on every outcome and on the final forests.
 //!
 //! A single `#[test]` in its own integration binary: the pool width
 //! override below is process-global and must be set before anything
 //! touches the pool, so no other test may share this process.
 
+use pdmsf_core::seq::default_sequential_k;
 use pdmsf_engine::Engine;
 use pdmsf_graph::{BatchKind, TenantId, TenantStream, TenantStreamSpec};
 use pdmsf_pram::pool;
@@ -55,9 +56,11 @@ fn grouped_apply_under_shard_concurrency_matches_serial_paths() {
                 // 4 shards × 4 partitions: per-shard jobs fan out and each
                 // nests group jobs, so the pool sees two submission layers
                 // from three threads at once.
-                let mut grouped = ShardedService::new_partitioned(4, &specs, num_parts);
+                let partitioned =
+                    move |n: usize| Engine::with_partitions(n, num_parts, default_sequential_k(n));
+                let mut grouped = ShardedService::with_engine_factory(4, &specs, partitioned);
                 let mut forced_serial = ShardedService::with_engine_factory(4, &specs, move |n| {
-                    let mut e = Engine::new_partitioned(n, num_parts);
+                    let mut e = partitioned(n);
                     e.set_serial_apply(true);
                     e
                 });

@@ -1,7 +1,7 @@
 //! Lockstep property tests for the sharded serving layer: a
 //! [`ShardedService`] over a tenant-tagged stream must be **observationally
-//! identical** to one flat [`Engine`] per tenant run one-by-one, which in
-//! turn is pinned to a per-tenant Kruskal recompute — per-op outcomes
+//! identical** to one flat [`Engine`] per tenant run on that tenant's
+//! sub-batch, which in turn is pinned to a per-tenant Kruskal recompute — per-op outcomes
 //! (tenant-local ids included), per-tenant forest weights and total service
 //! weight all agree, for every batch, under hostile inputs: unknown
 //! tenants, out-of-range endpoints, self-loops, never-allocated and
@@ -114,9 +114,9 @@ fn concretise(raw_batches: &[Vec<(u8, RawOp)>]) -> Vec<Vec<TenantOp>> {
 }
 
 /// The reference: one flat engine per tenant, each service batch split into
-/// per-tenant sub-batches run one-by-one (order preserved), with unknown
-/// tenants rejected — the documented service semantics implemented the
-/// straightforward way.
+/// per-tenant sub-batches (order preserved) that each engine executes, with
+/// unknown tenants rejected — the documented service semantics implemented
+/// the straightforward way.
 struct PerTenantRef {
     engines: Vec<Engine>,
 }
@@ -147,7 +147,7 @@ impl PerTenantRef {
                 continue;
             }
             let batch: Vec<pdmsf_engine::Op> = grouped.iter().map(|&(_, op)| op).collect();
-            let result = self.engines[t].execute_one_by_one(&batch);
+            let result = self.engines[t].execute(&batch);
             for ((i, _), outcome) in grouped.into_iter().zip(result.outcomes) {
                 outcomes[i] = outcome;
             }
@@ -244,7 +244,7 @@ proptest! {
         raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 0..20), 1..5),
     ) {
         let batches = concretise(&raw);
-        let stress = |n: usize| Engine::with_chunk_parameter(n, 2);
+        let stress = |n: usize| Engine::with_partitions(n, 1, 2);
         check_lockstep(
             &batches,
             ShardedService::with_engine_factory(3, &specs(), stress),

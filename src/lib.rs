@@ -100,8 +100,9 @@
 //!   never reach the `O(sqrt(n) log n)` update path — only the cheap
 //!   id-allocating mirror sees them, keeping ids identical to a serial
 //!   execution), and **dedups queries**,
-//! * **applies** the surviving updates through [`core::ParDynamicMsf`]
-//!   (at `K = sqrt(n log n)`, see above),
+//! * **applies** the surviving updates through the engine's one structure,
+//!   a [`core::ComponentPartitionedMsf`] — by default a single
+//!   [`core::ParDynamicMsf`] partition at `K = sqrt(n log n)` (see above),
 //! * **answers all queries at one snapshot point** (after the batch's
 //!   updates): the forest is captured once into flat component labels
 //!   ([`engine::QuerySnapshot`], `O(n + f·α)`) and every connectivity query
@@ -124,16 +125,16 @@
 //! recompute, under duplicate cuts, flap pairs, self-loops and
 //! out-of-range endpoints.
 //! Experiment E1 (`cargo run --release -p pdmsf-bench --bin experiments --
-//! e1`) measures the batched path against the one-op-at-a-time path on
-//! bursty and tenant-clustered streams and records the trajectory in
-//! `BENCH_batch_throughput.json`.
+//! e1`) measures the batched path against running every op as its own
+//! single-op batch on bursty and tenant-clustered streams and records the
+//! trajectory in `BENCH_batch_throughput.json`.
 //!
 //! ## Intra-batch update parallelism
 //!
-//! Batching also unlocks parallelism *inside* the apply phase. A
-//! partitioned engine ([`Engine::new_partitioned`]) backs the batch with a
+//! Batching also unlocks parallelism *inside* the apply phase. An engine
+//! built with `P > 1` partitions ([`Engine::with_partitions`]) splits its
 //! **component-partitioned structure** ([`core::ComponentPartitionedMsf`]):
-//! the vertex space is split across `P` independent [`core::ParDynamicMsf`]
+//! the vertex space is spread across `P` independent [`core::ParDynamicMsf`]
 //! partitions under the invariant that **components never span
 //! partitions** — a cross-partition link first *migrates* the smaller
 //! component (lockstep bidirectional BFS picks it deterministically; its
@@ -164,7 +165,8 @@
 //! function of structure state, so grouped, forced-serial and replay
 //! executions rebalance identically (pinned by a lockstep proptest arm and
 //! a migration-heavy WAL byte-identity test that also checks replayed
-//! component homes). [`Engine::set_rebalance`] disables it for A/B runs.
+//! component homes). [`Engine::set_rebalance_min`] with `u64::MAX`
+//! disables it for A/B runs.
 //! Experiment E6 (`experiments -- e6`) measures grouped vs forced-serial
 //! apply over block-mixed streams at pool widths 4 and 1, plus adaptive vs
 //! static rebalancing on a migration-churn stream, recording
@@ -211,7 +213,9 @@
 //!   guarded by a CRC-32 over tag and payload. A service checkpoint holds
 //!   the tenant table plus one section per shard engine; restore re-wires
 //!   the shards to the router and cross-validates mirror against structure
-//!   against tenant table. Truncations and bit flips are *detected*
+//!   against tenant table. Engines with any partition count checkpoint:
+//!   partition homes, occupancy, counters and the rebalance floor restore
+//!   with the banks, so replay after a restore rebalances identically. Truncations and bit flips are *detected*
 //!   ([`persist::PersistError`]) — a damaged checkpoint refuses to load,
 //!   never restores to a plausible-but-wrong forest.
 //! * **Write-ahead op log** ([`persist::OpLogWriter`], hooked in through
