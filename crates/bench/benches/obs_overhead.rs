@@ -9,9 +9,9 @@
 //! Instead the two variants run as **interleaved pairs** — (plain,
 //! instrumented) back to back per iteration, so both see the same machine
 //! conditions — and the guard is the **median of the per-pair ratios**,
-//! robust to scheduling spikes in either direction. Pair count is fixed
-//! (not `PDMSF_BENCH_SAMPLES`) because a single-pair CI smoke ratio would
-//! be pure noise; the whole bench stays in the low seconds.
+//! robust to scheduling spikes in either direction. The pair count is
+//! fixed because a single pair's ratio would be pure noise; the whole
+//! bench stays in the low seconds.
 //!
 //! `cargo bench -p pdmsf-bench --bench obs_overhead`.
 

@@ -1,68 +1,59 @@
-//! Experiment driver: prints the evaluation tables (E0–E13) and writes the
+//! Experiment driver: prints the evaluation tables and writes the
 //! machine-readable benchmark JSON artifacts.
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p pdmsf-bench --bin experiments            # all experiments
-//! cargo run --release -p pdmsf-bench --bin experiments -- e2 e6   # a selection
-//! cargo run --release -p pdmsf-bench --bin experiments -- quick   # smaller sizes
+//! cargo run --release -p pdmsf-bench --bin experiments              # everything
+//! cargo run --release -p pdmsf-bench --bin experiments -- e2 paper  # a selection
+//! cargo run --release -p pdmsf-bench --bin experiments -- quick     # smaller sizes
+//! cargo run --release -p pdmsf-bench --bin experiments -- e0 gate   # E0 + trajectory gate
 //! ```
 //!
-//! The machine-readable experiments also write JSON artifacts: E0 emits
-//! `BENCH_update_time.json` (per-update throughput; `gate` adds the CI
-//! regression gate), E1 emits `BENCH_batch_throughput.json` (batched vs
-//! one-op-at-a-time engine paths over bursty/clustered batch streams),
-//! E2 emits `BENCH_shard_throughput.json` (sharded multi-tenant service vs
-//! one flat merged engine, across shard counts and tenant skews), E3
-//! emits `BENCH_sched_throughput.json` (the work-stealing scheduler under
-//! many-small-jobs workloads, steal/claim counters stamped per record),
-//! E5 emits `BENCH_persist.json` (checkpoint size, checkpoint/restore wall
-//! time vs cold rebuild — the persistence warm-start story) and E6 emits
-//! `BENCH_intra_batch.json` (grouped concurrent apply on a
-//! component-partitioned engine vs forced serial apply; run once per
-//! `PDMSF_POOL_THREADS` width and merge — the pool width is read once per
-//! process, so one run cannot sweep it).
+//! The selectors are `e0`–`e6` and `paper`, plus the modifiers `quick` and
+//! `gate`; anything else is a usage error (exit status 2). A failed check
+//! (the E0 trajectory gate, the paper's bounds) exits with status 1.
 //!
-//! E4 emits `BENCH_serve_latency.json`: the **closed-loop serve-latency
-//! ramp** — offered load on a sharded service climbs round by round
-//! (`initial_rps` + k·`increment_rps`) under virtual arrival pacing,
-//! per-op and per-batch latencies flow through `pdmsf-obs` histograms,
-//! and the headline is the knee point: the highest offered rps whose
-//! round still met the p95 SLO (see `pdmsf_bench::serve`). E4 used to
-//! alias the legacy PRAM-scaling tables, which live at `e11`; the legacy
-//! density sweep that held `e6` before the intra-batch benchmark took
-//! that slot is now `e13` (renumbered like E10–E12 before it).
+//! * E0 → `BENCH_update_time.json`: updates/s on insert, delete and mixed
+//!   streams, with a same-process Kruskal calibration (`gate` compares the
+//!   calibrated mixed rate against the committed snapshot).
+//! * E1 → `BENCH_batch_throughput.json`: batched vs one-op-at-a-time
+//!   engine paths over bursty and clustered batch streams.
+//! * E2 → `BENCH_shard_throughput.json`: the sharded multi-tenant service
+//!   vs one flat merged engine, across shard counts and tenant skews.
+//! * E3 → `BENCH_sched_throughput.json`: the work-stealing scheduler under
+//!   many-small-jobs workloads, steal/claim counters per record.
+//! * E4 → `BENCH_serve_latency.json`: the closed-loop serve-latency ramp —
+//!   offered load climbs round by round under virtual arrival pacing and
+//!   the headline is the knee, the highest offered rps whose round met the
+//!   p95 SLO (see `pdmsf_bench::serve`).
+//! * E5 → `BENCH_persist.json`: checkpoint size, checkpoint/restore wall
+//!   time vs a cold rebuild.
+//! * E6 → `BENCH_intra_batch.json`: grouped concurrent apply on a
+//!   component-partitioned engine vs forced serial apply. The pool width
+//!   is read once per process, so run once per `PDMSF_POOL_THREADS` width
+//!   and merge.
+//! * `paper` → `BENCH_paper.json`: the paper's cost bounds as fitted
+//!   exponents, checked on every run (see `pdmsf_bench::paper`).
 
-use pdmsf_baselines::{NaiveDynamicMsf, RecomputeMsf};
 use pdmsf_bench::serve::{
     drive_serve_ramp, knee_point, serve_records_to_json, RampConfig, ServeScenario,
 };
 use pdmsf_bench::{
     batch_records_to_json, bench_records_to_json, bursty_batch_stream, clustered_batch_stream,
-    clustered_mix_batch_stream, drive, drive_engine_batched, drive_engine_one_by_one,
-    drive_service_flat, drive_service_sharded, drive_updates_only, failure_stream, grid_stream,
-    insert_stream, intra_batch_records_to_json, migration_churn_batch_stream, mixed_stream,
-    persist_records_to_json, pram_profile, sched_records_to_json, seq_mean_update_time,
-    shard_records_to_json, tenant_stream, BatchRecord, BenchRecord, IntraBatchRecord,
-    MergedTenantEngine, PersistRecord, RunMeta, SchedRecord, ShardRecord,
+    clustered_mix_batch_stream, drive_engine_batched, drive_engine_one_by_one, drive_service_flat,
+    drive_service_sharded, drive_updates_each, failure_stream, insert_stream,
+    intra_batch_records_to_json, kruskal_ns, migration_churn_batch_stream, mixed_stream, paper,
+    persist_records_to_json, sched_records_to_json, shard_records_to_json, tenant_stream,
+    BatchRecord, BenchRecord, IntraBatchRecord, MergedTenantEngine, PersistRecord, RunMeta,
+    SchedRecord, ShardRecord,
 };
-use pdmsf_core::{
-    seq::default_sequential_k, MapSeqDynamicMsf, ParDynamicMsf, SeqDynamicMsf, SparsifiedMsf,
-};
+use pdmsf_core::{seq::default_sequential_k, SeqDynamicMsf};
 use pdmsf_engine::{Engine, Op};
-use pdmsf_graph::{DynamicMsf, TenantId, UpdateStream};
+use pdmsf_graph::{kruskal_msf, DynamicMsf, TenantId, UpdateStream};
 use pdmsf_persist::{EngineCheckpointExt, ServiceCheckpointExt};
-use pdmsf_pram::{erew_tournament_min, par_min_index, pool, AccessLog, CostMeter};
+use pdmsf_pram::pool;
 use pdmsf_shard::{ShardedService, TenantSpec};
 use std::time::{Duration, Instant};
-
-fn micros(d: Duration, ops: usize) -> f64 {
-    if ops == 0 {
-        0.0
-    } else {
-        d.as_secs_f64() * 1e6 / ops as f64
-    }
-}
 
 /// Median of a non-empty rate sample (upper median; sorts in place).
 fn median(xs: &mut [f64]) -> f64 {
@@ -75,10 +66,54 @@ struct Config {
     ops: usize,
 }
 
+/// Every experiment selector, in run order.
+const EXPERIMENTS: [&str; 8] = ["e0", "e1", "e2", "e3", "e4", "e5", "e6", "paper"];
+
+/// What one invocation runs.
+#[derive(Debug, PartialEq)]
+struct Selection {
+    experiments: Vec<&'static str>,
+    quick: bool,
+    gate: bool,
+}
+
+/// Parse the command line (selectors and modifiers, case-insensitive). No
+/// selector means every experiment; an unknown word is a usage error.
+fn parse_args(args: &[String]) -> Result<Selection, String> {
+    let mut selection = Selection {
+        experiments: Vec::new(),
+        quick: false,
+        gate: false,
+    };
+    for arg in args {
+        let arg = arg.to_lowercase();
+        match arg.as_str() {
+            "quick" => selection.quick = true,
+            "gate" => selection.gate = true,
+            name => match EXPERIMENTS.iter().find(|&&e| e == name) {
+                Some(e) => selection.experiments.push(e),
+                None => {
+                    return Err(format!(
+                        "unknown selection `{arg}`\nusage: experiments [{}]... [quick] [gate]",
+                        EXPERIMENTS.join("|")
+                    ))
+                }
+            },
+        }
+    }
+    if selection.experiments.is_empty() {
+        selection.experiments = EXPERIMENTS.to_vec();
+    }
+    Ok(selection)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).map(|s| s.to_lowercase()).collect();
-    let quick = args.iter().any(|a| a == "quick");
-    let gate = args.iter().any(|a| a == "gate");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let selection = parse_args(&args).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    });
+    let quick = selection.quick;
     let config = if quick {
         Config {
             sizes: vec![1 << 8, 1 << 10, 1 << 12],
@@ -90,78 +125,67 @@ fn main() {
             ops: 1_500,
         }
     };
-    let selected: Vec<&str> = args
-        .iter()
-        .filter(|a| a.starts_with('e'))
-        .map(String::as_str)
-        .collect();
-    let want = |name: &str| selected.is_empty() || selected.contains(&name);
-
-    if want("e0") {
-        e0_bench_json(quick, gate);
+    let mut failures: Vec<String> = Vec::new();
+    for name in EXPERIMENTS {
+        if !selection.experiments.contains(&name) {
+            continue;
+        }
+        match name {
+            "e0" => failures.extend(e0_bench_json(quick, selection.gate).err()),
+            "e1" => e1_batch_throughput(quick),
+            "e2" => e2_shard_throughput(quick),
+            "e3" => e3_sched_throughput(quick),
+            "e4" => e4_serve_latency(quick),
+            "e5" => e5_persist(&config),
+            "e6" => e6_intra_batch(quick),
+            "paper" => failures.extend(paper::run(&config.sizes, config.ops)),
+            _ => unreachable!("EXPERIMENTS lists {name}"),
+        }
     }
-    if want("e1") {
-        e1_batch_throughput(quick);
-    }
-    if want("e2") {
-        e2_shard_throughput(quick);
-    }
-    if want("e3") {
-        e3_sched_throughput(quick);
-    }
-    if want("e4") {
-        e4_serve_latency(quick);
-    }
-    if want("e11") {
-        e11_pram_scaling(&config);
-    }
-    if want("e5") {
-        e5_persist(&config);
-    }
-    if want("e6") {
-        e6_intra_batch(quick);
-    }
-    if want("e7") {
-        e7_kernels();
-    }
-    if want("e8") {
-        e8_chunk_size(&config);
-    }
-    if want("e9") {
-        e9_mwr_cost(&config);
-    }
-    if want("e10") {
-        e10_seq_update_time(&config);
-    }
-    if want("e12") {
-        e12_workloads(&config);
-    }
-    if want("e13") {
-        e13_sparsification(&config);
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("FAILED: {failure}");
+        }
+        std::process::exit(1);
     }
 }
 
-/// E0: the machine-readable update-time benchmark — ops/sec for insert-only,
-/// delete-only and mixed streams at n ∈ {1e3, 1e4, 1e5}, for the arena-backed
-/// structure and the map-backed bookkeeping baseline. Emits
-/// `BENCH_update_time.json` (stamped with git SHA, `K`, core count and pool
-/// width) so every future change has an attributable trajectory to beat.
+/// The committed E0 snapshot the trajectory gate compares against.
+const SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_update_time.json");
+
+/// Kruskal runs after each mixed rep at [`CALIBRATION_N`]; the median of
+/// all of them (15 runs spread over the cell's reps, so they see the same
+/// machine speed as the timed updates) is E0's calibration.
+const CALIBRATION_RUNS_PER_REP: usize = 3;
+
+/// The mixed cell whose final graph E0's calibration times: the largest `n`
+/// that quick and full runs share, so the two stay comparable.
+const CALIBRATION_N: usize = 10_000;
+
+/// Timed repetitions of every mixed cell (the gate reads their median).
+const MIXED_REPS: usize = 5;
+
+/// The gate fails when the calibrated rate drops below 1/`MAX_SLOWDOWN` of
+/// the snapshot's.
+const MAX_SLOWDOWN: f64 = 1.5;
+
+/// E0: the machine-readable update-time benchmark — updates/s of the
+/// sequential structure on insert-only, delete-only and mixed streams.
+/// Emits `BENCH_update_time.json` (stamped with git SHA, `K`, core count,
+/// pool width and `calibration_ns`: the median Kruskal time over the final
+/// graph of the `n = CALIBRATION_N` mixed cell). Every cell checks the structure's forest weight against Kruskal
+/// on the stream's final graph, so the benchmark doubles as a large-`n`
+/// differential test.
 ///
-/// With `gate`, the mixed stream is measured five times per structure (a
-/// single rep's ratio can swing ±20% on a noisy shared runner; the median
-/// of five is stable) and the run **fails** (non-zero exit) unless the
-/// arena structure's median stays at least 1.5× the map baseline's median
-/// at the largest mixed size — the CI bench-smoke regression gate (see
-/// [`gate_mixed_ratio`]).
-fn e0_bench_json(quick: bool, gate: bool) {
+/// With `gate`, the committed snapshot is read first and the run fails
+/// (see [`gate_decision`]) when the mixed stream's median rate × the
+/// calibration falls below 1/[`MAX_SLOWDOWN`] of the snapshot's at the
+/// largest `n` both share. Multiplying by the calibration cancels machine
+/// speed, so a snapshot from a different machine still gates.
+fn e0_bench_json(quick: bool, gate: bool) -> Result<(), String> {
     println!("\n== E0: update-time benchmark (writes BENCH_update_time.json) ==");
-    println!("structures: arena-seq (flat bookkeeping on the SoA chunk banks), map-seq");
-    println!("(the seed's keyed-map bookkeeping and refresh policies, kept for");
-    println!("comparison)");
-    // The headline comparison (and acceptance gate) is the mixed stream at
-    // n = 1e5; the insert/delete streams stop a decade earlier by default to
-    // keep the full run under a few minutes (the seed baseline's base-graph
-    // build dominates).
+    // Read the committed snapshot before this run overwrites it.
+    let snapshot = gate.then(|| std::fs::read_to_string(SNAPSHOT).ok());
     let (sizes_mixed, sizes_rest): (&[usize], &[usize]) = if quick {
         (&[1_000, 10_000], &[1_000, 10_000])
     } else {
@@ -186,60 +210,61 @@ fn e0_bench_json(quick: bool, gate: bool) {
         }),
     ];
     let mut records: Vec<BenchRecord> = Vec::new();
-    // Median mixed-stream ops/sec per (structure, n), for the gate.
-    let mut mixed_medians: Vec<(String, usize, f64)> = Vec::new();
-    println!(
-        "{:>8} {:>8} {:>14} {:>14} {:>10}",
-        "stream", "n", "arena (op/s)", "map (op/s)", "arena/map"
-    );
+    // Median mixed-stream updates/s per n, for the gate.
+    let mut mixed_medians: Vec<(usize, f64)> = Vec::new();
+    let mut calibration_samples: Vec<f64> = Vec::new();
+    println!("{:>8} {:>8} {:>14}", "stream", "n", "median (op/s)");
     for (stream_name, sizes, make) in streams {
-        // The gate compares medians, so gated mixed cells get repetitions.
-        let reps = if gate && stream_name == "mixed" { 5 } else { 1 };
+        let reps = if stream_name == "mixed" {
+            MIXED_REPS
+        } else {
+            1
+        };
         for &n in sizes {
             let stream = make(n, ops);
-            let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+            let mut rates = Vec::new();
             for _ in 0..reps {
-                let mut run = |structure: &str, k: usize, t: Duration, o: usize| {
-                    records.push(BenchRecord {
-                        structure: structure.to_string(),
-                        stream: stream_name.to_string(),
-                        n,
-                        k,
-                        ops: o,
-                        elapsed_ns: t.as_nanos(),
-                    });
-                    records.last().unwrap().ops_per_sec()
-                };
                 let mut arena = SeqDynamicMsf::new(n);
-                let (t_arena, o_arena) = drive_updates_only(&mut arena, &stream);
-                rates[0].push(run("arena-seq", arena.chunk_parameter(), t_arena, o_arena));
-
-                let mut map = MapSeqDynamicMsf::new(n);
-                let (t_map, o_map) = drive_updates_only(&mut map, &stream);
-                rates[1].push(run("map-seq", map.chunk_parameter(), t_map, o_map));
-
-                // The two structures must agree — this benchmark doubles as
-                // a large-n differential test.
-                assert_eq!(arena.forest_weight(), map.forest_weight());
+                let (mut elapsed, mut updates) = (Duration::ZERO, 0usize);
+                let final_graph = drive_updates_each(&mut arena, &stream, |_, t| {
+                    elapsed += t;
+                    updates += 1;
+                });
+                assert_eq!(
+                    arena.forest_weight(),
+                    kruskal_msf(&final_graph).total_weight,
+                    "E0 {stream_name} n = {n}: forest weight differs from Kruskal"
+                );
+                records.push(BenchRecord {
+                    structure: "arena-seq".to_string(),
+                    stream: stream_name.to_string(),
+                    n,
+                    k: arena.chunk_parameter(),
+                    ops: updates,
+                    elapsed_ns: elapsed.as_nanos(),
+                });
+                rates.push(records.last().unwrap().ops_per_sec());
+                if stream_name == "mixed" && n == CALIBRATION_N {
+                    calibration_samples
+                        .extend((0..CALIBRATION_RUNS_PER_REP).map(|_| kruskal_ns(&final_graph, 1)));
+                }
             }
-            let m_arena = median(&mut rates[0]);
-            let m_map = median(&mut rates[1]);
+            let m = median(&mut rates);
             if stream_name == "mixed" {
-                mixed_medians.push(("arena-seq".into(), n, m_arena));
-                mixed_medians.push(("map-seq".into(), n, m_map));
+                mixed_medians.push((n, m));
             }
-            println!(
-                "{:>8} {:>8} {:>14.0} {:>14.0} {:>9.2}x",
-                stream_name,
-                n,
-                m_arena,
-                m_map,
-                if m_map > 0.0 { m_arena / m_map } else { 0.0 }
-            );
+            println!("{stream_name:>8} {n:>8} {m:>14.0}");
         }
     }
+    let runs = calibration_samples.len();
+    let calibration_ns = if runs == 0 {
+        0.0
+    } else {
+        median(&mut calibration_samples)
+    };
+    println!("calibration: Kruskal over the n = {CALIBRATION_N} mixed graph, median of {runs} runs: {calibration_ns:.0} ns");
     let meta = RunMeta::collect();
-    let json = bench_records_to_json("update_time", &meta, &records);
+    let json = bench_records_to_json("update_time", &meta, calibration_ns, &records);
     let path = "BENCH_update_time.json";
     std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!(
@@ -248,57 +273,73 @@ fn e0_bench_json(quick: bool, gate: bool) {
         meta.git_sha,
         meta.threads
     );
-    if gate {
-        gate_mixed_ratio(&mixed_medians);
+    let Some(snapshot) = snapshot else {
+        return Ok(());
+    };
+    println!("\n-- trajectory gate vs {SNAPSHOT} --");
+    let report = gate_decision(snapshot.as_deref(), &mixed_medians, calibration_ns)
+        .map_err(|report| format!("E0 trajectory gate: {report}"))?;
+    println!("{report}\ntrajectory gate passed");
+    Ok(())
+}
+
+/// The E0 trajectory gate. `snapshot` is the committed
+/// `BENCH_update_time.json` (`None` when it could not be read), `run` this
+/// run's mixed-stream median updates/s per `n`, and `calibration_ns` this
+/// run's calibration. At the largest `n` present in both, the calibrated
+/// rate (updates/s × calibration seconds: updates per Kruskal run) must be
+/// at least 1/[`MAX_SLOWDOWN`] of the snapshot's. A missing snapshot,
+/// calibration or shared cell is a failure, never a pass.
+fn gate_decision(
+    snapshot: Option<&str>,
+    run: &[(usize, f64)],
+    calibration_ns: f64,
+) -> Result<String, String> {
+    let snapshot = snapshot.ok_or("no committed BENCH_update_time.json to compare against")?;
+    let snap_calibration = snapshot
+        .lines()
+        .find(|l| l.contains("\"meta\""))
+        .and_then(|l| json_number(l, "calibration_ns"))
+        .filter(|&c| c > 0.0)
+        .ok_or("the committed snapshot has no meta.calibration_ns")?;
+    if calibration_ns <= 0.0 {
+        return Err(format!(
+            "this run has no calibration (no mixed cell at n = {CALIBRATION_N})"
+        ));
+    }
+    let snap_rates = |n: usize| -> Vec<f64> {
+        snapshot
+            .lines()
+            .filter(|l| l.contains("\"structure\": \"arena-seq\", \"stream\": \"mixed\""))
+            .filter(|l| json_number(l, "n") == Some(n as f64))
+            .filter_map(|l| json_number(l, "ops_per_sec"))
+            .collect()
+    };
+    let (n, rate, mut snap) = run
+        .iter()
+        .filter_map(|&(n, rate)| Some((n, rate, snap_rates(n))).filter(|c| !c.2.is_empty()))
+        .max_by_key(|c| c.0)
+        .ok_or("the committed snapshot shares no mixed-stream n with this run")?;
+    let now = rate * calibration_ns / 1e9;
+    let then = median(&mut snap) * snap_calibration / 1e9;
+    let report = format!(
+        "n = {n}: {now:.2} updates per calibration run vs {then:.2} in the snapshot ({:.2}x; floor {:.2}x)",
+        now / then,
+        1.0 / MAX_SLOWDOWN
+    );
+    if now * MAX_SLOWDOWN >= then {
+        Ok(report)
+    } else {
+        Err(report)
     }
 }
 
-/// The CI regression gate: at the **largest** mixed size of the run, the
-/// arena structure's median throughput must be ≥ 1.5× the map baseline's
-/// median. The largest size is the asymptotic regime the ROADMAP target is
-/// stated for (the actual margin there is around 1.8–2×, so 1.5× triggers on
-/// real regressions, not machine noise); small-n ratios are dominated by
-/// constant factors and sit just below 1.5× by design, so they are printed
-/// but not gated.
-fn gate_mixed_ratio(mixed_medians: &[(String, usize, f64)]) {
-    const MIN_RATIO: f64 = 1.5;
-    let gated_n = mixed_medians
-        .iter()
-        .map(|(_, n, _)| *n)
-        .max()
-        .expect("gate mode measured at least one mixed size");
-    let mut failed = false;
-    println!("\n-- bench-smoke gate: arena-seq vs map-seq medians (mixed stream) --");
-    for (structure, n, arena_rate) in mixed_medians {
-        if structure != "arena-seq" {
-            continue;
-        }
-        let map_rate = mixed_medians
-            .iter()
-            .find(|(s, m, _)| s == "map-seq" && m == n)
-            .map(|(_, _, r)| *r)
-            .expect("map baseline measured for every mixed size");
-        let ratio = if map_rate > 0.0 {
-            arena_rate / map_rate
-        } else {
-            f64::INFINITY
-        };
-        if *n != gated_n {
-            println!("n = {n:>7}: arena/map = {ratio:.2}x (informational)");
-            continue;
-        }
-        let ok = ratio >= MIN_RATIO;
-        println!(
-            "n = {n:>7}: arena/map = {ratio:.2}x (gate: >= {MIN_RATIO}x) {}",
-            if ok { "ok" } else { "FAIL" }
-        );
-        failed |= !ok;
-    }
-    if failed {
-        eprintln!("bench-smoke gate FAILED: arena structure regressed against the map baseline");
-        std::process::exit(1);
-    }
-    println!("bench-smoke gate passed");
+/// The number after `"key": ` on one JSON line.
+fn json_number(line: &str, key: &str) -> Option<f64> {
+    let start = line.find(&format!("\"{key}\": "))? + key.len() + 4;
+    let rest = &line[start..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
 }
 
 /// E1: batch-engine throughput — the batched path (preprocessing,
@@ -715,40 +756,6 @@ fn e3_sched_throughput(quick: bool) {
     );
 }
 
-/// E10: per-update wall clock vs n — paper structure vs baselines
-/// (numbered E1 before the batch engine claimed that slot).
-fn e10_seq_update_time(cfg: &Config) {
-    println!("\n== E10: sequential update time vs n (mixed stream, m ≈ 2n) ==");
-    println!(
-        "{:>8} {:>14} {:>14} {:>14}",
-        "n", "kpr-seq (µs)", "naive (µs)", "recompute (µs)"
-    );
-    for &n in &cfg.sizes {
-        let stream = mixed_stream(n, 2 * n, cfg.ops, 11);
-        let mut seq = SeqDynamicMsf::new(n);
-        let (t_seq, ops) = drive_updates_only(&mut seq, &stream);
-        // The O(m)-per-update baselines become painfully slow at large n;
-        // scale their measured op-count down and extrapolate per-op cost.
-        let baseline_ops = cfg.ops.min(300);
-        let small_stream = mixed_stream(n, 2 * n, baseline_ops, 11);
-        let mut naive = NaiveDynamicMsf::new(n);
-        let (t_naive, ops_naive) = drive_updates_only(&mut naive, &small_stream);
-        let (t_rec, ops_rec) = if n <= 1 << 12 {
-            let mut rec = RecomputeMsf::new(n);
-            drive_updates_only(&mut rec, &small_stream)
-        } else {
-            (Duration::ZERO, 0)
-        };
-        println!(
-            "{:>8} {:>14.2} {:>14.2} {:>14.2}",
-            n,
-            micros(t_seq, ops),
-            micros(t_naive, ops_naive),
-            micros(t_rec, ops_rec),
-        );
-    }
-}
-
 /// E4: the closed-loop serve-latency ramp (see [`pdmsf_bench::serve`]).
 /// Offered load on a sharded service climbs `initial_rps` →
 /// `max_rps` in `increment_rps` steps under virtual arrival pacing; per
@@ -925,31 +932,6 @@ fn e4_serve_latency(quick: bool) {
     }
 }
 
-/// E11: PRAM depth, work and processors per update vs n (numbered E2/E3/E4
-/// before the sharded service claimed E2 and the serve-latency ramp
-/// claimed E4).
-fn e11_pram_scaling(cfg: &Config) {
-    println!("\n== E11: EREW PRAM scaling of the parallel structure (formerly E2/E3/E4) ==");
-    println!(
-        "{:>8} {:>6} {:>12} {:>12} {:>14} {:>14} {:>12} {:>10}",
-        "n", "K", "worst depth", "mean depth", "worst work", "mean work", "peak procs", "sqrt(n)"
-    );
-    for &n in &cfg.sizes {
-        let run = pram_profile(n, cfg.ops, 21);
-        println!(
-            "{:>8} {:>6} {:>12} {:>12.1} {:>14} {:>14.1} {:>12} {:>10.0}",
-            run.n,
-            run.k,
-            run.worst.depth,
-            run.mean_depth,
-            run.worst.work,
-            run.mean_work,
-            run.peak_processors,
-            (n as f64).sqrt()
-        );
-    }
-}
-
 /// E5: persistence warm start — checkpoint size and wall time, restore
 /// (warm-start) wall time against rebuilding the same state cold by
 /// replaying the full op stream through the normal execution path: one
@@ -1102,45 +1084,6 @@ fn e5_persist(cfg: &Config) {
     let path = "BENCH_persist.json";
     std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("wrote {path} ({} records)", records.len());
-}
-
-/// E12: realistic workloads (grid failures/repairs, sliding windows) —
-/// numbered E5 before the persistence benchmark took that slot.
-fn e12_workloads(cfg: &Config) {
-    println!("\n== E12: workload throughput (updates/s) ==");
-    println!(
-        "{:>24} {:>10} {:>14} {:>14}",
-        "workload", "n", "kpr-seq", "naive"
-    );
-    let side = (cfg.sizes[cfg.sizes.len() / 2] as f64).sqrt() as usize;
-    let scenarios = vec![
-        ("grid failures/repairs", grid_stream(side, side, cfg.ops, 3)),
-        (
-            "random mixed",
-            mixed_stream(side * side, 2 * side * side, cfg.ops, 4),
-        ),
-    ];
-    for (name, stream) in scenarios {
-        let n = stream.num_vertices;
-        let mut seq = SeqDynamicMsf::new(n);
-        let (t_seq, ops) = drive_updates_only(&mut seq, &stream);
-        let mut naive = NaiveDynamicMsf::new(n);
-        let (t_naive, ops_n) = drive_updates_only(&mut naive, &stream);
-        let rate = |t: Duration, o: usize| {
-            if t.is_zero() {
-                0.0
-            } else {
-                o as f64 / t.as_secs_f64()
-            }
-        };
-        println!(
-            "{:>24} {:>10} {:>14.0} {:>14.0}",
-            name,
-            n,
-            rate(t_seq, ops),
-            rate(t_naive, ops_n)
-        );
-    }
 }
 
 /// E6: intra-batch update parallelism — a component-partitioned engine
@@ -1344,99 +1287,96 @@ fn e6_intra_batch(quick: bool) {
     );
 }
 
-/// E13: update time vs density with and without sparsification — numbered
-/// E6 before the intra-batch parallelism benchmark took that slot.
-fn e13_sparsification(cfg: &Config) {
-    println!("\n== E13: density sweep (fixed n, growing m) ==");
-    let n = cfg.sizes[0].max(256);
-    println!(
-        "{:>8} {:>8} {:>18} {:>18} {:>14}",
-        "n", "m/n", "sparsified (µs)", "naive scan (µs)", "levels"
-    );
-    for density in [2usize, 4, 8, 16, 32] {
-        let m = density * n;
-        let ops = cfg.ops.min(400);
-        let stream = mixed_stream(n, m, ops, 31);
-        let mut sparse = SparsifiedMsf::new_with_capacity(n, 2 * m, SeqDynamicMsf::new);
-        let levels = sparse.num_levels();
-        let (t_sparse, o1) = drive_updates_only(&mut sparse, &stream);
-        let mut naive = NaiveDynamicMsf::new(n);
-        let (t_naive, o2) = drive_updates_only(&mut naive, &stream);
-        println!(
-            "{:>8} {:>8} {:>18.2} {:>18.2} {:>14}",
-            n,
-            density,
-            micros(t_sparse, o1),
-            micros(t_naive, o2),
-            levels
-        );
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// E7: the EREW kernels — correctness of the phased tournament under the
-/// access checker plus wall-clock of the model kernels.
-fn e7_kernels() {
-    println!("\n== E7: EREW kernel check (phased tournament of Lemma 3.1) ==");
-    println!(
-        "{:>10} {:>12} {:>12} {:>14} {:>12}",
-        "elements", "depth", "work", "accesses", "EREW clean"
-    );
-    for size in [1usize << 8, 1 << 10, 1 << 12, 1 << 14] {
-        let xs: Vec<u64> = (0..size as u64)
-            .map(|i| (i * 2654435761) % 1_000_003)
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn selectors_and_modifiers_parse() {
+        let all = parse_args(&[]).unwrap();
+        assert_eq!(all.experiments, EXPERIMENTS.to_vec());
+        assert!(!all.quick && !all.gate);
+        let some = parse_args(&args(&["PAPER", "e0", "quick", "gate"])).unwrap();
+        assert_eq!(some.experiments, vec!["paper", "e0"]);
+        assert!(some.quick && some.gate);
+        let modifiers_only = parse_args(&args(&["quick"])).unwrap();
+        assert_eq!(modifiers_only.experiments.len(), 8);
+    }
+
+    #[test]
+    fn unknown_selections_are_usage_errors() {
+        for bad in ["e42", "quikc", "e7", "e13", "e12", ""] {
+            let err = parse_args(&args(&["e0", bad])).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+            for name in ["e0", "e6", "paper", "quick", "gate"] {
+                assert!(err.contains(name), "usage must name {name}: {err}");
+            }
+        }
+    }
+
+    /// A snapshot whose mixed cells run at `rates` (n, updates/s) with the
+    /// given calibration, written by the real writer.
+    fn snapshot(calibration_ns: f64, rates: &[(usize, f64)]) -> String {
+        let meta = RunMeta {
+            git_sha: "snap".into(),
+            cores: 2,
+            threads: 1,
+            par_cutoff: 512,
+        };
+        let records: Vec<BenchRecord> = rates
+            .iter()
+            .flat_map(|&(n, rate)| {
+                // Three reps around `rate`, so the gate must take the median.
+                [0.5, 1.0, 1.5].map(|f| BenchRecord {
+                    structure: "arena-seq".into(),
+                    stream: "mixed".into(),
+                    n,
+                    k: 10,
+                    ops: 1_000,
+                    elapsed_ns: (1e12 / (rate * f)).round() as u128,
+                })
+            })
             .collect();
-        let mut meter = CostMeter::new();
-        let mut log = AccessLog::new();
-        let winner = erew_tournament_min(&xs, &mut meter, Some(&mut log)).unwrap();
-        let mut check_meter = CostMeter::new();
-        assert_eq!(Some(winner), par_min_index(&xs, &mut check_meter));
-        println!(
-            "{:>10} {:>12} {:>12} {:>14} {:>12}",
-            size,
-            meter.total().depth,
-            meter.total().work,
-            log.num_accesses(),
-            log.is_exclusive()
-        );
+        bench_records_to_json("update_time", &meta, calibration_ns, &records)
     }
-}
 
-/// E8: chunk-parameter ablation around the paper's K = sqrt(n log n).
-fn e8_chunk_size(cfg: &Config) {
-    println!("\n== E8: chunk-size ablation (sequential structure) ==");
-    let n = cfg.sizes[cfg.sizes.len() / 2];
-    let k_star = default_sequential_k(n);
-    println!("n = {n}, paper K* = {k_star}");
-    println!("{:>10} {:>12} {:>18}", "K/K*", "K", "mean update (µs)");
-    for factor in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let k = ((k_star as f64 * factor) as usize).max(2);
-        let t = seq_mean_update_time(n, k, cfg.ops.min(600), 41);
-        println!("{:>10.2} {:>12} {:>18.2}", factor, k, t.as_secs_f64() * 1e6);
+    #[test]
+    fn gate_passes_equal_and_fails_a_slowdown() {
+        let snap = snapshot(2e6, &[(1_000, 30_000.0), (10_000, 10_000.0)]);
+        let run = [(1_000, 30_000.0), (10_000, 10_000.0)];
+        let ok = gate_decision(Some(&snap), &run, 2e6).unwrap();
+        assert!(ok.contains("n = 10000") && ok.contains("1.00x"), "{ok}");
+        // The same code on a machine twice as fast: rates double, the
+        // calibration halves, and the gate still passes.
+        let fast = [(10_000, 20_000.0)];
+        assert!(gate_decision(Some(&snap), &fast, 1e6).is_ok());
+        // 1.6x slower after calibration fails.
+        let slow = [(10_000, 10_000.0 / 1.6)];
+        let err = gate_decision(Some(&snap), &slow, 2e6).unwrap_err();
+        assert!(err.contains("(0.62x; floor 0.67x)"), "{err}");
+        // Only a shared n is compared: the largest one.
+        let larger = [(10_000, 10_000.0), (100_000, 1.0)];
+        assert!(gate_decision(Some(&snap), &larger, 2e6).is_ok());
     }
-}
 
-/// E9: MWR-heavy streams (delete-only) — per-delete cost vs n.
-fn e9_mwr_cost(cfg: &Config) {
-    println!("\n== E9: deletion-only (MWR-heavy) streams ==");
-    println!(
-        "{:>8} {:>16} {:>16} {:>16}",
-        "n", "kpr-seq (µs)", "naive (µs)", "par depth (worst)"
-    );
-    for &n in &cfg.sizes {
-        let stream = failure_stream(n, 2 * n, 51);
-        let mut seq = SeqDynamicMsf::new(n);
-        let (t_seq, o1) = drive_updates_only(&mut seq, &stream);
-        let small = failure_stream(n.min(1 << 12), 2 * n.min(1 << 12), 51);
-        let mut naive = NaiveDynamicMsf::new(small.num_vertices);
-        let (t_naive, o2) = drive_updates_only(&mut naive, &small);
-        let mut par = ParDynamicMsf::new(n);
-        drive(&mut par, &stream);
-        println!(
-            "{:>8} {:>16.2} {:>16.2} {:>16}",
-            n,
-            micros(t_seq, o1),
-            micros(t_naive, o2),
-            par.meter().worst_op().depth
-        );
+    #[test]
+    fn gate_fails_without_snapshot_calibration_or_cell() {
+        let run = [(10_000, 10_000.0)];
+        let missing = gate_decision(None, &run, 2e6).unwrap_err();
+        assert!(missing.contains("no committed"), "{missing}");
+        let uncalibrated =
+            snapshot(0.0, &[(10_000, 10_000.0)]).replace(", \"calibration_ns\": 0", "");
+        let err = gate_decision(Some(&uncalibrated), &run, 2e6).unwrap_err();
+        assert!(err.contains("calibration_ns"), "{err}");
+        let other_cell = snapshot(2e6, &[(100_000, 1_000.0)]);
+        let err = gate_decision(Some(&other_cell), &run, 2e6).unwrap_err();
+        assert!(err.contains("shares no mixed-stream n"), "{err}");
+        let snap = snapshot(2e6, &[(10_000, 10_000.0)]);
+        let err = gate_decision(Some(&snap), &run, 0.0).unwrap_err();
+        assert!(err.contains("no calibration"), "{err}");
     }
 }

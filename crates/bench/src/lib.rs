@@ -1,25 +1,24 @@
-//! Shared harness code for the benchmark suite and the `experiments` binary.
+//! Shared harness code for the `experiments` binary.
 //!
 //! The paper has no experimental section, so the `experiments` binary in
-//! this crate defines the evaluation (experiments E0–E11) that validates
-//! its analytical claims. This crate provides the common machinery: stream
-//! construction (update streams, batched update/query streams and
-//! tenant-tagged multi-tenant streams), structure, batch-engine and
-//! sharded-service drivers, wall-clock measurement, the PRAM cost
-//! extraction, and the machine-readable record types behind
-//! `BENCH_update_time.json` (E0), `BENCH_batch_throughput.json` (E1) and
-//! `BENCH_shard_throughput.json` (E2), used by both the harness benches
-//! and the table-printing binary.
+//! this crate defines the evaluation: E0–E6 measure this system (update
+//! throughput, batching, sharding, scheduling, serving, persistence,
+//! grouped apply) and `paper` checks the paper's cost bounds ([`paper`]).
+//! This crate provides the common machinery: stream construction (update
+//! streams, batched update/query streams and tenant-tagged multi-tenant
+//! streams), structure, batch-engine and sharded-service drivers,
+//! wall-clock and cost-meter measurement, and the machine-readable record
+//! types behind the `BENCH_*.json` files.
 
-pub mod harness;
+pub mod paper;
 pub mod serve;
 
 use pdmsf_core::{ParDynamicMsf, SeqDynamicMsf};
 use pdmsf_engine::{Engine, Op};
 use pdmsf_graph::{
-    BatchKind, BatchOp, BatchStream, BatchStreamSpec, DynamicMsf, EdgeId, GraphSpec, StreamKind,
-    TenantOp, TenantStream, TenantStreamSpec, UpdateOp, UpdateStream, UpdateStreamSpec, VertexId,
-    Weight,
+    kruskal_msf, BatchKind, BatchOp, BatchStream, BatchStreamSpec, DynGraph, DynamicMsf, EdgeId,
+    GraphSpec, StreamKind, TenantOp, TenantStream, TenantStreamSpec, UpdateOp, UpdateStream,
+    UpdateStreamSpec, VertexId, Weight,
 };
 use pdmsf_pram::CostReport;
 use pdmsf_shard::ShardedService;
@@ -47,18 +46,6 @@ pub fn mixed_stream(n: usize, m: usize, ops: usize, seed: u64) -> UpdateStream {
             insert_permille: 500,
         },
         seed: seed ^ 0x5EED,
-    })
-}
-
-/// Grid ("road network") failure/repair stream.
-pub fn grid_stream(rows: usize, cols: usize, ops: usize, seed: u64) -> UpdateStream {
-    UpdateStream::generate(&UpdateStreamSpec {
-        base: GraphSpec::Grid { rows, cols, seed },
-        ops,
-        kind: StreamKind::Mixed {
-            insert_permille: 500,
-        },
-        seed: seed ^ 0x60D5,
     })
 }
 
@@ -458,99 +445,152 @@ fn drive_engine(
     (elapsed, ops)
 }
 
-/// Drive a structure through a stream (base graph + all operations).
-/// Returns the wall-clock time spent inside the structure's updates.
-pub fn drive<M: DynamicMsf>(structure: &mut M, stream: &UpdateStream) -> Duration {
-    let mut elapsed = Duration::ZERO;
+/// Drive the update portion of a stream (the base graph is loaded first,
+/// outside the timed region), calling `after` with the structure and the
+/// wall clock of each update right after it. Returns the final graph.
+pub fn drive_updates_each<M: DynamicMsf>(
+    structure: &mut M,
+    stream: &UpdateStream,
+    mut after: impl FnMut(&M, Duration),
+) -> DynGraph {
     stream.replay_with(|mirror, op| match op {
         None => {
-            let start = Instant::now();
             for e in mirror.edges() {
                 structure.insert(e);
             }
-            elapsed += start.elapsed();
         }
         Some(UpdateOp::Insert { .. }) => {
-            let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
+            let newest =
+                (mirror.edges().max_by_key(|e| e.id)).expect("an insert leaves at least one edge");
             let start = Instant::now();
             structure.insert(newest);
-            elapsed += start.elapsed();
+            after(structure, start.elapsed());
         }
         Some(UpdateOp::Delete { id }) => {
             let start = Instant::now();
             structure.delete(*id);
-            elapsed += start.elapsed();
+            after(structure, start.elapsed());
         }
-    });
-    elapsed
+    })
 }
 
-/// Drive only the update portion (the base graph is loaded outside the
-/// timed region). Returns (updates-only wall clock, number of updates).
+/// Drive only the update portion of a stream (see [`drive_updates_each`]).
+/// Returns (updates-only wall clock, number of updates).
 pub fn drive_updates_only<M: DynamicMsf>(
     structure: &mut M,
     stream: &UpdateStream,
 ) -> (Duration, usize) {
     let mut elapsed = Duration::ZERO;
     let mut updates = 0usize;
-    stream.replay_with(|mirror, op| match op {
-        None => {
-            for e in mirror.edges() {
-                structure.insert(e);
-            }
-        }
-        Some(UpdateOp::Insert { .. }) => {
-            let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-            let start = Instant::now();
-            structure.insert(newest);
-            elapsed += start.elapsed();
-            updates += 1;
-        }
-        Some(UpdateOp::Delete { id }) => {
-            let start = Instant::now();
-            structure.delete(*id);
-            elapsed += start.elapsed();
-            updates += 1;
-        }
+    drive_updates_each(structure, stream, |_, t| {
+        elapsed += t;
+        updates += 1;
     });
     (elapsed, updates)
 }
 
-/// Summary of a PRAM-cost run of the parallel structure.
-#[derive(Clone, Copy, Debug)]
-pub struct PramRun {
+/// Median wall clock, in nanoseconds, of `runs` Kruskal computations over
+/// `graph`: E0's machine-speed calibration, and the per-update cost of
+/// recomputing the forest from scratch.
+pub fn kruskal_ns(graph: &DynGraph, runs: usize) -> f64 {
+    let mut times: Vec<f64> = (0..runs.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(kruskal_msf(graph));
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    times.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+    times[times.len() / 2]
+}
+
+/// A structure whose cost meter reports each update's cost.
+pub(crate) trait Metered: DynamicMsf {
+    /// Cost of the most recent update.
+    fn last_op_cost(&self) -> CostReport;
+    /// The chunk parameter `K` in use.
+    fn chunk_parameter(&self) -> usize;
+}
+
+impl Metered for SeqDynamicMsf {
+    fn last_op_cost(&self) -> CostReport {
+        SeqDynamicMsf::last_op_cost(self)
+    }
+    fn chunk_parameter(&self) -> usize {
+        SeqDynamicMsf::chunk_parameter(self)
+    }
+}
+
+impl Metered for ParDynamicMsf {
+    fn last_op_cost(&self) -> CostReport {
+        ParDynamicMsf::last_op_cost(self)
+    }
+    fn chunk_parameter(&self) -> usize {
+        ParDynamicMsf::chunk_parameter(self)
+    }
+}
+
+/// Per-update costs of one stream, read from the meter after each update;
+/// the base-graph build is not counted.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CostProfile {
     /// Number of vertices.
     pub n: usize,
     /// Chunk parameter used.
     pub k: usize,
-    /// Worst single update.
+    /// Number of updates profiled.
+    pub updates: u64,
+    /// Field-wise maxima over the updates (the deepest and the most
+    /// expensive update need not be the same one).
     pub worst: CostReport,
-    /// Mean parallel depth per update.
+    /// Mean depth per update.
     pub mean_depth: f64,
     /// Mean work per update.
     pub mean_work: f64,
-    /// Peak processors over the run.
+    /// Peak processors of any update.
     pub peak_processors: u64,
 }
 
-/// Run the parallel (EREW-accounted) structure over a standard mixed stream
-/// and collect its PRAM cost profile.
-pub fn pram_profile(n: usize, ops: usize, seed: u64) -> PramRun {
-    let stream = mixed_stream(n, 2 * n, ops, seed);
-    let mut msf = ParDynamicMsf::new(n);
-    drive(&mut msf, &stream);
-    PramRun {
-        n,
-        k: msf.chunk_parameter(),
-        worst: msf.meter().worst_op(),
-        mean_depth: msf.meter().mean_depth(),
-        mean_work: msf.meter().mean_work(),
-        peak_processors: msf.meter().total().peak_processors,
-    }
+/// Drive `structure` through the updates of `stream` and summarize their
+/// metered costs. Also returns the updates' wall clock.
+pub(crate) fn cost_profile<M: Metered>(
+    mut structure: M,
+    stream: &UpdateStream,
+) -> (CostProfile, Duration) {
+    let (mut worst, mut total) = (CostReport::default(), CostReport::default());
+    let (mut updates, mut elapsed) = (0u64, Duration::ZERO);
+    drive_updates_each(&mut structure, stream, |s, t| {
+        let c = s.last_op_cost();
+        worst = CostReport {
+            depth: worst.depth.max(c.depth),
+            work: worst.work.max(c.work),
+            peak_processors: worst.peak_processors.max(c.peak_processors),
+        };
+        total = total.then(c);
+        updates += 1;
+        elapsed += t;
+    });
+    let mean = |x: u64| x as f64 / updates.max(1) as f64;
+    let profile = CostProfile {
+        n: stream.num_vertices,
+        k: structure.chunk_parameter(),
+        updates,
+        worst,
+        mean_depth: mean(total.depth),
+        mean_work: mean(total.work),
+        peak_processors: worst.peak_processors,
+    };
+    (profile, elapsed)
+}
+
+/// The PRAM cost profile of the parallel structure (EREW accounting at the
+/// paper's `K = sqrt n`) over a standard mixed stream.
+pub fn pram_profile(n: usize, ops: usize, seed: u64) -> CostProfile {
+    cost_profile(ParDynamicMsf::new(n), &mixed_stream(n, 2 * n, ops, seed)).0
 }
 
 /// Per-update mean wall-clock of the sequential structure with an explicit
-/// chunk parameter (used by the K-ablation experiment).
+/// chunk parameter (used by the `K` ablation).
 pub fn seq_mean_update_time(n: usize, k: usize, ops: usize, seed: u64) -> Duration {
     let stream = mixed_stream(n, 2 * n, ops, seed);
     let mut msf = SeqDynamicMsf::with_chunk_parameter(n, k);
@@ -569,7 +609,7 @@ pub fn seq_mean_update_time(n: usize, k: usize, ops: usize, seed: u64) -> Durati
 /// One measured (structure, stream, n) cell of the update-time benchmark.
 #[derive(Clone, Debug)]
 pub struct BenchRecord {
-    /// Structure label (e.g. `"arena-seq"`, `"map-seq"`).
+    /// Structure label (`"arena-seq"`).
     pub structure: String,
     /// Stream label (`"insert"`, `"delete"`, `"mixed"`).
     pub stream: String,
@@ -586,11 +626,7 @@ pub struct BenchRecord {
 impl BenchRecord {
     /// Updates per second.
     pub fn ops_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.ops as f64 * 1e9 / self.elapsed_ns as f64
-        }
+        per_sec(self.ops, self.elapsed_ns)
     }
 }
 
@@ -644,26 +680,62 @@ impl RunMeta {
 
     /// The `"meta"` object of a `BENCH_*.json` file.
     pub fn to_json(&self) -> String {
+        self.to_json_with("")
+    }
+
+    /// [`RunMeta::to_json`] with `extra` (preformatted `, "key": value`
+    /// pairs) appended inside the object.
+    pub fn to_json_with(&self, extra: &str) -> String {
         format!(
-            "{{\"git_sha\": \"{}\", \"cores\": {}, \"threads\": {}, \"par_cutoff\": {}}}",
+            "{{\"git_sha\": \"{}\", \"cores\": {}, \"threads\": {}, \"par_cutoff\": {}{extra}}}",
             self.git_sha, self.cores, self.threads, self.par_cutoff
         )
     }
 }
 
-/// Serialize benchmark records as JSON (hand-rolled: all values are numbers
-/// or label strings that never need escaping, and the offline build has no
-/// serde).
-pub fn bench_records_to_json(benchmark: &str, meta: &RunMeta, records: &[BenchRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"benchmark\": \"{benchmark}\",\n"));
-    out.push_str("  \"unit\": \"ops_per_sec\",\n");
-    out.push_str(&format!("  \"meta\": {},\n", meta.to_json()));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"structure\": \"{}\", \"stream\": \"{}\", \"n\": {}, \"k\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}}}{}\n",
+/// `ops` per second over `elapsed_ns` (0 when nothing was timed).
+fn per_sec(ops: usize, elapsed_ns: u128) -> f64 {
+    if elapsed_ns == 0 {
+        0.0
+    } else {
+        ops as f64 * 1e9 / elapsed_ns as f64
+    }
+}
+
+/// A `BENCH_*.json` document: benchmark name, unit, the `meta` object and
+/// one preformatted JSON object per result (hand-rolled: every value is a
+/// number or a label that never needs escaping, and the offline build has
+/// no serde).
+fn results_json(
+    benchmark: &str,
+    unit: &str,
+    meta: &str,
+    results: impl Iterator<Item = String>,
+) -> String {
+    let mut rows: String = results
+        .map(|r| format!("    {r}"))
+        .collect::<Vec<_>>()
+        .join(",\n");
+    if !rows.is_empty() {
+        rows.push('\n');
+    }
+    format!(
+        "{{\n  \"benchmark\": \"{benchmark}\",\n  \"unit\": \"{unit}\",\n  \"meta\": {meta},\n  \"results\": [\n{rows}  ]\n}}\n"
+    )
+}
+
+/// Serialize update-time records as JSON, with `calibration_ns` stamped as
+/// `meta.calibration_ns`.
+pub fn bench_records_to_json(
+    benchmark: &str,
+    meta: &RunMeta,
+    calibration_ns: f64,
+    records: &[BenchRecord],
+) -> String {
+    let calibration = format!(", \"calibration_ns\": {calibration_ns:.0}");
+    let rows = records.iter().map(|r| {
+        format!(
+                    "{{\"structure\": \"{}\", \"stream\": \"{}\", \"n\": {}, \"k\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}}}",
             r.structure,
             r.stream,
             r.n,
@@ -671,11 +743,14 @@ pub fn bench_records_to_json(benchmark: &str, meta: &RunMeta, records: &[BenchRe
             r.ops,
             r.elapsed_ns,
             r.ops_per_sec(),
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    results_json(
+        benchmark,
+        "ops_per_sec",
+        &meta.to_json_with(&calibration),
+        rows,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -707,11 +782,7 @@ pub struct BatchRecord {
 impl BatchRecord {
     /// Operations per second.
     pub fn ops_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.ops as f64 * 1e9 / self.elapsed_ns as f64
-        }
+        per_sec(self.ops, self.elapsed_ns)
     }
 }
 
@@ -719,15 +790,9 @@ impl BatchRecord {
 /// metadata as `BENCH_update_time.json` (hand-rolled for the same reason as
 /// [`bench_records_to_json`]).
 pub fn batch_records_to_json(meta: &RunMeta, records: &[BatchRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"batch_throughput\",\n");
-    out.push_str("  \"unit\": \"ops_per_sec\",\n");
-    out.push_str(&format!("  \"meta\": {},\n", meta.to_json()));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"path\": \"{}\", \"stream\": \"{}\", \"n\": {}, \"k\": {}, \"batch_size\": {}, \"batches\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}}}{}\n",
+    let rows = records.iter().map(|r| {
+        format!(
+                    "{{\"path\": \"{}\", \"stream\": \"{}\", \"n\": {}, \"k\": {}, \"batch_size\": {}, \"batches\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}}}",
             r.path,
             r.stream,
             r.n,
@@ -737,11 +802,9 @@ pub fn batch_records_to_json(meta: &RunMeta, records: &[BatchRecord]) -> String 
             r.ops,
             r.elapsed_ns,
             r.ops_per_sec(),
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    results_json("batch_throughput", "ops_per_sec", &meta.to_json(), rows)
 }
 
 // ---------------------------------------------------------------------
@@ -792,11 +855,7 @@ pub struct ShardRecord {
 impl ShardRecord {
     /// Operations per second.
     pub fn ops_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.ops as f64 * 1e9 / self.elapsed_ns as f64
-        }
+        per_sec(self.ops, self.elapsed_ns)
     }
 }
 
@@ -804,15 +863,9 @@ impl ShardRecord {
 /// metadata as the other benchmark artifacts (hand-rolled for the same
 /// reason as [`bench_records_to_json`]).
 pub fn shard_records_to_json(meta: &RunMeta, records: &[ShardRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"shard_throughput\",\n");
-    out.push_str("  \"unit\": \"ops_per_sec\",\n");
-    out.push_str(&format!("  \"meta\": {},\n", meta.to_json()));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"path\": \"{}\", \"shards\": {}, \"tenants\": {}, \"tenant_n\": {}, \"total_n\": {}, \"zipf_permille\": {}, \"batch_size\": {}, \"batches\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}, \"pool_jobs\": {}, \"pool_shards\": {}, \"pool_inline\": {}, \"pool_chunks\": {}, \"pool_steals\": {}}}{}\n",
+    let rows = records.iter().map(|r| {
+        format!(
+                    "{{\"path\": \"{}\", \"shards\": {}, \"tenants\": {}, \"tenant_n\": {}, \"total_n\": {}, \"zipf_permille\": {}, \"batch_size\": {}, \"batches\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}, \"pool_jobs\": {}, \"pool_shards\": {}, \"pool_inline\": {}, \"pool_chunks\": {}, \"pool_steals\": {}}}",
             r.path,
             r.shards,
             r.tenants,
@@ -829,11 +882,9 @@ pub fn shard_records_to_json(meta: &RunMeta, records: &[ShardRecord]) -> String 
             r.pool_inline,
             r.pool_chunks,
             r.pool_steals,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    results_json("shard_throughput", "ops_per_sec", &meta.to_json(), rows)
 }
 
 // ---------------------------------------------------------------------
@@ -879,11 +930,7 @@ pub struct SchedRecord {
 impl SchedRecord {
     /// Operations per second.
     pub fn ops_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.ops as f64 * 1e9 / self.elapsed_ns as f64
-        }
+        per_sec(self.ops, self.elapsed_ns)
     }
 }
 
@@ -891,15 +938,9 @@ impl SchedRecord {
 /// run metadata as the other benchmark artifacts (hand-rolled for the same
 /// reason as [`bench_records_to_json`]).
 pub fn sched_records_to_json(meta: &RunMeta, records: &[SchedRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"sched_throughput\",\n");
-    out.push_str("  \"unit\": \"ops_per_sec\",\n");
-    out.push_str(&format!("  \"meta\": {},\n", meta.to_json()));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"submitters\": {}, \"jobs\": {}, \"shards_per_job\": {}, \"depth\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}, \"pool_jobs\": {}, \"pool_shards\": {}, \"pool_inline\": {}, \"pool_chunks\": {}, \"pool_steals\": {}}}{}\n",
+    let rows = records.iter().map(|r| {
+        format!(
+                    "{{\"scenario\": \"{}\", \"submitters\": {}, \"jobs\": {}, \"shards_per_job\": {}, \"depth\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}, \"pool_jobs\": {}, \"pool_shards\": {}, \"pool_inline\": {}, \"pool_chunks\": {}, \"pool_steals\": {}}}",
             r.scenario,
             r.submitters,
             r.jobs,
@@ -913,11 +954,9 @@ pub fn sched_records_to_json(meta: &RunMeta, records: &[SchedRecord]) -> String 
             r.pool_inline,
             r.pool_chunks,
             r.pool_steals,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    results_json("sched_throughput", "ops_per_sec", &meta.to_json(), rows)
 }
 
 // ---------------------------------------------------------------------
@@ -966,15 +1005,9 @@ impl PersistRecord {
 /// run metadata as the other benchmark artifacts (hand-rolled for the same
 /// reason as [`bench_records_to_json`]).
 pub fn persist_records_to_json(meta: &RunMeta, records: &[PersistRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"persist_warm_start\",\n");
-    out.push_str("  \"unit\": \"ns\",\n");
-    out.push_str(&format!("  \"meta\": {},\n", meta.to_json()));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"n\": {}, \"k\": {}, \"ops\": {}, \"live_edges\": {}, \"checkpoint_bytes\": {}, \"checkpoint_ns\": {}, \"restore_ns\": {}, \"cold_rebuild_ns\": {}, \"restore_speedup\": {:.2}}}{}\n",
+    let rows = records.iter().map(|r| {
+        format!(
+                    "{{\"scenario\": \"{}\", \"n\": {}, \"k\": {}, \"ops\": {}, \"live_edges\": {}, \"checkpoint_bytes\": {}, \"checkpoint_ns\": {}, \"restore_ns\": {}, \"cold_rebuild_ns\": {}, \"restore_speedup\": {:.2}}}",
             r.scenario,
             r.n,
             r.k,
@@ -985,11 +1018,9 @@ pub fn persist_records_to_json(meta: &RunMeta, records: &[PersistRecord]) -> Str
             r.restore_ns,
             r.cold_rebuild_ns,
             r.speedup(),
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    results_json("persist_warm_start", "ns", &meta.to_json(), rows)
 }
 
 // ---------------------------------------------------------------------
@@ -1042,11 +1073,7 @@ pub struct IntraBatchRecord {
 impl IntraBatchRecord {
     /// Operations per second.
     pub fn ops_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.ops as f64 * 1e9 / self.elapsed_ns as f64
-        }
+        per_sec(self.ops, self.elapsed_ns)
     }
 }
 
@@ -1054,18 +1081,9 @@ impl IntraBatchRecord {
 /// the same reason as [`bench_records_to_json`]; `threads` is stamped per
 /// record, see [`IntraBatchRecord::threads`]).
 pub fn intra_batch_records_to_json(meta: &RunMeta, records: &[IntraBatchRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"intra_batch\",\n");
-    out.push_str("  \"unit\": \"ops_per_sec\",\n");
-    out.push_str(&format!(
-        "  \"meta\": {{\"git_sha\": \"{}\", \"cores\": {}, \"par_cutoff\": {}}},\n",
-        meta.git_sha, meta.cores, meta.par_cutoff
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"path\": \"{}\", \"stream\": \"{}\", \"n\": {}, \"partitions\": {}, \"threads\": {}, \"batch_size\": {}, \"batches\": {}, \"ops\": {}, \"update_groups\": {}, \"group_conflicts\": {}, \"migrations\": {}, \"rebalances\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}}}{}\n",
+    let rows = records.iter().map(|r| {
+        format!(
+                    "{{\"path\": \"{}\", \"stream\": \"{}\", \"n\": {}, \"partitions\": {}, \"threads\": {}, \"batch_size\": {}, \"batches\": {}, \"ops\": {}, \"update_groups\": {}, \"group_conflicts\": {}, \"migrations\": {}, \"rebalances\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}}}",
             r.path,
             r.stream,
             r.n,
@@ -1080,11 +1098,17 @@ pub fn intra_batch_records_to_json(meta: &RunMeta, records: &[IntraBatchRecord])
             r.rebalances,
             r.elapsed_ns,
             r.ops_per_sec(),
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    results_json(
+        "intra_batch",
+        "ops_per_sec",
+        &format!(
+            "{{\"git_sha\": \"{}\", \"cores\": {}, \"par_cutoff\": {}}}",
+            meta.git_sha, meta.cores, meta.par_cutoff
+        ),
+        rows,
+    )
 }
 
 #[cfg(test)]
@@ -1113,8 +1137,8 @@ mod tests {
                 elapsed_ns: 2_000_000,
             },
             BenchRecord {
-                structure: "map-seq".into(),
-                stream: "mixed".into(),
+                structure: "arena-seq".into(),
+                stream: "insert".into(),
                 n: 1000,
                 k: 100,
                 ops: 500,
@@ -1122,8 +1146,9 @@ mod tests {
             },
         ];
         let meta = test_meta();
-        let json = bench_records_to_json("update_time", &meta, &records);
+        let json = bench_records_to_json("update_time", &meta, 2_500_000.0, &records);
         assert!(json.contains("\"benchmark\": \"update_time\""));
+        assert!(json.contains("\"par_cutoff\": 512, \"calibration_ns\": 2500000}"));
         assert!(json.contains("\"structure\": \"arena-seq\""));
         assert!(json.contains("\"ops_per_sec\": 250000.00"));
         assert!(json.contains("\"git_sha\": \"deadbeef\""));
@@ -1401,13 +1426,14 @@ mod tests {
     }
 
     /// Every `BENCH_*.json` writer stamps the core count next to the pool
-    /// width (E6 stamps its width per record).
+    /// width (E6 stamps its width per record; E0 appends its calibration).
     #[test]
     fn every_writer_stamps_cores_next_to_threads() {
         let meta = test_meta();
-        let both = "\"meta\": {\"git_sha\": \"deadbeef\", \"cores\": 2, \"threads\": 4, \"par_cutoff\": 512}";
+        let both = "\"meta\": {\"git_sha\": \"deadbeef\", \"cores\": 2, \"threads\": 4, \"par_cutoff\": 512";
         for json in [
-            bench_records_to_json("update_time", &meta, &[]),
+            bench_records_to_json("update_time", &meta, 0.0, &[]),
+            paper::paper_json(&meta, &[], &[], &[]),
             batch_records_to_json(&meta, &[]),
             shard_records_to_json(&meta, &[]),
             sched_records_to_json(&meta, &[]),
@@ -1436,8 +1462,8 @@ mod tests {
         let stream = mixed_stream(24, 48, 100, 5);
         let mut a = SeqDynamicMsf::new(24);
         let mut b = NaiveDynamicMsf::new(24);
-        drive(&mut a, &stream);
-        drive(&mut b, &stream);
+        drive_updates_only(&mut a, &stream);
+        drive_updates_only(&mut b, &stream);
         assert_eq!(a.forest_edges(), b.forest_edges());
     }
 

@@ -21,12 +21,11 @@
 //! recycled through the bank's free list, so the frequent short-list slot
 //! transitions never allocate.
 
-use super::{ChunkedEulerForest, EdgeRec, NONE};
-use pdmsf_graph::arena::EdgeStore;
+use super::{ChunkedEulerForest, NONE};
 use pdmsf_graph::WKey;
 use pdmsf_pram::kernels::log2_ceil;
 
-impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
+impl ChunkedEulerForest {
     /// Allocate a chunk id, growing the id space (and the row bank's stride)
     /// when necessary.
     fn alloc_slot(&mut self, owner: u32) -> u32 {
@@ -92,7 +91,7 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             let adj = &self.adj[v.index()];
             scanned += adj.len() as u64;
             for &a in adj {
-                let (key, other) = self.adj_key(v, a);
+                let (key, other) = (a.key(), a.other);
                 let so = self.chunks.slot[self.vertex_chunk[other.index()] as usize];
                 if so != NONE && key < row[so as usize] {
                     row[so as usize] = key;
@@ -276,12 +275,6 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
     /// cheaper. `dirty` is consumed (left in an unspecified state for reuse
     /// as scratch).
     pub(crate) fn refresh_entry_for_chunks(&mut self, dirty: &mut Vec<u32>, s: u32) {
-        if S::SEED_BASELINE {
-            // Seed policy: refresh entry `s` in every slotted list,
-            // irrespective of which rows actually changed.
-            self.refresh_entry_everywhere(s);
-            return;
-        }
         if dirty.is_empty() {
             self.charge(1, 1, 1);
             return;
@@ -355,32 +348,6 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         let visited = order.len() as u64;
         self.scratch_order = order;
         visited
-    }
-
-    /// The seed's refresh policy (kept verbatim for the benchmark baseline):
-    /// recompute entry `s` in **every** list containing slotted chunks.
-    fn refresh_entry_everywhere(&mut self, s: u32) {
-        let mut roots = std::mem::take(&mut self.scratch_dirty2);
-        roots.clear();
-        for slot in 0..self.slot_owner.len() {
-            let owner = self.slot_owner[slot];
-            if owner == NONE {
-                continue;
-            }
-            roots.push(self.tree_root(owner));
-        }
-        roots.sort_unstable();
-        roots.dedup();
-        let mut visited = 0u64;
-        for &root in roots.iter() {
-            visited += self.refresh_entry_subtree(root, s);
-        }
-        self.scratch_dirty2 = roots;
-        self.charge(
-            visited.max(1),
-            log2_ceil((visited as usize).max(2)) + 1,
-            visited.max(1),
-        );
     }
 
     /// Dual-entry variant of [`Self::refresh_entry_for_chunks`], used by the
@@ -529,18 +496,10 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         }
         self.charge(2, 1, 2);
         if touched1 {
-            if S::SEED_BASELINE {
-                self.splay(c1);
-            } else {
-                self.refresh_entry_path(c1, s2);
-            }
+            self.refresh_entry_path(c1, s2);
         }
         if touched2 && c2 != c1 {
-            if S::SEED_BASELINE {
-                self.splay(c2);
-            } else {
-                self.refresh_entry_path(c2, s1);
-            }
+            self.refresh_entry_path(c2, s1);
         }
     }
 
@@ -569,7 +528,7 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             let adj = &self.adj[v.index()];
             scanned += adj.len() as u64;
             for &a in adj {
-                let (k, other) = self.adj_key(v, a);
+                let (k, other) = (a.key(), a.other);
                 if k < best && self.vertex_chunk[other.index()] == c2 {
                     best = k;
                 }
@@ -582,13 +541,6 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             log2_ceil((scanned as usize).max(2)) + 1,
             scanned.max(1),
         );
-        if S::SEED_BASELINE {
-            self.splay(c1);
-            if c2 != c1 {
-                self.splay(c2);
-            }
-            return;
-        }
         self.refresh_entry_path(c1, s2);
         if c2 != c1 {
             self.refresh_entry_path(c2, s1);

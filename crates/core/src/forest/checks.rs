@@ -8,11 +8,10 @@
 //! SoA banks' pair-merge and in-place-refresh code paths. It is `O(n·m)` and
 //! only meant for tests on small inputs.
 
-use super::{AdjEntry, ChunkedEulerForest, EdgeRec, NONE};
-use pdmsf_graph::arena::EdgeStore;
+use super::{AdjEntry, ChunkedEulerForest, NONE};
 use pdmsf_graph::{Edge, EdgeId, UnionFind, WKey};
 
-impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
+impl ChunkedEulerForest {
     /// Validate every structural invariant against the given set of forest
     /// edges (the caller's view of the current MSF). Panics with a
     /// description on the first violation.

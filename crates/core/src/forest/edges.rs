@@ -3,14 +3,13 @@
 //! deletion (Section 2.6).
 //!
 //! All bookkeeping is flat: each edge lives in one [`EdgeRec`] slot of the
-//! forest's [`pdmsf_graph::arena::EdgeStore`], and each endpoint's adjacency
+//! forest's [`pdmsf_graph::EdgeSlotMap`], and each endpoint's adjacency
 //! list holds an inline [`AdjEntry`] (key and far endpoint) for it.
 
 use super::{AdjEntry, ChunkedEulerForest, EdgeRec, NONE};
-use pdmsf_graph::arena::EdgeStore;
 use pdmsf_graph::{Edge, EdgeId, WKey};
 
-impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
+impl ChunkedEulerForest {
     /// Whether the given edge is currently registered.
     pub fn has_edge(&self, id: EdgeId) -> bool {
         self.edges.get_by_id(id).is_some()

@@ -42,7 +42,7 @@ mod surgery;
 #[cfg(test)]
 mod tests;
 
-use pdmsf_graph::arena::{edges_where, sorted_ids_where, EdgeSlotMap, EdgeStore};
+use pdmsf_graph::arena::{edges_where, sorted_ids_where, EdgeSlotMap};
 use pdmsf_graph::{Edge, EdgeId, VertexId, WKey, Weight};
 use pdmsf_pram::CostMeter;
 
@@ -55,10 +55,9 @@ pub(crate) const NONE: u32 = u32::MAX;
 /// Per-edge bookkeeping record: the edge itself plus, when the edge is a
 /// forest (tree) edge, the two Euler-tour arc tails (`NONE` otherwise).
 ///
-/// One record in one flat [`EdgeStore`] replaces the seed's two keyed maps
-/// (`HashMap<EdgeId, Edge>` and `HashMap<EdgeId, (u32, u32)>`): edge data and
-/// arc bookkeeping are fetched with a single handle resolution, and
-/// `is_tree_edge` is a field test instead of a second map probe.
+/// The records live in one flat [`EdgeSlotMap`]: edge data and arc
+/// bookkeeping are fetched with a single handle resolution, and
+/// `is_tree_edge` is a field test.
 #[derive(Clone, Copy, Debug)]
 pub struct EdgeRec {
     /// The registered graph edge.
@@ -68,9 +67,6 @@ pub struct EdgeRec {
     /// Tail occurrence of the `v -> u` arc (`NONE` when not a tree edge).
     pub bwd: u32,
 }
-
-/// The production storage for [`EdgeRec`]s: dense slots, no hashing.
-pub type ArenaEdgeStore = EdgeSlotMap<EdgeRec>;
 
 /// One adjacency-list entry of vertex `v`: the incident edge's key and its
 /// far endpoint, stored inline (16 bytes). Row rebuilds, pair recomputes
@@ -130,11 +126,8 @@ pub struct ForestStats {
     pub k: usize,
 }
 
-/// The chunked Euler-tour forest (see module docs), generic over the edge
-/// bookkeeping store (`S`): [`ArenaEdgeStore`] in production,
-/// [`pdmsf_graph::HashEdgeStore`] as the kept-for-comparison map baseline of
-/// the benchmark suite.
-pub struct ChunkedEulerForest<S: EdgeStore<EdgeRec> = ArenaEdgeStore> {
+/// The chunked Euler-tour forest (see module docs).
+pub struct ChunkedEulerForest {
     /// Chunk-size parameter `K`.
     pub(crate) k: usize,
     pub(crate) model: CostModel,
@@ -142,7 +135,7 @@ pub struct ChunkedEulerForest<S: EdgeStore<EdgeRec> = ArenaEdgeStore> {
     pub meter: CostMeter,
 
     // ---- graph + arc storage (one flat record per edge) ----
-    pub(crate) edges: S,
+    pub(crate) edges: EdgeSlotMap<EdgeRec>,
     pub(crate) adj: Vec<Vec<AdjEntry>>,
 
     // ---- occurrences (per-vertex indexes; the occurrence *records* live
@@ -171,7 +164,6 @@ pub struct ChunkedEulerForest<S: EdgeStore<EdgeRec> = ArenaEdgeStore> {
     pub(crate) scratch_row2: Vec<WKey>,
     pub(crate) scratch_order: Vec<u32>,
     pub(crate) scratch_dirty: Vec<u32>,
-    pub(crate) scratch_dirty2: Vec<u32>,
 
     /// Chunks touched by the current operation, pending Invariant-1 fix-up
     /// (a stack; membership is the `queued` flag on each chunk).
@@ -181,7 +173,7 @@ pub struct ChunkedEulerForest<S: EdgeStore<EdgeRec> = ArenaEdgeStore> {
     pub(crate) stale: Vec<u32>,
 }
 
-impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
+impl ChunkedEulerForest {
     /// A forest over `n` isolated vertices with chunk parameter `k` and the
     /// given cost model, executing kernels on the calling thread.
     pub fn new(n: usize, k: usize, model: CostModel) -> Self {
@@ -189,7 +181,7 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             k: k.max(2),
             model,
             meter: CostMeter::new(),
-            edges: S::default(),
+            edges: EdgeSlotMap::default(),
             adj: Vec::new(),
             vertex_occs: Vec::new(),
             principal: Vec::new(),
@@ -202,7 +194,6 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             scratch_row2: Vec::new(),
             scratch_order: Vec::new(),
             scratch_dirty: Vec::new(),
-            scratch_dirty2: Vec::new(),
             touched: Vec::new(),
             stale: Vec::new(),
         };
@@ -317,22 +308,6 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
     /// Degree of a vertex in the maintained graph.
     pub(crate) fn degree(&self, v: VertexId) -> usize {
         self.adj[v.index()].len()
-    }
-
-    /// Key and far endpoint of an adjacency entry of `v`. The map baseline
-    /// resolves every entry through its `HashMap`, the per-entry lookup it
-    /// exists to measure; the production store reads the entry inline.
-    #[inline]
-    pub(crate) fn adj_key(&self, v: VertexId, a: AdjEntry) -> (WKey, VertexId) {
-        if S::SEED_BASELINE {
-            let e = self
-                .edges
-                .get_by_id(a.id)
-                .expect("adjacency entries name live edges")
-                .edge;
-            return (WKey::new(e.weight, e.id), e.other(v));
-        }
-        (a.key(), a.other)
     }
 
     /// The current forest (tree) edges, sorted by id.

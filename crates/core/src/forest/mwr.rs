@@ -15,8 +15,7 @@
 //! Both scans keep a running minimum over the inline adjacency keys (keys
 //! are unique, so it is the argmin) and look up the winning edge by id.
 
-use super::{ChunkedEulerForest, EdgeRec, NONE};
-use pdmsf_graph::arena::EdgeStore;
+use super::{ChunkedEulerForest, NONE};
 use pdmsf_graph::{Edge, WKey};
 use pdmsf_pram::kernels::log2_ceil;
 
@@ -38,7 +37,7 @@ fn argmin_masked(keys: &[WKey], mask: &[bool]) -> Option<usize> {
     best
 }
 
-impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
+impl ChunkedEulerForest {
     /// The minimum-weight edge with one endpoint (principal copy) in the list
     /// rooted at `root_a` and the other in the list rooted at `root_b`.
     pub(crate) fn find_mwr(&mut self, root_a: u32, root_b: u32) -> Option<Edge> {
@@ -70,7 +69,7 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             let adj = &self.adj[v.index()];
             scanned += adj.len() as u64;
             for &a in adj {
-                let (key, other) = self.adj_key(v, a);
+                let (key, other) = (a.key(), a.other);
                 if key < best && self.tree_root(self.vertex_chunk[other.index()]) == other_root {
                     best = key;
                 }
@@ -135,7 +134,7 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             let adj = &self.adj[v.index()];
             scanned += adj.len() as u64;
             for &a in adj {
-                let (key, other) = self.adj_key(v, a);
+                let (key, other) = (a.key(), a.other);
                 if key < best {
                     let so = self.chunks.slot[self.vertex_chunk[other.index()] as usize];
                     if so != NONE && root_a_memb[so as usize] {

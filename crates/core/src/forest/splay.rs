@@ -26,10 +26,9 @@
 //! below touch four `u32` arrays and nothing else; aggregate vectors are
 //! dense [`super::RowBank`] slabs merged in place.
 
-use super::{ChunkedEulerForest, EdgeRec, NONE};
-use pdmsf_graph::arena::EdgeStore;
+use super::{ChunkedEulerForest, NONE};
 
-impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
+impl ChunkedEulerForest {
     /// Current chunk-id capacity (`J` upper bound); rows/aggregates are sized
     /// to this.
     pub(crate) fn slot_cap(&self) -> usize {

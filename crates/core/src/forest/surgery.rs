@@ -11,11 +11,10 @@
 //! insertions / deletions, exactly as Lemma 2.1 prescribes.
 
 use super::{ChunkedEulerForest, EdgeRec, NONE};
-use pdmsf_graph::arena::EdgeStore;
 use pdmsf_graph::{Edge, VertexId};
 use pdmsf_pram::kernels::log2_ceil;
 
-impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
+impl ChunkedEulerForest {
     // ------------------------------------------------------------------
     // Occurrence-level helpers
     // ------------------------------------------------------------------
@@ -188,24 +187,13 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
         self.chunks.adj_count[c as usize] -= moved_adj;
         self.charge(len as u64, log2_ceil(len.max(2)) + 1, len as u64);
         // After the split the list has at least two chunks, so both carry
-        // ids; rebuild both rows in one batched pass (the seed baseline
-        // keeps its original two independent rebuilds).
-        if S::SEED_BASELINE {
-            if self.chunks.slot[c as usize] == NONE {
-                self.give_slot(c);
-            } else {
-                self.rebuild_row(c);
-            }
-            self.give_slot(c2);
-            self.tree_insert_after(c, c2);
-        } else {
-            if self.chunks.slot[c as usize] == NONE {
-                self.attach_slot(c);
-            }
-            self.attach_slot(c2);
-            self.tree_insert_after(c, c2);
-            self.rebuild_rows_pair(c, c2);
+        // ids; rebuild both rows in one batched pass.
+        if self.chunks.slot[c as usize] == NONE {
+            self.attach_slot(c);
         }
+        self.attach_slot(c2);
+        self.tree_insert_after(c, c2);
+        self.rebuild_rows_pair(c, c2);
         self.touch(c);
         self.touch(c2);
         c2
@@ -238,20 +226,6 @@ impl<S: EdgeStore<EdgeRec>> ChunkedEulerForest<S> {
             log2_ceil(moved_len.max(2)) + 1,
             moved_len as u64 + 1,
         );
-        if S::SEED_BASELINE {
-            // Seed policy: detach, then rebuild the merged row by rescanning
-            // its O(K) adjacent edges.
-            self.tree_remove(nxt);
-            self.drop_slot(nxt);
-            self.chunks.free(nxt);
-            if self.list_is_single_chunk(c) {
-                self.drop_slot(c);
-            } else {
-                self.rebuild_row(c);
-            }
-            self.touch(c);
-            return;
-        }
         let merged_rows = if self.list_is_single_chunk_without(c, nxt) {
             // `c` ends up alone: both ids retire, no row survives.
             false

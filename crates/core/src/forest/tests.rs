@@ -491,7 +491,6 @@ mod soa_vs_aos {
     /// edge records — computes, independently of the bank maintenance code
     /// paths (restamp sweeps, flag updates, arc transfers).
     fn check_occs_against_aos(forest: &crate::forest::ChunkedEulerForest) {
-        use pdmsf_graph::arena::EdgeStore;
         let arena = &forest.chunks;
         let aos: Vec<Option<AosOcc>> = (0..arena.occ_len() as u32)
             .map(|o| {

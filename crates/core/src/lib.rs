@@ -82,11 +82,10 @@ pub mod snapshot;
 pub mod sparsify;
 
 pub use forest::{
-    ArenaEdgeStore, ChunkArenaImage, ChunkedEulerForest, CostModel, EdgeRec, ForestStats,
-    RowBankImage,
+    ChunkArenaImage, ChunkedEulerForest, CostModel, EdgeRec, ForestStats, RowBankImage,
 };
 pub use par::ParDynamicMsf;
 pub use partition::{ComponentPartitionedMsf, GroupUpdate, PartitionStats, UpdateGroup};
-pub use seq::{GenericSeqDynamicMsf, MapSeqDynamicMsf, SeqDynamicMsf};
+pub use seq::SeqDynamicMsf;
 pub use snapshot::MsfImage;
 pub use sparsify::SparsifiedMsf;

@@ -22,7 +22,7 @@
 //! enough that no scan would pay for a pool job.
 
 use crate::forest::{CostModel, ForestStats};
-use crate::seq::{GenericSeqDynamicMsf, SeqDynamicMsf};
+use crate::seq::SeqDynamicMsf;
 use crate::snapshot::MsfImage;
 use pdmsf_graph::{DynamicMsf, Edge, EdgeId, MsfDelta, VertexId};
 use pdmsf_pram::{CostMeter, CostReport, ExecMode};
@@ -49,7 +49,7 @@ impl ParDynamicMsf {
     /// experiments), still with EREW accounting.
     pub fn with_chunk_parameter(n: usize, k: usize) -> Self {
         ParDynamicMsf {
-            inner: GenericSeqDynamicMsf::with_parameters(n, k, CostModel::Erew),
+            inner: SeqDynamicMsf::with_parameters(n, k, CostModel::Erew),
         }
     }
 

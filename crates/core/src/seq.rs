@@ -5,20 +5,13 @@
 //! tree (for "heaviest edge on the `u`–`v` path" queries on insertions) and
 //! the usual forest bookkeeping. With the paper's chunk parameter
 //! `K = Θ(sqrt(n log n))` every update costs `O(J log J + K + log n) =
-//! O(sqrt(n log n))` worst-case time on sparse graphs.
-//!
-//! The structure is generic over the edge bookkeeping store
-//! ([`pdmsf_graph::arena::EdgeStore`]): [`SeqDynamicMsf`] is the production
-//! instantiation over the flat slot arena, [`MapSeqDynamicMsf`] the
-//! `HashMap`-backed instantiation kept as the benchmark baseline (see
-//! `BENCH_update_time.json`). Tree-edge membership needs no map of its own —
-//! it is a field of the per-edge record.
+//! O(sqrt(n log n))` worst-case time on sparse graphs. Tree-edge membership
+//! needs no map of its own — it is a field of the per-edge record.
 
-use crate::forest::{ArenaEdgeStore, ChunkedEulerForest, CostModel, EdgeRec, ForestStats};
+use crate::forest::{ChunkedEulerForest, CostModel, ForestStats};
 use crate::snapshot::MsfImage;
 use pdmsf_dyntree::LinkCutForest;
-use pdmsf_graph::arena::EdgeStore;
-use pdmsf_graph::{DynamicMsf, Edge, EdgeId, HashEdgeStore, MsfDelta, VertexId, WKey};
+use pdmsf_graph::{DynamicMsf, Edge, EdgeId, MsfDelta, VertexId, WKey};
 use pdmsf_pram::kernels::log2_ceil;
 use pdmsf_pram::{CostMeter, CostReport};
 
@@ -29,27 +22,16 @@ pub fn default_sequential_k(n: usize) -> usize {
     (n * n.log2()).sqrt().ceil() as usize
 }
 
-/// Sequential worst-case dynamic minimum spanning forest (Theorem 1.2),
-/// generic over the edge bookkeeping store.
-///
-/// Use the [`SeqDynamicMsf`] alias unless you specifically want the
-/// map-backed baseline ([`MapSeqDynamicMsf`]).
-pub struct GenericSeqDynamicMsf<S: EdgeStore<EdgeRec>> {
-    forest: ChunkedEulerForest<S>,
+/// Sequential worst-case dynamic minimum spanning forest (Theorem 1.2).
+pub struct SeqDynamicMsf {
+    forest: ChunkedEulerForest,
     lct: LinkCutForest,
     num_tree_edges: usize,
     forest_weight: i128,
     last_op: CostReport,
 }
 
-/// The production instantiation: flat slot-arena bookkeeping.
-pub type SeqDynamicMsf = GenericSeqDynamicMsf<ArenaEdgeStore>;
-
-/// The map-backed instantiation, kept for benchmark comparison: identical
-/// algorithm, but every edge lookup goes through a `HashMap`.
-pub type MapSeqDynamicMsf = GenericSeqDynamicMsf<HashEdgeStore<EdgeRec>>;
-
-impl<S: EdgeStore<EdgeRec>> GenericSeqDynamicMsf<S> {
+impl SeqDynamicMsf {
     /// A structure over `n` isolated vertices with the default chunk
     /// parameter `K = sqrt(n log n)` and sequential cost accounting.
     pub fn new(n: usize) -> Self {
@@ -57,7 +39,7 @@ impl<S: EdgeStore<EdgeRec>> GenericSeqDynamicMsf<S> {
     }
 
     /// A structure with an explicit chunk parameter (used by the `K`
-    /// ablation experiment E8).
+    /// ablation of the `paper` experiment).
     pub fn with_chunk_parameter(n: usize, k: usize) -> Self {
         Self::with_parameters(n, k, CostModel::Sequential)
     }
@@ -65,7 +47,7 @@ impl<S: EdgeStore<EdgeRec>> GenericSeqDynamicMsf<S> {
     /// Full control over chunk parameter and cost model (the parallel
     /// front-end uses `CostModel::Erew`).
     pub fn with_parameters(n: usize, k: usize, model: CostModel) -> Self {
-        GenericSeqDynamicMsf {
+        SeqDynamicMsf {
             forest: ChunkedEulerForest::new(n, k, model),
             lct: LinkCutForest::new(n),
             num_tree_edges: 0,
@@ -95,7 +77,7 @@ impl<S: EdgeStore<EdgeRec>> GenericSeqDynamicMsf<S> {
     }
 
     /// Access to the underlying chunked Euler-tour forest (read-only).
-    pub fn forest(&self) -> &ChunkedEulerForest<S> {
+    pub fn forest(&self) -> &ChunkedEulerForest {
         &self.forest
     }
 
@@ -132,13 +114,13 @@ impl<S: EdgeStore<EdgeRec>> GenericSeqDynamicMsf<S> {
     /// Assemble a structure from restored parts (the checkpoint/restore
     /// path in [`crate::snapshot`]).
     pub(crate) fn from_restored_parts(
-        forest: ChunkedEulerForest<S>,
+        forest: ChunkedEulerForest,
         lct: LinkCutForest,
         num_tree_edges: usize,
         forest_weight: i128,
         last_op: CostReport,
     ) -> Self {
-        GenericSeqDynamicMsf {
+        SeqDynamicMsf {
             forest,
             lct,
             num_tree_edges,
@@ -146,9 +128,7 @@ impl<S: EdgeStore<EdgeRec>> GenericSeqDynamicMsf<S> {
             last_op,
         }
     }
-}
 
-impl SeqDynamicMsf {
     /// Flatten the structure into its serializable [`MsfImage`] (bank dumps
     /// plus bookkeeping scalars; see [`crate::snapshot`] for what is
     /// rebuilt instead of stored).
@@ -164,7 +144,7 @@ impl SeqDynamicMsf {
     }
 }
 
-impl<S: EdgeStore<EdgeRec>> DynamicMsf for GenericSeqDynamicMsf<S> {
+impl DynamicMsf for SeqDynamicMsf {
     fn num_vertices(&self) -> usize {
         self.forest.num_vertices()
     }

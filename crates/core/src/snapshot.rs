@@ -27,12 +27,11 @@
 //! that would misbehave later.
 
 use crate::forest::{
-    AdjEntry, ArenaEdgeStore, ChunkArena, ChunkArenaImage, ChunkedEulerForest, CostModel, EdgeRec,
-    RowBank, RowBankImage,
+    AdjEntry, ChunkArena, ChunkArenaImage, ChunkedEulerForest, CostModel, EdgeRec, RowBank,
+    RowBankImage,
 };
-use crate::seq::GenericSeqDynamicMsf;
+use crate::seq::SeqDynamicMsf;
 use pdmsf_dyntree::LinkCutForest;
-use pdmsf_graph::arena::EdgeStore;
 use pdmsf_graph::{Edge, EdgeId, EdgeSlotMap, VertexId, WKey, Weight};
 use pdmsf_pram::{CostMeter, CostReport};
 
@@ -131,7 +130,7 @@ fn unflatten(what: &str, offsets: &[u64], data: &[u32]) -> Result<Vec<Vec<u32>>,
 
 /// Dump a production forest plus the front-end scalars into an image.
 pub(crate) fn forest_to_image(
-    forest: &ChunkedEulerForest<ArenaEdgeStore>,
+    forest: &ChunkedEulerForest,
     num_tree_edges: usize,
     forest_weight: i128,
 ) -> MsfImage {
@@ -203,9 +202,7 @@ pub(crate) fn forest_to_image(
 
 /// Rebuild a production forest from an image (everything but the front-end
 /// scalars, which the caller cross-validates).
-pub(crate) fn forest_from_image(
-    image: &MsfImage,
-) -> Result<ChunkedEulerForest<ArenaEdgeStore>, String> {
+pub(crate) fn forest_from_image(image: &MsfImage) -> Result<ChunkedEulerForest, String> {
     let m = image.edge_ids.len();
     if [
         image.edge_u.len(),
@@ -291,7 +288,6 @@ pub(crate) fn forest_from_image(
         scratch_row2: Vec::new(),
         scratch_order: Vec::new(),
         scratch_dirty: Vec::new(),
-        scratch_dirty2: Vec::new(),
         touched: image.touched.clone(),
         stale: Vec::new(),
     })
@@ -302,7 +298,7 @@ pub(crate) fn forest_from_image(
 /// vertex, and every live edge must be listed exactly once at each endpoint
 /// (once in all for a self-loop); anything else is refused.
 fn adjacency_from_handles(
-    edges: &ArenaEdgeStore,
+    edges: &EdgeSlotMap<EdgeRec>,
     handles: &[Vec<u32>],
 ) -> Result<Vec<Vec<AdjEntry>>, String> {
     let (ids, vals, _) = edges.raw_parts();
@@ -363,17 +359,9 @@ fn adjacency_from_handles(
 /// link-cut tree from the checkpointed tree edges (id order; forest edges
 /// never cycle, and every LCT answer is splay-shape-independent because
 /// `WKey`s are unique) and cross-validate the bookkeeping scalars.
-pub(crate) fn seq_from_image(
-    image: &MsfImage,
-) -> Result<GenericSeqDynamicMsf<ArenaEdgeStore>, String> {
+pub(crate) fn seq_from_image(image: &MsfImage) -> Result<SeqDynamicMsf, String> {
     let forest = forest_from_image(image)?;
-    let mut tree: Vec<Edge> = Vec::new();
-    forest.edges.for_each(|_, rec| {
-        if rec.fwd != NONE {
-            tree.push(rec.edge);
-        }
-    });
-    tree.sort_unstable_by_key(|e| e.id);
+    let tree = forest.tree_edges();
     if tree.len() as u64 != image.num_tree_edges {
         return Err(format!(
             "msf image claims {} tree edges but stores {}",
@@ -399,7 +387,7 @@ pub(crate) fn seq_from_image(
             image.forest_weight
         ));
     }
-    Ok(GenericSeqDynamicMsf::from_restored_parts(
+    Ok(SeqDynamicMsf::from_restored_parts(
         forest,
         lct,
         tree.len(),

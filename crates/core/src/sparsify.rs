@@ -20,7 +20,7 @@
 //! qualitative behaviour for the density experiment (E6): the update cost
 //! depends on `n` and only logarithmically on `m`.
 
-use pdmsf_graph::arena::{EdgeSlotMap, EdgeStore};
+use pdmsf_graph::arena::EdgeSlotMap;
 use pdmsf_graph::{DynamicMsf, Edge, EdgeId, MsfDelta, VertexId};
 
 /// A node of the sparsification tree.

@@ -6,7 +6,7 @@
 
 use pdmsf_baselines::RecomputeMsf;
 use pdmsf_core::seq::default_sequential_k;
-use pdmsf_core::{MapSeqDynamicMsf, ParDynamicMsf, SeqDynamicMsf, SparsifiedMsf};
+use pdmsf_core::{ParDynamicMsf, SeqDynamicMsf, SparsifiedMsf};
 use pdmsf_graph::{DegreeReduced, DynamicMsf, Edge, EdgeId, VertexId, Weight};
 use proptest::prelude::*;
 
@@ -93,14 +93,6 @@ proptest! {
     fn par_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(12), 1..100)) {
         let structure = ParDynamicMsf::new(12);
         run_differential(12, &ops, structure, |s| s.validate());
-    }
-
-    /// The map-backed benchmark baseline is exactly equivalent (same
-    /// algorithm, different bookkeeping).
-    #[test]
-    fn map_store_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(10), 1..100)) {
-        let structure = MapSeqDynamicMsf::with_chunk_parameter(10, 3);
-        run_differential(10, &ops, structure, |s| s.validate());
     }
 
     /// Four-way lockstep differential: identical randomized update streams

@@ -17,15 +17,9 @@
 //!   callers store handles (the chunked forest's Euler-tour arc tails, its
 //!   checkpointed adjacency) and resolve them with a single indexed load,
 //!   skipping even the id-to-slot translation.
-//! * [`EdgeStore`] — the storage interface the core structures are generic
-//!   over, with [`EdgeSlotMap`] as the production implementation and
-//!   [`HashEdgeStore`] (a `std::collections::HashMap` wrapper) kept as the
-//!   map-based comparison baseline for the benchmark suite
-//!   (`BENCH_update_time.json` reports both).
 
 use crate::graph::Edge;
 use crate::ids::EdgeId;
-use std::collections::HashMap;
 
 /// Sentinel handle ("null pointer") used by the arena layer.
 pub const NO_HANDLE: u32 = u32::MAX;
@@ -116,68 +110,9 @@ impl EdgeIdIndex {
     }
 }
 
-/// Storage interface for per-edge bookkeeping, generic over the value type.
-///
-/// `insert` returns a `u32` **handle** that stays valid until the edge is
-/// removed; resolving a handle with [`EdgeStore::get`] is the hot-path
-/// operation and must be cheap. The two implementations are
-/// [`EdgeSlotMap`] (dense slots, production) and [`HashEdgeStore`] (hash
-/// lookups, kept as the benchmark baseline).
-pub trait EdgeStore<T>: Default {
-    /// Whether this store represents the **seed baseline**: structures
-    /// instantiated over it also keep the seed's hot-path *policies*
-    /// (global aggregate refreshes, rescan-on-merge, splay-based entry
-    /// refreshes, an edge lookup per adjacency entry scanned) so that
-    /// benchmarks compare the production hot path against the faithful
-    /// pre-arena implementation, not against a hybrid that already received
-    /// every shared improvement. Results are identical either way — only
-    /// the work schedule differs.
-    const SEED_BASELINE: bool = false;
-
-    /// Register `id`, returning its handle.
-    ///
-    /// # Panics
-    /// Panics if `id` is already present.
-    fn insert(&mut self, id: EdgeId, value: T) -> u32;
-
-    /// Unregister `id`, returning its value if it was present.
-    fn remove(&mut self, id: EdgeId) -> Option<T>;
-
-    /// The handle of a live id.
-    fn handle_of(&self, id: EdgeId) -> Option<u32>;
-
-    /// The id owning `handle`.
-    fn id_of(&self, handle: u32) -> EdgeId;
-
-    /// Resolve a live handle (hot path).
-    ///
-    /// # Panics
-    /// May panic (or return stale data only for [`HashEdgeStore`]: never) if
-    /// the handle was freed.
-    fn get(&self, handle: u32) -> &T;
-
-    /// Mutable handle resolution.
-    fn get_mut(&mut self, handle: u32) -> &mut T;
-
-    /// Lookup by id.
-    fn get_by_id(&self, id: EdgeId) -> Option<&T>;
-
-    /// Mutable lookup by id.
-    fn get_mut_by_id(&mut self, id: EdgeId) -> Option<&mut T>;
-
-    /// Number of live entries.
-    fn len(&self) -> usize;
-
-    /// Whether the store is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Visit every live entry (order unspecified).
-    fn for_each(&self, f: impl FnMut(EdgeId, &T));
-}
-
-/// Slot-map implementation of [`EdgeStore`] (see module docs).
+/// Slot map interning live [`EdgeId`]s into dense `u32` handles (see
+/// module docs). A handle stays valid until its edge is removed; resolving
+/// it with [`EdgeSlotMap::get`] is the hot-path operation.
 ///
 /// Storage is fully flattened: the owning id and the value of slot `h` live
 /// in two parallel vectors, so resolving a live handle is a single indexed
@@ -254,10 +189,12 @@ impl<T: Copy> EdgeSlotMap<T> {
             free,
         })
     }
-}
 
-impl<T: Copy> EdgeStore<T> for EdgeSlotMap<T> {
-    fn insert(&mut self, id: EdgeId, value: T) -> u32 {
+    /// Register `id`, returning its handle.
+    ///
+    /// # Panics
+    /// Panics if `id` is already present.
+    pub fn insert(&mut self, id: EdgeId, value: T) -> u32 {
         let slot = match self.free.pop() {
             Some(s) => {
                 debug_assert!(self.ids[s as usize].is_none());
@@ -276,7 +213,9 @@ impl<T: Copy> EdgeStore<T> for EdgeSlotMap<T> {
         slot
     }
 
-    fn remove(&mut self, id: EdgeId) -> Option<T> {
+    /// Unregister `id`, returning its value if it was present. Its slot is
+    /// recycled by the next insertion.
+    pub fn remove(&mut self, id: EdgeId) -> Option<T> {
         let slot = self.index.remove(id)?;
         debug_assert_eq!(self.ids[slot as usize], id);
         self.ids[slot as usize] = EdgeId::NONE;
@@ -284,46 +223,53 @@ impl<T: Copy> EdgeStore<T> for EdgeSlotMap<T> {
         Some(self.vals[slot as usize])
     }
 
+    /// The handle of a live id.
     #[inline]
-    fn handle_of(&self, id: EdgeId) -> Option<u32> {
+    pub fn handle_of(&self, id: EdgeId) -> Option<u32> {
         self.index.get(id)
     }
 
+    /// The id owning a live handle.
     #[inline]
-    fn id_of(&self, handle: u32) -> EdgeId {
+    pub fn id_of(&self, handle: u32) -> EdgeId {
         debug_assert!(!self.ids[handle as usize].is_none(), "stale edge handle");
         self.ids[handle as usize]
     }
 
+    /// Resolve a live handle (hot path).
     #[inline]
-    fn get(&self, handle: u32) -> &T {
+    pub fn get(&self, handle: u32) -> &T {
         debug_assert!(!self.ids[handle as usize].is_none(), "stale edge handle");
         &self.vals[handle as usize]
     }
 
+    /// Mutable handle resolution.
     #[inline]
-    fn get_mut(&mut self, handle: u32) -> &mut T {
+    pub fn get_mut(&mut self, handle: u32) -> &mut T {
         debug_assert!(!self.ids[handle as usize].is_none(), "stale edge handle");
         &mut self.vals[handle as usize]
     }
 
+    /// Lookup by id.
     #[inline]
-    fn get_by_id(&self, id: EdgeId) -> Option<&T> {
+    pub fn get_by_id(&self, id: EdgeId) -> Option<&T> {
         self.index.get(id).map(|s| &self.vals[s as usize])
     }
 
+    /// Number of live entries.
     #[inline]
-    fn get_mut_by_id(&mut self, id: EdgeId) -> Option<&mut T> {
-        let slot = self.index.get(id)?;
-        Some(&mut self.vals[slot as usize])
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.index.len()
     }
 
-    fn for_each(&self, mut f: impl FnMut(EdgeId, &T)) {
+    /// Whether no entry is live.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Visit every live entry in slot order.
+    pub fn for_each(&self, mut f: impl FnMut(EdgeId, &T)) {
         for (id, val) in self.ids.iter().zip(&self.vals) {
             if !id.is_none() {
                 f(*id, val);
@@ -332,88 +278,10 @@ impl<T: Copy> EdgeStore<T> for EdgeSlotMap<T> {
     }
 }
 
-/// `HashMap`-backed implementation of [`EdgeStore`], kept as the map-based
-/// comparison baseline for the benchmark suite. The "handle" is the raw edge
-/// id, so **every** handle resolution performs a hash lookup — exactly the
-/// bookkeeping cost the arena layer exists to remove.
-#[derive(Clone, Debug)]
-pub struct HashEdgeStore<T> {
-    map: HashMap<EdgeId, T>,
-}
-
-impl<T> Default for HashEdgeStore<T> {
-    fn default() -> Self {
-        HashEdgeStore {
-            map: HashMap::new(),
-        }
-    }
-}
-
-impl<T> EdgeStore<T> for HashEdgeStore<T> {
-    const SEED_BASELINE: bool = true;
-
-    fn insert(&mut self, id: EdgeId, value: T) -> u32 {
-        let prev = self.map.insert(id, value);
-        assert!(prev.is_none(), "edge {id:?} already registered");
-        id.0
-    }
-
-    fn remove(&mut self, id: EdgeId) -> Option<T> {
-        self.map.remove(&id)
-    }
-
-    #[inline]
-    fn handle_of(&self, id: EdgeId) -> Option<u32> {
-        if self.map.contains_key(&id) {
-            Some(id.0)
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn id_of(&self, handle: u32) -> EdgeId {
-        EdgeId(handle)
-    }
-
-    #[inline]
-    fn get(&self, handle: u32) -> &T {
-        &self.map[&EdgeId(handle)]
-    }
-
-    #[inline]
-    fn get_mut(&mut self, handle: u32) -> &mut T {
-        self.map
-            .get_mut(&EdgeId(handle))
-            .expect("stale edge handle")
-    }
-
-    #[inline]
-    fn get_by_id(&self, id: EdgeId) -> Option<&T> {
-        self.map.get(&id)
-    }
-
-    #[inline]
-    fn get_mut_by_id(&mut self, id: EdgeId) -> Option<&mut T> {
-        self.map.get_mut(&id)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn for_each(&self, mut f: impl FnMut(EdgeId, &T)) {
-        for (id, value) in &self.map {
-            f(*id, value);
-        }
-    }
-}
-
-/// Convenience: collect the live edges of a store whose value type embeds an
-/// [`Edge`], sorted by id (used by `forest_edges()`-style queries).
-pub fn sorted_ids_where<T>(
-    store: &impl EdgeStore<T>,
+/// Convenience: the ids of the live entries that pass `keep`, sorted (used
+/// by `forest_edges()`-style queries).
+pub fn sorted_ids_where<T: Copy>(
+    store: &EdgeSlotMap<T>,
     mut keep: impl FnMut(&T) -> bool,
 ) -> Vec<EdgeId> {
     let mut out = Vec::new();
@@ -427,8 +295,8 @@ pub fn sorted_ids_where<T>(
 }
 
 /// Convenience: the live edges of a store, projected through `edge_of`.
-pub fn edges_where<T>(
-    store: &impl EdgeStore<T>,
+pub fn edges_where<T: Copy>(
+    store: &EdgeSlotMap<T>,
     mut keep: impl FnMut(&T) -> bool,
     mut edge_of: impl FnMut(&T) -> Edge,
 ) -> Vec<Edge> {
@@ -489,33 +357,6 @@ mod tests {
         let mut m: EdgeSlotMap<u8> = EdgeSlotMap::default();
         m.insert(EdgeId(1), 1);
         m.insert(EdgeId(1), 2);
-    }
-
-    #[test]
-    fn hash_store_mirrors_slot_map_behaviour() {
-        let mut s: EdgeSlotMap<i32> = EdgeSlotMap::default();
-        let mut h: HashEdgeStore<i32> = HashEdgeStore::default();
-        for i in 0..50u32 {
-            s.insert(EdgeId(i), i as i32 * 3);
-            h.insert(EdgeId(i), i as i32 * 3);
-        }
-        for i in (0..50u32).step_by(3) {
-            assert_eq!(s.remove(EdgeId(i)), h.remove(EdgeId(i)));
-        }
-        assert_eq!(s.len(), h.len());
-        for i in 0..50u32 {
-            assert_eq!(s.get_by_id(EdgeId(i)), h.get_by_id(EdgeId(i)));
-            let sh = s.handle_of(EdgeId(i));
-            let hh = h.handle_of(EdgeId(i));
-            assert_eq!(sh.is_some(), hh.is_some());
-            if let (Some(sh), Some(hh)) = (sh, hh) {
-                assert_eq!(s.get(sh), h.get(hh));
-            }
-        }
-        assert_eq!(
-            sorted_ids_where(&s, |_| true),
-            sorted_ids_where(&h, |_| true)
-        );
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!
 //! * [`ids`] — strongly-typed vertex / edge identifiers,
 //! * [`arena`] — the flat, index-based edge bookkeeping layer
-//!   ([`EdgeSlotMap`], [`EdgeIdIndex`], the [`EdgeStore`] interface and the
-//!   map-backed benchmark baseline [`HashEdgeStore`]),
+//!   ([`EdgeSlotMap`], [`EdgeIdIndex`]),
 //! * [`weight`] — a totally ordered weight domain with a `-inf` element
 //!   (needed by Frederickson's degree-3 reduction) and deterministic
 //!   tie-breaking so the minimum spanning forest is unique,
@@ -40,7 +39,7 @@ pub mod msf;
 pub mod unionfind;
 pub mod weight;
 
-pub use arena::{EdgeIdIndex, EdgeSlotMap, EdgeStore, HashEdgeStore, NO_HANDLE};
+pub use arena::{EdgeIdIndex, EdgeSlotMap, NO_HANDLE};
 pub use degree::DegreeReduced;
 pub use generators::{
     BatchKind, BatchOp, BatchStream, BatchStreamSpec, GraphSpec, StreamKind, TenantOp,

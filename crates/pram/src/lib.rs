@@ -14,7 +14,7 @@
 //!   for parallel depth (synchronous rounds), total work (primitive
 //!   operations) and peak processors per round. The parallel structure in
 //!   `pdmsf-core` charges every kernel invocation to a meter, which is what
-//!   the E2–E4 experiments in `EXPERIMENTS.md` report.
+//!   the `paper` experiment fits and checks (`BENCH_paper.json`).
 //! * [`erew`] — an access logger that records `(step, cell, processor,
 //!   read/write)` tuples and detects EREW violations; the test-suite runs the
 //!   phased kernels under this logger to check the paper's exclusive-access

@@ -54,5 +54,5 @@ fn main() {
     }
     println!();
     println!("depth grows ~logarithmically while work grows ~sqrt(n) log n,");
-    println!("matching Theorem 1.1 (see EXPERIMENTS.md, experiments E2-E4).");
+    println!("matching Theorem 1.1 (`experiments -- paper` fits and checks them per update).");
 }

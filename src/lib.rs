@@ -68,12 +68,12 @@
 //!   vectors of the chunks an update touches are recomputed once per
 //!   update, not at every rotation that touches them.
 //!
-//! The structures stay generic over the bookkeeping store: the
-//! `HashMap`-backed [`core::MapSeqDynamicMsf`] is **kept for comparison**
-//! and also reproduces the seed's refresh policies, so
-//! `cargo run --release -p pdmsf-bench --bin experiments` (experiment E0)
-//! measures this hot path against the faithful pre-arena implementation and
-//! records the trajectory in `BENCH_update_time.json`.
+//! There is one forest type and one bookkeeping store; no map-backed
+//! baseline is kept. Its speed is tracked over time instead:
+//! `cargo run --release -p pdmsf-bench --bin experiments -- e0` records
+//! update throughput in `BENCH_update_time.json` next to a same-process
+//! Kruskal calibration, and `-- e0 gate` fails when the calibrated mixed-
+//! stream rate falls below 1/1.5 of the committed snapshot's.
 //!
 //! The parallel front-end [`core::ParDynamicMsf`] charges EREW PRAM costs
 //! for every kernel — the `γ`/MWR argmin tournaments and the entry-wise
