@@ -117,10 +117,6 @@ impl DynamicMsf for RecomputeMsf {
         }
         uf.same(u.index(), v.index())
     }
-
-    fn name(&self) -> &'static str {
-        "recompute-kruskal"
-    }
 }
 
 /// Baseline that maintains the forest in a link-cut tree and answers
@@ -255,10 +251,6 @@ impl DynamicMsf for NaiveDynamicMsf {
 
     fn connected(&mut self, u: VertexId, v: VertexId) -> bool {
         self.forest.connected(u, v)
-    }
-
-    fn name(&self) -> &'static str {
-        "naive-linear-scan"
     }
 }
 

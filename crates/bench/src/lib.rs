@@ -13,7 +13,8 @@
 pub mod paper;
 pub mod serve;
 
-use pdmsf_core::{ParDynamicMsf, SeqDynamicMsf};
+use pdmsf_core::seq::default_parallel_k;
+use pdmsf_core::{CostModel, SeqDynamicMsf};
 use pdmsf_engine::{Engine, Op};
 use pdmsf_graph::{
     kruskal_msf, BatchKind, BatchOp, BatchStream, BatchStreamSpec, DynGraph, DynamicMsf, EdgeId,
@@ -504,32 +505,6 @@ pub fn kruskal_ns(graph: &DynGraph, runs: usize) -> f64 {
     times[times.len() / 2]
 }
 
-/// A structure whose cost meter reports each update's cost.
-pub(crate) trait Metered: DynamicMsf {
-    /// Cost of the most recent update.
-    fn last_op_cost(&self) -> CostReport;
-    /// The chunk parameter `K` in use.
-    fn chunk_parameter(&self) -> usize;
-}
-
-impl Metered for SeqDynamicMsf {
-    fn last_op_cost(&self) -> CostReport {
-        SeqDynamicMsf::last_op_cost(self)
-    }
-    fn chunk_parameter(&self) -> usize {
-        SeqDynamicMsf::chunk_parameter(self)
-    }
-}
-
-impl Metered for ParDynamicMsf {
-    fn last_op_cost(&self) -> CostReport {
-        ParDynamicMsf::last_op_cost(self)
-    }
-    fn chunk_parameter(&self) -> usize {
-        ParDynamicMsf::chunk_parameter(self)
-    }
-}
-
 /// Per-update costs of one stream, read from the meter after each update;
 /// the base-graph build is not counted.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -553,8 +528,8 @@ pub struct CostProfile {
 
 /// Drive `structure` through the updates of `stream` and summarize their
 /// metered costs. Also returns the updates' wall clock.
-pub(crate) fn cost_profile<M: Metered>(
-    mut structure: M,
+pub(crate) fn cost_profile(
+    mut structure: SeqDynamicMsf,
     stream: &UpdateStream,
 ) -> (CostProfile, Duration) {
     let (mut worst, mut total) = (CostReport::default(), CostReport::default());
@@ -583,17 +558,23 @@ pub(crate) fn cost_profile<M: Metered>(
     (profile, elapsed)
 }
 
-/// The PRAM cost profile of the parallel structure (EREW accounting at the
-/// paper's `K = sqrt n`) over a standard mixed stream.
+/// The structure of Theorem 3.1: EREW accounting at the paper's
+/// `K = sqrt n`.
+pub(crate) fn erew_msf(n: usize) -> SeqDynamicMsf {
+    SeqDynamicMsf::with_parameters(n, default_parallel_k(n), CostModel::Erew)
+}
+
+/// The per-update PRAM cost profile of the structure of Theorem 3.1 over a
+/// standard mixed stream.
 pub fn pram_profile(n: usize, ops: usize, seed: u64) -> CostProfile {
-    cost_profile(ParDynamicMsf::new(n), &mixed_stream(n, 2 * n, ops, seed)).0
+    cost_profile(erew_msf(n), &mixed_stream(n, 2 * n, ops, seed)).0
 }
 
 /// Per-update mean wall-clock of the sequential structure with an explicit
 /// chunk parameter (used by the `K` ablation).
 pub fn seq_mean_update_time(n: usize, k: usize, ops: usize, seed: u64) -> Duration {
     let stream = mixed_stream(n, 2 * n, ops, seed);
-    let mut msf = SeqDynamicMsf::with_chunk_parameter(n, k);
+    let mut msf = SeqDynamicMsf::with_parameters(n, k, CostModel::Sequential);
     let (elapsed, updates) = drive_updates_only(&mut msf, &stream);
     if updates == 0 {
         Duration::ZERO

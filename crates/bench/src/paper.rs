@@ -24,13 +24,13 @@
 //! are reported, not checked.
 
 use crate::{
-    cost_profile, drive_updates_only, failure_stream, kruskal_ns, mixed_stream, pram_profile,
-    seq_mean_update_time, RunMeta,
+    cost_profile, drive_updates_only, erew_msf, failure_stream, kruskal_ns, mixed_stream,
+    pram_profile, seq_mean_update_time, RunMeta,
 };
 use pdmsf_baselines::NaiveDynamicMsf;
-use pdmsf_core::{seq::default_sequential_k, ParDynamicMsf, SeqDynamicMsf, SparsifiedMsf};
+use pdmsf_core::{seq::default_sequential_k, SeqDynamicMsf, SparsifiedMsf};
 use pdmsf_graph::UpdateStream;
-use pdmsf_pram::{erew_tournament_min, par_min_index, AccessLog, CostMeter};
+use pdmsf_pram::{erew_tournament_min, AccessLog, CostMeter};
 use std::time::Duration;
 
 /// Seed of the mixed streams the fitted series run on.
@@ -225,7 +225,7 @@ fn erew_section() -> Section {
         let mut log = AccessLog::new();
         let winner = erew_tournament_min(&xs, &mut meter, Some(&mut log))
             .expect("a non-empty input has a minimum");
-        assert_eq!(Some(winner), par_min_index(&xs, &mut CostMeter::new()));
+        assert_eq!(Some(winner), (0..xs.len()).min_by_key(|&i| xs[i]));
         let total = meter.total();
         let exclusive = if log.is_exclusive() { 1.0 } else { 0.0 };
         let accesses = log.num_accesses() as f64;
@@ -245,9 +245,9 @@ fn scaling_sections(sizes: &[usize], ops: usize) -> (Section, Section, Vec<Fit>)
     let mut sequential = Section::new("sequential", sequential_columns);
     let mut series: [Vec<(f64, f64)>; 5] = Default::default();
     for &n in sizes {
-        // The fit inputs: the parallel structure's EREW costs at
-        // `K = sqrt n` and the sequential one's at `K = sqrt(n log n)`,
-        // over the same stream.
+        // The fit inputs: the structure's EREW costs at `K = sqrt n` and
+        // its sequential costs at `K = sqrt(n log n)`, over the same
+        // stream.
         let stream = mixed_stream(n, 2 * n, ops, SEED);
         let par = pram_profile(n, ops, SEED);
         let (seq, elapsed) = cost_profile(SeqDynamicMsf::new(n), &stream);
@@ -309,7 +309,7 @@ fn mwr_section(sizes: &[usize]) -> Section {
     for &n in sizes {
         let stream = failure_stream(n, 2 * n, 51);
         let (t_seq, o_seq) = drive_updates_only(&mut SeqDynamicMsf::new(n), &stream);
-        let (par, _) = cost_profile(ParDynamicMsf::new(n), &stream);
+        let (par, _) = cost_profile(erew_msf(n), &stream);
         let (seq_us, naive_us) = (micros(t_seq, o_seq), naive_update_us(&stream));
         let row = vec![n as f64, seq_us, naive_us, par.worst.depth as f64];
         section.rows.push(row);

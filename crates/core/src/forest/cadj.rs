@@ -21,9 +21,8 @@
 //! recycled through the bank's free list, so the frequent short-list slot
 //! transitions never allocate.
 
-use super::{ChunkedEulerForest, NONE};
+use super::{log_depth, ChunkedEulerForest, NONE};
 use pdmsf_graph::WKey;
-use pdmsf_pram::kernels::log2_ceil;
 
 impl ChunkedEulerForest {
     /// Allocate a chunk id, growing the id space (and the row bank's stride)
@@ -159,7 +158,7 @@ impl ChunkedEulerForest {
             (self.chunks.occs[c as usize].len() + self.chunks.occs[c2 as usize].len()) as u64;
         self.charge(
             scanned + occs + cross + cap as u64,
-            log2_ceil((scanned as usize).max(2)) + 1,
+            log_depth(scanned as usize),
             (scanned + cross).max(1),
         );
         // Own-list path refresh for both changed rows, then targeted entry
@@ -255,7 +254,7 @@ impl ChunkedEulerForest {
         let occs = self.chunks.occs[c as usize].len() as u64;
         self.charge(
             scanned + occs + cross + cap as u64,
-            log2_ceil((scanned as usize).max(2)) + 1,
+            log_depth(scanned as usize),
             (scanned + cross).max(1),
         );
         // Path refresh in c's own list (first half of UpdateAdj) …
@@ -295,11 +294,7 @@ impl ChunkedEulerForest {
         for &root in dirty.iter() {
             visited += self.refresh_entry_subtree(root, s);
         }
-        self.charge(
-            visited.max(1),
-            log2_ceil((visited as usize).max(2)) + 1,
-            visited.max(1),
-        );
+        self.charge(visited.max(1), log_depth(visited as usize), visited.max(1));
     }
 
     /// Bottom-up recomputation of entry `s` in the subtree rooted at `c`,
@@ -379,11 +374,7 @@ impl ChunkedEulerForest {
             visited += self.refresh_entry_subtree(root, s1);
             visited += self.refresh_entry_subtree(root, s2);
         }
-        self.charge(
-            visited.max(1),
-            log2_ceil((visited as usize).max(2)) + 1,
-            visited.max(1),
-        );
+        self.charge(visited.max(1), log_depth(visited as usize), visited.max(1));
     }
 
     /// Leaf-to-root walk refreshing two entries at once (one traversal, two
@@ -421,11 +412,7 @@ impl ChunkedEulerForest {
             }
             node = parent;
         }
-        self.charge(
-            steps.max(1),
-            log2_ceil((steps as usize).max(2)) + 1,
-            steps.max(1),
-        );
+        self.charge(steps.max(1), log_depth(steps as usize), steps.max(1));
     }
 
     /// Recompute entry `s` of the aggregates on the leaf-to-root path of
@@ -462,11 +449,7 @@ impl ChunkedEulerForest {
             node = parent;
         }
         // One processor per level in the per-entry tree S_j (Lemma 3.2).
-        self.charge(
-            steps.max(1),
-            log2_ceil((steps as usize).max(2)) + 1,
-            steps.max(1),
-        );
+        self.charge(steps.max(1), log_depth(steps as usize), steps.max(1));
     }
 
     /// Cheap path for a *single* new edge between two id-bearing chunks
@@ -518,29 +501,9 @@ impl ChunkedEulerForest {
             self.charge(1, 1, 1);
             return;
         }
-        let mut best = WKey::PLUS_INF;
-        let mut scanned = 0u64;
-        for &o in &self.chunks.occs[c1 as usize] {
-            if !self.chunks.occ_principal(o) {
-                continue;
-            }
-            let v = self.chunks.occ_vert(o);
-            let adj = &self.adj[v.index()];
-            scanned += adj.len() as u64;
-            for &a in adj {
-                let (k, other) = (a.key(), a.other);
-                if k < best && self.vertex_chunk[other.index()] == c2 {
-                    best = k;
-                }
-            }
-        }
+        let best = self.scan_adjacent_min(c1, 2, |f, other| f.vertex_chunk[other.index()] == c2);
         self.rows.base_mut(self.chunks.row[c1 as usize])[s2 as usize] = best;
         self.rows.base_mut(self.chunks.row[c2 as usize])[s1 as usize] = best;
-        self.charge(
-            scanned + 2,
-            log2_ceil((scanned as usize).max(2)) + 1,
-            scanned.max(1),
-        );
         self.refresh_entry_path(c1, s2);
         if c2 != c1 {
             self.refresh_entry_path(c2, s1);

@@ -14,7 +14,8 @@
 //! * per-chunk **CAdj rows** (minimum-weight edge between chunk pairs) and
 //!   **Memb** information, aggregated per list by a balanced **list sum data
 //!   structure** (here a splay-based sequence tree over the chunks — an
-//!   amortised stand-in for the paper's 2-3 tree, see DESIGN.md),
+//!   amortised stand-in for the paper's 2-3 tree; PAPER.md lists the
+//!   substitutions),
 //! * the **surgical operations** (split / join / reroot of tours) that edge
 //!   insertions and deletions reduce to, and
 //! * the **minimum-weight-replacement (MWR) search** of Lemma 2.4 / 3.3.
@@ -27,9 +28,11 @@
 //! Cost accounting: every non-trivial primitive charges its cost to an
 //! embedded [`CostMeter`], either as sequential work (Theorem 1.2 accounting)
 //! or as EREW PRAM rounds (Theorem 3.1 accounting) depending on the
-//! configured [`CostModel`]. The two front-ends `seq::SeqDynamicMsf` and
-//! `par::ParDynamicMsf` differ only in the chunk parameter `K` and in this
-//! cost model.
+//! configured [`CostModel`]. Costs are charged by formula next to the code
+//! they cost: logarithmic depths come from one function, `log_depth`, and
+//! the three minimum scans over a chunk's adjacency (short-list MWR, `γ`
+//! witness, pair rescan) compute and charge in one call,
+//! `scan_adjacent_min`.
 
 mod arena;
 mod cadj;
@@ -44,6 +47,7 @@ mod tests;
 
 use pdmsf_graph::arena::{edges_where, sorted_ids_where, EdgeSlotMap};
 use pdmsf_graph::{Edge, EdgeId, VertexId, WKey, Weight};
+use pdmsf_pram::kernels::log2_ceil;
 use pdmsf_pram::CostMeter;
 
 pub(crate) use arena::{ChunkArena, RowBank};
@@ -107,6 +111,13 @@ pub enum CostModel {
     /// EREW PRAM accounting (Theorem 3.1): scans become tournament trees /
     /// parallel sweeps of logarithmic depth using one processor per element.
     Erew,
+}
+
+/// Parallel depth of a tournament tree over `n` items, or of a walk up a
+/// balanced tree with `n` nodes: `⌈log₂ max(n, 2)⌉ + 1` rounds.
+#[inline]
+pub(crate) fn log_depth(n: usize) -> u64 {
+    log2_ceil(n.max(2)) + 1
 }
 
 /// Aggregate statistics used by tests and the benchmark harness.
@@ -175,7 +186,7 @@ pub struct ChunkedEulerForest {
 
 impl ChunkedEulerForest {
     /// A forest over `n` isolated vertices with chunk parameter `k` and the
-    /// given cost model, executing kernels on the calling thread.
+    /// given cost model; every primitive runs on the calling thread.
     pub fn new(n: usize, k: usize, model: CostModel) -> Self {
         let mut forest = ChunkedEulerForest {
             k: k.max(2),
@@ -303,6 +314,35 @@ impl ChunkedEulerForest {
                     .round(par_procs.max(1), par_depth.max(1), seq_work.max(1))
             }
         }
+    }
+
+    /// The minimum key among the edges adjacent to chunk `c`'s principal
+    /// copies whose far endpoint passes `accept` (`∞` if none), charged as
+    /// the tournament-tree scan of Lemma 3.1: `scanned + extra_work` work,
+    /// [`log_depth`]`(scanned)` depth, one processor per scanned edge.
+    pub(crate) fn scan_adjacent_min(
+        &mut self,
+        c: u32,
+        extra_work: u64,
+        accept: impl Fn(&Self, VertexId) -> bool,
+    ) -> WKey {
+        let mut best = WKey::PLUS_INF;
+        let mut scanned = 0u64;
+        for &o in &self.chunks.occs[c as usize] {
+            if !self.chunks.occ_principal(o) {
+                continue;
+            }
+            let adj = &self.adj[self.chunks.occ_vert(o).index()];
+            scanned += adj.len() as u64;
+            for &a in adj {
+                let key = a.key();
+                if key < best && accept(self, a.other) {
+                    best = key;
+                }
+            }
+        }
+        self.charge(scanned + extra_work, log_depth(scanned as usize), scanned);
+        best
     }
 
     /// Degree of a vertex in the maintained graph.

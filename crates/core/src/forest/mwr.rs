@@ -12,12 +12,12 @@
 //!   is scanned directly in `O(K)` time (`O(log K)` parallel depth with a
 //!   tournament tree).
 //!
-//! Both scans keep a running minimum over the inline adjacency keys (keys
-//! are unique, so it is the argmin) and look up the winning edge by id.
+//! Both scans are [`ChunkedEulerForest::scan_adjacent_min`]: a running
+//! minimum over the inline adjacency keys (keys are unique, so it is the
+//! argmin); the winning edge is looked up by id.
 
-use super::{ChunkedEulerForest, NONE};
+use super::{log_depth, ChunkedEulerForest, NONE};
 use pdmsf_graph::{Edge, WKey};
-use pdmsf_pram::kernels::log2_ceil;
 
 #[cfg(test)]
 thread_local! {
@@ -59,27 +59,9 @@ impl ChunkedEulerForest {
     /// incident to its principal copies and keep the lightest one whose other
     /// endpoint lies in the list rooted at `other_root`.
     fn scan_short_list(&mut self, short_root: u32, other_root: u32) -> Option<Edge> {
-        let mut best = WKey::PLUS_INF;
-        let mut scanned = 0u64;
-        for &o in &self.chunks.occs[short_root as usize] {
-            if !self.chunks.occ_principal(o) {
-                continue;
-            }
-            let v = self.chunks.occ_vert(o);
-            let adj = &self.adj[v.index()];
-            scanned += adj.len() as u64;
-            for &a in adj {
-                let (key, other) = (a.key(), a.other);
-                if key < best && self.tree_root(self.vertex_chunk[other.index()]) == other_root {
-                    best = key;
-                }
-            }
-        }
-        self.charge(
-            scanned + 1,
-            log2_ceil((scanned as usize).max(2)) + 1,
-            scanned.max(1),
-        );
+        let best = self.scan_adjacent_min(short_root, 1, |f, other| {
+            f.tree_root(f.vertex_chunk[other.index()]) == other_root
+        });
         self.edge_of_key(best)
     }
 
@@ -116,38 +98,17 @@ impl ChunkedEulerForest {
         };
         // Sequentially: O(J) to build and scan γ. EREW: O(1) rounds with O(J)
         // processors to build it, then a tournament tree of depth O(log J).
-        self.charge(cap as u64, log2_ceil(cap.max(2)) + 1, cap as u64);
+        self.charge(cap as u64, log_depth(cap), cap as u64);
         let (expected_key, slot) = best_slot?;
 
         // Scan the O(K) edges adjacent to the winning chunk, verifying the
         // other endpoint against the membership of `root_a`.
         let chunk = self.slot_owner[slot];
         debug_assert_ne!(chunk, NONE);
-        let mut best = WKey::PLUS_INF;
-        let mut scanned = 0u64;
-        let root_a_memb = self.rows.memb(self.chunks.row[root_a as usize]);
-        for &o in &self.chunks.occs[chunk as usize] {
-            if !self.chunks.occ_principal(o) {
-                continue;
-            }
-            let v = self.chunks.occ_vert(o);
-            let adj = &self.adj[v.index()];
-            scanned += adj.len() as u64;
-            for &a in adj {
-                let (key, other) = (a.key(), a.other);
-                if key < best {
-                    let so = self.chunks.slot[self.vertex_chunk[other.index()] as usize];
-                    if so != NONE && root_a_memb[so as usize] {
-                        best = key;
-                    }
-                }
-            }
-        }
-        self.charge(
-            scanned + 1,
-            log2_ceil((scanned as usize).max(2)) + 1,
-            scanned.max(1),
-        );
+        let best = self.scan_adjacent_min(chunk, 1, |f, other| {
+            let so = f.chunks.slot[f.vertex_chunk[other.index()] as usize];
+            so != NONE && f.rows.memb(f.chunks.row[root_a as usize])[so as usize]
+        });
         assert!(!best.is_inf(), "γ promised an edge between the two lists");
         debug_assert_eq!(
             best, expected_key,

@@ -26,7 +26,7 @@
 //! below touch four `u32` arrays and nothing else; aggregate vectors are
 //! dense [`super::RowBank`] slabs merged in place.
 
-use super::{ChunkedEulerForest, NONE};
+use super::{log_depth, ChunkedEulerForest, NONE};
 
 impl ChunkedEulerForest {
     /// Current chunk-id capacity (`J` upper bound); rows/aggregates are sized
@@ -200,7 +200,7 @@ impl ChunkedEulerForest {
         // with O(J) processors in the EREW model (per-entry trees S_j).
         self.charge(
             (rotations + 1) * cap.max(1),
-            pdmsf_pram::kernels::log2_ceil(self.slot_cap().max(2)) + 1,
+            log_depth(self.slot_cap()),
             cap.max(1),
         );
     }

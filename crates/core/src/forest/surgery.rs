@@ -10,9 +10,8 @@
 //! then reduces to `O(1)` list splits / joins plus `O(1)` occurrence
 //! insertions / deletions, exactly as Lemma 2.1 prescribes.
 
-use super::{ChunkedEulerForest, EdgeRec, NONE};
+use super::{log_depth, ChunkedEulerForest, EdgeRec, NONE};
 use pdmsf_graph::{Edge, VertexId};
-use pdmsf_pram::kernels::log2_ceil;
 
 impl ChunkedEulerForest {
     // ------------------------------------------------------------------
@@ -185,7 +184,7 @@ impl ChunkedEulerForest {
             .rechunk_occs(c2, 0, &mut self.vertex_chunk, |v| adj[v as usize].len());
         self.chunks.adj_count[c2 as usize] = moved_adj;
         self.chunks.adj_count[c as usize] -= moved_adj;
-        self.charge(len as u64, log2_ceil(len.max(2)) + 1, len as u64);
+        self.charge(len as u64, log_depth(len), len as u64);
         // After the split the list has at least two chunks, so both carry
         // ids; rebuild both rows in one batched pass.
         if self.chunks.slot[c as usize] == NONE {
@@ -223,7 +222,7 @@ impl ChunkedEulerForest {
         self.chunks.adj_count[c as usize] += moved_adj;
         self.charge(
             moved_len as u64 + 1,
-            log2_ceil(moved_len.max(2)) + 1,
+            log_depth(moved_len),
             moved_len as u64 + 1,
         );
         let merged_rows = if self.list_is_single_chunk_without(c, nxt) {

@@ -1,9 +1,9 @@
-//! Tests of the chunked Euler-tour forest, driven through the sequential and
-//! parallel front-ends and differentially checked against the Kruskal
-//! reference and the baseline structures.
+//! Tests of the chunked Euler-tour forest, driven through the structure
+//! front end under both cost models and differentially checked against the
+//! Kruskal reference and the baseline structures.
 
-use crate::par::ParDynamicMsf;
-use crate::seq::SeqDynamicMsf;
+use crate::forest::CostModel;
+use crate::seq::{default_parallel_k, SeqDynamicMsf};
 use crate::sparsify::SparsifiedMsf;
 use pdmsf_baselines::NaiveDynamicMsf;
 use pdmsf_graph::{
@@ -18,6 +18,16 @@ fn edge(id: u32, u: u32, v: u32, w: i64) -> Edge {
         v: VertexId(v),
         weight: Weight::new(w),
     }
+}
+
+/// A sequentially metered structure over `n` vertices at chunk parameter `k`.
+fn sequential(n: usize, k: usize) -> SeqDynamicMsf {
+    SeqDynamicMsf::with_parameters(n, k, CostModel::Sequential)
+}
+
+/// The EREW-metered structure of Theorem 3.1 at the paper's `K = ⌈√n⌉`.
+fn erew(n: usize) -> SeqDynamicMsf {
+    SeqDynamicMsf::with_parameters(n, default_parallel_k(n), CostModel::Erew)
 }
 
 /// Drive a structure through a stream, checking against Kruskal (and the
@@ -49,7 +59,7 @@ fn drive_checked<M: DynamicMsf>(
 
 #[test]
 fn small_hand_driven_sequence() {
-    let mut s = SeqDynamicMsf::with_chunk_parameter(6, 3);
+    let mut s = sequential(6, 3);
     assert_eq!(
         s.insert(edge(0, 0, 1, 4)),
         pdmsf_graph::MsfDelta::added(EdgeId(0))
@@ -87,7 +97,7 @@ fn small_hand_driven_sequence() {
 
 #[test]
 fn isolated_vertices_and_self_loops() {
-    let mut s = SeqDynamicMsf::with_chunk_parameter(3, 2);
+    let mut s = sequential(3, 2);
     assert_eq!(s.insert(edge(0, 1, 1, 5)), pdmsf_graph::MsfDelta::NONE);
     s.validate();
     assert_eq!(s.delete(EdgeId(0)), pdmsf_graph::MsfDelta::NONE);
@@ -114,7 +124,7 @@ fn seq_matches_kruskal_small_chunks_mixed_stream() {
             },
             seed: seed + 100,
         });
-        let mut s = SeqDynamicMsf::with_chunk_parameter(n, k);
+        let mut s = sequential(n, k);
         drive_checked(&mut s, &stream, |m| m.validate());
     }
 }
@@ -152,7 +162,7 @@ fn seq_matches_kruskal_on_failure_stream() {
         kind: StreamKind::Failures,
         seed: 17,
     });
-    let mut s = SeqDynamicMsf::with_chunk_parameter(36, 4);
+    let mut s = sequential(36, 4);
     drive_checked(&mut s, &stream, |m| m.validate());
 }
 
@@ -165,7 +175,7 @@ fn seq_matches_kruskal_sliding_window() {
         kind: StreamKind::SlidingWindow { window: 60 },
         seed: 23,
     });
-    let mut s = SeqDynamicMsf::with_chunk_parameter(n, 5);
+    let mut s = sequential(n, 5);
     drive_checked(&mut s, &stream, |m| m.validate());
 }
 
@@ -184,7 +194,7 @@ fn par_produces_identical_forests_and_logarithmic_depth() {
         },
         seed: 31,
     });
-    let mut par = ParDynamicMsf::new(n);
+    let mut par = erew(n);
     let mut seq = SeqDynamicMsf::new(n);
     stream.replay_with(|mirror, op| {
         match op {
@@ -236,7 +246,7 @@ fn chunk_parameter_extremes_still_correct() {
             },
             seed: 41,
         });
-        let mut s = SeqDynamicMsf::with_chunk_parameter(24, k);
+        let mut s = sequential(24, k);
         drive_checked(&mut s, &stream, |m| m.validate());
     }
 }
@@ -252,7 +262,7 @@ fn seq_agrees_with_naive_baseline_including_deltas() {
         },
         seed: 47,
     });
-    let mut a = SeqDynamicMsf::with_chunk_parameter(n, 4);
+    let mut a = sequential(n, 4);
     let mut b = NaiveDynamicMsf::new(n);
     stream.replay_with(|_, op| match op {
         None => {}
@@ -295,8 +305,7 @@ fn sparsified_seq_matches_kruskal_on_dense_graph() {
         },
         seed: 59,
     });
-    let mut s =
-        SparsifiedMsf::new_with_capacity(n, 8 * n, |nv| SeqDynamicMsf::with_chunk_parameter(nv, 4));
+    let mut s = SparsifiedMsf::new_with_capacity(n, 8 * n, |nv| sequential(nv, 4));
     assert!(s.num_levels() >= 3);
     drive_checked(&mut s, &stream, |_| ());
 }
@@ -316,7 +325,7 @@ fn forest_stats_report_invariant_one() {
         },
         seed: 67,
     });
-    let mut s = SeqDynamicMsf::with_chunk_parameter(n, 6);
+    let mut s = sequential(n, 6);
     drive_checked(&mut s, &stream, |_| ());
     let stats = s.forest_stats();
     assert!(stats.chunks >= 1);
@@ -347,7 +356,7 @@ fn deleting_a_non_minimum_edge_keeps_the_pair_entry_in_o1() {
     // id), plus three parallel non-tree edges between two far-apart
     // vertices, whose chunks end up holding them as one CAdj pair entry.
     let (n, k) = (24u32, 4usize);
-    let mut s = SeqDynamicMsf::with_chunk_parameter(n as usize, k);
+    let mut s = sequential(n as usize, k);
     for i in 0..n - 1 {
         s.insert(edge(i, i, i + 1, 1 + i as i64));
     }
@@ -593,7 +602,7 @@ mod soa_vs_aos {
     /// Apply `ops` to a fresh `n`-vertex structure at chunk parameter `k`,
     /// calling `check` after every op.
     fn run_ops(n: usize, k: usize, ops: &[Op], mut check: impl FnMut(&SeqDynamicMsf)) {
-        let mut s = SeqDynamicMsf::with_chunk_parameter(n, k);
+        let mut s = super::sequential(n, k);
         let mut live: Vec<Edge> = Vec::new();
         let mut next_id = 0u32;
         for op in ops {
@@ -649,7 +658,7 @@ mod soa_vs_aos {
 
 #[test]
 fn meter_accumulates_costs_per_operation() {
-    let mut s = ParDynamicMsf::new(16);
+    let mut s = erew(16);
     s.insert(edge(0, 0, 1, 5));
     let c0 = s.last_op_cost();
     assert!(c0.work > 0 && c0.depth > 0);
@@ -658,4 +667,52 @@ fn meter_accumulates_costs_per_operation() {
     s.delete(EdgeId(1));
     assert_eq!(s.meter().num_ops(), 4);
     assert!(s.meter().total().work >= s.meter().worst_op().work);
+}
+
+/// The exact charges of one fixed mixed stream (n = 256, m = 512, 400
+/// updates) at the chunk parameters and cost models the structure runs
+/// with: `⌈√n⌉` and `⌈√(n log₂ n)⌉` under EREW accounting (the paper's
+/// Theorem 3.1 tables and the serving engines), `⌈√(n log₂ n)⌉`
+/// sequentially (Theorem 1.2), and `K = 4`, which maximises chunk churn.
+/// Summed depth and work and the peak processor count cover the base build
+/// and every update, so a change to any charge formula moves a number here.
+#[test]
+fn meter_charges_are_pinned() {
+    use crate::forest::CostModel;
+    use crate::seq::default_sequential_k;
+    let n = 256;
+    let stream = UpdateStream::generate(&UpdateStreamSpec {
+        base: GraphSpec::RandomSparse {
+            n,
+            m: 2 * n,
+            seed: 17,
+        },
+        ops: 400,
+        kind: StreamKind::Mixed {
+            insert_permille: 500,
+        },
+        seed: 19,
+    });
+    let sqrt_n = (n as f64).sqrt().ceil() as usize;
+    let served = default_sequential_k(n);
+    assert_eq!((sqrt_n, served), (16, 46));
+    let expected: [(usize, CostModel, [u64; 3]); 4] = [
+        (sqrt_n, CostModel::Erew, [180_706, 2_153_885, 121]),
+        (served, CostModel::Erew, [174_150, 1_151_065, 119]),
+        (served, CostModel::Sequential, [1_151_065, 1_151_065, 1]),
+        (4, CostModel::Sequential, [7_447_287, 7_447_287, 1]),
+    ];
+    for (k, model, [depth, work, peak]) in expected {
+        let searches = || crate::forest::mwr::GAMMA_SEARCHES.with(|c| c.get());
+        let before = searches();
+        let mut s = SeqDynamicMsf::with_parameters(n, k, model);
+        drive_checked(&mut s, &stream, |_| {});
+        let total = s.meter().total();
+        assert_eq!(
+            (total.depth, total.work, total.peak_processors),
+            (depth, work, peak),
+            "charges moved at K = {k}, {model:?}"
+        );
+        assert!(searches() > before, "no γ search ran at K = {k}, {model:?}");
+    }
 }

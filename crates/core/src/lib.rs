@@ -5,18 +5,20 @@
 //! connectivity vectors, a list-sum data structure (LSDS) and
 //! minimum-weight-replacement (MWR) search.
 //!
-//! * [`forest`] — the central data structure shared by the sequential and
-//!   parallel front-ends: Euler tours of the MSF trees stored as lists of
-//!   vertex occurrences, partitioned into chunks (Invariant 1), with
-//!   per-chunk `CAdj` rows, per-list aggregation trees and the surgical
-//!   operations of Lemma 2.1.
-//! * [`seq`] — [`seq::SeqDynamicMsf`], the sequential structure of Theorem
-//!   1.2 (`O(sqrt(n log n))` worst-case time per update with
-//!   `K = sqrt(n log n)`).
-//! * [`par`] — [`par::ParDynamicMsf`], the EREW PRAM structure of Theorem
-//!   3.1 / 1.1 (`K = sqrt n`, `O(log n)` parallel depth, `O(sqrt n)`
-//!   processors, `O(sqrt n log n)` work), executed through the cost-model
-//!   substrate of `pdmsf-pram`.
+//! * [`forest`] — the central data structure: Euler tours of the MSF trees
+//!   stored as lists of vertex occurrences, partitioned into chunks
+//!   (Invariant 1), with per-chunk `CAdj` rows, per-list aggregation trees
+//!   and the surgical operations of Lemma 2.1.
+//! * [`seq`] — [`seq::SeqDynamicMsf`], the one structure front end, built
+//!   from `(n, K, CostModel)`: the sequential structure of Theorem 1.2
+//!   (`O(sqrt(n log n))` worst-case time per update with
+//!   `K = sqrt(n log n)`) and, with [`CostModel::Erew`] at `K = sqrt n`, the
+//!   EREW PRAM structure of Theorem 3.1 / 1.1 (`O(log n)` parallel depth,
+//!   `O(sqrt n)` processors, `O(sqrt n log n)` work), metered with the
+//!   cost-model substrate of `pdmsf-pram`.
+//! * [`partition`] — [`partition::ComponentPartitionedMsf`], the serving
+//!   engines' structure: `P` component-containing partitions, each a
+//!   [`seq::SeqDynamicMsf`] with EREW accounting.
 //! * [`sparsify`] — the sparsification tree of Section 5 (Eppstein et al.),
 //!   generic over the per-level dynamic-MSF structure, which removes the
 //!   sparsity assumption (`m = O(n)`) without changing the asymptotic costs.
@@ -65,17 +67,17 @@
 //!   between public operations, and the meter still charges the model's
 //!   `O(J)` per touched node.
 //!
-//! Every kernel runs on the calling thread. The serving engines build
+//! Every primitive runs on the calling thread. The serving engines build
 //! their structures at the sequential `K = sqrt(n log n)`
 //! ([`seq::default_sequential_k`]), which keeps rows at about
 //! `2 sqrt(n / log n)` entries — below `pdmsf_pram::kernels::PAR_CUTOFF`
 //! until roughly 1.3M vertices per engine, so a pooled scan could not pay.
 //! Bank layouts are pinned by SoA-vs-AoS reference-walk proptests over the
-//! chunk, row **and occurrence** banks, and the seq/par/Kruskal lockstep
-//! proptest pins behaviour across chunk parameters and cost models.
+//! chunk, row **and occurrence** banks, the seq/par/Kruskal lockstep
+//! proptest pins behaviour across chunk parameters and cost models, and
+//! `meter_charges_are_pinned` pins the exact charges.
 
 pub mod forest;
-pub mod par;
 pub mod partition;
 pub mod seq;
 pub mod snapshot;
@@ -84,7 +86,6 @@ pub mod sparsify;
 pub use forest::{
     ChunkArenaImage, ChunkedEulerForest, CostModel, EdgeRec, ForestStats, RowBankImage,
 };
-pub use par::ParDynamicMsf;
 pub use partition::{ComponentPartitionedMsf, GroupUpdate, PartitionStats, UpdateGroup};
 pub use seq::SeqDynamicMsf;
 pub use snapshot::MsfImage;

@@ -2,16 +2,16 @@
 //! lets **disjoint groups of batch updates apply concurrently**.
 //!
 //! [`ComponentPartitionedMsf`] splits the vertex space across `P`
-//! independent [`ParDynamicMsf`] partitions plus a `home: Vec<u32>` map
-//! (vertex → partition). The structural invariant is *component
-//! containment*: every live edge has both endpoints in the same home
-//! partition, so a connected component — tree edges, non-tree edges, MWR
-//! candidate sets, Euler tours, LSDS rows — lives entirely inside one
+//! independent EREW-metered [`SeqDynamicMsf`] partitions plus a
+//! `home: Vec<u32>` map (vertex → partition). The structural invariant is
+//! *component containment*: every live edge has both endpoints in the same
+//! home partition, so a connected component — tree edges, non-tree edges,
+//! MWR candidate sets, Euler tours, LSDS rows — lives entirely inside one
 //! partition and never sees another partition's state.
 //!
 //! That containment is what makes intra-batch update parallelism safe: two
 //! updates whose endpoint partitions are disjoint touch disjoint
-//! `ParDynamicMsf` instances and disjoint `home` entries, so they can run
+//! `SeqDynamicMsf` instances and disjoint `home` entries, so they can run
 //! on different pool workers with no synchronization at all. The batch
 //! engine colors a planned batch's surviving updates into groups whose
 //! partition sets are disjoint ([`UpdateGroup`]) and calls
@@ -59,7 +59,8 @@
 //! function of structure state, fires identically under grouped and
 //! forced-serial execution.
 
-use crate::par::ParDynamicMsf;
+use crate::forest::CostModel;
+use crate::seq::SeqDynamicMsf;
 use pdmsf_graph::{DynamicMsf, Edge, EdgeId, MsfDelta, VertexId, WKey};
 use pdmsf_pram::pool::{self, SendPtr};
 use pdmsf_pram::{CostReport, ExecMode};
@@ -122,9 +123,9 @@ impl PartitionStats {
 
 /// Dynamic MSF over `P` component-containing partitions; see the module
 /// docs. Observable behaviour ([`DynamicMsf`]) is identical to a single
-/// [`ParDynamicMsf`] over the same update sequence.
+/// [`SeqDynamicMsf`] over the same update sequence.
 pub struct ComponentPartitionedMsf {
-    parts: Vec<ParDynamicMsf>,
+    parts: Vec<SeqDynamicMsf>,
     /// `home[v]` = the partition whose component structure owns vertex `v`.
     /// A vertex exists in *every* partition but is isolated (degree 0) in
     /// all but its home.
@@ -145,14 +146,14 @@ pub const REBALANCE_MIN_OCCUPANCY: u64 = 64;
 
 impl ComponentPartitionedMsf {
     /// A structure over `n` isolated vertices split into `num_parts`
-    /// partitions, each with chunk parameter `k` (the engine serves at
-    /// `K = sqrt(n log n)`). Initial homes are contiguous vertex blocks
-    /// (`v * P / n`), which aligns with the block-clustered workload
-    /// generators.
+    /// partitions, each with chunk parameter `k` and EREW accounting (the
+    /// engine serves at `K = sqrt(n log n)`). Initial homes are contiguous
+    /// vertex blocks (`v * P / n`), which aligns with the block-clustered
+    /// workload generators.
     pub fn with_chunk_parameter(n: usize, num_parts: usize, k: usize) -> Self {
         let p = num_parts.clamp(1, n.max(1));
         let parts = (0..p)
-            .map(|_| ParDynamicMsf::with_chunk_parameter(n, k))
+            .map(|_| SeqDynamicMsf::with_parameters(n, k, CostModel::Erew))
             .collect();
         let home = (0..n)
             .map(|v| ((v * p / n.max(1)) as u32).min(p as u32 - 1))
@@ -174,7 +175,7 @@ impl ComponentPartitionedMsf {
     /// partition, and every vertex with edges in a partition is homed there
     /// (component containment) — never a panic.
     pub fn from_parts(
-        parts: Vec<ParDynamicMsf>,
+        parts: Vec<SeqDynamicMsf>,
         home: Vec<u32>,
         rebalance_min: u64,
         stats: PartitionStats,
@@ -197,7 +198,7 @@ impl ComponentPartitionedMsf {
 
     /// The partitions, in partition-id order (checkpointing and
     /// diagnostics).
-    pub fn partitions(&self) -> &[ParDynamicMsf] {
+    pub fn partitions(&self) -> &[SeqDynamicMsf] {
         &self.parts
     }
 
@@ -213,22 +214,22 @@ impl ComponentPartitionedMsf {
 
     /// PRAM cost of the most recent update. Each partition meters its own
     /// updates, so with one partition this is exactly that structure's
-    /// [`ParDynamicMsf::last_op_cost`]. With more, it is the most recent
+    /// [`SeqDynamicMsf::last_op_cost`]. With more, it is the most recent
     /// update cost of the partition whose latest update was deepest (ties
     /// by work): an upper bound on the depth of any partition's latest
     /// update, not necessarily the cost of the batch's final update.
     pub fn last_op_cost(&self) -> CostReport {
         self.parts
             .iter()
-            .map(ParDynamicMsf::last_op_cost)
+            .map(SeqDynamicMsf::last_op_cost)
             .max_by_key(|c| (c.depth, c.work))
             .expect("at least one partition")
     }
 
-    /// The kernel execution mode: always [`ExecMode::Simulated`], as for
-    /// every partition.
+    /// The kernel execution mode: always [`ExecMode::Simulated`] (every
+    /// primitive runs on the calling thread).
     pub fn execution_mode(&self) -> ExecMode {
-        self.parts[0].execution_mode()
+        ExecMode::Simulated
     }
 
     /// The partition currently owning vertex `v`'s component.
@@ -504,10 +505,6 @@ impl DynamicMsf for ComponentPartitionedMsf {
         let (pu, pv) = (self.home[u.index()], self.home[v.index()]);
         pu == pv && self.parts[pu as usize].connected(u, v)
     }
-
-    fn name(&self) -> &'static str {
-        "kpr-component-partitioned"
-    }
 }
 
 /// The shape and containment checks shared by
@@ -517,7 +514,7 @@ impl DynamicMsf for ComponentPartitionedMsf {
 /// valid partitions, the last check is component containment: an edge's
 /// two endpoints both list it, so both are homed in the partition holding
 /// it. `O(P·n)`.
-fn check_parts(parts: &[ParDynamicMsf], home: &[u32]) -> Result<(), String> {
+fn check_parts(parts: &[SeqDynamicMsf], home: &[u32]) -> Result<(), String> {
     let first = parts
         .first()
         .ok_or("a partitioned structure needs at least one partition")?;
@@ -557,7 +554,7 @@ fn check_parts(parts: &[ParDynamicMsf], home: &[u32]) -> Result<(), String> {
 
 /// Live edges held by each partition, counted from scratch (each edge is
 /// listed once per endpoint).
-fn live_edge_counts(parts: &[ParDynamicMsf], n: usize) -> Vec<u64> {
+fn live_edge_counts(parts: &[SeqDynamicMsf], n: usize) -> Vec<u64> {
     parts
         .iter()
         .map(|part| {
@@ -577,7 +574,7 @@ fn live_edge_counts(parts: &[ParDynamicMsf], n: usize) -> Vec<u64> {
 /// through an accessor that debug-asserts ownership, so a conflict-coloring
 /// bug surfaces as an assertion in debug builds instead of a data race.
 struct PartView<'a> {
-    parts: *mut ParDynamicMsf,
+    parts: *mut SeqDynamicMsf,
     num_parts: usize,
     home: *mut u32,
     num_vertices: usize,
@@ -606,13 +603,13 @@ impl PartView<'_> {
     /// the proof obligation; `check_owned` is the debug-build witness).
     #[inline]
     #[allow(clippy::mut_from_ref)]
-    fn part(&self, p: u32) -> &mut ParDynamicMsf {
+    fn part(&self, p: u32) -> &mut SeqDynamicMsf {
         self.check_owned(p);
         unsafe { &mut *self.parts.add(p as usize) }
     }
 
     #[inline]
-    fn part_ref(&self, p: u32) -> &ParDynamicMsf {
+    fn part_ref(&self, p: u32) -> &SeqDynamicMsf {
         self.check_owned(p);
         unsafe { &*self.parts.add(p as usize) }
     }
@@ -727,7 +724,7 @@ impl Bfs {
 
     /// Expand one vertex; returns `true` when the component is fully
     /// enumerated (no vertex left to expand).
-    fn step(&mut self, part: &ParDynamicMsf) -> bool {
+    fn step(&mut self, part: &SeqDynamicMsf) -> bool {
         if self.head == self.verts.len() {
             return true;
         }
@@ -821,7 +818,7 @@ mod tests {
     fn cross_partition_links_migrate_and_match_reference() {
         let n = 24;
         let mut part = ComponentPartitionedMsf::with_chunk_parameter(n, 4, 5);
-        let mut reference = ParDynamicMsf::with_chunk_parameter(n, 5);
+        let mut reference = SeqDynamicMsf::with_parameters(n, 5, CostModel::Erew);
         let mut rng = Rng(0x1234_5678);
         let mut live: Vec<Edge> = Vec::new();
         let mut next_id = 0u32;

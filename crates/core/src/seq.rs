@@ -1,18 +1,36 @@
-//! The sequential dynamic MSF structure of Theorem 1.2.
+//! The dynamic MSF structure of Theorems 1.2 and 3.1.
 //!
 //! [`SeqDynamicMsf`] combines the chunked Euler-tour forest
 //! ([`crate::forest::ChunkedEulerForest`]) with a Sleator–Tarjan link-cut
 //! tree (for "heaviest edge on the `u`–`v` path" queries on insertions) and
-//! the usual forest bookkeeping. With the paper's chunk parameter
-//! `K = Θ(sqrt(n log n))` every update costs `O(J log J + K + log n) =
-//! O(sqrt(n log n))` worst-case time on sparse graphs. Tree-edge membership
-//! needs no map of its own — it is a field of the per-edge record.
+//! the usual forest bookkeeping. Tree-edge membership needs no map of its
+//! own — it is a field of the per-edge record.
+//!
+//! The paper runs this one structure at two chunk parameters and costs it
+//! two ways; [`SeqDynamicMsf::with_parameters`] picks both:
+//!
+//! * **Sequential** (Theorem 1.2, [`SeqDynamicMsf::new`]): with
+//!   `K = Θ(sqrt(n log n))` ([`default_sequential_k`]) every update costs
+//!   `O(J log J + K + log n) = O(sqrt(n log n))` worst-case time on sparse
+//!   graphs.
+//! * **EREW PRAM** (Theorem 3.1 / 1.1): with `K = sqrt n`
+//!   ([`default_parallel_k`]) and [`CostModel::Erew`], every primitive
+//!   Section 3 parallelises — tournament-tree row rebuilds (Lemma 3.1),
+//!   per-entry LSDS trees `S_j` (Lemma 3.2), the `γ`/MWR search (Lemma
+//!   3.3) — is charged with its parallel depth, processor count and work,
+//!   so the meter reports the `O(log n)` depth, `O(sqrt n)` processors and
+//!   `O(sqrt n log n)` work the theorem bounds.
+//!
+//! Every primitive runs on the calling thread, so the structure is
+//! bit-for-bit identical under both cost models at the same `K`; only the
+//! charged costs differ. The serving engines use EREW accounting at the
+//! sequential `K`: without `sqrt n` processors to run the `O(J)` row scans
+//! in `O(log J)` depth, the sequential trade-off is the faster one.
 
-use crate::forest::{ChunkedEulerForest, CostModel, ForestStats};
+use crate::forest::{log_depth, ChunkedEulerForest, CostModel, ForestStats};
 use crate::snapshot::MsfImage;
 use pdmsf_dyntree::LinkCutForest;
 use pdmsf_graph::{DynamicMsf, Edge, EdgeId, MsfDelta, VertexId, WKey};
-use pdmsf_pram::kernels::log2_ceil;
 use pdmsf_pram::{CostMeter, CostReport};
 
 /// The paper's default sequential chunk parameter `K = sqrt(n log n)`,
@@ -22,7 +40,13 @@ pub fn default_sequential_k(n: usize) -> usize {
     (n * n.log2()).sqrt().ceil() as usize
 }
 
-/// Sequential worst-case dynamic minimum spanning forest (Theorem 1.2).
+/// The paper's parallel chunk parameter `K = sqrt(n)`.
+pub fn default_parallel_k(n: usize) -> usize {
+    (n.max(2) as f64).sqrt().ceil() as usize
+}
+
+/// Worst-case deterministic dynamic minimum spanning forest (Theorems 1.2
+/// and 3.1; see the module docs).
 pub struct SeqDynamicMsf {
     forest: ChunkedEulerForest,
     lct: LinkCutForest,
@@ -38,14 +62,9 @@ impl SeqDynamicMsf {
         Self::with_parameters(n, default_sequential_k(n), CostModel::Sequential)
     }
 
-    /// A structure with an explicit chunk parameter (used by the `K`
-    /// ablation of the `paper` experiment).
-    pub fn with_chunk_parameter(n: usize, k: usize) -> Self {
-        Self::with_parameters(n, k, CostModel::Sequential)
-    }
-
-    /// Full control over chunk parameter and cost model (the parallel
-    /// front-end uses `CostModel::Erew`).
+    /// A structure over `n` isolated vertices with chunk parameter `k` and
+    /// cost model `model` (Theorem 3.1's tables use [`default_parallel_k`]
+    /// with [`CostModel::Erew`]).
     pub fn with_parameters(n: usize, k: usize, model: CostModel) -> Self {
         SeqDynamicMsf {
             forest: ChunkedEulerForest::new(n, k, model),
@@ -89,8 +108,7 @@ impl SeqDynamicMsf {
     }
 
     fn charge_lct(&mut self) {
-        let n = self.forest.num_vertices().max(2);
-        let d = log2_ceil(n) + 1;
+        let d = log_depth(self.forest.num_vertices());
         self.forest.charge(d, d, 1);
     }
 
@@ -111,24 +129,6 @@ impl SeqDynamicMsf {
         self.forest_weight -= e.weight.as_summable();
     }
 
-    /// Assemble a structure from restored parts (the checkpoint/restore
-    /// path in [`crate::snapshot`]).
-    pub(crate) fn from_restored_parts(
-        forest: ChunkedEulerForest,
-        lct: LinkCutForest,
-        num_tree_edges: usize,
-        forest_weight: i128,
-        last_op: CostReport,
-    ) -> Self {
-        SeqDynamicMsf {
-            forest,
-            lct,
-            num_tree_edges,
-            forest_weight,
-            last_op,
-        }
-    }
-
     /// Flatten the structure into its serializable [`MsfImage`] (bank dumps
     /// plus bookkeeping scalars; see [`crate::snapshot`] for what is
     /// rebuilt instead of stored).
@@ -136,11 +136,47 @@ impl SeqDynamicMsf {
         crate::snapshot::forest_to_image(&self.forest, self.num_tree_edges, self.forest_weight)
     }
 
-    /// Rebuild a structure from [`SeqDynamicMsf::to_image`], validating the
-    /// image and reconstructing the link-cut tree; future behaviour is
-    /// identical to the exported original.
+    /// Rebuild a structure from [`SeqDynamicMsf::to_image`]; future
+    /// behaviour is identical to the exported original. The link-cut tree
+    /// is rebuilt from the checkpointed tree edges in id order (forest
+    /// edges never cycle, and every link-cut answer is independent of
+    /// splay shape because `WKey`s are unique), and the bookkeeping scalars
+    /// are cross-validated against them.
     pub fn from_image(image: &MsfImage) -> Result<Self, String> {
-        crate::snapshot::seq_from_image(image)
+        let forest = crate::snapshot::forest_from_image(image)?;
+        let tree = forest.tree_edges();
+        if tree.len() as u64 != image.num_tree_edges {
+            return Err(format!(
+                "msf image claims {} tree edges but stores {}",
+                image.num_tree_edges,
+                tree.len()
+            ));
+        }
+        let mut lct = LinkCutForest::new(forest.num_vertices());
+        let mut weight = 0i128;
+        for e in &tree {
+            if lct.connected(e.u, e.v) {
+                return Err(format!(
+                    "msf image tree edges contain a cycle at {:?}",
+                    e.id
+                ));
+            }
+            lct.link(e.u, e.v, e.id, WKey::new(e.weight, e.id));
+            weight += e.weight.as_summable();
+        }
+        if weight != image.forest_weight {
+            return Err(format!(
+                "msf image claims forest weight {} but edges sum to {weight}",
+                image.forest_weight
+            ));
+        }
+        Ok(SeqDynamicMsf {
+            forest,
+            lct,
+            num_tree_edges: tree.len(),
+            forest_weight: weight,
+            last_op: CostReport::default(),
+        })
     }
 }
 
@@ -234,9 +270,5 @@ impl DynamicMsf for SeqDynamicMsf {
 
     fn connected(&mut self, u: VertexId, v: VertexId) -> bool {
         self.lct.connected(u, v)
-    }
-
-    fn name(&self) -> &'static str {
-        "kpr-sequential"
     }
 }

@@ -21,24 +21,22 @@
 //! * the **scratch buffers** restore empty — their contents never survive
 //!   an operation.
 //!
-//! Import validates structural consistency (lane lengths, offset
-//! monotonicity, free-list ↔ liveness agreement, tree-edge count and forest
-//! weight against the rebuilt LCT) and returns `Err` instead of a structure
-//! that would misbehave later.
+//! Import ([`crate::SeqDynamicMsf::from_image`]) validates structural
+//! consistency (lane lengths, offset monotonicity, free-list ↔ liveness
+//! agreement, tree-edge count and forest weight against the rebuilt LCT)
+//! and returns `Err` instead of a structure that would misbehave later.
 
 use crate::forest::{
     AdjEntry, ChunkArena, ChunkArenaImage, ChunkedEulerForest, CostModel, EdgeRec, RowBank,
     RowBankImage,
 };
-use crate::seq::SeqDynamicMsf;
-use pdmsf_dyntree::LinkCutForest;
-use pdmsf_graph::{Edge, EdgeId, EdgeSlotMap, VertexId, WKey, Weight};
-use pdmsf_pram::{CostMeter, CostReport};
+use pdmsf_graph::{Edge, EdgeId, EdgeSlotMap, VertexId, Weight};
+use pdmsf_pram::CostMeter;
 
 /// Sentinel shared with the forest module.
 use crate::forest::NONE;
 
-/// The flat image of a [`crate::SeqDynamicMsf`] / [`crate::ParDynamicMsf`]:
+/// The flat image of a [`crate::SeqDynamicMsf`]:
 /// scalar configuration, the slot-arena edge store as primitive lanes
 /// (vacant slots written as canonical zeros so identical states produce
 /// identical bytes), the dense per-vertex arrays, the chunk/occurrence and
@@ -128,7 +126,8 @@ fn unflatten(what: &str, offsets: &[u64], data: &[u32]) -> Result<Vec<Vec<u32>>,
     Ok(lists)
 }
 
-/// Dump a production forest plus the front-end scalars into an image.
+/// Dump a production forest plus the structure's bookkeeping scalars into
+/// an image.
 pub(crate) fn forest_to_image(
     forest: &ChunkedEulerForest,
     num_tree_edges: usize,
@@ -200,7 +199,7 @@ pub(crate) fn forest_to_image(
     }
 }
 
-/// Rebuild a production forest from an image (everything but the front-end
+/// Rebuild a production forest from an image (everything but the bookkeeping
 /// scalars, which the caller cross-validates).
 pub(crate) fn forest_from_image(image: &MsfImage) -> Result<ChunkedEulerForest, String> {
     let m = image.edge_ids.len();
@@ -355,51 +354,15 @@ fn adjacency_from_handles(
     Ok(adj)
 }
 
-/// Rebuild the seq front-end around an imported forest: reconstruct the
-/// link-cut tree from the checkpointed tree edges (id order; forest edges
-/// never cycle, and every LCT answer is splay-shape-independent because
-/// `WKey`s are unique) and cross-validate the bookkeeping scalars.
-pub(crate) fn seq_from_image(image: &MsfImage) -> Result<SeqDynamicMsf, String> {
-    let forest = forest_from_image(image)?;
-    let tree = forest.tree_edges();
-    if tree.len() as u64 != image.num_tree_edges {
-        return Err(format!(
-            "msf image claims {} tree edges but stores {}",
-            image.num_tree_edges,
-            tree.len()
-        ));
-    }
-    let mut lct = LinkCutForest::new(forest.num_vertices());
-    let mut weight = 0i128;
-    for e in &tree {
-        if lct.connected(e.u, e.v) {
-            return Err(format!(
-                "msf image tree edges contain a cycle at {:?}",
-                e.id
-            ));
-        }
-        lct.link(e.u, e.v, e.id, WKey::new(e.weight, e.id));
-        weight += e.weight.as_summable();
-    }
-    if weight != image.forest_weight {
-        return Err(format!(
-            "msf image claims forest weight {} but edges sum to {weight}",
-            image.forest_weight
-        ));
-    }
-    Ok(SeqDynamicMsf::from_restored_parts(
-        forest,
-        lct,
-        tree.len(),
-        weight,
-        CostReport::default(),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::{ParDynamicMsf, SeqDynamicMsf};
+    use crate::{CostModel, SeqDynamicMsf};
     use pdmsf_graph::{DynamicMsf, Edge, EdgeId, VertexId, Weight};
+
+    /// An EREW-metered structure over `n` vertices at chunk parameter `k`.
+    fn erew(n: usize, k: usize) -> SeqDynamicMsf {
+        SeqDynamicMsf::with_parameters(n, k, CostModel::Erew)
+    }
 
     fn e(id: u32, u: u32, v: u32, w: i64) -> Edge {
         Edge {
@@ -412,7 +375,7 @@ mod tests {
 
     #[test]
     fn msf_image_round_trips_and_future_behaviour_matches() {
-        let mut orig = SeqDynamicMsf::with_chunk_parameter(24, 3);
+        let mut orig = SeqDynamicMsf::with_parameters(24, 3, CostModel::Sequential);
         let mut next_id = 0u32;
         // A mixed history: ring + chords + deletions, enough to force chunk
         // splits/merges, slab churn and edge-slot recycling.
@@ -462,44 +425,44 @@ mod tests {
 
     #[test]
     fn msf_image_import_rejects_inconsistent_scalars() {
-        let mut m = ParDynamicMsf::with_chunk_parameter(8, 2);
+        let mut m = erew(8, 2);
         for i in 0..6u32 {
             m.insert(e(i, i, i + 1, i as i64));
         }
         let good = m.to_image();
-        assert!(ParDynamicMsf::from_image(&good).is_ok());
+        assert!(SeqDynamicMsf::from_image(&good).is_ok());
 
         let mut bad = good.clone();
         bad.num_tree_edges += 1;
-        assert!(ParDynamicMsf::from_image(&bad).is_err());
+        assert!(SeqDynamicMsf::from_image(&bad).is_err());
 
         let mut bad = good.clone();
         bad.forest_weight -= 1;
-        assert!(ParDynamicMsf::from_image(&bad).is_err());
+        assert!(SeqDynamicMsf::from_image(&bad).is_err());
 
         let mut bad = good.clone();
         bad.principal.pop();
-        assert!(ParDynamicMsf::from_image(&bad).is_err());
+        assert!(SeqDynamicMsf::from_image(&bad).is_err());
 
         let mut bad = good;
         bad.model = 9;
-        assert!(ParDynamicMsf::from_image(&bad).is_err());
+        assert!(SeqDynamicMsf::from_image(&bad).is_err());
     }
 
     #[test]
     fn msf_image_import_rejects_bad_adjacency() {
-        let mut m = ParDynamicMsf::with_chunk_parameter(8, 2);
+        let mut m = erew(8, 2);
         for i in 0..6u32 {
             m.insert(e(i, i, i + 1, i as i64));
         }
         m.insert(e(6, 3, 3, 1));
         let good = m.to_image();
-        assert!(ParDynamicMsf::from_image(&good).is_ok());
+        assert!(SeqDynamicMsf::from_image(&good).is_ok());
 
         // A handle past the edge store.
         let mut bad = good.clone();
         bad.adj_data[0] = good.edge_ids.len() as u32;
-        let err = ParDynamicMsf::from_image(&bad).err().expect("refused");
+        let err = SeqDynamicMsf::from_image(&bad).err().expect("refused");
         assert!(err.contains("adjacency"), "{err}");
 
         // A handle taken from another vertex's list: vertex 0's only edge
@@ -507,7 +470,7 @@ mod tests {
         let mut bad = good.clone();
         let v5_last = good.adj_offsets[6] as usize - 1;
         bad.adj_data[good.adj_offsets[0] as usize] = good.adj_data[v5_last];
-        let err = ParDynamicMsf::from_image(&bad).err().expect("refused");
+        let err = SeqDynamicMsf::from_image(&bad).err().expect("refused");
         assert!(err.contains("adjacency"), "{err}");
 
         // An edge listed twice at one endpoint and missing at the other:
@@ -515,7 +478,7 @@ mod tests {
         let mut bad = good.clone();
         let v1 = good.adj_offsets[1] as usize;
         bad.adj_data[v1] = good.adj_data[v1 + 1];
-        assert!(ParDynamicMsf::from_image(&bad).is_err());
+        assert!(SeqDynamicMsf::from_image(&bad).is_err());
 
         // A self-loop listed twice at its vertex.
         let mut bad = good;
@@ -525,14 +488,14 @@ mod tests {
             .expect("self-loop listed at vertex 3");
         let other = if loop_at == v3 { v3 + 1 } else { v3 };
         bad.adj_data[other] = bad.adj_data[loop_at];
-        assert!(ParDynamicMsf::from_image(&bad).is_err());
+        assert!(SeqDynamicMsf::from_image(&bad).is_err());
     }
 
     /// Images are written with exec mode 0; images written while engines
     /// fanned kernels out over the pool carry 1 and still import.
     #[test]
     fn msf_image_exec_mode_is_written_as_zero_and_legacy_one_imports() {
-        let mut m = ParDynamicMsf::with_chunk_parameter(8, 3);
+        let mut m = erew(8, 3);
         for i in 0..6u32 {
             m.insert(e(i, i, i + 1, 7 - i as i64));
         }
@@ -541,7 +504,7 @@ mod tests {
 
         let mut legacy = image.clone();
         legacy.exec = 1;
-        let mut restored = ParDynamicMsf::from_image(&legacy).expect("exec 1 imports");
+        let mut restored = SeqDynamicMsf::from_image(&legacy).expect("exec 1 imports");
         restored.validate();
         assert_eq!(restored.forest_edges(), m.forest_edges());
         assert_eq!(restored.chunk_parameter(), 3);
@@ -552,12 +515,12 @@ mod tests {
 
     #[test]
     fn msf_image_import_refuses_unknown_exec_modes() {
-        let mut m = ParDynamicMsf::with_chunk_parameter(4, 2);
+        let mut m = erew(4, 2);
         m.insert(e(0, 0, 1, 1));
         for exec in [2u8, 7, u8::MAX] {
             let mut bad = m.to_image();
             bad.exec = exec;
-            let err = ParDynamicMsf::from_image(&bad).err().expect("refused");
+            let err = SeqDynamicMsf::from_image(&bad).err().expect("refused");
             assert!(err.contains("exec mode"), "{err}");
         }
     }

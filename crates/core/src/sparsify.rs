@@ -8,17 +8,17 @@
 //! one leaf and propagates at most one insertion plus one deletion per level
 //! (this is exactly the [`MsfDelta`] the [`DynamicMsf`] trait reports), so
 //! the cost per update is `O(log(m/n))` instances of the inner structure's
-//! update cost — and, as in the paper's parallel sparsification, the
-//! per-level updates are independent and can run concurrently, which the
-//! depth accounting of the EREW front-end reflects.
+//! update cost. As in the paper's parallel sparsification, the per-level
+//! updates are independent and could run concurrently; this wrapper runs
+//! them in turn, and each inner structure meters only its own updates.
 //!
-//! Substitution note (documented in DESIGN.md): the paper builds the
-//! edge-partition tree over a recursive *vertex* partition, which yields
-//! geometrically shrinking local graphs. We use the classical edge-group
-//! variant of Eppstein et al.'s sparsification, which has the same interface,
-//! the same `O(1)` certificate-change-per-level property and the same
-//! qualitative behaviour for the density experiment (E6): the update cost
-//! depends on `n` and only logarithmically on `m`.
+//! Substitution note (listed in PAPER.md's reproduction notes): the paper
+//! builds the edge-partition tree over a recursive *vertex* partition,
+//! which yields geometrically shrinking local graphs. We use the classical
+//! edge-group variant of Eppstein et al.'s sparsification, which has the
+//! same interface, the same `O(1)` certificate-change-per-level property
+//! and the same qualitative behaviour for the `paper` experiment's density
+//! sweep: the update cost depends on `n` and only logarithmically on `m`.
 
 use pdmsf_graph::arena::EdgeSlotMap;
 use pdmsf_graph::{DynamicMsf, Edge, EdgeId, MsfDelta, VertexId};
@@ -278,9 +278,5 @@ impl<M: DynamicMsf> DynamicMsf for SparsifiedMsf<M> {
 
     fn connected(&mut self, u: VertexId, v: VertexId) -> bool {
         self.nodes[self.root].instance.connected(u, v)
-    }
-
-    fn name(&self) -> &'static str {
-        "sparsified"
     }
 }

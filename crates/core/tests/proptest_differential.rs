@@ -5,8 +5,8 @@
 //! throughout.
 
 use pdmsf_baselines::RecomputeMsf;
-use pdmsf_core::seq::default_sequential_k;
-use pdmsf_core::{ParDynamicMsf, SeqDynamicMsf, SparsifiedMsf};
+use pdmsf_core::seq::{default_parallel_k, default_sequential_k};
+use pdmsf_core::{CostModel, SeqDynamicMsf, SparsifiedMsf};
 use pdmsf_graph::{DegreeReduced, DynamicMsf, Edge, EdgeId, VertexId, Weight};
 use proptest::prelude::*;
 
@@ -16,6 +16,16 @@ use proptest::prelude::*;
 enum Op {
     Insert { u: u8, v: u8, w: u8 },
     DeleteNth(u8),
+}
+
+/// A sequentially metered structure over `n` vertices at chunk parameter `k`.
+fn sequential(n: usize, k: usize) -> SeqDynamicMsf {
+    SeqDynamicMsf::with_parameters(n, k, CostModel::Sequential)
+}
+
+/// An EREW-metered structure over `n` vertices at chunk parameter `k`.
+fn erew(n: usize, k: usize) -> SeqDynamicMsf {
+    SeqDynamicMsf::with_parameters(n, k, CostModel::Erew)
 }
 
 fn op_strategy(n: u8) -> impl Strategy<Value = Op> {
@@ -77,7 +87,7 @@ proptest! {
     /// arbitrary update sequences and never violates an internal invariant.
     #[test]
     fn seq_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(10), 1..120)) {
-        let structure = SeqDynamicMsf::with_chunk_parameter(10, 2);
+        let structure = sequential(10, 2);
         run_differential(10, &ops, structure, |s| s.validate());
     }
 
@@ -88,16 +98,16 @@ proptest! {
         run_differential(16, &ops, structure, |s| s.validate());
     }
 
-    /// The EREW-accounted parallel structure is exactly equivalent.
+    /// The EREW-accounted structure at `K = sqrt n` is exactly equivalent.
     #[test]
     fn par_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(12), 1..100)) {
-        let structure = ParDynamicMsf::new(12);
+        let structure = erew(12, default_parallel_k(12));
         run_differential(12, &ops, structure, |s| s.validate());
     }
 
     /// Four-way lockstep differential: identical randomized update streams
-    /// through the sequential structure, the parallel structure at the
-    /// paper's `K = sqrt n` **and** at the serving engines'
+    /// through the sequentially metered structure, the EREW-metered one at
+    /// the paper's `K = sqrt n` **and** at the serving engines'
     /// `K = sqrt(n log n)`, and the Kruskal-based recompute reference —
     /// asserting identical deltas, forests and MSF weight after every
     /// single operation.
@@ -107,8 +117,8 @@ proptest! {
     ) {
         let n = 14;
         let mut seq = SeqDynamicMsf::new(n);
-        let mut par_sim = ParDynamicMsf::new(n);
-        let mut par_served = ParDynamicMsf::with_chunk_parameter(n, default_sequential_k(n));
+        let mut par_sim = erew(n, default_parallel_k(n));
+        let mut par_served = erew(n, default_sequential_k(n));
         let mut oracle = RecomputeMsf::new(n);
         let mut live: Vec<Edge> = Vec::new();
         let mut next_id = 0u32;
@@ -152,14 +162,14 @@ proptest! {
     /// structure only ever sees degree <= 3).
     #[test]
     fn degree_reduced_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(8), 1..80)) {
-        let structure = DegreeReduced::new(8, SeqDynamicMsf::with_chunk_parameter(0, 3));
+        let structure = DegreeReduced::new(8, sequential(0, 3));
         run_differential(8, &ops, structure, |_| ());
     }
 
     /// The sparsification wrapper preserves exactness.
     #[test]
     fn sparsified_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(8), 1..80)) {
-        let structure = SparsifiedMsf::with_leaves(8, 4, |n| SeqDynamicMsf::with_chunk_parameter(n, 3));
+        let structure = SparsifiedMsf::with_leaves(8, 4, |n| sequential(n, 3));
         run_differential(8, &ops, structure, |_| ());
     }
 
@@ -167,7 +177,7 @@ proptest! {
     /// exceed work, and every update reports a non-zero cost.
     #[test]
     fn pram_costs_are_well_formed(ops in proptest::collection::vec(op_strategy(12), 1..60)) {
-        let mut structure = ParDynamicMsf::new(12);
+        let mut structure = erew(12, default_parallel_k(12));
         let mut live: Vec<Edge> = Vec::new();
         let mut next_id = 0u32;
         for op in &ops {

@@ -22,7 +22,7 @@
 //!
 //! Operations are amortised `O(log n)` (the paper quotes the worst-case
 //! variant of \[19\]; the amortised variant is the standard practical
-//! substitute and does not change any experiment's shape — see DESIGN.md).
+//! substitute — PAPER.md's reproduction notes list the substitutions).
 
 mod lct;
 

@@ -481,9 +481,9 @@ const _: () = {
 
 impl Engine {
     /// An engine over `n` isolated vertices with one partition, backed by
-    /// the EREW-metered parallel structure at the sequential chunk
-    /// parameter `K = sqrt(n log n)` ([`default_sequential_k`]). Every
-    /// kernel runs on the calling thread: on a machine without `sqrt n`
+    /// the EREW-metered structure at the sequential chunk parameter
+    /// `K = sqrt(n log n)` ([`default_sequential_k`]). Every primitive
+    /// runs on the calling thread: on a machine without `sqrt n`
     /// processors the paper's sequential trade-off is the faster one (about
     /// 1.5x per update at 32 768 vertices against `K = sqrt n`).
     pub fn new(n: usize) -> Engine {
@@ -1112,13 +1112,12 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdmsf_core::par::default_parallel_k;
-    use pdmsf_core::ParDynamicMsf;
+    use pdmsf_core::seq::default_parallel_k;
+    use pdmsf_core::SeqDynamicMsf;
     use pdmsf_graph::{VertexId, Weight};
 
     /// Engines serve at the paper's sequential `K = sqrt(n log n)`; the
-    /// bare parallel structure keeps the paper's `K = sqrt n`, so its
-    /// EREW depth/work tables stay the paper's.
+    /// EREW depth/work tables keep the paper's parallel `K = sqrt n`.
     #[test]
     fn engines_serve_at_the_sequential_chunk_parameter() {
         for n in [2usize, 100, 4096, 32_768] {
@@ -1127,13 +1126,9 @@ mod tests {
             assert_eq!(Engine::new(n).structure().num_partitions(), 1);
             let parts = Engine::with_partitions(n, 4, k);
             assert_eq!(parts.structure().chunk_parameter(), k);
-            assert_eq!(
-                ParDynamicMsf::new(n).chunk_parameter(),
-                default_parallel_k(n)
-            );
         }
         assert_eq!(Engine::new(32_768).structure().chunk_parameter(), 702);
-        assert_eq!(ParDynamicMsf::new(32_768).chunk_parameter(), 182);
+        assert_eq!(default_parallel_k(32_768), 182);
     }
 
     fn link(u: u32, v: u32, w: i64) -> Op {
@@ -1466,7 +1461,7 @@ mod tests {
         let mirror = engine.graph().to_image();
 
         let restore = |image: &pdmsf_core::MsfImage| {
-            let part = ParDynamicMsf::from_image(image).unwrap();
+            let part = SeqDynamicMsf::from_image(image).unwrap();
             let floor = engine.structure().rebalance_min();
             ComponentPartitionedMsf::from_parts(vec![part], vec![0; 6], floor, Default::default())
                 .unwrap()

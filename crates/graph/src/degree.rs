@@ -242,10 +242,6 @@ impl<M: DynamicMsf> DynamicMsf for DegreeReduced<M> {
         let cv = self.vertices[v.index()].copies[0];
         self.inner.connected(cu, cv)
     }
-
-    fn name(&self) -> &'static str {
-        "degree-reduced"
-    }
 }
 
 #[cfg(test)]

@@ -105,11 +105,6 @@ pub trait DynamicMsf {
     fn num_forest_edges(&self) -> usize {
         self.forest_edges().len()
     }
-
-    /// A short human-readable name used by the benchmark harness.
-    fn name(&self) -> &'static str {
-        "dynamic-msf"
-    }
 }
 
 /// Check a dynamic structure against the static Kruskal reference computed on

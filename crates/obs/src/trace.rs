@@ -15,9 +15,9 @@
 //! * **Off (default):** every emission site pays exactly one relaxed
 //!   atomic load plus a predictable branch. No clock read, no TLS access,
 //!   no ring write. The `obs_overhead` bench gates this path.
-//! * **On:** one clock read plus six relaxed atomic stores per event into
-//!   a pre-allocated ring slot. No locks, no allocation, no syscalls on
-//!   the emit path.
+//! * **On:** one clock read, one compare-exchange taking the slot and six
+//!   atomic stores per event into a pre-allocated ring slot. No locks, no
+//!   allocation, no syscalls on the emit path.
 //!
 //! ## TraceId propagation
 //!
@@ -49,7 +49,7 @@
 //! renders a compact indented text timeline for terminals and logs.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -196,9 +196,10 @@ pub struct TraceEvent {
 }
 
 /// One ring slot: the event fields as independent atomics plus a
-/// sequence word written last (release) and validated around reads, so
-/// a torn read across a ring lap is detected and discarded rather than
-/// surfacing as a frankenevent.
+/// sequence word — 0 while empty, [`BUSY`] while a writer owns the slot,
+/// otherwise the published event's sequence number — validated around
+/// reads, so a torn read across a ring lap is detected and discarded
+/// rather than surfacing as a frankenevent.
 struct Slot {
     seq: AtomicU64,
     ts: AtomicU64,
@@ -208,6 +209,9 @@ struct Slot {
     arg0: AtomicU64,
     arg1: AtomicU64,
 }
+
+/// [`Slot::seq`] while a writer owns the slot.
+const BUSY: u64 = u64::MAX;
 
 impl Slot {
     fn empty() -> Slot {
@@ -226,7 +230,8 @@ impl Slot {
 /// claim a slot with one `fetch_add` and overwrite the oldest event once
 /// the ring is full; readers snapshot without stopping writers (events
 /// overwritten mid-read are detected via the per-slot sequence word and
-/// skipped).
+/// skipped). A writer that finds its slot owned by another writer, or
+/// already holding a later event, drops its event instead of waiting.
 pub struct Ring {
     slots: Box<[Slot]>,
     /// Total events ever written; `head % capacity` is the next slot.
@@ -253,9 +258,9 @@ impl Ring {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Write one event. Lock-free: one `fetch_add` + six relaxed stores
-    /// (the sequence word pair is release-ordered so readers see whole
-    /// events or nothing).
+    /// Write one event. Lock-free: one `fetch_add`, one compare-exchange
+    /// that takes the slot, and six stores (fenced against the sequence
+    /// word so readers see whole events or nothing).
     #[allow(clippy::too_many_arguments)]
     pub fn emit(
         &self,
@@ -269,9 +274,30 @@ impl Ring {
     ) {
         let idx = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
-        // Invalidate first so a concurrent reader can never validate a
-        // half-written event against the *previous* occupant's seq.
-        slot.seq.store(0, Ordering::Release);
+        // Take the slot before touching its fields. A writer lapped on
+        // the same slot by a later one would otherwise interleave its
+        // stores with the later event after that event was published,
+        // which no reader could detect. Acquire on success pairs with the
+        // previous owner's release store of its sequence number, so that
+        // event's field stores come before ours.
+        let mut cur = slot.seq.load(Ordering::Relaxed);
+        loop {
+            if cur == BUSY || cur > idx + 1 {
+                return;
+            }
+            match slot
+                .seq
+                .compare_exchange_weak(cur, BUSY, Ordering::Acquire, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(now) => cur = now,
+            }
+        }
+        // Pairs with the acquire fence in `snapshot`: a reader that loads
+        // any field stored below then sees `BUSY`, or a later sequence
+        // word, when it re-checks `seq`. The release store of `idx + 1`
+        // pairs with the reader's acquire load of `s1`.
+        fence(Ordering::Release);
         slot.ts.store(ts_ns, Ordering::Relaxed);
         slot.meta.store(
             (tid << 16) | ((phase as u64) << 8) | kind as u64,
@@ -290,7 +316,7 @@ impl Ring {
         let mut out = Vec::with_capacity(self.slots.len());
         for slot in self.slots.iter() {
             let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 {
+            if s1 == 0 || s1 == BUSY {
                 continue;
             }
             let ts = slot.ts.load(Ordering::Relaxed);
@@ -298,7 +324,9 @@ impl Ring {
             let trace = slot.trace.load(Ordering::Relaxed);
             let arg0 = slot.arg0.load(Ordering::Relaxed);
             let arg1 = slot.arg1.load(Ordering::Relaxed);
-            let s2 = slot.seq.load(Ordering::Acquire);
+            // Pairs with the release fence in `emit` (see there).
+            fence(Ordering::Acquire);
+            let s2 = slot.seq.load(Ordering::Relaxed);
             if s1 != s2 {
                 continue; // overwritten mid-read
             }
@@ -860,10 +888,38 @@ mod tests {
     #[test]
     fn ring_concurrent_writers_never_yield_torn_events() {
         use std::sync::atomic::AtomicBool;
-        let ring = std::sync::Arc::new(Ring::new(64));
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        // arg1 is a deterministic function of (trace, arg0): any decoded
-        // event violating it is a torn read the seq check failed to catch.
+        use std::sync::{Arc, Barrier};
+        let ring = Arc::new(Ring::new(64));
+        let stop = Arc::new(AtomicBool::new(false));
+        // The writers start only once the reader runs, and the reader
+        // validates at least one event before it honours `stop` (the
+        // quiesced ring holds 64 valid events), so it always checks some.
+        let started = Arc::new(Barrier::new(2));
+        let reader = {
+            let ring = ring.clone();
+            let stop = stop.clone();
+            let started = started.clone();
+            std::thread::spawn(move || {
+                started.wait();
+                let mut validated = 0usize;
+                while !(stop.load(Ordering::Relaxed) && validated > 0) {
+                    // arg1 is a deterministic function of (trace, arg0): any
+                    // decoded event violating it is a torn read the seq
+                    // check failed to catch.
+                    for e in ring.snapshot() {
+                        assert_eq!(
+                            e.arg1,
+                            e.arg0.wrapping_mul(2654435761).wrapping_add(e.trace),
+                            "torn event decoded: {e:?}"
+                        );
+                        assert_eq!(e.tid, e.trace);
+                        validated += 1;
+                    }
+                }
+                validated
+            })
+        };
+        started.wait();
         let writers: Vec<_> = (0..4u64)
             .map(|t| {
                 let ring = ring.clone();
@@ -882,25 +938,6 @@ mod tests {
                 })
             })
             .collect();
-        let reader = {
-            let ring = ring.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let mut validated = 0usize;
-                while !stop.load(Ordering::Relaxed) {
-                    for e in ring.snapshot() {
-                        assert_eq!(
-                            e.arg1,
-                            e.arg0.wrapping_mul(2654435761).wrapping_add(e.trace),
-                            "torn event decoded: {e:?}"
-                        );
-                        assert_eq!(e.tid, e.trace);
-                        validated += 1;
-                    }
-                }
-                validated
-            })
-        };
         for w in writers {
             w.join().expect("writer");
         }

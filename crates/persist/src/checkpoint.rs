@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use pdmsf_core::partition::REBALANCE_MIN_OCCUPANCY;
 use pdmsf_core::{
-    ChunkArenaImage, ComponentPartitionedMsf, MsfImage, ParDynamicMsf, PartitionStats, RowBankImage,
+    ChunkArenaImage, ComponentPartitionedMsf, MsfImage, PartitionStats, RowBankImage, SeqDynamicMsf,
 };
 use pdmsf_engine::{Engine, EngineStats};
 use pdmsf_graph::{DynGraph, DynGraphImage, EdgeId, TenantId};
@@ -151,7 +151,7 @@ fn decode_engine(payload: &[u8]) -> Result<Engine, PersistError> {
     let graph = DynGraph::from_image(&graph_image).map_err(PersistError::Inconsistent)?;
     let parts = images
         .iter()
-        .map(ParDynamicMsf::from_image)
+        .map(SeqDynamicMsf::from_image)
         .collect::<Result<Vec<_>, _>>()
         .map_err(PersistError::Inconsistent)?;
     let home = home.unwrap_or_else(|| vec![0; graph.num_vertices()]);
@@ -435,6 +435,7 @@ impl ServiceCheckpointExt for ShardedService {
 mod tests {
     use super::*;
     use crate::format::read_section;
+    use pdmsf_core::CostModel;
     use pdmsf_graph::{BatchOp, DynamicMsf, TenantOp, VertexId, Weight};
     use pdmsf_shard::TenantSpec;
 
@@ -702,7 +703,7 @@ mod tests {
     }
 
     /// `build_engine()`'s section with a hand-written two-partition tail.
-    fn with_tail(home: &[u32], second: &ParDynamicMsf) -> Vec<u8> {
+    fn with_tail(home: &[u32], second: &SeqDynamicMsf) -> Vec<u8> {
         let mut tail = Enc::new();
         tail.u64(2);
         tail.u64(REBALANCE_MIN_OCCUPANCY);
@@ -720,7 +721,7 @@ mod tests {
     fn partitioned_import_refuses_inconsistent_parts() {
         let n = 16;
         let k = build_engine().structure().chunk_parameter();
-        let empty = ParDynamicMsf::with_chunk_parameter(n, k);
+        let empty = SeqDynamicMsf::with_parameters(n, k, CostModel::Erew);
         // Edges of `build_engine()` touch vertices 0..7; homing 8.. in
         // partition 1 keeps containment.
         let home: Vec<u32> = (0..n as u32).map(|v| u32::from(v >= 8)).collect();
@@ -742,11 +743,11 @@ mod tests {
             with_tail(&vec![1; n], &empty),
             "edges outside their home partition",
         );
-        let other_k = ParDynamicMsf::with_chunk_parameter(n, k + 1);
+        let other_k = SeqDynamicMsf::with_parameters(n, k + 1, CostModel::Erew);
         refused(with_tail(&home, &other_k), "partitions with different K");
         // Edge 1 is live in partition 0; a second copy in partition 1 (on
         // vertices homed there) passes containment but not the mirror.
-        let mut twice = ParDynamicMsf::with_chunk_parameter(n, k);
+        let mut twice = SeqDynamicMsf::with_parameters(n, k, CostModel::Erew);
         twice.insert(pdmsf_graph::Edge {
             id: EdgeId(1),
             u: VertexId(8),

@@ -48,16 +48,6 @@ impl CostReport {
             peak_processors: self.peak_processors.max(other.peak_processors),
         }
     }
-
-    /// Merge another report as if it ran *concurrently* with this one
-    /// (depth takes the maximum, work adds, processors add).
-    pub fn alongside(self, other: CostReport) -> CostReport {
-        CostReport {
-            depth: self.depth.max(other.depth),
-            work: self.work + other.work,
-            peak_processors: self.peak_processors + other.peak_processors,
-        }
-    }
 }
 
 /// Accumulator of PRAM costs.
@@ -121,11 +111,6 @@ impl CostMeter {
         self.total
     }
 
-    /// Cost of the current (unfinished) operation.
-    pub fn current(&self) -> CostReport {
-        self.current
-    }
-
     /// The most expensive single operation seen so far (by depth, then work).
     pub fn worst_op(&self) -> CostReport {
         self.worst_op
@@ -134,29 +119,6 @@ impl CostMeter {
     /// Number of finished operations.
     pub fn num_ops(&self) -> u64 {
         self.ops
-    }
-
-    /// Mean work per finished operation (0 if none).
-    pub fn mean_work(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.total.work as f64 / self.ops as f64
-        }
-    }
-
-    /// Mean depth per finished operation (0 if none).
-    pub fn mean_depth(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.total.depth as f64 / self.ops as f64
-        }
-    }
-
-    /// Reset every counter.
-    pub fn reset(&mut self) {
-        *self = CostMeter::default();
     }
 }
 
@@ -194,8 +156,6 @@ mod tests {
         m.finish_op();
         assert_eq!(m.worst_op().depth, 10);
         assert_eq!(m.num_ops(), 2);
-        assert!((m.mean_depth() - 6.5).abs() < 1e-9);
-        assert!((m.mean_work() - 34.0).abs() < 1e-9);
     }
 
     #[test]
@@ -229,24 +189,5 @@ mod tests {
                 peak_processors: 4
             }
         );
-        assert_eq!(
-            a.alongside(b),
-            CostReport {
-                depth: 5,
-                work: 17,
-                peak_processors: 6
-            }
-        );
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut m = CostMeter::new();
-        m.begin_op();
-        m.round(1, 1, 1);
-        m.finish_op();
-        m.reset();
-        assert_eq!(m.total(), CostReport::default());
-        assert_eq!(m.num_ops(), 0);
     }
 }

@@ -3,10 +3,10 @@
 //! The correctness arguments of the paper's Section 3 repeatedly hinge on an
 //! *exclusive-assignment property*: in every synchronous step, no two
 //! processors read or write the same memory cell. [`AccessLog`] lets the
-//! phased kernels in [`crate::kernels`] (and the tests of the parallel
-//! structure in `pdmsf-core`) record every simulated access and then assert
-//! that the property really holds — turning the paper's prose argument into
-//! an executable check.
+//! phased tournament in [`crate::kernels`] record every simulated access
+//! and then assert that the property really holds — turning the paper's
+//! prose argument into an executable check. The structure in `pdmsf-core`
+//! does not log its accesses.
 
 use std::collections::HashMap;
 

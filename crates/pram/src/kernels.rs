@@ -1,16 +1,16 @@
-//! The parallel primitives of the paper's Section 3.
+//! The tournament-tree minimum of the paper's Lemma 3.1, played phase by
+//! phase, and the depth formula the cost model builds on ([`log2_ceil`]).
 //!
-//! Every kernel comes in a *model* form: it computes the (deterministic)
-//! result on the calling thread and charges the PRAM cost the paper's lemmas
-//! assign to it (`depth`, `work`, `processors`) to a [`CostMeter`]. The
-//! tournament kernel additionally has an explicit **phased simulation**
-//! ([`erew_tournament_min`]) that reproduces the four-phase protocol of
-//! Lemma 3.1 step by step and can record every memory access in an
-//! [`AccessLog`], so the exclusive-read-exclusive-write argument of the paper
-//! is checked by the test-suite rather than taken on faith.
-//!
-//! The structures run these scans on the calling thread; see [`PAR_CUTOFF`]
-//! for why none of them fans out over the worker pool.
+//! [`erew_tournament_min`] reproduces the four-phase protocol of Lemma 3.1
+//! step by step on the calling thread, charges its PRAM cost (`depth`,
+//! `work`, `processors`) to a [`CostMeter`], and can record every simulated
+//! memory access in an [`AccessLog`], so the exclusive-read-exclusive-write
+//! argument of the paper is checked rather than taken on faith. This
+//! module's tests and the `paper` experiment's `erew` section run it under
+//! the logger. The structure in `pdmsf-core` charges its own tournament
+//! scans by formula instead, because the charge depends on the structure's
+//! cost model; see [`PAR_CUTOFF`] for why no scan fans out over the worker
+//! pool.
 
 use crate::cost::CostMeter;
 use crate::erew::{cell, AccessKind, AccessLog};
@@ -22,45 +22,6 @@ pub fn log2_ceil(n: usize) -> u64 {
         0
     } else {
         (usize::BITS - (n - 1).leading_zeros()) as u64
-    }
-}
-
-/// Index of the minimum element (leftmost on ties), charging tournament-tree
-/// costs to `meter`: depth `ceil(log2 n)`, work `n`, processors `ceil(n/2)`.
-///
-/// This is the "use a tournament tree to find the smallest entry" step used
-/// throughout Section 3 (e.g. finding `argmin γ[i]` during the MWR search).
-pub fn par_min_index<T: Ord + Copy>(xs: &[T], meter: &mut CostMeter) -> Option<usize> {
-    if xs.is_empty() {
-        return None;
-    }
-    meter.round(
-        xs.len().div_ceil(2) as u64,
-        log2_ceil(xs.len()).max(1),
-        xs.len() as u64,
-    );
-    let mut best = 0usize;
-    for (i, x) in xs.iter().enumerate().skip(1) {
-        if *x < xs[best] {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
-/// Entry-wise minimum `dst[i] = min(dst[i], src[i])`, charging one parallel
-/// round with `len` processors (the "entry-wise minimum of CAdj vectors"
-/// operation of Lemma 3.1's merge case).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn par_entrywise_min<T: Ord + Copy>(dst: &mut [T], src: &[T], meter: &mut CostMeter) {
-    assert_eq!(dst.len(), src.len(), "entry-wise min over unequal lengths");
-    meter.round(dst.len() as u64, 1, dst.len() as u64);
-    for (d, s) in dst.iter_mut().zip(src) {
-        if *s < *d {
-            *d = *s;
-        }
     }
 }
 
@@ -193,44 +154,6 @@ pub fn erew_tournament_min<T: Ord + Copy>(
     tree[1].map(|(_, idx)| idx)
 }
 
-/// Assign ranked processors to leaves: given the number of items stored at
-/// each leaf of a (conceptual) balanced tree, return for every rank `k`
-/// (0-based, `k < total`) the index of the leaf holding the `k`-th item.
-///
-/// This is the cost/behaviour model of the paper's `getEdge_c(k)` procedure
-/// (Section 3): `O(log K)` parallel depth using one processor per item, each
-/// descending the edge-counter tree `BT_c`. The returned assignment is what
-/// the parallel chunk-rebuild and MWR kernels consume.
-pub fn ranked_descent(leaf_counts: &[usize], meter: &mut CostMeter) -> Vec<usize> {
-    let total: usize = leaf_counts.iter().sum();
-    meter.round(
-        total as u64,
-        log2_ceil(leaf_counts.len().max(1)).max(1),
-        (total + leaf_counts.len()) as u64,
-    );
-    let mut out = Vec::with_capacity(total);
-    for (leaf, &count) in leaf_counts.iter().enumerate() {
-        for _ in 0..count {
-            out.push(leaf);
-        }
-    }
-    out
-}
-
-/// Charge the cost of the "sweep up from all leaves, only the leftmost child
-/// proceeds" procedure of Lemma 3.2 over a balanced tree with `num_leaves`
-/// leaves: `O(log J)` depth, `O(J)` work, `J` processors.
-pub fn sweep_up_costs(num_leaves: usize, meter: &mut CostMeter) {
-    if num_leaves == 0 {
-        return;
-    }
-    meter.round(
-        num_leaves as u64,
-        log2_ceil(num_leaves).max(1),
-        (2 * num_leaves) as u64,
-    );
-}
-
 /// The input size below which fanning a bulk kernel out over the worker
 /// pool cannot pay: publishing the job and waking a worker cost more than
 /// the scan itself (on a 2-core x86-64 VM a pooled minimum took 1.24 µs
@@ -256,28 +179,6 @@ mod tests {
         assert_eq!(log2_ceil(5), 3);
         assert_eq!(log2_ceil(1024), 10);
         assert_eq!(log2_ceil(1025), 11);
-    }
-
-    #[test]
-    fn min_index_finds_leftmost_minimum() {
-        let mut m = CostMeter::new();
-        assert_eq!(par_min_index::<i32>(&[], &mut m), None);
-        assert_eq!(par_min_index(&[5], &mut m), Some(0));
-        assert_eq!(par_min_index(&[3, 1, 4, 1, 5], &mut m), Some(1));
-        // Cost model: 5 elements -> depth ceil(log2 5) = 3, work 5.
-        let r = m.total();
-        assert_eq!(r.work, 1 + 5);
-        assert!(r.depth >= 3);
-    }
-
-    #[test]
-    fn entrywise_min_takes_pointwise_minimum() {
-        let mut m = CostMeter::new();
-        let mut dst = vec![5, 1, 9, 0];
-        par_entrywise_min(&mut dst, &[3, 2, 9, -1], &mut m);
-        assert_eq!(dst, vec![3, 1, 9, -1]);
-        assert_eq!(m.total().depth, 1);
-        assert_eq!(m.total().peak_processors, 4);
     }
 
     #[test]
@@ -307,24 +208,6 @@ mod tests {
         assert_eq!(erew_tournament_min::<i32>(&[], &mut meter, None), None);
     }
 
-    #[test]
-    fn ranked_descent_enumerates_leaves_in_order() {
-        let mut meter = CostMeter::new();
-        let assignment = ranked_descent(&[2, 0, 3, 1], &mut meter);
-        assert_eq!(assignment, vec![0, 0, 2, 2, 2, 3]);
-        assert!(meter.total().depth >= 2);
-    }
-
-    #[test]
-    fn sweep_up_charges_logarithmic_depth() {
-        let mut meter = CostMeter::new();
-        sweep_up_costs(0, &mut meter);
-        assert_eq!(meter.total().depth, 0);
-        sweep_up_costs(128, &mut meter);
-        assert_eq!(meter.total().depth, 7);
-        assert_eq!(meter.total().peak_processors, 128);
-    }
-
     proptest! {
         #[test]
         fn prop_tournament_equals_min(xs in proptest::collection::vec(-1000i64..1000, 1..200)) {
@@ -337,33 +220,6 @@ mod tests {
             let leftmost = xs.iter().position(|&x| x == best).unwrap();
             prop_assert_eq!(winner, leftmost);
             log.assert_exclusive();
-        }
-
-        #[test]
-        fn prop_min_index_matches_iterator_min(xs in proptest::collection::vec(any::<i32>(), 0..100)) {
-            let mut meter = CostMeter::new();
-            let got = par_min_index(&xs, &mut meter);
-            let expected = xs
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(&b.0)))
-                .map(|(i, _)| i);
-            prop_assert_eq!(got, expected);
-        }
-
-        #[test]
-        fn prop_ranked_descent_is_a_valid_assignment(counts in proptest::collection::vec(0usize..5, 0..50)) {
-            let mut meter = CostMeter::new();
-            let assignment = ranked_descent(&counts, &mut meter);
-            let total: usize = counts.iter().sum();
-            prop_assert_eq!(assignment.len(), total);
-            // Each leaf receives exactly its count of ranks, in order.
-            let mut per_leaf = vec![0usize; counts.len()];
-            for &leaf in &assignment {
-                per_leaf[leaf] += 1;
-            }
-            prop_assert_eq!(per_leaf, counts);
-            prop_assert!(assignment.windows(2).all(|w| w[0] <= w[1]));
         }
     }
 }

@@ -12,20 +12,20 @@
 //!
 //! * [`CostMeter`] / [`CostReport`] — per-operation and cumulative counters
 //!   for parallel depth (synchronous rounds), total work (primitive
-//!   operations) and peak processors per round. The parallel structure in
-//!   `pdmsf-core` charges every kernel invocation to a meter, which is what
+//!   operations) and peak processors per round. The structure in
+//!   `pdmsf-core` charges each primitive it runs to a meter by formula
+//!   (sequentially or as EREW rounds, per its cost model), which is what
 //!   the `paper` experiment fits and checks (`BENCH_paper.json`).
 //! * [`erew`] — an access logger that records `(step, cell, processor,
-//!   read/write)` tuples and detects EREW violations; the test-suite runs the
-//!   phased kernels under this logger to check the paper's exclusive-access
-//!   arguments (e.g. the four-phase tournament protocol of Lemma 3.1).
-//! * [`kernels`] — the parallel primitives the paper's Section 3 is built
-//!   from: tournament-tree minimum reduction, entry-wise vector minimum,
-//!   leftmost-child tree sweep-up, and ranked assignment of processors to
-//!   edges (`getEdge`). Each kernel runs on the calling thread and charges
-//!   its PRAM cost; the tournament also has a phased simulation for EREW
-//!   checking ([`ExecMode::Simulated`] is the only execution mode; see
-//!   [`kernels::PAR_CUTOFF`] for why no kernel fans out over the pool).
+//!   read/write)` tuples and detects EREW violations. The phased
+//!   tournament of Lemma 3.1 runs under it, in this crate's tests and in
+//!   the `paper` experiment's `erew` section; the structure's own accesses
+//!   are not logged.
+//! * [`kernels`] — [`log2_ceil`](kernels::log2_ceil), the depth formula
+//!   every charge builds on, and [`erew_tournament_min`], the phased
+//!   four-phase tournament of Lemma 3.1 ([`ExecMode::Simulated`] is the
+//!   only execution mode; see [`kernels::PAR_CUTOFF`] for why no scan fans
+//!   out over the pool).
 //! * [`pool`] — a lazily spawned, process-wide pool of parked worker
 //!   threads with a **work-stealing scheduler**, used by the serving layers
 //!   (shard dispatch, grouped apply, query fan-out). A submission publishes
@@ -58,7 +58,5 @@ pub mod pool;
 
 pub use cost::{CostMeter, CostReport, ExecMode};
 pub use erew::{AccessKind, AccessLog, Violation};
-pub use kernels::{
-    erew_tournament_min, par_entrywise_min, par_min_index, ranked_descent, sweep_up_costs,
-};
+pub use kernels::erew_tournament_min;
 pub use pool::PoolStats;

@@ -505,7 +505,7 @@ impl ShardedService {
     }
 
     /// Export the tenant table in dense registration order (the persistence
-    /// layer serializes this alongside the per-shard engine sections).
+    /// layer serializes this next to the per-shard engine sections).
     pub fn export_tenants(&self) -> Vec<TenantRecord> {
         let mut ids = vec![TenantId(0); self.tenants.len()];
         for (&id, &ix) in &self.lookup {

@@ -1,11 +1,13 @@
-//! PRAM cost-model demo: drive the parallel structure (Theorem 1.1) over
-//! graphs of increasing size and print the quantities the theorem bounds —
-//! worst-case parallel depth per update (`O(log n)`), work per update
-//! (`O(sqrt n log n)`) and peak processors (`O(sqrt n)`).
+//! PRAM cost-model demo: drive the EREW-metered structure of Theorem 1.1
+//! (`K = sqrt n`) over graphs of increasing size and print the quantities
+//! the theorem bounds per update — worst-case parallel depth (`O(log n)`),
+//! work (`O(sqrt n log n)`) and peak processors (`O(sqrt n)`). Costs are
+//! read from the meter after each stream update, as the `paper` experiment
+//! reads them; the base-graph build is not counted.
 //!
 //! Run with `cargo run --release --example parallel_depth`.
 
-use pdmsf::prelude::*;
+use pdmsf_bench::pram_profile;
 
 fn main() {
     println!(
@@ -13,43 +15,15 @@ fn main() {
         "n", "K", "worst depth", "mean depth", "mean work", "peak procs"
     );
     for exp in 8..=13 {
-        let n = 1usize << exp;
-        let stream = UpdateStream::generate(&UpdateStreamSpec {
-            base: GraphSpec::RandomSparse {
-                n,
-                m: 2 * n,
-                seed: 42,
-            },
-            ops: 1_000,
-            kind: StreamKind::Mixed {
-                insert_permille: 500,
-            },
-            seed: 43,
-        });
-        let mut msf = ParDynamicMsf::new(n);
-        stream.replay_with(|mirror, op| match op {
-            None => {
-                for e in mirror.edges() {
-                    msf.insert(e);
-                }
-            }
-            Some(UpdateOp::Insert { .. }) => {
-                let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-                msf.insert(newest);
-            }
-            Some(UpdateOp::Delete { id }) => {
-                msf.delete(*id);
-            }
-        });
-        let meter = msf.meter();
+        let profile = pram_profile(1usize << exp, 1_000, 42);
         println!(
             "{:>8} {:>6} {:>12} {:>12.1} {:>12.1} {:>12}",
-            n,
-            msf.chunk_parameter(),
-            meter.worst_op().depth,
-            meter.mean_depth(),
-            meter.mean_work(),
-            meter.total().peak_processors
+            profile.n,
+            profile.k,
+            profile.worst.depth,
+            profile.mean_depth,
+            profile.mean_work,
+            profile.peak_processors
         );
     }
     println!();

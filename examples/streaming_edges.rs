@@ -8,6 +8,7 @@
 //!
 //! Run with `cargo run --release --example streaming_edges`.
 
+use pdmsf::core::seq::default_sequential_k;
 use pdmsf::prelude::*;
 
 fn main() {
@@ -20,10 +21,14 @@ fn main() {
         seed: 4,
     });
 
-    // The paper's structure behind Frederickson's degree-3 reduction (the
+    // The paper's structure behind Frederickson's degree-3 reduction. The
     // wrapper owns the vertex-copy bookkeeping, so the inner structure must
-    // start empty).
-    let mut msf = DegreeReduced::new(n, SeqDynamicMsf::new(0));
+    // start empty; its chunk parameter is sized for the copies it will
+    // hold, about one per live edge end plus one per vertex.
+    let copies = n + 2 * window;
+    let inner =
+        SeqDynamicMsf::with_parameters(0, default_sequential_k(copies), CostModel::Sequential);
+    let mut msf = DegreeReduced::new(n, inner);
     println!(
         "sliding window over {n} vertices, window = {window} edges, {} stream operations",
         stream.len()

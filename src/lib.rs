@@ -14,12 +14,14 @@
 //!   degree-3 reduction, workload generators,
 //! * [`pram`] ([`pdmsf_pram`]) — the EREW PRAM cost-model substrate,
 //! * [`dyntree`] ([`pdmsf_dyntree`]) — Sleator–Tarjan link-cut trees,
-//! * [`core`] ([`pdmsf_core`]) — the paper's contribution: the sequential
-//!   `O(sqrt(n log n))`-time structure (Theorem 1.2), the parallel
-//!   `O(log n)`-depth / `O(sqrt n)`-processor structure (Theorem 3.1) and the
+//! * [`core`] ([`pdmsf_core`]) — the paper's contribution: one structure,
+//!   [`core::SeqDynamicMsf`], built from `(n, K, CostModel)` — the
+//!   sequential `O(sqrt(n log n))`-time structure (Theorem 1.2) and, with
+//!   EREW accounting at `K = sqrt n`, the `O(log n)`-depth /
+//!   `O(sqrt n)`-processor structure (Theorem 3.1) — and the
 //!   sparsification tree (Section 5),
 //! * [`engine`] ([`pdmsf_engine`]) — the batched update/query serving layer
-//!   on top of the parallel structure,
+//!   on top of that structure,
 //! * [`shard`] ([`pdmsf_shard`]) — the multi-tenant sharded serving layer
 //!   on top of the engine,
 //! * [`persist`] ([`pdmsf_persist`]) — durable checkpoint/restore, the
@@ -75,17 +77,18 @@
 //! Kruskal calibration, and `-- e0 gate` fails when the calibrated mixed-
 //! stream rate falls below 1/1.5 of the committed snapshot's.
 //!
-//! The parallel front-end [`core::ParDynamicMsf`] charges EREW PRAM costs
-//! for every kernel — the `γ`/MWR argmin tournaments and the entry-wise
-//! LSDS merges — and runs them on the calling thread, so its forests are
-//! bit-for-bit those of the sequential structure. The paper picks
+//! Built with [`core::CostModel::Erew`], the structure charges each
+//! primitive Section 3 parallelises — the row tournaments, the `γ`/MWR
+//! argmin scans and the per-entry LSDS refreshes — as EREW PRAM rounds,
+//! by formula, and runs it on the calling thread, so its forests are
+//! bit-for-bit those of the sequentially metered structure. The paper picks
 //! `K = sqrt n` for `sqrt n` processors and `K = sqrt(n log n)` for one;
 //! the serving engines run on a few cores, so they build the structure at
 //! the sequential `K` ([`core::seq::default_sequential_k`]). At 32 768
 //! vertices on a 2-core machine that is about 1.5× faster per update than
-//! `K = sqrt n` with the same inline kernels, and it keeps `CAdj` rows
-//! below [`pram::kernels::PAR_CUTOFF`], the size under which a pooled scan
-//! cannot pay.
+//! `K = sqrt n` (both inline), and it keeps `CAdj` rows below
+//! [`pram::kernels::PAR_CUTOFF`], the size under which a pooled scan cannot
+//! pay.
 //!
 //! ## The batch engine layer
 //!
@@ -102,7 +105,8 @@
 //!   execution), and **dedups queries**,
 //! * **applies** the surviving updates through the engine's one structure,
 //!   a [`core::ComponentPartitionedMsf`] — by default a single
-//!   [`core::ParDynamicMsf`] partition at `K = sqrt(n log n)` (see above),
+//!   EREW-metered [`core::SeqDynamicMsf`] partition at `K = sqrt(n log n)`
+//!   (see above),
 //! * **answers all queries at one snapshot point** (after the batch's
 //!   updates): the forest is captured once into flat component labels
 //!   ([`engine::QuerySnapshot`], `O(n + f·α)`) and every connectivity query
@@ -134,8 +138,8 @@
 //! Batching also unlocks parallelism *inside* the apply phase. An engine
 //! built with `P > 1` partitions ([`Engine::with_partitions`]) splits its
 //! **component-partitioned structure** ([`core::ComponentPartitionedMsf`]):
-//! the vertex space is spread across `P` independent [`core::ParDynamicMsf`]
-//! partitions under the invariant that **components never span
+//! the vertex space is spread across `P` independent
+//! [`core::SeqDynamicMsf`] partitions under the invariant that **components never span
 //! partitions** — a cross-partition link first *migrates* the smaller
 //! component (lockstep bidirectional BFS picks it deterministically; its
 //! edges re-insert in Kruskal order, rebuilding the identical unique MSF).
@@ -360,10 +364,10 @@ pub use pdmsf_shard::ShardedService;
 /// Convenient single-import prelude for applications.
 pub mod prelude {
     pub use pdmsf_baselines::{NaiveDynamicMsf, RecomputeMsf};
-    pub use pdmsf_core::par::ParDynamicMsf;
     pub use pdmsf_core::partition::ComponentPartitionedMsf;
     pub use pdmsf_core::seq::SeqDynamicMsf;
     pub use pdmsf_core::sparsify::SparsifiedMsf;
+    pub use pdmsf_core::CostModel;
     pub use pdmsf_engine::{BatchResult, BatchSummary, Engine, Outcome, PlannedBatch, Reject};
     pub use pdmsf_graph::{
         assert_matches_kruskal, kruskal_msf, BatchKind, BatchOp, BatchStream, BatchStreamSpec,

@@ -1,10 +1,16 @@
 //! Workspace-level integration tests: every dynamic-MSF implementation in the
-//! workspace (the paper's sequential and parallel structures, the
-//! sparsification and degree-reduction wrappers, and both baselines) is
+//! workspace (the paper's structure under sequential and EREW accounting,
+//! the sparsification and degree-reduction wrappers, and both baselines) is
 //! driven through the same update streams and must produce identical forests,
 //! identical deltas and forests identical to the static Kruskal reference.
 
+use pdmsf::core::seq::default_parallel_k;
 use pdmsf::prelude::*;
+
+/// The EREW-metered structure of Theorem 3.1 at the paper's `K = ⌈√n⌉`.
+fn erew(n: usize) -> SeqDynamicMsf {
+    SeqDynamicMsf::with_parameters(n, default_parallel_k(n), CostModel::Erew)
+}
 
 fn drive_and_check<M: DynamicMsf>(structure: &mut M, stream: &UpdateStream) {
     stream.replay_with(|mirror, op| {
@@ -42,7 +48,7 @@ fn all_implementations_match_kruskal_on_the_same_stream() {
     let n = 40;
     let stream = mixed_stream(n, 70, 300, 1);
     drive_and_check(&mut SeqDynamicMsf::new(n), &stream);
-    drive_and_check(&mut ParDynamicMsf::new(n), &stream);
+    drive_and_check(&mut erew(n), &stream);
     drive_and_check(&mut NaiveDynamicMsf::new(n), &stream);
     drive_and_check(&mut RecomputeMsf::new(n), &stream);
     drive_and_check(&mut DegreeReduced::new(n, SeqDynamicMsf::new(0)), &stream);
@@ -95,7 +101,7 @@ fn degree_reduced_parallel_structure_on_skewed_graph() {
         },
         seed: 6,
     });
-    drive_and_check(&mut DegreeReduced::new(n, ParDynamicMsf::new(0)), &stream);
+    drive_and_check(&mut DegreeReduced::new(n, erew(0)), &stream);
 }
 
 #[test]
@@ -153,7 +159,7 @@ fn parallel_cost_model_reports_sublinear_depth_scaling() {
     let mut worst = Vec::new();
     for n in [256usize, 4096] {
         let stream = mixed_stream(n, 2 * n, 400, 77);
-        let mut msf = ParDynamicMsf::new(n);
+        let mut msf = erew(n);
         stream.replay_with(|mirror, op| match op {
             None => {
                 for e in mirror.edges() {
