@@ -37,6 +37,7 @@
 //! sweep one dense bank each instead of striding over fat records.
 
 use pdmsf_graph::{VertexId, WKey};
+use std::ops::Range;
 
 /// Sentinel index shared with the rest of the forest module.
 use super::NONE;
@@ -288,23 +289,25 @@ impl ChunkArena {
         }
     }
 
-    /// Re-chunk chunk `c`'s occurrences from index `from` on — a split's
-    /// tail or a merge's absorbed run — in one pass: restamp `occ_chunk` /
-    /// `occ_pos`, point `vertex_chunk` of every principal copy at `c`, and
-    /// return the adjacency count those principals carry (`degree` of their
-    /// vertices, summed).
+    /// Re-chunk the occurrences at `range` of chunk `c`'s list — a split's
+    /// tail, a merge's absorbed run, a spliced tour or an extracted cut
+    /// side — in one pass: restamp `occ_chunk` / `occ_pos`, point
+    /// `vertex_chunk` of every principal copy at `c`, and return the
+    /// adjacency count those principals carry (`degree` of their vertices,
+    /// summed).
     pub(crate) fn rechunk_occs(
         &mut self,
         c: u32,
-        from: usize,
+        range: Range<usize>,
         vertex_chunk: &mut [u32],
         degree: impl Fn(u32) -> usize,
     ) -> usize {
         let mut adj = 0;
-        for (p, &o) in self.occs[c as usize].iter().enumerate().skip(from) {
+        let start = range.start;
+        for (p, &o) in self.occs[c as usize][range].iter().enumerate() {
             let oi = o as usize;
             self.occ_chunk[oi] = c;
-            self.occ_pos[oi] = p as u32;
+            self.occ_pos[oi] = (start + p) as u32;
             if self.occ_flags[oi] & OCC_PRINCIPAL != 0 {
                 let v = self.occ_vertex[oi];
                 vertex_chunk[v as usize] = c;

@@ -23,6 +23,11 @@
 
 use super::{log_depth, ChunkedEulerForest, NONE};
 use pdmsf_graph::WKey;
+use std::ops::Range;
+
+/// Up to this many changed entries (or dirty chunks) are refreshed by one
+/// leaf-to-root walk each; more take one sweep (or one splay) instead.
+const PATH_REFRESH_MAX: usize = 8;
 
 impl ChunkedEulerForest {
     /// Allocate a chunk id, growing the id space (and the row bank's stride)
@@ -278,7 +283,6 @@ impl ChunkedEulerForest {
             self.charge(1, 1, 1);
             return;
         }
-        const PATH_REFRESH_MAX: usize = 8;
         if dirty.len() <= PATH_REFRESH_MAX {
             for &c in dirty.iter() {
                 self.refresh_entry_path(c, s);
@@ -357,7 +361,6 @@ impl ChunkedEulerForest {
             self.charge(1, 1, 1);
             return;
         }
-        const PATH_REFRESH_MAX: usize = 8;
         if dirty.len() <= PATH_REFRESH_MAX {
             for &c in dirty.iter() {
                 self.refresh_entry_pair_path(c, s1, s2);
@@ -508,5 +511,91 @@ impl ChunkedEulerForest {
         if c2 != c1 {
             self.refresh_entry_path(c2, s1);
         }
+    }
+
+    /// Link fast path: the principals at `range` of slotted chunk `c` just
+    /// arrived from a slotless list, so no row held their edges. Those
+    /// edges can only lower minima: lower `c`'s row and the symmetric
+    /// entries by them and refresh only the entries that changed — up to
+    /// [`PATH_REFRESH_MAX`] changed entries of `c` walk their paths, more
+    /// splay `c`, and the symmetric entries go through
+    /// [`Self::refresh_entry_for_chunks`]. No rescan of `c`'s other edges.
+    pub(crate) fn lower_row_by_arrivals(&mut self, c: u32, range: Range<usize>) {
+        let s = self.chunks.slot[c as usize];
+        debug_assert_ne!(s, NONE, "only slotted chunks have rows to lower");
+        let row = self.chunks.row[c as usize];
+        let mut changed = std::mem::take(&mut self.scratch_slots);
+        changed.clear();
+        let mut dirty = std::mem::take(&mut self.scratch_dirty);
+        dirty.clear();
+        let mut scanned = 0u64;
+        let occs = range.len() as u64;
+        for &o in &self.chunks.occs[c as usize][range] {
+            if !self.chunks.occ_principal(o) {
+                continue;
+            }
+            let adj = &self.adj[self.chunks.occ_vert(o).index()];
+            scanned += adj.len() as u64;
+            for &a in adj {
+                let other = self.vertex_chunk[a.other.index()];
+                let so = self.chunks.slot[other as usize];
+                if so == NONE {
+                    continue;
+                }
+                let key = a.key();
+                let cell = &mut self.rows.base_mut(row)[so as usize];
+                if key < *cell {
+                    *cell = key;
+                    changed.push(so);
+                }
+                if other != c {
+                    let cell = &mut self.rows.base_mut(self.chunks.row[other as usize])[s as usize];
+                    if key < *cell {
+                        *cell = key;
+                        dirty.push(other);
+                    }
+                }
+            }
+        }
+        self.charge(scanned + occs, log_depth(scanned as usize), scanned.max(1));
+        changed.sort_unstable();
+        changed.dedup();
+        dirty.sort_unstable();
+        dirty.dedup();
+        if changed.len() <= PATH_REFRESH_MAX {
+            for &so in &changed {
+                self.refresh_entry_path(c, so);
+            }
+        } else {
+            self.splay(c);
+        }
+        self.refresh_entry_for_chunks(&mut dirty, s);
+        self.scratch_slots = changed;
+        self.scratch_dirty = dirty;
+    }
+
+    /// Cut fast path: whether an edge of the principals at `range` of
+    /// slotted chunk `c` holds one of `c`'s pair minima, so that moving
+    /// them out of `c` raises an entry and `c`'s row must be rebuilt. Rows
+    /// hold exact minima over unique keys, so otherwise every entry stays.
+    /// Charged as a scan of those edges.
+    pub(crate) fn run_holds_a_minimum(&mut self, c: u32, range: Range<usize>) -> bool {
+        let row = self.rows.base(self.chunks.row[c as usize]);
+        let mut scanned = 0u64;
+        let mut holds = false;
+        for &o in &self.chunks.occs[c as usize][range] {
+            if !self.chunks.occ_principal(o) {
+                continue;
+            }
+            let adj = &self.adj[self.chunks.occ_vert(o).index()];
+            scanned += adj.len() as u64;
+            holds = holds
+                || adj.iter().any(|a| {
+                    let so = self.chunks.slot[self.vertex_chunk[a.other.index()] as usize];
+                    so != NONE && row[so as usize] == a.key()
+                });
+        }
+        self.charge(scanned.max(1), log_depth(scanned as usize), scanned.max(1));
+        holds
     }
 }

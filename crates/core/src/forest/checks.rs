@@ -3,10 +3,11 @@
 //! [`ChunkedEulerForest::validate`] brute-force checks every invariant the
 //! algorithm relies on: occurrence bookkeeping, Euler-tour/arc consistency,
 //! the tour-per-tree correspondence, principal copies, adjacency counts,
-//! `CAdj` rows and the LSDS aggregates — the latter against a straightforward
-//! array-of-structs reference walk that is deliberately *independent* of the
-//! SoA banks' pair-merge and in-place-refresh code paths. It is `O(n·m)` and
-//! only meant for tests on small inputs.
+//! Invariant 1's chunk-size bounds, `CAdj` rows and the LSDS aggregates —
+//! the latter against a straightforward array-of-structs reference walk
+//! that is deliberately *independent* of the SoA banks' pair-merge and
+//! in-place-refresh code paths. It is `O(n·m)` and only meant for tests on
+//! small inputs.
 
 use super::{AdjEntry, ChunkedEulerForest, NONE};
 use pdmsf_graph::{Edge, EdgeId, UnionFind, WKey};
@@ -227,6 +228,35 @@ impl ChunkedEulerForest {
                 self.chunks.row[ci] == NONE,
                 "chunk {ci}: slot and row-bank slab must be paired"
             );
+        }
+
+        // ---- Invariant 1: n_c ≤ 3K unless one occurrence carries it, and
+        // a chunk of a multi-chunk list below K cannot merge with either
+        // neighbour within 3K ----
+        let cap_nc = 3 * self.k;
+        for ci in 0..num_chunks as u32 {
+            if !self.chunks.alive(ci) {
+                continue;
+            }
+            let nc = self.chunks.nc(ci);
+            assert!(
+                nc <= cap_nc || self.chunks.occs[ci as usize].len() == 1,
+                "chunk {ci} has n_c = {nc} > 3K = {cap_nc}"
+            );
+            if nc >= self.k {
+                continue;
+            }
+            for nb in [self.prev_chunk(ci), self.next_chunk(ci)]
+                .into_iter()
+                .flatten()
+            {
+                let nb_nc = self.chunks.nc(nb);
+                assert!(
+                    nc + nb_nc > cap_nc,
+                    "chunk {ci} (n_c = {nc} < K = {}) could merge with neighbour {nb} (n_c = {nb_nc})",
+                    self.k
+                );
+            }
         }
 
         // ---- CAdj rows against brute force ----

@@ -175,6 +175,7 @@ pub struct ChunkedEulerForest {
     pub(crate) scratch_row2: Vec<WKey>,
     pub(crate) scratch_order: Vec<u32>,
     pub(crate) scratch_dirty: Vec<u32>,
+    pub(crate) scratch_slots: Vec<u32>,
 
     /// Chunks touched by the current operation, pending Invariant-1 fix-up
     /// (a stack; membership is the `queued` flag on each chunk).
@@ -205,6 +206,7 @@ impl ChunkedEulerForest {
             scratch_row2: Vec::new(),
             scratch_order: Vec::new(),
             scratch_dirty: Vec::new(),
+            scratch_slots: Vec::new(),
             touched: Vec::new(),
             stale: Vec::new(),
         };

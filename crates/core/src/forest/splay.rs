@@ -299,7 +299,9 @@ impl ChunkedEulerForest {
     }
 
     /// Concatenate the list rooted at `a` with the list rooted at `b`
-    /// (`a` first). Either may be `NONE`. Returns the new root.
+    /// (`a` first). Either may be `NONE`. Returns the new root. The two
+    /// chunks that become neighbours are queued for Invariant-1 fix-up: an
+    /// undersized one may now merge with the other.
     pub(crate) fn tree_join(&mut self, a: u32, b: u32) -> u32 {
         if a == NONE {
             return b;
@@ -308,11 +310,14 @@ impl ChunkedEulerForest {
             return a;
         }
         let last = self.last_chunk(a);
+        let first = self.first_chunk(b);
         self.splay(last);
         debug_assert_eq!(self.chunks.right[last as usize], NONE);
         self.chunks.right[last as usize] = b;
         self.chunks.parent[b as usize] = last;
         self.pull_up(last);
+        self.touch(last);
+        self.touch(first);
         last
     }
 

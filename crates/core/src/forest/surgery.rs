@@ -9,9 +9,60 @@
 //! by an occurrence of `v` and vice versa. Linking and cutting a forest edge
 //! then reduces to `O(1)` list splits / joins plus `O(1)` occurrence
 //! insertions / deletions, exactly as Lemma 2.1 prescribes.
+//!
+//! A list split inside a chunk is a chunk split, whose two `CAdj` rows are
+//! rebuilt by an `O(K)` edge scan, and rebalancing often merges the pieces
+//! straight back. Two fast paths, chosen by the structure's state alone,
+//! keep the tour surgery inside one chunk when it can:
+//!
+//! * **Splice (link).** When either endpoint's tour is a single-chunk list,
+//!   that tour is rotated to start at the endpoint's principal copy,
+//!   followed by the closing occurrences, and moved into the other
+//!   endpoint's chunk right after its principal copy; the emptied chunk is
+//!   freed. The moved list had no id, so its edges were in no row and can
+//!   only lower minima: the host row and the symmetric entries are lowered
+//!   by them and only the changed entries are refreshed.
+//! * **Extraction (cut).** When both arc tails lie in one chunk, the run
+//!   between them is one whole side of the cut; it moves into a new
+//!   slotless single-chunk list. The host row is rebuilt only if a moved
+//!   edge held one of its pair minima.
+//!
+//! Links of two multi-chunk tours and cuts whose tails lie in different
+//! chunks take the general path: list splits at the arc tails (chunk
+//! splits included) and joins. Every path ends in the same Invariant-1
+//! fix-up, so the worst-case bounds are those of the general path.
 
 use super::{log_depth, ChunkedEulerForest, EdgeRec, NONE};
 use pdmsf_graph::{Edge, VertexId};
+use std::ops::Range;
+
+/// The path a link or cut took, indexing the test-only [`SURGERIES`]
+/// counters.
+#[cfg(test)]
+#[derive(Clone, Copy)]
+pub(crate) enum Surgery {
+    Splice = 0,
+    Extraction = 1,
+    GeneralLink = 2,
+    GeneralCut = 3,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Links and cuts run on this thread, per [`Surgery`] path, so tests
+    /// can check that their streams take every path.
+    pub(crate) static SURGERIES: std::cell::Cell<[u64; 4]> =
+        const { std::cell::Cell::new([0; 4]) };
+}
+
+#[cfg(test)]
+fn count_surgery(path: Surgery) {
+    SURGERIES.with(|n| {
+        let mut counts = n.get();
+        counts[path as usize] += 1;
+        n.set(counts);
+    });
+}
 
 impl ChunkedEulerForest {
     // ------------------------------------------------------------------
@@ -177,11 +228,14 @@ impl ChunkedEulerForest {
         );
         let tail: Vec<u32> = self.chunks.occs[c as usize].split_off(p + 1);
         let c2 = self.chunks.alloc();
+        let tail_len = tail.len();
         self.chunks.occs[c2 as usize] = tail;
         let adj = &self.adj;
         let moved_adj = self
             .chunks
-            .rechunk_occs(c2, 0, &mut self.vertex_chunk, |v| adj[v as usize].len());
+            .rechunk_occs(c2, 0..tail_len, &mut self.vertex_chunk, |v| {
+                adj[v as usize].len()
+            });
         self.chunks.adj_count[c2 as usize] = moved_adj;
         self.chunks.adj_count[c as usize] -= moved_adj;
         self.charge(len as u64, log_depth(len), len as u64);
@@ -215,9 +269,11 @@ impl ChunkedEulerForest {
         let moved_len = moved.len();
         self.chunks.occs[c as usize].extend(moved);
         let adj = &self.adj;
-        let moved_adj = self
-            .chunks
-            .rechunk_occs(c, offset, &mut self.vertex_chunk, |v| adj[v as usize].len());
+        let moved_adj =
+            self.chunks
+                .rechunk_occs(c, offset..offset + moved_len, &mut self.vertex_chunk, |v| {
+                    adj[v as usize].len()
+                });
         debug_assert_eq!(moved_adj, self.chunks.adj_count[nxt as usize]);
         self.chunks.adj_count[c as usize] += moved_adj;
         self.charge(
@@ -369,18 +425,97 @@ impl ChunkedEulerForest {
 
     /// Make `e` a forest edge: merge the Euler tours of its endpoints'
     /// trees. The endpoints must currently be in different trees and `e`
-    /// must already be a (live) graph edge.
+    /// must already be a (live) graph edge. A single-chunk tour is spliced
+    /// into the other endpoint's chunk; two multi-chunk tours take the
+    /// general split/join path.
     pub(crate) fn link_tree_edge(&mut self, e: Edge) {
-        let (u, v) = (e.u, e.v);
-        let a = self.principal[u.index()];
-        let b = self.principal[v.index()];
-        let a_single = self.occ_list_is_singleton(a);
-        let b_single = self.occ_list_is_singleton(b);
+        let a = self.principal[e.u.index()];
+        let b = self.principal[e.v.index()];
         debug_assert_ne!(
             self.tree_root(self.chunks.occ_chunk[a as usize]),
             self.tree_root(self.chunks.occ_chunk[b as usize]),
             "link endpoints must be in different trees"
         );
+        let h = self
+            .edges
+            .handle_of(e.id)
+            .expect("edge must be registered before linking");
+        // `host` keeps its place; the tour of `guest` follows it.
+        let single = |o: u32| self.list_is_single_chunk(self.chunks.occ_chunk[o as usize]);
+        let (host, guest, host_is_u, splice) = if single(b) {
+            (a, b, true, true)
+        } else if single(a) {
+            (b, a, false, true)
+        } else {
+            (a, b, true, false)
+        };
+        let (host_new, closing) = if splice {
+            #[cfg(test)]
+            count_surgery(Surgery::Splice);
+            self.splice_tour(host, guest)
+        } else {
+            #[cfg(test)]
+            count_surgery(Surgery::GeneralLink);
+            self.link_tours(host, guest)
+        };
+        self.set_link_arcs(h, host, host_new, closing, host_is_u);
+        self.charge(4, 2, 2);
+        self.flush_rebalance();
+    }
+
+    /// Link fast path: the tour of `guest` is a single-chunk list (so it has
+    /// no id and no row). Rotate it to start at `guest`, append the closing
+    /// occurrences, move the run into `host`'s chunk right after `host`, and
+    /// free the emptied chunk. Returns the new occurrence of `host`'s vertex
+    /// (none if `host` was its tour's only occurrence) and the occurrence
+    /// that closes the tour of `guest`.
+    fn splice_tour(&mut self, host: u32, guest: u32) -> (Option<u32>, u32) {
+        let hc = self.chunks.occ_chunk[host as usize];
+        let gc = self.chunks.occ_chunk[guest as usize];
+        debug_assert_eq!(
+            self.chunks.slot[gc as usize], NONE,
+            "single-chunk list with an id"
+        );
+        let host_single = self.occ_list_is_singleton(host);
+        let mut run = std::mem::take(&mut self.chunks.occs[gc as usize]);
+        let guest_single = run.len() == 1;
+        run.rotate_left(self.chunks.occ_pos[guest as usize] as usize);
+        let guest_new = (!guest_single).then(|| self.alloc_occ(self.chunks.occ_vert(guest)));
+        let host_new = (!host_single).then(|| self.alloc_occ(self.chunks.occ_vert(host)));
+        run.extend(guest_new.into_iter().chain(host_new));
+        let at = self.chunks.occ_pos[host as usize] as usize + 1;
+        let moved = at..at + run.len();
+        // The guest's vector is dropped rather than left to its freed id:
+        // freed ids pile up (one per vertex that was ever isolated), and
+        // their kept capacities would add up.
+        self.chunks.occs[hc as usize].splice(at..at, run);
+        let adj = &self.adj;
+        let moved_adj = self
+            .chunks
+            .rechunk_occs(hc, moved.clone(), &mut self.vertex_chunk, |v| {
+                adj[v as usize].len()
+            });
+        debug_assert_eq!(moved_adj, self.chunks.adj_count[gc as usize]);
+        self.chunks.restamp_occs(hc, moved.end);
+        self.chunks.adj_count[hc as usize] += moved_adj;
+        self.chunks.free(gc);
+        let len = self.chunks.occs[hc as usize].len();
+        self.charge(len as u64, log_depth(len), len as u64);
+        if self.chunks.slot[hc as usize] != NONE {
+            self.lower_row_by_arrivals(hc, moved);
+        }
+        self.touch(hc);
+        (host_new, guest_new.unwrap_or(guest))
+    }
+
+    /// General link path: rotate the tour of `b` to start at `b`, append the
+    /// closing occurrences, and splice it into the tour of `a` right after
+    /// `a` with list splits and joins. Returns the new occurrence of `a`'s
+    /// vertex (if any) and the occurrence that closes the tour of `b`.
+    fn link_tours(&mut self, a: u32, b: u32) -> (Option<u32>, u32) {
+        let (u, v) = (self.chunks.occ_vert(a), self.chunks.occ_vert(b));
+        let a_single = self.occ_list_is_singleton(a);
+        let b_single = self.occ_list_is_singleton(b);
 
         // Rotate v's tour so that it starts at the principal copy of v.
         let root_b = self.tree_root(self.chunks.occ_chunk[b as usize]);
@@ -413,35 +548,45 @@ impl ChunkedEulerForest {
         let mid_root = self.tree_root(self.chunks.occ_chunk[b as usize]);
         let joined = self.list_join(a1, mid_root);
         self.list_join(joined, a2);
+        (u_new, v_new.unwrap_or(b))
+    }
 
-        // Arc bookkeeping (arc tails live inside the edge's own record).
-        let h = self
-            .edges
-            .handle_of(e.id)
-            .expect("edge must be registered before linking");
-        if let Some(un) = u_new {
+    /// Arc bookkeeping of a link whose tour now reads `host`, the guest
+    /// tour, `closing`, `host_new`, then whatever followed `host`: the arc
+    /// `host` carried moves to `host_new`, and edge `h`'s two arcs start at
+    /// `host` and `closing`. `host` is an occurrence of the edge's `u` iff
+    /// `host_is_u` (then `host -> guest` is the forward arc). Arc tails live
+    /// inside the edge records.
+    fn set_link_arcs(
+        &mut self,
+        h: u32,
+        host: u32,
+        host_new: Option<u32>,
+        closing: u32,
+        host_is_u: bool,
+    ) {
+        if let Some(hn) = host_new {
             let old_arc = self
                 .chunks
-                .occ_arc(a)
+                .occ_arc(host)
                 .expect("non-singleton tours have an arc at every occurrence tail");
-            self.chunks.set_occ_arc(a, None);
-            self.chunks.set_occ_arc(un, Some(old_arc));
+            self.chunks.set_occ_arc(hn, Some(old_arc));
             let entry = self.edges.get_mut(old_arc.0);
             debug_assert_ne!(entry.fwd, NONE, "transferred arc must be registered");
             if old_arc.1 {
-                entry.fwd = un;
+                entry.fwd = hn;
             } else {
-                entry.bwd = un;
+                entry.bwd = hn;
             }
         }
-        self.chunks.set_occ_arc(a, Some((h, true)));
-        let bwd_tail = v_new.unwrap_or(b);
-        self.chunks.set_occ_arc(bwd_tail, Some((h, false)));
+        self.chunks.set_occ_arc(host, Some((h, host_is_u)));
+        self.chunks.set_occ_arc(closing, Some((h, !host_is_u)));
         let rec = self.edges.get_mut(h);
-        rec.fwd = a;
-        rec.bwd = bwd_tail;
-        self.charge(4, 2, 2);
-        self.flush_rebalance();
+        (rec.fwd, rec.bwd) = if host_is_u {
+            (host, closing)
+        } else {
+            (closing, host)
+        };
     }
 
     /// Remove forest edge `e` (still registered as a graph edge, i.e. the
@@ -470,7 +615,8 @@ impl ChunkedEulerForest {
 
     /// Shared tour surgery for both cut paths: split the cyclic tour at arc
     /// tails `x` (of `e.u -> e.v`) and `y` (of `e.v -> e.u`), returning the
-    /// roots of the two resulting lists.
+    /// roots of the two resulting lists. The side of `v` is the cyclic
+    /// interval `(x, y]`, the side of `u` is `(y, x]`.
     fn cut_tour(&mut self, e: Edge, x: u32, y: u32) -> (u32, u32) {
         debug_assert_eq!(self.chunks.occ_vert(x), e.u);
         debug_assert_eq!(self.chunks.occ_vert(y), e.v);
@@ -479,21 +625,34 @@ impl ChunkedEulerForest {
         self.chunks.set_occ_arc(x, None);
         self.chunks.set_occ_arc(y, None);
 
-        // Split the cyclic tour at the two arcs. The side of `v` is the
-        // cyclic interval (x, y]; the side of `u` is (y, x].
-        let (rank_x, rank_y) = (self.occ_rank(x), self.occ_rank(y));
-        if rank_x < rank_y {
-            let (p1, rest) = self.list_split_after_occ(x);
-            debug_assert_ne!(rest, NONE);
-            let (_p2, p3) = self.list_split_after_occ(y);
-            // v-side = p2 (succ(x) ..= y); u-side = p3 ++ p1 (cyclic wrap).
-            self.list_join(p3, p1);
+        let c = self.chunks.occ_chunk[x as usize];
+        if c == self.chunks.occ_chunk[y as usize] {
+            // Both tails in one chunk: the run after the first up to the
+            // second is a whole side, and it never wraps.
+            #[cfg(test)]
+            count_surgery(Surgery::Extraction);
+            let (px, py) = (
+                self.chunks.occ_pos[x as usize],
+                self.chunks.occ_pos[y as usize],
+            );
+            let (lo, hi) = (px.min(py) as usize, px.max(py) as usize);
+            self.extract_side(c, lo + 1..hi + 1);
         } else {
-            let (q1, rest) = self.list_split_after_occ(y);
-            debug_assert_ne!(rest, NONE);
-            let (_q2, q3) = self.list_split_after_occ(x);
-            // u-side = q2 (succ(y) ..= x); v-side = q3 ++ q1 (cyclic wrap).
-            self.list_join(q3, q1);
+            #[cfg(test)]
+            count_surgery(Surgery::GeneralCut);
+            if self.occ_rank(x) < self.occ_rank(y) {
+                let (p1, rest) = self.list_split_after_occ(x);
+                debug_assert_ne!(rest, NONE);
+                let (_p2, p3) = self.list_split_after_occ(y);
+                // v-side = p2 (succ(x) ..= y); u-side = p3 ++ p1 (cyclic wrap).
+                self.list_join(p3, p1);
+            } else {
+                let (q1, rest) = self.list_split_after_occ(y);
+                debug_assert_ne!(rest, NONE);
+                let (_q2, q3) = self.list_split_after_occ(x);
+                // u-side = q2 (succ(y) ..= x); v-side = q3 ++ q1 (cyclic wrap).
+                self.list_join(q3, q1);
+            }
         }
 
         // Each endpoint loses one occurrence unless it became (or stays) the
@@ -508,18 +667,53 @@ impl ChunkedEulerForest {
         (root_u, root_v)
     }
 
+    /// Cut fast path: move the occurrences at `side` of chunk `c` (one whole
+    /// side of the cut) into a new slotless single-chunk list. `c` stays in
+    /// its list, whose chunk order does not change; its row is rebuilt only
+    /// if a moved edge held one of its pair minima.
+    fn extract_side(&mut self, c: u32, side: Range<usize>) {
+        let rebuild =
+            self.chunks.slot[c as usize] != NONE && self.run_holds_a_minimum(c, side.clone());
+        let len = self.chunks.occs[c as usize].len();
+        let nc = self.chunks.alloc();
+        let mut moved = std::mem::take(&mut self.chunks.occs[nc as usize]);
+        moved.extend(self.chunks.occs[c as usize].drain(side.clone()));
+        self.chunks.occs[nc as usize] = moved;
+        let adj = &self.adj;
+        let moved_adj = self
+            .chunks
+            .rechunk_occs(nc, 0..side.len(), &mut self.vertex_chunk, |v| {
+                adj[v as usize].len()
+            });
+        self.chunks.restamp_occs(c, side.start);
+        self.chunks.adj_count[nc as usize] = moved_adj;
+        self.chunks.adj_count[c as usize] -= moved_adj;
+        self.charge(len as u64, log_depth(len), len as u64);
+        if rebuild {
+            self.rebuild_row(c);
+        }
+        self.touch(c);
+        self.touch(nc);
+    }
+
     /// After a cut, occurrence `o` of vertex `v` is redundant (its arc was
     /// removed) unless it is the vertex's only occurrence. Re-designate the
-    /// principal copy if necessary, then delete it.
+    /// principal copy if necessary — to an occurrence in the same chunk when
+    /// there is one, which moves no adjacency between rows — then delete it.
     fn remove_redundant_occurrence(&mut self, o: u32, v: VertexId) {
         if self.vertex_occs[v.index()].len() < 2 {
             return;
         }
         if self.chunks.occ_principal(o) {
-            let replacement = self.vertex_occs[v.index()]
+            let c = self.chunks.occ_chunk[o as usize];
+            let others = self.vertex_occs[v.index()]
                 .iter()
                 .copied()
-                .find(|&other| other != o)
+                .filter(|&other| other != o);
+            let replacement = others
+                .clone()
+                .find(|&other| self.chunks.occ_chunk[other as usize] == c)
+                .or_else(|| others.clone().next())
                 .expect("vertex has another occurrence");
             self.set_principal(v, replacement);
         }
@@ -533,20 +727,40 @@ impl ChunkedEulerForest {
     /// Restore Invariant 1 for every chunk touched by the current operation.
     /// `touched` is a plain stack; the `queued` flag on each chunk keeps
     /// entries unique and lets freed chunks leave stale entries behind.
+    ///
+    /// A chunk that shrank may let an undersized neighbour merge, one the
+    /// chunk's old size kept apart, so every rebalanced chunk queues its
+    /// undersized neighbours too. The loop ends: an undersized chunk that
+    /// cannot merge queues nothing (both its neighbours exceed `2K`), and
+    /// every other such touch ends in a merge.
     pub(crate) fn flush_rebalance(&mut self) {
         while let Some(c) = self.touched.pop() {
             if !self.chunks.queued(c) {
                 continue; // stale entry: freed (or already processed)
             }
             self.chunks.set_queued(c, false);
-            self.rebalance(c);
+            let c = self.rebalance(c);
+            if c == NONE {
+                continue;
+            }
+            for nb in [self.prev_chunk(c), self.next_chunk(c)]
+                .into_iter()
+                .flatten()
+            {
+                if self.chunks.nc(nb) < self.k {
+                    self.touch(nb);
+                }
+            }
         }
     }
 
-    fn rebalance(&mut self, mut c: u32) {
+    /// Split an oversized chunk `c` or merge an undersized one with a
+    /// neighbour, and fix its id for its list's new length. Returns the
+    /// chunk that ends up holding `c`'s occurrences (`NONE` if `c` is dead).
+    fn rebalance(&mut self, mut c: u32) -> u32 {
         loop {
             if !self.chunks.alive(c) {
-                return;
+                return NONE;
             }
             let nc = self.chunks.nc(c);
             let single = self.list_is_single_chunk(c);
@@ -593,6 +807,7 @@ impl ChunkedEulerForest {
                 break;
             }
         }
+        c
     }
 
     /// Find a split position that balances `n_c` between the two halves, or

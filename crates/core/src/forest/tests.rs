@@ -634,14 +634,17 @@ mod soa_vs_aos {
         #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
         /// Small K with `validate()` (exact CAdj rows and aggregates, empty
-        /// stale set) after every op; each case must reach the γ search,
-        /// which recomputes stale aggregates before reading list roots.
+        /// stale set, both Invariant-1 bounds) after every op; each case
+        /// must reach the γ search, which recomputes stale aggregates
+        /// before reading list roots, and take every link and cut path.
         #[test]
         fn small_k_streams_validate_after_every_op(ops in proptest::collection::vec(op_strategy(16), 80..160)) {
             let searches = || crate::forest::mwr::GAMMA_SEARCHES.with(|c| c.get());
             let before = searches();
+            let paths_before = super::surgeries();
             run_ops(16, 2, &ops, |s| s.validate());
             prop_assert!(searches() > before, "the stream never reached the γ search");
+            super::assert_every_path_ran(paths_before, "a small-K stream");
         }
 
         /// Tiny K maximises chunk churn (splits, merges, slot transitions),
@@ -653,6 +656,28 @@ mod soa_vs_aos {
                 check_occs_against_aos(s.forest());
             });
         }
+    }
+}
+
+/// The per-path link and cut counters of this thread.
+fn surgeries() -> [u64; 4] {
+    crate::forest::surgery::SURGERIES.with(|c| c.get())
+}
+
+/// Every link and cut path (splice, in-chunk extraction, general link,
+/// general cut) ran since the counters read `before`.
+fn assert_every_path_ran(before: [u64; 4], what: &str) {
+    let after = surgeries();
+    for (path, name) in [
+        "splice",
+        "in-chunk extraction",
+        "general link",
+        "general cut",
+    ]
+    .iter()
+    .enumerate()
+    {
+        assert!(after[path] > before[path], "no {name} ran in {what}");
     }
 }
 
@@ -676,6 +701,7 @@ fn meter_accumulates_costs_per_operation() {
 /// sequentially (Theorem 1.2), and `K = 4`, which maximises chunk churn.
 /// Summed depth and work and the peak processor count cover the base build
 /// and every update, so a change to any charge formula moves a number here.
+/// Every configuration takes all four link and cut paths.
 #[test]
 fn meter_charges_are_pinned() {
     use crate::forest::CostModel;
@@ -697,14 +723,15 @@ fn meter_charges_are_pinned() {
     let served = default_sequential_k(n);
     assert_eq!((sqrt_n, served), (16, 46));
     let expected: [(usize, CostModel, [u64; 3]); 4] = [
-        (sqrt_n, CostModel::Erew, [180_706, 2_153_885, 121]),
-        (served, CostModel::Erew, [174_150, 1_151_065, 119]),
-        (served, CostModel::Sequential, [1_151_065, 1_151_065, 1]),
-        (4, CostModel::Sequential, [7_447_287, 7_447_287, 1]),
+        (sqrt_n, CostModel::Erew, [88_399, 873_958, 117]),
+        (served, CostModel::Erew, [61_978, 325_195, 176]),
+        (served, CostModel::Sequential, [325_195, 325_195, 1]),
+        (4, CostModel::Sequential, [5_835_866, 5_835_866, 1]),
     ];
     for (k, model, [depth, work, peak]) in expected {
         let searches = || crate::forest::mwr::GAMMA_SEARCHES.with(|c| c.get());
         let before = searches();
+        let paths_before = surgeries();
         let mut s = SeqDynamicMsf::with_parameters(n, k, model);
         drive_checked(&mut s, &stream, |_| {});
         let total = s.meter().total();
@@ -714,5 +741,6 @@ fn meter_charges_are_pinned() {
             "charges moved at K = {k}, {model:?}"
         );
         assert!(searches() > before, "no γ search ran at K = {k}, {model:?}");
+        assert_every_path_ran(paths_before, &format!("the stream at K = {k}, {model:?}"));
     }
 }

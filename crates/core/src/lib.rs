@@ -47,7 +47,7 @@
 //!   recycle through a free list and a stride growth is one compacting
 //!   re-layout.
 //!
-//! With `K` fixed, an update's time is constant factors, and four choices
+//! With `K` fixed, an update's time is constant factors, and five choices
 //! cut them:
 //!
 //! * **Inline adjacency.** An adjacency entry is `{weight, id, other}`
@@ -66,6 +66,13 @@
 //!   and at the end of every insert and delete. Aggregates are exact
 //!   between public operations, and the meter still charges the model's
 //!   `O(J)` per touched node.
+//! * **In-chunk tour surgery.** A link whose one tour is a single chunk
+//!   splices that tour into the other endpoint's chunk, lowering only the
+//!   row entries its edges improve; a cut whose two arc tails share a
+//!   chunk moves the run between them into a new single-chunk list,
+//!   rebuilding the host row only if a moved edge held a pair minimum.
+//!   Neither splits a chunk whose pieces rebalancing would merge straight
+//!   back; every other link and cut takes the general split/join path.
 //!
 //! Every primitive runs on the calling thread. The serving engines build
 //! their structures at the sequential `K = sqrt(n log n)`

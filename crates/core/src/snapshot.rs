@@ -287,6 +287,7 @@ pub(crate) fn forest_from_image(image: &MsfImage) -> Result<ChunkedEulerForest, 
         scratch_row2: Vec::new(),
         scratch_order: Vec::new(),
         scratch_dirty: Vec::new(),
+        scratch_slots: Vec::new(),
         touched: image.touched.clone(),
         stale: Vec::new(),
     })
