@@ -1,55 +1,47 @@
-//! Experiment driver: prints the evaluation tables and writes the
-//! machine-readable benchmark JSON artifacts.
+//! Experiment driver: prints the evaluation tables, writes the
+//! machine-readable benchmark JSON artifacts and checks every experiment's
+//! bar.
 //!
 //! Usage:
 //! ```text
 //! cargo run --release -p pdmsf-bench --bin experiments              # everything
-//! cargo run --release -p pdmsf-bench --bin experiments -- e2 paper  # a selection
+//! cargo run --release -p pdmsf-bench --bin experiments -- e1 paper  # a selection
 //! cargo run --release -p pdmsf-bench --bin experiments -- quick     # smaller sizes
 //! cargo run --release -p pdmsf-bench --bin experiments -- e0 gate   # E0 + trajectory gate
 //! ```
 //!
-//! The selectors are `e0`–`e6` and `paper`, plus the modifiers `quick` and
-//! `gate`; anything else is a usage error (exit status 2). A failed check
-//! (the E0 trajectory gate, the paper's bounds) exits with status 1.
+//! The selectors are `e0`, `e1`, `e5`, `e6` and `paper`, plus the
+//! modifiers `quick` (smaller E0, E1 and `paper` runs) and `gate`;
+//! anything else is a usage error (exit status 2). A failed check exits
+//! with status 1: the E0 trajectory gate, the paper's bounds, and the
+//! same-process speed ratios of E1, E5 and E6, which every run checks.
 //!
 //! * E0 → `BENCH_update_time.json`: updates/s on insert, delete and mixed
 //!   streams, with a same-process Kruskal calibration (`gate` compares the
 //!   calibrated mixed rate against the committed snapshot).
 //! * E1 → `BENCH_batch_throughput.json`: batched vs one-op-at-a-time
-//!   engine paths over bursty and clustered batch streams.
-//! * E2 → `BENCH_shard_throughput.json`: the sharded multi-tenant service
-//!   vs one flat merged engine, across shard counts and tenant skews.
-//! * E3 → `BENCH_sched_throughput.json`: the work-stealing scheduler under
-//!   many-small-jobs workloads, steal/claim counters per record.
-//! * E4 → `BENCH_serve_latency.json`: the closed-loop serve-latency ramp —
-//!   offered load climbs round by round under virtual arrival pacing and
-//!   the headline is the knee, the highest offered rps whose round met the
-//!   p95 SLO (see `pdmsf_bench::serve`).
+//!   engine paths over bursty and clustered batch streams. Bar: batched
+//!   ≥ `E1_FLOOR`× one-by-one on the bursty stream's largest cell.
 //! * E5 → `BENCH_persist.json`: checkpoint size, checkpoint/restore wall
-//!   time vs a cold rebuild.
-//! * E6 → `BENCH_intra_batch.json`: grouped concurrent apply on a
-//!   component-partitioned engine vs forced serial apply. The pool width
-//!   is read once per process, so run once per `PDMSF_POOL_THREADS` width
-//!   and merge.
+//!   time vs a cold rebuild. Bar: restore ≥ `E5_FLOOR`× faster than the
+//!   cold rebuild on the largest engine cell.
+//! * E6 → `BENCH_intra_batch.json`: adaptive vs static partition homes
+//!   on a migration-churn stream through a component-partitioned engine.
+//!   Bar: adaptive ≥ `E6_FLOOR`× static. The pool width is read once per
+//!   process, so run once per `PDMSF_POOL_THREADS` width and merge.
 //! * `paper` → `BENCH_paper.json`: the paper's cost bounds as fitted
 //!   exponents, checked on every run (see `pdmsf_bench::paper`).
 
-use pdmsf_bench::serve::{
-    drive_serve_ramp, knee_point, serve_records_to_json, RampConfig, ServeScenario,
-};
 use pdmsf_bench::{
     batch_records_to_json, bench_records_to_json, bursty_batch_stream, clustered_batch_stream,
-    clustered_mix_batch_stream, drive_engine_batched, drive_engine_one_by_one, drive_service_flat,
-    drive_service_sharded, drive_updates_each, failure_stream, insert_stream,
-    intra_batch_records_to_json, kruskal_ns, migration_churn_batch_stream, mixed_stream, paper,
-    persist_records_to_json, sched_records_to_json, shard_records_to_json, tenant_stream,
-    BatchRecord, BenchRecord, IntraBatchRecord, MergedTenantEngine, PersistRecord, RunMeta,
-    SchedRecord, ShardRecord,
+    drive_engine_batched, drive_engine_one_by_one, drive_updates_each, failure_stream,
+    insert_stream, intra_batch_records_to_json, kruskal_ns, migration_churn_batch_stream,
+    mixed_stream, paper, persist_records_to_json, tenant_stream, BatchRecord, BenchRecord,
+    IntraBatchRecord, PersistRecord, RunMeta,
 };
 use pdmsf_core::{seq::default_sequential_k, SeqDynamicMsf};
 use pdmsf_engine::{Engine, Op};
-use pdmsf_graph::{kruskal_msf, DynamicMsf, TenantId, UpdateStream};
+use pdmsf_graph::{kruskal_msf, BatchStream, DynamicMsf, EdgeId, TenantId, UpdateStream};
 use pdmsf_persist::{EngineCheckpointExt, ServiceCheckpointExt};
 use pdmsf_pram::pool;
 use pdmsf_shard::{ShardedService, TenantSpec};
@@ -61,13 +53,31 @@ fn median(xs: &mut [f64]) -> f64 {
     xs[xs.len() / 2]
 }
 
-struct Config {
-    sizes: Vec<usize>,
-    ops: usize,
+/// Time one arm of a same-process comparison: drive `stream` through
+/// `engine`, hand the engine and the timing to `record`, and drop the
+/// engine before returning, so that the next arm runs with no other engine
+/// alive. A live engine slows whatever is timed after it: two identical
+/// arms (serial apply on a 65 536-vertex, 8-partition engine over a
+/// block-mixed stream) read 1.8× apart while the first engine stayed
+/// alive, and 1.04× once it was dropped.
+/// Returns the forest weight and edges for the arms' differential checks.
+fn time_arm(
+    mut engine: Engine,
+    stream: &BatchStream,
+    drive: fn(&mut Engine, &BatchStream) -> (Duration, usize),
+    record: impl FnOnce(&Engine, Duration, usize),
+) -> (i128, Vec<EdgeId>) {
+    let (elapsed, ops) = drive(&mut engine, stream);
+    record(&engine, elapsed, ops);
+    (engine.forest_weight(), engine.forest_edges())
 }
 
+/// Vertex counts of a full `paper` run (`quick` runs the first three) and
+/// of E5's engine cells.
+const SIZES: [usize; 5] = [1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16];
+
 /// Every experiment selector, in run order.
-const EXPERIMENTS: [&str; 8] = ["e0", "e1", "e2", "e3", "e4", "e5", "e6", "paper"];
+const EXPERIMENTS: [&str; 5] = ["e0", "e1", "e5", "e6", "paper"];
 
 /// What one invocation runs.
 #[derive(Debug, PartialEq)]
@@ -114,17 +124,6 @@ fn main() {
         std::process::exit(2);
     });
     let quick = selection.quick;
-    let config = if quick {
-        Config {
-            sizes: vec![1 << 8, 1 << 10, 1 << 12],
-            ops: 400,
-        }
-    } else {
-        Config {
-            sizes: vec![1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16],
-            ops: 1_500,
-        }
-    };
     let mut failures: Vec<String> = Vec::new();
     for name in EXPERIMENTS {
         if !selection.experiments.contains(&name) {
@@ -132,13 +131,11 @@ fn main() {
         }
         match name {
             "e0" => failures.extend(e0_bench_json(quick, selection.gate).err()),
-            "e1" => e1_batch_throughput(quick),
-            "e2" => e2_shard_throughput(quick),
-            "e3" => e3_sched_throughput(quick),
-            "e4" => e4_serve_latency(quick),
-            "e5" => e5_persist(&config),
-            "e6" => e6_intra_batch(quick),
-            "paper" => failures.extend(paper::run(&config.sizes, config.ops)),
+            "e1" => failures.extend(e1_batch_throughput(quick).err()),
+            "e5" => failures.extend(e5_persist().err()),
+            "e6" => failures.extend(e6_intra_batch().err()),
+            "paper" if quick => failures.extend(paper::run(&SIZES[..3], 400)),
+            "paper" => failures.extend(paper::run(&SIZES, 1_500)),
             _ => unreachable!("EXPERIMENTS lists {name}"),
         }
     }
@@ -147,6 +144,27 @@ fn main() {
             eprintln!("FAILED: {failure}");
         }
         std::process::exit(1);
+    }
+}
+
+/// One experiment's bar. `cell` holds the two medians of a same-process
+/// ratio (`numerator / denominator`: machine speed cancels out), and the
+/// ratio must reach `floor`. A missing cell, a non-finite median or a
+/// denominator that is not positive fails: a bar never passes for want of
+/// a measurement.
+fn check_bar(name: &str, cell: Option<(f64, f64)>, floor: f64) -> Result<String, String> {
+    let (num, den) = cell.ok_or_else(|| format!("{name}: no measured cell (floor {floor:.2}x)"))?;
+    if !(num.is_finite() && den.is_finite() && den > 0.0) {
+        return Err(format!(
+            "{name}: no valid ratio ({num} over {den}; floor {floor:.2}x)"
+        ));
+    }
+    let ratio = num / den;
+    let report = format!("{name}: {ratio:.2}x (floor {floor:.2}x)");
+    if ratio >= floor {
+        Ok(report)
+    } else {
+        Err(report)
     }
 }
 
@@ -342,29 +360,36 @@ fn json_number(line: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
+/// E1's bar: batched ≥ this × one-by-one, medians of [`E1_REPS`] reps, on
+/// the bursty stream at the run's largest `n` and batch size.
+const E1_FLOOR: f64 = 1.3;
+
+/// Timed repetitions of every E1 cell, quick or full.
+const E1_REPS: usize = 3;
+
 /// E1: batch-engine throughput — the batched path (preprocessing,
 /// cancellation, query snapshot + pooled fan-out) vs the one-op-at-a-time
 /// engine path on identical bursty and tenant-clustered batch streams.
 /// Emits `BENCH_batch_throughput.json` with the same run-metadata stamping
-/// as E0. The ROADMAP acceptance bar: batched ≥ 1.3× one-by-one on the
-/// mixed (bursty) stream at the largest measured batch size, comparing
-/// medians.
-fn e1_batch_throughput(quick: bool) {
+/// as E0, then checks [`E1_FLOOR`].
+fn e1_batch_throughput(quick: bool) -> Result<(), String> {
     println!("\n== E1: batch engine throughput (writes BENCH_batch_throughput.json) ==");
     println!("paths: batched (plan + cancel + dedup + snapshot fan-out) vs one-by-one");
     println!("(same ops through the same structure, no batch leverage); identical");
     println!("outcomes, so the ratio is pure batching leverage");
-    let (sizes, batch_sizes, total_ops, reps): (&[usize], &[usize], usize, usize) = if quick {
-        (&[1_000], &[32, 256], 2_048, 1)
+    let (sizes, batch_sizes, total_ops): (&[usize], &[usize], usize) = if quick {
+        (&[1_000], &[32, 256], 2_048)
     } else {
-        (&[1_000, 10_000], &[16, 64, 256, 1_024], 8_192, 3)
+        (&[1_000, 10_000], &[16, 64, 256, 1_024], 8_192)
     };
-    type StreamMaker = fn(usize, usize, usize, usize, u64) -> pdmsf_graph::BatchStream;
+    type StreamMaker = fn(usize, usize, usize, usize, u64) -> BatchStream;
     let streams: [(&str, StreamMaker); 2] = [
         ("bursty", bursty_batch_stream),
         ("clustered", clustered_batch_stream),
     ];
     let mut records: Vec<BatchRecord> = Vec::new();
+    let (bar_n, bar_batch) = (sizes[sizes.len() - 1], batch_sizes[batch_sizes.len() - 1]);
+    let mut bar_cell = None;
     println!(
         "{:>10} {:>8} {:>7} {:>16} {:>16} {:>12}",
         "stream", "n", "batch", "batched (op/s)", "1-by-1 (op/s)", "batched/1x1"
@@ -375,7 +400,7 @@ fn e1_batch_throughput(quick: bool) {
                 let batches = (total_ops / batch_size).max(1);
                 let stream = make(n, 2 * n, batches, batch_size, 81);
                 let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-                for _ in 0..reps {
+                for _ in 0..E1_REPS {
                     let mut run = |path: &str, engine: &Engine, t: Duration, ops: usize| -> f64 {
                         records.push(BatchRecord {
                             path: path.to_string(),
@@ -389,18 +414,21 @@ fn e1_batch_throughput(quick: bool) {
                         });
                         records.last().unwrap().ops_per_sec()
                     };
-                    let mut batched = Engine::new(n);
-                    let (t_b, ops_b) = drive_engine_batched(&mut batched, &stream);
-                    rates[0].push(run("batched", &batched, t_b, ops_b));
-
-                    let mut serial = Engine::new(n);
-                    let (t_s, ops_s) = drive_engine_one_by_one(&mut serial, &stream);
-                    rates[1].push(run("one-by-one", &serial, t_s, ops_s));
-
+                    let batched = time_arm(
+                        Engine::new(n),
+                        &stream,
+                        drive_engine_batched,
+                        |e, t, ops| rates[0].push(run("batched", e, t, ops)),
+                    );
+                    let serial = time_arm(
+                        Engine::new(n),
+                        &stream,
+                        drive_engine_one_by_one,
+                        |e, t, ops| rates[1].push(run("one-by-one", e, t, ops)),
+                    );
                     // The two paths must agree — this benchmark doubles as a
                     // large-n differential test of the batch semantics.
-                    assert_eq!(batched.forest_weight(), serial.forest_weight());
-                    assert_eq!(batched.forest_edges(), serial.forest_edges());
+                    assert_eq!(batched, serial);
                 }
                 let m_batched = median(&mut rates[0]);
                 let m_serial = median(&mut rates[1]);
@@ -411,12 +439,11 @@ fn e1_batch_throughput(quick: bool) {
                     batch_size,
                     m_batched,
                     m_serial,
-                    if m_serial > 0.0 {
-                        m_batched / m_serial
-                    } else {
-                        0.0
-                    }
+                    m_batched / m_serial
                 );
+                if (stream_name, n, batch_size) == ("bursty", bar_n, bar_batch) {
+                    bar_cell = Some((m_batched, m_serial));
+                }
             }
         }
     }
@@ -430,516 +457,28 @@ fn e1_batch_throughput(quick: bool) {
         meta.git_sha,
         meta.threads
     );
+    let name = format!("E1 bursty n = {bar_n} batch {bar_batch}: batched / one-by-one");
+    println!("{}", check_bar(&name, bar_cell, E1_FLOOR)?);
+    Ok(())
 }
 
-/// E2: sharded-service throughput — the multi-tenant sharded service
-/// (tenant routing, per-shard planning, concurrent shard application on
-/// the pool injector) vs one flat single-`Engine` over the merged vertex
-/// space, on identical tenant-tagged streams, across shard counts and
-/// tenant popularity skews. Emits `BENCH_shard_throughput.json`, each
-/// record stamped with the pool-stats delta of its timed region on top of
-/// the usual run metadata.
-///
-/// The ROADMAP acceptance bar: sharded with ≥ 4 shards ≥ 1.2× the flat
-/// merged engine (median ops/sec) at the largest quick size on the skewed
-/// stream. The win has two independent sources — each shard holds
-/// `n_shard << n_total` vertices, so the `O(sqrt(n) log n)` updates and
-/// the `O(n)` query snapshots are cheaper *per core*; and shard batches
-/// run concurrently when cores exist — so the bar holds on one core too.
-fn e2_shard_throughput(quick: bool) {
-    println!("\n== E2: sharded service throughput (writes BENCH_shard_throughput.json) ==");
-    println!("paths: sharded (tenant routing + per-shard plan + concurrent shard jobs)");
-    println!("vs flat-merged (one engine over the merged vertex space); identical");
-    println!("streams and final forests, so the ratio is pure sharding leverage");
-    let (sizes, shard_counts, total_ops, reps): (&[(usize, usize)], &[usize], usize, usize) =
-        if quick {
-            (&[(16, 256), (16, 512)], &[1, 2, 4, 8], 4_096, 1)
-        } else {
-            (
-                &[(16, 256), (16, 512), (32, 512), (16, 1_024)],
-                &[1, 2, 4, 8],
-                8_192,
-                3,
-            )
-        };
-    let batch_size = 512usize;
-    let skews: &[(&str, u32)] = &[("skewed", 900), ("uniform", 0)];
-    let mut records: Vec<ShardRecord> = Vec::new();
-    println!(
-        "{:>8} {:>8} {:>8} {:>7} {:>16} {:>14}",
-        "stream", "total_n", "tenants", "shards", "ops/s (median)", "vs flat"
-    );
-    for &(tenants, tenant_n) in sizes {
-        let total_n = tenants * tenant_n;
-        for &(skew_name, zipf) in skews {
-            let batches = (total_ops / batch_size).max(1);
-            let stream = tenant_stream(tenants, tenant_n, batches, batch_size, zipf, 91);
-            let specs: Vec<TenantSpec> = (0..tenants)
-                .map(|t| TenantSpec::new(TenantId(t as u32), tenant_n))
-                .collect();
-            // The flat merged baseline first; shard counts ride against it.
-            // Its final forest weight is the differential reference every
-            // sharded run below is checked against.
-            let mut flat_rates: Vec<f64> = Vec::new();
-            let mut flat_weight = 0i128;
-            for _ in 0..reps {
-                let mut flat = MergedTenantEngine::new(tenants, tenant_n);
-                let snap = pool::snapshot();
-                let (t, ops) = drive_service_flat(&mut flat, &stream);
-                let delta = snap.delta();
-                flat_weight = flat.engine().forest_weight();
-                records.push(ShardRecord {
-                    path: "flat-merged".into(),
-                    shards: 1,
-                    tenants,
-                    tenant_n,
-                    total_n,
-                    zipf_permille: zipf,
-                    batch_size,
-                    batches,
-                    ops,
-                    elapsed_ns: t.as_nanos(),
-                    pool_jobs: delta.jobs_run,
-                    pool_shards: delta.shards_executed,
-                    pool_inline: delta.inline_runs,
-                    pool_chunks: delta.chunks_claimed,
-                    pool_steals: delta.steals,
-                });
-                flat_rates.push(records.last().unwrap().ops_per_sec());
-            }
-            let m_flat = median(&mut flat_rates);
-            println!(
-                "{:>8} {:>8} {:>8} {:>7} {:>16.0} {:>13.2}x",
-                skew_name, total_n, tenants, "flat", m_flat, 1.0
-            );
-            for &shards in shard_counts {
-                let mut rates: Vec<f64> = Vec::new();
-                for _ in 0..reps {
-                    let mut service = ShardedService::new(shards, &specs);
-                    let snap = pool::snapshot();
-                    let (t, ops) = drive_service_sharded(&mut service, &stream);
-                    let delta = snap.delta();
-                    records.push(ShardRecord {
-                        path: "sharded".into(),
-                        shards,
-                        tenants,
-                        tenant_n,
-                        total_n,
-                        zipf_permille: zipf,
-                        batch_size,
-                        batches,
-                        ops,
-                        elapsed_ns: t.as_nanos(),
-                        pool_jobs: delta.jobs_run,
-                        pool_shards: delta.shards_executed,
-                        pool_inline: delta.inline_runs,
-                        pool_chunks: delta.chunks_claimed,
-                        pool_steals: delta.steals,
-                    });
-                    rates.push(records.last().unwrap().ops_per_sec());
-                    // The two paths must agree — this benchmark doubles as a
-                    // large-n differential test of the sharded semantics.
-                    assert_eq!(
-                        service.total_forest_weight(),
-                        flat_weight,
-                        "sharded and flat-merged forests diverged"
-                    );
-                }
-                let m = median(&mut rates);
-                println!(
-                    "{:>8} {:>8} {:>8} {:>7} {:>16.0} {:>13.2}x",
-                    skew_name,
-                    total_n,
-                    tenants,
-                    shards,
-                    m,
-                    if m_flat > 0.0 { m / m_flat } else { 0.0 }
-                );
-            }
-        }
-    }
-    let meta = RunMeta::collect();
-    let json = shard_records_to_json(&meta, &records);
-    let path = "BENCH_shard_throughput.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!(
-        "wrote {path} ({} records, git {}, {} pool thread(s))",
-        records.len(),
-        meta.git_sha,
-        meta.threads
-    );
-}
+/// E5's bar: restoring the largest engine cell from its checkpoint is at
+/// least this × faster than rebuilding it cold.
+const E5_FLOOR: f64 = 10.0;
 
-/// E3: scheduler throughput — the work-stealing pool under the
-/// many-small-jobs regimes the sharded service creates, measured straight
-/// at the pool plus one end-to-end service scenario. Emits
-/// `BENCH_sched_throughput.json`, every record stamped with the pool-stats
-/// delta of its timed region (jobs, chunk claims, **steals**, inline runs)
-/// so scheduler behaviour is attributable in the JSON trajectory.
-///
-/// Scenarios:
-/// * `many-small` — several submitter threads × many tiny flat jobs
-///   (many shards × small batches in service terms);
-/// * `imbalanced` — shard work grows quadratically with the shard index
-///   (imbalanced shard sizes; stealing is what rebalances the tail);
-/// * `nested` — every outer shard submits a nested job (nested-job depth);
-/// * `service-small` — the sharded service on a many-tenants × small-batch
-///   tenant stream (the real dispatcher path end to end).
-///
-/// On a 1-core machine the global pool runs inline (steals = 0 by design —
-/// the counters make that visible); concurrency behaviour needs either
-/// cores or a `PDMSF_POOL_THREADS` override, and the acceptance bar is
-/// "medians no worse than the committed FIFO-injector baseline", with
-/// concurrency upside informational.
-fn e3_sched_throughput(quick: bool) {
-    println!("\n== E3: scheduler throughput (writes BENCH_sched_throughput.json) ==");
-    println!("work-stealing pool under many-small-jobs scenarios; per-record pool");
-    println!("deltas (chunks claimed, steals, inline runs) attribute the scheduling");
-    let reps = if quick { 3 } else { 5 };
-    let spin = |units: usize| {
-        let mut acc = 0u64;
-        for i in 0..units * 40 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
-            std::hint::black_box(acc);
-        }
-        acc
-    };
-    let mut records: Vec<SchedRecord> = Vec::new();
-    println!(
-        "{:>14} {:>6} {:>6} {:>7} {:>16} {:>8} {:>8}",
-        "scenario", "thr", "jobs", "shards", "ops/s (median)", "chunks", "steals"
-    );
-
-    // Pool-level scenarios: (name, submitters, jobs/submitter, shards/job,
-    // depth, per-shard work closure).
-    type ShardWork = Box<dyn Fn(usize) + Sync>;
-    let scenarios: Vec<(&str, usize, usize, usize, usize, ShardWork)> = vec![
-        (
-            "many-small",
-            4,
-            64,
-            8,
-            1,
-            Box::new(move |_shard| {
-                std::hint::black_box(spin(8));
-            }),
-        ),
-        (
-            "imbalanced",
-            2,
-            32,
-            8,
-            1,
-            Box::new(move |shard| {
-                std::hint::black_box(spin(8 * (shard + 1) * (shard + 1)));
-            }),
-        ),
-        (
-            "nested",
-            2,
-            16,
-            4,
-            2,
-            Box::new(move |_outer| {
-                pool::run_shards(4, |_inner| {
-                    std::hint::black_box(spin(10));
-                });
-            }),
-        ),
-    ];
-    for (name, submitters, jobs, shards, depth, work) in &scenarios {
-        let mut rates: Vec<f64> = Vec::new();
-        let mut last: Option<SchedRecord> = None;
-        for _ in 0..reps {
-            // Every executed shard counts as an op: in the nested scenario
-            // each outer shard additionally submits a 4-shard inner job,
-            // so a job executes `shards` outer + `shards * 4` leaf shards
-            // (matching the pool_shards delta stamped into the record).
-            let ops = submitters * jobs * shards * if *depth > 1 { 1 + 4 } else { 1 };
-            let snap = pool::snapshot();
-            let start = std::time::Instant::now();
-            std::thread::scope(|scope| {
-                for _ in 0..*submitters {
-                    scope.spawn(|| {
-                        for _ in 0..*jobs {
-                            pool::run_shards(*shards, &*work);
-                        }
-                    });
-                }
-            });
-            let elapsed = start.elapsed();
-            let delta = snap.delta();
-            let rec = SchedRecord {
-                scenario: name.to_string(),
-                submitters: *submitters,
-                jobs: *jobs,
-                shards_per_job: *shards,
-                depth: *depth,
-                ops,
-                elapsed_ns: elapsed.as_nanos(),
-                pool_jobs: delta.jobs_run,
-                pool_shards: delta.shards_executed,
-                pool_inline: delta.inline_runs,
-                pool_chunks: delta.chunks_claimed,
-                pool_steals: delta.steals,
-            };
-            rates.push(rec.ops_per_sec());
-            records.push(rec.clone());
-            last = Some(rec);
-        }
-        let last = last.expect("at least one rep ran");
-        println!(
-            "{:>14} {:>6} {:>6} {:>7} {:>16.0} {:>8} {:>8}",
-            name,
-            submitters,
-            jobs,
-            shards,
-            median(&mut rates),
-            last.pool_chunks,
-            last.pool_steals
-        );
-    }
-
-    // End-to-end: the sharded service on many shards × small batches.
-    let (tenants, tenant_n, shards) = (16usize, 128usize, 8usize);
-    let batches = if quick { 16 } else { 32 };
-    let stream = tenant_stream(tenants, tenant_n, batches, 64, 700, 99);
-    let specs: Vec<TenantSpec> = (0..tenants)
-        .map(|t| TenantSpec::new(TenantId(t as u32), tenant_n))
-        .collect();
-    let mut rates: Vec<f64> = Vec::new();
-    let mut last: Option<SchedRecord> = None;
-    for _ in 0..reps {
-        let mut service = ShardedService::new(shards, &specs);
-        let snap = pool::snapshot();
-        let (t, ops) = drive_service_sharded(&mut service, &stream);
-        let delta = snap.delta();
-        let rec = SchedRecord {
-            scenario: "service-small".into(),
-            submitters: 1,
-            jobs: batches,
-            shards_per_job: shards,
-            depth: 1,
-            ops,
-            elapsed_ns: t.as_nanos(),
-            pool_jobs: delta.jobs_run,
-            pool_shards: delta.shards_executed,
-            pool_inline: delta.inline_runs,
-            pool_chunks: delta.chunks_claimed,
-            pool_steals: delta.steals,
-        };
-        rates.push(rec.ops_per_sec());
-        records.push(rec.clone());
-        last = Some(rec);
-    }
-    let last = last.expect("at least one rep ran");
-    println!(
-        "{:>14} {:>6} {:>6} {:>7} {:>16.0} {:>8} {:>8}",
-        "service-small",
-        1,
-        batches,
-        shards,
-        median(&mut rates),
-        last.pool_chunks,
-        last.pool_steals
-    );
-
-    let meta = RunMeta::collect();
-    let json = sched_records_to_json(&meta, &records);
-    let path = "BENCH_sched_throughput.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!(
-        "wrote {path} ({} records, git {}, {} pool thread(s))",
-        records.len(),
-        meta.git_sha,
-        meta.threads
-    );
-}
-
-/// E4: the closed-loop serve-latency ramp (see [`pdmsf_bench::serve`]).
-/// Offered load on a sharded service climbs `initial_rps` →
-/// `max_rps` in `increment_rps` steps under virtual arrival pacing; per
-/// round the per-op latency distribution (arrival → completion, queueing
-/// included) flows through `pdmsf-obs` histograms and is reported as
-/// p50/p95/p99 + failure rate. The ramp stops at saturation
-/// (failure-rate / median-latency thresholds), and the headline knee —
-/// the highest offered rps whose round met the p95 SLO — lands in
-/// `BENCH_serve_latency.json` next to the full per-round table.
-fn e4_serve_latency(quick: bool) {
-    println!("\n== E4: closed-loop serve latency ramp (writes BENCH_serve_latency.json) ==");
-    println!("offered load ramps per round; per-op latency = arrival -> completion");
-    println!("(queueing included); knee = max offered rps meeting the p95 SLO");
-    let config = if quick {
-        RampConfig::quick()
-    } else {
-        RampConfig::standard()
-    };
-    // Every run drives each workload twice: once on one-partition shard
-    // engines (`partitions: 0`) and once on multi-partition engines
-    // (grouped intra-batch apply + adaptive rebalancing) — the `*_parts`
-    // rows. Comparing the two knees in one run is the E4 read on whether
-    // partitioned serving holds the one-partition capacity while stamping
-    // group attribution.
-    let scenarios: &[ServeScenario] = if quick {
-        &[
-            ServeScenario {
-                name: "uniform",
-                tenants: 8,
-                tenant_vertices: 256,
-                shards: 4,
-                batch_size: 256,
-                zipf_permille: 0,
-                partitions: 0,
-                seed: 41,
-            },
-            ServeScenario {
-                name: "uniform_parts",
-                tenants: 8,
-                tenant_vertices: 256,
-                shards: 4,
-                batch_size: 256,
-                zipf_permille: 0,
-                partitions: 4,
-                seed: 41,
-            },
-        ]
-    } else {
-        &[
-            ServeScenario {
-                name: "uniform",
-                tenants: 16,
-                tenant_vertices: 512,
-                shards: 8,
-                batch_size: 512,
-                zipf_permille: 0,
-                partitions: 0,
-                seed: 41,
-            },
-            ServeScenario {
-                name: "uniform_parts",
-                tenants: 16,
-                tenant_vertices: 512,
-                shards: 8,
-                batch_size: 512,
-                zipf_permille: 0,
-                partitions: 8,
-                seed: 41,
-            },
-            ServeScenario {
-                name: "zipf_hot",
-                tenants: 16,
-                tenant_vertices: 512,
-                shards: 8,
-                batch_size: 512,
-                zipf_permille: 900,
-                partitions: 0,
-                seed: 41,
-            },
-            ServeScenario {
-                name: "zipf_hot_parts",
-                tenants: 16,
-                tenant_vertices: 512,
-                shards: 8,
-                batch_size: 512,
-                zipf_permille: 900,
-                partitions: 8,
-                seed: 41,
-            },
-        ]
-    };
-    let mut records = Vec::new();
-    println!(
-        "{:>9} {:>6} {:>12} {:>12} {:>10} {:>10} {:>10} {:>9} {:>5}",
-        "scenario", "round", "offered_rps", "achieved", "p50_us", "p95_us", "p99_us", "fail", "ok"
-    );
-    let mut slowest: Option<pdmsf_obs::trace::CapturedTrace> = None;
-    for scenario in scenarios {
-        let (ramp, scenario_slowest) = drive_serve_ramp(scenario, &config);
-        if let Some(cap) = scenario_slowest {
-            if slowest.as_ref().is_none_or(|s| cap.total_ns > s.total_ns) {
-                slowest = Some(cap);
-            }
-        }
-        for r in &ramp {
-            println!(
-                "{:>9} {:>6} {:>12} {:>12.0} {:>10.1} {:>10.1} {:>10.1} {:>8.2}% {:>5}",
-                r.scenario,
-                r.round,
-                r.offered_rps,
-                r.achieved_rps,
-                r.p50_ns as f64 / 1e3,
-                r.p95_ns as f64 / 1e3,
-                r.p99_ns as f64 / 1e3,
-                r.failure_rate * 100.0,
-                if r.sustainable { "yes" } else { "NO" }
-            );
-        }
-        match knee_point(&ramp) {
-            Some(knee) => println!(
-                "  {}: knee = {} rps sustained under p95 <= {} ms",
-                scenario.name,
-                knee,
-                config.slo.as_millis()
-            ),
-            None => println!(
-                "  {}: no sustainable round (SLO p95 <= {} ms missed from the start)",
-                scenario.name,
-                config.slo.as_millis()
-            ),
-        }
-        records.extend(ramp);
-    }
-    // Pairwise knee read: each partitioned scenario against its
-    // one-partition twin from the same run.
-    for scenario in scenarios.iter().filter(|s| s.partitions > 0) {
-        let base = scenario.name.trim_end_matches("_parts");
-        let knee_of = |name: &str| {
-            let rows: Vec<_> = records
-                .iter()
-                .filter(|r| r.scenario == name)
-                .cloned()
-                .collect();
-            knee_point(&rows)
-        };
-        if let (Some(plain), Some(parts)) = (knee_of(base), knee_of(scenario.name)) {
-            println!(
-                "  {} vs {}: knee {} -> {} rps ({}x)",
-                base,
-                scenario.name,
-                plain,
-                parts,
-                parts as f64 / plain as f64
-            );
-        }
-    }
-    let json = serve_records_to_json(&RunMeta::collect(), &config, &records);
-    let path = "BENCH_serve_latency.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote {path}");
-    // Export the ramp's slowest captured batch as Chrome trace-event JSON
-    // (loadable in Perfetto / about://tracing) for tail-latency forensics.
-    if let Some(cap) = slowest {
-        let trace_path = "BENCH_serve_trace.json";
-        let trace_json = pdmsf_obs::trace::chrome_trace_json(&cap.events);
-        std::fs::write(trace_path, trace_json)
-            .unwrap_or_else(|e| panic!("cannot write {trace_path}: {e}"));
-        println!(
-            "wrote {trace_path} (slowest captured batch: trace {} at {:.1} us end-to-end, {} events)",
-            cap.trace,
-            cap.total_ns as f64 / 1e3,
-            cap.events.len()
-        );
-    }
-}
+/// Operations per E5 cell beyond the base graph.
+const E5_OPS: usize = 1_500;
 
 /// E5: persistence warm start — checkpoint size and wall time, restore
 /// (warm-start) wall time against rebuilding the same state cold by
 /// replaying the full op stream through the normal execution path: one
-/// engine cell per benchmark size plus a sharded-service cell. Emits
+/// engine cell per size in [`SIZES`] plus a sharded-service cell. Emits
 /// `BENCH_persist.json` with the same run-metadata stamping as the other
 /// artifacts, and differentially checks every restored state against the
-/// original (forest weight) before recording it.
-fn e5_persist(cfg: &Config) {
+/// original (forest weight) before recording it. Then checks [`E5_FLOOR`]
+/// (one rep: a cell's restore is tens of times faster than its rebuild,
+/// far beyond the clock's swing).
+fn e5_persist() -> Result<(), String> {
     println!("\n== E5: persistence warm start (writes BENCH_persist.json) ==");
     println!(
         "{:>8} {:>8} {:>7} {:>7} {:>11} {:>10} {:>11} {:>10} {:>8}",
@@ -955,10 +494,10 @@ fn e5_persist(cfg: &Config) {
     );
     let us = |ns: u128| ns as f64 / 1e3;
     let batch_size = 16usize;
-    let batches = (cfg.ops / batch_size).max(4);
+    let batches = E5_OPS / batch_size;
     let mut records: Vec<PersistRecord> = Vec::new();
 
-    for &n in &cfg.sizes {
+    for n in SIZES {
         let stream = bursty_batch_stream(n, 2 * n, batches, batch_size, 7);
         let build = || {
             let mut engine = Engine::new(stream.num_vertices);
@@ -993,7 +532,7 @@ fn e5_persist(cfg: &Config) {
         records.push(PersistRecord {
             scenario: "engine".into(),
             n: stream.num_vertices,
-            k: default_sequential_k(stream.num_vertices),
+            k: engine.structure().chunk_parameter(),
             ops,
             live_edges: engine.graph().num_edges(),
             checkpoint_bytes: blob.len(),
@@ -1020,7 +559,7 @@ fn e5_persist(cfg: &Config) {
     // shard plus the tenant table, at the middle benchmark size.
     {
         let tenants = 8usize;
-        let tenant_n = (cfg.sizes[cfg.sizes.len() / 2] / tenants).max(16);
+        let tenant_n = SIZES[SIZES.len() / 2] / tenants;
         let stream = tenant_stream(tenants, tenant_n, batches, batch_size, 400, 11);
         let specs: Vec<TenantSpec> = (0..tenants)
             .map(|t| TenantSpec::new(TenantId(t as u32), tenant_n))
@@ -1057,7 +596,12 @@ fn e5_persist(cfg: &Config) {
         records.push(PersistRecord {
             scenario: "service".into(),
             n: tenants * tenant_n,
-            k: default_sequential_k(tenant_n),
+            // Each shard sizes its K from the vertices it hosts; stamp the
+            // largest shard's.
+            k: (0..service.num_shards())
+                .map(|s| service.shard_engine(s).structure().chunk_parameter())
+                .max()
+                .expect("a service has at least one shard"),
             ops,
             live_edges: live,
             checkpoint_bytes: blob.len(),
@@ -1084,148 +628,67 @@ fn e5_persist(cfg: &Config) {
     let path = "BENCH_persist.json";
     std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("wrote {path} ({} records)", records.len());
+    let n = SIZES[SIZES.len() - 1];
+    let cell = (records.iter())
+        .find(|r| r.scenario == "engine" && r.n == n)
+        .map(|r| (r.cold_rebuild_ns as f64, r.restore_ns as f64));
+    let name = format!("E5 engine n = {n}: cold rebuild / restore");
+    println!("{}", check_bar(&name, cell, E5_FLOOR)?);
+    Ok(())
 }
 
-/// E6: intra-batch update parallelism — a component-partitioned engine
-/// applying its conflict-free update groups as concurrent pool jobs
-/// (`grouped`) vs the same engine forced to arrival-order serial apply
-/// (`serial`), over block-mixed streams whose blocks align with the
-/// partition homes. Identical outcomes and forests (asserted every rep —
-/// the benchmark doubles as a large-n differential test of the grouped
-/// apply), so the ratio is pure intra-batch parallelism leverage. Emits
-/// `BENCH_intra_batch.json`, each record stamped with **its own** pool
-/// width: `PDMSF_POOL_THREADS` is read once per process, so the committed
-/// artifact merges one run at width 4 with one at width 1 (where grouped
-/// falls back to inline apply and must not regress).
+/// E6's bar: adaptive ≥ this × static partition homes on the migration
+/// cell, medians of [`E6_REPS`] reps.
+const E6_FLOOR: f64 = 1.2;
+
+/// Timed repetitions of each E6 arm.
+const E6_REPS: usize = 3;
+
+/// E6: adaptive partition rebalancing — a component-partitioned engine
+/// (8 partitions) that re-homes components when occupancy concentrates
+/// (`adaptive`, the default) vs the same engine with rebalancing off
+/// (`static`), over a migration-churn stream.
 ///
-/// The ROADMAP acceptance bar: grouped ≥ 1.2× serial (median ops/sec) at
-/// pool width 4 on the largest cell, and no regression at width 1.
-fn e6_intra_batch(quick: bool) {
-    println!("\n== E6: intra-batch grouped apply (writes BENCH_intra_batch.json) ==");
-    println!("paths: grouped (conflict coloring + concurrent group jobs on the pool)");
-    println!("vs serial (same partitioned engine, arrival-order apply); identical");
-    println!("outcomes, so the ratio is pure intra-batch parallelism leverage");
-    let partitions = 8usize;
-    let (sizes, batch_sizes, total_ops, reps): (&[usize], &[usize], usize, usize) = if quick {
-        (&[1 << 12], &[256], 2_048, 1)
-    } else {
-        (&[1 << 12, 1 << 14, 1 << 16], &[256, 1_024], 8_192, 3)
-    };
+/// A concentrate batch drags every block's component into one partition
+/// (see [`migration_churn_batch_stream`]); the cut batch strands them
+/// there; the rest of the stream is block-local churn. The adaptive arm
+/// re-homes components right after the pile-up and runs the churn as
+/// about one update group per block, applied as concurrent pool jobs; the
+/// static arm stays collapsed — a single serial group against one
+/// partition holding every live edge. Same stream, bit-identical forests
+/// (asserted every rep), so the ratio is pure rebalancing leverage. The
+/// cycle spans the whole stream (one pile-up): re-homing costs edge mass,
+/// so what rebalancing buys is the churn span that follows, and this cell
+/// measures exactly that trade.
+///
+/// Emits `BENCH_intra_batch.json`, each record stamped with **its own**
+/// pool width: `PDMSF_POOL_THREADS` is read once per process, so the
+/// committed artifact merges one run at width 4 with one at width 1 (where
+/// groups apply inline). Then checks [`E6_FLOOR`].
+fn e6_intra_batch() -> Result<(), String> {
+    println!("\n== E6: adaptive partition rebalancing (writes BENCH_intra_batch.json) ==");
+    println!("paths: adaptive (default rebalancing) vs static (rebalancing off) on one");
+    println!("partitioned engine; identical forests, so the ratio is pure rebalancing");
+    println!("leverage");
+    let (n, batches, batch_size, partitions) = (1 << 16, 48, 1024, 8);
+    let stream = migration_churn_batch_stream(n, batches, batch_size, partitions, batches, 97);
+    let total_ops: usize = stream.batches.iter().map(|b| b.len()).sum();
     let threads = pool::parallelism();
+    let k = default_sequential_k(n);
     let mut records: Vec<IntraBatchRecord> = Vec::new();
-    println!(
-        "{:>8} {:>7} {:>8} {:>9} {:>16} {:>16} {:>12}",
-        "n", "batch", "threads", "groups", "grouped (op/s)", "serial (op/s)", "grouped/ser"
-    );
-    for &n in sizes {
-        for &batch_size in batch_sizes {
-            let batches = (total_ops / batch_size).max(1);
-            // Blocks = partitions, so each block is its own update group
-            // (modulo the ceil/floor boundary between the generator's
-            // blocks and the structure's homes — those show as conflicts).
-            // The base graph must be empty: a random-sparse base is one
-            // giant cross-block component whose load would migrate nearly
-            // every vertex into a single partition before the timed region
-            // starts — the stream's own block-local links build the state.
-            let stream = clustered_mix_batch_stream(n, 0, batches, batch_size, partitions, 83);
-            let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-            let mut groups_dispatched = 0u64;
-            for _ in 0..reps {
-                let mut run = |path: &str, engine: &Engine, t: Duration, ops: usize| -> f64 {
-                    let stats = engine.stats();
-                    records.push(IntraBatchRecord {
-                        path: path.to_string(),
-                        stream: "clustered".to_string(),
-                        n,
-                        partitions,
-                        threads,
-                        batch_size,
-                        batches,
-                        ops,
-                        update_groups: stats.update_groups,
-                        group_conflicts: stats.group_conflicts,
-                        migrations: stats.migrations,
-                        rebalances: stats.rebalances,
-                        elapsed_ns: t.as_nanos(),
-                    });
-                    records.last().unwrap().ops_per_sec()
-                };
-                let k = default_sequential_k(n);
-                let mut grouped = Engine::with_partitions(n, partitions, k);
-                let (t_g, ops_g) = drive_engine_batched(&mut grouped, &stream);
-                rates[0].push(run("grouped", &grouped, t_g, ops_g));
-                groups_dispatched = grouped.stats().update_groups;
-
-                let mut serial = Engine::with_partitions(n, partitions, k);
-                serial.set_serial_apply(true);
-                let (t_s, ops_s) = drive_engine_batched(&mut serial, &stream);
-                rates[1].push(run("serial", &serial, t_s, ops_s));
-
-                // The two paths must agree — this benchmark doubles as a
-                // large-n differential test of the grouped apply.
-                assert_eq!(grouped.forest_weight(), serial.forest_weight());
-                assert_eq!(grouped.forest_edges(), serial.forest_edges());
-                grouped.structure().validate();
-            }
-            let m_grouped = median(&mut rates[0]);
-            let m_serial = median(&mut rates[1]);
-            println!(
-                "{:>8} {:>7} {:>8} {:>9} {:>16.0} {:>16.0} {:>11.2}x",
-                n,
-                batch_size,
-                threads,
-                groups_dispatched,
-                m_grouped,
-                m_serial,
-                if m_serial > 0.0 {
-                    m_grouped / m_serial
-                } else {
-                    0.0
-                }
-            );
-        }
-    }
-    // --- migration-heavy cell: adaptive rebalancing vs static homes ---
-    // A concentrate batch drags every block's component into one partition
-    // (see `migration_churn_batch_stream`); the cut batch strands them
-    // there; the rest of the stream is block-local churn. The adaptive arm
-    // (default engine) re-homes components right after the pile-up and
-    // runs the churn as ~one group per block on small per-partition
-    // structures; the static arm (floor `u64::MAX`) stays collapsed
-    // forever — a single serial group against one partition holding every
-    // live edge. Same stream, bit-identical forests — the ratio is pure
-    // rebalancing leverage. The cycle spans the whole stream (one pile-up):
-    // re-homing costs edge mass, so what rebalancing buys is the churn
-    // span that follows, and this cell measures exactly that trade.
-    println!("migration stream: adaptive (default rebalancing) vs static (rebalance off)");
-    let (mig_n, mig_batches, mig_batch_size) = if quick {
-        (1 << 14, 18, 512)
-    } else {
-        (1 << 16, 48, 1024)
-    };
-    let mig_stream = migration_churn_batch_stream(
-        mig_n,
-        mig_batches,
-        mig_batch_size,
-        partitions,
-        mig_batches,
-        97,
-    );
-    let mig_ops: usize = mig_stream.batches.iter().map(|b| b.len()).sum();
-    let mut mig_rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    let mut mig_rebalances = 0u64;
-    let mut mig_migrations = 0u64;
-    for _ in 0..reps {
+    let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    let (mut rebalances, mut migrations) = (0u64, 0u64);
+    for _ in 0..E6_REPS {
         let mut run = |path: &str, engine: &Engine, t: Duration, ops: usize| -> f64 {
             let stats = engine.stats();
             records.push(IntraBatchRecord {
                 path: path.to_string(),
                 stream: "migration".to_string(),
-                n: mig_n,
+                n,
                 partitions,
                 threads,
-                batch_size: mig_batch_size,
-                batches: mig_stream.batches.len(),
+                batch_size,
+                batches: stream.batches.len(),
                 ops,
                 update_groups: stats.update_groups,
                 group_conflicts: stats.group_conflicts,
@@ -1235,45 +698,41 @@ fn e6_intra_batch(quick: bool) {
             });
             records.last().unwrap().ops_per_sec()
         };
-        let mig_k = default_sequential_k(mig_n);
-        let mut adaptive = Engine::with_partitions(mig_n, partitions, mig_k);
-        let (t_a, ops_a) = drive_engine_batched(&mut adaptive, &mig_stream);
-        mig_rates[0].push(run("adaptive", &adaptive, t_a, ops_a));
-        mig_rebalances = adaptive.stats().rebalances;
-        mig_migrations = adaptive.stats().migrations;
-
-        let mut static_e = Engine::with_partitions(mig_n, partitions, mig_k);
-        static_e.set_rebalance_min(u64::MAX);
-        let (t_s, ops_s) = drive_engine_batched(&mut static_e, &mig_stream);
-        mig_rates[1].push(run("static", &static_e, t_s, ops_s));
-
         // Rebalancing must be observable *and* invisible: the adaptive arm
         // has to re-home components, and both arms' forests must agree.
-        assert!(adaptive.stats().rebalances > 0);
-        assert_eq!(static_e.stats().rebalances, 0);
-        assert_eq!(adaptive.forest_weight(), static_e.forest_weight());
-        assert_eq!(adaptive.forest_edges(), static_e.forest_edges());
-        adaptive.structure().validate();
-        static_e.structure().validate();
+        let engine = Engine::with_partitions(n, partitions, k);
+        let adaptive = time_arm(engine, &stream, drive_engine_batched, |e, t, ops| {
+            rates[0].push(run("adaptive", e, t, ops));
+            (rebalances, migrations) = (e.stats().rebalances, e.stats().migrations);
+            assert!(rebalances > 0);
+            e.structure().validate();
+        });
+        let mut engine = Engine::with_partitions(n, partitions, k);
+        engine.set_rebalance_min(u64::MAX);
+        let static_homes = time_arm(engine, &stream, drive_engine_batched, |e, t, ops| {
+            rates[1].push(run("static", e, t, ops));
+            assert_eq!(e.stats().rebalances, 0);
+            e.structure().validate();
+        });
+        assert_eq!(adaptive, static_homes);
     }
-    let m_adaptive = median(&mut mig_rates[0]);
-    let m_static = median(&mut mig_rates[1]);
+    let m_adaptive = median(&mut rates[0]);
+    let m_static = median(&mut rates[1]);
     println!(
-        "{:>8} {:>7} {:>8} {:>9} {:>16.0} {:>16.0} {:>11.2}x  ({} ops, {} rebalances, {} migrations)",
-        mig_n,
-        mig_batch_size,
+        "{:>8} {:>7} {:>8} {:>16} {:>16} {:>12}",
+        "n", "batch", "threads", "adaptive (op/s)", "static (op/s)", "adapt/static"
+    );
+    println!(
+        "{:>8} {:>7} {:>8} {:>16.0} {:>16.0} {:>11.2}x  ({} ops, {} rebalances, {} migrations)",
+        n,
+        batch_size,
         threads,
-        "-",
         m_adaptive,
         m_static,
-        if m_static > 0.0 {
-            m_adaptive / m_static
-        } else {
-            0.0
-        },
-        mig_ops,
-        mig_rebalances,
-        mig_migrations
+        m_adaptive / m_static,
+        total_ops,
+        rebalances,
+        migrations
     );
     let meta = RunMeta::collect();
     let json = intra_batch_records_to_json(&meta, &records);
@@ -1285,6 +744,12 @@ fn e6_intra_batch(quick: bool) {
         meta.git_sha,
         threads
     );
+    let name = format!("E6 migration n = {n} at {threads} thread(s): adaptive / static");
+    println!(
+        "{}",
+        check_bar(&name, Some((m_adaptive, m_static)), E6_FLOOR)?
+    );
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1304,18 +769,46 @@ mod tests {
         assert_eq!(some.experiments, vec!["paper", "e0"]);
         assert!(some.quick && some.gate);
         let modifiers_only = parse_args(&args(&["quick"])).unwrap();
-        assert_eq!(modifiers_only.experiments.len(), 8);
+        assert_eq!(modifiers_only.experiments.len(), 5);
     }
 
     #[test]
     fn unknown_selections_are_usage_errors() {
-        for bad in ["e42", "quikc", "e7", "e13", "e12", ""] {
+        for bad in ["e42", "quikc", "e2", "e3", "e4", "e7", "e13", "e12", ""] {
             let err = parse_args(&args(&["e0", bad])).unwrap_err();
             assert!(err.contains(&format!("`{bad}`")), "{err}");
             for name in ["e0", "e6", "paper", "quick", "gate"] {
                 assert!(err.contains(name), "usage must name {name}: {err}");
             }
         }
+    }
+
+    #[test]
+    fn a_bar_passes_at_its_floor_and_fails_below() {
+        let ok = check_bar("E1 cell", Some((2.6, 2.0)), 1.3).unwrap();
+        assert_eq!(ok, "E1 cell: 1.30x (floor 1.30x)");
+        assert!(check_bar("E5 cell", Some((100.0, 10.0)), 10.0).is_ok());
+        let miss = check_bar("E6 cell", Some((1.19, 1.0)), 1.2).unwrap_err();
+        assert_eq!(miss, "E6 cell: 1.19x (floor 1.20x)");
+    }
+
+    #[test]
+    fn a_bar_without_a_valid_measurement_fails() {
+        let missing = check_bar("E6 cell", None, 1.2).unwrap_err();
+        assert!(missing.contains("no measured cell"), "{missing}");
+        for cell in [
+            (f64::NAN, 1.0),
+            (1.0, f64::NAN),
+            (1.0, 0.0),
+            (0.0, 0.0),
+            (f64::INFINITY, 1.0),
+            (1.0, -1.0),
+        ] {
+            let err = check_bar("E1 cell", Some(cell), 1.3).unwrap_err();
+            assert!(err.contains("no valid ratio"), "{cell:?}: {err}");
+        }
+        // A zero numerator is a measured ratio of 0, below any floor.
+        assert!(check_bar("E5 cell", Some((0.0, 1.0)), 10.0).is_err());
     }
 
     /// A snapshot whose mixed cells run at `rates` (n, updates/s) with the

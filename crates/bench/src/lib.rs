@@ -1,28 +1,26 @@
 //! Shared harness code for the `experiments` binary.
 //!
 //! The paper has no experimental section, so the `experiments` binary in
-//! this crate defines the evaluation: E0–E6 measure this system (update
-//! throughput, batching, sharding, scheduling, serving, persistence,
-//! grouped apply) and `paper` checks the paper's cost bounds ([`paper`]).
-//! This crate provides the common machinery: stream construction (update
-//! streams, batched update/query streams and tenant-tagged multi-tenant
-//! streams), structure, batch-engine and sharded-service drivers,
-//! wall-clock and cost-meter measurement, and the machine-readable record
-//! types behind the `BENCH_*.json` files.
+//! this crate defines the evaluation: `paper` checks the paper's cost
+//! bounds ([`paper`]), and E0, E1, E5 and E6 measure this system (update
+//! throughput, batching, persistence, partition rebalancing), each
+//! checking its own bar. This crate provides the common machinery: stream construction
+//! (update streams, batched update/query streams and tenant-tagged
+//! multi-tenant streams), structure and batch-engine drivers, wall-clock
+//! and cost-meter measurement, and the machine-readable record types
+//! behind the `BENCH_*.json` files.
 
 pub mod paper;
-pub mod serve;
 
 use pdmsf_core::seq::default_parallel_k;
 use pdmsf_core::{CostModel, SeqDynamicMsf};
 use pdmsf_engine::{Engine, Op};
 use pdmsf_graph::{
     kruskal_msf, BatchKind, BatchOp, BatchStream, BatchStreamSpec, DynGraph, DynamicMsf, EdgeId,
-    GraphSpec, StreamKind, TenantOp, TenantStream, TenantStreamSpec, UpdateOp, UpdateStream,
+    GraphSpec, StreamKind, TenantStream, TenantStreamSpec, UpdateOp, UpdateStream,
     UpdateStreamSpec, VertexId, Weight,
 };
 use pdmsf_pram::CostReport;
-use pdmsf_shard::ShardedService;
 use std::time::{Duration, Instant};
 
 /// Insert-only stream over a random sparse graph (the "growing network"
@@ -103,34 +101,8 @@ pub fn clustered_batch_stream(
     })
 }
 
-/// Block-mixed batched stream: every operation stays inside one of
-/// `clusters` vertex blocks but each op picks its block independently, so a
-/// single batch spreads across many blocks — the E6 grouped-apply workload
-/// (blocks aligned with the partitioned structure's homes become
-/// independent update groups). Update-heavy (15% queries) so the apply
-/// phase dominates the timed region.
-pub fn clustered_mix_batch_stream(
-    n: usize,
-    m: usize,
-    batches: usize,
-    batch_size: usize,
-    clusters: usize,
-    seed: u64,
-) -> BatchStream {
-    BatchStream::generate(&BatchStreamSpec {
-        base: GraphSpec::RandomSparse { n, m, seed },
-        batches,
-        batch_size,
-        kind: BatchKind::ClusteredMix {
-            clusters,
-            query_permille: 150,
-        },
-        seed: seed ^ 0xC316,
-    })
-}
-
-/// Migration-churn batched stream: the E6 **migration-heavy** workload
-/// that separates adaptive partition rebalancing from static homes.
+/// Migration-churn batched stream: the E6 workload that separates
+/// adaptive partition rebalancing from static homes.
 ///
 /// Batch 0 builds one chain component per vertex block (blocks aligned
 /// with the partitioned structure's initial homes). The remaining batches
@@ -271,8 +243,9 @@ pub fn migration_churn_batch_stream(
 }
 
 /// Multi-tenant tenant-tagged stream with Zipf-skewed tenant popularity and
-/// bursty per-tenant traffic (flap pairs, duplicate queries) — the E2
-/// serving workload. `zipf_permille = 0` gives uniform popularity.
+/// bursty per-tenant traffic (flap pairs, duplicate queries) — the serving
+/// workload of E5's service cell and of perfbench `serve`.
+/// `zipf_permille = 0` gives uniform popularity.
 pub fn tenant_stream(
     tenants: usize,
     tenant_vertices: usize,
@@ -295,113 +268,6 @@ pub fn tenant_stream(
         },
         seed: seed ^ 0x5AA2_D001,
     })
-}
-
-/// One flat [`Engine`] over the **merged** vertex space of every tenant —
-/// the baseline the sharded service is measured against in E2. Tenant
-/// vertices translate by a per-tenant block offset and tenant-local edge
-/// ids through per-tenant id maps that mirror the merged engine's global
-/// sequential allocation, so the same tenant-tagged stream drives both
-/// paths. (Tenant weight queries become whole-forest weight queries here —
-/// cheaper than the sharded service's per-tenant sweeps, which only biases
-/// the comparison *against* sharding.)
-pub struct MergedTenantEngine {
-    engine: Engine,
-    tenant_vertices: usize,
-    id_maps: Vec<Vec<EdgeId>>,
-    next_gid: u32,
-    scratch: Vec<BatchOp>,
-}
-
-impl MergedTenantEngine {
-    /// A merged engine over `tenants * tenant_vertices` vertices.
-    pub fn new(tenants: usize, tenant_vertices: usize) -> MergedTenantEngine {
-        MergedTenantEngine {
-            engine: Engine::new(tenants * tenant_vertices),
-            tenant_vertices,
-            id_maps: vec![Vec::new(); tenants],
-            next_gid: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Translate and execute one tenant-tagged batch.
-    pub fn execute(&mut self, ops: &[TenantOp]) -> pdmsf_engine::BatchResult {
-        let block = self.tenant_vertices as u32;
-        self.scratch.clear();
-        for top in ops {
-            let t = top.tenant.index();
-            let offset = |v: VertexId| VertexId(top.tenant.0 * block + v.0);
-            let op = match top.op {
-                BatchOp::Link { u, v, weight } => {
-                    // Every generated link is valid, so it consumes the next
-                    // global id — mirror the allocation for later Cuts.
-                    self.id_maps[t].push(EdgeId(self.next_gid));
-                    self.next_gid += 1;
-                    BatchOp::Link {
-                        u: offset(u),
-                        v: offset(v),
-                        weight,
-                    }
-                }
-                BatchOp::Cut { id } => BatchOp::Cut {
-                    id: self.id_maps[t][id.index()],
-                },
-                BatchOp::QueryConnected { u, v } => BatchOp::QueryConnected {
-                    u: offset(u),
-                    v: offset(v),
-                },
-                BatchOp::QueryForestWeight => BatchOp::QueryForestWeight,
-            };
-            self.scratch.push(op);
-        }
-        let batch = std::mem::take(&mut self.scratch);
-        let result = self.engine.execute(&batch);
-        self.scratch = batch;
-        result
-    }
-
-    /// The underlying merged engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-}
-
-/// Feed a tenant stream's per-tenant base graphs into the sharded service
-/// (untimed), then drive every service batch through
-/// [`ShardedService::execute`] (timed). Returns (wall clock, ops).
-pub fn drive_service_sharded(
-    service: &mut ShardedService,
-    stream: &TenantStream,
-) -> (Duration, usize) {
-    service.execute(&stream.base_ops());
-    let mut elapsed = Duration::ZERO;
-    let mut ops = 0usize;
-    for batch in &stream.batches {
-        let start = Instant::now();
-        service.execute(batch);
-        elapsed += start.elapsed();
-        ops += batch.len();
-    }
-    (elapsed, ops)
-}
-
-/// Same stream through the flat merged single-engine baseline (base graphs
-/// untimed, batches timed). Returns (wall clock, ops).
-pub fn drive_service_flat(
-    merged: &mut MergedTenantEngine,
-    stream: &TenantStream,
-) -> (Duration, usize) {
-    merged.execute(&stream.base_ops());
-    let mut elapsed = Duration::ZERO;
-    let mut ops = 0usize;
-    for batch in &stream.batches {
-        let start = Instant::now();
-        merged.execute(batch);
-        elapsed += start.elapsed();
-        ops += batch.len();
-    }
-    (elapsed, ops)
 }
 
 /// Feed a batch stream's base graph into an engine (untimed), then drive
@@ -789,158 +655,6 @@ pub fn batch_records_to_json(meta: &RunMeta, records: &[BatchRecord]) -> String 
 }
 
 // ---------------------------------------------------------------------
-// Shard-throughput records (BENCH_shard_throughput.json)
-// ---------------------------------------------------------------------
-
-/// One measured (path, shard count, size, skew) cell of the E2 shard
-/// throughput benchmark. On top of the usual wall-clock fields, each record
-/// carries the **pool-stats delta** of its timed region
-/// (`pdmsf_pram::pool::snapshot`), so pool activity — dispatched jobs,
-/// executed shards, inline degradations — is attributable per cell.
-#[derive(Clone, Debug)]
-pub struct ShardRecord {
-    /// Execution path (`"sharded"` / `"flat-merged"`).
-    pub path: String,
-    /// Shard count of the service (1 for the flat-merged engine).
-    pub shards: usize,
-    /// Number of tenants.
-    pub tenants: usize,
-    /// Vertices per tenant.
-    pub tenant_n: usize,
-    /// Merged vertex-space size (`tenants * tenant_n`).
-    pub total_n: usize,
-    /// Tenant popularity skew of the stream, in permille.
-    pub zipf_permille: u32,
-    /// Operations per service batch.
-    pub batch_size: usize,
-    /// Number of timed service batches.
-    pub batches: usize,
-    /// Total timed operations.
-    pub ops: usize,
-    /// Wall-clock nanoseconds inside the timed batches.
-    pub elapsed_ns: u128,
-    /// Pool jobs dispatched during the timed region.
-    pub pool_jobs: u64,
-    /// Pool shards executed during the timed region.
-    pub pool_shards: u64,
-    /// Inline (non-pooled) runs during the timed region.
-    pub pool_inline: u64,
-    /// Injector chunks claimed during the timed region (each one shared-
-    /// queue interaction covering a run of shards).
-    pub pool_chunks: u64,
-    /// Successful work steals during the timed region (0 when the pool ran
-    /// inline or stayed balanced).
-    pub pool_steals: u64,
-}
-
-impl ShardRecord {
-    /// Operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        per_sec(self.ops, self.elapsed_ns)
-    }
-}
-
-/// Serialize shard-throughput records as JSON, stamped with the same run
-/// metadata as the other benchmark artifacts (hand-rolled for the same
-/// reason as [`bench_records_to_json`]).
-pub fn shard_records_to_json(meta: &RunMeta, records: &[ShardRecord]) -> String {
-    let rows = records.iter().map(|r| {
-        format!(
-                    "{{\"path\": \"{}\", \"shards\": {}, \"tenants\": {}, \"tenant_n\": {}, \"total_n\": {}, \"zipf_permille\": {}, \"batch_size\": {}, \"batches\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}, \"pool_jobs\": {}, \"pool_shards\": {}, \"pool_inline\": {}, \"pool_chunks\": {}, \"pool_steals\": {}}}",
-            r.path,
-            r.shards,
-            r.tenants,
-            r.tenant_n,
-            r.total_n,
-            r.zipf_permille,
-            r.batch_size,
-            r.batches,
-            r.ops,
-            r.elapsed_ns,
-            r.ops_per_sec(),
-            r.pool_jobs,
-            r.pool_shards,
-            r.pool_inline,
-            r.pool_chunks,
-            r.pool_steals,
-        )
-    });
-    results_json("shard_throughput", "ops_per_sec", &meta.to_json(), rows)
-}
-
-// ---------------------------------------------------------------------
-// Scheduler-throughput records (BENCH_sched_throughput.json)
-// ---------------------------------------------------------------------
-
-/// One measured scenario cell of the E3 scheduler benchmark: a
-/// many-small-jobs workload driven straight through the worker pool (or
-/// through the sharded service for the end-to-end scenario), stamped with
-/// the pool-stats delta of its timed region so claims, steals and inline
-/// degradations are attributable per cell.
-#[derive(Clone, Debug)]
-pub struct SchedRecord {
-    /// Scenario label (`"many-small"`, `"imbalanced"`, `"nested"`,
-    /// `"service-small"`).
-    pub scenario: String,
-    /// Concurrent submitter threads.
-    pub submitters: usize,
-    /// Jobs submitted per submitter (service batches for
-    /// `"service-small"`).
-    pub jobs: usize,
-    /// Shards per job (service shard count for `"service-small"`).
-    pub shards_per_job: usize,
-    /// Nested submission depth (1 = flat jobs).
-    pub depth: usize,
-    /// Total timed operations (shard executions; tenant ops for
-    /// `"service-small"`).
-    pub ops: usize,
-    /// Wall-clock nanoseconds of the timed region.
-    pub elapsed_ns: u128,
-    /// Pool jobs completed during the timed region.
-    pub pool_jobs: u64,
-    /// Pool shards executed during the timed region.
-    pub pool_shards: u64,
-    /// Inline (non-pooled) runs during the timed region.
-    pub pool_inline: u64,
-    /// Injector chunks claimed during the timed region.
-    pub pool_chunks: u64,
-    /// Successful work steals during the timed region.
-    pub pool_steals: u64,
-}
-
-impl SchedRecord {
-    /// Operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        per_sec(self.ops, self.elapsed_ns)
-    }
-}
-
-/// Serialize scheduler-throughput records as JSON, stamped with the same
-/// run metadata as the other benchmark artifacts (hand-rolled for the same
-/// reason as [`bench_records_to_json`]).
-pub fn sched_records_to_json(meta: &RunMeta, records: &[SchedRecord]) -> String {
-    let rows = records.iter().map(|r| {
-        format!(
-                    "{{\"scenario\": \"{}\", \"submitters\": {}, \"jobs\": {}, \"shards_per_job\": {}, \"depth\": {}, \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}, \"pool_jobs\": {}, \"pool_shards\": {}, \"pool_inline\": {}, \"pool_chunks\": {}, \"pool_steals\": {}}}",
-            r.scenario,
-            r.submitters,
-            r.jobs,
-            r.shards_per_job,
-            r.depth,
-            r.ops,
-            r.elapsed_ns,
-            r.ops_per_sec(),
-            r.pool_jobs,
-            r.pool_shards,
-            r.pool_inline,
-            r.pool_chunks,
-            r.pool_steals,
-        )
-    });
-    results_json("sched_throughput", "ops_per_sec", &meta.to_json(), rows)
-}
-
-// ---------------------------------------------------------------------
 // Persistence warm-start records (BENCH_persist.json)
 // ---------------------------------------------------------------------
 
@@ -1005,25 +719,22 @@ pub fn persist_records_to_json(meta: &RunMeta, records: &[PersistRecord]) -> Str
 }
 
 // ---------------------------------------------------------------------
-// Intra-batch grouped-apply records (BENCH_intra_batch.json)
+// Partition-rebalancing records (BENCH_intra_batch.json)
 // ---------------------------------------------------------------------
 
-/// One measured (path, n, batch size) cell of the E6 intra-batch
-/// parallelism benchmark: a component-partitioned engine applying its
-/// conflict-free update groups concurrently (`"grouped"`) vs the same
-/// engine forced to arrival-order serial apply (`"serial"`). Each record
-/// carries its **own** pool width — `PDMSF_POOL_THREADS` is read once per
-/// process, so the committed artifact merges records from one run per
-/// width and `threads` is per-record, not run-level.
+/// One timed arm of the E6 rebalancing benchmark over
+/// [`migration_churn_batch_stream`]: a component-partitioned engine that
+/// re-homes components when occupancy concentrates (`"adaptive"`) or the
+/// same engine with rebalancing disabled (`"static"`). Each record carries
+/// its **own** pool width — `PDMSF_POOL_THREADS` is read once per process,
+/// so the committed artifact merges records from one run per width and
+/// `threads` is per-record, not run-level.
 #[derive(Clone, Debug)]
 pub struct IntraBatchRecord {
-    /// Apply path: `"grouped"` / `"serial"` on the clustered stream
-    /// (conflict-colored concurrent apply vs forced arrival-order apply),
-    /// `"adaptive"` / `"static"` on the migration stream (default
-    /// post-batch rebalancing vs rebalancing disabled).
+    /// Arm: `"adaptive"` (default post-batch rebalancing) or `"static"`
+    /// (rebalancing disabled).
     pub path: String,
-    /// Workload: `"clustered"` ([`clustered_mix_batch_stream`]) or
-    /// `"migration"` ([`migration_churn_batch_stream`]).
+    /// Workload label (`"migration"`).
     pub stream: String,
     /// Number of vertices.
     pub n: usize,
@@ -1037,9 +748,9 @@ pub struct IntraBatchRecord {
     pub batches: usize,
     /// Total timed operations (updates + queries).
     pub ops: usize,
-    /// Update groups the grouped path dispatched (0 on the serial path).
+    /// Update groups dispatched over the run.
     pub update_groups: u64,
-    /// Surviving updates that shared a group (0 on the serial path).
+    /// Surviving updates that shared a group.
     pub group_conflicts: u64,
     /// Component migrations over the run (cross-partition links plus
     /// rebalance moves).
@@ -1058,9 +769,9 @@ impl IntraBatchRecord {
     }
 }
 
-/// Serialize intra-batch grouped-apply records as JSON (hand-rolled for
-/// the same reason as [`bench_records_to_json`]; `threads` is stamped per
-/// record, see [`IntraBatchRecord::threads`]).
+/// Serialize E6 records as JSON (hand-rolled for the same reason as
+/// [`bench_records_to_json`]; `threads` is stamped per record, see
+/// [`IntraBatchRecord::threads`]).
 pub fn intra_batch_records_to_json(meta: &RunMeta, records: &[IntraBatchRecord]) -> String {
     let rows = records.iter().map(|r| {
         format!(
@@ -1194,117 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_json_is_well_formed() {
-        let records = vec![
-            ShardRecord {
-                path: "sharded".into(),
-                shards: 4,
-                tenants: 16,
-                tenant_n: 256,
-                total_n: 4096,
-                zipf_permille: 900,
-                batch_size: 512,
-                batches: 8,
-                ops: 4096,
-                elapsed_ns: 2_048_000,
-                pool_jobs: 12,
-                pool_shards: 40,
-                pool_inline: 3,
-                pool_chunks: 18,
-                pool_steals: 5,
-            },
-            ShardRecord {
-                path: "flat-merged".into(),
-                shards: 1,
-                tenants: 16,
-                tenant_n: 256,
-                total_n: 4096,
-                zipf_permille: 900,
-                batch_size: 512,
-                batches: 8,
-                ops: 4096,
-                elapsed_ns: 4_096_000,
-                pool_jobs: 0,
-                pool_shards: 0,
-                pool_inline: 8,
-                pool_chunks: 0,
-                pool_steals: 0,
-            },
-        ];
-        let meta = test_meta();
-        let json = shard_records_to_json(&meta, &records);
-        assert!(json.contains("\"benchmark\": \"shard_throughput\""));
-        assert!(json.contains("\"path\": \"sharded\""));
-        assert!(json.contains("\"path\": \"flat-merged\""));
-        assert!(json.contains("\"shards\": 4"));
-        assert!(json.contains("\"zipf_permille\": 900"));
-        assert!(json.contains("\"ops_per_sec\": 2000000.00"));
-        assert!(json.contains("\"pool_jobs\": 12"));
-        assert!(json.contains("\"pool_chunks\": 18"));
-        assert!(json.contains("\"pool_steals\": 5"));
-        assert_eq!(json.matches("},\n").count(), 2);
-        assert_eq!(records[0].ops_per_sec(), 2_000_000.0);
-    }
-
-    #[test]
-    fn sched_json_is_well_formed() {
-        let records = vec![
-            SchedRecord {
-                scenario: "many-small".into(),
-                submitters: 4,
-                jobs: 64,
-                shards_per_job: 8,
-                depth: 1,
-                ops: 2048,
-                elapsed_ns: 1_024_000,
-                pool_jobs: 256,
-                pool_shards: 2048,
-                pool_inline: 0,
-                pool_chunks: 512,
-                pool_steals: 31,
-            },
-            SchedRecord {
-                scenario: "nested".into(),
-                submitters: 2,
-                jobs: 16,
-                shards_per_job: 4,
-                depth: 2,
-                ops: 512,
-                elapsed_ns: 2_048_000,
-                pool_jobs: 160,
-                pool_shards: 640,
-                pool_inline: 0,
-                pool_chunks: 200,
-                pool_steals: 7,
-            },
-        ];
-        let meta = test_meta();
-        let json = sched_records_to_json(&meta, &records);
-        assert!(json.contains("\"benchmark\": \"sched_throughput\""));
-        assert!(json.contains("\"scenario\": \"many-small\""));
-        assert!(json.contains("\"depth\": 2"));
-        assert!(json.contains("\"ops_per_sec\": 2000000.00"));
-        assert!(json.contains("\"pool_steals\": 31"));
-        assert_eq!(json.matches("},\n").count(), 2);
-        assert_eq!(records[0].ops_per_sec(), 2_000_000.0);
-    }
-
-    #[test]
-    fn sharded_and_flat_drivers_agree_on_total_weight() {
-        use pdmsf_graph::TenantId;
-        use pdmsf_shard::TenantSpec;
-        let stream = tenant_stream(4, 32, 5, 48, 800, 9);
-        let specs: Vec<TenantSpec> = (0..4).map(|t| TenantSpec::new(TenantId(t), 32)).collect();
-        let mut sharded = ShardedService::new(2, &specs);
-        let mut flat = MergedTenantEngine::new(4, 32);
-        let (_, ops_a) = drive_service_sharded(&mut sharded, &stream);
-        let (_, ops_b) = drive_service_flat(&mut flat, &stream);
-        assert_eq!(ops_a, stream.total_ops());
-        assert_eq!(ops_a, ops_b);
-        assert_eq!(sharded.total_forest_weight(), flat.engine().forest_weight());
-    }
-
-    #[test]
     fn intra_batch_json_is_well_formed() {
         let records = vec![
             IntraBatchRecord {
@@ -1416,10 +1016,7 @@ mod tests {
             bench_records_to_json("update_time", &meta, 0.0, &[]),
             paper::paper_json(&meta, &[], &[], &[]),
             batch_records_to_json(&meta, &[]),
-            shard_records_to_json(&meta, &[]),
-            sched_records_to_json(&meta, &[]),
             persist_records_to_json(&meta, &[]),
-            crate::serve::serve_records_to_json(&meta, &crate::serve::RampConfig::quick(), &[]),
         ] {
             assert!(
                 json.contains(both),

@@ -393,7 +393,7 @@ pub enum BatchKind {
     /// block uniformly at random, so a single batch spreads across many
     /// blocks at once. Individual ops still stay inside their block, which
     /// makes the blocks independent update groups — the workload shape the
-    /// intra-batch grouped apply path (experiment E6) is built for.
+    /// intra-batch grouped apply path is built for.
     ClusteredMix {
         /// Number of vertex blocks.
         clusters: usize,

@@ -536,7 +536,7 @@ impl Registry {
     }
 
     /// Snapshot every histogram series: `(family, label, snapshot)`, in
-    /// render order. For latency tables (examples, the E4 harness report).
+    /// render order. For latency tables (`examples/metrics_dump.rs`).
     pub fn histogram_snapshots(&self) -> Vec<HistogramEntry> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let mut out = Vec::new();

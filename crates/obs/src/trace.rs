@@ -736,8 +736,9 @@ pub fn text_timeline(events: &[TraceEvent]) -> String {
 }
 
 /// Sum of closed-span durations per phase across `events`, as
-/// `(phase, total_ns)` pairs in phase order. The attribution input for
-/// the E4 knee breakdown.
+/// `(phase, total_ns)` pairs in phase order. This is thread-time: a phase
+/// running on `k` workers concurrently counts `k×`, so its share of a
+/// batch can exceed 1.0.
 pub fn phase_durations(events: &[TraceEvent]) -> Vec<(Phase, u64)> {
     let mut totals: [u64; 10] = [0; 10];
     let mut open: Vec<&TraceEvent> = Vec::new();
@@ -760,64 +761,6 @@ pub fn phase_durations(events: &[TraceEvent]) -> Vec<(Phase, u64)> {
         .filter_map(|i| Phase::from_u8(i as u8).map(|p| (p, totals[i])))
         .filter(|&(_, ns)| ns > 0)
         .collect()
-}
-
-/// Wall-clock per-phase durations: for each phase, the total length of the
-/// **union** of its closed spans across all threads, as `(phase, union_ns)`
-/// pairs in phase order.
-///
-/// Contrast with [`phase_durations`], which sums *thread-time*: a phase
-/// running on `k` workers concurrently contributes `k×` there, so its share
-/// of a batch can legitimately exceed 1.0. Here an instant covered by any
-/// number of overlapping spans counts once, so each phase's union is
-/// bounded by the batch's wall-clock span and its share is always ≤ 1.0.
-/// Thread-time answers "where did the CPUs go", wall-time answers "what was
-/// the batch waiting on".
-pub fn phase_wall_durations(events: &[TraceEvent]) -> Vec<(Phase, u64)> {
-    // Close spans exactly like `phase_durations` (nearest open Begin with
-    // matching tid/trace/phase), but keep the raw intervals per phase.
-    let mut intervals: [Vec<(u64, u64)>; 10] = Default::default();
-    let mut open: Vec<&TraceEvent> = Vec::new();
-    for e in events {
-        match e.kind {
-            EventKind::Begin => open.push(e),
-            EventKind::End => {
-                let found = open
-                    .iter()
-                    .rposition(|b| b.tid == e.tid && b.trace == e.trace && b.phase == e.phase);
-                if let Some(i) = found {
-                    let b = open.remove(i);
-                    if e.ts_ns > b.ts_ns {
-                        intervals[b.phase as usize].push((b.ts_ns, e.ts_ns));
-                    }
-                }
-            }
-            EventKind::Instant => {}
-        }
-    }
-    // Sweep each phase's intervals in start order, merging overlaps.
-    let mut out = Vec::new();
-    for (i, spans) in intervals.iter_mut().enumerate() {
-        if spans.is_empty() {
-            continue;
-        }
-        spans.sort_unstable();
-        let mut union = 0u64;
-        let (mut lo, mut hi) = spans[0];
-        for &(s, e) in &spans[1..] {
-            if s <= hi {
-                hi = hi.max(e);
-            } else {
-                union += hi - lo;
-                (lo, hi) = (s, e);
-            }
-        }
-        union += hi - lo;
-        if let Some(p) = Phase::from_u8(i as u8) {
-            out.push((p, union));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1013,10 +956,10 @@ mod tests {
     }
 
     #[test]
-    fn phase_wall_durations_merge_overlapping_spans_across_threads() {
+    fn phase_durations_sum_overlapping_spans_across_threads() {
         let events = [
             // Two workers applying concurrently: [0,100] and [50,180]
-            // overlap, so thread-time is 230 but wall-time is 180.
+            // overlap, and both count in full.
             ev(1, 0, 1, 3, Phase::Apply, EventKind::Begin, 0, 0),
             ev(2, 50, 2, 3, Phase::Apply, EventKind::Begin, 0, 0),
             ev(3, 100, 1, 3, Phase::Apply, EventKind::End, 0, 0),
@@ -1024,16 +967,12 @@ mod tests {
             // Disjoint second apply window on worker 1: [300,350].
             ev(5, 300, 1, 3, Phase::Apply, EventKind::Begin, 0, 0),
             ev(6, 350, 1, 3, Phase::Apply, EventKind::End, 0, 0),
-            // Single-threaded phase: wall == thread time.
+            // Single-threaded phase.
             ev(7, 400, 1, 3, Phase::WalFsync, EventKind::Begin, 0, 0),
             ev(8, 650, 1, 3, Phase::WalFsync, EventKind::End, 0, 0),
             // Unclosed span contributes nothing.
             ev(9, 700, 1, 3, Phase::Plan, EventKind::Begin, 0, 0),
         ];
-        assert_eq!(
-            phase_wall_durations(&events),
-            vec![(Phase::Apply, 230), (Phase::WalFsync, 250)]
-        );
         assert_eq!(
             phase_durations(&events),
             vec![(Phase::Apply, 280), (Phase::WalFsync, 250)]

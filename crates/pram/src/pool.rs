@@ -74,8 +74,8 @@
 //!   benchmark metadata records the effective width via [`parallelism`].
 //! * **Observable** — [`stats`] reports process-wide counters (jobs run,
 //!   shards executed, inline runs, injector chunks claimed, steals, parked
-//!   workers) so tests, the sharded service and the E2/E3 experiments can
-//!   assert how work was actually executed, and [`snapshot`] /
+//!   workers) so tests and the sharded service can assert how work was
+//!   actually executed, and [`snapshot`] /
 //!   [`StatsSnapshot::delta`] difference them so scheduler behaviour is
 //!   attributable to a single phase.
 

@@ -14,15 +14,18 @@
 //! operation stays inside its tenant's range, shard forests decompose
 //! exactly per tenant.
 //!
-//! Sharding buys two independent wins:
+//! Sharding has two effects:
 //!
-//! * **An algorithmic win that needs no cores at all.** The paper's update
-//!   bound is `O(sqrt(n) log n)` per update — sublinear in `n` — so
-//!   routing a tenant's updates to a shard with `n_shard << n_total`
-//!   vertices makes every update cheaper (`K = sqrt(n log n)` shrinks
-//!   with the shard), and the engine's `O(n)` query-snapshot capture shrinks with
-//!   it. This is why the sharded service beats a single flat engine over
-//!   the merged stream even on one core (experiment E2).
+//! * **Smaller structures.** The paper's update bound is `O(sqrt(n) log n)`
+//!   per update — sublinear in `n` — so a shard with `n_shard << n_total`
+//!   vertices makes each update cheaper in the bound (`K = sqrt(n log n)`
+//!   shrinks with the shard), and the engine's `O(n)` query-snapshot
+//!   capture shrinks with it. On its own this is not a measured throughput
+//!   win. Against one flat engine over the merged stream on a 2-core
+//!   machine, 4 and 8 shards on a skewed 16-tenant stream ran at
+//!   0.77–1.24× the flat engine's ops/s over two full runs (0.48–1.24×
+//!   over all shard counts, sizes and skews), and at 0.65–1.39× in five
+//!   short runs at 8 192 vertices.
 //! * **Concurrency across shards.** Per batch, [`ShardedService::execute`]
 //!   routes the tenant-tagged operations into per-shard sub-batches
 //!   (preserving per-tenant arrival order), **plans** every sub-batch on
@@ -353,14 +356,10 @@ pub struct ShardedService {
     /// ([`ShardedService::enable_metrics`]).
     metrics: Option<ServiceMetrics>,
     /// Batch tracing ([`ShardedService::enable_tracing`]): when on, every
-    /// `trace_sample`-th batch allocates a fresh [`obs::trace::TraceId`]
-    /// and runs under its scope, so routing, planning, pool ranges, engine
-    /// phases and WAL writes all attribute to that batch.
+    /// batch allocates a fresh [`obs::trace::TraceId`] and runs under its
+    /// scope, so routing, planning, pool ranges, engine phases and WAL
+    /// writes all attribute to that batch.
     tracing: bool,
-    /// Sample 1 in `trace_sample` batches (1 = every batch).
-    trace_sample: u32,
-    /// Batches seen since tracing was enabled (drives sampling).
-    trace_seq: u64,
 }
 
 impl ShardedService {
@@ -421,8 +420,6 @@ impl ShardedService {
             stats: ServiceStats::default(),
             metrics: None,
             tracing: false,
-            trace_sample: 1,
-            trace_seq: 0,
         }
     }
 
@@ -440,7 +437,7 @@ impl ShardedService {
 
     /// Turn on batch tracing: enables the global trace ring
     /// ([`obs::trace::enable_default`]) and allocates a [`obs::trace::TraceId`]
-    /// per sampled batch. The id is scoped on the submitting thread and
+    /// per batch. The id is scoped on the submitting thread and
     /// carried across pool workers by the jobs themselves, so every layer's
     /// spans — routing, plan, group, apply, snapshot, pool ranges, WAL
     /// append/fsync — land under the batch that caused them. Combine with
@@ -453,23 +450,14 @@ impl ShardedService {
         self.tracing = true;
     }
 
-    /// Trace 1 in `n` batches (default 1 = every batch). `n = 0` is
-    /// treated as 1.
-    pub fn set_trace_sampling(&mut self, n: u32) {
-        self.trace_sample = n.max(1);
-    }
-
     /// The [`obs::trace::TraceId`] for the next batch: NONE unless tracing
-    /// is on and the sampling counter elects this batch.
-    fn next_trace_id(&mut self) -> obs::trace::TraceId {
-        if !self.tracing || !obs::trace::enabled() {
-            return obs::trace::TraceId::NONE;
+    /// is on.
+    fn next_trace_id(&self) -> obs::trace::TraceId {
+        if self.tracing && obs::trace::enabled() {
+            obs::trace::next_id()
+        } else {
+            obs::trace::TraceId::NONE
         }
-        self.trace_seq += 1;
-        if !self.trace_seq.is_multiple_of(u64::from(self.trace_sample)) {
-            return obs::trace::TraceId::NONE;
-        }
-        obs::trace::next_id()
     }
 
     /// Number of shards (including empty ones).
@@ -596,8 +584,6 @@ impl ShardedService {
             stats,
             metrics: None,
             tracing: false,
-            trace_sample: 1,
-            trace_seq: 0,
         })
     }
 
@@ -681,16 +667,16 @@ impl ShardedService {
     /// Execute one service batch with the same routing and per-shard batch
     /// pipeline, but applying the touched shards **serially on the caller
     /// thread** — the dispatcher-off baseline. Outcomes are identical to
-    /// [`ShardedService::execute`]; the E2 experiment and the lockstep
-    /// tests compare the two.
+    /// [`ShardedService::execute`]; the lockstep and scheduler stress tests
+    /// compare the two.
     pub fn execute_serial(&mut self, ops: &[TenantOp]) -> ServiceResult {
         self.run(ops, false)
     }
 
     fn run(&mut self, ops: &[TenantOp], concurrent: bool) -> ServiceResult {
-        // Scope the sampled batch's trace id on the caller thread: spans
-        // emitted below (and on pool workers, via the job's carried id)
-        // attribute to this batch; untraced batches stay span-free.
+        // Scope the batch's trace id on the caller thread: spans emitted
+        // below (and on pool workers, via the job's carried id) attribute
+        // to this batch; untraced batches stay span-free.
         let trace_id = self.next_trace_id();
         let _trace_scope = obs::trace::scope(trace_id);
         let batch_t0 = trace_id.is_some().then(Instant::now);

@@ -13,7 +13,8 @@ use pdmsf_graph::{BatchKind, TenantId, TenantStream, TenantStreamSpec};
 use pdmsf_pram::pool;
 use pdmsf_shard::{ShardedService, TenantSpec};
 
-/// Bursty multi-tenant stream (the E2/E3 serving workload shape).
+/// Bursty multi-tenant stream (the serving workload shape of
+/// `pdmsf_bench::tenant_stream`).
 fn stress_stream(tenants: usize, tenant_n: usize, seed: u64) -> TenantStream {
     TenantStream::generate(&TenantStreamSpec {
         tenants,

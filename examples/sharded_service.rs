@@ -6,14 +6,11 @@
 //! Per burst the demo prints nothing; every few bursts it prints the
 //! per-shard summaries (applied / cancelled / rejected, forest weights,
 //! snapshots) and cross-checks each shard's forest against a Kruskal
-//! recompute of its mirror. At the end it compares against a flat
-//! single-engine baseline fed the same traffic merged into one vertex
-//! space — same total forest weight, measurably fewer ops/sec.
+//! recompute of its mirror.
 //!
 //! Run with `cargo run --release --example sharded_service`.
 
 use pdmsf::prelude::*;
-use pdmsf_bench::{drive_service_flat, MergedTenantEngine};
 
 fn main() {
     let spec = TenantStreamSpec {
@@ -118,17 +115,4 @@ fn main() {
         pool_delta.inline_runs,
     );
     println!("{answered_true} connectivity probes answered true");
-
-    // The flat baseline: one engine over the merged vertex space, same
-    // traffic (the E2 experiment's `MergedTenantEngine` does the vertex and
-    // edge-id translation). Same forests, no sharding leverage.
-    let total_n = spec.tenants * spec.tenant_vertices;
-    let mut flat = MergedTenantEngine::new(spec.tenants, spec.tenant_vertices);
-    let (flat_elapsed, _) = drive_service_flat(&mut flat, &stream);
-    assert_eq!(service.total_forest_weight(), flat.engine().forest_weight());
-    println!(
-        "\nflat single-engine baseline (n = {total_n}): {:.0} ops/s — sharded is {:.2}x",
-        stream.total_ops() as f64 / flat_elapsed.as_secs_f64(),
-        flat_elapsed.as_secs_f64() / elapsed.as_secs_f64(),
-    );
 }

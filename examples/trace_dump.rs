@@ -28,7 +28,7 @@ fn main() {
         .collect();
     let mut service = ShardedService::new(shards, &specs);
     service.enable_metrics();
-    service.enable_tracing(); // every batch gets a TraceId (sampling = 1)
+    service.enable_tracing(); // every batch gets a TraceId
 
     // WAL sinks so the persist layer emits wal.append / wal.fsync spans.
     for shard in 0..shards {
