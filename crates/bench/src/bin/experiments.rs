@@ -40,7 +40,7 @@ use pdmsf_bench::{
     IntraBatchRecord, PersistRecord, RunMeta,
 };
 use pdmsf_core::{seq::default_sequential_k, SeqDynamicMsf};
-use pdmsf_engine::{Engine, Op};
+use pdmsf_engine::Engine;
 use pdmsf_graph::{kruskal_msf, BatchStream, DynamicMsf, EdgeId, TenantId, UpdateStream};
 use pdmsf_persist::{EngineCheckpointExt, ServiceCheckpointExt};
 use pdmsf_pram::pool;
@@ -368,13 +368,13 @@ const E1_FLOOR: f64 = 1.3;
 const E1_REPS: usize = 3;
 
 /// E1: batch-engine throughput — the batched path (preprocessing,
-/// cancellation, query snapshot + pooled fan-out) vs the one-op-at-a-time
+/// cancellation, one query snapshot per batch) vs the one-op-at-a-time
 /// engine path on identical bursty and tenant-clustered batch streams.
 /// Emits `BENCH_batch_throughput.json` with the same run-metadata stamping
 /// as E0, then checks [`E1_FLOOR`].
 fn e1_batch_throughput(quick: bool) -> Result<(), String> {
     println!("\n== E1: batch engine throughput (writes BENCH_batch_throughput.json) ==");
-    println!("paths: batched (plan + cancel + dedup + snapshot fan-out) vs one-by-one");
+    println!("paths: batched (plan + cancel + dedup + one snapshot) vs one-by-one");
     println!("(same ops through the same structure, no batch leverage); identical");
     println!("outcomes, so the ratio is pure batching leverage");
     let (sizes, batch_sizes, total_ops): (&[usize], &[usize], usize) = if quick {
@@ -501,11 +501,7 @@ fn e5_persist() -> Result<(), String> {
         let stream = bursty_batch_stream(n, 2 * n, batches, batch_size, 7);
         let build = || {
             let mut engine = Engine::new(stream.num_vertices);
-            let base: Vec<Op> = stream
-                .base_edges
-                .iter()
-                .map(|&(u, v, weight)| Op::Link { u, v, weight })
-                .collect();
+            let base = stream.base_ops();
             engine.execute(&base);
             let mut ops = base.len();
             for batch in &stream.batches {

@@ -295,12 +295,7 @@ fn drive_engine(
     stream: &BatchStream,
     step: impl Fn(&mut Engine, &[Op]),
 ) -> (Duration, usize) {
-    let base: Vec<Op> = stream
-        .base_edges
-        .iter()
-        .map(|&(u, v, weight)| Op::Link { u, v, weight })
-        .collect();
-    step(engine, &base);
+    step(engine, &stream.base_ops());
     let mut elapsed = Duration::ZERO;
     let mut ops = 0usize;
     for batch in &stream.batches {

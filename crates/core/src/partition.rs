@@ -16,9 +16,9 @@
 //! engine colors a planned batch's surviving updates into groups whose
 //! partition sets are disjoint ([`UpdateGroup`]) and calls
 //! [`ComponentPartitionedMsf::apply_groups`]; each group is applied
-//! serially in arrival order by one pool job, through a raw-pointer
-//! [`PartView`] whose every partition access is checked against the
-//! group's owned set in debug builds.
+//! serially in arrival order by one slot of a pool job, through a
+//! raw-pointer [`PartView`] whose every partition access is checked
+//! against the group's owned set in debug builds.
 //!
 //! ## Cross-partition links: migration
 //!
@@ -84,7 +84,7 @@ pub enum GroupUpdate {
 }
 
 /// A conflict-free group of updates: applied serially in arrival order by
-/// one pool job. Groups of one batch must have **disjoint** `parts` sets
+/// one pool slot. Groups of one batch must have **disjoint** `parts` sets
 /// that are closed under the union of every member update's endpoint
 /// partitions (the engine's conflict coloring guarantees this; debug
 /// builds re-check every access).
@@ -342,11 +342,11 @@ impl ComponentPartitionedMsf {
     }
 
     /// Apply the surviving updates of one batch, partitioned into
-    /// conflict-free groups by the engine. Groups run as concurrent pool
-    /// jobs when there is more than one group and the pool is wider than
-    /// one; otherwise the same code runs inline, in group order. Either
-    /// way the result is bit-for-bit identical to applying the updates
-    /// serially in arrival order (see the module docs).
+    /// conflict-free groups by the engine. Groups run as the concurrent
+    /// slots of one pool job when there is more than one group and the pool
+    /// is wider than one; otherwise the same code runs inline, in group
+    /// order. Either way the result is bit-for-bit identical to applying
+    /// the updates serially in arrival order (see the module docs).
     pub fn apply_groups(&mut self, groups: &[UpdateGroup]) {
         if groups.is_empty() {
             return;
@@ -382,19 +382,20 @@ impl ComponentPartitionedMsf {
         // vertices homed in partitions) of its own disjoint color class, and
         // writes its migration counters to its own output slot — disjoint
         // access all the way down, checked per access in debug builds.
-        pool::run_shard_ranges(groups.len(), |range| {
-            for gi in range {
-                let view = PartView {
-                    parts: parts_ptr.get(),
-                    num_parts,
-                    home: home_ptr.get(),
-                    num_vertices,
-                    occ: occ_ptr.get(),
-                    owned: Some(&owned_ref[gi]),
-                };
-                let st = unsafe { &mut *stats_ptr.get().add(gi) };
-                apply_group(&view, st, &groups[gi].updates);
-            }
+        pool::run_shards(groups.len(), |gi| {
+            let view = PartView {
+                parts: parts_ptr.get(),
+                num_parts,
+                home: home_ptr.get(),
+                num_vertices,
+                occ: occ_ptr.get(),
+                owned: Some(&owned_ref[gi]),
+            };
+            // SAFETY: slot `gi` is the only one that touches
+            // `group_stats[gi]`, and `run_shards` returns only after every
+            // slot has finished, so the borrow outlives this reference.
+            let st = unsafe { &mut *stats_ptr.get().add(gi) };
+            apply_group(&view, st, &groups[gi].updates);
         });
         for st in &group_stats {
             self.stats.add(st);

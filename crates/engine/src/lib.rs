@@ -21,10 +21,8 @@
 //!    a batch are answered against the forest *after* the batch's updates
 //!    (the batch's snapshot point). The engine captures the forest once
 //!    into flat component labels ([`QuerySnapshot`]) and answers each
-//!    connectivity query with two array loads, instead of paying a
-//!    `&mut`-self link-cut tree walk per query. Large query sets fan out
-//!    across the worker pool of `pdmsf_pram::pool` — possible while other
-//!    submitters run their own jobs, because the pool queues multiple jobs.
+//!    connectivity query with two array loads, in one serial loop, instead
+//!    of paying a `&mut`-self link-cut tree walk per query.
 //! 3. **Deduplication** — repeated questions (the common case in serving
 //!    traffic) collapse to one computed answer; duplicate deletes and other
 //!    invalid operations are rejected up front with a per-op
@@ -33,9 +31,9 @@
 //!    partition, [`Engine::with_partitions`]) — the surviving updates are
 //!    colored into conflict-free groups (a union-find over the home
 //!    partitions of each update's endpoints; see `group.rs`) and the groups
-//!    apply as concurrent pool jobs, serial in arrival order *inside* each
-//!    group. A batch that yields a single group, or a pool of width 1, runs
-//!    the groups inline.
+//!    apply as the concurrent slots of one pool job, serial in arrival
+//!    order *inside* each group. A batch that yields a single group, or a
+//!    pool of width 1, runs the groups inline.
 //!
 //! Every engine runs on one structure, a
 //! [`pdmsf_core::ComponentPartitionedMsf`]: [`Engine::new`] builds it with
@@ -336,7 +334,7 @@ pub(crate) fn query_reject(n: usize, u: VertexId, v: VertexId) -> Option<Reject>
 ///
 /// Planning borrows the engine immutably, so a serving layer can plan the
 /// sub-batches of many shard engines back to back on the caller thread and
-/// then apply them concurrently (one pool job per shard) — the pattern the
+/// then apply them concurrently (one pool slot per shard) — the pattern the
 /// sharded service uses. A plan is `Send`: it contains only ids, weights
 /// and outcome slots.
 pub struct PlannedBatch {
@@ -710,13 +708,12 @@ impl Engine {
     /// Execute one batch with full batch preprocessing: plan (id
     /// assignment, validation, cancellation, query dedup), apply the
     /// surviving updates through the structure, then answer all queries at
-    /// the snapshot point — via a [`QuerySnapshot`] fanned out over the
-    /// worker pool when the batch carries enough distinct queries.
+    /// the snapshot point through one [`QuerySnapshot`].
     ///
     /// Equivalent to [`Engine::plan_batch`] followed by
     /// [`Engine::execute_planned`]; the split form lets a serving layer
     /// plan many shard batches on the caller thread and apply them
-    /// concurrently on pool workers.
+    /// concurrently on pool threads.
     pub fn execute(&mut self, ops: &[Op]) -> BatchResult {
         let plan = self.plan_batch(ops);
         self.execute_planned(plan)
@@ -751,7 +748,7 @@ impl Engine {
     /// post-update snapshot point. This is the `&mut self` half of
     /// [`Engine::execute`] — a sharded serving layer plans every shard's
     /// sub-batch on the caller thread and runs this half concurrently, one
-    /// shard engine per pool job.
+    /// shard engine per pool slot.
     pub fn execute_planned(&mut self, planned: PlannedBatch) -> BatchResult {
         // A real assert, not a debug_assert: applying a stale plan would
         // silently collide its pre-assigned edge ids with ids the engine

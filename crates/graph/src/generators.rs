@@ -322,7 +322,7 @@ impl UpdateStream {
 /// One operation of a *batched* stream: the update/query mix a serving
 /// front-end sees. Unlike [`UpdateOp`], batched streams carry explicit
 /// read operations (connectivity, forest weight) so the batch engine's
-/// query fan-out is exercised on realistic traffic.
+/// snapshot query answering is exercised on realistic traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchOp {
     /// Insert an edge. Its id is the next sequential id of the driving
@@ -389,17 +389,6 @@ pub enum BatchKind {
         /// Fraction of operations that are queries, in permille.
         query_permille: u32,
     },
-    /// Like [`BatchKind::Clustered`], but **every operation** picks its own
-    /// block uniformly at random, so a single batch spreads across many
-    /// blocks at once. Individual ops still stay inside their block, which
-    /// makes the blocks independent update groups — the workload shape the
-    /// intra-batch grouped apply path is built for.
-    ClusteredMix {
-        /// Number of vertex blocks.
-        clusters: usize,
-        /// Fraction of operations that are queries, in permille.
-        query_permille: u32,
-    },
 }
 
 /// Specification of a batched update/query stream.
@@ -449,9 +438,7 @@ impl BatchStream {
         // the batch that created them.
         let clusters = match spec.kind {
             BatchKind::Bursty { .. } => 1,
-            BatchKind::Clustered { clusters, .. } | BatchKind::ClusteredMix { clusters, .. } => {
-                clusters.max(1)
-            }
+            BatchKind::Clustered { clusters, .. } => clusters.max(1),
         };
         let block = n.div_ceil(clusters);
         let cluster_of = |v: VertexId| (v.index() / block).min(clusters - 1);
@@ -469,8 +456,7 @@ impl BatchStream {
 
         let query_permille = match spec.kind {
             BatchKind::Bursty { query_permille, .. }
-            | BatchKind::Clustered { query_permille, .. }
-            | BatchKind::ClusteredMix { query_permille, .. } => query_permille,
+            | BatchKind::Clustered { query_permille, .. } => query_permille,
         };
         // The region of one block, clamped so a degenerate tail block (or a
         // block too small for a distinct pair) widens to the whole space.
@@ -486,17 +472,30 @@ impl BatchStream {
 
         let mut batches = Vec::with_capacity(spec.batches);
         for b in 0..spec.batches {
-            // The vertex region this batch concentrates on (ClusteredMix
-            // picks a fresh region per op instead, below).
-            let (batch_lo, batch_span) = match spec.kind {
+            // The vertex region this batch concentrates on.
+            let (lo, span) = match spec.kind {
                 BatchKind::Bursty { .. } => {
                     (rng.gen_range(0..n), (n / 16).clamp(8.min(n), n.max(1)))
                 }
-                BatchKind::Clustered { .. } | BatchKind::ClusteredMix { .. } => {
-                    block_region(b % clusters)
+                BatchKind::Clustered { .. } => block_region(b % clusters),
+            };
+            let cluster = b % clusters;
+            let region_vertex = |rng: &mut ChaCha8Rng| -> VertexId {
+                VertexId::from((lo + rng.gen_range(0..span)) % n)
+            };
+            let region_pair = |rng: &mut ChaCha8Rng| -> (VertexId, VertexId) {
+                loop {
+                    let u = region_vertex(rng);
+                    let v = region_vertex(rng);
+                    if u != v {
+                        return (u, v);
+                    }
+                    // A span of 1 can never produce a distinct pair.
+                    if span < 2 {
+                        return (u, VertexId::from((u.index() + 1) % n));
+                    }
                 }
             };
-            let batch_cluster = b % clusters;
             let mut ops: Vec<BatchOp> = Vec::with_capacity(spec.batch_size);
             // Flap links inserted in this batch, awaiting their cut.
             let mut pending_flaps: Vec<EdgeId> = Vec::new();
@@ -513,30 +512,6 @@ impl BatchStream {
                     });
                     continue;
                 }
-                let (lo, span, cluster) = match spec.kind {
-                    BatchKind::ClusteredMix { .. } => {
-                        let c = rng.gen_range(0..clusters);
-                        let (lo, span) = block_region(c);
-                        (lo, span, c)
-                    }
-                    _ => (batch_lo, batch_span, batch_cluster),
-                };
-                let region_vertex = |rng: &mut ChaCha8Rng| -> VertexId {
-                    VertexId::from((lo + rng.gen_range(0..span)) % n)
-                };
-                let region_pair = |rng: &mut ChaCha8Rng| -> (VertexId, VertexId) {
-                    loop {
-                        let u = region_vertex(rng);
-                        let v = region_vertex(rng);
-                        if u != v {
-                            return (u, v);
-                        }
-                        // A span of 1 can never produce a distinct pair.
-                        if span < 2 {
-                            return (u, VertexId::from((u.index() + 1) % n));
-                        }
-                    }
-                };
                 if rng.gen_range(0u32..1000) < query_permille {
                     // Serving traffic repeats questions: reuse the previous
                     // query a quarter of the time so batches carry genuine
@@ -572,7 +547,7 @@ impl BatchStream {
                 // An update slot.
                 let flap_permille = match spec.kind {
                     BatchKind::Bursty { flap_permille, .. } => flap_permille,
-                    BatchKind::Clustered { .. } | BatchKind::ClusteredMix { .. } => 0,
+                    BatchKind::Clustered { .. } => 0,
                 };
                 // A new flap needs budget for its own link *and* cut on top
                 // of every cut already owed — otherwise the batch could end
@@ -619,6 +594,14 @@ impl BatchStream {
             base_edges,
             batches,
         }
+    }
+
+    /// The base graph as one batch of links, in base-edge order — edge ids
+    /// `0..len`, exactly what the stream's `Cut` ids assume was loaded
+    /// before the first batch.
+    pub fn base_ops(&self) -> Vec<BatchOp> {
+        let link = |&(u, v, weight)| BatchOp::Link { u, v, weight };
+        self.base_edges.iter().map(link).collect()
     }
 
     /// Number of batches.
@@ -1132,61 +1115,6 @@ mod tests {
                     BatchOp::QueryForestWeight => {}
                 }
             }
-        }
-        replay_batches(&stream);
-    }
-
-    #[test]
-    fn clustered_mix_ops_stay_in_blocks_but_batches_span_many() {
-        let n = 96usize;
-        let clusters = 6usize;
-        let spec = BatchStreamSpec {
-            base: GraphSpec::RandomSparse { n, m: 150, seed: 9 },
-            batches: 8,
-            batch_size: 48,
-            kind: BatchKind::ClusteredMix {
-                clusters,
-                query_permille: 250,
-            },
-            seed: 31,
-        };
-        let stream = BatchStream::generate(&spec);
-        assert_eq!(stream.batches, BatchStream::generate(&spec).batches);
-        let block = n.div_ceil(clusters);
-        let block_of = |v: usize| (v / block).min(clusters - 1);
-        let mut endpoints: Vec<(usize, usize)> = stream
-            .base_edges
-            .iter()
-            .map(|&(u, v, _)| (u.index(), v.index()))
-            .collect();
-        for (b, batch) in stream.batches.iter().enumerate() {
-            let mut touched = vec![false; clusters];
-            for op in batch {
-                match *op {
-                    BatchOp::Link { u, v, .. } => {
-                        assert_eq!(
-                            block_of(u.index()),
-                            block_of(v.index()),
-                            "batch {b} linked across blocks"
-                        );
-                        touched[block_of(u.index())] = true;
-                        endpoints.push((u.index(), v.index()));
-                    }
-                    BatchOp::QueryConnected { u, v } => {
-                        assert_eq!(block_of(u.index()), block_of(v.index()));
-                    }
-                    BatchOp::Cut { id } => {
-                        let (u, v) = endpoints[id.index()];
-                        assert_eq!(block_of(u), block_of(v));
-                        touched[block_of(u)] = true;
-                    }
-                    BatchOp::QueryForestWeight => {}
-                }
-            }
-            assert!(
-                touched.iter().filter(|&&t| t).count() >= 2,
-                "batch {b} never spread across blocks"
-            );
         }
         replay_batches(&stream);
     }

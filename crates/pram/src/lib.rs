@@ -27,29 +27,23 @@
 //!   only execution mode; see [`kernels::PAR_CUTOFF`] for why no scan fans
 //!   out over the pool).
 //! * [`pool`] — a lazily spawned, process-wide pool of parked worker
-//!   threads with a **work-stealing scheduler**, used by the serving layers
-//!   (shard dispatch, grouped apply, query fan-out). A submission publishes
-//!   a borrowed sharded closure, the calling thread participates, and the
-//!   call blocks until every shard is done — scoped-spawn semantics without
-//!   per-call thread creation. Single-shard jobs never spawn the pool at
-//!   all. Scheduling is Cilk-style: every executor (worker or
-//!   submitter) owns a deque of shard *ranges*, popped LIFO for cache
-//!   locality; jobs are claimed from the shared injector queue in chunks
-//!   of `ceil(remaining / executors)` shards instead of one-at-a-time
-//!   through the lock; idle workers steal half of a victim's oldest
-//!   remaining range, scanning victims in deterministic order (no RNG);
-//!   and a shard submitting a nested job pushes it onto its own executor's
-//!   deque, which keeps nested submission deadlock-free. Callers consume
-//!   work through the range API ([`pool::run_shard_ranges`];
-//!   [`pool::run_shards`] is the per-shard wrapper). [`pool::stats`]
-//!   exposes process-wide counters (jobs run, shards executed, inline
-//!   runs, injector chunks claimed, steals, parked workers) and
-//!   [`pool::snapshot`] differences
-//!   them per phase; the `PDMSF_POOL_THREADS` environment variable (read
-//!   once at first use, clamped to `1..=128`) overrides the hardware-probed
-//!   pool width — `PDMSF_POOL_THREADS=1` forces fully inline execution,
-//!   larger values size the pool for the machine you are actually serving
-//!   from.
+//!   threads for the serving layers' coarse jobs (shard dispatch and
+//!   grouped apply). A submission publishes a borrowed closure over slots
+//!   `0..n`, the calling thread participates, and the call blocks until
+//!   every slot is done — scoped-spawn semantics without per-call thread
+//!   creation. Single-slot jobs never spawn the pool at all. The pool keeps
+//!   one FIFO of open jobs, each job a claim counter over its slots: an
+//!   idle worker claims the next slot of the oldest open job, and a
+//!   submitter claims only its own job's slots and then waits, so every
+//!   slot is either claimable or running and nested submissions cannot
+//!   deadlock. [`pool::run_shards`] is the only entry point.
+//!   [`pool::stats`] exposes process-wide counters (jobs run, slots
+//!   executed, inline runs, parked workers) and [`pool::snapshot`]
+//!   differences them per phase; the `PDMSF_POOL_THREADS` environment
+//!   variable (read once at first use, clamped to `1..=128`) overrides the
+//!   hardware-probed pool width — `PDMSF_POOL_THREADS=1` forces fully
+//!   inline execution, larger values size the pool for the machine you are
+//!   actually serving from.
 
 pub mod cost;
 pub mod erew;
@@ -59,4 +53,3 @@ pub mod pool;
 pub use cost::{CostMeter, CostReport, ExecMode};
 pub use erew::{AccessKind, AccessLog, Violation};
 pub use kernels::erew_tournament_min;
-pub use pool::PoolStats;

@@ -30,16 +30,15 @@
 //!   routes the tenant-tagged operations into per-shard sub-batches
 //!   (preserving per-tenant arrival order), **plans** every sub-batch on
 //!   the caller thread ([`Engine::plan_batch`] — pure, `&self`), then
-//!   **applies** all non-empty shard batches concurrently through the
-//!   work-stealing scheduler of `pdmsf_pram::pool` — shard slots are
-//!   claimed in runs, idle workers steal from loaded executors, and each
-//!   shard batch ([`Engine::execute_planned`]) reuses the full
-//!   plan/cancel/dedup/snapshot pipeline internally, including nested
-//!   pool submissions (which land on the submitting executor's own deque)
-//!   for its group applies and query fan-outs. Outcomes are reassembled into
-//!   the caller's original op order, and the apply phase's pool delta
-//!   (jobs, chunk claims, **steals**, inline runs) is stamped into the
-//!   returned [`ServiceSummary`].
+//!   **applies** all non-empty shard batches concurrently as the slots of
+//!   one `pdmsf_pram::pool` job — the caller and the idle workers each
+//!   claim the next unclaimed shard slot — and each shard batch
+//!   ([`Engine::execute_planned`]) reuses the full
+//!   plan/cancel/dedup/snapshot pipeline internally, including a nested
+//!   pool job for its group applies (the thread running the shard slot
+//!   can always run the nested job's slots itself, so nesting cannot
+//!   deadlock). Outcomes are reassembled into the caller's original op
+//!   order.
 //!
 //! ## Identifier translation
 //!
@@ -245,24 +244,6 @@ pub struct ServiceSummary {
     pub unique_queries: usize,
     /// Total forest weight across **all** shards after the batch.
     pub forest_weight: i128,
-    /// Pool jobs completed during the apply phase (the per-shard jobs plus
-    /// any nested group-apply / fan-out submissions they made). The pool's
-    /// counters are **process-wide**, so when other threads use the pool
-    /// concurrently their activity lands in this window too — exact for a
-    /// single-service process, an upper bound otherwise.
-    pub pool_jobs: u64,
-    /// Injector chunks claimed during the apply-phase window (each chunk
-    /// is one shared-queue interaction covering a run of shards;
-    /// process-wide, see [`ServiceSummary::pool_jobs`]).
-    pub pool_chunks_claimed: u64,
-    /// Successful work steals during the apply-phase window — how often an
-    /// idle worker took half of another executor's remaining shard range.
-    /// Zero when the pool ran inline (1-core degradation) or stayed
-    /// balanced (process-wide, see [`ServiceSummary::pool_jobs`]).
-    pub pool_steals: u64,
-    /// `run_shards` calls in the apply-phase window that degraded to
-    /// inline execution (process-wide, see [`ServiceSummary::pool_jobs`]).
-    pub pool_inline_runs: u64,
     /// Per-shard breakdowns, in dispatch order.
     pub per_shard: Vec<ShardSummary>,
 }
@@ -378,9 +359,10 @@ impl ShardedService {
     /// count — chunk parameter and partition count through
     /// [`Engine::with_partitions`]. With more than one partition per shard,
     /// each shard's batch additionally applies its independent update
-    /// groups as concurrent pool jobs (nested inside the per-shard jobs;
-    /// the work-stealing pool handles nested submissions without
-    /// deadlock). The lockstep tests use it to force stress configurations.
+    /// groups as the concurrent slots of a pool job nested inside its shard
+    /// slot (the thread that submits a nested job can always run its slots
+    /// itself, so nesting cannot deadlock). The lockstep tests use it to
+    /// force stress configurations.
     pub fn with_engine_factory(
         shards: usize,
         tenants: &[TenantSpec],
@@ -657,9 +639,9 @@ impl ShardedService {
 
     /// Execute one service batch **concurrently**: route to per-shard
     /// sub-batches (per-tenant order preserved), plan every sub-batch on
-    /// the caller thread, apply all touched shards as one job on the
-    /// work-stealing pool scheduler, and reassemble outcomes into the
-    /// caller's op order. See the crate docs for the full pipeline.
+    /// the caller thread, apply all touched shards as the slots of one pool
+    /// job, and reassemble outcomes into the caller's op order. See the
+    /// crate docs for the full pipeline.
     pub fn execute(&mut self, ops: &[TenantOp]) -> ServiceResult {
         self.run(ops, true)
     }
@@ -717,9 +699,6 @@ impl ShardedService {
             .collect();
 
         let mut outputs: Vec<Option<ShardOutput>> = (0..slots).map(|_| None).collect();
-        // Attribute the scheduler's behaviour (jobs, chunk claims, steals,
-        // inline degradations) to this batch's apply phase.
-        let pool_snap = pool::snapshot();
         {
             let shards_base = SendPtr(self.shards.as_mut_ptr());
             let plans_base = SendPtr(plans.as_mut_ptr());
@@ -762,17 +741,13 @@ impl ShardedService {
                 unsafe { *outputs_base.get().add(slot) = Some(output) };
             };
             if concurrent {
-                // Per-shard jobs go through the scheduler's range API: a
-                // claimed run of slots executes with one dispatch (each
-                // slot is still one engine apply; runs just amortize the
-                // queue interaction).
-                pool::run_shard_ranges(slots, |range| range.for_each(&job));
+                pool::run_shards(slots, job);
             } else {
                 (0..slots).for_each(job);
             }
         }
 
-        let result = self.reassemble(ops.len(), routed, outputs, pool_snap.delta());
+        let result = self.reassemble(ops.len(), routed, outputs);
         batch_tspan.stop();
         if let Some(t0) = batch_t0 {
             // Offer the finished batch to the flight recorder with its
@@ -788,7 +763,6 @@ impl ShardedService {
         ops: usize,
         routed: Routed,
         outputs: Vec<Option<ShardOutput>>,
-        pool_delta: pdmsf_pram::PoolStats,
     ) -> ServiceResult {
         let outputs: Vec<ShardOutput> = outputs
             .into_iter()
@@ -869,10 +843,6 @@ impl ShardedService {
             unique_queries: unique_weights
                 + per_shard.iter().map(|s| s.unique_queries).sum::<usize>(),
             forest_weight: self.total_forest_weight(),
-            pool_jobs: pool_delta.jobs_run,
-            pool_chunks_claimed: pool_delta.chunks_claimed,
-            pool_steals: pool_delta.steals,
-            pool_inline_runs: pool_delta.inline_runs,
             per_shard,
         };
 

@@ -253,9 +253,10 @@ proptest! {
     }
 }
 
-/// The generator-produced multi-tenant streams (the E2 workload) also hold
-/// the lockstep property — pinning the benchmark inputs to the verified
-/// semantics, flap pairs, skewed popularity and all.
+/// The generator-produced multi-tenant streams (the traffic shape of
+/// perfbench `serve` and the sharded examples) also hold the lockstep
+/// property — pinning the benchmark inputs to the verified semantics, flap
+/// pairs, skewed popularity and all.
 #[test]
 fn generated_tenant_streams_hold_the_lockstep_property() {
     let stream = TenantStream::generate(&TenantStreamSpec {

@@ -1,9 +1,8 @@
 //! Scheduler stress: the many-small-jobs regime the sharded service
 //! creates — several submitter threads, each dispatching per-shard jobs
-//! (with nested submissions inside) onto the work-stealing pool — must
-//! produce outcomes identical to the serial (dispatcher-off) path, which
-//! the shard crate's lockstep suite pins against per-tenant engines and
-//! Kruskal.
+//! onto the pool's open-job queue at once — must produce outcomes
+//! identical to the serial (dispatcher-off) path, which the shard crate's
+//! lockstep suite pins against per-tenant engines and Kruskal.
 //!
 //! A single `#[test]` in its own integration binary: the pool width
 //! override below is process-global and must be set before anything
@@ -76,10 +75,9 @@ fn concurrent_sharded_execution_matches_serial_dispatch_under_load() {
     });
 
     // The stress actually went through the pooled scheduler: jobs ran, and
-    // every job's shard space was claimed in chunks.
+    // their slots executed.
     let delta = snap.delta();
     assert!(delta.jobs_run > 0, "no pooled jobs ran during the stress");
     assert!(delta.shards_executed > 0);
-    assert!(delta.chunks_claimed > 0);
     assert_eq!(pool::parallelism(), 4);
 }

@@ -38,12 +38,7 @@ fn main() {
 
     let mut engine = Engine::new(n);
     // Load the base graph as one (untimed) initial batch.
-    let base: Vec<BatchOp> = stream
-        .base_edges
-        .iter()
-        .map(|&(u, v, weight)| BatchOp::Link { u, v, weight })
-        .collect();
-    engine.execute(&base);
+    engine.execute(&stream.base_ops());
 
     let started = std::time::Instant::now();
     let mut answered_true = 0usize;

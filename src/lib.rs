@@ -111,18 +111,16 @@
 //!   updates): the forest is captured once into flat component labels
 //!   ([`engine::QuerySnapshot`], `O(n + f·α)`) and every connectivity query
 //!   becomes two array loads — instead of a `&mut`-self link-cut-tree walk
-//!   per query — fanned out across the worker pool when the batch is query-
-//!   heavy enough to amortize dispatch.
+//!   per query — in one serial loop.
 //!
-//! The pool itself serves **multiple jobs concurrently** through a
-//! **work-stealing scheduler**: every executor (worker or submitter) owns
-//! a deque of shard ranges, jobs are claimed from the shared injector in
-//! chunks rather than shard-by-shard, idle workers steal half of a
-//! victim's remaining range in deterministic order (no RNG), and nested
-//! submissions land on the submitting executor's own deque. Query fan-out
-//! therefore proceeds while other submitters run shard jobs;
+//! The worker pool ([`pram::pool`]) carries only the serving layers'
+//! coarse jobs: shard dispatch and grouped apply. It serves **multiple
+//! jobs concurrently** from one FIFO of open jobs, each job a claim counter
+//! over its slots: an idle worker claims the next slot of the oldest open
+//! job, and a submitter claims only its own job's slots and then waits, so
+//! nested submissions (group jobs inside shard jobs) cannot deadlock.
 //! `PDMSF_POOL_THREADS` overrides the pool width and [`pram::pool::stats`]
-//! exposes its counters (jobs, shards, inline runs, chunk claims, steals).
+//! exposes its counters (jobs, slots, inline runs).
 //! Batch semantics are pinned by a lockstep proptest: batched execution is
 //! observationally identical (outcomes, forest, weights) to applying the
 //! same ops one at a time against [`core::SeqDynamicMsf`] and to a Kruskal
@@ -193,11 +191,9 @@
 //! per-shard sub-batches preserving per-tenant op order, **plans every
 //! sub-batch on the caller thread** ([`Engine::plan_batch`], pure) and
 //! **applies all touched shards concurrently** — one
-//! [`Engine::execute_planned`] job per shard on the work-stealing pool
-//! scheduler, each internally reusing the full plan/cancel/dedup/snapshot
-//! pipeline — then reassembles outcomes into the caller's op order with
-//! tenant-local ids (the apply phase's pool delta, steals included, is
-//! stamped into every [`shard::ServiceSummary`]).
+//! [`Engine::execute_planned`] slot per shard in one pool job, each
+//! internally reusing the full plan/cancel/dedup/snapshot pipeline — then
+//! reassembles outcomes into the caller's op order with tenant-local ids.
 //!
 //! Independent shard batches run concurrently. Each shard also holds
 //! `n_shard << n_total` vertices, so its `O(sqrt(n) log n)` updates and
@@ -259,10 +255,10 @@
 //! [`obs::global`] registry and named `pdmsf_<layer>_<metric>`:
 //!
 //! * **Always on** where events are cheap to count or rare: the worker
-//!   pool's scheduler counters (`pdmsf_pool_*` — jobs, chunk claims,
-//!   steals, parks/wakes; [`pram::pool::stats`] is now a façade over
-//!   them) and the persistence layer (`pdmsf_persist_*` — WAL append and
-//!   fsync latency, bytes, checkpoint size/duration).
+//!   pool's counters (`pdmsf_pool_*` — jobs, slots, inline runs,
+//!   parks/wakes; [`pram::pool::stats`] reads them) and the persistence
+//!   layer (`pdmsf_persist_*` — WAL append and fsync latency, bytes,
+//!   checkpoint size/duration).
 //! * **Opt-in** on the hot serving paths: [`Engine::enable_metrics`] adds
 //!   per-batch plan/apply/snapshot/group-coloring phase timings and
 //!   outcome counters (`pdmsf_engine_*`);
@@ -299,10 +295,9 @@
 //! plan/mirror/group/apply/snapshot phases and WAL append/fsync all
 //! attribute to the batch without any signature changes. The one explicit
 //! hand-off is the worker pool: each job snapshots its submitter's ambient
-//! id, and every executed range — **including ranges stolen onto other
-//! workers** — re-scopes that id before running, so `pool.range` spans land
-//! in the batch that submitted the work, not the thread that happened to
-//! run it.
+//! id, and every slot — **including slots run by other threads** —
+//! re-scopes that id before running, so `pool.range` spans land in the
+//! batch that submitted the work, not the thread that happened to run it.
 //!
 //! The **flight recorder** implements tail-based retention on top: the
 //! service offers every traced batch with its end-to-end latency

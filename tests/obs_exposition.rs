@@ -47,12 +47,10 @@ const GOLDEN_FAMILIES: &[(&str, &str)] = &[
     ("pdmsf_persist_wal_fsync_ns", "histogram"),
     ("pdmsf_persist_wal_records_total", "counter"),
     // pool (always on)
-    ("pdmsf_pool_chunks_claimed_total", "counter"),
     ("pdmsf_pool_inline_runs_total", "counter"),
     ("pdmsf_pool_jobs_total", "counter"),
     ("pdmsf_pool_parks_total", "counter"),
     ("pdmsf_pool_shards_executed_total", "counter"),
-    ("pdmsf_pool_steals_total", "counter"),
     ("pdmsf_pool_wakes_total", "counter"),
     ("pdmsf_pool_workers", "gauge"),
     ("pdmsf_pool_workers_parked", "gauge"),
