@@ -10,11 +10,11 @@
 //! cargo run --release -p pdmsf-bench --bin experiments -- e0 gate   # E0 + trajectory gate
 //! ```
 //!
-//! The selectors are `e0`, `e1`, `e5`, `e6` and `paper`, plus the
-//! modifiers `quick` (smaller E0, E1 and `paper` runs) and `gate`;
-//! anything else is a usage error (exit status 2). A failed check exits
-//! with status 1: the E0 trajectory gate, the paper's bounds, and the
-//! same-process speed ratios of E1, E5 and E6, which every run checks.
+//! The selectors are `e0`, `e1`, `e5` and `paper`, plus the modifiers
+//! `quick` (smaller E0, E1 and `paper` runs) and `gate`; anything else is a
+//! usage error (exit status 2). A failed check exits with status 1: the E0
+//! trajectory gate, the paper's bounds, and the same-process speed ratios
+//! of E1 and E5, which every run checks.
 //!
 //! * E0 → `BENCH_update_time.json`: updates/s on insert, delete and mixed
 //!   streams, with a same-process Kruskal calibration (`gate` compares the
@@ -25,25 +25,19 @@
 //! * E5 → `BENCH_persist.json`: checkpoint size, checkpoint/restore wall
 //!   time vs a cold rebuild. Bar: restore ≥ `E5_FLOOR`× faster than the
 //!   cold rebuild on the largest engine cell.
-//! * E6 → `BENCH_intra_batch.json`: adaptive vs static partition homes
-//!   on a migration-churn stream through a component-partitioned engine.
-//!   Bar: adaptive ≥ `E6_FLOOR`× static. The pool width is read once per
-//!   process, so run once per `PDMSF_POOL_THREADS` width and merge.
 //! * `paper` → `BENCH_paper.json`: the paper's cost bounds as fitted
 //!   exponents, checked on every run (see `pdmsf_bench::paper`).
 
 use pdmsf_bench::{
     batch_records_to_json, bench_records_to_json, bursty_batch_stream, clustered_batch_stream,
     drive_engine_batched, drive_engine_one_by_one, drive_updates_each, failure_stream,
-    insert_stream, intra_batch_records_to_json, kruskal_ns, migration_churn_batch_stream,
-    mixed_stream, paper, persist_records_to_json, tenant_stream, BatchRecord, BenchRecord,
-    IntraBatchRecord, PersistRecord, RunMeta,
+    insert_stream, kruskal_ns, mixed_stream, paper, persist_records_to_json, tenant_stream,
+    BatchRecord, BenchRecord, PersistRecord, RunMeta,
 };
-use pdmsf_core::{seq::default_sequential_k, SeqDynamicMsf};
+use pdmsf_core::SeqDynamicMsf;
 use pdmsf_engine::Engine;
 use pdmsf_graph::{kruskal_msf, BatchStream, DynamicMsf, EdgeId, TenantId, UpdateStream};
 use pdmsf_persist::{EngineCheckpointExt, ServiceCheckpointExt};
-use pdmsf_pram::pool;
 use pdmsf_shard::{ShardedService, TenantSpec};
 use std::time::{Duration, Instant};
 
@@ -56,10 +50,9 @@ fn median(xs: &mut [f64]) -> f64 {
 /// Time one arm of a same-process comparison: drive `stream` through
 /// `engine`, hand the engine and the timing to `record`, and drop the
 /// engine before returning, so that the next arm runs with no other engine
-/// alive. A live engine slows whatever is timed after it: two identical
-/// arms (serial apply on a 65 536-vertex, 8-partition engine over a
-/// block-mixed stream) read 1.8× apart while the first engine stayed
-/// alive, and 1.04× once it was dropped.
+/// alive. A live engine once slowed the arm timed after it: two identical
+/// arms over a since-deleted block-mixed stream read 1.8× apart while the
+/// first engine stayed alive, and 1.04× once it was dropped.
 /// Returns the forest weight and edges for the arms' differential checks.
 fn time_arm(
     mut engine: Engine,
@@ -77,7 +70,7 @@ fn time_arm(
 const SIZES: [usize; 5] = [1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16];
 
 /// Every experiment selector, in run order.
-const EXPERIMENTS: [&str; 5] = ["e0", "e1", "e5", "e6", "paper"];
+const EXPERIMENTS: [&str; 4] = ["e0", "e1", "e5", "paper"];
 
 /// What one invocation runs.
 #[derive(Debug, PartialEq)]
@@ -133,7 +126,6 @@ fn main() {
             "e0" => failures.extend(e0_bench_json(quick, selection.gate).err()),
             "e1" => failures.extend(e1_batch_throughput(quick).err()),
             "e5" => failures.extend(e5_persist().err()),
-            "e6" => failures.extend(e6_intra_batch().err()),
             "paper" if quick => failures.extend(paper::run(&SIZES[..3], 400)),
             "paper" => failures.extend(paper::run(&SIZES, 1_500)),
             _ => unreachable!("EXPERIMENTS lists {name}"),
@@ -633,121 +625,6 @@ fn e5_persist() -> Result<(), String> {
     Ok(())
 }
 
-/// E6's bar: adaptive ≥ this × static partition homes on the migration
-/// cell, medians of [`E6_REPS`] reps.
-const E6_FLOOR: f64 = 1.2;
-
-/// Timed repetitions of each E6 arm.
-const E6_REPS: usize = 3;
-
-/// E6: adaptive partition rebalancing — a component-partitioned engine
-/// (8 partitions) that re-homes components when occupancy concentrates
-/// (`adaptive`, the default) vs the same engine with rebalancing off
-/// (`static`), over a migration-churn stream.
-///
-/// A concentrate batch drags every block's component into one partition
-/// (see [`migration_churn_batch_stream`]); the cut batch strands them
-/// there; the rest of the stream is block-local churn. The adaptive arm
-/// re-homes components right after the pile-up and runs the churn as
-/// about one update group per block, applied as concurrent pool jobs; the
-/// static arm stays collapsed — a single serial group against one
-/// partition holding every live edge. Same stream, bit-identical forests
-/// (asserted every rep), so the ratio is pure rebalancing leverage. The
-/// cycle spans the whole stream (one pile-up): re-homing costs edge mass,
-/// so what rebalancing buys is the churn span that follows, and this cell
-/// measures exactly that trade.
-///
-/// Emits `BENCH_intra_batch.json`, each record stamped with **its own**
-/// pool width: `PDMSF_POOL_THREADS` is read once per process, so the
-/// committed artifact merges one run at width 4 with one at width 1 (where
-/// groups apply inline). Then checks [`E6_FLOOR`].
-fn e6_intra_batch() -> Result<(), String> {
-    println!("\n== E6: adaptive partition rebalancing (writes BENCH_intra_batch.json) ==");
-    println!("paths: adaptive (default rebalancing) vs static (rebalancing off) on one");
-    println!("partitioned engine; identical forests, so the ratio is pure rebalancing");
-    println!("leverage");
-    let (n, batches, batch_size, partitions) = (1 << 16, 48, 1024, 8);
-    let stream = migration_churn_batch_stream(n, batches, batch_size, partitions, batches, 97);
-    let total_ops: usize = stream.batches.iter().map(|b| b.len()).sum();
-    let threads = pool::parallelism();
-    let k = default_sequential_k(n);
-    let mut records: Vec<IntraBatchRecord> = Vec::new();
-    let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    let (mut rebalances, mut migrations) = (0u64, 0u64);
-    for _ in 0..E6_REPS {
-        let mut run = |path: &str, engine: &Engine, t: Duration, ops: usize| -> f64 {
-            let stats = engine.stats();
-            records.push(IntraBatchRecord {
-                path: path.to_string(),
-                stream: "migration".to_string(),
-                n,
-                partitions,
-                threads,
-                batch_size,
-                batches: stream.batches.len(),
-                ops,
-                update_groups: stats.update_groups,
-                group_conflicts: stats.group_conflicts,
-                migrations: stats.migrations,
-                rebalances: stats.rebalances,
-                elapsed_ns: t.as_nanos(),
-            });
-            records.last().unwrap().ops_per_sec()
-        };
-        // Rebalancing must be observable *and* invisible: the adaptive arm
-        // has to re-home components, and both arms' forests must agree.
-        let engine = Engine::with_partitions(n, partitions, k);
-        let adaptive = time_arm(engine, &stream, drive_engine_batched, |e, t, ops| {
-            rates[0].push(run("adaptive", e, t, ops));
-            (rebalances, migrations) = (e.stats().rebalances, e.stats().migrations);
-            assert!(rebalances > 0);
-            e.structure().validate();
-        });
-        let mut engine = Engine::with_partitions(n, partitions, k);
-        engine.set_rebalance_min(u64::MAX);
-        let static_homes = time_arm(engine, &stream, drive_engine_batched, |e, t, ops| {
-            rates[1].push(run("static", e, t, ops));
-            assert_eq!(e.stats().rebalances, 0);
-            e.structure().validate();
-        });
-        assert_eq!(adaptive, static_homes);
-    }
-    let m_adaptive = median(&mut rates[0]);
-    let m_static = median(&mut rates[1]);
-    println!(
-        "{:>8} {:>7} {:>8} {:>16} {:>16} {:>12}",
-        "n", "batch", "threads", "adaptive (op/s)", "static (op/s)", "adapt/static"
-    );
-    println!(
-        "{:>8} {:>7} {:>8} {:>16.0} {:>16.0} {:>11.2}x  ({} ops, {} rebalances, {} migrations)",
-        n,
-        batch_size,
-        threads,
-        m_adaptive,
-        m_static,
-        m_adaptive / m_static,
-        total_ops,
-        rebalances,
-        migrations
-    );
-    let meta = RunMeta::collect();
-    let json = intra_batch_records_to_json(&meta, &records);
-    let path = "BENCH_intra_batch.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!(
-        "wrote {path} ({} records, git {}, {} pool thread(s))",
-        records.len(),
-        meta.git_sha,
-        threads
-    );
-    let name = format!("E6 migration n = {n} at {threads} thread(s): adaptive / static");
-    println!(
-        "{}",
-        check_bar(&name, Some((m_adaptive, m_static)), E6_FLOOR)?
-    );
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,15 +642,17 @@ mod tests {
         assert_eq!(some.experiments, vec!["paper", "e0"]);
         assert!(some.quick && some.gate);
         let modifiers_only = parse_args(&args(&["quick"])).unwrap();
-        assert_eq!(modifiers_only.experiments.len(), 5);
+        assert_eq!(modifiers_only.experiments.len(), 4);
     }
 
     #[test]
     fn unknown_selections_are_usage_errors() {
-        for bad in ["e42", "quikc", "e2", "e3", "e4", "e7", "e13", "e12", ""] {
+        for bad in [
+            "e42", "quikc", "e2", "e3", "e4", "e6", "e7", "e13", "e12", "",
+        ] {
             let err = parse_args(&args(&["e0", bad])).unwrap_err();
             assert!(err.contains(&format!("`{bad}`")), "{err}");
-            for name in ["e0", "e6", "paper", "quick", "gate"] {
+            for name in ["e0", "e5", "paper", "quick", "gate"] {
                 assert!(err.contains(name), "usage must name {name}: {err}");
             }
         }
@@ -784,13 +663,13 @@ mod tests {
         let ok = check_bar("E1 cell", Some((2.6, 2.0)), 1.3).unwrap();
         assert_eq!(ok, "E1 cell: 1.30x (floor 1.30x)");
         assert!(check_bar("E5 cell", Some((100.0, 10.0)), 10.0).is_ok());
-        let miss = check_bar("E6 cell", Some((1.19, 1.0)), 1.2).unwrap_err();
-        assert_eq!(miss, "E6 cell: 1.19x (floor 1.20x)");
+        let miss = check_bar("E1 cell", Some((1.29, 1.0)), 1.3).unwrap_err();
+        assert_eq!(miss, "E1 cell: 1.29x (floor 1.30x)");
     }
 
     #[test]
     fn a_bar_without_a_valid_measurement_fails() {
-        let missing = check_bar("E6 cell", None, 1.2).unwrap_err();
+        let missing = check_bar("E5 cell", None, 10.0).unwrap_err();
         assert!(missing.contains("no measured cell"), "{missing}");
         for cell in [
             (f64::NAN, 1.0),

@@ -2,9 +2,8 @@
 //!
 //! The paper has no experimental section, so the `experiments` binary in
 //! this crate defines the evaluation: `paper` checks the paper's cost
-//! bounds ([`paper`]), and E0, E1, E5 and E6 measure this system (update
-//! throughput, batching, persistence, partition rebalancing), each
-//! checking its own bar. This crate provides the common machinery: stream construction
+//! bounds ([`paper`]), and E0, E1 and E5 measure this system (update
+//! throughput, batching, persistence), each checking its own bar. This crate provides the common machinery: stream construction
 //! (update streams, batched update/query streams and tenant-tagged
 //! multi-tenant streams), structure and batch-engine drivers, wall-clock
 //! and cost-meter measurement, and the machine-readable record types
@@ -16,9 +15,8 @@ use pdmsf_core::seq::default_parallel_k;
 use pdmsf_core::{CostModel, SeqDynamicMsf};
 use pdmsf_engine::{Engine, Op};
 use pdmsf_graph::{
-    kruskal_msf, BatchKind, BatchOp, BatchStream, BatchStreamSpec, DynGraph, DynamicMsf, EdgeId,
-    GraphSpec, StreamKind, TenantStream, TenantStreamSpec, UpdateOp, UpdateStream,
-    UpdateStreamSpec, VertexId, Weight,
+    kruskal_msf, BatchKind, BatchStream, BatchStreamSpec, DynGraph, DynamicMsf, GraphSpec,
+    StreamKind, TenantStream, TenantStreamSpec, UpdateOp, UpdateStream, UpdateStreamSpec,
 };
 use pdmsf_pram::CostReport;
 use std::time::{Duration, Instant};
@@ -99,147 +97,6 @@ pub fn clustered_batch_stream(
         },
         seed: seed ^ 0xC105,
     })
-}
-
-/// Migration-churn batched stream: the E6 workload that separates
-/// adaptive partition rebalancing from static homes.
-///
-/// Batch 0 builds one chain component per vertex block (blocks aligned
-/// with the partitioned structure's initial homes). The remaining batches
-/// cycle through three phases with period `cycle` (`cycle >= batches`
-/// gives a single pile-up followed by pure churn):
-///
-/// 1. **Concentrate** — a bridge link from every other block's chain to
-///    vertex 0. Cross-partition links migrate the smaller side (`u` on a
-///    tie), so each bridge drags that block's whole component into vertex
-///    0's partition; by the end of the batch *every* component is homed
-///    there.
-/// 2. **Cut** — delete the bridges. The chains are separate components
-///    again but all still live in one partition: without rebalancing the
-///    structure stays collapsed forever (block-local churn never crosses
-///    partitions, so nothing migrates back out).
-/// 3. **Churn** (the remaining `cycle - 2` batches of each period) —
-///    block-local link/cut pairs plus connectivity queries across all
-///    blocks: the parallelizable work. A rebalancing engine re-homed the
-///    chains after the cut batch and colors ~one group per block; a
-///    static engine sees every update in the one loaded partition and
-///    collapses to a single serial group *and* pays the bigger collapsed
-///    structure on every operation. Migration itself costs edge mass
-///    (every migrated edge re-inserts), so the churn span is what the
-///    adaptive arm's rebalance buys back — `cycle` sets that ratio.
-///
-/// Deterministic for a given seed (hand-rolled xorshift), so the adaptive
-/// and static arms replay the identical stream and their forests must
-/// agree bit-for-bit.
-pub fn migration_churn_batch_stream(
-    n: usize,
-    batches: usize,
-    batch_size: usize,
-    blocks: usize,
-    cycle: usize,
-    seed: u64,
-) -> BatchStream {
-    assert!(
-        blocks >= 2 && n.is_multiple_of(blocks),
-        "blocks must divide n"
-    );
-    assert!(
-        cycle >= 3,
-        "a cycle needs concentrate, cut and churn phases"
-    );
-    let bsize = n / blocks;
-    assert!(bsize >= 2, "blocks need at least two vertices");
-    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let mut rng = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-
-    let mut out: Vec<Vec<BatchOp>> = Vec::with_capacity(batches + 1);
-    let mut next_id = 0u32;
-    let mut build = Vec::with_capacity(blocks * (bsize - 1));
-    for b in 0..blocks {
-        for i in 0..bsize - 1 {
-            let u = (b * bsize + i) as u32;
-            build.push(BatchOp::Link {
-                u: VertexId(u),
-                v: VertexId(u + 1),
-                weight: Weight::new((rng() % 1_000 + 1) as i64),
-            });
-            next_id += 1;
-        }
-    }
-    out.push(build);
-
-    let mut bridges: Vec<EdgeId> = Vec::new();
-    // Block-local churn edges linked in *earlier* batches (cutting an edge
-    // linked in the same batch would just be a cancelled pair).
-    let mut cuttable: std::collections::VecDeque<EdgeId> = std::collections::VecDeque::new();
-    for t in 0..batches {
-        let mut batch = Vec::with_capacity(batch_size);
-        match t % cycle {
-            0 => {
-                for b in 1..blocks {
-                    batch.push(BatchOp::Link {
-                        u: VertexId((b * bsize) as u32),
-                        v: VertexId(0),
-                        weight: Weight::new(1_000_000),
-                    });
-                    bridges.push(EdgeId(next_id));
-                    next_id += 1;
-                }
-            }
-            1 => {
-                for id in bridges.drain(..) {
-                    batch.push(BatchOp::Cut { id });
-                }
-            }
-            _ => {
-                let updates = batch_size * 850 / 1_000;
-                let mut old_edges = cuttable.len();
-                let mut b = 0usize;
-                while batch.len() < updates {
-                    if old_edges > 0 && batch.len() % 2 == 1 {
-                        batch.push(BatchOp::Cut {
-                            id: cuttable.pop_front().expect("counted above"),
-                        });
-                        old_edges -= 1;
-                    } else {
-                        let base = (b % blocks) * bsize;
-                        let u = base + (rng() % bsize as u64) as usize;
-                        let mut v = base + (rng() % bsize as u64) as usize;
-                        if v == u {
-                            v = base + (u - base + 1) % bsize;
-                        }
-                        batch.push(BatchOp::Link {
-                            u: VertexId(u as u32),
-                            v: VertexId(v as u32),
-                            weight: Weight::new((rng() % 1_000 + 1) as i64),
-                        });
-                        cuttable.push_back(EdgeId(next_id));
-                        next_id += 1;
-                        b += 1;
-                    }
-                }
-            }
-        }
-        while batch.len() < batch_size {
-            let u = (rng() % n as u64) as u32;
-            let v = (rng() % n as u64) as u32;
-            batch.push(BatchOp::QueryConnected {
-                u: VertexId(u),
-                v: VertexId(v),
-            });
-        }
-        out.push(batch);
-    }
-    BatchStream {
-        num_vertices: n,
-        base_edges: Vec::new(),
-        batches: out,
-    }
 }
 
 /// Multi-tenant tenant-tagged stream with Zipf-skewed tenant popularity and
@@ -713,91 +570,6 @@ pub fn persist_records_to_json(meta: &RunMeta, records: &[PersistRecord]) -> Str
     results_json("persist_warm_start", "ns", &meta.to_json(), rows)
 }
 
-// ---------------------------------------------------------------------
-// Partition-rebalancing records (BENCH_intra_batch.json)
-// ---------------------------------------------------------------------
-
-/// One timed arm of the E6 rebalancing benchmark over
-/// [`migration_churn_batch_stream`]: a component-partitioned engine that
-/// re-homes components when occupancy concentrates (`"adaptive"`) or the
-/// same engine with rebalancing disabled (`"static"`). Each record carries
-/// its **own** pool width — `PDMSF_POOL_THREADS` is read once per process,
-/// so the committed artifact merges records from one run per width and
-/// `threads` is per-record, not run-level.
-#[derive(Clone, Debug)]
-pub struct IntraBatchRecord {
-    /// Arm: `"adaptive"` (default post-batch rebalancing) or `"static"`
-    /// (rebalancing disabled).
-    pub path: String,
-    /// Workload label (`"migration"`).
-    pub stream: String,
-    /// Number of vertices.
-    pub n: usize,
-    /// Partition count of the component-partitioned structure.
-    pub partitions: usize,
-    /// Pool width this record ran under (workers + caller).
-    pub threads: usize,
-    /// Operations per batch.
-    pub batch_size: usize,
-    /// Number of timed batches.
-    pub batches: usize,
-    /// Total timed operations (updates + queries).
-    pub ops: usize,
-    /// Update groups dispatched over the run.
-    pub update_groups: u64,
-    /// Surviving updates that shared a group.
-    pub group_conflicts: u64,
-    /// Component migrations over the run (cross-partition links plus
-    /// rebalance moves).
-    pub migrations: u64,
-    /// Post-batch rebalance passes that moved a component (always 0 on
-    /// the `"static"` path).
-    pub rebalances: u64,
-    /// Wall-clock nanoseconds spent inside the timed batches.
-    pub elapsed_ns: u128,
-}
-
-impl IntraBatchRecord {
-    /// Operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        per_sec(self.ops, self.elapsed_ns)
-    }
-}
-
-/// Serialize E6 records as JSON (hand-rolled for the same reason as
-/// [`bench_records_to_json`]; `threads` is stamped per record, see
-/// [`IntraBatchRecord::threads`]).
-pub fn intra_batch_records_to_json(meta: &RunMeta, records: &[IntraBatchRecord]) -> String {
-    let rows = records.iter().map(|r| {
-        format!(
-                    "{{\"path\": \"{}\", \"stream\": \"{}\", \"n\": {}, \"partitions\": {}, \"threads\": {}, \"batch_size\": {}, \"batches\": {}, \"ops\": {}, \"update_groups\": {}, \"group_conflicts\": {}, \"migrations\": {}, \"rebalances\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.2}}}",
-            r.path,
-            r.stream,
-            r.n,
-            r.partitions,
-            r.threads,
-            r.batch_size,
-            r.batches,
-            r.ops,
-            r.update_groups,
-            r.group_conflicts,
-            r.migrations,
-            r.rebalances,
-            r.elapsed_ns,
-            r.ops_per_sec(),
-        )
-    });
-    results_json(
-        "intra_batch",
-        "ops_per_sec",
-        &format!(
-            "{{\"git_sha\": \"{}\", \"cores\": {}, \"par_cutoff\": {}}}",
-            meta.git_sha, meta.cores, meta.par_cutoff
-        ),
-        rows,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -899,110 +671,8 @@ mod tests {
         assert!(batched.stats().cancelled_pairs > 0);
     }
 
-    #[test]
-    fn intra_batch_json_is_well_formed() {
-        let records = vec![
-            IntraBatchRecord {
-                path: "grouped".into(),
-                stream: "clustered".into(),
-                n: 4096,
-                partitions: 8,
-                threads: 4,
-                batch_size: 256,
-                batches: 16,
-                ops: 4096,
-                update_groups: 96,
-                group_conflicts: 12,
-                migrations: 0,
-                rebalances: 0,
-                elapsed_ns: 1_000_000,
-            },
-            IntraBatchRecord {
-                path: "serial".into(),
-                stream: "clustered".into(),
-                n: 4096,
-                partitions: 8,
-                threads: 1,
-                batch_size: 256,
-                batches: 16,
-                ops: 4096,
-                update_groups: 0,
-                group_conflicts: 0,
-                migrations: 0,
-                rebalances: 0,
-                elapsed_ns: 2_000_000,
-            },
-            IntraBatchRecord {
-                path: "adaptive".into(),
-                stream: "migration".into(),
-                n: 4096,
-                partitions: 8,
-                threads: 4,
-                batch_size: 256,
-                batches: 16,
-                ops: 4096,
-                update_groups: 80,
-                group_conflicts: 4,
-                migrations: 42,
-                rebalances: 5,
-                elapsed_ns: 1_500_000,
-            },
-        ];
-        let meta = test_meta();
-        let json = intra_batch_records_to_json(&meta, &records);
-        assert!(json.contains("\"benchmark\": \"intra_batch\""));
-        assert!(json.contains("\"path\": \"grouped\""));
-        assert!(json.contains("\"stream\": \"clustered\""));
-        assert!(json.contains("\"stream\": \"migration\""));
-        assert!(json.contains("\"update_groups\": 96"));
-        assert!(json.contains("\"migrations\": 42"));
-        assert!(json.contains("\"rebalances\": 5"));
-        // Threads is per-record (merged multi-width artifact), not run-level;
-        // the core count is run-level.
-        assert!(json.contains("\"threads\": 1") && json.contains("\"threads\": 4"));
-        assert!(json.contains("\"cores\": 2, \"par_cutoff\": 512}"));
-        assert_eq!(records[0].ops_per_sec(), 4_096_000_000.0 / 1_000.0);
-        assert_eq!(json.matches("},\n").count(), 3);
-    }
-
-    #[test]
-    fn migration_churn_stream_piles_up_and_rebalances() {
-        use pdmsf_engine::Engine;
-        let n = 256;
-        let blocks = 4;
-        let stream = migration_churn_batch_stream(n, 7, 64, blocks, 3, 97);
-        assert_eq!(stream.batches.len(), 8); // build + 7 cycling
-
-        // Adaptive (default) vs static (rebalance off): identical forests,
-        // but only adaptive ever rebalances.
-        let k = pdmsf_core::seq::default_sequential_k(n);
-        let mut adaptive = Engine::with_partitions(n, blocks, k);
-        let mut static_e = Engine::with_partitions(n, blocks, k);
-        static_e.set_rebalance_min(u64::MAX);
-        for batch in &stream.batches {
-            adaptive.execute(batch);
-            static_e.execute(batch);
-        }
-        assert_eq!(adaptive.forest_weight(), static_e.forest_weight());
-        assert_eq!(adaptive.forest_edges(), static_e.forest_edges());
-        adaptive.structure().validate();
-        static_e.structure().validate();
-        let (a, s) = (adaptive.stats(), static_e.stats());
-        assert!(a.migrations > 0, "bridges must force migrations");
-        assert!(a.rebalances > 0, "cut batches must trigger rebalances");
-        assert_eq!(s.rebalances, 0);
-        // The static engine stays collapsed: every component homed in one
-        // partition, so the cut batch leaves occupancy concentrated.
-        let occ = static_e.structure().occupancy().to_vec();
-        let total: u64 = occ.iter().sum();
-        assert!(
-            occ.iter().any(|&o| o * 2 > total),
-            "static homes should stay concentrated, occupancy {occ:?}"
-        );
-    }
-
     /// Every `BENCH_*.json` writer stamps the core count next to the pool
-    /// width (E6 stamps its width per record; E0 appends its calibration).
+    /// width (E0 appends its calibration).
     #[test]
     fn every_writer_stamps_cores_next_to_threads() {
         let meta = test_meta();
@@ -1018,7 +688,6 @@ mod tests {
                 "meta line missing cores/threads: {json}"
             );
         }
-        assert!(intra_batch_records_to_json(&meta, &[]).contains("\"cores\": 2"));
     }
 
     #[test]

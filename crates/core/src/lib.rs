@@ -16,9 +16,6 @@
 //!   EREW PRAM structure of Theorem 3.1 / 1.1 (`O(log n)` parallel depth,
 //!   `O(sqrt n)` processors, `O(sqrt n log n)` work), metered with the
 //!   cost-model substrate of `pdmsf-pram`.
-//! * [`partition`] — [`partition::ComponentPartitionedMsf`], the serving
-//!   engines' structure: `P` component-containing partitions, each a
-//!   [`seq::SeqDynamicMsf`] with EREW accounting.
 //! * [`sparsify`] — the sparsification tree of Section 5 (Eppstein et al.),
 //!   generic over the per-level dynamic-MSF structure, which removes the
 //!   sparsity assumption (`m = O(n)`) without changing the asymptotic costs.
@@ -84,8 +81,9 @@
 //! proptest pins behaviour across chunk parameters and cost models, and
 //! `meter_charges_are_pinned` pins the exact charges.
 
+#![forbid(unsafe_code)]
+
 pub mod forest;
-pub mod partition;
 pub mod seq;
 pub mod snapshot;
 pub mod sparsify;
@@ -93,7 +91,6 @@ pub mod sparsify;
 pub use forest::{
     ChunkArenaImage, ChunkedEulerForest, CostModel, EdgeRec, ForestStats, RowBankImage,
 };
-pub use partition::{ComponentPartitionedMsf, GroupUpdate, PartitionStats, UpdateGroup};
 pub use seq::SeqDynamicMsf;
 pub use snapshot::MsfImage;
 pub use sparsify::SparsifiedMsf;

@@ -31,7 +31,7 @@ use crate::forest::{log_depth, ChunkedEulerForest, CostModel, ForestStats};
 use crate::snapshot::MsfImage;
 use pdmsf_dyntree::LinkCutForest;
 use pdmsf_graph::{DynamicMsf, Edge, EdgeId, MsfDelta, VertexId, WKey};
-use pdmsf_pram::{CostMeter, CostReport};
+use pdmsf_pram::{CostMeter, CostReport, ExecMode};
 
 /// The paper's default sequential chunk parameter `K = sqrt(n log n)`,
 /// clamped to a small minimum so tiny graphs stay well-formed.
@@ -93,6 +93,12 @@ impl SeqDynamicMsf {
     /// The chunk parameter `K` in use.
     pub fn chunk_parameter(&self) -> usize {
         self.forest.chunk_parameter()
+    }
+
+    /// The kernel execution mode: always [`ExecMode::Simulated`] (every
+    /// primitive runs on the calling thread).
+    pub fn execution_mode(&self) -> ExecMode {
+        ExecMode::Simulated
     }
 
     /// Access to the underlying chunked Euler-tour forest (read-only).

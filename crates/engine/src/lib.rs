@@ -27,42 +27,24 @@
 //!    traffic) collapse to one computed answer; duplicate deletes and other
 //!    invalid operations are rejected up front with a per-op
 //!    [`Outcome::Rejected`] instead of panicking mid-batch.
-//! 4. **Intra-batch update parallelism** (engines with more than one
-//!    partition, [`Engine::with_partitions`]) — the surviving updates are
-//!    colored into conflict-free groups (a union-find over the home
-//!    partitions of each update's endpoints; see `group.rs`) and the groups
-//!    apply as the concurrent slots of one pool job, serial in arrival
-//!    order *inside* each group. A batch that yields a single group, or a
-//!    pool of width 1, runs the groups inline.
 //!
-//! Every engine runs on one structure, a
-//! [`pdmsf_core::ComponentPartitionedMsf`]: [`Engine::new`] builds it with
-//! a single partition (no migrations, no coloring, every update applied at
-//! once), [`Engine::with_partitions`] with `P` of them.
+//! Every engine runs on one structure, a [`SeqDynamicMsf`] with EREW
+//! accounting, at the sequential chunk parameter for [`Engine::new`] or at
+//! a chosen one for [`Engine::with_chunk_parameter`].
 //!
 //! ## The apply path
 //!
 //! [`Engine::execute_planned`] applies a planned batch in three strict
-//! phases, and the first is what makes apply-order flexibility safe:
+//! phases:
 //!
 //! 1. **Write-ahead log.** The [`LoggedBatch`] is serialized from the
 //!    *plan* — before any update applies — so the WAL byte stream is a
-//!    pure function of the plan and can never observe (or depend on) the
-//!    apply order chosen below.
-//! 2. **Apply**, one pass over the planned updates in arrival order. Each
-//!    surviving cut first reads one current endpoint of its edge from the
-//!    [`DynGraph`] mirror (valid because a surviving cut always targets a
-//!    pre-batch edge — the planner cancels every cut of an in-batch link);
-//!    then the update applies to the mirror (id allocation is
-//!    push-order-dependent, so the mirror always sees arrival order); then
-//!    it reaches the structure — at once on one partition or under
-//!    [`Engine::set_serial_apply`], otherwise deferred, colored into groups
-//!    and applied by [`pdmsf_core::ComponentPartitionedMsf::apply_groups`].
-//!    The per-partition operation sequences are the same either way
-//!    (groups own disjoint partition classes, closed under migration), so
-//!    outcomes, forest state and even the structures' internal bytes are
-//!    bit-for-bit identical — pinned by the lockstep proptests and the WAL
-//!    byte-identity test in `pdmsf-persist`.
+//!    pure function of the plan (pinned byte for byte by the WAL identity
+//!    test in `pdmsf-persist`).
+//! 2. **Apply**, one pass over the planned updates in arrival order: each
+//!    update applies to the [`DynGraph`] mirror (id allocation is
+//!    push-order-dependent, so the mirror always sees arrival order) and,
+//!    unless cancelled, to the structure at once.
 //! 3. **Answer queries** at the post-update snapshot point.
 //!
 //! ## Semantics
@@ -99,8 +81,10 @@
 //! assert_eq!(result.summary.cancelled_pairs, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pdmsf_core::seq::default_sequential_k;
-use pdmsf_core::{ComponentPartitionedMsf, GroupUpdate};
+use pdmsf_core::{CostModel, SeqDynamicMsf};
 use pdmsf_graph::{DynGraph, DynamicMsf, Edge, EdgeId, VertexId};
 use pdmsf_obs as obs;
 use pdmsf_obs::{PhaseTimer, Span};
@@ -108,7 +92,6 @@ use std::collections::HashSet;
 use std::io;
 use std::sync::Arc;
 
-mod group;
 mod plan;
 pub mod snapshot;
 
@@ -235,22 +218,6 @@ pub struct BatchSummary {
     pub queries: usize,
     /// Distinct answers computed for those queries.
     pub unique_queries: usize,
-    /// Conflict-free update groups the batch was colored into (grouped
-    /// apply only; 0 on one-partition engines and on the forced-serial
-    /// path, where coloring never runs).
-    pub update_groups: usize,
-    /// Surviving updates that shared a group with an earlier update
-    /// (`applied_updates - update_groups` when grouping ran) — the
-    /// conflicts that bounded the batch's apply fan-out.
-    pub group_conflicts: usize,
-    /// Component migrations this batch triggered (cross-partition links
-    /// plus post-batch rebalance moves; always 0 with one partition).
-    pub migrations: u64,
-    /// Vertices re-homed by those migrations.
-    pub migrated_vertices: u64,
-    /// Rebalance passes after this batch that moved at least one component
-    /// (see `ComponentPartitionedMsf::maybe_rebalance`; 0 or 1).
-    pub rebalances: u64,
 }
 
 /// The result of executing one batch: one [`Outcome`] per input op, in op
@@ -282,17 +249,6 @@ pub struct EngineStats {
     pub deduped_queries: u64,
     /// Query snapshots captured.
     pub snapshots: u64,
-    /// Conflict-free update groups formed by the partitioned grouped-apply
-    /// path (its real fan-out; see [`BatchSummary::update_groups`]).
-    pub update_groups: u64,
-    /// Surviving updates that shared a group with an earlier update.
-    pub group_conflicts: u64,
-    /// Component migrations (cross-partition links + rebalance moves).
-    pub migrations: u64,
-    /// Vertices re-homed by those migrations.
-    pub migrated_vertices: u64,
-    /// Rebalance passes that moved at least one component.
-    pub rebalances: u64,
 }
 
 /// Minimum unique queries before a snapshot is ever considered.
@@ -372,7 +328,6 @@ struct EngineMetrics {
     plan_ns: Arc<obs::Histogram>,
     apply_ns: Arc<obs::Histogram>,
     snapshot_ns: Arc<obs::Histogram>,
-    coloring_ns: Arc<obs::Histogram>,
     batches: Arc<obs::Counter>,
     ops: Arc<obs::Counter>,
     updates_applied: Arc<obs::Counter>,
@@ -383,11 +338,6 @@ struct EngineMetrics {
     ops_rejected: [Arc<obs::Counter>; Reject::ALL.len()],
     queries: Arc<obs::Counter>,
     snapshots: Arc<obs::Counter>,
-    update_groups: Arc<obs::Counter>,
-    group_conflicts: Arc<obs::Counter>,
-    migrations: Arc<obs::Counter>,
-    migrated_vertices: Arc<obs::Counter>,
-    rebalances: Arc<obs::Counter>,
 }
 
 impl EngineMetrics {
@@ -399,10 +349,6 @@ impl EngineMetrics {
             snapshot_ns: r.histogram(
                 "pdmsf_engine_snapshot_ns",
                 "query-snapshot capture + answering latency",
-            ),
-            coloring_ns: r.histogram(
-                "pdmsf_engine_group_coloring_ns",
-                "conflict-coloring latency of the grouped apply path",
             ),
             batches: r.counter("pdmsf_engine_batches_total", "batches executed"),
             ops: r.counter("pdmsf_engine_ops_total", "operations processed"),
@@ -424,26 +370,6 @@ impl EngineMetrics {
             }),
             queries: r.counter("pdmsf_engine_queries_total", "queries answered"),
             snapshots: r.counter("pdmsf_engine_snapshots_total", "query snapshots captured"),
-            update_groups: r.counter(
-                "pdmsf_engine_update_groups_total",
-                "conflict-free update groups dispatched",
-            ),
-            group_conflicts: r.counter(
-                "pdmsf_engine_group_conflicts_total",
-                "surviving updates that shared an update group",
-            ),
-            migrations: r.counter(
-                "pdmsf_engine_migrations_total",
-                "component migrations (cross-partition links + rebalance moves)",
-            ),
-            migrated_vertices: r.counter(
-                "pdmsf_engine_migrated_vertices_total",
-                "vertices re-homed by component migrations",
-            ),
-            rebalances: r.counter(
-                "pdmsf_engine_rebalances_total",
-                "post-batch rebalance passes that moved a component",
-            ),
         }
     }
 }
@@ -452,15 +378,12 @@ impl EngineMetrics {
 /// mirror and the MSF structure; see the crate docs for semantics.
 pub struct Engine {
     graph: DynGraph,
-    msf: ComponentPartitionedMsf,
+    msf: SeqDynamicMsf,
     stats: EngineStats,
     /// Sequence number of the last state-mutating batch applied.
     applied_seq: u64,
     /// Optional write-ahead op log; see [`OpSink`].
     sink: Option<Box<dyn OpSink>>,
-    /// Apply every update at once, in arrival order, even with more than
-    /// one partition (the E6 baseline arm and the identity tests).
-    serial_apply: bool,
     /// Optional registry-backed instrumentation ([`Engine::enable_metrics`]);
     /// `None` keeps every phase timer a near-no-op.
     metrics: Option<EngineMetrics>,
@@ -478,26 +401,23 @@ const _: () = {
 };
 
 impl Engine {
-    /// An engine over `n` isolated vertices with one partition, backed by
-    /// the EREW-metered structure at the sequential chunk parameter
-    /// `K = sqrt(n log n)` ([`default_sequential_k`]). Every primitive
-    /// runs on the calling thread: on a machine without `sqrt n`
-    /// processors the paper's sequential trade-off is the faster one (about
-    /// 1.5x per update at 32 768 vertices against `K = sqrt n`).
+    /// An engine over `n` isolated vertices, backed by the EREW-metered
+    /// structure at the sequential chunk parameter `K = sqrt(n log n)`
+    /// ([`default_sequential_k`]). Every primitive runs on the calling
+    /// thread: on a machine without `sqrt n` processors the paper's
+    /// sequential trade-off is the faster one (about 1.5x per update at
+    /// 32 768 vertices against `K = sqrt n`).
     pub fn new(n: usize) -> Engine {
-        Engine::with_partitions(n, 1, default_sequential_k(n))
+        Engine::with_chunk_parameter(n, default_sequential_k(n))
     }
 
-    /// An engine over `n` isolated vertices split into `partitions`
-    /// component-containing partitions (clamped to `1..=n`), each at chunk
-    /// parameter `k`. With more than one partition, batches apply their
-    /// surviving updates as concurrent conflict-free groups (see the crate
-    /// docs); observable behaviour is identical to [`Engine::new`] for any
-    /// partition count and `k`.
-    pub fn with_partitions(n: usize, partitions: usize, k: usize) -> Engine {
+    /// An engine over `n` isolated vertices whose structure runs at chunk
+    /// parameter `k`. Observable behaviour is identical to [`Engine::new`]
+    /// for any `k`; only the cost of an update changes.
+    pub fn with_chunk_parameter(n: usize, k: usize) -> Engine {
         Engine::assemble(
             DynGraph::new(n),
-            ComponentPartitionedMsf::with_chunk_parameter(n, partitions, k),
+            SeqDynamicMsf::with_parameters(n, k, CostModel::Erew),
             EngineStats::default(),
             0,
         )
@@ -505,7 +425,7 @@ impl Engine {
 
     fn assemble(
         graph: DynGraph,
-        msf: ComponentPartitionedMsf,
+        msf: SeqDynamicMsf,
         stats: EngineStats,
         applied_seq: u64,
     ) -> Engine {
@@ -515,15 +435,14 @@ impl Engine {
             stats,
             applied_seq,
             sink: None,
-            serial_apply: false,
             metrics: None,
         }
     }
 
     /// Turn on registry-backed instrumentation: per-batch
-    /// plan/apply/snapshot/group-coloring phase timings and operation
-    /// counters, recorded into the `pdmsf_engine_*` families of the
-    /// process-wide [`pdmsf_obs::global`] registry. Off by default — an
+    /// plan/apply/snapshot phase timings and operation counters, recorded
+    /// into the `pdmsf_engine_*` families of the process-wide
+    /// [`pdmsf_obs::global`] registry. Off by default — an
     /// uninstrumented engine pays one `Option` branch per phase and never
     /// reads the clock (the `obs_overhead` bench pins the instrumented
     /// regression under 2%).
@@ -531,40 +450,20 @@ impl Engine {
         self.metrics = Some(EngineMetrics::resolve());
     }
 
-    /// Apply every update at once, in arrival order, even with more than
-    /// one partition (no conflict coloring). The resulting state is
-    /// bit-for-bit identical to grouped apply — this switch exists so the
-    /// E6 experiment and the identity tests can measure/verify exactly that.
-    pub fn set_serial_apply(&mut self, serial: bool) {
-        self.serial_apply = serial;
-    }
-
-    /// Set the structure's rebalance occupancy floor (see
-    /// [`pdmsf_core::ComponentPartitionedMsf::set_rebalance_min`]). Tests
-    /// lower it to 1 to force rebalances on tiny graphs; `u64::MAX` turns
-    /// the post-batch rebalance pass off (the E6 "static partitioning"
-    /// arm). Re-homing never changes outcomes, forests or WAL bytes, only
-    /// where components live; one partition never rebalances.
-    pub fn set_rebalance_min(&mut self, min: u64) {
-        self.msf.set_rebalance_min(min);
-    }
-
     /// Assemble an engine from restored parts (the checkpoint/restore path
     /// of `pdmsf-persist`). The mirror and the structure are cross-validated
     /// edge by edge: every live mirror edge is held, with the same endpoints
-    /// and weight, by its home partition, and the partitions hold no other
-    /// edge (no dead or unknown id, no second copy in another partition).
-    /// So a checkpoint whose sections passed their CRCs individually but
-    /// disagree with each other is still refused.
+    /// and weight, by the structure, and the structure holds no other edge
+    /// (no dead or unknown id). So a checkpoint whose sections passed their
+    /// CRCs individually but disagree with each other is still refused.
     ///
-    /// The engine keeps the structure's partitions, homes, rebalance floor
-    /// and checkpointed chunk parameter `K`, even where `K` differs from
-    /// what [`Engine::new`] would pick today (checkpoints written when
-    /// engines served at `K = sqrt n` restore at that `K`); re-chunking
-    /// would change the structure's bytes.
+    /// The engine keeps the structure's checkpointed chunk parameter `K`,
+    /// even where it differs from what [`Engine::new`] would pick today
+    /// (checkpoints written when engines served at `K = sqrt n` restore at
+    /// that `K`); re-chunking would change the structure's bytes.
     pub fn from_restored_parts(
         graph: DynGraph,
-        msf: ComponentPartitionedMsf,
+        msf: SeqDynamicMsf,
         stats: EngineStats,
         applied_seq: u64,
     ) -> Result<Engine, String> {
@@ -579,25 +478,19 @@ impl Engine {
             let Some(g) = graph.edge(EdgeId(raw)) else {
                 continue;
             };
-            let home = msf.home_of(g.u);
-            let held = msf.partitions()[home as usize]
-                .forest()
-                .edge(g.id)
-                .ok_or_else(|| {
-                    format!(
-                        "edge {raw} is live in the mirror, absent from its home partition {home}"
-                    )
-                })?;
+            let held = msf.forest().edge(g.id).ok_or_else(|| {
+                format!("edge {raw} is live in the mirror, absent from the structure")
+            })?;
             if (g.u, g.v, g.weight) != (held.u, held.v, held.weight) {
                 return Err(format!("edge {raw} differs between mirror and msf"));
             }
         }
-        // Every live mirror edge sits in its home partition, so equal totals
-        // leave no room for any other edge in any partition.
-        let held: u64 = msf.occupancy().iter().sum();
-        if held != graph.num_edges() as u64 {
+        // Every live mirror edge sits in the structure, so equal totals
+        // leave no room for any other edge.
+        let held = msf.forest().num_edges();
+        if held != graph.num_edges() {
             return Err(format!(
-                "the partitions hold {held} edges but the mirror has {} live edges",
+                "the structure holds {held} edges but the mirror has {} live edges",
                 graph.num_edges()
             ));
         }
@@ -632,9 +525,8 @@ impl Engine {
         &self.graph
     }
 
-    /// The backing MSF structure (one partition unless built with
-    /// [`Engine::with_partitions`]).
-    pub fn structure(&self) -> &ComponentPartitionedMsf {
+    /// The backing MSF structure.
+    pub fn structure(&self) -> &SeqDynamicMsf {
         &self.msf
     }
 
@@ -789,23 +681,12 @@ impl Engine {
         }
         // Owned spans (Arc clones), not borrowed timers: the timed phases
         // need `&mut self` while a borrowed guard would pin `&self.metrics`.
-        let pstats_before = self.msf.partition_stats();
         let apply_span = Span::start(self.metrics.as_ref().map(|m| m.apply_ns.clone()));
         let apply_tspan =
             obs::trace::TSpan::start(obs::trace::Phase::Apply, plan.updates.len() as u64, 0);
-        let (applied, update_groups, group_conflicts) = self.apply_updates(&plan.updates);
+        let applied = self.apply_updates(&plan.updates);
         apply_tspan.stop();
         apply_span.stop();
-        // The deterministic between-batch point: with every group retired
-        // and no query snapshot taken yet, spread concentrated state back
-        // across partitions. Gated on a mutating batch so replay — which
-        // only sees logged (mutating) batches — re-runs the identical
-        // sequence of rebalance decisions. Runs under `serial_apply` too:
-        // grouped and forced-serial arms must keep identical homes.
-        if !plan.updates.is_empty() {
-            self.msf.maybe_rebalance();
-        }
-        let pstats = self.msf.partition_stats();
 
         if !plan.unique_queries.is_empty() {
             let unique = plan.unique_queries.len();
@@ -850,11 +731,6 @@ impl Engine {
             rejected: plan.rejected,
             queries: plan.query_refs.len(),
             unique_queries: plan.unique_queries.len(),
-            update_groups,
-            group_conflicts,
-            migrations: pstats.migrations - pstats_before.migrations,
-            migrated_vertices: pstats.migrated_vertices - pstats_before.migrated_vertices,
-            rebalances: pstats.rebalances - pstats_before.rebalances,
         };
         self.bump_stats(&summary);
         self.stats.cancelled_pairs += summary.cancelled_pairs as u64;
@@ -875,11 +751,6 @@ impl Engine {
                 }
             }
             m.queries.add(summary.queries as u64);
-            m.update_groups.add(summary.update_groups as u64);
-            m.group_conflicts.add(summary.group_conflicts as u64);
-            m.migrations.add(summary.migrations);
-            m.migrated_vertices.add(summary.migrated_vertices);
-            m.rebalances.add(summary.rebalances);
         }
         BatchResult {
             outcomes: plan.outcomes,
@@ -888,18 +759,12 @@ impl Engine {
     }
 
     /// Apply a plan's updates in one pass, arrival order (see the crate
-    /// docs): resolve a surviving cut's endpoint, apply the mirror op, then
-    /// apply the structure op at once — one partition, or forced-serial
-    /// apply — or defer it for conflict coloring and grouped apply. Returns
-    /// `(applied, update_groups, group_conflicts)`.
-    fn apply_updates(&mut self, updates: &[PlannedUpdate]) -> (usize, usize, usize) {
-        let immediate = self.serial_apply || self.msf.num_partitions() == 1;
-        let mirror_tspan = (!immediate)
-            .then(|| obs::trace::TSpan::start(obs::trace::Phase::Mirror, updates.len() as u64, 0));
-        let mut deferred = Vec::new();
+    /// docs): each update applies to the mirror and, unless cancelled, to
+    /// the structure at once. Returns how many reached the structure.
+    fn apply_updates(&mut self, updates: &[PlannedUpdate]) -> usize {
         let mut applied = 0usize;
         for update in updates {
-            let surviving = match *update {
+            match *update {
                 PlannedUpdate::Link {
                     id,
                     u,
@@ -909,37 +774,21 @@ impl Engine {
                 } => {
                     let got = self.graph.insert_edge(u, v, weight);
                     debug_assert_eq!(got, id, "plan id allocation diverged from the mirror");
-                    (!cancelled).then_some(GroupUpdate::Link(Edge { id, u, v, weight }))
+                    if !cancelled {
+                        self.msf.insert(Edge { id, u, v, weight });
+                        applied += 1;
+                    }
                 }
                 PlannedUpdate::Cut { id, cancelled } => {
-                    // Read the endpoint before the mirror forgets the edge.
-                    let endpoint = (!cancelled).then(|| self.graph.edge_unchecked(id).u);
                     self.graph.delete_edge(id);
-                    endpoint.map(|endpoint| GroupUpdate::Cut { id, endpoint })
+                    if !cancelled {
+                        self.msf.delete(id);
+                        applied += 1;
+                    }
                 }
-            };
-            let Some(surviving) = surviving else {
-                continue;
-            };
-            applied += 1;
-            if immediate {
-                self.msf.apply(surviving);
-            } else {
-                deferred.push(surviving);
             }
         }
-        let Some(mirror_tspan) = mirror_tspan else {
-            return (applied, 0, 0);
-        };
-        mirror_tspan.stop();
-        let coloring_span = Span::start(self.metrics.as_ref().map(|m| m.coloring_ns.clone()));
-        let group_tspan =
-            obs::trace::TSpan::start(obs::trace::Phase::Group, deferred.len() as u64, 0);
-        let groups = group::color_groups(&self.msf, &deferred);
-        group_tspan.stop();
-        coloring_span.stop();
-        self.msf.apply_groups(&groups);
-        (applied, groups.len(), applied - groups.len())
+        applied
     }
 
     /// Re-apply one logged batch during recovery. Validates that the record
@@ -1098,11 +947,6 @@ impl Engine {
         self.stats.applied_updates += summary.applied_updates as u64;
         self.stats.rejected += summary.rejected as u64;
         self.stats.queries += summary.queries as u64;
-        self.stats.update_groups += summary.update_groups as u64;
-        self.stats.group_conflicts += summary.group_conflicts as u64;
-        self.stats.migrations += summary.migrations;
-        self.stats.migrated_vertices += summary.migrated_vertices;
-        self.stats.rebalances += summary.rebalances;
     }
 }
 
@@ -1110,7 +954,6 @@ impl Engine {
 mod tests {
     use super::*;
     use pdmsf_core::seq::default_parallel_k;
-    use pdmsf_core::SeqDynamicMsf;
     use pdmsf_graph::{VertexId, Weight};
 
     /// Engines serve at the paper's sequential `K = sqrt(n log n)`; the
@@ -1120,9 +963,6 @@ mod tests {
         for n in [2usize, 100, 4096, 32_768] {
             let k = default_sequential_k(n);
             assert_eq!(Engine::new(n).structure().chunk_parameter(), k);
-            assert_eq!(Engine::new(n).structure().num_partitions(), 1);
-            let parts = Engine::with_partitions(n, 4, k);
-            assert_eq!(parts.structure().chunk_parameter(), k);
         }
         assert_eq!(Engine::new(32_768).structure().chunk_parameter(), 702);
         assert_eq!(default_parallel_k(32_768), 182);
@@ -1454,15 +1294,10 @@ mod tests {
     fn restored_parts_are_cross_validated() {
         let mut engine = Engine::new(6);
         engine.execute(&[link(0, 1, 2), link(1, 2, 5), Op::Cut { id: EdgeId(0) }]);
-        let image = engine.structure().partitions()[0].to_image();
+        let image = engine.structure().to_image();
         let mirror = engine.graph().to_image();
 
-        let restore = |image: &pdmsf_core::MsfImage| {
-            let part = SeqDynamicMsf::from_image(image).unwrap();
-            let floor = engine.structure().rebalance_min();
-            ComponentPartitionedMsf::from_parts(vec![part], vec![0; 6], floor, Default::default())
-                .unwrap()
-        };
+        let restore = |image: &pdmsf_core::MsfImage| SeqDynamicMsf::from_image(image).unwrap();
         let graph = pdmsf_graph::DynGraph::from_image(&mirror).unwrap();
         let msf = restore(&image);
         let restored =
@@ -1479,131 +1314,22 @@ mod tests {
         let graph2 = pdmsf_graph::DynGraph::from_image(&tampered).unwrap();
         let msf2 = restore(&image);
         assert!(Engine::from_restored_parts(graph2, msf2, engine.stats(), 1).is_err());
-    }
 
-    #[test]
-    fn partitioned_engine_matches_single_and_counts_groups() {
-        let ops1 = vec![
-            link(0, 1, 3),  // block 0 (vertices 0..4 of 4 partitions over 16)
-            link(4, 5, 1),  // block 1
-            link(8, 9, 7),  // block 2
-            link(9, 13, 2), // crosses blocks 2 and 3
-            qconn(0, 1),
-        ];
-        let ops2 = vec![
+        // So is a structure holding an edge the mirror never saw: the same
+        // script plus one more link, restored against the original mirror.
+        let mut ahead = Engine::new(6);
+        ahead.execute(&[
+            link(0, 1, 2),
+            link(1, 2, 5),
             Op::Cut { id: EdgeId(0) },
-            link(1, 2, 9), // block 0
-            link(12, 15, 4),
-            qconn(8, 13),
-            Op::QueryForestWeight,
-        ];
-        let mut partitioned = Engine::with_partitions(16, 4, 4);
-        let mut forced_serial = Engine::with_partitions(16, 4, 4);
-        forced_serial.set_serial_apply(true);
-        let mut single = Engine::with_partitions(16, 1, 4);
-        for ops in [&ops1, &ops2] {
-            let rp = partitioned.execute(ops);
-            let rf = forced_serial.execute(ops);
-            let rs = single.execute(ops);
-            assert_eq!(rp.outcomes, rs.outcomes);
-            assert_eq!(rf.outcomes, rs.outcomes);
-            assert!(rp.summary.update_groups > 0);
-            assert_eq!(rf.summary.update_groups, 0);
-            assert_eq!(rs.summary.update_groups, 0);
-        }
-        assert_eq!(partitioned.forest_edges(), single.forest_edges());
-        assert_eq!(forced_serial.forest_edges(), single.forest_edges());
-        assert_eq!(partitioned.forest_weight(), single.forest_weight());
-        partitioned.structure().validate();
-        forced_serial.structure().validate();
-        // Batch 1: groups {0}, {1}, {2,3} → 3 groups, 1 conflict (4 updates).
-        // Batch 2: groups {0}, {2,3} (partitions 2 and 3 merged in batch 1,
-        // so the cut of edge 2's component and the 12–15 link now share a
-        // class) → stats accumulate across batches.
-        let stats = partitioned.stats();
-        assert_eq!(stats.update_groups, 5);
-        assert_eq!(stats.group_conflicts, 2);
-        assert_eq!(partitioned.structure().num_partitions(), 4);
-        assert_eq!(single.structure().num_partitions(), 1);
-    }
-
-    #[test]
-    fn rebalance_restores_grouping_after_migration_pileup() {
-        // 32 vertices, 4 block partitions, one 8-vertex chain per block.
-        let mut engine = Engine::with_partitions(32, 4, 4);
-        engine.set_rebalance_min(1);
-        let mut chains = Vec::new();
-        for b in 0..4u32 {
-            for i in 0..7 {
-                chains.push(link(8 * b + i, 8 * b + i + 1, (8 * b + i) as i64 + 1));
-            }
-        }
-        let r1 = engine.execute(&chains);
-        assert_eq!(r1.summary.update_groups, 4);
-        assert_eq!(r1.summary.rebalances, 0);
-
-        // Bridges drag every chain into one partition (smaller/tied side —
-        // the `u` side — moves toward vertex 0's home every time). The
-        // piled-up partition holds a single connected component, so the
-        // trigger fires but correctly declines to split it.
-        let r2 = engine.execute(&[link(8, 0, 100), link(16, 0, 101), link(24, 0, 102)]);
-        assert_eq!(r2.summary.update_groups, 1);
-        assert_eq!(r2.summary.migrations, 3);
-        assert_eq!(r2.summary.rebalances, 0);
-
-        // Cutting the bridges (ids 28..31 follow the 28 chain links) leaves
-        // four independent chains stranded in one partition; the post-batch
-        // rebalance spreads them back out.
-        let r3 = engine.execute(&[
-            Op::Cut { id: EdgeId(28) },
-            Op::Cut { id: EdgeId(29) },
-            Op::Cut { id: EdgeId(30) },
+            link(3, 4, 7),
         ]);
-        assert_eq!(r3.summary.rebalances, 1);
-        assert_eq!(r3.summary.migrations, 3);
-        assert!(r3.summary.migrated_vertices > 0);
-
-        // With homes spread again, per-chain links re-color into 4 groups.
-        let r4 = engine.execute(&[
-            link(0, 2, 200),
-            link(8, 10, 201),
-            link(16, 18, 202),
-            link(24, 26, 203),
-        ]);
-        assert_eq!(r4.summary.update_groups, 4);
-        assert_eq!(engine.stats().rebalances, 1);
-        assert_eq!(engine.stats().migrations, 6);
-        engine.structure().validate();
-
-        // A forced-serial twin of the same stream lands on identical homes
-        // and forests (rebalance runs on both paths).
-        let mut serial = Engine::with_partitions(32, 4, 4);
-        serial.set_rebalance_min(1);
-        serial.set_serial_apply(true);
-        serial.execute(&chains);
-        serial.execute(&[link(8, 0, 100), link(16, 0, 101), link(24, 0, 102)]);
-        serial.execute(&[
-            Op::Cut { id: EdgeId(28) },
-            Op::Cut { id: EdgeId(29) },
-            Op::Cut { id: EdgeId(30) },
-        ]);
-        serial.execute(&[
-            link(0, 2, 200),
-            link(8, 10, 201),
-            link(16, 18, 202),
-            link(24, 26, 203),
-        ]);
-        assert_eq!(engine.forest_edges(), serial.forest_edges());
-        let (p, s) = (engine.structure(), serial.structure());
-        for v in 0..32u32 {
-            assert_eq!(
-                p.home_of(VertexId(v)),
-                s.home_of(VertexId(v)),
-                "home of {v}"
-            );
-        }
-        assert_eq!(p.occupancy(), s.occupancy());
-        serial.structure().validate();
+        let graph3 = pdmsf_graph::DynGraph::from_image(&mirror).unwrap();
+        let msf3 = restore(&ahead.structure().to_image());
+        let err = Engine::from_restored_parts(graph3, msf3, engine.stats(), 1)
+            .err()
+            .expect("a structure edge unknown to the mirror was accepted");
+        assert!(err.contains("holds 2 edges"), "{err}");
     }
 
     #[test]

@@ -89,20 +89,16 @@ pub enum Phase {
     Route = 1,
     /// Engine batch planning (validation, cancellation, dedup).
     Plan = 2,
-    /// Conflict coloring / group formation for concurrent apply.
-    Group = 3,
-    /// Engine apply (serial or grouped concurrent).
-    Apply = 4,
+    /// Engine apply (mirror and structure, in arrival order).
+    Apply = 3,
     /// Engine query snapshot point.
-    Snapshot = 5,
+    Snapshot = 4,
     /// WAL record append (persist layer).
-    WalAppend = 6,
+    WalAppend = 5,
     /// WAL fsync (persist layer).
-    WalFsync = 7,
-    /// One contiguous shard range executed by a pool executor.
-    PoolRange = 8,
-    /// Engine mirror pass (cross-shard edge mirrors).
-    Mirror = 9,
+    WalFsync = 6,
+    /// One slot of a pool job, run by whichever thread claimed it.
+    PoolRange = 7,
 }
 
 impl Phase {
@@ -112,13 +108,11 @@ impl Phase {
             Phase::Batch => "service.batch",
             Phase::Route => "service.route",
             Phase::Plan => "engine.plan",
-            Phase::Group => "engine.group",
             Phase::Apply => "engine.apply",
             Phase::Snapshot => "engine.snapshot",
             Phase::WalAppend => "wal.append",
             Phase::WalFsync => "wal.fsync",
             Phase::PoolRange => "pool.range",
-            Phase::Mirror => "engine.mirror",
         }
     }
 
@@ -126,7 +120,7 @@ impl Phase {
     pub fn layer(self) -> &'static str {
         match self {
             Phase::Batch | Phase::Route => "shard",
-            Phase::Plan | Phase::Group | Phase::Apply | Phase::Snapshot | Phase::Mirror => "engine",
+            Phase::Plan | Phase::Apply | Phase::Snapshot => "engine",
             Phase::WalAppend | Phase::WalFsync => "persist",
             Phase::PoolRange => "pool",
         }
@@ -137,13 +131,11 @@ impl Phase {
             0 => Phase::Batch,
             1 => Phase::Route,
             2 => Phase::Plan,
-            3 => Phase::Group,
-            4 => Phase::Apply,
-            5 => Phase::Snapshot,
-            6 => Phase::WalAppend,
-            7 => Phase::WalFsync,
-            8 => Phase::PoolRange,
-            9 => Phase::Mirror,
+            3 => Phase::Apply,
+            4 => Phase::Snapshot,
+            5 => Phase::WalAppend,
+            6 => Phase::WalFsync,
+            7 => Phase::PoolRange,
             _ => return None,
         })
     }
@@ -740,7 +732,7 @@ pub fn text_timeline(events: &[TraceEvent]) -> String {
 /// running on `k` workers concurrently counts `k×`, so its share of a
 /// batch can exceed 1.0.
 pub fn phase_durations(events: &[TraceEvent]) -> Vec<(Phase, u64)> {
-    let mut totals: [u64; 10] = [0; 10];
+    let mut totals: [u64; 8] = [0; 8];
     let mut open: Vec<&TraceEvent> = Vec::new();
     for e in events {
         match e.kind {
@@ -923,8 +915,8 @@ mod tests {
         let events = [
             ev(1, 0, 1, 3, Phase::Batch, EventKind::Begin, 96, 0),
             ev(2, 1_000, 1, 3, Phase::Apply, EventKind::Begin, 0, 0),
-            ev(3, 1_200, 1, 3, Phase::Group, EventKind::Begin, 4, 0),
-            ev(4, 1_700, 1, 3, Phase::Group, EventKind::End, 0, 0),
+            ev(3, 1_200, 1, 3, Phase::Snapshot, EventKind::Begin, 4, 0),
+            ev(4, 1_700, 1, 3, Phase::Snapshot, EventKind::End, 0, 0),
             ev(5, 2_000, 1, 3, Phase::Apply, EventKind::End, 0, 0),
             ev(6, 2_500, 2, 3, Phase::WalAppend, EventKind::Instant, 1, 16),
             ev(7, 3_000, 1, 3, Phase::Batch, EventKind::End, 0, 0),
@@ -934,7 +926,7 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("service.batch") && lines[0].contains("3.000us"));
         assert!(lines[1].starts_with("  ") && lines[1].contains("engine.apply"));
-        assert!(lines[2].starts_with("    ") && lines[2].contains("engine.group"));
+        assert!(lines[2].starts_with("    ") && lines[2].contains("engine.snapshot"));
         assert!(lines[2].contains("0.500us"));
         assert!(lines[3].contains("wal.append") && lines[3].contains("args=(1, 16)"));
     }

@@ -6,30 +6,23 @@
 //! refused with an error naming what broke.
 //!
 //! What a checkpoint holds is the serializable image layer of the stack:
-//! the [`DynGraph`] mirror image, the full SoA bank image of each partition
-//! of the MSF structure ([`pdmsf_core::MsfImage`] — chunk banks, row bank,
-//! free lists in recycling order), the engine's op-log sequence number and
-//! counters, and (for a service) the tenant table. Everything rebuilt
-//! instead of stored — the link-cut tree, the cost meter, scratch buffers,
-//! the per-partition occupancy counters — is documented in
-//! `pdmsf_core::snapshot` and [`ComponentPartitionedMsf::from_parts`].
+//! the [`DynGraph`] mirror image, the full SoA bank image of the MSF
+//! structure ([`pdmsf_core::MsfImage`] — chunk banks, row bank, free lists
+//! in recycling order), the engine's op-log sequence number and counters,
+//! and (for a service) the tenant table. Everything rebuilt instead of
+//! stored — the link-cut tree, the cost meter, scratch buffers — is
+//! documented in `pdmsf_core::snapshot`.
 //!
-//! An engine section holds partition 0's image where a checkpoint has
-//! always held the structure's image, so a one-partition engine writes
-//! exactly the bytes it always wrote and every older checkpoint restores as
-//! one partition. An engine with `P > 1` partitions appends a **tail**:
-//! the partition count, the rebalance floor, the cumulative partition
-//! counters (which also restore the engine's migration counters), the
-//! `home` lane, and the images of partitions `1..P`. The decoder reads a
-//! tail only when bytes remain in the section.
+//! Engines split into several component partitions once appended a
+//! **tail** to their engine section (the partition count first, then the
+//! further partitions). Those engines are gone; a section that still
+//! carries such a tail is refused as [`PersistError::Inconsistent`], naming
+//! its partition count.
 
 use std::io::{Read, Write};
 use std::time::Instant;
 
-use pdmsf_core::partition::REBALANCE_MIN_OCCUPANCY;
-use pdmsf_core::{
-    ChunkArenaImage, ComponentPartitionedMsf, MsfImage, PartitionStats, RowBankImage, SeqDynamicMsf,
-};
+use pdmsf_core::{ChunkArenaImage, MsfImage, RowBankImage, SeqDynamicMsf};
 use pdmsf_engine::{Engine, EngineStats};
 use pdmsf_graph::{DynGraph, DynGraphImage, EdgeId, TenantId};
 use pdmsf_shard::{ServiceStats, ShardedService, TenantRecord};
@@ -67,8 +60,10 @@ fn encode_engine(engine: &Engine) -> Vec<u8> {
     e.u64(s.queries);
     e.u64(s.deduped_queries);
     e.u64(s.snapshots);
-    e.u64(s.update_groups);
-    e.u64(s.group_conflicts);
+    // Two retired counters (update groups and group conflicts of the
+    // partitioned engines), kept as zeros so the layout does not move.
+    e.u64(0);
+    e.u64(0);
 
     let g = engine.graph().to_image();
     e.lane_u32(&g.edge_u);
@@ -78,22 +73,7 @@ fn encode_engine(engine: &Engine) -> Vec<u8> {
     e.lane_u64(&g.adj_offsets);
     e.lane_u32(&g.adj_data);
 
-    let msf = engine.structure();
-    let parts = msf.partitions();
-    encode_msf(&mut e, &parts[0].to_image());
-    if parts.len() > 1 {
-        e.u64(parts.len() as u64);
-        e.u64(msf.rebalance_min());
-        let st = msf.partition_stats();
-        e.u64(st.migrations);
-        e.u64(st.migrated_vertices);
-        e.u64(st.migrated_edges);
-        e.u64(st.rebalances);
-        e.lane_u32(msf.homes());
-        for part in &parts[1..] {
-            encode_msf(&mut e, &part.to_image());
-        }
-    }
+    encode_msf(&mut e, &engine.structure().to_image());
     e.into_bytes()
 }
 
@@ -109,12 +89,10 @@ fn decode_engine(payload: &[u8]) -> Result<Engine, PersistError> {
         queries: d.u64()?,
         deduped_queries: d.u64()?,
         snapshots: d.u64()?,
-        update_groups: d.u64()?,
-        group_conflicts: d.u64()?,
-        // Migration counters come from the tail's partition counters,
-        // which they always equal (zero with one partition).
-        ..EngineStats::default()
     };
+    // The two retired group counters.
+    d.u64()?;
+    d.u64()?;
     let graph_image = DynGraphImage {
         edge_u: d.lane_u32()?,
         edge_v: d.lane_u32()?,
@@ -123,46 +101,23 @@ fn decode_engine(payload: &[u8]) -> Result<Engine, PersistError> {
         adj_offsets: d.lane_u64()?,
         adj_data: d.lane_u32()?,
     };
-    let mut images = vec![decode_msf(&mut d)?];
-    let mut home = None;
-    let mut floor = REBALANCE_MIN_OCCUPANCY;
-    let mut pstats = PartitionStats::default();
+    let image = decode_msf(&mut d)?;
     if d.remaining() > 0 {
-        let count = d.u64()?;
-        if count < 2 {
-            return Err(PersistError::Corrupt(format!(
-                "engine tail declares {count} partitions; only multi-partition engines write one"
-            )));
-        }
-        floor = d.u64()?;
-        pstats = PartitionStats {
-            migrations: d.u64()?,
-            migrated_vertices: d.u64()?,
-            migrated_edges: d.u64()?,
-            rebalances: d.u64()?,
-        };
-        home = Some(d.lane_u32()?);
-        for _ in 1..count {
-            images.push(decode_msf(&mut d)?);
-        }
+        let parts = d.u64()?;
+        return Err(if parts >= 2 {
+            PersistError::Inconsistent(format!(
+                "the engine section holds {parts} partitions; partitioned engines \
+                 no longer exist, so only one-partition checkpoints restore"
+            ))
+        } else {
+            PersistError::Corrupt(format!(
+                "engine tail declares {parts} partitions; only multi-partition engines wrote one"
+            ))
+        });
     }
-    d.finish("engine section")?;
 
     let graph = DynGraph::from_image(&graph_image).map_err(PersistError::Inconsistent)?;
-    let parts = images
-        .iter()
-        .map(SeqDynamicMsf::from_image)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(PersistError::Inconsistent)?;
-    let home = home.unwrap_or_else(|| vec![0; graph.num_vertices()]);
-    let msf = ComponentPartitionedMsf::from_parts(parts, home, floor, pstats)
-        .map_err(PersistError::Inconsistent)?;
-    let stats = EngineStats {
-        migrations: pstats.migrations,
-        migrated_vertices: pstats.migrated_vertices,
-        rebalances: pstats.rebalances,
-        ..stats
-    };
+    let msf = SeqDynamicMsf::from_image(&image).map_err(PersistError::Inconsistent)?;
     Engine::from_restored_parts(graph, msf, stats, applied_seq).map_err(PersistError::Inconsistent)
 }
 
@@ -436,7 +391,7 @@ mod tests {
     use super::*;
     use crate::format::read_section;
     use pdmsf_core::CostModel;
-    use pdmsf_graph::{BatchOp, DynamicMsf, TenantOp, VertexId, Weight};
+    use pdmsf_graph::{BatchOp, TenantOp, VertexId, Weight};
     use pdmsf_shard::TenantSpec;
 
     fn link(u: u32, v: u32, w: i64) -> BatchOp {
@@ -478,7 +433,7 @@ mod tests {
 
         // A checkpoint keeps its own K, even one `Engine::new` no longer
         // picks (engines once served at K = sqrt n = 4 here).
-        let mut sqrt_k = Engine::with_partitions(16, 1, 4);
+        let mut sqrt_k = Engine::with_chunk_parameter(16, 4);
         sqrt_k.execute(&[link(0, 1, 5), link(1, 2, 3)]);
         let mut buf = Vec::new();
         sqrt_k.checkpoint(&mut buf).unwrap();
@@ -688,185 +643,58 @@ mod tests {
         }
     }
 
-    /// A 32-vertex, 4-partition engine (floor 1) driven through migrations
-    /// and a rebalance: bridges pile every block's chain into one
-    /// partition, cutting them strands the chains there, and the post-batch
-    /// rebalance spreads them out again.
-    fn build_partitioned_engine() -> Engine {
-        let mut engine = Engine::with_partitions(32, 4, 4);
-        engine.set_rebalance_min(1);
-        let chains: Vec<BatchOp> = (0..4u32)
-            .flat_map(|b| (0..7).map(move |i| link(8 * b + i, 8 * b + i + 1, (8 * b + i) as i64)))
-            .collect();
-        engine.execute(&chains);
-        engine.execute(&[link(8, 0, 100), link(16, 0, 101), link(24, 0, 102)]);
-        engine.execute(&[
-            BatchOp::Cut { id: EdgeId(28) },
-            BatchOp::Cut { id: EdgeId(29) },
-            BatchOp::Cut { id: EdgeId(30) },
-            BatchOp::Cut { id: EdgeId(3) },
-        ]);
-        engine.execute(&[link(0, 2, 50), link(9, 11, 51), link(17, 19, 52)]);
-        engine
-    }
-
-    fn assert_same_partitioned_state(a: &Engine, b: &Engine) {
-        assert_eq!(a.forest_edges(), b.forest_edges());
-        assert_eq!(a.forest_weight(), b.forest_weight());
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.applied_seq(), b.applied_seq());
-        let (sa, sb) = (a.structure(), b.structure());
-        assert_eq!(sa.num_partitions(), sb.num_partitions());
-        assert_eq!(sa.chunk_parameter(), sb.chunk_parameter());
-        assert_eq!(sa.partition_stats(), sb.partition_stats());
-        assert_eq!(sa.homes(), sb.homes());
-        assert_eq!(sa.occupancy(), sb.occupancy());
-        assert_eq!(sa.rebalance_min(), sb.rebalance_min());
-    }
-
+    /// The checkpoint of a 32-vertex engine split into 4 component
+    /// partitions (K = 4, rebalance floor 1), written before partitioned
+    /// engines were removed: one 8-vertex chain per partition block, bridges
+    /// from vertices 8, 16 and 24 to vertex 0 (migrations), cuts of those
+    /// bridges and of edge 3 (a rebalance), then three more links. Its
+    /// engine section carries a 4-partition tail.
     #[test]
-    fn partitioned_engine_checkpoint_round_trips() {
-        let mut engine = build_partitioned_engine();
-        assert!(engine.stats().migrations > 0 && engine.stats().rebalances > 0);
-        let mut buf = Vec::new();
-        engine.checkpoint(&mut buf).unwrap();
-        let mut restored = Engine::restore(&buf[..]).unwrap();
-        assert_same_partitioned_state(&restored, &engine);
-        restored.structure().validate();
-        let mut buf2 = Vec::new();
-        restored.checkpoint(&mut buf2).unwrap();
-        assert_eq!(buf, buf2);
-        // Future batches migrate and rebalance identically.
-        for ops in [
-            vec![link(8, 0, 200), link(16, 0, 201)],
-            vec![
-                BatchOp::Cut { id: EdgeId(34) },
-                BatchOp::Cut { id: EdgeId(35) },
-            ],
-        ] {
-            assert_eq!(
-                restored.execute(&ops).outcomes,
-                engine.execute(&ops).outcomes
-            );
-            assert_same_partitioned_state(&restored, &engine);
-        }
-        // A static arm (rebalancing off) stays static through a restore.
-        let mut static_e = Engine::with_partitions(32, 4, 4);
-        static_e.set_rebalance_min(u64::MAX);
-        static_e.execute(&[link(0, 9, 1)]);
-        let mut buf = Vec::new();
-        static_e.checkpoint(&mut buf).unwrap();
-        let restored = Engine::restore(&buf[..]).unwrap();
-        assert_eq!(restored.structure().rebalance_min(), u64::MAX);
-    }
-
-    #[test]
-    fn partitioned_engine_checkpoint_detects_corruption_everywhere() {
-        let mut buf = Vec::new();
-        build_partitioned_engine().checkpoint(&mut buf).unwrap();
-        for cut in 0..buf.len() {
-            assert!(
-                Engine::restore(&buf[..cut]).is_err(),
-                "truncation at {cut} of {} restored silently",
-                buf.len()
-            );
-        }
-        for byte in (0..buf.len()).step_by(7) {
-            let mut bad = buf.clone();
-            bad[byte] ^= 0x10;
-            assert!(
-                Engine::restore(&bad[..]).is_err(),
-                "bit flip at byte {byte} restored silently"
-            );
+    fn partitioned_checkpoints_are_refused_as_inconsistent() {
+        let old = include_bytes!("../tests/fixtures/partitioned_engine.ckpt");
+        assert_eq!((old.len(), crate::crc32(old)), (42_249, 0x1315_7116));
+        match Engine::restore(&old[..]) {
+            Err(PersistError::Inconsistent(why)) => {
+                assert!(why.contains("4 partitions"), "{why}")
+            }
+            Err(other) => panic!("refused with the wrong error: {other}"),
+            Ok(_) => panic!("a partitioned checkpoint restored"),
         }
     }
 
-    /// `build_engine()`'s section with a hand-written two-partition tail.
-    fn with_tail(home: &[u32], second: &SeqDynamicMsf) -> Vec<u8> {
+    /// `build_engine()`'s section followed by a hand-written tail laid out
+    /// as partitioned engines wrote it: partition count, rebalance floor,
+    /// four partition counters, the `home` lane and partition 1's image.
+    fn with_tail(parts: u64) -> Vec<u8> {
+        let engine = build_engine();
+        let (n, k) = (engine.num_vertices(), engine.structure().chunk_parameter());
         let mut tail = Enc::new();
-        tail.u64(2);
-        tail.u64(REBALANCE_MIN_OCCUPANCY);
+        tail.u64(parts);
+        tail.u64(64);
         for _ in 0..4 {
             tail.u64(0);
         }
-        tail.lane_u32(home);
-        encode_msf(&mut tail, &second.to_image());
-        let mut payload = encode_engine(&build_engine());
+        tail.lane_u32(&vec![0; n]);
+        let empty = SeqDynamicMsf::with_parameters(n, k, CostModel::Erew);
+        encode_msf(&mut tail, &empty.to_image());
+        let mut payload = encode_engine(&engine);
         payload.extend(tail.into_bytes());
         payload
     }
 
     #[test]
     fn partitioned_import_refuses_inconsistent_parts() {
-        let n = 16;
-        let k = build_engine().structure().chunk_parameter();
-        let empty = SeqDynamicMsf::with_parameters(n, k, CostModel::Erew);
-        // Edges of `build_engine()` touch vertices 0..7; homing 8.. in
-        // partition 1 keeps containment.
-        let home: Vec<u32> = (0..n as u32).map(|v| u32::from(v >= 8)).collect();
-        assert!(decode_engine(&with_tail(&home, &empty)).is_ok());
-        let refused = |payload: Vec<u8>, what: &str| {
-            assert!(
-                matches!(decode_engine(&payload), Err(PersistError::Inconsistent(_))),
-                "{what} was not refused"
-            );
-        };
-        refused(with_tail(&home[..n - 1], &empty), "a short home lane");
-        let mut out_of_range = home.clone();
-        out_of_range[n - 1] = 2;
-        refused(
-            with_tail(&out_of_range, &empty),
-            "a home beyond the last partition",
-        );
-        refused(
-            with_tail(&vec![1; n], &empty),
-            "edges outside their home partition",
-        );
-        let other_k = SeqDynamicMsf::with_parameters(n, k + 1, CostModel::Erew);
-        refused(with_tail(&home, &other_k), "partitions with different K");
-        // Edge 1 is live in partition 0; a second copy in partition 1 (on
-        // vertices homed there) passes containment but not the mirror.
-        let mut twice = SeqDynamicMsf::with_parameters(n, k, CostModel::Erew);
-        twice.insert(pdmsf_graph::Edge {
-            id: EdgeId(1),
-            u: VertexId(8),
-            v: VertexId(9),
-            weight: Weight::new(3),
-        });
-        refused(with_tail(&home, &twice), "an edge held by two partitions");
-        // A one-partition tail is never written.
-        let mut payload = encode_engine(&build_engine());
-        payload.extend_from_slice(&1u64.to_le_bytes());
+        assert!(decode_engine(&encode_engine(&build_engine())).is_ok());
+        match decode_engine(&with_tail(2)) {
+            Err(PersistError::Inconsistent(why)) => {
+                assert!(why.contains("2 partitions"), "{why}")
+            }
+            other => panic!("a two-partition tail was not refused: {:?}", other.err()),
+        }
+        // A one-partition tail was never written.
         assert!(matches!(
-            decode_engine(&payload),
+            decode_engine(&with_tail(1)),
             Err(PersistError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn partitioned_service_checkpoint_round_trips() {
-        let parts = |n| Engine::with_partitions(n, 4, pdmsf_core::seq::default_sequential_k(n));
-        let mut service = build_service(parts);
-        // A cross-block link migrates inside tenant 2's shard.
-        service.execute(&[tenant_link(2, 1, 7, 6)]);
-        let mut buf = Vec::new();
-        service.checkpoint_all(&mut buf).unwrap();
-        let mut restored = ShardedService::restore_all(&buf[..]).unwrap();
-        for s in 0..service.num_shards() {
-            assert_same_partitioned_state(restored.shard_engine(s), service.shard_engine(s));
-            assert_eq!(restored.shard_engine(s).structure().num_partitions(), 4);
-        }
-        let mut buf2 = Vec::new();
-        restored.checkpoint_all(&mut buf2).unwrap();
-        assert_eq!(buf, buf2);
-        let probe = [tenant_link(3, 3, 4, 6), tenant_link(5, 1, 6, 2)];
-        assert_eq!(
-            restored.execute(&probe).outcomes,
-            service.execute(&probe).outcomes
-        );
-        assert_eq!(
-            restored.total_forest_weight(),
-            service.total_forest_weight()
-        );
     }
 }

@@ -9,12 +9,7 @@
 //! state must equal a fresh engine that executed exactly the surviving
 //! prefix of mutating batches (plus all interleaved queries, which mutate
 //! nothing).
-//!
-//! Every proptest runs twice: on the default one-partition engine and on a
-//! rebalancing four-partition engine (floor 1), whose twin check adds
-//! per-vertex homes, occupancy and partition counters.
 
-use pdmsf_core::seq::default_sequential_k;
 use pdmsf_engine::{Engine, LoggedBatch, Op, OpSink, PlannedUpdate};
 use pdmsf_graph::{EdgeId, TenantId, TenantOp, VertexId, Weight};
 use pdmsf_persist::{
@@ -92,25 +87,13 @@ fn concretise(n: usize, raw_batches: &[Vec<RawOp>]) -> Vec<Vec<Op>> {
 /// Builds the engine under test for `n` vertices.
 type MakeEngine = fn(usize) -> Engine;
 
-/// Four partitions at the serving `K`, rebalancing at the lowest floor.
-fn rebalancing_partitioned(n: usize) -> Engine {
-    let mut engine = Engine::with_partitions(n, 4, default_sequential_k(n));
-    engine.set_rebalance_min(1);
-    engine
-}
-
-/// Assert two engines are in the same state: forest, weight, partition
-/// homes, occupancy and counters, component structure over every vertex
-/// pair, internal invariants, and identical future behaviour on a probe
-/// batch.
+/// Assert two engines are in the same state: forest, weight, component
+/// structure over every vertex pair, internal invariants, and identical
+/// future behaviour on a probe batch.
 fn assert_same_state(recovered: &mut Engine, twin: &mut Engine) {
     assert_eq!(recovered.forest_edges(), twin.forest_edges());
     assert_eq!(recovered.forest_weight(), twin.forest_weight());
     assert_eq!(recovered.applied_seq(), twin.applied_seq());
-    let (r, t) = (recovered.structure(), twin.structure());
-    assert_eq!(r.homes(), t.homes(), "per-vertex homes diverged");
-    assert_eq!(r.occupancy(), t.occupancy());
-    assert_eq!(r.partition_stats(), t.partition_stats());
     recovered.structure().validate();
     let n = recovered.num_vertices() as u32;
     let pairs: Vec<Op> = (0..n)
@@ -298,15 +281,6 @@ proptest! {
     }
 
     #[test]
-    fn partitioned_recovery_reproduces_the_acked_prefix(
-        raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 0..16), 1..7),
-        checkpoint_after in any::<u8>(),
-        crash_permille in 0u32..=1000,
-    ) {
-        crash_recovers_the_acked_prefix(rebalancing_partitioned, &raw, checkpoint_after, crash_permille);
-    }
-
-    #[test]
     fn checkpoint_bit_flips_never_restore(
         raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 1..16), 1..4),
         flip_byte in any::<u32>(),
@@ -316,30 +290,12 @@ proptest! {
     }
 
     #[test]
-    fn partitioned_checkpoint_bit_flips_never_restore(
-        raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 1..16), 1..4),
-        flip_byte in any::<u32>(),
-        flip_bit in 0u8..8,
-    ) {
-        checkpoint_bit_flip_is_refused(rebalancing_partitioned, &raw, flip_byte, flip_bit);
-    }
-
-    #[test]
     fn log_bit_flips_truncate_or_refuse(
         raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 2..16), 2..6),
         flip_byte in any::<u32>(),
         flip_bit in 0u8..8,
     ) {
         log_bit_flip_truncates_or_refuses(Engine::new, &raw, flip_byte, flip_bit);
-    }
-
-    #[test]
-    fn partitioned_log_bit_flips_truncate_or_refuse(
-        raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 2..16), 2..6),
-        flip_byte in any::<u32>(),
-        flip_bit in 0u8..8,
-    ) {
-        log_bit_flip_truncates_or_refuses(rebalancing_partitioned, &raw, flip_byte, flip_bit);
     }
 }
 

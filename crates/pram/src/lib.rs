@@ -27,11 +27,10 @@
 //!   only execution mode; see [`kernels::PAR_CUTOFF`] for why no scan fans
 //!   out over the pool).
 //! * [`pool`] — a lazily spawned, process-wide pool of parked worker
-//!   threads for the serving layers' coarse jobs (shard dispatch and
-//!   grouped apply). A submission publishes a borrowed closure over slots
-//!   `0..n`, the calling thread participates, and the call blocks until
-//!   every slot is done — scoped-spawn semantics without per-call thread
-//!   creation. Single-slot jobs never spawn the pool at all. The pool keeps
+//!   threads for the serving layer's coarse jobs (shard dispatch). A
+//!   submission publishes a borrowed closure over slots `0..n`, the
+//!   calling thread participates, and the call blocks until every slot is
+//!   done — scoped-spawn semantics without per-call thread creation. Single-slot jobs never spawn the pool at all. The pool keeps
 //!   one FIFO of open jobs, each job a claim counter over its slots: an
 //!   idle worker claims the next slot of the oldest open job, and a
 //!   submitter claims only its own job's slots and then waits, so every

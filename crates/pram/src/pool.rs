@@ -1,6 +1,5 @@
-//! A persistent worker pool for the serving layers' coarse jobs: the
-//! sharded service's per-shard dispatch and the grouped apply of
-//! partitioned engines (submitted from inside shard jobs).
+//! A persistent worker pool for the serving layer's coarse jobs: the
+//! sharded service's per-shard dispatch.
 //!
 //! The pool is a process-wide set of parked workers: a submission publishes
 //! one *job* (a borrowed closure over the slots `0..n`), wakes the workers,
@@ -25,10 +24,10 @@
 //!   other threads claimed.
 //!
 //! So every slot is either claimable or running on a live thread. A slot
-//! that submits a job of its own (a shard job's group apply) is a
-//! submitter like any other: it can always run its job's slots itself, so
-//! nested submissions complete however busy the workers are, at any depth.
-//! Several threads may submit at once; each job is independent.
+//! that submits a job of its own is a submitter like any other: it can
+//! always run its job's slots itself, so nested submissions complete
+//! however busy the workers are, at any depth. Several threads may submit
+//! at once; each job is independent.
 //!
 //! Guarantees:
 //!

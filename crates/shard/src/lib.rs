@@ -34,11 +34,8 @@
 //!   one `pdmsf_pram::pool` job — the caller and the idle workers each
 //!   claim the next unclaimed shard slot — and each shard batch
 //!   ([`Engine::execute_planned`]) reuses the full
-//!   plan/cancel/dedup/snapshot pipeline internally, including a nested
-//!   pool job for its group applies (the thread running the shard slot
-//!   can always run the nested job's slots itself, so nesting cannot
-//!   deadlock). Outcomes are reassembled into the caller's original op
-//!   order.
+//!   plan/cancel/dedup/snapshot pipeline internally. Outcomes are
+//!   reassembled into the caller's original op order.
 //!
 //! ## Identifier translation
 //!
@@ -179,20 +176,6 @@ pub struct ShardSummary {
     pub ops: usize,
     /// Updates that reached the shard's MSF structure.
     pub applied_updates: usize,
-    /// Conflict-free update groups the shard's grouped apply dispatched
-    /// (zero when the shard engine applies every update at once — one
-    /// partition, or forced-serial apply).
-    pub update_groups: usize,
-    /// Surviving updates beyond the first of their group — updates that
-    /// *shared* a group because their partition classes collided.
-    pub group_conflicts: usize,
-    /// Component migrations in the shard's structure this batch
-    /// (cross-partition links + rebalance moves; zero with one partition).
-    pub migrations: u64,
-    /// Vertices re-homed by those migrations.
-    pub migrated_vertices: u64,
-    /// Post-batch rebalance passes that moved a component (0 or 1).
-    pub rebalances: u64,
     /// Opposing link/cut pairs the shard's planner cancelled.
     pub cancelled_pairs: usize,
     /// Operations the shard engine rejected (dead/duplicate cuts).
@@ -218,19 +201,6 @@ pub struct ServiceSummary {
     pub shards_touched: usize,
     /// Updates applied across all shard structures.
     pub applied_updates: usize,
-    /// Conflict-free update groups dispatched across all shards' grouped
-    /// apply paths (zero unless shards run several partitions).
-    pub update_groups: usize,
-    /// Updates that shared a group across all shards (see
-    /// [`ShardSummary::group_conflicts`]).
-    pub group_conflicts: usize,
-    /// Component migrations across all shards' structures
-    /// (see [`ShardSummary::migrations`]).
-    pub migrations: u64,
-    /// Vertices re-homed across all shards.
-    pub migrated_vertices: u64,
-    /// Rebalance passes across all shards.
-    pub rebalances: u64,
     /// Opposing pairs cancelled across all shards.
     pub cancelled_pairs: usize,
     /// Rejected operations (router rejections + shard rejections).
@@ -356,12 +326,8 @@ impl ShardedService {
     }
 
     /// Full control over how each shard's engine is built from its vertex
-    /// count — chunk parameter and partition count through
-    /// [`Engine::with_partitions`]. With more than one partition per shard,
-    /// each shard's batch additionally applies its independent update
-    /// groups as the concurrent slots of a pool job nested inside its shard
-    /// slot (the thread that submits a nested job can always run its slots
-    /// itself, so nesting cannot deadlock). The lockstep tests use it to
+    /// count (for example a chunk parameter through
+    /// [`Engine::with_chunk_parameter`]). The lockstep tests use it to
     /// force stress configurations.
     pub fn with_engine_factory(
         shards: usize,
@@ -421,7 +387,7 @@ impl ShardedService {
     /// ([`obs::trace::enable_default`]) and allocates a [`obs::trace::TraceId`]
     /// per batch. The id is scoped on the submitting thread and
     /// carried across pool workers by the jobs themselves, so every layer's
-    /// spans — routing, plan, group, apply, snapshot, pool ranges, WAL
+    /// spans — routing, plan, apply, snapshot, pool ranges, WAL
     /// append/fsync — land under the batch that caused them. Combine with
     /// [`obs::trace::set_capture_threshold_ns`] or
     /// [`obs::trace::capture_next`] to pin slow batches in the flight
@@ -810,11 +776,6 @@ impl ShardedService {
                     shard,
                     ops: s.ops,
                     applied_updates: s.applied_updates,
-                    update_groups: s.update_groups,
-                    group_conflicts: s.group_conflicts,
-                    migrations: s.migrations,
-                    migrated_vertices: s.migrated_vertices,
-                    rebalances: s.rebalances,
                     cancelled_pairs: s.cancelled_pairs,
                     rejected: s.rejected,
                     queries: s.queries,
@@ -831,11 +792,6 @@ impl ShardedService {
             ops,
             shards_touched: per_shard.len(),
             applied_updates: per_shard.iter().map(|s| s.applied_updates).sum(),
-            update_groups: per_shard.iter().map(|s| s.update_groups).sum(),
-            group_conflicts: per_shard.iter().map(|s| s.group_conflicts).sum(),
-            migrations: per_shard.iter().map(|s| s.migrations).sum(),
-            migrated_vertices: per_shard.iter().map(|s| s.migrated_vertices).sum(),
-            rebalances: per_shard.iter().map(|s| s.rebalances).sum(),
             cancelled_pairs: per_shard.iter().map(|s| s.cancelled_pairs).sum(),
             rejected: routed.router_rejected + per_shard.iter().map(|s| s.rejected).sum::<usize>(),
             router_rejected: routed.router_rejected,
@@ -1074,61 +1030,6 @@ mod tests {
             concurrent.total_forest_weight(),
             serial.total_forest_weight()
         );
-    }
-
-    #[test]
-    fn partitioned_shards_agree_with_plain_ones_and_report_groups() {
-        let specs: Vec<TenantSpec> = (0..4).map(|t| TenantSpec::new(TenantId(t), 16)).collect();
-        let mut plain = ShardedService::new(2, &specs);
-        let mut parted = ShardedService::with_engine_factory(2, &specs, |n| {
-            Engine::with_partitions(n, 4, pdmsf_core::seq::default_sequential_k(n))
-        });
-        let batches: Vec<Vec<TenantOp>> = vec![
-            (0..4)
-                .flat_map(|t| [link(t, 0, 1, 3), link(t, 8, 9, 5), link(t, 4, 12, 7)])
-                .collect(),
-            vec![
-                link(0, 1, 2, 2),
-                cut(1, 0),
-                link(2, 9, 10, 4),
-                qconn(3, 4, 12),
-                qweight(0),
-            ],
-        ];
-        let mut saw_groups = 0usize;
-        for ops in &batches {
-            let a = plain.execute(ops);
-            let b = parted.execute(ops);
-            assert_eq!(a.outcomes, b.outcomes);
-            assert_eq!(a.summary.forest_weight, b.summary.forest_weight);
-            assert_eq!(a.summary.applied_updates, b.summary.applied_updates);
-            // One-partition shards never report groups; partitioned
-            // ones do, and the per-shard numbers add up to the service sums.
-            assert_eq!(a.summary.update_groups, 0);
-            assert_eq!(a.summary.group_conflicts, 0);
-            assert_eq!(
-                b.summary.update_groups,
-                b.summary
-                    .per_shard
-                    .iter()
-                    .map(|p| p.update_groups)
-                    .sum::<usize>()
-            );
-            assert_eq!(
-                b.summary.group_conflicts,
-                b.summary
-                    .per_shard
-                    .iter()
-                    .map(|p| p.group_conflicts)
-                    .sum::<usize>()
-            );
-            assert!(
-                b.summary.update_groups + b.summary.group_conflicts <= b.summary.applied_updates
-            );
-            saw_groups += b.summary.update_groups;
-        }
-        assert!(saw_groups > 0, "partitioned shards never grouped an update");
-        assert_eq!(plain.total_forest_weight(), parted.total_forest_weight());
     }
 
     #[test]

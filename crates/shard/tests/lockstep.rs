@@ -244,7 +244,7 @@ proptest! {
         raw in proptest::collection::vec(proptest::collection::vec(raw_op(), 0..20), 1..5),
     ) {
         let batches = concretise(&raw);
-        let stress = |n: usize| Engine::with_partitions(n, 1, 2);
+        let stress = |n: usize| Engine::with_chunk_parameter(n, 2);
         check_lockstep(
             &batches,
             ShardedService::with_engine_factory(3, &specs(), stress),

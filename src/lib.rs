@@ -103,22 +103,21 @@
 //!   never reach the `O(sqrt(n) log n)` update path — only the cheap
 //!   id-allocating mirror sees them, keeping ids identical to a serial
 //!   execution), and **dedups queries**,
-//! * **applies** the surviving updates through the engine's one structure,
-//!   a [`core::ComponentPartitionedMsf`] — by default a single
-//!   EREW-metered [`core::SeqDynamicMsf`] partition at `K = sqrt(n log n)`
-//!   (see above),
+//! * **applies** the surviving updates, in arrival order, through the
+//!   engine's one structure, an EREW-metered [`core::SeqDynamicMsf`] at
+//!   `K = sqrt(n log n)` (see above),
 //! * **answers all queries at one snapshot point** (after the batch's
 //!   updates): the forest is captured once into flat component labels
 //!   ([`engine::QuerySnapshot`], `O(n + f·α)`) and every connectivity query
 //!   becomes two array loads — instead of a `&mut`-self link-cut-tree walk
 //!   per query — in one serial loop.
 //!
-//! The worker pool ([`pram::pool`]) carries only the serving layers'
-//! coarse jobs: shard dispatch and grouped apply. It serves **multiple
-//! jobs concurrently** from one FIFO of open jobs, each job a claim counter
-//! over its slots: an idle worker claims the next slot of the oldest open
-//! job, and a submitter claims only its own job's slots and then waits, so
-//! nested submissions (group jobs inside shard jobs) cannot deadlock.
+//! The worker pool ([`pram::pool`]) carries only the serving layer's
+//! coarse jobs: shard dispatch. It serves **multiple jobs concurrently**
+//! from one FIFO of open jobs, each job a claim counter over its slots: an
+//! idle worker claims the next slot of the oldest open job, and a
+//! submitter claims only its own job's slots and then waits, so nested
+//! submissions cannot deadlock.
 //! `PDMSF_POOL_THREADS` overrides the pool width and [`pram::pool::stats`]
 //! exposes its counters (jobs, slots, inline runs).
 //! Batch semantics are pinned by a lockstep proptest: batched execution is
@@ -132,52 +131,6 @@
 //! trajectory in `BENCH_batch_throughput.json`, and fails unless the
 //! batched path is at least 1.3× faster on the bursty stream's largest
 //! cell.
-//!
-//! ## Intra-batch update parallelism
-//!
-//! Batching also unlocks parallelism *inside* the apply phase. An engine
-//! built with `P > 1` partitions ([`Engine::with_partitions`]) splits its
-//! **component-partitioned structure** ([`core::ComponentPartitionedMsf`]):
-//! the vertex space is spread across `P` independent
-//! [`core::SeqDynamicMsf`] partitions under the invariant that **components never span
-//! partitions** — a cross-partition link first *migrates* the smaller
-//! component (lockstep bidirectional BFS picks it deterministically; its
-//! edges re-insert in Kruskal order, rebuilding the identical unique MSF).
-//! Per batch the engine **conflict-colors** the surviving updates — a
-//! union-find over the batch's updates keyed by the endpoints' *component*
-//! representatives (via the partition `home` map), escalating to partition
-//! level only when two components share a bank — into groups whose
-//! partition classes are disjoint, and applies the groups as **concurrent
-//! pool jobs** — nested inside shard jobs when the sharded layer dispatches
-//! them — serially in arrival order within each group. Because migrations
-//! stay inside a group's own class, the per-partition operation sequences
-//! are identical whether groups run concurrently or the whole batch applies
-//! serially, so outcomes, forests and WAL bytes are **bit-for-bit
-//! identical** to serial apply (the WAL is written at plan time, before any
-//! apply, and a byte-identity test pins all three paths). Single-group
-//! batches and width-1 pools fall back to inline apply.
-//!
-//! Migration has a failure mode: workloads that repeatedly link across
-//! partitions drag every component into one partition, collapsing the
-//! batch to a single group forever. The structure therefore keeps
-//! per-partition **live-edge occupancy counters** and, between
-//! update-carrying batches, **rebalances**: when the fullest partition
-//! exceeds twice the mean (above a floor), its components re-home
-//! smallest-first into the least-loaded partitions through the same
-//! migration path — ascending-`WKey` re-insertion, so the forest is
-//! untouched and **no WAL bytes** are written. The decision is a pure
-//! function of structure state, so grouped, forced-serial and replay
-//! executions rebalance identically (pinned by a lockstep proptest arm and
-//! a migration-heavy WAL byte-identity test that also checks replayed
-//! component homes). [`Engine::set_rebalance_min`] with `u64::MAX`
-//! disables it for A/B runs.
-//! Experiment E6 (`experiments -- e6`) measures adaptive vs static
-//! rebalancing on a migration-churn stream, recording
-//! `BENCH_intra_batch.json`, and fails unless adaptive is at least 1.2×
-//! faster (at pool width 4 on a 2-core machine it reads 1.5–1.7×). On a
-//! block-mixed stream that needs no rebalancing (65 536 vertices, 8
-//! partitions, the same machine and width), grouped apply read only
-//! 0.87–1.03× forced-serial apply, so that comparison is not kept.
 //!
 //! ## The sharded serving layer
 //!
@@ -219,9 +172,7 @@
 //!   guarded by a CRC-32 over tag and payload. A service checkpoint holds
 //!   the tenant table plus one section per shard engine; restore re-wires
 //!   the shards to the router and cross-validates mirror against structure
-//!   against tenant table. Engines with any partition count checkpoint:
-//!   partition homes, occupancy, counters and the rebalance floor restore
-//!   with the banks, so replay after a restore rebalances identically. Truncations and bit flips are *detected*
+//!   against tenant table. Truncations and bit flips are *detected*
 //!   ([`persist::PersistError`]) — a damaged checkpoint refuses to load,
 //!   never restores to a plausible-but-wrong forest.
 //! * **Write-ahead op log** ([`persist::OpLogWriter`], hooked in through
@@ -260,7 +211,7 @@
 //!   layer (`pdmsf_persist_*` — WAL append and fsync latency, bytes,
 //!   checkpoint size/duration).
 //! * **Opt-in** on the hot serving paths: [`Engine::enable_metrics`] adds
-//!   per-batch plan/apply/snapshot/group-coloring phase timings and
+//!   per-batch plan/apply/snapshot phase timings and
 //!   outcome counters (`pdmsf_engine_*`);
 //!   [`ShardedService::enable_metrics`] adds per-shard batch-latency
 //!   histograms (labeled `shard="<i>"`), routing rejects and queue-batch
@@ -292,7 +243,7 @@
 //! it in a thread-local scope ([`obs::trace::scope`]) for the batch's
 //! lifetime on the submitting thread. Spans ([`obs::trace::TSpan`]) read
 //! the ambient id, so routing, per-shard planning, engine
-//! plan/mirror/group/apply/snapshot phases and WAL append/fsync all
+//! plan/apply/snapshot phases and WAL append/fsync all
 //! attribute to the batch without any signature changes. The one explicit
 //! hand-off is the worker pool: each job snapshots its submitter's ambient
 //! id, and every slot — **including slots run by other threads** —
@@ -359,7 +310,6 @@ pub use pdmsf_shard::ShardedService;
 /// Convenient single-import prelude for applications.
 pub mod prelude {
     pub use pdmsf_baselines::{NaiveDynamicMsf, RecomputeMsf};
-    pub use pdmsf_core::partition::ComponentPartitionedMsf;
     pub use pdmsf_core::seq::SeqDynamicMsf;
     pub use pdmsf_core::sparsify::SparsifiedMsf;
     pub use pdmsf_core::CostModel;

@@ -23,19 +23,13 @@ const GOLDEN_FAMILIES: &[(&str, &str)] = &[
     // engine (opt-in via enable_metrics)
     ("pdmsf_engine_apply_ns", "histogram"),
     ("pdmsf_engine_batches_total", "counter"),
-    ("pdmsf_engine_group_coloring_ns", "histogram"),
-    ("pdmsf_engine_group_conflicts_total", "counter"),
-    ("pdmsf_engine_migrated_vertices_total", "counter"),
-    ("pdmsf_engine_migrations_total", "counter"),
     ("pdmsf_engine_ops_rejected_total", "counter"),
     ("pdmsf_engine_ops_total", "counter"),
     ("pdmsf_engine_pairs_cancelled_total", "counter"),
     ("pdmsf_engine_plan_ns", "histogram"),
     ("pdmsf_engine_queries_total", "counter"),
-    ("pdmsf_engine_rebalances_total", "counter"),
     ("pdmsf_engine_snapshot_ns", "histogram"),
     ("pdmsf_engine_snapshots_total", "counter"),
-    ("pdmsf_engine_update_groups_total", "counter"),
     ("pdmsf_engine_updates_applied_total", "counter"),
     // persist (always on)
     ("pdmsf_persist_checkpoint_bytes_total", "counter"),
