@@ -546,6 +546,11 @@ impl PersistRecord {
             self.cold_rebuild_ns as f64 / self.restore_ns as f64
         }
     }
+
+    /// Checkpoint bytes per live edge (the size E5 bounds).
+    pub fn bytes_per_live_edge(&self) -> f64 {
+        self.checkpoint_bytes as f64 / self.live_edges.max(1) as f64
+    }
 }
 
 /// Serialize persistence warm-start records as JSON, stamped with the same
@@ -554,13 +559,14 @@ impl PersistRecord {
 pub fn persist_records_to_json(meta: &RunMeta, records: &[PersistRecord]) -> String {
     let rows = records.iter().map(|r| {
         format!(
-                    "{{\"scenario\": \"{}\", \"n\": {}, \"k\": {}, \"ops\": {}, \"live_edges\": {}, \"checkpoint_bytes\": {}, \"checkpoint_ns\": {}, \"restore_ns\": {}, \"cold_rebuild_ns\": {}, \"restore_speedup\": {:.2}}}",
+                    "{{\"scenario\": \"{}\", \"n\": {}, \"k\": {}, \"ops\": {}, \"live_edges\": {}, \"checkpoint_bytes\": {}, \"bytes_per_live_edge\": {:.2}, \"checkpoint_ns\": {}, \"restore_ns\": {}, \"cold_rebuild_ns\": {}, \"restore_speedup\": {:.2}}}",
             r.scenario,
             r.n,
             r.k,
             r.ops,
             r.live_edges,
             r.checkpoint_bytes,
+            r.bytes_per_live_edge(),
             r.checkpoint_ns,
             r.restore_ns,
             r.cold_rebuild_ns,

@@ -45,7 +45,7 @@ use super::NONE;
 const ALIVE: u8 = 1;
 const QUEUED: u8 = 2;
 /// The chunk's `agg`/`memb` await recomputation. Never set between public
-/// operations, so never written to an image.
+/// operations.
 const STALE: u8 = 4;
 
 // ---- occurrence flag bits ----
@@ -316,185 +316,6 @@ impl ChunkArena {
         }
         adj
     }
-
-    // ---- checkpoint images ----------------------------------------------
-
-    /// Flatten every bank into the serializable image. The dump is exact —
-    /// free lists included, in order — so an imported arena recycles ids in
-    /// the same order the original would have, keeping all future behaviour
-    /// identical.
-    pub(crate) fn to_image(&self) -> ChunkArenaImage {
-        let mut occ_offsets = Vec::with_capacity(self.occs.len() + 1);
-        let mut occ_data = Vec::new();
-        occ_offsets.push(0u64);
-        for list in &self.occs {
-            occ_data.extend_from_slice(list);
-            occ_offsets.push(occ_data.len() as u64);
-        }
-        ChunkArenaImage {
-            parent: self.parent.clone(),
-            left: self.left.clone(),
-            right: self.right.clone(),
-            size: self.size.clone(),
-            occ_offsets,
-            occ_data,
-            adj_count: self.adj_count.iter().map(|&c| c as u64).collect(),
-            slot: self.slot.clone(),
-            row: self.row.clone(),
-            flags: self.flags.clone(),
-            free_ids: self.free_ids.clone(),
-            occ_vertex: self.occ_vertex.clone(),
-            occ_chunk: self.occ_chunk.clone(),
-            occ_pos: self.occ_pos.clone(),
-            occ_vpos: self.occ_vpos.clone(),
-            occ_arc: self.occ_arc.clone(),
-            occ_flags: self.occ_flags.clone(),
-            occ_free: self.occ_free.clone(),
-        }
-    }
-
-    /// Rebuild an arena from [`ChunkArena::to_image`], validating lane
-    /// lengths, flag bits and free-list consistency (every free id names a
-    /// dead entry, exactly once) so a corrupted image is rejected instead of
-    /// deserialized into an arena that double-allocates.
-    pub(crate) fn from_image(image: &ChunkArenaImage) -> Result<Self, String> {
-        let n = image.parent.len();
-        if [
-            image.left.len(),
-            image.right.len(),
-            image.size.len(),
-            image.adj_count.len(),
-            image.slot.len(),
-            image.row.len(),
-            image.flags.len(),
-        ]
-        .iter()
-        .any(|&l| l != n)
-        {
-            return Err("chunk arena image lanes disagree in length".to_string());
-        }
-        if image.occ_offsets.len() != n + 1
-            || image.occ_offsets.first() != Some(&0)
-            || image.occ_offsets.last().copied() != Some(image.occ_data.len() as u64)
-        {
-            return Err("chunk arena image occ offsets are inconsistent".to_string());
-        }
-        let mut occs = Vec::with_capacity(n);
-        for c in 0..n {
-            let lo = image.occ_offsets[c] as usize;
-            let hi = image.occ_offsets[c + 1] as usize;
-            if hi < lo || hi > image.occ_data.len() {
-                return Err(format!("chunk arena image occ range of chunk {c} invalid"));
-            }
-            occs.push(image.occ_data[lo..hi].to_vec());
-        }
-        if image.flags.iter().any(|&f| f & !(ALIVE | QUEUED) != 0) {
-            return Err("chunk arena image flags hold unknown bits".to_string());
-        }
-        check_free_list("chunk", &image.free_ids, &image.flags, ALIVE)?;
-        let m = image.occ_vertex.len();
-        if [
-            image.occ_chunk.len(),
-            image.occ_pos.len(),
-            image.occ_vpos.len(),
-            image.occ_arc.len(),
-            image.occ_flags.len(),
-        ]
-        .iter()
-        .any(|&l| l != m)
-        {
-            return Err("chunk arena image occ lanes disagree in length".to_string());
-        }
-        check_free_list("occurrence", &image.occ_free, &image.occ_flags, OCC_ALIVE)?;
-        Ok(ChunkArena {
-            parent: image.parent.clone(),
-            left: image.left.clone(),
-            right: image.right.clone(),
-            size: image.size.clone(),
-            occs,
-            adj_count: image.adj_count.iter().map(|&c| c as usize).collect(),
-            slot: image.slot.clone(),
-            row: image.row.clone(),
-            flags: image.flags.clone(),
-            free_ids: image.free_ids.clone(),
-            occ_vertex: image.occ_vertex.clone(),
-            occ_chunk: image.occ_chunk.clone(),
-            occ_pos: image.occ_pos.clone(),
-            occ_vpos: image.occ_vpos.clone(),
-            occ_arc: image.occ_arc.clone(),
-            occ_flags: image.occ_flags.clone(),
-            occ_free: image.occ_free.clone(),
-        })
-    }
-}
-
-/// Free-list sanity for an image bank: every listed id is in range, dead
-/// (its `alive_bit` is clear) and listed exactly once, and every dead id is
-/// listed — the exact condition under which replaying allocations on the
-/// imported arena behaves like the original.
-fn check_free_list(what: &str, free: &[u32], flags: &[u8], alive_bit: u8) -> Result<(), String> {
-    let dead = flags.iter().filter(|&&f| f & alive_bit == 0).count();
-    if free.len() != dead {
-        return Err(format!(
-            "{what} free list length {} does not match {dead} dead entries",
-            free.len()
-        ));
-    }
-    let mut seen = vec![false; flags.len()];
-    for &id in free {
-        match flags.get(id as usize) {
-            Some(&f) if f & alive_bit == 0 && !seen[id as usize] => seen[id as usize] = true,
-            _ => {
-                return Err(format!(
-                    "{what} free list names a live or repeated entry {id}"
-                ))
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The flat, serializable image of a [`ChunkArena`]: every bank cloned
-/// verbatim, with the ragged `occs` lists flattened into an offsets + data
-/// pair. Public so the persist layer can write it section-by-section.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ChunkArenaImage {
-    /// Splay parent per chunk id.
-    pub parent: Vec<u32>,
-    /// Splay left child per chunk id.
-    pub left: Vec<u32>,
-    /// Splay right child per chunk id.
-    pub right: Vec<u32>,
-    /// Splay subtree size per chunk id.
-    pub size: Vec<u32>,
-    /// Per-chunk ranges into `occ_data` (`len + 1` entries, starts at 0).
-    pub occ_offsets: Vec<u64>,
-    /// Concatenated per-chunk occurrence lists.
-    pub occ_data: Vec<u32>,
-    /// Adjacent-edge count per chunk id.
-    pub adj_count: Vec<u64>,
-    /// Chunk slot (`id_c`) per chunk id.
-    pub slot: Vec<u32>,
-    /// Row-bank slab handle per chunk id.
-    pub row: Vec<u32>,
-    /// Chunk flag byte (`ALIVE` / `QUEUED` bits).
-    pub flags: Vec<u8>,
-    /// Retired chunk ids, in recycling order.
-    pub free_ids: Vec<u32>,
-    /// Occurrence vertex bank.
-    pub occ_vertex: Vec<u32>,
-    /// Occurrence chunk bank.
-    pub occ_chunk: Vec<u32>,
-    /// Occurrence in-chunk position bank.
-    pub occ_pos: Vec<u32>,
-    /// Occurrence vertex-list position bank.
-    pub occ_vpos: Vec<u32>,
-    /// Occurrence arc-handle bank.
-    pub occ_arc: Vec<u32>,
-    /// Occurrence flag bank (`OCC_ALIVE` / `OCC_PRINCIPAL` / `OCC_ARC_FWD`).
-    pub occ_flags: Vec<u8>,
-    /// Retired occurrence ids, in recycling order.
-    pub occ_free: Vec<u32>,
 }
 
 /// Contiguous storage for the per-chunk `CAdj` rows (see module docs).
@@ -678,80 +499,6 @@ impl RowBank {
         let s = self.stride;
         disjoint_mut(&mut self.memb, dst as usize * s, src as usize * s, s)
     }
-
-    // ---- checkpoint images ----------------------------------------------
-
-    /// Flatten the bank into the serializable image: the `WKey` store split
-    /// into a raw-weight lane and an edge-id lane, membership as bytes, the
-    /// free list verbatim (recycling order is behaviour).
-    pub(crate) fn to_image(&self) -> RowBankImage {
-        RowBankImage {
-            stride: self.stride as u64,
-            slabs: self.slabs as u64,
-            key_weight: self.keys.iter().map(|k| k.weight.raw()).collect(),
-            key_edge: self.keys.iter().map(|k| k.edge.0).collect(),
-            memb: self.memb.iter().map(|&m| u8::from(m)).collect(),
-            free: self.free.clone(),
-        }
-    }
-
-    /// Rebuild a bank from [`RowBank::to_image`], validating the backing
-    /// store sizes against `slabs × stride` and the free list against the
-    /// slab count so a corrupted image cannot produce out-of-bounds slab
-    /// handles.
-    pub(crate) fn from_image(image: &RowBankImage) -> Result<Self, String> {
-        let stride = image.stride as usize;
-        let slabs = image.slabs as usize;
-        if image.key_weight.len() != slabs * 2 * stride
-            || image.key_edge.len() != image.key_weight.len()
-        {
-            return Err("row bank image key lanes disagree with slabs × stride".to_string());
-        }
-        if image.memb.len() != slabs * stride {
-            return Err("row bank image memb lane disagrees with slabs × stride".to_string());
-        }
-        let mut seen = vec![false; slabs];
-        for &slab in &image.free {
-            match seen.get_mut(slab as usize) {
-                Some(s) if !*s => *s = true,
-                _ => return Err(format!("row bank free list names invalid slab {slab}")),
-            }
-        }
-        if image.memb.iter().any(|&m| m > 1) {
-            return Err("row bank image memb lane holds non-boolean bytes".to_string());
-        }
-        Ok(RowBank {
-            stride,
-            keys: image
-                .key_weight
-                .iter()
-                .zip(&image.key_edge)
-                .map(|(&w, &e)| WKey::new(pdmsf_graph::Weight::from_raw(w), pdmsf_graph::EdgeId(e)))
-                .collect(),
-            memb: image.memb.iter().map(|&m| m == 1).collect(),
-            free: image.free.clone(),
-            slabs,
-        })
-    }
-}
-
-/// The flat, serializable image of a [`RowBank`]: scalar geometry plus the
-/// backing stores as primitive lanes. Public so the persist layer can write
-/// it section-by-section.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RowBankImage {
-    /// Row length (`J` upper bound).
-    pub stride: u64,
-    /// Slab count (live + free).
-    pub slabs: u64,
-    /// Raw weights of the `base`/`agg` key store (`slabs × 2 × stride`).
-    pub key_weight: Vec<i64>,
-    /// Edge ids of the `base`/`agg` key store.
-    pub key_edge: Vec<u32>,
-    /// Membership rows as bytes (`slabs × stride`).
-    pub memb: Vec<u8>,
-    /// Retired slab handles, in recycling order.
-    pub free: Vec<u32>,
 }
 
 /// Split one backing slice into a mutable window at `dst` and a shared
@@ -842,98 +589,6 @@ mod tests {
         // Backing stores are exactly slabs × stride — contiguous, no gaps.
         assert_eq!(b.keys.len(), 2 * 2 * 5);
         assert_eq!(b.memb.len(), 2 * 5);
-    }
-
-    #[test]
-    fn row_bank_image_round_trips_free_lists_handles_and_stride() {
-        let mut b = RowBank::default();
-        b.grow_stride(3);
-        let k = |w: i64, id: u32| WKey::new(pdmsf_graph::Weight::new(w), pdmsf_graph::EdgeId(id));
-        let s0 = b.alloc();
-        let s1 = b.alloc();
-        let s2 = b.alloc();
-        b.base_mut(s0).copy_from_slice(&[k(1, 0), k(2, 1), k(3, 2)]);
-        b.agg_mut(s1)[1] = k(-7, 9);
-        b.memb_mut(s2)[0] = true;
-        b.free(s1);
-        b.free(s0);
-
-        // Import of an export is indistinguishable: same geometry, same row
-        // contents, and — crucially — the same recycling order for the next
-        // allocations.
-        let mut r = RowBank::from_image(&b.to_image()).expect("round trip");
-        assert_eq!(r.stride(), 3);
-        assert_eq!(r.num_slabs(), 3);
-        assert_eq!(r.num_free(), 2);
-        assert_eq!(r.memb(s2), b.memb(s2));
-        assert_eq!(r.base(s2), b.base(s2));
-        assert_eq!((r.alloc(), r.alloc()), (b.alloc(), b.alloc()));
-
-        // Round trip survives a stride growth (the compacting sweep): grow,
-        // export, import, and the re-laid-out slabs still agree.
-        b.grow_stride(6);
-        let r2 = RowBank::from_image(&b.to_image()).expect("round trip after grow");
-        assert_eq!(r2.stride(), 6);
-        for s in [s0, s1, s2] {
-            assert_eq!(r2.base(s), b.base(s));
-            assert_eq!(r2.agg(s), b.agg(s));
-            assert_eq!(r2.memb(s), b.memb(s));
-        }
-
-        // Corruption is rejected, not absorbed: a free list naming a live
-        // slab, and a key lane whose length disagrees with slabs × stride.
-        let mut bad = b.to_image();
-        bad.free = vec![0, 0];
-        assert!(RowBank::from_image(&bad).is_err());
-        let mut bad = b.to_image();
-        bad.key_weight.pop();
-        assert!(RowBank::from_image(&bad).is_err());
-    }
-
-    #[test]
-    fn chunk_arena_image_round_trips_banks_and_free_lists() {
-        let mut a = ChunkArena::default();
-        let c0 = a.alloc();
-        let c1 = a.alloc();
-        let c2 = a.alloc();
-        let o0 = a.occ_alloc(VertexId(4), 0);
-        let o1 = a.occ_alloc(VertexId(5), 1);
-        a.occs[c1 as usize].extend([o0, o1]);
-        a.restamp_occs(c1, 0);
-        a.adj_count[c1 as usize] = 2;
-        a.slot[c1 as usize] = 0;
-        a.row[c1 as usize] = 7;
-        a.set_queued(c1, true);
-        a.set_occ_principal(o0, true);
-        a.set_occ_arc(o1, Some((3, true)));
-        a.free(c0);
-        a.occ_release(o0);
-        let _ = c2;
-
-        let mut r = ChunkArena::from_image(&a.to_image()).expect("round trip");
-        assert_eq!(r.len(), a.len());
-        assert_eq!(r.occ_len(), a.occ_len());
-        assert!(!r.alive(c0) && r.alive(c1));
-        assert!(r.queued(c1));
-        assert_eq!(r.nc(c1), 4);
-        assert_eq!(r.occs[c1 as usize], vec![o0, o1]);
-        assert_eq!((r.slot[c1 as usize], r.row[c1 as usize]), (0, 7));
-        assert!(!r.occ_alive(o0) && r.occ_alive(o1));
-        assert_eq!(r.occ_vert(o1), VertexId(5));
-        assert_eq!(r.occ_arc(o1), Some((3, true)));
-        assert!(!r.occ_principal(o1));
-        // Recycling order is preserved exactly.
-        assert_eq!(r.alloc(), a.alloc());
-        assert_eq!(r.occ_alloc(VertexId(9), 0), a.occ_alloc(VertexId(9), 0));
-
-        // A free list naming a live chunk is rejected.
-        let mut bad = a.to_image();
-        bad.free_ids = vec![c1];
-        assert!(ChunkArena::from_image(&bad).is_err());
-        // Lane-length disagreement is rejected.
-        let mut bad = a.to_image();
-        bad.occ_pos.pop();
-        assert!(ChunkArena::from_image(&bad).is_err());
     }
 
     #[test]

@@ -51,7 +51,6 @@ use pdmsf_pram::kernels::log2_ceil;
 use pdmsf_pram::CostMeter;
 
 pub(crate) use arena::{ChunkArena, RowBank};
-pub use arena::{ChunkArenaImage, RowBankImage};
 
 /// Sentinel index ("null pointer") used by every arena in this module.
 pub(crate) const NONE: u32 = u32::MAX;

@@ -681,6 +681,81 @@ fn assert_every_path_ran(before: [u64; 4], what: &str) {
     }
 }
 
+/// A structure built by `from_graph` from the graph of one built update by
+/// update (a history with deletions) has the same forest and weight,
+/// validates, and returns the same delta for every further update, at
+/// `K = 2`, a small `K` and the default `K`. The bulk build links every
+/// tree edge by splicing a one-vertex tour: no general link runs.
+#[test]
+fn from_graph_matches_an_incremental_build() {
+    use crate::forest::CostModel;
+    use crate::seq::default_sequential_k;
+    let n = 64;
+    let stream = UpdateStream::generate(&UpdateStreamSpec {
+        base: GraphSpec::RandomSparse {
+            n,
+            m: 2 * n,
+            seed: 23,
+        },
+        ops: 600,
+        kind: StreamKind::Mixed {
+            insert_permille: 500,
+        },
+        seed: 29,
+    });
+    let split = 300;
+    for k in [2, 5, default_sequential_k(n)] {
+        let mut incremental = SeqDynamicMsf::with_parameters(n, k, CostModel::Erew);
+        let mut bulk: Option<SeqDynamicMsf> = None;
+        let mut step = 0;
+        stream.replay_with(|mirror, op| {
+            match op {
+                None => {
+                    for e in mirror.edges() {
+                        incremental.insert(e);
+                    }
+                }
+                Some(UpdateOp::Insert { .. }) => {
+                    let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
+                    let delta = incremental.insert(newest);
+                    if let Some(b) = bulk.as_mut() {
+                        assert_eq!(b.insert(newest), delta, "insert delta at K = {k}");
+                    }
+                }
+                Some(UpdateOp::Delete { id }) => {
+                    let delta = incremental.delete(*id);
+                    if let Some(b) = bulk.as_mut() {
+                        assert_eq!(b.delete(*id), delta, "delete delta at K = {k}");
+                    }
+                }
+            }
+            step += 1;
+            if step == split {
+                let before = surgeries();
+                let built = SeqDynamicMsf::from_graph(mirror, k, CostModel::Erew);
+                let after = surgeries();
+                assert_eq!(after[2], before[2], "a general link ran in the bulk build");
+                assert_eq!(
+                    after[0] - before[0],
+                    built.num_forest_edges() as u64,
+                    "every tree edge is spliced"
+                );
+                assert_eq!(built.meter().num_ops(), 0, "the meter starts fresh");
+                built.validate();
+                bulk = Some(built);
+            }
+            if let Some(b) = &bulk {
+                assert_eq!(b.forest_edges(), incremental.forest_edges(), "K = {k}");
+                assert_eq!(b.forest_weight(), incremental.forest_weight(), "K = {k}");
+            }
+        });
+        let bulk = bulk.expect("the stream reaches the split");
+        assert!(bulk.num_forest_edges() > 0);
+        bulk.validate();
+        incremental.validate();
+    }
+}
+
 #[test]
 fn meter_accumulates_costs_per_operation() {
     let mut s = erew(16);

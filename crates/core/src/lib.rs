@@ -15,7 +15,9 @@
 //!   `K = sqrt(n log n)`) and, with [`CostModel::Erew`] at `K = sqrt n`, the
 //!   EREW PRAM structure of Theorem 3.1 / 1.1 (`O(log n)` parallel depth,
 //!   `O(sqrt n)` processors, `O(sqrt n log n)` work), metered with the
-//!   cost-model substrate of `pdmsf-pram`.
+//!   cost-model substrate of `pdmsf-pram`. [`seq::SeqDynamicMsf::from_graph`]
+//!   builds the structure over a graph's live edges, which is how a
+//!   checkpoint (it stores only the graph) restores.
 //! * [`sparsify`] — the sparsification tree of Section 5 (Eppstein et al.),
 //!   generic over the per-level dynamic-MSF structure, which removes the
 //!   sparsity assumption (`m = O(n)`) without changing the asymptotic costs.
@@ -85,12 +87,8 @@
 
 pub mod forest;
 pub mod seq;
-pub mod snapshot;
 pub mod sparsify;
 
-pub use forest::{
-    ChunkArenaImage, ChunkedEulerForest, CostModel, EdgeRec, ForestStats, RowBankImage,
-};
+pub use forest::{ChunkedEulerForest, CostModel, EdgeRec, ForestStats};
 pub use seq::SeqDynamicMsf;
-pub use snapshot::MsfImage;
 pub use sparsify::SparsifiedMsf;

@@ -28,9 +28,8 @@
 //! in `O(log J)` depth, the sequential trade-off is the faster one.
 
 use crate::forest::{log_depth, ChunkedEulerForest, CostModel, ForestStats};
-use crate::snapshot::MsfImage;
 use pdmsf_dyntree::LinkCutForest;
-use pdmsf_graph::{DynamicMsf, Edge, EdgeId, MsfDelta, VertexId, WKey};
+use pdmsf_graph::{kruskal_msf, DynGraph, DynamicMsf, Edge, EdgeId, MsfDelta, VertexId, WKey};
 use pdmsf_pram::{CostMeter, CostReport, ExecMode};
 
 /// The paper's default sequential chunk parameter `K = sqrt(n log n)`,
@@ -73,6 +72,57 @@ impl SeqDynamicMsf {
             forest_weight: 0,
             last_op: CostReport::default(),
         }
+    }
+
+    /// A structure over the vertices and live edges of `graph`, at chunk
+    /// parameter `k` and cost model `model` (how a checkpoint, which holds
+    /// only the graph, restores). [`kruskal_msf`] picks the forest, which
+    /// is unique under `WKey` order. A traversal of each tree then
+    /// registers and links every tree edge as it is discovered, so each
+    /// link attaches a one-vertex tour and takes the splice path; the
+    /// non-tree edges are registered after. Stale aggregates are
+    /// recomputed once at the end, and the meter starts fresh.
+    ///
+    /// The forest and every future answer and delta are those of any
+    /// structure holding the same edges. The chunking is not (Invariant 1
+    /// admits any), so later meter charges can differ.
+    pub fn from_graph(graph: &DynGraph, k: usize, model: CostModel) -> Self {
+        let n = graph.num_vertices();
+        let mut s = Self::with_parameters(n, k, model);
+        let mut tree_adj: Vec<Vec<Edge>> = vec![Vec::new(); n];
+        for id in kruskal_msf(graph).edges {
+            let e = graph.edge_unchecked(id);
+            tree_adj[e.u.index()].push(e);
+            tree_adj[e.v.index()].push(e);
+        }
+        let mut seen = vec![false; n];
+        let mut stack = Vec::new();
+        for root in 0..n {
+            if seen[root] {
+                continue;
+            }
+            seen[root] = true;
+            stack.push(VertexId::from(root));
+            while let Some(x) = stack.pop() {
+                for &e in &tree_adj[x.index()] {
+                    let y = e.other(x);
+                    if !seen[y.index()] {
+                        seen[y.index()] = true;
+                        s.forest.insert_graph_edge(e);
+                        s.add_forest_edge(e);
+                        stack.push(y);
+                    }
+                }
+            }
+        }
+        for e in graph.edges() {
+            if !s.forest.has_edge(e.id) {
+                s.forest.insert_graph_edge(e);
+            }
+        }
+        s.forest.recompute_stale();
+        s.forest.meter = CostMeter::new();
+        s
     }
 
     /// The cost meter accumulating per-update depth / work / processors.
@@ -133,56 +183,6 @@ impl SeqDynamicMsf {
         self.charge_lct();
         self.num_tree_edges -= 1;
         self.forest_weight -= e.weight.as_summable();
-    }
-
-    /// Flatten the structure into its serializable [`MsfImage`] (bank dumps
-    /// plus bookkeeping scalars; see [`crate::snapshot`] for what is
-    /// rebuilt instead of stored).
-    pub fn to_image(&self) -> MsfImage {
-        crate::snapshot::forest_to_image(&self.forest, self.num_tree_edges, self.forest_weight)
-    }
-
-    /// Rebuild a structure from [`SeqDynamicMsf::to_image`]; future
-    /// behaviour is identical to the exported original. The link-cut tree
-    /// is rebuilt from the checkpointed tree edges in id order (forest
-    /// edges never cycle, and every link-cut answer is independent of
-    /// splay shape because `WKey`s are unique), and the bookkeeping scalars
-    /// are cross-validated against them.
-    pub fn from_image(image: &MsfImage) -> Result<Self, String> {
-        let forest = crate::snapshot::forest_from_image(image)?;
-        let tree = forest.tree_edges();
-        if tree.len() as u64 != image.num_tree_edges {
-            return Err(format!(
-                "msf image claims {} tree edges but stores {}",
-                image.num_tree_edges,
-                tree.len()
-            ));
-        }
-        let mut lct = LinkCutForest::new(forest.num_vertices());
-        let mut weight = 0i128;
-        for e in &tree {
-            if lct.connected(e.u, e.v) {
-                return Err(format!(
-                    "msf image tree edges contain a cycle at {:?}",
-                    e.id
-                ));
-            }
-            lct.link(e.u, e.v, e.id, WKey::new(e.weight, e.id));
-            weight += e.weight.as_summable();
-        }
-        if weight != image.forest_weight {
-            return Err(format!(
-                "msf image claims forest weight {} but edges sum to {weight}",
-                image.forest_weight
-            ));
-        }
-        Ok(SeqDynamicMsf {
-            forest,
-            lct,
-            num_tree_edges: tree.len(),
-            forest_weight: weight,
-            last_op: CostReport::default(),
-        })
     }
 }
 

@@ -451,50 +451,24 @@ impl Engine {
     }
 
     /// Assemble an engine from restored parts (the checkpoint/restore path
-    /// of `pdmsf-persist`). The mirror and the structure are cross-validated
-    /// edge by edge: every live mirror edge is held, with the same endpoints
-    /// and weight, by the structure, and the structure holds no other edge
-    /// (no dead or unknown id). So a checkpoint whose sections passed their
-    /// CRCs individually but disagree with each other is still refused.
+    /// of `pdmsf-persist`): the id-allocating mirror, the chunk parameter
+    /// `k`, the counters and the op-log sequence number. The structure is
+    /// built from the mirror's live edges ([`SeqDynamicMsf::from_graph`]),
+    /// so the two cannot disagree.
     ///
-    /// The engine keeps the structure's checkpointed chunk parameter `K`,
-    /// even where it differs from what [`Engine::new`] would pick today
-    /// (checkpoints written when engines served at `K = sqrt n` restore at
-    /// that `K`); re-chunking would change the structure's bytes.
+    /// The engine keeps the checkpointed `k`, even where it differs from
+    /// what [`Engine::new`] would pick today (checkpoints written when
+    /// engines served at `K = sqrt n` restore at that `K`): every answer
+    /// is the same at any `K`, and the per-update cost stays what the
+    /// checkpointing engine paid.
     pub fn from_restored_parts(
         graph: DynGraph,
-        msf: SeqDynamicMsf,
+        k: usize,
         stats: EngineStats,
         applied_seq: u64,
-    ) -> Result<Engine, String> {
-        if graph.num_vertices() != msf.num_vertices() {
-            return Err(format!(
-                "restored mirror has {} vertices but the structure has {}",
-                graph.num_vertices(),
-                msf.num_vertices()
-            ));
-        }
-        for raw in 0..graph.edge_id_bound() as u32 {
-            let Some(g) = graph.edge(EdgeId(raw)) else {
-                continue;
-            };
-            let held = msf.forest().edge(g.id).ok_or_else(|| {
-                format!("edge {raw} is live in the mirror, absent from the structure")
-            })?;
-            if (g.u, g.v, g.weight) != (held.u, held.v, held.weight) {
-                return Err(format!("edge {raw} differs between mirror and msf"));
-            }
-        }
-        // Every live mirror edge sits in the structure, so equal totals
-        // leave no room for any other edge.
-        let held = msf.forest().num_edges();
-        if held != graph.num_edges() {
-            return Err(format!(
-                "the structure holds {held} edges but the mirror has {} live edges",
-                graph.num_edges()
-            ));
-        }
-        Ok(Engine::assemble(graph, msf, stats, applied_seq))
+    ) -> Engine {
+        let msf = SeqDynamicMsf::from_graph(&graph, k, CostModel::Erew);
+        Engine::assemble(graph, msf, stats, applied_seq)
     }
 
     /// Attach a write-ahead op log. Every subsequent state-mutating batch is
@@ -1291,45 +1265,36 @@ mod tests {
     }
 
     #[test]
-    fn restored_parts_are_cross_validated() {
-        let mut engine = Engine::new(6);
-        engine.execute(&[link(0, 1, 2), link(1, 2, 5), Op::Cut { id: EdgeId(0) }]);
-        let image = engine.structure().to_image();
-        let mirror = engine.graph().to_image();
-
-        let restore = |image: &pdmsf_core::MsfImage| SeqDynamicMsf::from_image(image).unwrap();
-        let graph = pdmsf_graph::DynGraph::from_image(&mirror).unwrap();
-        let msf = restore(&image);
-        let restored =
-            Engine::from_restored_parts(graph, msf, engine.stats(), engine.applied_seq()).unwrap();
-        assert_eq!(restored.forest_edges(), engine.forest_edges());
-        assert_eq!(restored.applied_seq(), engine.applied_seq());
-        assert_eq!(restored.stats(), engine.stats());
-
-        // A mirror that disagrees with the structure is refused: re-import
-        // the mirror with the cut edge 0 resurrected (structurally valid on
-        // its own — only the cross-check can catch it).
-        let mut tampered = mirror.clone();
-        tampered.edge_alive[0] = 1;
-        let graph2 = pdmsf_graph::DynGraph::from_image(&tampered).unwrap();
-        let msf2 = restore(&image);
-        assert!(Engine::from_restored_parts(graph2, msf2, engine.stats(), 1).is_err());
-
-        // So is a structure holding an edge the mirror never saw: the same
-        // script plus one more link, restored against the original mirror.
-        let mut ahead = Engine::new(6);
-        ahead.execute(&[
+    fn restored_parts_rebuild_the_structure_from_the_mirror() {
+        let mut engine = Engine::with_chunk_parameter(6, 2);
+        engine.execute(&[
             link(0, 1, 2),
             link(1, 2, 5),
+            link(0, 2, 1),
             Op::Cut { id: EdgeId(0) },
-            link(3, 4, 7),
         ]);
-        let graph3 = pdmsf_graph::DynGraph::from_image(&mirror).unwrap();
-        let msf3 = restore(&ahead.structure().to_image());
-        let err = Engine::from_restored_parts(graph3, msf3, engine.stats(), 1)
-            .err()
-            .expect("a structure edge unknown to the mirror was accepted");
-        assert!(err.contains("holds 2 edges"), "{err}");
+        let graph = pdmsf_graph::DynGraph::from_image(&engine.graph().to_image()).unwrap();
+        let mut restored =
+            Engine::from_restored_parts(graph, 2, engine.stats(), engine.applied_seq());
+        restored.structure().validate();
+        assert_eq!(restored.structure().chunk_parameter(), 2);
+        assert_eq!(restored.forest_edges(), engine.forest_edges());
+        assert_eq!(restored.forest_weight(), engine.forest_weight());
+        assert_eq!(restored.applied_seq(), engine.applied_seq());
+        assert_eq!(restored.stats(), engine.stats());
+        // The restored engine goes on like the original, ids included.
+        let ops = [
+            link(3, 4, 7),
+            Op::Cut { id: EdgeId(2) },
+            link(2, 3, 1),
+            qconn(0, 4),
+        ];
+        assert_eq!(
+            restored.execute(&ops).outcomes,
+            engine.execute(&ops).outcomes
+        );
+        assert_eq!(restored.forest_edges(), engine.forest_edges());
+        restored.structure().validate();
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   a dense `u32` slot (with a free-list, so slot storage stays proportional
 //!   to the number of *live* edges no matter how many ids history has
 //!   consumed). The slot is a stable handle for the lifetime of the edge:
-//!   callers store handles (the chunked forest's Euler-tour arc tails, its
-//!   checkpointed adjacency) and resolve them with a single indexed load,
-//!   skipping even the id-to-slot translation.
+//!   callers store handles (the chunked forest's Euler-tour arc tails) and
+//!   resolve them with a single indexed load, skipping even the id-to-slot
+//!   translation.
 
 use crate::graph::Edge;
 use crate::ids::EdgeId;
@@ -138,58 +138,6 @@ impl<T> Default for EdgeSlotMap<T> {
 }
 
 impl<T: Copy> EdgeSlotMap<T> {
-    /// Borrow the raw slot storage for serialization: the owning id of every
-    /// slot (vacant slots are [`EdgeId::NONE`]), the parallel value lane, and
-    /// the free list. Together with [`EdgeSlotMap::from_raw_parts`] this
-    /// round-trips the map *exactly* — including handle values and the order
-    /// in which freed slots will be recycled.
-    pub fn raw_parts(&self) -> (&[EdgeId], &[T], &[u32]) {
-        (&self.ids, &self.vals, &self.free)
-    }
-
-    /// Rebuild a slot map from the parts of [`EdgeSlotMap::raw_parts`]. The
-    /// paged index is reconstructed from `ids`; the free list is validated
-    /// against the vacant slots (every vacant slot on it exactly once), so a
-    /// corrupted or hand-rolled snapshot is rejected instead of producing a
-    /// map that double-allocates handles.
-    pub fn from_raw_parts(ids: Vec<EdgeId>, vals: Vec<T>, free: Vec<u32>) -> Result<Self, String> {
-        if ids.len() != vals.len() {
-            return Err(format!(
-                "slot map lanes disagree: {} ids vs {} values",
-                ids.len(),
-                vals.len()
-            ));
-        }
-        let mut index = EdgeIdIndex::new();
-        let mut vacant = 0usize;
-        for (slot, id) in ids.iter().enumerate() {
-            if id.is_none() {
-                vacant += 1;
-            } else if index.set(*id, slot as u32).is_some() {
-                return Err(format!("edge {id:?} owns two slots"));
-            }
-        }
-        if free.len() != vacant {
-            return Err(format!(
-                "free list length {} does not match {vacant} vacant slots",
-                free.len()
-            ));
-        }
-        let mut seen = vec![false; ids.len()];
-        for &slot in &free {
-            match ids.get(slot as usize) {
-                Some(id) if id.is_none() && !seen[slot as usize] => seen[slot as usize] = true,
-                _ => return Err(format!("free list names occupied or repeated slot {slot}")),
-            }
-        }
-        Ok(EdgeSlotMap {
-            index,
-            ids,
-            vals,
-            free,
-        })
-    }
-
     /// Register `id`, returning its handle.
     ///
     /// # Panics

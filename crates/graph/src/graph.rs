@@ -254,10 +254,12 @@ impl DynGraph {
         }
     }
 
-    /// Rebuild a graph from [`DynGraph::to_image`], validating structural
-    /// consistency (lane lengths, offset monotonicity, adjacency ids in
-    /// range) so a corrupted image is rejected rather than deserialized into
-    /// a graph that panics later.
+    /// Rebuild a graph from [`DynGraph::to_image`], validating it so that
+    /// a corrupt image is rejected rather than deserialized into a graph
+    /// that panics later: lane lengths and offsets agree, every endpoint is
+    /// a vertex, every listed id names a live edge touching its vertex, and
+    /// every live edge is listed exactly once at each endpoint (once in all
+    /// for a self-loop).
     pub fn from_image(image: &DynGraphImage) -> Result<Self, String> {
         let m = image.edge_u.len();
         if image.edge_v.len() != m || image.edge_weight.len() != m || image.edge_alive.len() != m {
@@ -269,22 +271,30 @@ impl DynGraph {
         if image.adj_offsets.last().copied() != Some(image.adj_data.len() as u64) {
             return Err("graph image adjacency offsets do not cover the data".to_string());
         }
+        let n = image.adj_offsets.len() - 1;
         let mut edges = Vec::with_capacity(m);
         let mut live_edges = 0usize;
         for i in 0..m {
             if image.edge_alive[i] > 1 {
                 return Err(format!("graph image edge {i} has a non-boolean alive flag"));
             }
+            let (u, v) = (image.edge_u[i], image.edge_v[i]);
+            if u as usize >= n || v as usize >= n {
+                return Err(format!(
+                    "graph image edge {i} joins {u}–{v} in a graph of {n} vertices"
+                ));
+            }
             let alive = image.edge_alive[i] == 1;
             live_edges += usize::from(alive);
             edges.push(EdgeSlot {
-                u: VertexId(image.edge_u[i]),
-                v: VertexId(image.edge_v[i]),
+                u: VertexId(u),
+                v: VertexId(v),
                 weight: Weight::from_raw(image.edge_weight[i]),
                 alive,
             });
         }
-        let n = image.adj_offsets.len() - 1;
+        // Per edge: bit 0 = listed at `u`, bit 1 = listed at `v`.
+        let mut listed = vec![0u8; m];
         let mut adjacency = Vec::with_capacity(n);
         for v in 0..n {
             let lo = image.adj_offsets[v] as usize;
@@ -294,11 +304,33 @@ impl DynGraph {
             }
             let list: Vec<EdgeId> = image.adj_data[lo..hi].iter().map(|&e| EdgeId(e)).collect();
             for id in &list {
-                if id.index() >= m || !edges[id.index()].alive {
-                    return Err(format!("graph image adjacency of v{v} names dead {id:?}"));
+                let slot = match edges.get(id.index()) {
+                    Some(slot) if slot.alive => slot,
+                    _ => return Err(format!("graph image adjacency of v{v} names dead {id:?}")),
+                };
+                let bit = if slot.u.index() == v {
+                    1
+                } else if slot.v.index() == v {
+                    2
+                } else {
+                    return Err(format!(
+                        "graph image adjacency of v{v} holds {id:?}, which misses it"
+                    ));
+                };
+                if listed[id.index()] & bit != 0 {
+                    return Err(format!("graph image adjacency of v{v} lists {id:?} twice"));
                 }
+                listed[id.index()] |= bit;
             }
             adjacency.push(list);
+        }
+        for (i, slot) in edges.iter().enumerate() {
+            let want = if slot.u == slot.v { 1 } else { 3 };
+            if slot.alive && listed[i] != want {
+                return Err(format!(
+                    "graph image adjacency misses live edge {i} at an endpoint"
+                ));
+            }
         }
         Ok(DynGraph {
             edges,
@@ -404,6 +436,72 @@ mod tests {
         let a = g.insert_edge(VertexId(0), VertexId(1), w(1));
         g.delete_edge(a);
         g.delete_edge(a);
+    }
+
+    /// Vertices 0..4: edges 0 = 0–1, 1 = 1–2 (deleted), 2 = 2–3, 3 = a
+    /// self-loop at 3, 4 = 1–3.
+    fn image_base() -> DynGraphImage {
+        let mut g = DynGraph::new(4);
+        g.insert_edge(VertexId(0), VertexId(1), w(5));
+        let dead = g.insert_edge(VertexId(1), VertexId(2), w(2));
+        g.insert_edge(VertexId(2), VertexId(3), w(7));
+        g.insert_edge(VertexId(3), VertexId(3), w(1));
+        g.insert_edge(VertexId(1), VertexId(3), w(4));
+        g.delete_edge(dead);
+        g.to_image()
+    }
+
+    /// The position of `id` in `v`'s adjacency run of `image`.
+    fn listed_at(image: &DynGraphImage, v: usize, id: u32) -> usize {
+        let (lo, hi) = (
+            image.adj_offsets[v] as usize,
+            image.adj_offsets[v + 1] as usize,
+        );
+        lo + image.adj_data[lo..hi]
+            .iter()
+            .position(|&e| e == id)
+            .unwrap()
+    }
+
+    #[test]
+    fn image_import_rejects_bad_endpoints_and_adjacency() {
+        let good = image_base();
+        let g = DynGraph::from_image(&good).expect("a valid image imports");
+        assert_eq!(g.to_image(), good);
+        assert_eq!(g.num_edges(), 4);
+        let refused = |image: &DynGraphImage, what: &str| {
+            let err = DynGraph::from_image(image).expect_err(what);
+            assert!(err.contains("graph image"), "{what}: {err}");
+        };
+
+        // A live edge naming vertex 99 of a 4-vertex graph.
+        let mut bad = good.clone();
+        bad.edge_v[2] = 99;
+        refused(&bad, "an out-of-range endpoint");
+        // A live edge no adjacency list names: the dead edge 1 revived.
+        let mut bad = good.clone();
+        bad.edge_alive[1] = 1;
+        refused(&bad, "an unlisted live edge");
+        // A listed id that misses its vertex: 0's entry for 0–1 replaced
+        // by 2–3.
+        let mut bad = good.clone();
+        bad.adj_data[listed_at(&good, 0, 0)] = 2;
+        refused(&bad, "an entry that misses its vertex");
+        // An edge listed twice at one endpoint and missing at the other:
+        // 1's entry for 0–1 replaced by its entry for 1–3.
+        let mut bad = good.clone();
+        bad.adj_data[listed_at(&good, 1, 0)] = 4;
+        refused(&bad, "an edge listed twice at one endpoint");
+        // A self-loop listed twice at its vertex: 3's entry for 2–3
+        // replaced by the loop.
+        let mut bad = good.clone();
+        bad.adj_data[listed_at(&good, 3, 2)] = 3;
+        refused(&bad, "a self-loop listed twice");
+        // A dead edge's endpoints must be vertices too (the tenant maps of
+        // a service are derived from them).
+        let mut bad = good;
+        bad.edge_u[1] = 4;
+        refused(&bad, "a dead edge off the vertex range");
     }
 
     #[test]

@@ -1,30 +1,34 @@
-//! Checkpointing: flatten an [`Engine`] or a [`ShardedService`] into the
+//! Checkpointing: write an [`Engine`] or a [`ShardedService`] as the
 //! versioned, CRC-guarded section stream of [`crate::format`], and restore
-//! it — with every image importer's structural validation *and* the
-//! engine/service-level cross-validation applied on the way back in, so a
-//! checkpoint either restores to exactly the state that was saved or is
+//! it, so a checkpoint either restores to the state that was saved or is
 //! refused with an error naming what broke.
 //!
-//! What a checkpoint holds is the serializable image layer of the stack:
-//! the [`DynGraph`] mirror image, the full SoA bank image of the MSF
-//! structure ([`pdmsf_core::MsfImage`] — chunk banks, row bank, free lists
-//! in recycling order), the engine's op-log sequence number and counters,
-//! and (for a service) the tenant table. Everything rebuilt instead of
-//! stored — the link-cut tree, the cost meter, scratch buffers — is
-//! documented in `pdmsf_core::snapshot`.
+//! A checkpoint is the graph. Per engine it holds the planner scalars (the
+//! op-log sequence number and the counters), the [`DynGraph`] mirror's
+//! image (the edge slots, which allocate edge ids, and the adjacency
+//! lists) and the chunk parameter `K`; a service checkpoint adds the
+//! tenant placements. Nothing of the MSF structure is stored: the MSF is
+//! unique under `WKey` order, so restore rebuilds the structure from the
+//! mirror ([`pdmsf_core::SeqDynamicMsf::from_graph`]) and re-derives every
+//! tenant's edge-id map from the shard mirrors. Outcomes, forests and
+//! future op-log bytes are those of the engine that checkpointed; the
+//! chunking, and so the meter's charges, may differ.
 //!
-//! Engines split into several component partitions once appended a
-//! **tail** to their engine section (the partition count first, then the
+//! Version 1 ([`crate::FORMAT_VERSION`] is 2) also dumped the structure's
+//! banks after the mirror, and stored each tenant's edge-id map. Restore
+//! reads its scalars, mirror and `K`, skips the structure lanes, and
+//! refuses a stored tenant map that differs from the derived one. Engines
+//! split into several component partitions once appended a **tail** to
+//! their version-1 engine section (the partition count first, then the
 //! further partitions). Those engines are gone; a section that still
-//! carries such a tail is refused as [`PersistError::Inconsistent`], naming
-//! its partition count.
+//! carries such a tail is refused as [`PersistError::Inconsistent`],
+//! naming its partition count.
 
 use std::io::{Read, Write};
 use std::time::Instant;
 
-use pdmsf_core::{ChunkArenaImage, MsfImage, RowBankImage, SeqDynamicMsf};
 use pdmsf_engine::{Engine, EngineStats};
-use pdmsf_graph::{DynGraph, DynGraphImage, EdgeId, TenantId};
+use pdmsf_graph::{DynGraph, DynGraphImage, TenantId};
 use pdmsf_shard::{ServiceStats, ShardedService, TenantRecord};
 
 use crate::format::{
@@ -60,11 +64,6 @@ fn encode_engine(engine: &Engine) -> Vec<u8> {
     e.u64(s.queries);
     e.u64(s.deduped_queries);
     e.u64(s.snapshots);
-    // Two retired counters (update groups and group conflicts of the
-    // partitioned engines), kept as zeros so the layout does not move.
-    e.u64(0);
-    e.u64(0);
-
     let g = engine.graph().to_image();
     e.lane_u32(&g.edge_u);
     e.lane_u32(&g.edge_v);
@@ -72,12 +71,36 @@ fn encode_engine(engine: &Engine) -> Vec<u8> {
     e.lane_u8(&g.edge_alive);
     e.lane_u64(&g.adj_offsets);
     e.lane_u32(&g.adj_data);
-
-    encode_msf(&mut e, &engine.structure().to_image());
+    e.u64(engine.structure().chunk_parameter() as u64);
     e.into_bytes()
 }
 
-fn decode_engine(payload: &[u8]) -> Result<Engine, PersistError> {
+/// Skip the structure dump a version-1 engine section carried after its
+/// chunk parameter: this build rebuilds the structure from the mirror.
+fn skip_v1_structure(d: &mut Dec) -> Result<(), PersistError> {
+    // Cost model and exec bytes.
+    d.skip(2)?;
+    // Edge store (ids, endpoints, weights, arc tails, free list), the
+    // adjacency and occurrence lists, the principal copies.
+    for bytes in [4, 4, 4, 8, 4, 4, 4, 8, 4, 8, 4, 4, 4] {
+        d.skip_lane(bytes)?;
+    }
+    // Chunk banks (splay topology, occurrence lists, metadata, free list),
+    // then the occurrence banks.
+    for bytes in [4, 4, 4, 4, 8, 4, 8, 4, 4, 1, 4, 4, 4, 4, 4, 4, 1, 4] {
+        d.skip_lane(bytes)?;
+    }
+    // Row bank (stride and slab count, keys, membership, free list), chunk
+    // slots, free slots and touched chunks.
+    d.skip(16)?;
+    for bytes in [8, 4, 1, 4, 4, 4, 4] {
+        d.skip_lane(bytes)?;
+    }
+    // Tree-edge count and forest weight.
+    d.skip(24)
+}
+
+fn decode_engine(version: u32, payload: &[u8]) -> Result<Engine, PersistError> {
     let mut d = Dec::new(payload);
     let applied_seq = d.u64()?;
     let stats = EngineStats {
@@ -90,9 +113,10 @@ fn decode_engine(payload: &[u8]) -> Result<Engine, PersistError> {
         deduped_queries: d.u64()?,
         snapshots: d.u64()?,
     };
-    // The two retired group counters.
-    d.u64()?;
-    d.u64()?;
+    if version == 1 {
+        // Two retired counters of the partitioned engines, written as zeros.
+        d.skip(16)?;
+    }
     let graph_image = DynGraphImage {
         edge_u: d.lane_u32()?,
         edge_v: d.lane_u32()?,
@@ -101,128 +125,36 @@ fn decode_engine(payload: &[u8]) -> Result<Engine, PersistError> {
         adj_offsets: d.lane_u64()?,
         adj_data: d.lane_u32()?,
     };
-    let image = decode_msf(&mut d)?;
-    if d.remaining() > 0 {
-        let parts = d.u64()?;
-        return Err(if parts >= 2 {
-            PersistError::Inconsistent(format!(
-                "the engine section holds {parts} partitions; partitioned engines \
-                 no longer exist, so only one-partition checkpoints restore"
-            ))
-        } else {
-            PersistError::Corrupt(format!(
-                "engine tail declares {parts} partitions; only multi-partition engines wrote one"
-            ))
-        });
+    let k = d.u64()?;
+    if version == 1 {
+        skip_v1_structure(&mut d)?;
+        if d.remaining() > 0 {
+            let parts = d.u64()?;
+            return Err(if parts >= 2 {
+                PersistError::Inconsistent(format!(
+                    "the engine section holds {parts} partitions; partitioned engines \
+                     no longer exist, so only one-partition checkpoints restore"
+                ))
+            } else {
+                PersistError::Corrupt(format!(
+                    "engine tail declares {parts} partitions; only multi-partition engines wrote one"
+                ))
+            });
+        }
     }
-
+    d.finish("engine section")?;
+    if k < 2 {
+        return Err(PersistError::Inconsistent(format!(
+            "the engine section's chunk parameter {k} is below 2"
+        )));
+    }
     let graph = DynGraph::from_image(&graph_image).map_err(PersistError::Inconsistent)?;
-    let msf = SeqDynamicMsf::from_image(&image).map_err(PersistError::Inconsistent)?;
-    Engine::from_restored_parts(graph, msf, stats, applied_seq).map_err(PersistError::Inconsistent)
-}
-
-fn encode_msf(e: &mut Enc, m: &MsfImage) {
-    e.u64(m.k);
-    e.u8(m.model);
-    e.u8(m.exec);
-    e.lane_u32(&m.edge_ids);
-    e.lane_u32(&m.edge_u);
-    e.lane_u32(&m.edge_v);
-    e.lane_i64(&m.edge_weight);
-    e.lane_u32(&m.edge_fwd);
-    e.lane_u32(&m.edge_bwd);
-    e.lane_u32(&m.edge_free);
-    e.lane_u64(&m.adj_offsets);
-    e.lane_u32(&m.adj_data);
-    e.lane_u64(&m.vocc_offsets);
-    e.lane_u32(&m.vocc_data);
-    e.lane_u32(&m.principal);
-    e.lane_u32(&m.vertex_chunk);
-    let c = &m.chunks;
-    e.lane_u32(&c.parent);
-    e.lane_u32(&c.left);
-    e.lane_u32(&c.right);
-    e.lane_u32(&c.size);
-    e.lane_u64(&c.occ_offsets);
-    e.lane_u32(&c.occ_data);
-    e.lane_u64(&c.adj_count);
-    e.lane_u32(&c.slot);
-    e.lane_u32(&c.row);
-    e.lane_u8(&c.flags);
-    e.lane_u32(&c.free_ids);
-    e.lane_u32(&c.occ_vertex);
-    e.lane_u32(&c.occ_chunk);
-    e.lane_u32(&c.occ_pos);
-    e.lane_u32(&c.occ_vpos);
-    e.lane_u32(&c.occ_arc);
-    e.lane_u8(&c.occ_flags);
-    e.lane_u32(&c.occ_free);
-    let r = &m.rows;
-    e.u64(r.stride);
-    e.u64(r.slabs);
-    e.lane_i64(&r.key_weight);
-    e.lane_u32(&r.key_edge);
-    e.lane_u8(&r.memb);
-    e.lane_u32(&r.free);
-    e.lane_u32(&m.slot_owner);
-    e.lane_u32(&m.slot_free);
-    e.lane_u32(&m.touched);
-    e.u64(m.num_tree_edges);
-    e.i128(m.forest_weight);
-}
-
-fn decode_msf(d: &mut Dec) -> Result<MsfImage, PersistError> {
-    Ok(MsfImage {
-        k: d.u64()?,
-        model: d.u8()?,
-        exec: d.u8()?,
-        edge_ids: d.lane_u32()?,
-        edge_u: d.lane_u32()?,
-        edge_v: d.lane_u32()?,
-        edge_weight: d.lane_i64()?,
-        edge_fwd: d.lane_u32()?,
-        edge_bwd: d.lane_u32()?,
-        edge_free: d.lane_u32()?,
-        adj_offsets: d.lane_u64()?,
-        adj_data: d.lane_u32()?,
-        vocc_offsets: d.lane_u64()?,
-        vocc_data: d.lane_u32()?,
-        principal: d.lane_u32()?,
-        vertex_chunk: d.lane_u32()?,
-        chunks: ChunkArenaImage {
-            parent: d.lane_u32()?,
-            left: d.lane_u32()?,
-            right: d.lane_u32()?,
-            size: d.lane_u32()?,
-            occ_offsets: d.lane_u64()?,
-            occ_data: d.lane_u32()?,
-            adj_count: d.lane_u64()?,
-            slot: d.lane_u32()?,
-            row: d.lane_u32()?,
-            flags: d.lane_u8()?,
-            free_ids: d.lane_u32()?,
-            occ_vertex: d.lane_u32()?,
-            occ_chunk: d.lane_u32()?,
-            occ_pos: d.lane_u32()?,
-            occ_vpos: d.lane_u32()?,
-            occ_arc: d.lane_u32()?,
-            occ_flags: d.lane_u8()?,
-            occ_free: d.lane_u32()?,
-        },
-        rows: RowBankImage {
-            stride: d.u64()?,
-            slabs: d.u64()?,
-            key_weight: d.lane_i64()?,
-            key_edge: d.lane_u32()?,
-            memb: d.lane_u8()?,
-            free: d.lane_u32()?,
-        },
-        slot_owner: d.lane_u32()?,
-        slot_free: d.lane_u32()?,
-        touched: d.lane_u32()?,
-        num_tree_edges: d.u64()?,
-        forest_weight: d.i128()?,
-    })
+    Ok(Engine::from_restored_parts(
+        graph,
+        k as usize,
+        stats,
+        applied_seq,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -245,13 +177,15 @@ fn encode_tenants(service: &ShardedService) -> Vec<u8> {
         e.u32(t.shard);
         e.u32(t.base);
         e.u32(t.vertices);
-        let globals: Vec<u32> = t.edge_ids.iter().map(|id| id.0).collect();
-        e.lane_u32(&globals);
     }
     e.into_bytes()
 }
 
+/// Decode a tenant section. Version 1 stored each tenant's edge-id map,
+/// returned in the records; version 2 stores none, and the maps come back
+/// empty.
 fn decode_tenants(
+    version: u32,
     payload: &[u8],
 ) -> Result<(usize, ServiceStats, Vec<TenantRecord>), PersistError> {
     let mut d = Dec::new(payload);
@@ -271,7 +205,11 @@ fn decode_tenants(
             shard: d.u32()?,
             base: d.u32()?,
             vertices: d.u32()?,
-            edge_ids: d.lane_u32()?.into_iter().map(EdgeId).collect(),
+            edge_ids: if version == 1 {
+                d.lane_u32()?.into_iter().map(pdmsf_graph::EdgeId).collect()
+            } else {
+                Vec::new()
+            },
         });
     }
     d.finish("tenant section")?;
@@ -284,8 +222,8 @@ fn decode_tenants(
 
 /// Checkpoint/restore on [`Engine`].
 pub trait EngineCheckpointExt: Sized {
-    /// Serialize the engine's full state into `w` as a versioned,
-    /// CRC-guarded checkpoint stream.
+    /// Serialize the engine's state — scalars, graph mirror, chunk
+    /// parameter — into `w` as a versioned, CRC-guarded checkpoint stream.
     fn checkpoint<W: Write>(&self, w: W) -> Result<(), PersistError>;
 
     /// Rebuild an engine from a stream written by
@@ -310,14 +248,14 @@ impl EngineCheckpointExt for Engine {
     }
 
     fn restore<R: Read>(mut r: R) -> Result<Engine, PersistError> {
-        let kind = read_header(&mut r)?;
+        let (version, kind) = read_header(&mut r)?;
         if kind != KIND_ENGINE {
             return Err(PersistError::Corrupt(format!(
                 "expected an engine checkpoint (kind {KIND_ENGINE}), found kind {kind}"
             )));
         }
         let payload = expect_section(&mut r, SEC_ENGINE, "engine")?;
-        let engine = decode_engine(&payload)?;
+        let engine = decode_engine(version, &payload)?;
         expect_section(&mut r, SEC_END, "end")?;
         Ok(engine)
     }
@@ -325,14 +263,15 @@ impl EngineCheckpointExt for Engine {
 
 /// Checkpoint/restore on [`ShardedService`].
 pub trait ServiceCheckpointExt: Sized {
-    /// Serialize the whole service — tenant table, service counters, and
-    /// every shard engine as its own CRC-guarded section — into `w`.
+    /// Serialize the whole service — tenant placements, service counters,
+    /// and every shard engine as its own CRC-guarded section — into `w`.
     fn checkpoint_all<W: Write>(&self, w: W) -> Result<(), PersistError>;
 
     /// Rebuild a service from a stream written by
     /// [`ServiceCheckpointExt::checkpoint_all`]: every shard section is
-    /// restored and re-wired to the router through the validated
-    /// tenant-table section. Restored shard engines have no op-log sinks.
+    /// restored and re-wired to the router through the validated tenant
+    /// table, whose edge-id maps are derived from the shard mirrors.
+    /// Restored shard engines have no op-log sinks.
     fn restore_all<R: Read>(r: R) -> Result<Self, PersistError>;
 }
 
@@ -356,14 +295,14 @@ impl ServiceCheckpointExt for ShardedService {
     }
 
     fn restore_all<R: Read>(mut r: R) -> Result<ShardedService, PersistError> {
-        let kind = read_header(&mut r)?;
+        let (version, kind) = read_header(&mut r)?;
         if kind != KIND_SERVICE {
             return Err(PersistError::Corrupt(format!(
                 "expected a service checkpoint (kind {KIND_SERVICE}), found kind {kind}"
             )));
         }
         let tenant_payload = expect_section(&mut r, SEC_TENANTS, "tenant table")?;
-        let (num_shards, stats, tenants) = decode_tenants(&tenant_payload)?;
+        let (num_shards, stats, tenants) = decode_tenants(version, &tenant_payload)?;
         let mut shards = Vec::with_capacity(num_shards.min(1 << 16));
         for expect in 0..num_shards {
             let payload = expect_section(&mut r, SEC_SHARD, "shard engine")?;
@@ -378,11 +317,23 @@ impl ServiceCheckpointExt for ShardedService {
                     "shard sections out of order: expected shard {expect}, found {ix}"
                 )));
             }
-            shards.push(decode_engine(&payload[4..])?);
+            shards.push(decode_engine(version, &payload[4..])?);
         }
         expect_section(&mut r, SEC_END, "end")?;
-        ShardedService::from_restored_parts(shards, tenants, stats)
-            .map_err(PersistError::Inconsistent)
+        let service = ShardedService::from_restored_parts(shards, tenants.clone(), stats)
+            .map_err(PersistError::Inconsistent)?;
+        if version == 1 {
+            for (stored, derived) in tenants.iter().zip(service.export_tenants()) {
+                if stored.edge_ids != derived.edge_ids {
+                    return Err(PersistError::Inconsistent(format!(
+                        "tenant {:?}: the checkpointed edge-id map differs from the one \
+                         its shard's mirror derives",
+                        stored.id
+                    )));
+                }
+            }
+        }
+        Ok(service)
     }
 }
 
@@ -390,8 +341,7 @@ impl ServiceCheckpointExt for ShardedService {
 mod tests {
     use super::*;
     use crate::format::read_section;
-    use pdmsf_core::CostModel;
-    use pdmsf_graph::{BatchOp, TenantOp, VertexId, Weight};
+    use pdmsf_graph::{BatchOp, EdgeId, TenantOp, VertexId, Weight};
     use pdmsf_shard::TenantSpec;
 
     fn link(u: u32, v: u32, w: i64) -> BatchOp {
@@ -426,7 +376,7 @@ mod tests {
         assert_eq!(restored.stats(), engine.stats());
         assert_eq!(restored.applied_seq(), engine.applied_seq());
         restored.structure().validate();
-        // Bank-exact restore: re-checkpointing produces identical bytes.
+        // Re-checkpointing the restored engine produces identical bytes.
         let mut buf2 = Vec::new();
         restored.checkpoint(&mut buf2).unwrap();
         assert_eq!(buf, buf2);
@@ -442,29 +392,45 @@ mod tests {
         assert_ne!(Engine::new(16).structure().chunk_parameter(), 4);
     }
 
+    /// Every truncation of `buf`, and a bit flip in every 7th byte (enough
+    /// to visit the header and every section), is refused by `restore`.
+    fn assert_corruption_is_refused<T>(
+        buf: &[u8],
+        restore: impl Fn(&[u8]) -> Result<T, PersistError>,
+    ) {
+        for cut in 0..buf.len() {
+            assert!(
+                restore(&buf[..cut]).is_err(),
+                "truncation at {cut} of {} restored silently",
+                buf.len()
+            );
+        }
+        for byte in (0..buf.len()).step_by(7) {
+            let mut bad = buf.to_vec();
+            bad[byte] ^= 0x10;
+            assert!(
+                restore(&bad[..]).is_err(),
+                "bit flip at byte {byte} restored silently"
+            );
+        }
+    }
+
     #[test]
     fn engine_checkpoint_detects_corruption_everywhere() {
         let engine = build_engine();
         let mut buf = Vec::new();
         engine.checkpoint(&mut buf).unwrap();
-        // Every truncation is refused.
-        for cut in 0..buf.len() {
-            assert!(
-                Engine::restore(&buf[..cut]).is_err(),
-                "truncation at {cut} of {} restored silently",
-                buf.len()
-            );
-        }
-        // A bit flip in every byte is refused (stride 7 keeps this fast
-        // while still visiting every section and the header).
-        for byte in (0..buf.len()).step_by(7) {
-            let mut bad = buf.clone();
-            bad[byte] ^= 0x10;
-            assert!(
-                Engine::restore(&bad[..]).is_err(),
-                "bit flip at byte {byte} restored silently"
-            );
-        }
+        assert_corruption_is_refused(&buf, |b| Engine::restore(b));
+    }
+
+    /// The tenant section plus each shard section of a service checkpoint
+    /// take the same truncation and bit-flip sweep as an engine's.
+    #[test]
+    fn service_checkpoint_detects_corruption_everywhere() {
+        let mut buf = Vec::new();
+        build_service(Engine::new).checkpoint_all(&mut buf).unwrap();
+        assert!(ShardedService::restore_all(&buf[..]).is_ok());
+        assert_corruption_is_refused(&buf, |b| ShardedService::restore_all(b));
     }
 
     fn tenant_link(t: u32, u: u32, v: u32, w: i64) -> TenantOp {
@@ -516,6 +482,11 @@ mod tests {
                 "tenant {t} weight drifted through the checkpoint"
             );
         }
+        assert_eq!(restored.export_tenants(), service.export_tenants());
+        // Re-checkpointing the restored service gives back the same bytes.
+        let mut buf2 = Vec::new();
+        restored.checkpoint_all(&mut buf2).unwrap();
+        assert_eq!(buf, buf2);
         // The restored router still translates tenant-local ids correctly:
         // the same new op produces the same outcome on both services.
         let probe = [op(3, 3, 4, 6)];
@@ -537,7 +508,7 @@ mod tests {
         // Reassemble with the two shard sections swapped — each section's
         // CRC still passes, but the embedded shard indices expose the swap.
         let mut r = &buf[..];
-        let kind = read_header(&mut r).unwrap();
+        let (_, kind) = read_header(&mut r).unwrap();
         let (t1, tenants_payload) = read_section(&mut r).unwrap();
         let (t2, shard0) = read_section(&mut r).unwrap();
         let (t3, shard1) = read_section(&mut r).unwrap();
@@ -551,20 +522,19 @@ mod tests {
         assert!(ShardedService::restore_all(&swapped[..]).is_err());
     }
 
-    /// One-partition engines keep the format's original layout: no
-    /// partition tail. The bytes move only when the structure state the
-    /// script leaves behind moves (tours that are single chunks never
-    /// attach row slabs since links splice them in place); older
-    /// checkpoints of the same script still restore, see
+    /// The version-2 bytes of two scripts: an engine section holds the
+    /// scalars, the mirror and `K`, so these move only when the format or
+    /// the scripts' graphs do, never with the structure's layout. Older
+    /// checkpoints of the same scripts still restore, see
     /// `older_checkpoints_restore_and_continue_like_a_fresh_run`.
     #[test]
     fn one_partition_checkpoint_bytes_did_not_move() {
         let mut buf = Vec::new();
         build_engine().checkpoint(&mut buf).unwrap();
-        assert_eq!((buf.len(), crate::crc32(&buf)), (2_689, 0x865f_a94a));
+        assert_eq!((buf.len(), crate::crc32(&buf)), (476, 0x4a5a_fcc7));
         let mut buf = Vec::new();
         build_service(Engine::new).checkpoint_all(&mut buf).unwrap();
-        assert_eq!((buf.len(), crate::crc32(&buf)), (7_165, 0x63bc_f8b7));
+        assert_eq!((buf.len(), crate::crc32(&buf)), (1_191, 0x21f7_accb));
     }
 
     /// Checkpoints of `build_engine()` and `build_service(Engine::new)`
@@ -662,30 +632,55 @@ mod tests {
         }
     }
 
-    /// `build_engine()`'s section followed by a hand-written tail laid out
-    /// as partitioned engines wrote it: partition count, rebalance floor,
-    /// four partition counters, the `home` lane and partition 1's image.
+    /// The sections of a committed checkpoint, after its header: `(tag,
+    /// payload)` pairs up to and including the end marker.
+    fn sections(bytes: &[u8]) -> (u32, u8, Vec<(u32, Vec<u8>)>) {
+        let mut r = bytes;
+        let (version, kind) = read_header(&mut r).unwrap();
+        let mut out = Vec::new();
+        loop {
+            let (tag, payload) = read_section(&mut r).unwrap();
+            out.push((tag, payload));
+            if tag == SEC_END {
+                return (version, kind, out);
+            }
+        }
+    }
+
+    /// `build_engine()`'s committed version-1 section followed by a tail
+    /// laid out as partitioned engines wrote it: partition count, rebalance
+    /// floor, four partition counters, the `home` lane and partition 1's
+    /// image (the same section's structure dump).
     fn with_tail(parts: u64) -> Vec<u8> {
-        let engine = build_engine();
-        let (n, k) = (engine.num_vertices(), engine.structure().chunk_parameter());
+        let (version, _, sections) =
+            sections(include_bytes!("../tests/fixtures/build_engine.ckpt"));
+        assert_eq!((version, sections[0].0), (1, SEC_ENGINE));
+        let section = &sections[0].1;
+        // The structure dump starts where the mirror's lanes end.
+        let mut d = Dec::new(section);
+        d.skip(11 * 8).unwrap();
+        for bytes in [4, 4, 8, 1, 8, 4] {
+            d.skip_lane(bytes).unwrap();
+        }
+        let dump = &section[section.len() - d.remaining()..];
         let mut tail = Enc::new();
         tail.u64(parts);
         tail.u64(64);
         for _ in 0..4 {
             tail.u64(0);
         }
-        tail.lane_u32(&vec![0; n]);
-        let empty = SeqDynamicMsf::with_parameters(n, k, CostModel::Erew);
-        encode_msf(&mut tail, &empty.to_image());
-        let mut payload = encode_engine(&engine);
+        tail.lane_u32(&[0; 16]);
+        let mut payload = section.clone();
         payload.extend(tail.into_bytes());
+        payload.extend_from_slice(dump);
         payload
     }
 
     #[test]
     fn partitioned_import_refuses_inconsistent_parts() {
-        assert!(decode_engine(&encode_engine(&build_engine())).is_ok());
-        match decode_engine(&with_tail(2)) {
+        let (_, _, sections) = sections(include_bytes!("../tests/fixtures/build_engine.ckpt"));
+        assert!(decode_engine(1, &sections[0].1).is_ok());
+        match decode_engine(1, &with_tail(2)) {
             Err(PersistError::Inconsistent(why)) => {
                 assert!(why.contains("2 partitions"), "{why}")
             }
@@ -693,8 +688,112 @@ mod tests {
         }
         // A one-partition tail was never written.
         assert!(matches!(
-            decode_engine(&with_tail(1)),
+            decode_engine(1, &with_tail(1)),
             Err(PersistError::Corrupt(_))
         ));
+    }
+
+    /// A version-1 tenant section laid out as it was written: placements
+    /// and each tenant's stored edge-id map.
+    fn v1_tenant_section(shards: usize, stats: ServiceStats, tenants: &[TenantRecord]) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u64(shards as u64);
+        for x in [
+            stats.batches,
+            stats.ops,
+            stats.router_rejected,
+            stats.shard_batches,
+            stats.weight_sweeps,
+        ] {
+            e.u64(x);
+        }
+        e.u64(tenants.len() as u64);
+        for t in tenants {
+            e.u32(t.id.0);
+            e.u32(t.shard);
+            e.u32(t.base);
+            e.u32(t.vertices);
+            e.lane_u32(&t.edge_ids.iter().map(|id| id.0).collect::<Vec<_>>());
+        }
+        e.into_bytes()
+    }
+
+    /// The committed version-1 service checkpoint with its tenant section
+    /// replaced by `tenants`.
+    fn v1_service_with(tenants: &[TenantRecord]) -> Vec<u8> {
+        let old = include_bytes!("../tests/fixtures/build_service.ckpt");
+        let (version, _, sections) = sections(old);
+        let (shards, stats, _) = decode_tenants(version, &sections[0].1).unwrap();
+        // Magic, version 1 and the kind byte.
+        let mut out = old[..13].to_vec();
+        write_section(
+            &mut out,
+            SEC_TENANTS,
+            &v1_tenant_section(shards, stats, tenants),
+        )
+        .unwrap();
+        for (tag, payload) in &sections[1..] {
+            write_section(&mut out, *tag, payload).unwrap();
+        }
+        out
+    }
+
+    /// A version-1 tenant table that maps one tenant's local edge to
+    /// another tenant's edge on the same shard passes every CRC; restore
+    /// refuses it rather than letting the first tenant cut the second's
+    /// edge.
+    #[test]
+    fn tampered_tenant_maps_are_refused() {
+        let (version, _, sections) =
+            sections(include_bytes!("../tests/fixtures/build_service.ckpt"));
+        let (_, _, stored) = decode_tenants(version, &sections[0].1).unwrap();
+        assert!(ShardedService::restore_all(&v1_service_with(&stored)[..]).is_ok());
+        let (a, b) = (0..stored.len())
+            .flat_map(|a| (0..stored.len()).map(move |b| (a, b)))
+            .find(|&(a, b)| {
+                a != b
+                    && stored[a].shard == stored[b].shard
+                    && !stored[a].edge_ids.is_empty()
+                    && !stored[b].edge_ids.is_empty()
+            })
+            .expect("two tenants with edges share a shard");
+        let mut tampered = stored.clone();
+        tampered[a].edge_ids[0] = stored[b].edge_ids[0];
+        match ShardedService::restore_all(&v1_service_with(&tampered)[..]) {
+            Err(PersistError::Inconsistent(why)) => assert!(why.contains("edge-id map"), "{why}"),
+            other => panic!("a tampered tenant map was not refused: {:?}", other.err()),
+        }
+    }
+
+    /// A CRC-valid engine section whose mirror is corrupt — an endpoint
+    /// off the vertex range — is refused as inconsistent, not restored
+    /// into an engine that panics later.
+    #[test]
+    fn a_corrupt_mirror_is_refused_on_restore() {
+        let engine = build_engine();
+        let mut image = engine.graph().to_image();
+        let live = (0..image.edge_alive.len())
+            .find(|&i| image.edge_alive[i] == 1)
+            .unwrap();
+        image.edge_v[live] = 99;
+        let mut e = Enc::new();
+        for _ in 0..9 {
+            e.u64(0);
+        }
+        e.lane_u32(&image.edge_u);
+        e.lane_u32(&image.edge_v);
+        e.lane_i64(&image.edge_weight);
+        e.lane_u8(&image.edge_alive);
+        e.lane_u64(&image.adj_offsets);
+        e.lane_u32(&image.adj_data);
+        e.u64(engine.structure().chunk_parameter() as u64);
+        let mut buf = Vec::new();
+        write_header(&mut buf, KIND_ENGINE).unwrap();
+        write_section(&mut buf, SEC_ENGINE, &e.into_bytes()).unwrap();
+        write_section(&mut buf, SEC_END, &[]).unwrap();
+        match Engine::restore(&buf[..]) {
+            Err(PersistError::Inconsistent(why)) => assert!(why.contains("vertices"), "{why}"),
+            other => panic!("a corrupt mirror was not refused: {:?}", other.err()),
+        }
     }
 }

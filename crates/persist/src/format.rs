@@ -27,15 +27,20 @@ use crate::crc32::Crc32;
 pub const CKP_MAGIC: [u8; 8] = *b"PDMSFCKP";
 /// First bytes of every op-log stream.
 pub const LOG_MAGIC: [u8; 8] = *b"PDMSFLOG";
-/// Current checkpoint / op-log format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Checkpoint format version this build writes. Version 2 stores each
+/// engine's graph; version 1 also dumped its structure's banks, and still
+/// restores (its structure lanes are skipped).
+pub const FORMAT_VERSION: u32 = 2;
+/// Op-log format version. The log did not change when checkpoints moved to
+/// version 2.
+pub const LOG_VERSION: u32 = 1;
 
 /// Checkpoint kind byte: a single [`pdmsf_engine::Engine`].
 pub const KIND_ENGINE: u8 = 0;
 /// Checkpoint kind byte: a whole [`pdmsf_shard::ShardedService`].
 pub const KIND_SERVICE: u8 = 1;
 
-/// Section tag: one engine's state (meta + mirror + structure image).
+/// Section tag: one engine's state (scalars, graph mirror, chunk parameter).
 pub const SEC_ENGINE: u32 = 0x454E_4731; // "ENG1"
 /// Section tag: the service's tenant table + service scalars.
 pub const SEC_TENANTS: u32 = 0x544E_5431; // "TNT1"
@@ -54,8 +59,8 @@ pub enum PersistError {
     /// failed CRC, truncated section, unknown tag.
     Corrupt(String),
     /// The bytes decoded fine but describe an inconsistent state (the
-    /// structure-level validation of the image importers refused it, or a
-    /// log record does not follow from the restored state).
+    /// graph or tenant table fails validation, or a log record does not
+    /// follow from the restored state).
     Inconsistent(String),
 }
 
@@ -109,10 +114,6 @@ impl Enc {
         self.buf
     }
 
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -122,10 +123,6 @@ impl Enc {
     }
 
     pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn i128(&mut self, v: i128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -222,10 +219,6 @@ impl<'a> Dec<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn i128(&mut self) -> Result<i128, PersistError> {
-        Ok(i128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
     fn lane_len(&mut self, elem_size: u64) -> Result<usize, PersistError> {
         let n = self.u64()?;
         if n.saturating_mul(elem_size) > MAX_SANE_LEN || n * elem_size > self.remaining() as u64 {
@@ -234,6 +227,17 @@ impl<'a> Dec<'a> {
             )));
         }
         Ok(n as usize)
+    }
+
+    /// Skip a fixed `n`-byte field.
+    pub fn skip(&mut self, n: usize) -> Result<(), PersistError> {
+        self.take(n).map(drop)
+    }
+
+    /// Skip a length-prefixed lane of `elem_size`-byte elements.
+    pub fn skip_lane(&mut self, elem_size: u64) -> Result<(), PersistError> {
+        let n = self.lane_len(elem_size)?;
+        self.skip(n * elem_size as usize)
     }
 
     pub fn lane_u8(&mut self) -> Result<Vec<u8>, PersistError> {
@@ -281,8 +285,9 @@ pub fn write_header<W: Write>(w: &mut W, kind: u8) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Read and validate the checkpoint stream header; returns the kind byte.
-pub fn read_header<R: Read>(r: &mut R) -> Result<u8, PersistError> {
+/// Read and validate the checkpoint stream header; returns the format
+/// version (1 or [`FORMAT_VERSION`]) and the kind byte.
+pub fn read_header<R: Read>(r: &mut R) -> Result<(u32, u8), PersistError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if magic != CKP_MAGIC {
@@ -293,14 +298,14 @@ pub fn read_header<R: Read>(r: &mut R) -> Result<u8, PersistError> {
     let mut v = [0u8; 4];
     r.read_exact(&mut v)?;
     let version = u32::from_le_bytes(v);
-    if version != FORMAT_VERSION {
+    if !(1..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::Corrupt(format!(
-            "unsupported checkpoint format version {version} (this build reads {FORMAT_VERSION})"
+            "unsupported checkpoint format version {version} (this build reads 1 to {FORMAT_VERSION})"
         )));
     }
     let mut kind = [0u8; 1];
     r.read_exact(&mut kind)?;
-    Ok(kind[0])
+    Ok((version, kind[0]))
 }
 
 /// Write one framed section: tag, length, payload, CRC over tag + payload.
@@ -383,7 +388,7 @@ mod tests {
         write_section(&mut buf, SEC_END, b"").unwrap();
 
         let mut r = &buf[..];
-        assert_eq!(read_header(&mut r).unwrap(), KIND_ENGINE);
+        assert_eq!(read_header(&mut r).unwrap(), (FORMAT_VERSION, KIND_ENGINE));
         let (tag, payload) = read_section(&mut r).unwrap();
         assert_eq!(tag, SEC_ENGINE);
         assert_eq!(payload, b"hello payload");
@@ -444,6 +449,9 @@ mod tests {
         future[8] = 99;
         let err = read_header(&mut &future[..]).unwrap_err();
         assert!(err.to_string().contains("version"));
+        let mut zero = buf.clone();
+        zero[8] = 0;
+        assert!(read_header(&mut &zero[..]).is_err());
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! recovery**, and the **fault-injection** harness that proves the story
 //! under torn writes and bit rot.
 //!
-//! The stack's performance architecture makes durability nearly free: every
-//! structure already lives in flat SoA banks (`pdmsf_core::ChunkArenaImage`
-//! / `RowBankImage`, the `DynGraph` lanes), so a checkpoint is raw lane
-//! dumps behind a small header — no pointer graph to walk, no per-object
-//! encoding.
+//! A checkpoint is the graph: the MSF is unique under `WKey` order, so the
+//! live edges determine the forest. Each engine stores its planner scalars,
+//! its `DynGraph` mirror as flat lanes (17 bytes per edge slot, 4 per
+//! adjacency entry, 8 per vertex; about 29 bytes per live edge on the
+//! E5 benchmark's largest engine) and its chunk parameter `K`; restore
+//! rebuilds the structure from the mirror (`SeqDynamicMsf::from_graph`).
+//! No structure layout is stored, so a layout change never moves the
+//! format.
 //!
 //! ## The format, in one screen
 //!
@@ -20,9 +23,10 @@
 //!   by an end marker. A service checkpoint holds a tenant-table section
 //!   plus one section per shard engine. Truncation and bit flips are
 //!   *detected* — restore returns [`PersistError::Corrupt`], never a
-//!   plausible-but-wrong structure; states that decode but disagree with
-//!   themselves (cross-validation between mirror, structure and tenant
-//!   table) are refused as [`PersistError::Inconsistent`].
+//!   plausible-but-wrong structure; states that decode but are impossible
+//!   (a mirror whose adjacency disagrees with its edges, a tenant table
+//!   that disagrees with the shard mirrors) are refused as
+//!   [`PersistError::Inconsistent`].
 //! * **Op log** ([`OpLogWriter`], one per engine/shard): magic `PDMSFLOG`,
 //!   version, stream id, then one CRC-guarded record per state-mutating
 //!   batch, written **before** the batch applies (the engine's

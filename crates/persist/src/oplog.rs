@@ -34,7 +34,7 @@ use pdmsf_engine::{LoggedBatch, OpSink, PlannedUpdate};
 use pdmsf_graph::{EdgeId, VertexId, Weight};
 use pdmsf_obs as obs;
 
-use crate::format::{payload_crc, PersistError, FORMAT_VERSION, LOG_MAGIC};
+use crate::format::{payload_crc, PersistError, LOG_MAGIC, LOG_VERSION};
 use crate::metrics::metrics;
 
 /// Update tag byte: a link record follows.
@@ -102,7 +102,7 @@ impl<M: LogMedium> OpLogWriter<M> {
     /// syncs it, and accepts records starting at sequence 1.
     pub fn create(mut medium: M, stream_id: u32, policy: FlushPolicy) -> io::Result<Self> {
         medium.write_all(&LOG_MAGIC)?;
-        medium.write_all(&FORMAT_VERSION.to_le_bytes())?;
+        medium.write_all(&LOG_VERSION.to_le_bytes())?;
         medium.write_all(&stream_id.to_le_bytes())?;
         medium.sync()?;
         Ok(OpLogWriter {
@@ -323,9 +323,9 @@ pub fn read_log(bytes: &[u8]) -> Result<LogReadReport, PersistError> {
         ));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
+    if version != LOG_VERSION {
         return Err(PersistError::Corrupt(format!(
-            "unsupported op-log format version {version} (this build reads {FORMAT_VERSION})"
+            "unsupported op-log format version {version} (this build reads {LOG_VERSION})"
         )));
     }
     let stream_id = u32::from_le_bytes(bytes[12..16].try_into().unwrap());

@@ -550,10 +550,9 @@ mod tests {
         run_shards(shards, |i| {
             let start = i * shard_len;
             let end = (start + shard_len).min(n);
-            let slice =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-            for (j, x) in slice.iter_mut().enumerate() {
-                *x = (start + j) as u64;
+            for j in start..end {
+                // SAFETY: only shard `i` writes indices `start..end`.
+                unsafe { *base.get().add(j) = j as u64 };
             }
         });
         for (i, x) in data.iter().enumerate() {

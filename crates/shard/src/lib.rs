@@ -146,11 +146,12 @@ pub(crate) struct TenantState {
     pub(crate) edge_ids: Vec<pdmsf_graph::EdgeId>,
 }
 
-/// The serializable form of one tenant's registration: placement, vertex
-/// block and the tenant-local → shard-global edge-id map. Produced by
-/// [`ShardedService::export_tenants`], consumed (and validated) by
-/// [`ShardedService::from_restored_parts`] — the persistence layer's
-/// tenant-table section is exactly a list of these.
+/// One tenant's registration: placement, vertex block and the
+/// tenant-local → shard-global edge-id map. Produced by
+/// [`ShardedService::export_tenants`]; the persistence layer's
+/// tenant-table section stores the first four fields, and
+/// [`ShardedService::from_restored_parts`] validates them and derives the
+/// map from the shard mirrors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TenantRecord {
     /// The tenant's id.
@@ -463,10 +464,12 @@ impl ShardedService {
     /// Assemble a service from restored parts (the checkpoint/restore path
     /// of `pdmsf-persist`). Validates the tenant table against the shard
     /// engines — shard indices in range, vertex blocks inside their engine
-    /// and mutually disjoint, every mapped edge id below its shard's
-    /// allocation frontier, no duplicate tenant ids — so a checkpoint whose
-    /// sections are individually intact but mutually inconsistent is
-    /// refused.
+    /// and mutually disjoint, no duplicate tenant ids — and derives every
+    /// tenant's edge-id map from the shard mirrors
+    /// ([`ShardedService::rebuild_tenant_edge_maps`]), so a checkpoint
+    /// whose sections are individually intact but mutually inconsistent is
+    /// refused. The records' own `edge_ids` are not read: a map taken on
+    /// trust could name another tenant's edge.
     pub fn from_restored_parts(
         shards: Vec<Engine>,
         tenants: Vec<TenantRecord>,
@@ -499,13 +502,6 @@ impl ShardedService {
                     shards[shard].num_vertices()
                 ));
             }
-            let bound = shards[shard].graph().edge_id_bound() as u32;
-            if let Some(bad) = rec.edge_ids.iter().find(|id| id.0 >= bound) {
-                return Err(format!(
-                    "tenant {:?} maps a local edge to unallocated shard id {bad:?}",
-                    rec.id
-                ));
-            }
             blocks[shard].push((rec.base, end));
             if lookup.insert(rec.id, states.len() as u32).is_some() {
                 return Err(format!("duplicate tenant id {:?}", rec.id));
@@ -514,7 +510,7 @@ impl ShardedService {
                 shard: rec.shard,
                 base: rec.base,
                 vertices: rec.vertices,
-                edge_ids: rec.edge_ids,
+                edge_ids: Vec::new(),
             });
         }
         for (shard, list) in blocks.iter_mut().enumerate() {
@@ -525,14 +521,16 @@ impl ShardedService {
                 }
             }
         }
-        Ok(ShardedService {
+        let mut service = ShardedService {
             shards,
             tenants: states,
             lookup,
             stats,
             metrics: None,
             tracing: false,
-        })
+        };
+        service.rebuild_tenant_edge_maps()?;
+        Ok(service)
     }
 
     /// Cumulative service counters.
@@ -555,9 +553,8 @@ impl ShardedService {
     }
 
     /// Rebuild every tenant's local → global edge-id map from the shard
-    /// engine mirrors. The recovery path of `pdmsf-persist` needs this: log
-    /// replay advances the shard engines past the checkpointed tenant
-    /// table, so the maps must be re-derived from the recovered state.
+    /// engine mirrors. Restore derives the maps this way, and recovery
+    /// again after log replay has advanced the shard engines.
     ///
     /// The derivation is exact, not heuristic: shard engines allocate global
     /// edge ids sequentially, every allocated slot (dead ones included —
@@ -565,7 +562,8 @@ impl ShardedService {
     /// block, and a tenant's local ids are assigned in its allocation
     /// order — so walking each mirror's slots in id order and appending
     /// each to its owning tenant reproduces precisely the map the router
-    /// built live. Errors if some slot belongs to no registered tenant.
+    /// built live. Errors if some slot does not lie inside one registered
+    /// tenant's block.
     pub fn rebuild_tenant_edge_maps(&mut self) -> Result<(), String> {
         let ShardedService {
             shards, tenants, ..
@@ -582,19 +580,19 @@ impl ShardedService {
                 .collect();
             spans.sort_unstable();
             let image = engine.graph().to_image();
-            for (id, &u) in image.edge_u.iter().enumerate() {
+            for (id, (&u, &v)) in image.edge_u.iter().zip(&image.edge_v).enumerate() {
                 let pos = spans.partition_point(|&(base, _, _)| base <= u);
                 let owner = pos
                     .checked_sub(1)
                     .map(|p| spans[p])
-                    .filter(|&(_, end, _)| u < end);
+                    .filter(|&(base, end, _)| u < end && (base..end).contains(&v));
                 match owner {
                     Some((_, _, ix)) => {
                         tenants[ix].edge_ids.push(pdmsf_graph::EdgeId(id as u32));
                     }
                     None => {
                         return Err(format!(
-                            "edge slot {id} on shard {shard_ix} belongs to no tenant block"
+                            "edge slot {id} on shard {shard_ix} lies in no one tenant block"
                         ));
                     }
                 }

@@ -162,17 +162,18 @@
 //! ## The persistence layer
 //!
 //! Crate [`pdmsf_persist`] (re-exported as [`persist`]) makes the serving
-//! stack durable, and the flat-arena performance architecture is what makes
-//! it cheap: every structure already lives in SoA banks, so a checkpoint is
-//! raw lane dumps behind a small header rather than a pointer-graph walk.
+//! stack durable. A checkpoint stores the graph, not the structure: the
+//! MSF is unique under `WKey` order, so restore rebuilds each engine's
+//! structure from its graph mirror ([`core::SeqDynamicMsf::from_graph`]).
 //!
 //! * **Checkpoints** ([`persist::EngineCheckpointExt`],
 //!   [`persist::ServiceCheckpointExt`]): a versioned format
 //!   ([`persist::FORMAT_VERSION`]) of length-prefixed sections, each
-//!   guarded by a CRC-32 over tag and payload. A service checkpoint holds
-//!   the tenant table plus one section per shard engine; restore re-wires
-//!   the shards to the router and cross-validates mirror against structure
-//!   against tenant table. Truncations and bit flips are *detected*
+//!   guarded by a CRC-32 over tag and payload. An engine section holds the
+//!   planner scalars, the graph mirror's lanes and `K`; a service
+//!   checkpoint adds the tenant placements, and restore re-wires the shards
+//!   to the router, deriving every tenant's edge-id map from the shard
+//!   mirrors. Truncations and bit flips are *detected*
 //!   ([`persist::PersistError`]) — a damaged checkpoint refuses to load,
 //!   never restores to a plausible-but-wrong forest.
 //! * **Write-ahead op log** ([`persist::OpLogWriter`], hooked in through
