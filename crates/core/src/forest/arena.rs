@@ -31,16 +31,37 @@
 //! last array-of-structs holdout (`Occ { vertex, chunk, pos, vpos, arc,
 //! principal, alive }`, ~24 bytes of mixed-purpose record per Euler-tour
 //! occurrence) is split into flat `u32` banks (`occ_vertex` / `occ_chunk` /
-//! `occ_pos` / `occ_vpos` / `occ_arc`) plus a one-byte flag bank, so the
-//! occurrence reindex loops in surgery (in-chunk insert/delete shifts,
-//! split/merge re-chunking) and the principal-copy scans in the MWR search
-//! sweep one dense bank each instead of striding over fat records.
+//! `occ_label` / `occ_vpos` / `occ_arc`) plus a one-byte flag bank, so the
+//! re-chunking loops in surgery (split/merge, splice, extraction) and the
+//! principal-copy scans in the MWR search sweep one dense bank each instead
+//! of striding over fat records.
+//!
+//! An occurrence records its place in its chunk as an **order label**, not
+//! an index: labels strictly increase along each chunk's `occs` and leave
+//! gaps between them. An in-chunk insertion labels the new occurrence
+//! between its neighbours, a removal relabels nothing, and a run moving
+//! into a chunk (a split's tail, a merge's absorbed run, a spliced tour, an
+//! extracted side) is labelled between its new neighbours; only when a gap
+//! is too small is the whole chunk relabelled evenly, an `O(n_c)` sweep.
+//! [`ChunkArena::occ_index`] recovers an index by binary search over the
+//! chunk's labels.
 
 use pdmsf_graph::{VertexId, WKey};
 use std::ops::Range;
 
 /// Sentinel index shared with the rest of the forest module.
 use super::NONE;
+
+/// One past the largest order label: labels are `u32`s, and a chunk's
+/// labels lie in the open interval `(-1, LABEL_END)`.
+const LABEL_END: i64 = 1 << 32;
+
+#[cfg(test)]
+thread_local! {
+    /// Whole-chunk relabels run on this thread, so tests can check that
+    /// their operations force some.
+    pub(crate) static RELABELS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 const ALIVE: u8 = 1;
 const QUEUED: u8 = 2;
@@ -88,8 +109,9 @@ pub(crate) struct ChunkArena {
     pub(crate) occ_vertex: Vec<u32>,
     /// Chunk holding the occurrence.
     pub(crate) occ_chunk: Vec<u32>,
-    /// Position within the chunk's `occs` list.
-    pub(crate) occ_pos: Vec<u32>,
+    /// Order label within the chunk: labels strictly increase along the
+    /// chunk's `occs` list, with gaps between them (see module docs).
+    pub(crate) occ_label: Vec<u32>,
     /// Position within the forest's `vertex_occs[vertex]` list.
     pub(crate) occ_vpos: Vec<u32>,
     /// Edge-store handle of the forest arc whose *tail* this occurrence is
@@ -200,7 +222,7 @@ impl ChunkArena {
             let oi = o as usize;
             self.occ_vertex[oi] = v.0;
             self.occ_chunk[oi] = NONE;
-            self.occ_pos[oi] = 0;
+            self.occ_label[oi] = 0;
             self.occ_vpos[oi] = vpos;
             self.occ_arc[oi] = NONE;
             self.occ_flags[oi] = OCC_ALIVE;
@@ -208,7 +230,7 @@ impl ChunkArena {
         } else {
             self.occ_vertex.push(v.0);
             self.occ_chunk.push(NONE);
-            self.occ_pos.push(0);
+            self.occ_label.push(0);
             self.occ_vpos.push(vpos);
             self.occ_arc.push(NONE);
             self.occ_flags.push(OCC_ALIVE);
@@ -278,21 +300,29 @@ impl ChunkArena {
         }
     }
 
-    /// Re-stamp `occ_chunk` / `occ_pos` over chunk `c`'s occurrence list
-    /// from index `from` on — the reindex after an in-chunk insert/remove,
-    /// as one sweep over the flat banks.
-    pub(crate) fn restamp_occs(&mut self, c: u32, from: usize) {
-        let ci = c as usize;
-        for (p, &o) in self.occs[ci].iter().enumerate().skip(from) {
-            self.occ_chunk[o as usize] = c;
-            self.occ_pos[o as usize] = p as u32;
-        }
+    /// Index of occurrence `o` in its chunk's `occs` list: a binary search
+    /// over the chunk's labels, `O(log n_c)`.
+    #[inline]
+    pub(crate) fn occ_index(&self, o: u32) -> usize {
+        let occs = &self.occs[self.occ_chunk[o as usize] as usize];
+        let label = self.occ_label[o as usize];
+        let at = occs.partition_point(|&x| self.occ_label[x as usize] < label);
+        debug_assert_eq!(occs.get(at), Some(&o), "occurrence labels out of order");
+        at
+    }
+
+    /// Insert occurrence `o` into chunk `c`'s list at index `at`, labelled
+    /// between its neighbours.
+    pub(crate) fn insert_occ(&mut self, c: u32, at: usize, o: u32) {
+        self.occs[c as usize].insert(at, o);
+        self.occ_chunk[o as usize] = c;
+        self.label_run(c, at..at + 1);
     }
 
     /// Re-chunk the occurrences at `range` of chunk `c`'s list — a split's
     /// tail, a merge's absorbed run, a spliced tour or an extracted cut
-    /// side — in one pass: restamp `occ_chunk` / `occ_pos`, point
-    /// `vertex_chunk` of every principal copy at `c`, and return the
+    /// side: stamp `occ_chunk`, point `vertex_chunk` of every principal copy
+    /// at `c`, label the run between its new neighbours, and return the
     /// adjacency count those principals carry (`degree` of their vertices,
     /// summed).
     pub(crate) fn rechunk_occs(
@@ -303,18 +333,43 @@ impl ChunkArena {
         degree: impl Fn(u32) -> usize,
     ) -> usize {
         let mut adj = 0;
-        let start = range.start;
-        for (p, &o) in self.occs[c as usize][range].iter().enumerate() {
+        for &o in &self.occs[c as usize][range.clone()] {
             let oi = o as usize;
             self.occ_chunk[oi] = c;
-            self.occ_pos[oi] = (start + p) as u32;
             if self.occ_flags[oi] & OCC_PRINCIPAL != 0 {
                 let v = self.occ_vertex[oi];
                 vertex_chunk[v as usize] = c;
                 adj += degree(v);
             }
         }
+        self.label_run(c, range);
         adj
+    }
+
+    /// Label the occurrences at `run` of chunk `c`'s list evenly between
+    /// the labels of their neighbours. When that gap has fewer free labels
+    /// than the run is long, relabel the whole chunk evenly instead, over
+    /// the whole label range, which any chunk fits.
+    fn label_run(&mut self, c: u32, run: Range<usize>) {
+        let occs = &self.occs[c as usize];
+        let below = match run.start {
+            0 => -1,
+            at => self.occ_label[occs[at - 1] as usize] as i64,
+        };
+        let above = occs
+            .get(run.end)
+            .map_or(LABEL_END, |&o| self.occ_label[o as usize] as i64);
+        let step = (above - below) / (run.len() as i64 + 1);
+        if step == 0 {
+            #[cfg(test)]
+            RELABELS.with(|n| n.set(n.get() + 1));
+            let whole = 0..occs.len();
+            self.label_run(c, whole);
+            return;
+        }
+        for (i, &o) in occs[run].iter().enumerate() {
+            self.occ_label[o as usize] = (below + (i as i64 + 1) * step) as u32;
+        }
     }
 }
 
@@ -544,6 +599,39 @@ mod tests {
         assert_eq!(a.slot[c2 as usize], NONE);
         assert_eq!(a.row[c2 as usize], NONE);
         assert_eq!(a.len(), 2);
+    }
+
+    /// Inserting again and again right after one occurrence halves the
+    /// gap there each time, so the chunk must be relabelled; after every
+    /// insert the labels still increase along the chunk and each index
+    /// round-trips through `occ_index`.
+    #[test]
+    fn inserts_at_one_spot_relabel_and_keep_labels_in_order() {
+        let mut a = ChunkArena::default();
+        let c = a.alloc();
+        for at in 0..2 {
+            let o = a.occ_alloc(VertexId(0), 0);
+            a.insert_occ(c, at, o);
+        }
+        let relabels = || RELABELS.with(|n| n.get());
+        let before = relabels();
+        for i in 0..200 {
+            let o = a.occ_alloc(VertexId(0), 0);
+            a.insert_occ(c, 1, o);
+            let occs = &a.occs[c as usize];
+            assert!(
+                occs.windows(2)
+                    .all(|w| a.occ_label[w[0] as usize] < a.occ_label[w[1] as usize]),
+                "labels out of order after insert {i}"
+            );
+            for (at, &o) in occs.iter().enumerate() {
+                assert_eq!(a.occ_index(o), at, "index of {o} after insert {i}");
+            }
+        }
+        assert!(
+            relabels() > before,
+            "200 inserts at one spot never relabelled"
+        );
     }
 
     #[test]

@@ -24,6 +24,7 @@ impl ChunkedEulerForest {
                 continue;
             }
             assert!(!self.chunks.occs[ci].is_empty(), "chunk {ci} is empty");
+            let mut below = None;
             for (pos, &o) in self.chunks.occs[ci].iter().enumerate() {
                 assert!(
                     self.chunks.occ_alive(o),
@@ -33,9 +34,16 @@ impl ChunkedEulerForest {
                     self.chunks.occ_chunk[o as usize] as usize, ci,
                     "occurrence {o} has wrong chunk"
                 );
+                let label = self.chunks.occ_label[o as usize];
+                assert!(
+                    below < Some(label),
+                    "occurrence {o}'s label {label} does not exceed its predecessor's {below:?}"
+                );
+                below = Some(label);
                 assert_eq!(
-                    self.chunks.occ_pos[o as usize] as usize, pos,
-                    "occurrence {o} has wrong position"
+                    self.chunks.occ_index(o),
+                    pos,
+                    "occurrence {o} has wrong index"
                 );
             }
         }

@@ -239,9 +239,7 @@ impl ChunkedEulerForest {
         self.vertex_chunk.push(NONE);
         let c = self.chunks.alloc();
         let o = self.alloc_occ(v);
-        self.chunks.occs[c as usize].push(o);
-        self.chunks.occ_chunk[o as usize] = c;
-        self.chunks.occ_pos[o as usize] = 0;
+        self.chunks.insert_occ(c, 0, o);
         self.chunks.set_occ_principal(o, true);
         self.principal[v.index()] = o;
         self.vertex_chunk[v.index()] = c;

@@ -10,6 +10,11 @@
 //! then reduces to `O(1)` list splits / joins plus `O(1)` occurrence
 //! insertions / deletions, exactly as Lemma 2.1 prescribes.
 //!
+//! Occurrences carry order labels (see the `arena` module), so an in-chunk
+//! insertion or deletion touches no other occurrence's record unless a full
+//! gap forces the chunk's relabelling; the meter still charges the `O(K)`
+//! shift of the chunk's list.
+//!
 //! A list split inside a chunk is a chunk split, whose two `CAdj` rows are
 //! rebuilt by an `O(K)` edge scan, and rebalancing often merges the pieces
 //! straight back. Two fast paths, chosen by the structure's state alone,
@@ -71,12 +76,9 @@ impl ChunkedEulerForest {
 
     /// The occurrence immediately preceding `o` in its (linear) list.
     pub(crate) fn pred_occ(&self, o: u32) -> Option<u32> {
-        let (c, pos) = (
-            self.chunks.occ_chunk[o as usize],
-            self.chunks.occ_pos[o as usize],
-        );
+        let (c, pos) = (self.chunks.occ_chunk[o as usize], self.chunks.occ_index(o));
         if pos > 0 {
-            return Some(self.chunks.occs[c as usize][pos as usize - 1]);
+            return Some(self.chunks.occs[c as usize][pos - 1]);
         }
         let prev = self.prev_chunk(c)?;
         self.chunks.occs[prev as usize].last().copied()
@@ -84,13 +86,10 @@ impl ChunkedEulerForest {
 
     /// The occurrence immediately following `o` in its (linear) list.
     pub(crate) fn succ_occ(&self, o: u32) -> Option<u32> {
-        let (c, pos) = (
-            self.chunks.occ_chunk[o as usize],
-            self.chunks.occ_pos[o as usize],
-        );
+        let (c, pos) = (self.chunks.occ_chunk[o as usize], self.chunks.occ_index(o));
         let chunk_occs = &self.chunks.occs[c as usize];
-        if (pos as usize) + 1 < chunk_occs.len() {
-            return Some(chunk_occs[pos as usize + 1]);
+        if pos + 1 < chunk_occs.len() {
+            return Some(chunk_occs[pos + 1]);
         }
         let next = self.next_chunk(c)?;
         self.chunks.occs[next as usize].first().copied()
@@ -130,29 +129,25 @@ impl ChunkedEulerForest {
         self.chunks.occs[c as usize].len() == 1 && self.list_is_single_chunk(c)
     }
 
-    /// Linear position of `o` within its list, as (chunk rank, in-chunk pos).
-    fn occ_rank(&self, o: u32) -> (usize, u32) {
-        let c = self.chunks.occ_chunk[o as usize];
-        (self.chunk_rank(c), self.chunks.occ_pos[o as usize])
-    }
-
     /// Insert a fresh (non-principal) occurrence of `v` immediately after
-    /// occurrence `after` and return it. `O(K)` for the in-chunk reindexing
-    /// (one sweep over the `occ_chunk`/`occ_pos` banks).
+    /// occurrence `after` and return it. The new occurrence is labelled
+    /// between its neighbours, so no other occurrence is touched unless the
+    /// gap is full and the chunk is relabelled; the charge is the `O(K)`
+    /// shift of the chunk's list.
     pub(crate) fn insert_occ_after(&mut self, after: u32, v: VertexId) -> u32 {
         let o = self.alloc_occ(v);
         let c = self.chunks.occ_chunk[after as usize];
-        let pos = self.chunks.occ_pos[after as usize] as usize + 1;
-        self.chunks.occs[c as usize].insert(pos, o);
+        let pos = self.chunks.occ_index(after) + 1;
+        self.chunks.insert_occ(c, pos, o);
         let len = self.chunks.occs[c as usize].len();
-        self.chunks.restamp_occs(c, pos);
         self.touch(c);
         self.charge((len - pos) as u64 + 1, 1, (len - pos) as u64 + 1);
         o
     }
 
     /// Remove an occurrence that is neither a principal copy nor the tail of
-    /// any live arc. `O(K)` for the in-chunk reindexing (one bank sweep).
+    /// any live arc. No label changes; the charge is the `O(K)` shift of the
+    /// chunk's list.
     pub(crate) fn delete_occ(&mut self, o: u32) {
         debug_assert!(
             self.chunks.occ_arc(o).is_none(),
@@ -165,10 +160,9 @@ impl ChunkedEulerForest {
             "cannot delete a principal copy; re-designate first"
         );
         let c = self.chunks.occ_chunk[o as usize];
-        let pos = self.chunks.occ_pos[o as usize] as usize;
+        let pos = self.chunks.occ_index(o);
         self.chunks.occs[c as usize].remove(pos);
         let len = self.chunks.occs[c as usize].len();
-        self.chunks.restamp_occs(c, pos);
         self.free_occ(o);
         self.charge((len - pos) as u64 + 1, 1, (len - pos) as u64 + 1);
         if len == 0 {
@@ -382,7 +376,7 @@ impl ChunkedEulerForest {
     /// Returns the roots of the two resulting lists (`right` may be `NONE`).
     pub(crate) fn list_split_after_occ(&mut self, o: u32) -> (u32, u32) {
         let c = self.chunks.occ_chunk[o as usize];
-        let pos = self.chunks.occ_pos[o as usize] as usize;
+        let pos = self.chunks.occ_index(o);
         let split_chunk = if pos + 1 < self.chunks.occs[c as usize].len() {
             // The split point is inside the chunk: split the chunk first.
             self.split_chunk_after(c, pos);
@@ -477,13 +471,16 @@ impl ChunkedEulerForest {
             "single-chunk list with an id"
         );
         let host_single = self.occ_list_is_singleton(host);
+        // The guest's index is read off its chunk's labels, so before the
+        // chunk's list is taken.
+        let guest_at = self.chunks.occ_index(guest);
         let mut run = std::mem::take(&mut self.chunks.occs[gc as usize]);
         let guest_single = run.len() == 1;
-        run.rotate_left(self.chunks.occ_pos[guest as usize] as usize);
+        run.rotate_left(guest_at);
         let guest_new = (!guest_single).then(|| self.alloc_occ(self.chunks.occ_vert(guest)));
         let host_new = (!host_single).then(|| self.alloc_occ(self.chunks.occ_vert(host)));
         run.extend(guest_new.into_iter().chain(host_new));
-        let at = self.chunks.occ_pos[host as usize] as usize + 1;
+        let at = self.chunks.occ_index(host) + 1;
         let moved = at..at + run.len();
         // The guest's vector is dropped rather than left to its freed id:
         // freed ids pile up (one per vertex that was ever isolated), and
@@ -496,7 +493,6 @@ impl ChunkedEulerForest {
                 adj[v as usize].len()
             });
         debug_assert_eq!(moved_adj, self.chunks.adj_count[gc as usize]);
-        self.chunks.restamp_occs(hc, moved.end);
         self.chunks.adj_count[hc as usize] += moved_adj;
         self.chunks.free(gc);
         let len = self.chunks.occs[hc as usize].len();
@@ -625,22 +621,23 @@ impl ChunkedEulerForest {
         self.chunks.set_occ_arc(x, None);
         self.chunks.set_occ_arc(y, None);
 
-        let c = self.chunks.occ_chunk[x as usize];
-        if c == self.chunks.occ_chunk[y as usize] {
+        let (c, cy) = (
+            self.chunks.occ_chunk[x as usize],
+            self.chunks.occ_chunk[y as usize],
+        );
+        if c == cy {
             // Both tails in one chunk: the run after the first up to the
             // second is a whole side, and it never wraps.
             #[cfg(test)]
             count_surgery(Surgery::Extraction);
-            let (px, py) = (
-                self.chunks.occ_pos[x as usize],
-                self.chunks.occ_pos[y as usize],
-            );
-            let (lo, hi) = (px.min(py) as usize, px.max(py) as usize);
+            let (px, py) = (self.chunks.occ_index(x), self.chunks.occ_index(y));
+            let (lo, hi) = (px.min(py), px.max(py));
             self.extract_side(c, lo + 1..hi + 1);
         } else {
             #[cfg(test)]
             count_surgery(Surgery::GeneralCut);
-            if self.occ_rank(x) < self.occ_rank(y) {
+            // The tails lie in different chunks, so chunk ranks order them.
+            if self.chunk_rank(c) < self.chunk_rank(cy) {
                 let (p1, rest) = self.list_split_after_occ(x);
                 debug_assert_ne!(rest, NONE);
                 let (_p2, p3) = self.list_split_after_occ(y);
@@ -685,7 +682,6 @@ impl ChunkedEulerForest {
             .rechunk_occs(nc, 0..side.len(), &mut self.vertex_chunk, |v| {
                 adj[v as usize].len()
             });
-        self.chunks.restamp_occs(c, side.start);
         self.chunks.adj_count[nc as usize] = moved_adj;
         self.chunks.adj_count[c as usize] -= moved_adj;
         self.charge(len as u64, log_depth(len), len as u64);

@@ -425,7 +425,8 @@ mod soa_vs_aos {
     struct AosOcc {
         vertex: u32,
         chunk: u32,
-        pos: u32,
+        /// In-chunk index, as the arena recovers it from the order labels.
+        index: usize,
         vpos: u32,
         arc: Option<(u32, bool)>,
         principal: bool,
@@ -494,11 +495,12 @@ mod soa_vs_aos {
 
     /// Pin the occurrence banks to an AoS reference: snapshot every live
     /// occurrence into an [`AosOcc`] record, then require the denormalized
-    /// bank state (`occ_chunk`, `occ_pos`, `occ_vpos`, principal flags, arc
-    /// tails) to equal what a straightforward walk over the *list
-    /// structures* — chunk occurrence lists, per-vertex occurrence lists,
-    /// edge records — computes, independently of the bank maintenance code
-    /// paths (restamp sweeps, flag updates, arc transfers).
+    /// bank state (`occ_chunk`, the index `occ_index` reads off the order
+    /// labels, `occ_vpos`, principal flags, arc tails) to equal what a
+    /// straightforward walk over the *list structures* — chunk occurrence
+    /// lists, per-vertex occurrence lists, edge records — computes,
+    /// independently of the bank maintenance code paths (run labelling,
+    /// chunk relabels, flag updates, arc transfers).
     fn check_occs_against_aos(forest: &crate::forest::ChunkedEulerForest) {
         let arena = &forest.chunks;
         let aos: Vec<Option<AosOcc>> = (0..arena.occ_len() as u32)
@@ -506,7 +508,7 @@ mod soa_vs_aos {
                 arena.occ_alive(o).then(|| AosOcc {
                     vertex: arena.occ_vert(o).0,
                     chunk: arena.occ_chunk[o as usize],
-                    pos: arena.occ_pos[o as usize],
+                    index: arena.occ_index(o),
                     vpos: arena.occ_vpos[o as usize],
                     arc: arena.occ_arc(o),
                     principal: arena.occ_principal(o),
@@ -516,7 +518,7 @@ mod soa_vs_aos {
         let live = aos.iter().flatten().count();
 
         // Reference walk 1: the chunk lists are the authority for
-        // `chunk`/`pos`, and every live occurrence appears in exactly one.
+        // `chunk`/`index`, and every live occurrence appears in exactly one.
         let mut seen = 0usize;
         for c in 0..arena.len() as u32 {
             if !arena.alive(c) {
@@ -525,7 +527,7 @@ mod soa_vs_aos {
             for (pos, &o) in arena.occs[c as usize].iter().enumerate() {
                 let occ = aos[o as usize].as_ref().expect("dead occ in a chunk list");
                 assert_eq!(occ.chunk, c, "occ bank chunk of {o} diverged");
-                assert_eq!(occ.pos as usize, pos, "occ bank pos of {o} diverged");
+                assert_eq!(occ.index, pos, "occ bank index of {o} diverged");
                 seen += 1;
             }
         }
@@ -678,6 +680,32 @@ fn assert_every_path_ran(before: [u64; 4], what: &str) {
     .enumerate()
     {
         assert!(after[path] > before[path], "no {name} ran in {what}");
+    }
+}
+
+/// Links that keep landing at one spot squeeze the gap between two order
+/// labels until the chunk must be relabelled: a hub links a fresh leaf,
+/// whose one-vertex tour splices in right after the hub's principal copy,
+/// then cuts the leaf before it. At K = 2 and K = 5 every op passes
+/// `validate()` (labels strictly increase along each chunk, and every
+/// occurrence's index round-trips through `occ_index`), and whole-chunk
+/// relabels happen.
+#[test]
+fn links_at_one_spot_force_relabels() {
+    let relabels = || crate::forest::arena::RELABELS.with(|c| c.get());
+    let n = 96;
+    for k in [2, 5] {
+        let before = relabels();
+        let mut s = sequential(n, k);
+        for leaf in 1..n as u32 {
+            s.insert(edge(leaf, 0, leaf, leaf as i64));
+            s.validate();
+            if leaf > 1 {
+                s.delete(EdgeId(leaf - 1));
+                s.validate();
+            }
+        }
+        assert!(relabels() > before, "no chunk was relabelled at K = {k}");
     }
 }
 

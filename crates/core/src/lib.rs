@@ -34,10 +34,11 @@
 //!   through the cache — the list metadata (`occs`, `adj_count`,
 //!   `slot`, flags) in separate banks consulted only by surgery and
 //!   rebalancing, and the Euler-tour **occurrence records** in flat `occ_*`
-//!   banks (`vertex` / `chunk` / `pos` / `vpos` / arc handle / flags): the
-//!   surgery reindex loops (in-chunk shifts, split/merge re-chunking) and
-//!   the principal-copy scans of the MWR/row-rebuild paths are sweeps over
-//!   dense banks, with no per-occurrence struct left anywhere.
+//!   banks (`vertex` / `chunk` / order `label` / `vpos` / arc handle /
+//!   flags): the surgery re-chunking loops (split/merge, splice,
+//!   extraction) and the principal-copy scans of the MWR/row-rebuild paths
+//!   are sweeps over dense banks, with no per-occurrence struct left
+//!   anywhere.
 //! * `RowBank` stores every `CAdj` `base`/`agg` row contiguously in one
 //!   backing `Vec<WKey>` (and every `Memb` row in one `Vec<bool>`),
 //!   addressed by compact slab handles (`offset = slab · stride`,
@@ -46,7 +47,7 @@
 //!   recycle through a free list and a stride growth is one compacting
 //!   re-layout.
 //!
-//! With `K` fixed, an update's time is constant factors, and five choices
+//! With `K` fixed, an update's time is constant factors, and six choices
 //! cut them:
 //!
 //! * **Inline adjacency.** An adjacency entry is `{weight, id, other}`
@@ -57,8 +58,14 @@
 //!   deletion rescans its chunk pair only when it removes the pair's
 //!   minimum; otherwise the step is `O(1)`.
 //! * **One-pass re-chunking.** A chunk split or merge walks the moved
-//!   occurrences once, restamping them, retargeting the principal-chunk
-//!   cache and summing their adjacency count.
+//!   occurrences once, stamping their chunk, retargeting the principal-chunk
+//!   cache and summing their adjacency count, then labels them between
+//!   their new neighbours.
+//! * **Order-labelled occurrences.** An occurrence stores an order label,
+//!   not its index: labels increase along a chunk with gaps between them,
+//!   so an in-chunk insertion labels one occurrence, a removal relabels
+//!   none, and an index is a binary search over the chunk's labels. A
+//!   chunk is relabelled whole, in `O(n_c)`, only when a gap runs out.
 //! * **Aggregates recomputed once per update.** A structural change marks
 //!   the touched chunks stale instead of recomputing their `O(J)` vectors;
 //!   each stale chunk is recomputed once, bottom-up, before the `γ` search

@@ -2,9 +2,10 @@
 //!
 //! [`SeqDynamicMsf`] combines the chunked Euler-tour forest
 //! ([`crate::forest::ChunkedEulerForest`]) with a Sleator–Tarjan link-cut
-//! tree (for "heaviest edge on the `u`–`v` path" queries on insertions) and
-//! the usual forest bookkeeping. Tree-edge membership needs no map of its
-//! own — it is a field of the per-edge record.
+//! tree (one "heaviest edge on the `u`–`v` path" query per insertion, which
+//! also tells whether `u` and `v` are connected) and the usual forest
+//! bookkeeping. Tree-edge membership needs no map of its own — it is a
+//! field of the per-edge record.
 //!
 //! The paper runs this one structure at two chunk parameters and costs it
 //! two ways; [`SeqDynamicMsf::with_parameters`] picks both:
@@ -203,28 +204,31 @@ impl DynamicMsf for SeqDynamicMsf {
         self.forest.insert_graph_edge(e);
         let delta = if e.u == e.v {
             MsfDelta::NONE
-        } else if !self.lct.connected(e.u, e.v) {
-            self.charge_lct();
-            self.add_forest_edge(e);
-            MsfDelta::added(e.id)
         } else {
+            // One path-max query answers connectivity too; it is charged as
+            // the connectivity check, plus the path maximum when there is
+            // a path.
             self.charge_lct();
-            let heaviest = self
-                .lct
-                .path_max(e.u, e.v)
-                .expect("connected endpoints have a path");
-            self.charge_lct();
-            if WKey::new(e.weight, e.id) < heaviest {
-                let old = self
-                    .forest
-                    .edge(heaviest.edge)
-                    .expect("forest edge is registered");
-                self.remove_forest_edge(old);
-                self.forest.cut_tree_edge(old);
-                self.add_forest_edge(e);
-                MsfDelta::swap(e.id, heaviest.edge)
-            } else {
-                MsfDelta::NONE
+            match self.lct.path_max(e.u, e.v) {
+                None => {
+                    self.add_forest_edge(e);
+                    MsfDelta::added(e.id)
+                }
+                Some(heaviest) => {
+                    self.charge_lct();
+                    if WKey::new(e.weight, e.id) < heaviest {
+                        let old = self
+                            .forest
+                            .edge(heaviest.edge)
+                            .expect("forest edge is registered");
+                        self.remove_forest_edge(old);
+                        self.forest.cut_tree_edge(old);
+                        self.add_forest_edge(e);
+                        MsfDelta::swap(e.id, heaviest.edge)
+                    } else {
+                        MsfDelta::NONE
+                    }
+                }
             }
         };
         self.forest.recompute_stale();

@@ -1,4 +1,10 @@
 //! Link-cut trees over splay trees, with maximum-`WKey` path aggregation.
+//!
+//! Each operation makes at most two accesses: `path_max` roots the tree at
+//! one endpoint and finds the root from the other, which answers
+//! connectivity and exposes the path at once; `link` checks for a cycle
+//! the same way; `cut` roots at one endpoint and accesses the other, which
+//! exposes exactly the edge and its endpoints, and detaches them locally.
 
 use pdmsf_graph::arena::EdgeIdIndex;
 use pdmsf_graph::{EdgeId, VertexId, WKey};
@@ -50,6 +56,8 @@ pub struct LinkCutForest {
     /// Free list of edge nodes available for reuse.
     free_nodes: Vec<u32>,
     num_edges: usize,
+    /// `splay`'s push-down path, kept between calls to reuse its buffer.
+    splay_path: Vec<u32>,
 }
 
 impl LinkCutForest {
@@ -109,18 +117,21 @@ impl LinkCutForest {
     pub fn link(&mut self, u: VertexId, v: VertexId, e: EdgeId, key: WKey) {
         assert!(u != v, "cannot link a vertex to itself");
         assert!(!self.contains_edge(e), "edge {e:?} already in the forest");
+        let nu = self.vertex_node[u.index()];
+        let nv = self.vertex_node[v.index()];
+        // Once u roots its tree, v's tree has another root unless they are
+        // connected.
+        self.make_root(nu);
         assert!(
-            !self.connected(u, v),
+            self.find_root(nv) != nu,
             "link({u:?}, {v:?}) would create a cycle"
         );
         let enode = self.alloc_node(Some(key));
         self.nodes[enode as usize].ends = (u, v);
-        let nu = self.vertex_node[u.index()];
-        let nv = self.vertex_node[v.index()];
-        // Attach u - enode - v.
-        self.make_root(nu);
-        self.nodes[nu as usize].parent = enode; // path-parent pointer
-        self.make_root(enode);
+        // Attach u - enode - v with two path-parent pointers: u still roots
+        // its tree and its splay tree (the root find ran in v's tree), and
+        // the fresh enode is a tree of its own.
+        self.nodes[nu as usize].parent = enode;
         self.nodes[enode as usize].parent = nv;
         self.edge_node.set(e, enode);
         self.num_edges += 1;
@@ -138,24 +149,45 @@ impl LinkCutForest {
         let (u, v) = self.nodes[enode as usize].ends;
         let nu = self.vertex_node[u.index()];
         let nv = self.vertex_node[v.index()];
-        // Detach enode from u, then from v.
-        self.cut_adjacent(nu, enode);
-        self.cut_adjacent(enode, nv);
+        // With u the root, accessing v exposes the path u, enode, v: v's
+        // splay tree holds exactly these three nodes, u and enode to its left.
+        self.make_root(nu);
+        self.access(nv);
+        let left = self.nodes[nv as usize].child[0];
+        debug_assert!(
+            (left == nu && self.nodes[nu as usize].child.contains(&enode))
+                || (left == enode && self.nodes[enode as usize].child.contains(&nu)),
+            "edge {e:?} does not join its endpoints"
+        );
+        self.nodes[nv as usize].child[0] = NONE;
+        self.pull_up(nv);
+        // u keeps its other subtrees (they hang off it by path-parent
+        // pointers) and is left alone in its splay tree.
+        let node = &mut self.nodes[nu as usize];
+        node.parent = NONE;
+        node.child = [NONE, NONE];
+        node.flip = false;
+        node.agg = node.val;
         self.free_nodes.push(enode);
         self.num_edges -= 1;
     }
 
     /// The heaviest edge (by `WKey`) on the path from `u` to `v`, or `None`
-    /// if `u == v` or they are not connected.
+    /// if `u == v` or they are not connected; so it answers connectivity
+    /// too.
     pub fn path_max(&mut self, u: VertexId, v: VertexId) -> Option<WKey> {
-        if u == v || !self.connected(u, v) {
+        if u == v {
             return None;
         }
         let nu = self.vertex_node[u.index()];
         let nv = self.vertex_node[v.index()];
         self.make_root(nu);
-        self.access(nv);
-        self.nodes[nv as usize].agg
+        // The root find leaves u at the root of the splay tree of the path
+        // from v's root to v, so u's aggregate covers the u–v path.
+        if self.find_root(nv) != nu {
+            return None;
+        }
+        self.nodes[nu as usize].agg
     }
 
     // ------------------------------------------------------------------
@@ -236,15 +268,17 @@ impl LinkCutForest {
 
     fn splay(&mut self, x: u32) {
         // Push pending flips from the splay root down to x first.
-        let mut stack = vec![x];
+        let mut path = std::mem::take(&mut self.splay_path);
+        path.push(x);
         let mut cur = x;
         while !self.is_splay_root(cur) {
             cur = self.nodes[cur as usize].parent;
-            stack.push(cur);
+            path.push(cur);
         }
-        while let Some(node) = stack.pop() {
+        while let Some(node) = path.pop() {
             self.push_down(node);
         }
+        self.splay_path = path;
 
         while !self.is_splay_root(x) {
             let p = self.nodes[x as usize].parent;
@@ -299,7 +333,8 @@ impl LinkCutForest {
         self.push_down(x);
     }
 
-    /// Root of the represented tree containing `x`.
+    /// Root of the represented tree containing `x`, splayed to the root of
+    /// the splay tree of the path from it to `x`.
     fn find_root(&mut self, x: u32) -> u32 {
         self.access(x);
         let mut cur = x;
@@ -314,26 +349,13 @@ impl LinkCutForest {
         self.splay(cur);
         cur
     }
-
-    /// Cut the represented-tree edge between adjacent nodes `a` and `b`
-    /// (where "adjacent" means consecutive on a preferred path once `a` is
-    /// the root).
-    fn cut_adjacent(&mut self, a: u32, b: u32) {
-        self.make_root(a);
-        self.access(b);
-        // After make_root(a) + access(b), the splay tree rooted at b contains
-        // exactly the path a..b, and a is b's left child.
-        debug_assert_eq!(self.nodes[b as usize].child[0], a, "nodes are not adjacent");
-        self.nodes[b as usize].child[0] = NONE;
-        self.nodes[a as usize].parent = NONE;
-        self.pull_up(b);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdmsf_graph::Weight;
+    use proptest::prelude::*;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
@@ -546,6 +568,136 @@ mod tests {
                 f.connected(VertexId::from(u), VertexId::from(v)),
                 oracle.connected(u, v)
             );
+        }
+    }
+
+    /// Every pair's `connected` and `path_max` answers against the oracle's.
+    fn assert_all_pairs_agree(f: &mut LinkCutForest, oracle: &Oracle, n: usize) {
+        for u in 0..n {
+            for v in 0..n {
+                let (vu, vv) = (VertexId::from(u), VertexId::from(v));
+                assert_eq!(
+                    f.connected(vu, vv),
+                    oracle.connected(u, v),
+                    "connected({u}, {v})"
+                );
+                assert_eq!(
+                    f.path_max(vu, vv),
+                    oracle.path_max(u, v),
+                    "path_max({u}, {v})"
+                );
+            }
+        }
+    }
+
+    /// Cutting any one edge of a path splits it exactly there, and linking
+    /// it back (the other way round) restores every answer; then every edge
+    /// is cut in turn. Before each cut a path query reroots the tree
+    /// elsewhere, so cuts also meet paths with pending reversals.
+    #[test]
+    fn cutting_each_edge_of_a_path_splits_it_there() {
+        let n = 12;
+        let mut f = LinkCutForest::new(n);
+        let mut oracle = Oracle::new(n);
+        let k = |i: usize| key((i as i64 * 7) % 5, i as u32);
+        for i in 0..n - 1 {
+            f.link(
+                VertexId::from(i),
+                VertexId::from(i + 1),
+                EdgeId(i as u32),
+                k(i),
+            );
+            oracle.link(i, i + 1, EdgeId(i as u32), k(i));
+        }
+        for i in 0..n - 1 {
+            f.path_max(VertexId::from(n - 1 - i), VertexId::from(i / 2));
+            f.cut(EdgeId(i as u32));
+            oracle.cut(EdgeId(i as u32));
+            assert_all_pairs_agree(&mut f, &oracle, n);
+            f.link(
+                VertexId::from(i + 1),
+                VertexId::from(i),
+                EdgeId(i as u32),
+                k(i),
+            );
+            oracle.link(i + 1, i, EdgeId(i as u32), k(i));
+            assert_all_pairs_agree(&mut f, &oracle, n);
+        }
+        for i in (0..n - 1).rev() {
+            f.cut(EdgeId(i as u32));
+            oracle.cut(EdgeId(i as u32));
+            assert_all_pairs_agree(&mut f, &oracle, n);
+        }
+        assert_eq!(f.num_edges(), 0);
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Link two vertices (mod n) with a weight, if they are in
+        /// different trees.
+        Link(u8, u8, u8),
+        /// Cut the k-th live edge (mod the live count).
+        Cut(u8),
+        /// Ask `connected` and `path_max` of two vertices (mod n).
+        Query(u8, u8),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(u, v, w)| Op::Link(u, v, w)),
+            2 => any::<u8>().prop_map(Op::Cut),
+            4 => (any::<u8>(), any::<u8>()).prop_map(|(u, v)| Op::Query(u, v)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Random link / cut / `connected` / `path_max` sequences on small
+        /// forests agree with a naive path walk. Every link first asks
+        /// `path_max` of its endpoints, which must be `None` (they are in
+        /// different trees), as an insertion does.
+        #[test]
+        fn random_sequences_match_a_naive_path_walk(
+            n in 2usize..12,
+            ops in collection::vec(op_strategy(), 1..200),
+        ) {
+            let mut f = LinkCutForest::new(n);
+            let mut oracle = Oracle::new(n);
+            let mut live: Vec<EdgeId> = Vec::new();
+            for (next, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Link(u, v, w) => {
+                        let (u, v) = (u as usize % n, v as usize % n);
+                        if u == v || oracle.connected(u, v) {
+                            continue;
+                        }
+                        let (vu, vv) = (VertexId::from(u), VertexId::from(v));
+                        prop_assert_eq!(f.path_max(vu, vv), None);
+                        let e = EdgeId(next as u32);
+                        let k = key(w as i64, e.0);
+                        f.link(vu, vv, e, k);
+                        oracle.link(u, v, e, k);
+                        live.push(e);
+                    }
+                    Op::Cut(k) => {
+                        if live.is_empty() {
+                            continue;
+                        }
+                        let e = live.swap_remove(k as usize % live.len());
+                        f.cut(e);
+                        oracle.cut(e);
+                    }
+                    Op::Query(u, v) => {
+                        let (u, v) = (u as usize % n, v as usize % n);
+                        let (vu, vv) = (VertexId::from(u), VertexId::from(v));
+                        prop_assert_eq!(f.connected(vu, vv), oracle.connected(u, v));
+                        prop_assert_eq!(f.path_max(vu, vv), oracle.path_max(u, v));
+                    }
+                }
+                prop_assert_eq!(f.num_edges(), live.len());
+            }
+            assert_all_pairs_agree(&mut f, &oracle, n);
         }
     }
 
