@@ -267,7 +267,7 @@ mod tests {
                 forest: Vec::new(),
             }
         }
-        fn max_degree(&self) -> usize {
+        fn top_degree(&self) -> usize {
             let mut deg = vec![0usize; self.num_vertices];
             for e in &self.edges {
                 deg[e.u.index()] += 1;
@@ -403,7 +403,7 @@ mod tests {
         }
         assert_matches_kruskal(&dr, &mirror);
         // Inspect the inner structure's degrees directly.
-        assert!(dr.inner().max_degree() <= 3, "degree reduction violated");
+        assert!(dr.inner().top_degree() <= 3, "degree reduction violated");
         assert!(dr.num_inner_vertices() >= n);
     }
 

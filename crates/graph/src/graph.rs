@@ -1,11 +1,11 @@
 //! A dynamic, weighted, undirected multigraph.
 //!
 //! [`DynGraph`] is the "driver side" representation of the graph being
-//! maintained: it owns the edge-id space, the adjacency lists and the weight
-//! of every live edge. The dynamic-MSF structures receive edges from it (as
-//! [`Edge`] values) and are free to keep whatever internal bookkeeping they
-//! need; tests compare their answers against [`crate::kruskal_msf`] run on the
-//! same `DynGraph`.
+//! maintained: a flat id table holding the endpoints, weight and live bit of
+//! every edge id ever allocated, plus the vertex count. It keeps no
+//! adjacency; the dynamic-MSF structures receive edges from it (as [`Edge`]
+//! values) and keep their own. Tests compare their answers against
+//! [`crate::kruskal_msf`] run on the same `DynGraph`.
 
 use crate::ids::{EdgeId, VertexId};
 use crate::weight::Weight;
@@ -54,17 +54,19 @@ struct EdgeSlot {
     alive: bool,
 }
 
-/// A dynamic weighted undirected multigraph backed by index arenas.
+/// A dynamic weighted undirected multigraph as an edge-id table.
 ///
 /// * vertices are dense indices `0..num_vertices()` and can be appended,
 /// * edges get stable ids; deleting an edge retires its id (ids are never
 ///   reused so they stay valid as deterministic tie-breakers),
 /// * self-loops and parallel edges are allowed (the MSF simply never uses a
-///   self-loop and uses at most one of a parallel bundle).
+///   self-loop and uses at most one of a parallel bundle),
+/// * no adjacency is kept, so inserting or deleting an edge costs O(1)
+///   whatever its endpoints' degrees.
 #[derive(Clone, Debug, Default)]
 pub struct DynGraph {
     edges: Vec<EdgeSlot>,
-    adjacency: Vec<Vec<EdgeId>>,
+    num_vertices: usize,
     live_edges: usize,
 }
 
@@ -73,7 +75,7 @@ impl DynGraph {
     pub fn new(n: usize) -> Self {
         DynGraph {
             edges: Vec::new(),
-            adjacency: vec![Vec::new(); n],
+            num_vertices: n,
             live_edges: 0,
         }
     }
@@ -81,7 +83,7 @@ impl DynGraph {
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.adjacency.len()
+        self.num_vertices
     }
 
     /// Number of live (non-deleted) edges.
@@ -98,8 +100,8 @@ impl DynGraph {
 
     /// Append a new isolated vertex and return its id.
     pub fn add_vertex(&mut self) -> VertexId {
-        let id = VertexId::from(self.adjacency.len());
-        self.adjacency.push(Vec::new());
+        let id = VertexId::from(self.num_vertices);
+        self.num_vertices += 1;
         id
     }
 
@@ -117,10 +119,6 @@ impl DynGraph {
             weight,
             alive: true,
         });
-        self.adjacency[u.index()].push(id);
-        if v != u {
-            self.adjacency[v.index()].push(id);
-        }
         self.live_edges += 1;
         id
     }
@@ -142,10 +140,6 @@ impl DynGraph {
             v: slot.v,
             weight: slot.weight,
         };
-        self.adjacency[edge.u.index()].retain(|&e| e != id);
-        if edge.v != edge.u {
-            self.adjacency[edge.v.index()].retain(|&e| e != id);
-        }
         self.live_edges -= 1;
         edge
     }
@@ -177,22 +171,6 @@ impl DynGraph {
         self.edges.get(id.index()).map(|s| s.alive).unwrap_or(false)
     }
 
-    /// Ids of the live edges incident to `v` (self-loops appear once).
-    pub fn incident_edges(&self, v: VertexId) -> &[EdgeId] {
-        &self.adjacency[v.index()]
-    }
-
-    /// Degree of `v` counting multiplicities (self-loops count once).
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.adjacency[v.index()].len()
-    }
-
-    /// The maximum degree over all vertices (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Iterator over all live edges, in increasing id order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.edges.iter().enumerate().filter_map(|(i, slot)| {
@@ -209,23 +187,11 @@ impl DynGraph {
         })
     }
 
-    /// Find the id of some live edge between `u` and `v` (linear in the
-    /// degree of `u`). Intended for tests and small drivers.
-    pub fn find_edge(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
-        self.adjacency[u.index()]
-            .iter()
-            .copied()
-            .find(|&id| self.edge_unchecked(id).touches(v))
-    }
-
     /// Flatten the graph into its serializable image.
     ///
-    /// Every observable detail round-trips: dead edge slots are kept (ids
-    /// are never reused, so the slot vector *is* the id allocator) and the
-    /// adjacency lists are dumped in their exact in-memory order —
-    /// [`DynGraph::find_edge`] and [`DynGraph::incident_edges`] expose that
-    /// order, so rebuilding adjacency from the edge slots would not be
-    /// faithful after interleaved deletes.
+    /// Every observable detail round-trips: the vertex count (isolated
+    /// vertices included) and every edge slot, dead ones too (ids are never
+    /// reused, so the slot vector *is* the id allocator).
     pub fn to_image(&self) -> DynGraphImage {
         let mut edge_u = Vec::with_capacity(self.edges.len());
         let mut edge_v = Vec::with_capacity(self.edges.len());
@@ -237,41 +203,31 @@ impl DynGraph {
             edge_weight.push(slot.weight.raw());
             edge_alive.push(u8::from(slot.alive));
         }
-        let mut adj_offsets = Vec::with_capacity(self.adjacency.len() + 1);
-        let mut adj_data = Vec::new();
-        adj_offsets.push(0u64);
-        for list in &self.adjacency {
-            adj_data.extend(list.iter().map(|id| id.0));
-            adj_offsets.push(adj_data.len() as u64);
-        }
         DynGraphImage {
+            num_vertices: self.num_vertices as u64,
             edge_u,
             edge_v,
             edge_weight,
             edge_alive,
-            adj_offsets,
-            adj_data,
         }
     }
 
     /// Rebuild a graph from [`DynGraph::to_image`], validating it so that
     /// a corrupt image is rejected rather than deserialized into a graph
-    /// that panics later: lane lengths and offsets agree, every endpoint is
-    /// a vertex, every listed id names a live edge touching its vertex, and
-    /// every live edge is listed exactly once at each endpoint (once in all
-    /// for a self-loop).
+    /// that panics later: the vertex count fits a [`VertexId`], the edge
+    /// lanes agree in length, every alive flag is 0 or 1 and every endpoint,
+    /// dead slots' included, is a vertex.
     pub fn from_image(image: &DynGraphImage) -> Result<Self, String> {
+        let n = image.num_vertices;
+        if n > u64::from(u32::MAX) {
+            return Err(format!(
+                "graph image claims {n} vertices, beyond the 32-bit vertex-id range"
+            ));
+        }
         let m = image.edge_u.len();
         if image.edge_v.len() != m || image.edge_weight.len() != m || image.edge_alive.len() != m {
             return Err("graph image edge lanes disagree in length".to_string());
         }
-        if image.adj_offsets.first() != Some(&0) {
-            return Err("graph image adjacency offsets must start at 0".to_string());
-        }
-        if image.adj_offsets.last().copied() != Some(image.adj_data.len() as u64) {
-            return Err("graph image adjacency offsets do not cover the data".to_string());
-        }
-        let n = image.adj_offsets.len() - 1;
         let mut edges = Vec::with_capacity(m);
         let mut live_edges = 0usize;
         for i in 0..m {
@@ -279,7 +235,7 @@ impl DynGraph {
                 return Err(format!("graph image edge {i} has a non-boolean alive flag"));
             }
             let (u, v) = (image.edge_u[i], image.edge_v[i]);
-            if u as usize >= n || v as usize >= n {
+            if u64::from(u) >= n || u64::from(v) >= n {
                 return Err(format!(
                     "graph image edge {i} joins {u}–{v} in a graph of {n} vertices"
                 ));
@@ -293,59 +249,21 @@ impl DynGraph {
                 alive,
             });
         }
-        // Per edge: bit 0 = listed at `u`, bit 1 = listed at `v`.
-        let mut listed = vec![0u8; m];
-        let mut adjacency = Vec::with_capacity(n);
-        for v in 0..n {
-            let lo = image.adj_offsets[v] as usize;
-            let hi = image.adj_offsets[v + 1] as usize;
-            if hi < lo || hi > image.adj_data.len() {
-                return Err(format!("graph image adjacency offsets of v{v} are invalid"));
-            }
-            let list: Vec<EdgeId> = image.adj_data[lo..hi].iter().map(|&e| EdgeId(e)).collect();
-            for id in &list {
-                let slot = match edges.get(id.index()) {
-                    Some(slot) if slot.alive => slot,
-                    _ => return Err(format!("graph image adjacency of v{v} names dead {id:?}")),
-                };
-                let bit = if slot.u.index() == v {
-                    1
-                } else if slot.v.index() == v {
-                    2
-                } else {
-                    return Err(format!(
-                        "graph image adjacency of v{v} holds {id:?}, which misses it"
-                    ));
-                };
-                if listed[id.index()] & bit != 0 {
-                    return Err(format!("graph image adjacency of v{v} lists {id:?} twice"));
-                }
-                listed[id.index()] |= bit;
-            }
-            adjacency.push(list);
-        }
-        for (i, slot) in edges.iter().enumerate() {
-            let want = if slot.u == slot.v { 1 } else { 3 };
-            if slot.alive && listed[i] != want {
-                return Err(format!(
-                    "graph image adjacency misses live edge {i} at an endpoint"
-                ));
-            }
-        }
         Ok(DynGraph {
             edges,
-            adjacency,
+            num_vertices: n as usize,
             live_edges,
         })
     }
 }
 
-/// The flat, serializable image of a [`DynGraph`]: edge slots as parallel
-/// lanes (`u32` endpoints, raw `i64` weights, `u8` alive flags — dead slots
-/// included, they are the id allocator) and adjacency lists flattened into
-/// an offsets + data pair in exact in-memory order.
+/// The flat, serializable image of a [`DynGraph`]: its vertex count and its
+/// edge slots as parallel lanes (`u32` endpoints, raw `i64` weights, `u8`
+/// alive flags — dead slots included, they are the id allocator).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DynGraphImage {
+    /// Number of vertices, isolated ones included.
+    pub num_vertices: u64,
     /// First endpoint per edge slot.
     pub edge_u: Vec<u32>,
     /// Second endpoint per edge slot.
@@ -354,10 +272,6 @@ pub struct DynGraphImage {
     pub edge_weight: Vec<i64>,
     /// 1 if the slot's edge is live, 0 if deleted.
     pub edge_alive: Vec<u8>,
-    /// Per-vertex ranges into `adj_data` (`n + 1` entries, starts at 0).
-    pub adj_offsets: Vec<u64>,
-    /// Concatenated adjacency lists (live edge ids).
-    pub adj_data: Vec<u32>,
 }
 
 #[cfg(test)]
@@ -374,7 +288,7 @@ mod tests {
         let e01 = g.insert_edge(VertexId(0), VertexId(1), w(3));
         let e12 = g.insert_edge(VertexId(1), VertexId(2), w(1));
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.degree(VertexId(1)), 2);
+        assert!(g.is_live(e01) && g.is_live(e12));
         assert_eq!(g.edge_unchecked(e01).other(VertexId(0)), VertexId(1));
 
         let removed = g.delete_edge(e01);
@@ -382,8 +296,9 @@ mod tests {
         assert_eq!(g.num_edges(), 1);
         assert!(!g.is_live(e01));
         assert!(g.is_live(e12));
-        assert_eq!(g.degree(VertexId(0)), 0);
-        assert_eq!(g.degree(VertexId(1)), 1);
+        let live: Vec<EdgeId> = g.edges().map(|e| e.id).collect();
+        assert_eq!(live, vec![e12]);
+        assert_eq!(g.edge_id_bound(), 2);
     }
 
     #[test]
@@ -394,9 +309,13 @@ mod tests {
         let loop_e = g.insert_edge(VertexId(0), VertexId(0), w(2));
         assert_ne!(a, b);
         assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.degree(VertexId(0)), 3);
+        assert!(g.is_live(loop_e));
+        assert_eq!(g.edge_unchecked(loop_e).other(VertexId(0)), VertexId(0));
         g.delete_edge(loop_e);
-        assert_eq!(g.degree(VertexId(0)), 2);
+        assert_eq!(g.num_edges(), 2);
+        assert!(!g.is_live(loop_e));
+        let live: Vec<EdgeId> = g.edges().map(|e| e.id).collect();
+        assert_eq!(live, vec![a, b]);
     }
 
     #[test]
@@ -417,16 +336,6 @@ mod tests {
         g.delete_edge(a);
         let ids: Vec<EdgeId> = g.edges().map(|e| e.id).collect();
         assert_eq!(ids, vec![b]);
-    }
-
-    #[test]
-    fn find_edge_locates_live_edges_only() {
-        let mut g = DynGraph::new(3);
-        let a = g.insert_edge(VertexId(0), VertexId(1), w(1));
-        assert_eq!(g.find_edge(VertexId(0), VertexId(1)), Some(a));
-        assert_eq!(g.find_edge(VertexId(0), VertexId(2)), None);
-        g.delete_edge(a);
-        assert_eq!(g.find_edge(VertexId(0), VertexId(1)), None);
     }
 
     #[test]
@@ -451,20 +360,8 @@ mod tests {
         g.to_image()
     }
 
-    /// The position of `id` in `v`'s adjacency run of `image`.
-    fn listed_at(image: &DynGraphImage, v: usize, id: u32) -> usize {
-        let (lo, hi) = (
-            image.adj_offsets[v] as usize,
-            image.adj_offsets[v + 1] as usize,
-        );
-        lo + image.adj_data[lo..hi]
-            .iter()
-            .position(|&e| e == id)
-            .unwrap()
-    }
-
     #[test]
-    fn image_import_rejects_bad_endpoints_and_adjacency() {
+    fn image_import_rejects_bad_endpoints_and_vertex_counts() {
         let good = image_base();
         let g = DynGraph::from_image(&good).expect("a valid image imports");
         assert_eq!(g.to_image(), good);
@@ -478,39 +375,32 @@ mod tests {
         let mut bad = good.clone();
         bad.edge_v[2] = 99;
         refused(&bad, "an out-of-range endpoint");
-        // A live edge no adjacency list names: the dead edge 1 revived.
-        let mut bad = good.clone();
-        bad.edge_alive[1] = 1;
-        refused(&bad, "an unlisted live edge");
-        // A listed id that misses its vertex: 0's entry for 0–1 replaced
-        // by 2–3.
-        let mut bad = good.clone();
-        bad.adj_data[listed_at(&good, 0, 0)] = 2;
-        refused(&bad, "an entry that misses its vertex");
-        // An edge listed twice at one endpoint and missing at the other:
-        // 1's entry for 0–1 replaced by its entry for 1–3.
-        let mut bad = good.clone();
-        bad.adj_data[listed_at(&good, 1, 0)] = 4;
-        refused(&bad, "an edge listed twice at one endpoint");
-        // A self-loop listed twice at its vertex: 3's entry for 2–3
-        // replaced by the loop.
-        let mut bad = good.clone();
-        bad.adj_data[listed_at(&good, 3, 2)] = 3;
-        refused(&bad, "a self-loop listed twice");
         // A dead edge's endpoints must be vertices too (the tenant maps of
         // a service are derived from them).
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.edge_u[1] = 4;
         refused(&bad, "a dead edge off the vertex range");
+        // A vertex count that 32-bit vertex ids cannot name.
+        let mut bad = good;
+        bad.num_vertices = 1 << 32;
+        refused(&bad, "a vertex count beyond the id range");
     }
 
+    /// The vertex count is stored, not derived from the largest endpoint:
+    /// isolated vertices past every edge survive the round trip, whether
+    /// the graph was built with them or grew them.
     #[test]
-    fn max_degree_tracks_adjacency() {
+    fn image_keeps_trailing_isolated_vertices() {
         let mut g = DynGraph::new(5);
-        assert_eq!(g.max_degree(), 0);
-        for i in 1..5 {
-            g.insert_edge(VertexId(0), VertexId(i), w(i as i64));
-        }
-        assert_eq!(g.max_degree(), 4);
+        let e = g.insert_edge(VertexId(0), VertexId(1), w(2));
+        let grown = g.add_vertex();
+        assert_eq!(grown, VertexId(5));
+        let image = g.to_image();
+        assert_eq!(image.num_vertices, 6);
+        let back = DynGraph::from_image(&image).expect("a valid image imports");
+        assert_eq!(back.num_vertices(), 6);
+        assert_eq!(back.num_edges(), 1);
+        assert_eq!(back.edge(e), g.edge(e));
+        assert_eq!(back.to_image(), image);
     }
 }

@@ -5,24 +5,27 @@
 //!
 //! A checkpoint is the graph. Per engine it holds the planner scalars (the
 //! op-log sequence number and the counters), the [`DynGraph`] mirror's
-//! image (the edge slots, which allocate edge ids, and the adjacency
-//! lists) and the chunk parameter `K`; a service checkpoint adds the
-//! tenant placements. Nothing of the MSF structure is stored: the MSF is
-//! unique under `WKey` order, so restore rebuilds the structure from the
-//! mirror ([`pdmsf_core::SeqDynamicMsf::from_graph`]) and re-derives every
+//! image (the vertex count and the edge slots, which allocate edge ids) and
+//! the chunk parameter `K`; a service checkpoint adds the tenant
+//! placements. Nothing of the MSF structure is stored: the MSF is unique
+//! under `WKey` order, so restore rebuilds the structure from the mirror
+//! ([`pdmsf_core::SeqDynamicMsf::from_graph`]) and re-derives every
 //! tenant's edge-id map from the shard mirrors. Outcomes, forests and
 //! future op-log bytes are those of the engine that checkpointed; the
 //! chunking, and so the meter's charges, may differ.
 //!
-//! Version 1 ([`crate::FORMAT_VERSION`] is 2) also dumped the structure's
-//! banks after the mirror, and stored each tenant's edge-id map. Restore
-//! reads its scalars, mirror and `K`, skips the structure lanes, and
-//! refuses a stored tenant map that differs from the derived one. Engines
-//! split into several component partitions once appended a **tail** to
-//! their version-1 engine section (the partition count first, then the
-//! further partitions). Those engines are gone; a section that still
-//! carries such a tail is refused as [`PersistError::Inconsistent`],
-//! naming its partition count.
+//! Versions 1 and 2 ([`crate::FORMAT_VERSION`] is 3) stored the mirror's
+//! adjacency lists as an offsets lane and an entries lane where version 3
+//! stores the vertex count. Restore takes the count as the offsets lane's
+//! length minus one and skips both lanes unread: nothing is built from
+//! them. Version 1 also dumped the structure's banks after `K`, and stored
+//! each tenant's edge-id map. Restore skips the structure lanes and refuses
+//! a stored tenant map that differs from the derived one. Engines split
+//! into several component partitions once appended a **tail** to their
+//! version-1 engine section (the partition count first, then the further
+//! partitions). Those engines are gone; a section that still carries such a
+//! tail is refused as [`PersistError::Inconsistent`], naming its partition
+//! count.
 
 use std::io::{Read, Write};
 use std::time::Instant;
@@ -69,8 +72,7 @@ fn encode_engine(engine: &Engine) -> Vec<u8> {
     e.lane_u32(&g.edge_v);
     e.lane_i64(&g.edge_weight);
     e.lane_u8(&g.edge_alive);
-    e.lane_u64(&g.adj_offsets);
-    e.lane_u32(&g.adj_data);
+    e.u64(g.num_vertices);
     e.u64(engine.structure().chunk_parameter() as u64);
     e.into_bytes()
 }
@@ -117,13 +119,32 @@ fn decode_engine(version: u32, payload: &[u8]) -> Result<Engine, PersistError> {
         // Two retired counters of the partitioned engines, written as zeros.
         d.skip(16)?;
     }
+    let edge_u = d.lane_u32()?;
+    let edge_v = d.lane_u32()?;
+    let edge_weight = d.lane_i64()?;
+    let edge_alive = d.lane_u8()?;
+    let num_vertices = if version < 3 {
+        // Adjacency lists: an offsets lane of one entry per vertex plus
+        // one, then the entries. Only the count is used.
+        let offsets = d.skip_lane(8)?;
+        d.skip_lane(4)?;
+        match offsets.checked_sub(1) {
+            Some(n) => n as u64,
+            None => {
+                return Err(PersistError::Inconsistent(
+                    "the engine section's adjacency offsets lane is empty".to_string(),
+                ))
+            }
+        }
+    } else {
+        d.u64()?
+    };
     let graph_image = DynGraphImage {
-        edge_u: d.lane_u32()?,
-        edge_v: d.lane_u32()?,
-        edge_weight: d.lane_i64()?,
-        edge_alive: d.lane_u8()?,
-        adj_offsets: d.lane_u64()?,
-        adj_data: d.lane_u32()?,
+        num_vertices,
+        edge_u,
+        edge_v,
+        edge_weight,
+        edge_alive,
     };
     let k = d.u64()?;
     if version == 1 {
@@ -340,7 +361,7 @@ impl ServiceCheckpointExt for ShardedService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::read_section;
+    use crate::format::{read_section, CKP_MAGIC, FORMAT_VERSION};
     use pdmsf_graph::{BatchOp, EdgeId, TenantOp, VertexId, Weight};
     use pdmsf_shard::TenantSpec;
 
@@ -522,33 +543,65 @@ mod tests {
         assert!(ShardedService::restore_all(&swapped[..]).is_err());
     }
 
-    /// The version-2 bytes of two scripts: an engine section holds the
-    /// scalars, the mirror and `K`, so these move only when the format or
-    /// the scripts' graphs do, never with the structure's layout. Older
-    /// checkpoints of the same scripts still restore, see
-    /// `older_checkpoints_restore_and_continue_like_a_fresh_run`.
+    /// The version-3 bytes of two scripts: an engine section holds the
+    /// scalars, the mirror's vertex count and edge slots, and `K`, so these
+    /// move only when the format or the scripts' graphs do, never with the
+    /// structure's layout. Older checkpoints of the same scripts still
+    /// restore, see `older_checkpoints_restore_and_continue_like_a_fresh_run`.
     #[test]
     fn one_partition_checkpoint_bytes_did_not_move() {
         let mut buf = Vec::new();
         build_engine().checkpoint(&mut buf).unwrap();
-        assert_eq!((buf.len(), crate::crc32(&buf)), (476, 0x4a5a_fcc7));
+        assert_eq!((buf.len(), crate::crc32(&buf)), (284, 0x8151_5347));
         let mut buf = Vec::new();
         build_service(Engine::new).checkpoint_all(&mut buf).unwrap();
-        assert_eq!((buf.len(), crate::crc32(&buf)), (1_191, 0x21f7_accb));
+        assert_eq!((buf.len(), crate::crc32(&buf)), (719, 0x301d_4822));
     }
 
-    /// Checkpoints of `build_engine()` and `build_service(Engine::new)`
-    /// written before links and cuts stayed inside one chunk (the bytes
-    /// `one_partition_checkpoint_bytes_did_not_move` pinned until then)
+    /// Older checkpoints of `build_engine()` and `build_service(Engine::new)`
     /// restore, validate, and go on exactly like the same scripts run
-    /// fresh.
+    /// fresh: version 1, written before links and cuts stayed inside one
+    /// chunk (it also dumped the structure), and version 2, the bytes
+    /// `one_partition_checkpoint_bytes_did_not_move` pinned until the
+    /// mirror's adjacency lists left the format.
     #[test]
     fn older_checkpoints_restore_and_continue_like_a_fresh_run() {
-        let old = include_bytes!("../tests/fixtures/build_engine.ckpt");
-        assert_eq!((old.len(), crate::crc32(old)), (4_029, 0xa91d_c2ba));
-        let mut restored = Engine::restore(&old[..]).unwrap();
+        let engines: [(&[u8], _); 2] = [
+            (
+                include_bytes!("../tests/fixtures/build_engine.ckpt"),
+                (4_029, 0xa91d_c2ba),
+            ),
+            (
+                include_bytes!("../tests/fixtures/build_engine_v2.ckpt"),
+                (476, 0x4a5a_fcc7),
+            ),
+        ];
+        for (old, pin) in engines {
+            assert_eq!((old.len(), crate::crc32(old)), pin);
+            older_engine_continues_like_a_fresh_run(old);
+        }
+        let services: [(&[u8], _); 2] = [
+            (
+                include_bytes!("../tests/fixtures/build_service.ckpt"),
+                (9_973, 0x2e65_eca6),
+            ),
+            (
+                include_bytes!("../tests/fixtures/build_service_v2.ckpt"),
+                (1_191, 0x21f7_accb),
+            ),
+        ];
+        for (old, pin) in services {
+            assert_eq!((old.len(), crate::crc32(old)), pin);
+            older_service_continues_like_a_fresh_run(old);
+        }
+    }
+
+    fn older_engine_continues_like_a_fresh_run(old: &[u8]) {
+        let mut restored = Engine::restore(old).unwrap();
         restored.structure().validate();
         let mut fresh = build_engine();
+        // The mirror comes back whole: vertex count and every edge slot.
+        assert_eq!(restored.graph().to_image(), fresh.graph().to_image());
         assert_eq!(restored.forest_edges(), fresh.forest_edges());
         assert_eq!(restored.forest_weight(), fresh.forest_weight());
         for ops in [
@@ -572,16 +625,21 @@ mod tests {
             assert_eq!(restored.forest_weight(), fresh.forest_weight());
         }
         restored.structure().validate();
+    }
 
-        let old = include_bytes!("../tests/fixtures/build_service.ckpt");
-        assert_eq!((old.len(), crate::crc32(old)), (9_973, 0x2e65_eca6));
-        let mut restored = ShardedService::restore_all(&old[..]).unwrap();
+    fn older_service_continues_like_a_fresh_run(old: &[u8]) {
+        let mut restored = ShardedService::restore_all(old).unwrap();
         let mut fresh = build_service(Engine::new);
         let same_forests = |a: &ShardedService, b: &ShardedService| {
             assert_eq!(a.num_shards(), b.num_shards());
             for shard in 0..a.num_shards() {
                 let (ea, eb) = (a.shard_engine(shard), b.shard_engine(shard));
                 ea.structure().validate();
+                assert_eq!(
+                    ea.graph().to_image(),
+                    eb.graph().to_image(),
+                    "shard {shard}"
+                );
                 assert_eq!(ea.forest_edges(), eb.forest_edges(), "shard {shard}");
                 assert_eq!(ea.forest_weight(), eb.forest_weight(), "shard {shard}");
             }
@@ -765,35 +823,82 @@ mod tests {
         }
     }
 
-    /// A CRC-valid engine section whose mirror is corrupt — an endpoint
-    /// off the vertex range — is refused as inconsistent, not restored
-    /// into an engine that panics later.
+    /// A CRC-valid engine section whose mirror is corrupt — a live edge
+    /// naming vertex 99 of 16 — is refused as inconsistent, not restored
+    /// into an engine that panics later, in this build's format and in
+    /// version 2 (the committed fixture, re-framed).
     #[test]
     fn a_corrupt_mirror_is_refused_on_restore() {
-        let engine = build_engine();
-        let mut image = engine.graph().to_image();
-        let live = (0..image.edge_alive.len())
-            .find(|&i| image.edge_alive[i] == 1)
-            .unwrap();
-        image.edge_v[live] = 99;
-        let mut e = Enc::new();
-        for _ in 0..9 {
-            e.u64(0);
+        let mut current = Vec::new();
+        build_engine().checkpoint(&mut current).unwrap();
+        let v2 = include_bytes!("../tests/fixtures/build_engine_v2.ckpt");
+        for (bytes, version) in [(&current[..], FORMAT_VERSION), (&v2[..], 2)] {
+            let (got, _, sections) = sections(bytes);
+            assert_eq!((got, sections[0].0), (version, SEC_ENGINE));
+            let section = &sections[0].1;
+            // The scalars, then the four edge lanes; the rest is copied.
+            let mut d = Dec::new(section);
+            d.skip(9 * 8).unwrap();
+            let edge_u = d.lane_u32().unwrap();
+            let mut edge_v = d.lane_u32().unwrap();
+            let edge_weight = d.lane_i64().unwrap();
+            let edge_alive = d.lane_u8().unwrap();
+            let live = edge_alive.iter().position(|&a| a == 1).unwrap();
+            edge_v[live] = 99;
+            let mut e = Enc::new();
+            e.lane_u32(&edge_u);
+            e.lane_u32(&edge_v);
+            e.lane_i64(&edge_weight);
+            e.lane_u8(&edge_alive);
+            let mut payload = section[..9 * 8].to_vec();
+            payload.extend(e.into_bytes());
+            payload.extend_from_slice(&section[section.len() - d.remaining()..]);
+            // Magic, version and the kind byte.
+            let mut buf = bytes[..13].to_vec();
+            write_section(&mut buf, SEC_ENGINE, &payload).unwrap();
+            write_section(&mut buf, SEC_END, &[]).unwrap();
+            match Engine::restore(&buf[..]) {
+                Err(PersistError::Inconsistent(why)) => {
+                    assert!(why.contains("99") && why.contains("16 vertices"), "{why}")
+                }
+                other => panic!(
+                    "a corrupt version-{version} mirror was not refused: {:?}",
+                    other.err()
+                ),
+            }
         }
-        e.lane_u32(&image.edge_u);
-        e.lane_u32(&image.edge_v);
-        e.lane_i64(&image.edge_weight);
-        e.lane_u8(&image.edge_alive);
-        e.lane_u64(&image.adj_offsets);
-        e.lane_u32(&image.adj_data);
-        e.u64(engine.structure().chunk_parameter() as u64);
-        let mut buf = Vec::new();
-        write_header(&mut buf, KIND_ENGINE).unwrap();
-        write_section(&mut buf, SEC_ENGINE, &e.into_bytes()).unwrap();
-        write_section(&mut buf, SEC_END, &[]).unwrap();
-        match Engine::restore(&buf[..]) {
-            Err(PersistError::Inconsistent(why)) => assert!(why.contains("vertices"), "{why}"),
-            other => panic!("a corrupt mirror was not refused: {:?}", other.err()),
+    }
+
+    /// The vertex count is outside input. CRC-valid sections with no edges
+    /// are refused as inconsistent, before anything is sized by the count,
+    /// when a version-3 section claims 2³² vertices or a version-2 section's
+    /// adjacency offsets lane is empty (a count of −1).
+    #[test]
+    fn impossible_vertex_counts_are_refused() {
+        let v3_count = (1u64 << 32).to_le_bytes().to_vec();
+        let mut v2_lanes = Enc::new();
+        v2_lanes.lane_u64(&[]);
+        v2_lanes.lane_u32(&[]);
+        for (version, count, want) in [
+            (3u32, v3_count, "4294967296 vertices"),
+            (2, v2_lanes.into_bytes(), "offsets lane is empty"),
+        ] {
+            // Nine zero scalars and four empty edge lanes, the count, K = 4.
+            let mut payload = vec![0u8; 13 * 8];
+            payload.extend(count);
+            payload.extend(4u64.to_le_bytes());
+            let mut buf = CKP_MAGIC.to_vec();
+            buf.extend(version.to_le_bytes());
+            buf.push(KIND_ENGINE);
+            write_section(&mut buf, SEC_ENGINE, &payload).unwrap();
+            write_section(&mut buf, SEC_END, &[]).unwrap();
+            match Engine::restore(&buf[..]) {
+                Err(PersistError::Inconsistent(why)) => assert!(why.contains(want), "{why}"),
+                other => panic!(
+                    "version {version}: an impossible vertex count was not refused: {:?}",
+                    other.err()
+                ),
+            }
         }
     }
 }

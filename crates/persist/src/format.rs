@@ -27,12 +27,13 @@ use crate::crc32::Crc32;
 pub const CKP_MAGIC: [u8; 8] = *b"PDMSFCKP";
 /// First bytes of every op-log stream.
 pub const LOG_MAGIC: [u8; 8] = *b"PDMSFLOG";
-/// Checkpoint format version this build writes. Version 2 stores each
-/// engine's graph; version 1 also dumped its structure's banks, and still
-/// restores (its structure lanes are skipped).
-pub const FORMAT_VERSION: u32 = 2;
+/// Checkpoint format version this build writes. Version 3 stores each
+/// engine's graph as its vertex count and edge slots; version 2 also stored
+/// the graph's adjacency lists, and version 1 the structure's banks on top.
+/// Both still restore (what this build does not use is skipped unread).
+pub const FORMAT_VERSION: u32 = 3;
 /// Op-log format version. The log did not change when checkpoints moved to
-/// version 2.
+/// versions 2 and 3.
 pub const LOG_VERSION: u32 = 1;
 
 /// Checkpoint kind byte: a single [`pdmsf_engine::Engine`].
@@ -234,10 +235,12 @@ impl<'a> Dec<'a> {
         self.take(n).map(drop)
     }
 
-    /// Skip a length-prefixed lane of `elem_size`-byte elements.
-    pub fn skip_lane(&mut self, elem_size: u64) -> Result<(), PersistError> {
+    /// Skip a length-prefixed lane of `elem_size`-byte elements; returns
+    /// its element count.
+    pub fn skip_lane(&mut self, elem_size: u64) -> Result<usize, PersistError> {
         let n = self.lane_len(elem_size)?;
-        self.skip(n * elem_size as usize)
+        self.skip(n * elem_size as usize)?;
+        Ok(n)
     }
 
     pub fn lane_u8(&mut self) -> Result<Vec<u8>, PersistError> {
@@ -286,7 +289,7 @@ pub fn write_header<W: Write>(w: &mut W, kind: u8) -> Result<(), PersistError> {
 }
 
 /// Read and validate the checkpoint stream header; returns the format
-/// version (1 or [`FORMAT_VERSION`]) and the kind byte.
+/// version (1 to [`FORMAT_VERSION`]) and the kind byte.
 pub fn read_header<R: Read>(r: &mut R) -> Result<(u32, u8), PersistError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;

@@ -7,12 +7,14 @@
 //!
 //! A checkpoint is the graph: the MSF is unique under `WKey` order, so the
 //! live edges determine the forest. Each engine stores its planner scalars,
-//! its `DynGraph` mirror as flat lanes (17 bytes per edge slot, 4 per
-//! adjacency entry, 8 per vertex; about 29 bytes per live edge on the
-//! E5 benchmark's largest engine) and its chunk parameter `K`; restore
-//! rebuilds the structure from the mirror (`SeqDynamicMsf::from_graph`).
-//! No structure layout is stored, so a layout change never moves the
-//! format.
+//! its `DynGraph` mirror (the vertex count, then one 17-byte slot per edge
+//! id ever allocated: endpoints, weight and live bit, in flat lanes; about
+//! 17 bytes per live edge on the E5 benchmark's largest engine) and its
+//! chunk parameter `K`; restore rebuilds the structure from the mirror
+//! (`SeqDynamicMsf::from_graph`). No structure layout and no adjacency is
+//! stored, so a layout change never moves the format. Format 3 is current;
+//! formats 1 and 2, which also stored the mirror's adjacency lists, still
+//! restore.
 //!
 //! ## The format, in one screen
 //!
@@ -24,9 +26,9 @@
 //!   plus one section per shard engine. Truncation and bit flips are
 //!   *detected* — restore returns [`PersistError::Corrupt`], never a
 //!   plausible-but-wrong structure; states that decode but are impossible
-//!   (a mirror whose adjacency disagrees with its edges, a tenant table
-//!   that disagrees with the shard mirrors) are refused as
-//!   [`PersistError::Inconsistent`].
+//!   (an edge endpoint outside the vertex range, a vertex count beyond
+//!   32-bit ids, a tenant table that disagrees with the shard mirrors) are
+//!   refused as [`PersistError::Inconsistent`].
 //! * **Op log** ([`OpLogWriter`], one per engine/shard): magic `PDMSFLOG`,
 //!   version, stream id, then one CRC-guarded record per state-mutating
 //!   batch, written **before** the batch applies (the engine's

@@ -173,7 +173,8 @@
 //!   [`persist::ServiceCheckpointExt`]): a versioned format
 //!   ([`persist::FORMAT_VERSION`]) of length-prefixed sections, each
 //!   guarded by a CRC-32 over tag and payload. An engine section holds the
-//!   planner scalars, the graph mirror's lanes and `K`; a service
+//!   planner scalars, the graph mirror (its vertex count and one slot per
+//!   edge id: endpoints, weight, live bit; no adjacency) and `K`; a service
 //!   checkpoint adds the tenant placements, and restore re-wires the shards
 //!   to the router, deriving every tenant's edge-id map from the shard
 //!   mirrors. Truncations and bit flips are *detected*
@@ -193,8 +194,9 @@
 //!   in checkpoint and log) against an uninterrupted twin. Experiment E5
 //!   (`experiments -- e5`) measures checkpoint size and restore time
 //!   against a cold rebuild, recording `BENCH_persist.json`, and fails
-//!   unless restore is at least 10× faster at 65 536 vertices; the
-//!   end-to-end flow is `examples/checkpoint_restore.rs`.
+//!   unless, at 65 536 vertices, restore is at least 10× faster and the
+//!   checkpoint takes at most 20 bytes per live edge; the end-to-end flow
+//!   is `examples/checkpoint_restore.rs`.
 //!
 //! ## Observability
 //!
