@@ -87,7 +87,7 @@ use pdmsf_core::seq::default_sequential_k;
 use pdmsf_core::{CostModel, SeqDynamicMsf};
 use pdmsf_graph::{DynGraph, DynamicMsf, Edge, EdgeId, VertexId};
 use pdmsf_obs as obs;
-use pdmsf_obs::{PhaseTimer, Span};
+use pdmsf_obs::trace::{Phase, TSpan};
 use std::collections::HashSet;
 use std::io;
 use std::sync::Arc;
@@ -218,6 +218,8 @@ pub struct BatchSummary {
     pub queries: usize,
     /// Distinct answers computed for those queries.
     pub unique_queries: usize,
+    /// Query snapshots captured to answer them (0 or 1).
+    pub snapshots: u64,
 }
 
 /// The result of executing one batch: one [`Outcome`] per input op, in op
@@ -249,6 +251,20 @@ pub struct EngineStats {
     pub deduped_queries: u64,
     /// Query snapshots captured.
     pub snapshots: u64,
+}
+
+impl EngineStats {
+    /// Add one executed batch.
+    fn absorb(&mut self, s: &BatchSummary) {
+        self.batches += 1;
+        self.ops += s.ops as u64;
+        self.applied_updates += s.applied_updates as u64;
+        self.cancelled_pairs += s.cancelled_pairs as u64;
+        self.rejected += s.rejected as u64;
+        self.queries += s.queries as u64;
+        self.deduped_queries += (s.queries - s.unique_queries) as u64;
+        self.snapshots += s.snapshots;
+    }
 }
 
 /// Minimum unique queries before a snapshot is ever considered.
@@ -348,7 +364,7 @@ impl EngineMetrics {
             apply_ns: r.histogram("pdmsf_engine_apply_ns", "batch update-apply phase latency"),
             snapshot_ns: r.histogram(
                 "pdmsf_engine_snapshot_ns",
-                "query-snapshot capture + answering latency",
+                "query-answering phase latency (snapshot capture or structure queries)",
             ),
             batches: r.counter("pdmsf_engine_batches_total", "batches executed"),
             ops: r.counter("pdmsf_engine_ops_total", "operations processed"),
@@ -372,6 +388,26 @@ impl EngineMetrics {
             snapshots: r.counter("pdmsf_engine_snapshots_total", "query snapshots captured"),
         }
     }
+
+    /// Count one executed batch, whose per-op results are `outcomes`.
+    fn count(&self, s: &BatchSummary, outcomes: &[Outcome]) {
+        self.batches.inc();
+        self.ops.add(s.ops as u64);
+        self.updates_applied.add(s.applied_updates as u64);
+        self.pairs_cancelled.add(s.cancelled_pairs as u64);
+        self.queries.add(s.queries as u64);
+        self.snapshots.add(s.snapshots);
+        if s.rejected > 0 {
+            // Attribute each reject to its reason series; rejected outcome
+            // slots are final (query backfill only touches accepted query
+            // slots).
+            for outcome in outcomes {
+                if let Outcome::Rejected { reason } = outcome {
+                    self.ops_rejected[reason.metric_index()].inc();
+                }
+            }
+        }
+    }
 }
 
 /// The batched update/query engine. Owns the id-allocating [`DynGraph`]
@@ -385,7 +421,7 @@ pub struct Engine {
     /// Optional write-ahead op log; see [`OpSink`].
     sink: Option<Box<dyn OpSink>>,
     /// Optional registry-backed instrumentation ([`Engine::enable_metrics`]);
-    /// `None` keeps every phase timer a near-no-op.
+    /// `None` leaves every phase guard without a histogram.
     metrics: Option<EngineMetrics>,
 }
 
@@ -443,7 +479,7 @@ impl Engine {
     /// plan/apply/snapshot phase timings and operation counters, recorded
     /// into the `pdmsf_engine_*` families of the process-wide
     /// [`pdmsf_obs::global`] registry. Off by default — an
-    /// uninstrumented engine pays one `Option` branch per phase and never
+    /// uninstrumented, untraced engine pays one branch per phase and never
     /// reads the clock (the `obs_overhead` bench pins the instrumented
     /// regression under 2%).
     pub fn enable_metrics(&mut self) {
@@ -595,13 +631,17 @@ impl Engine {
     /// batch executes (the plan pre-assigns edge ids from the mirror's
     /// current allocation frontier, which an intervening batch would move).
     pub fn plan_batch(&self, ops: &[Op]) -> PlannedBatch {
-        let timer = PhaseTimer::start(self.metrics.as_ref().map(|m| &*m.plan_ns));
-        // Trace against the ambient batch id (set by the sharded service
-        // on its submitting thread, or by any caller via `trace::scope`).
-        let tspan = obs::trace::TSpan::start(obs::trace::Phase::Plan, ops.len() as u64, 0);
+        // Spans trace against the ambient batch id (set by the sharded
+        // service on its submitting thread, or by any caller via
+        // `trace::scope`).
+        let span = TSpan::begin(
+            Phase::Plan,
+            self.metrics.as_ref().map(|m| &*m.plan_ns),
+            ops.len() as u64,
+            0,
+        );
         let plan = plan::plan(&self.graph, ops);
-        tspan.stop();
-        timer.stop();
+        span.end();
         PlannedBatch {
             plan,
             ops: ops.len(),
@@ -653,46 +693,42 @@ impl Engine {
             }
             self.applied_seq = seq;
         }
-        // Owned spans (Arc clones), not borrowed timers: the timed phases
-        // need `&mut self` while a borrowed guard would pin `&self.metrics`.
-        let apply_span = Span::start(self.metrics.as_ref().map(|m| m.apply_ns.clone()));
-        let apply_tspan =
-            obs::trace::TSpan::start(obs::trace::Phase::Apply, plan.updates.len() as u64, 0);
-        let applied = self.apply_updates(&plan.updates);
-        apply_tspan.stop();
-        apply_span.stop();
+        // The guards borrow the metrics while the phases mutate the mirror
+        // and the structure: disjoint fields.
+        let metrics = self.metrics.as_ref();
+        let span = TSpan::begin(
+            Phase::Apply,
+            metrics.map(|m| &*m.apply_ns),
+            plan.updates.len() as u64,
+            0,
+        );
+        let applied = Engine::apply_updates(&mut self.graph, &mut self.msf, &plan.updates);
+        span.end();
 
+        let mut snapshots = 0;
         if !plan.unique_queries.is_empty() {
             let unique = plan.unique_queries.len();
             let snapshot_pays = unique >= SNAPSHOT_MIN_QUERIES
                 && unique * SNAPSHOT_AMORTIZE >= self.graph.num_vertices();
-            let snapshot_span = Span::start(
-                self.metrics
-                    .as_ref()
-                    .filter(|_| snapshot_pays)
-                    .map(|m| m.snapshot_ns.clone()),
-            );
-            let snapshot_tspan = obs::trace::TSpan::start(
-                obs::trace::Phase::Snapshot,
+            let span = TSpan::begin(
+                Phase::Snapshot,
+                metrics.map(|m| &*m.snapshot_ns),
                 unique as u64,
                 snapshot_pays as u64,
             );
             let answers: Vec<Outcome> = if !snapshot_pays {
                 // Small query sets: a snapshot's O(n) capture would dominate.
+                let msf = &mut self.msf;
                 plan.unique_queries
                     .iter()
-                    .map(|q| self.answer_through_structure(q))
+                    .map(|q| Engine::answer_through_structure(msf, q))
                     .collect()
             } else {
-                self.stats.snapshots += 1;
-                if let Some(m) = &self.metrics {
-                    m.snapshots.inc();
-                }
+                snapshots = 1;
                 let snap = QuerySnapshot::capture(&self.graph, &self.msf);
                 snapshot::answer_queries(&snap, &plan.unique_queries)
             };
-            snapshot_tspan.stop();
-            snapshot_span.stop();
+            span.end();
             for &(out, slot) in &plan.query_refs {
                 plan.outcomes[out] = answers[slot];
             }
@@ -705,26 +741,11 @@ impl Engine {
             rejected: plan.rejected,
             queries: plan.query_refs.len(),
             unique_queries: plan.unique_queries.len(),
+            snapshots,
         };
-        self.bump_stats(&summary);
-        self.stats.cancelled_pairs += summary.cancelled_pairs as u64;
-        self.stats.deduped_queries += (summary.queries - summary.unique_queries) as u64;
-        if let Some(m) = &self.metrics {
-            m.batches.inc();
-            m.ops.add(summary.ops as u64);
-            m.updates_applied.add(summary.applied_updates as u64);
-            m.pairs_cancelled.add(summary.cancelled_pairs as u64);
-            if summary.rejected > 0 {
-                // Attribute each reject to its reason series; rejected
-                // outcome slots are final (query backfill above only
-                // touches accepted query slots).
-                for outcome in &plan.outcomes {
-                    if let Outcome::Rejected { reason } = outcome {
-                        m.ops_rejected[reason.metric_index()].inc();
-                    }
-                }
-            }
-            m.queries.add(summary.queries as u64);
+        self.stats.absorb(&summary);
+        if let Some(m) = metrics {
+            m.count(&summary, &plan.outcomes);
         }
         BatchResult {
             outcomes: plan.outcomes,
@@ -735,7 +756,11 @@ impl Engine {
     /// Apply a plan's updates in one pass, arrival order (see the crate
     /// docs): each update applies to the mirror and, unless cancelled, to
     /// the structure at once. Returns how many reached the structure.
-    fn apply_updates(&mut self, updates: &[PlannedUpdate]) -> usize {
+    fn apply_updates(
+        graph: &mut DynGraph,
+        msf: &mut SeqDynamicMsf,
+        updates: &[PlannedUpdate],
+    ) -> usize {
         let mut applied = 0usize;
         for update in updates {
             match *update {
@@ -746,17 +771,17 @@ impl Engine {
                     weight,
                     cancelled,
                 } => {
-                    let got = self.graph.insert_edge(u, v, weight);
+                    let got = graph.insert_edge(u, v, weight);
                     debug_assert_eq!(got, id, "plan id allocation diverged from the mirror");
                     if !cancelled {
-                        self.msf.insert(Edge { id, u, v, weight });
+                        msf.insert(Edge { id, u, v, weight });
                         applied += 1;
                     }
                 }
                 PlannedUpdate::Cut { id, cancelled } => {
-                    self.graph.delete_edge(id);
+                    graph.delete_edge(id);
                     if !cancelled {
-                        self.msf.delete(id);
+                        msf.delete(id);
                         applied += 1;
                     }
                 }
@@ -904,23 +929,15 @@ impl Engine {
         }
     }
 
-    fn answer_through_structure(&mut self, q: &PlannedQuery) -> Outcome {
+    fn answer_through_structure(msf: &mut SeqDynamicMsf, q: &PlannedQuery) -> Outcome {
         match *q {
             PlannedQuery::Connected { u, v } => Outcome::Connected {
-                connected: self.msf.connected(u, v),
+                connected: msf.connected(u, v),
             },
             PlannedQuery::ForestWeight => Outcome::ForestWeight {
-                weight: self.msf.forest_weight(),
+                weight: msf.forest_weight(),
             },
         }
-    }
-
-    fn bump_stats(&mut self, summary: &BatchSummary) {
-        self.stats.batches += 1;
-        self.stats.ops += summary.ops as u64;
-        self.stats.applied_updates += summary.applied_updates as u64;
-        self.stats.rejected += summary.rejected as u64;
-        self.stats.queries += summary.queries as u64;
     }
 }
 

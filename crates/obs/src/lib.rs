@@ -11,20 +11,18 @@
 //! * [`Histogram`] — log2-bucketed fixed-size latency histogram: a record
 //!   is a `leading_zeros` + three relaxed `fetch_add`s (bucket, count,
 //!   sum). Count and sum are exact; quantiles are estimated from the
-//!   buckets (see *Accuracy* below). Histograms are mergeable through
-//!   [`HistSnapshot::merge`], so per-shard recorders combine into one
-//!   distribution without any cross-thread coordination while recording.
-//! * [`Span`] / [`PhaseTimer`] — drop-guards that record the elapsed
-//!   nanoseconds of a phase into a histogram. Constructed with `None`
-//!   (no registry / metrics disabled) they skip the clock read entirely
-//!   and compile to a near-no-op: one branch on drop.
+//!   buckets (see *Accuracy* below).
+//! * [`trace::TSpan`] — the one phase guard: it times a phase into an
+//!   optional histogram and spans it on the ambient trace, both from the
+//!   same pair of clock readings. With neither a histogram nor a trace it
+//!   never reads the clock: one branch at begin and one on drop.
 //!
 //! ## Overhead model
 //!
-//! The record path costs one `Instant::now()` pair per timed phase
-//! (~20-50ns each) plus a handful of relaxed atomics (~1-5ns each,
-//! uncontended). The engine times four phases per *batch* (hundreds to
-//! thousands of ops), so instrumentation amortizes to well under 1ns/op —
+//! The record path costs one clock-read pair per timed phase (~20-50ns
+//! each) plus a handful of relaxed atomics (~1-5ns each, uncontended).
+//! The engine times three phases per *batch* (hundreds to thousands of
+//! ops), so instrumentation amortizes to well under 1ns/op —
 //! the `obs_overhead` harness bench pins the end-to-end regression of an
 //! instrumented engine under 2% of the uninstrumented median. Registration
 //! (name lookup) takes a mutex, but happens once per metric at
@@ -55,7 +53,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 pub mod trace;
 
@@ -192,26 +189,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Record `n` observations of the same value (e.g. every op of a batch
-    /// completing together).
-    #[inline]
-    pub fn record_n(&self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Record a duration in nanoseconds (saturating at `u64::MAX`).
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Capture the current bucket counts, count and sum. Weakly consistent
     /// under concurrent recording (see the crate docs).
     pub fn snapshot(&self) -> HistSnapshot {
@@ -235,8 +212,8 @@ impl Histogram {
     }
 }
 
-/// A point-in-time copy of a [`Histogram`]: plain integers, mergeable,
-/// queryable for quantiles.
+/// A point-in-time copy of a [`Histogram`]: plain integers, queryable for
+/// quantiles.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Per-bucket observation counts (see [`bucket_index`]).
@@ -264,27 +241,6 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Merge another snapshot into this one (bucket-wise addition; count
-    /// and sum stay exact). Merging per-shard histograms yields exactly
-    /// the histogram of the concatenated samples.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        // min/max before counts: the empty-side cases key off the old
-        // counts, not the merged one.
-        if other.count > 0 {
-            self.min = if self.count == 0 {
-                other.min
-            } else {
-                self.min.min(other.min)
-            };
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-    }
-
     /// Estimate the `q`-quantile (`0.0..=1.0`): find the bucket holding
     /// the target rank, then interpolate by rank position inside it. The
     /// estimate falls in the same bucket as the exact sample quantile.
@@ -309,69 +265,6 @@ impl HistSnapshot {
             seen += c;
         }
         bucket_upper(BUCKETS - 1)
-    }
-
-    /// Mean observed value (0 on an empty snapshot).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
-/// An owned drop-guard timing one phase into a histogram. With `None` it
-/// never reads the clock — a near-no-op for uninstrumented paths. Owning
-/// the `Arc` keeps the guard free of borrows, so it can straddle `&mut`
-/// calls on the instrumented object (the engine's apply phase does).
-pub struct Span {
-    target: Option<(Arc<Histogram>, Instant)>,
-}
-
-impl Span {
-    /// Start timing into `hist` (or do nothing for `None`).
-    pub fn start(hist: Option<Arc<Histogram>>) -> Span {
-        Span {
-            target: hist.map(|h| (h, Instant::now())),
-        }
-    }
-
-    /// Stop and record now instead of at scope end.
-    pub fn stop(self) {}
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((hist, start)) = self.target.take() {
-            hist.record_duration(start.elapsed());
-        }
-    }
-}
-
-/// The borrowed twin of [`Span`] for phases that only hold `&self`
-/// borrows: no refcount traffic at all.
-pub struct PhaseTimer<'a> {
-    target: Option<(&'a Histogram, Instant)>,
-}
-
-impl<'a> PhaseTimer<'a> {
-    /// Start timing into `hist` (or do nothing for `None`).
-    pub fn start(hist: Option<&'a Histogram>) -> PhaseTimer<'a> {
-        PhaseTimer {
-            target: hist.map(|h| (h, Instant::now())),
-        }
-    }
-
-    /// Stop and record now instead of at scope end.
-    pub fn stop(self) {}
-}
-
-impl Drop for PhaseTimer<'_> {
-    fn drop(&mut self) {
-        if let Some((hist, start)) = self.target.take() {
-            hist.record_duration(start.elapsed());
-        }
     }
 }
 
@@ -528,13 +421,6 @@ impl Registry {
         }
     }
 
-    /// Sorted names of every registered family (the coverage surface the
-    /// exposition golden test pins).
-    pub fn family_names(&self) -> Vec<String> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.keys().cloned().collect()
-    }
-
     /// Snapshot every histogram series: `(family, label, snapshot)`, in
     /// render order. For latency tables (`examples/metrics_dump.rs`).
     pub fn histogram_snapshots(&self) -> Vec<HistogramEntry> {
@@ -664,7 +550,9 @@ mod tests {
         for &v in &values {
             h.record(v);
         }
-        h.record_n(7, 3);
+        for _ in 0..3 {
+            h.record(7);
+        }
         let s = h.snapshot();
         assert_eq!(s.count, values.len() as u64 + 3);
         assert_eq!(s.sum, values.iter().sum::<u64>() + 21);
@@ -683,21 +571,10 @@ mod tests {
         h.record(17);
         let one = h.snapshot();
         assert_eq!((one.min, one.max), (17, 17));
-        h.record_n(3, 5);
+        h.record(3);
         h.record(900);
         let s = h.snapshot();
         assert_eq!((s.min, s.max), (3, 900));
-        // Merge: empty sides must not contribute a fake min of 0.
-        let mut merged = HistSnapshot::default();
-        merged.merge(&s);
-        assert_eq!((merged.min, merged.max), (3, 900));
-        merged.merge(&HistSnapshot::default());
-        assert_eq!((merged.min, merged.max), (3, 900));
-        let other = Histogram::new();
-        other.record(1);
-        other.record(5000);
-        merged.merge(&other.snapshot());
-        assert_eq!((merged.min, merged.max), (1, 5000));
     }
 
     /// Quantile estimates land in the same bucket as the exact sample
@@ -743,34 +620,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn merge_is_bucketwise_exact() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let both = Histogram::new();
-        for v in [1u64, 3, 900, 17] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [0u64, 3, 1 << 30] {
-            b.record(v);
-            both.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, both.snapshot());
-    }
-
+    /// Outside any trace scope a guard with a histogram still times its
+    /// phase, whether ended or dropped; one without reads no clock.
     #[test]
     fn spans_record_and_none_spans_do_not() {
-        let h = Arc::new(Histogram::new());
-        Span::start(Some(h.clone())).stop();
+        use trace::{Phase, TSpan};
+        let h = Histogram::new();
+        let ns = TSpan::begin(Phase::Plan, Some(&h), 0, 0).end();
         {
-            let _t = PhaseTimer::start(Some(&h));
+            let _t = TSpan::begin(Phase::Apply, Some(&h), 0, 0);
         }
-        PhaseTimer::start(None).stop();
-        Span::start(None).stop();
-        assert_eq!(h.snapshot().count, 2);
+        assert_eq!(TSpan::begin(Phase::Plan, None, 0, 0).end(), 0);
+        let s = h.snapshot();
+        assert_eq!(s.count, 2);
+        assert!(s.sum >= ns);
     }
 
     #[test]

@@ -8,13 +8,21 @@
 //! tag and two free `u64` args) written into a process-wide lock-free
 //! [`Ring`] buffer — and keeps only the pathological ones.
 //!
+//! ## One phase guard
+//!
+//! Every timed phase of the stack goes through [`TSpan`]: it spans the
+//! phase on the ambient trace and, when given a histogram, records the
+//! phase's length there too. Both come from the same two clock readings,
+//! so a histogram sample equals its span's `End.ts − Begin.ts` exactly.
+//!
 //! ## Two-tier cost policy
 //!
 //! Tracing follows the same policy as the metrics core:
 //!
-//! * **Off (default):** every emission site pays exactly one relaxed
-//!   atomic load plus a predictable branch. No clock read, no TLS access,
-//!   no ring write. The `obs_overhead` bench gates this path.
+//! * **Off (default):** a guard without a histogram pays exactly one
+//!   relaxed atomic load plus a predictable branch at begin, and one
+//!   branch on drop. No clock read, no TLS access, no ring write. The
+//!   `obs_overhead` bench gates this path.
 //! * **On:** one clock read, one compare-exchange taking the slot and six
 //!   atomic stores per event into a pre-allocated ring slot. No locks, no
 //!   allocation, no syscalls on the emit path.
@@ -25,8 +33,8 @@
 //! through an ambient thread-local "current trace" slot ([`scope`]):
 //! the sharded service sets it on the submitting thread, the worker pool
 //! snapshots it into each job at submission and re-establishes it around
-//! every executed shard range (so **stolen** ranges still attribute to
-//! the batch that submitted them), and the engine and WAL read it
+//! every slot it runs (so a slot run on a worker thread still attributes
+//! to the batch that submitted it), and the engine and WAL read it
 //! ambiently from whatever thread they run on. Layers never pass the id
 //! through function signatures — the pool is the only place that carries
 //! it across threads, and it does so explicitly.
@@ -52,6 +60,8 @@ use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::Histogram;
 
 /// Ring capacity used by [`enable_default`]: 64Ki events ≈ 3 MiB, several
 /// thousand batches of window at typical span counts.
@@ -99,9 +109,27 @@ pub enum Phase {
     WalFsync = 6,
     /// One slot of a pool job, run by whichever thread claimed it.
     PoolRange = 7,
+    /// One checkpoint serialization (persist layer).
+    Checkpoint = 8,
+    /// One shard's sub-batch: engine apply plus tenant weight sweeps.
+    ShardApply = 9,
 }
 
 impl Phase {
+    /// Every phase, in tag order.
+    const ALL: [Phase; 10] = [
+        Phase::Batch,
+        Phase::Route,
+        Phase::Plan,
+        Phase::Apply,
+        Phase::Snapshot,
+        Phase::WalAppend,
+        Phase::WalFsync,
+        Phase::PoolRange,
+        Phase::Checkpoint,
+        Phase::ShardApply,
+    ];
+
     /// Span name used in exports.
     pub fn name(self) -> &'static str {
         match self {
@@ -113,31 +141,23 @@ impl Phase {
             Phase::WalAppend => "wal.append",
             Phase::WalFsync => "wal.fsync",
             Phase::PoolRange => "pool.range",
+            Phase::Checkpoint => "persist.checkpoint",
+            Phase::ShardApply => "shard.apply",
         }
     }
 
     /// Which serving layer emits this phase (the Chrome `cat` field).
     pub fn layer(self) -> &'static str {
         match self {
-            Phase::Batch | Phase::Route => "shard",
+            Phase::Batch | Phase::Route | Phase::ShardApply => "shard",
             Phase::Plan | Phase::Apply | Phase::Snapshot => "engine",
-            Phase::WalAppend | Phase::WalFsync => "persist",
+            Phase::WalAppend | Phase::WalFsync | Phase::Checkpoint => "persist",
             Phase::PoolRange => "pool",
         }
     }
 
     fn from_u8(v: u8) -> Option<Phase> {
-        Some(match v {
-            0 => Phase::Batch,
-            1 => Phase::Route,
-            2 => Phase::Plan,
-            3 => Phase::Apply,
-            4 => Phase::Snapshot,
-            5 => Phase::WalAppend,
-            6 => Phase::WalFsync,
-            7 => Phase::PoolRange,
-            _ => return None,
-        })
+        Phase::ALL.get(v as usize).copied()
     }
 }
 
@@ -458,53 +478,80 @@ pub fn scope(id: TraceId) -> ScopeGuard {
     ScopeGuard { prev, active: true }
 }
 
-/// Emit one event against `id`. Inert when tracing is off or `id` is
-/// [`TraceId::NONE`].
+/// Write one event stamped `ts_ns` against `id`. Inert when tracing is
+/// off or `id` is [`TraceId::NONE`].
 #[inline]
-pub fn emit(id: TraceId, phase: Phase, kind: EventKind, arg0: u64, arg1: u64) {
+fn emit_at(id: TraceId, ts_ns: u64, phase: Phase, kind: EventKind, arg0: u64, arg1: u64) {
     if !enabled() || !id.is_some() {
         return;
     }
-    emit_slow(id, phase, kind, arg0, arg1);
-}
-
-#[cold]
-fn emit_slow(id: TraceId, phase: Phase, kind: EventKind, arg0: u64, arg1: u64) {
     let Some(ring) = RING.get() else { return };
-    ring.emit(now_ns(), thread_id(), id.0, phase, kind, arg0, arg1);
+    ring.emit(ts_ns, thread_id(), id.0, phase, kind, arg0, arg1);
 }
 
-/// Emit an [`EventKind::Instant`] against the ambient trace id.
-#[inline]
-pub fn instant(phase: Phase, arg0: u64, arg1: u64) {
-    emit(current(), phase, EventKind::Instant, arg0, arg1);
-}
-
-/// A drop-guard span against the **ambient** trace id: emits Begin at
-/// construction and End on drop. When tracing is off (or no scope is
-/// active) construction is one relaxed load + branch and drop is one
-/// branch — the zero-cost tier.
-pub struct TSpan {
+/// The phase guard: spans one phase on the **ambient** trace id (Begin at
+/// [`TSpan::begin`], End at [`TSpan::end`] or drop) and records the
+/// phase's length into an optional histogram. The clock is read once at
+/// begin and once at end, and only when the guard has a histogram or an
+/// ambient trace; the two readings stamp the span's events and their
+/// difference is the histogram sample. With neither, `begin` is one
+/// relaxed load + branch and drop is one branch — the zero-cost tier.
+pub struct TSpan<'a> {
     id: TraceId,
     phase: Phase,
+    hist: Option<&'a Histogram>,
+    /// Clock reading at begin ([`now_ns`]); 0 while unclocked.
+    begin_ns: u64,
 }
 
-impl TSpan {
-    /// Begin a span of `phase` on the current trace (inert if none).
+impl<'a> TSpan<'a> {
+    /// Begin `phase` on the current trace (inert if none), timing it into
+    /// `hist` if given. `arg0`/`arg1` ride on the Begin event.
     #[inline]
-    pub fn start(phase: Phase, arg0: u64, arg1: u64) -> TSpan {
-        let id = current();
-        emit(id, phase, EventKind::Begin, arg0, arg1);
-        TSpan { id, phase }
+    pub fn begin(phase: Phase, hist: Option<&'a Histogram>, arg0: u64, arg1: u64) -> TSpan<'a> {
+        let mut span = TSpan {
+            id: current(),
+            phase,
+            hist,
+            begin_ns: 0,
+        };
+        if span.clocked() {
+            span.begin_ns = now_ns();
+            emit_at(span.id, span.begin_ns, phase, EventKind::Begin, arg0, arg1);
+        }
+        span
     }
 
-    /// End now instead of at scope end.
-    pub fn stop(self) {}
+    /// End now instead of at scope end; returns the phase's length in
+    /// nanoseconds (0 when the guard never read the clock).
+    pub fn end(mut self) -> u64 {
+        self.finish()
+    }
+
+    #[inline]
+    fn clocked(&self) -> bool {
+        self.id.is_some() || self.hist.is_some()
+    }
+
+    /// Read the clock, emit End and record the sample, once.
+    fn finish(&mut self) -> u64 {
+        if !self.clocked() {
+            return 0;
+        }
+        let end_ns = now_ns();
+        let ns = end_ns.saturating_sub(self.begin_ns);
+        emit_at(self.id, end_ns, self.phase, EventKind::End, 0, 0);
+        if let Some(hist) = self.hist.take() {
+            hist.record(ns);
+        }
+        self.id = TraceId::NONE;
+        ns
+    }
 }
 
-impl Drop for TSpan {
+impl Drop for TSpan<'_> {
     fn drop(&mut self) {
-        emit(self.id, self.phase, EventKind::End, 0, 0);
+        self.finish();
     }
 }
 
@@ -732,7 +779,7 @@ pub fn text_timeline(events: &[TraceEvent]) -> String {
 /// running on `k` workers concurrently counts `k×`, so its share of a
 /// batch can exceed 1.0.
 pub fn phase_durations(events: &[TraceEvent]) -> Vec<(Phase, u64)> {
-    let mut totals: [u64; 8] = [0; 8];
+    let mut totals = [0u64; Phase::ALL.len()];
     let mut open: Vec<&TraceEvent> = Vec::new();
     for e in events {
         match e.kind {
@@ -749,8 +796,9 @@ pub fn phase_durations(events: &[TraceEvent]) -> Vec<(Phase, u64)> {
             EventKind::Instant => {}
         }
     }
-    (0..totals.len())
-        .filter_map(|i| Phase::from_u8(i as u8).map(|p| (p, totals[i])))
+    Phase::ALL
+        .into_iter()
+        .zip(totals)
         .filter(|&(_, ns)| ns > 0)
         .collect()
 }
@@ -983,17 +1031,23 @@ mod tests {
         {
             let _g = scope(id);
             assert_eq!(current(), id);
-            let span = TSpan::start(Phase::Batch, 11, 0);
-            instant(Phase::WalFsync, 1, 2);
-            span.stop();
+            let span = TSpan::begin(Phase::Batch, None, 11, 0);
+            TSpan::begin(Phase::WalFsync, None, 1, 2).end();
+            span.end();
         }
         assert_ne!(current(), id, "scope must restore on drop");
         let mine: Vec<TraceEvent> = events().into_iter().filter(|e| e.trace == id.0).collect();
-        assert_eq!(mine.len(), 3);
-        assert_eq!(mine[0].kind, EventKind::Begin);
-        assert_eq!(mine[0].arg0, 11);
-        assert_eq!(mine[1].kind, EventKind::Instant);
-        assert_eq!(mine[2].kind, EventKind::End);
+        let shape: Vec<(Phase, EventKind)> = mine.iter().map(|e| (e.phase, e.kind)).collect();
+        assert_eq!(
+            shape,
+            [
+                (Phase::Batch, EventKind::Begin),
+                (Phase::WalFsync, EventKind::Begin),
+                (Phase::WalFsync, EventKind::End),
+                (Phase::Batch, EventKind::End),
+            ]
+        );
+        assert_eq!((mine[0].arg0, mine[1].arg0, mine[1].arg1), (11, 1, 2));
 
         // Threshold capture: too fast → not pinned; armed → pinned.
         set_capture_threshold_ns(u64::MAX);
@@ -1005,7 +1059,40 @@ mod tests {
         let mine: Vec<&CapturedTrace> = captured.iter().filter(|c| c.trace == id.0).collect();
         assert_eq!(mine.len(), 1);
         assert_eq!(mine[0].total_ns, 1_000);
-        assert_eq!(mine[0].events.len(), 3);
+        assert_eq!(mine[0].events.len(), 4);
+    }
+
+    /// A guard with a histogram under an ambient trace records exactly
+    /// `End.ts − Begin.ts` of the span it emitted; a guard with neither
+    /// reads no clock and emits nothing.
+    #[test]
+    fn a_guard_records_its_own_span_and_an_idle_guard_nothing() {
+        let _serial = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        enable(1024);
+        let hist = Histogram::new();
+        let id = next_id();
+        let ns = {
+            let _g = scope(id);
+            TSpan::begin(Phase::Snapshot, Some(&hist), 3, 1).end()
+        };
+        let mine: Vec<TraceEvent> = events().into_iter().filter(|e| e.trace == id.0).collect();
+        assert_eq!(mine.len(), 2);
+        assert_eq!(
+            (mine[0].kind, mine[1].kind),
+            (EventKind::Begin, EventKind::End)
+        );
+        assert_eq!((mine[0].arg0, mine[0].arg1), (3, 1));
+        let span_ns = mine[1].ts_ns - mine[0].ts_ns;
+        let s = hist.snapshot();
+        assert_eq!((s.count, s.sum, ns), (1, span_ns, span_ns));
+
+        // No scope is active here, so these guards have neither.
+        let before = events();
+        assert_eq!(TSpan::begin(Phase::Plan, None, 0, 0).end(), 0);
+        {
+            let _idle = TSpan::begin(Phase::Apply, None, 0, 0);
+        }
+        assert_eq!(events(), before, "an idle guard emitted an event");
     }
 
     #[test]
@@ -1021,7 +1108,7 @@ mod tests {
             let id = next_id();
             {
                 let _g = scope(id);
-                instant(Phase::Batch, i, 0);
+                TSpan::begin(Phase::Batch, None, i, 0).end();
             }
             capture_next();
             assert!(offer_capture(id, 1_000 + i));

@@ -1,66 +1,9 @@
-//! Histogram semantics under merging and concurrency: merged per-shard
-//! histograms must equal the histogram of the concatenated samples, and a
-//! storm of concurrent recorders must lose no increments.
+//! Histogram semantics under concurrency: a storm of concurrent
+//! recorders must lose no increments.
 
 use std::sync::Arc;
 
-use pdmsf_obs::{bucket_index, HistSnapshot, Histogram};
-use proptest::prelude::*;
-
-/// Exact sample quantile of a sorted slice (same rank convention as
-/// [`HistSnapshot::quantile`]).
-fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 64,
-        .. ProptestConfig::default()
-    })]
-
-    /// Merging shard histograms == the histogram of the concatenated
-    /// samples: bucket-wise identical, count/sum exact, and every
-    /// quantile estimate in the same bucket as the exact sample quantile.
-    #[test]
-    fn merged_shards_equal_concatenated_samples(
-        shards in proptest::collection::vec(
-            proptest::collection::vec(0u64..1 << 48, 0..40),
-            1..6,
-        )
-    ) {
-        let mut merged = HistSnapshot::default();
-        let concat_hist = Histogram::new();
-        let mut all: Vec<u64> = Vec::new();
-        for samples in &shards {
-            let shard_hist = Histogram::new();
-            for &v in samples {
-                shard_hist.record(v);
-                concat_hist.record(v);
-                all.push(v);
-            }
-            merged.merge(&shard_hist.snapshot());
-        }
-        let concat = concat_hist.snapshot();
-        prop_assert_eq!(&merged, &concat);
-        prop_assert_eq!(merged.count, all.len() as u64);
-        prop_assert_eq!(merged.sum, all.iter().sum::<u64>());
-        if !all.is_empty() {
-            all.sort_unstable();
-            for &q in &[0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
-                let exact = exact_quantile(&all, q);
-                let est = merged.quantile(q);
-                prop_assert_eq!(
-                    bucket_index(est),
-                    bucket_index(exact),
-                    "q={}: estimate {} strayed from the exact quantile's bucket ({})",
-                    q, est, exact
-                );
-            }
-        }
-    }
-}
+use pdmsf_obs::Histogram;
 
 /// Hammer one histogram from many threads; after joining, count, sum and
 /// every bucket must account for every single record — the lock-free

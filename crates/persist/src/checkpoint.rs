@@ -28,10 +28,10 @@
 //! count.
 
 use std::io::{Read, Write};
-use std::time::Instant;
 
 use pdmsf_engine::{Engine, EngineStats};
 use pdmsf_graph::{DynGraph, DynGraphImage, TenantId};
+use pdmsf_obs::trace::{Phase, TSpan};
 use pdmsf_shard::{ServiceStats, ShardedService, TenantRecord};
 
 use crate::format::{
@@ -40,14 +40,28 @@ use crate::format::{
 };
 use crate::metrics::{metrics, CountingWriter};
 
-/// Stamp one finished checkpoint into the `pdmsf_persist_checkpoint_*`
-/// families.
-fn note_checkpoint(bytes: u64, started: Instant) {
+/// Write one checkpoint of `kind` through `body` inside the
+/// `persist.checkpoint` phase (timed into `pdmsf_persist_checkpoint_ns`),
+/// then count it into the other `pdmsf_persist_checkpoint_*` families. A
+/// failed write still closes the phase and leaves its sample; only
+/// finished checkpoints are counted.
+fn write_checkpoint<W: Write>(
+    w: W,
+    kind: u8,
+    body: impl FnOnce(&mut CountingWriter<W>) -> Result<(), PersistError>,
+) -> Result<(), PersistError> {
     let m = metrics();
-    m.checkpoint_ns.record_duration(started.elapsed());
-    m.checkpoint_bytes.add(bytes);
-    m.checkpoint_last_bytes.set(bytes as i64);
+    let span = TSpan::begin(Phase::Checkpoint, Some(&m.checkpoint_ns), kind as u64, 0);
+    let mut w = CountingWriter::new(w);
+    write_header(&mut w, kind)?;
+    body(&mut w)?;
+    write_section(&mut w, SEC_END, &[])?;
+    w.flush()?;
+    span.end();
+    m.checkpoint_bytes.add(w.written);
+    m.checkpoint_last_bytes.set(w.written as i64);
     m.checkpoints.inc();
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -258,14 +272,9 @@ pub trait EngineCheckpointExt: Sized {
 
 impl EngineCheckpointExt for Engine {
     fn checkpoint<W: Write>(&self, w: W) -> Result<(), PersistError> {
-        let t0 = Instant::now();
-        let mut w = CountingWriter::new(w);
-        write_header(&mut w, KIND_ENGINE)?;
-        write_section(&mut w, SEC_ENGINE, &encode_engine(self))?;
-        write_section(&mut w, SEC_END, &[])?;
-        w.flush()?;
-        note_checkpoint(w.written, t0);
-        Ok(())
+        write_checkpoint(w, KIND_ENGINE, |w| {
+            write_section(w, SEC_ENGINE, &encode_engine(self))
+        })
     }
 
     fn restore<R: Read>(mut r: R) -> Result<Engine, PersistError> {
@@ -298,21 +307,17 @@ pub trait ServiceCheckpointExt: Sized {
 
 impl ServiceCheckpointExt for ShardedService {
     fn checkpoint_all<W: Write>(&self, w: W) -> Result<(), PersistError> {
-        let t0 = Instant::now();
-        let mut w = CountingWriter::new(w);
-        write_header(&mut w, KIND_SERVICE)?;
-        write_section(&mut w, SEC_TENANTS, &encode_tenants(self))?;
-        for shard in 0..self.num_shards() {
-            let mut blob = Enc::new();
-            blob.u32(shard as u32);
-            let mut bytes = blob.into_bytes();
-            bytes.extend_from_slice(&encode_engine(self.shard_engine(shard)));
-            write_section(&mut w, SEC_SHARD, &bytes)?;
-        }
-        write_section(&mut w, SEC_END, &[])?;
-        w.flush()?;
-        note_checkpoint(w.written, t0);
-        Ok(())
+        write_checkpoint(w, KIND_SERVICE, |w| {
+            write_section(w, SEC_TENANTS, &encode_tenants(self))?;
+            for shard in 0..self.num_shards() {
+                let mut blob = Enc::new();
+                blob.u32(shard as u32);
+                let mut bytes = blob.into_bytes();
+                bytes.extend_from_slice(&encode_engine(self.shard_engine(shard)));
+                write_section(w, SEC_SHARD, &bytes)?;
+            }
+            Ok(())
+        })
     }
 
     fn restore_all<R: Read>(mut r: R) -> Result<ShardedService, PersistError> {

@@ -14,14 +14,16 @@ use std::sync::{Arc, OnceLock};
 use pdmsf_obs as obs;
 
 pub(crate) struct PersistMetrics {
-    /// WAL record serialization + write latency (excludes the fsync, which
-    /// `wal_fsync_ns` reports separately).
+    /// WAL record serialization + write latency, the `wal.append` phase
+    /// (excludes the fsync, which `wal_fsync_ns` reports separately).
     pub wal_append_ns: Arc<obs::Histogram>,
-    /// Durability-barrier latency per [`crate::OpLogWriter::sync`].
+    /// Durability-barrier latency per [`crate::OpLogWriter::sync`], the
+    /// `wal.fsync` phase.
     pub wal_fsync_ns: Arc<obs::Histogram>,
     pub wal_bytes: Arc<obs::Counter>,
     pub wal_records: Arc<obs::Counter>,
-    /// End-to-end duration of one checkpoint serialization.
+    /// End-to-end duration of one checkpoint serialization, the
+    /// `persist.checkpoint` phase.
     pub checkpoint_ns: Arc<obs::Histogram>,
     pub checkpoint_bytes: Arc<obs::Counter>,
     /// Size of the most recent checkpoint, for capacity dashboards.

@@ -28,11 +28,10 @@
 
 use std::fs::File;
 use std::io::{self, Write};
-use std::time::Instant;
 
 use pdmsf_engine::{LoggedBatch, OpSink, PlannedUpdate};
 use pdmsf_graph::{EdgeId, VertexId, Weight};
-use pdmsf_obs as obs;
+use pdmsf_obs::trace::{Phase, TSpan};
 
 use crate::format::{payload_crc, PersistError, LOG_MAGIC, LOG_VERSION};
 use crate::metrics::metrics;
@@ -130,12 +129,14 @@ impl<M: LogMedium> OpLogWriter<M> {
 
     /// Issue the durability barrier now.
     pub fn sync(&mut self) -> io::Result<()> {
-        let t0 = Instant::now();
-        let tspan =
-            obs::trace::TSpan::start(obs::trace::Phase::WalFsync, self.last_seq, self.unsynced);
+        let span = TSpan::begin(
+            Phase::WalFsync,
+            Some(&metrics().wal_fsync_ns),
+            self.last_seq,
+            self.unsynced,
+        );
         self.medium.sync()?;
-        tspan.stop();
-        metrics().wal_fsync_ns.record_duration(t0.elapsed());
+        span.end();
         self.unsynced = 0;
         Ok(())
     }
@@ -170,19 +171,21 @@ impl<M: LogMedium + Send> OpSink for OpLogWriter<M> {
                 ),
             ));
         }
-        let t0 = Instant::now();
+        let m = metrics();
+        let span = TSpan::begin(
+            Phase::WalAppend,
+            Some(&m.wal_append_ns),
+            seq,
+            batch.updates.len() as u64,
+        );
         let payload = encode_batch(batch);
-        let tspan =
-            obs::trace::TSpan::start(obs::trace::Phase::WalAppend, seq, 16 + payload.len() as u64);
         self.medium.write_all(&seq.to_le_bytes())?;
         self.medium
             .write_all(&(payload.len() as u32).to_le_bytes())?;
         self.medium
             .write_all(&payload_crc(seq, &payload).to_le_bytes())?;
         self.medium.write_all(&payload)?;
-        tspan.stop();
-        let m = metrics();
-        m.wal_append_ns.record_duration(t0.elapsed());
+        span.end();
         m.wal_bytes.add(16 + payload.len() as u64);
         m.wal_records.inc();
         self.last_seq = seq;

@@ -472,8 +472,13 @@ pub fn run_shards(slots: usize, f: impl Fn(usize) + Sync) {
 }
 
 /// The `pool.range` span of one slot, under the ambient trace id.
-fn slot_span(slot: usize) -> obs::trace::TSpan {
-    obs::trace::TSpan::start(obs::trace::Phase::PoolRange, slot as u64, slot as u64 + 1)
+fn slot_span(slot: usize) -> obs::trace::TSpan<'static> {
+    obs::trace::TSpan::begin(
+        obs::trace::Phase::PoolRange,
+        None,
+        slot as u64,
+        slot as u64 + 1,
+    )
 }
 
 /// A raw pointer that may cross thread boundaries. Slots receive disjoint

@@ -76,13 +76,14 @@
 //! assert_eq!(result.outcomes[3], pdmsf_engine::Outcome::ForestWeight { weight: 7 });
 //! ```
 
-use pdmsf_engine::{Engine, Outcome, PlannedBatch};
+use pdmsf_engine::{BatchSummary, Engine, Outcome, PlannedBatch};
 use pdmsf_graph::{TenantId, TenantOp, VertexId};
 use pdmsf_obs as obs;
+use pdmsf_obs::trace::{Phase, TSpan};
 use pdmsf_pram::pool::{self, SendPtr};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::Arc;
-use std::time::Instant;
 
 mod router;
 
@@ -167,30 +168,27 @@ pub struct TenantRecord {
 }
 
 /// Per-shard facts about one executed service batch (only shards the batch
-/// touched appear).
+/// touched appear). Derefs to the shard engine's [`BatchSummary`], so
+/// `summary.applied_updates` reads the shard's own counters.
 #[derive(Clone, Debug)]
 pub struct ShardSummary {
     /// Shard index.
     pub shard: usize,
-    /// Operations routed to this shard (tenant weight queries excluded —
-    /// those are answered by a ranged sweep, not a shard-engine op).
-    pub ops: usize,
-    /// Updates that reached the shard's MSF structure.
-    pub applied_updates: usize,
-    /// Opposing link/cut pairs the shard's planner cancelled.
-    pub cancelled_pairs: usize,
-    /// Operations the shard engine rejected (dead/duplicate cuts).
-    pub rejected: usize,
-    /// Connectivity queries routed to the shard.
-    pub queries: usize,
-    /// Distinct answers the shard computed for them.
-    pub unique_queries: usize,
+    /// The shard engine's summary of its sub-batch. Tenant weight queries
+    /// are not in it: a ranged sweep answers them, not a shard-engine op.
+    pub batch: BatchSummary,
     /// Tenant forest-weight sweeps this shard served.
     pub weight_sweeps: usize,
-    /// Query snapshots the shard captured for this batch.
-    pub snapshots: u64,
     /// The shard's whole forest weight after the batch (all its tenants).
     pub forest_weight: i128,
+}
+
+impl Deref for ShardSummary {
+    type Target = BatchSummary;
+
+    fn deref(&self) -> &BatchSummary {
+        &self.batch
+    }
 }
 
 /// Aggregate facts about one executed service batch.
@@ -245,20 +243,19 @@ pub struct ServiceStats {
 }
 
 /// What one shard job produced: the engine's batch result, the requested
-/// tenant weight sweeps, and post-batch shard facts.
+/// tenant weight sweeps, and the shard's post-batch forest weight.
 struct ShardOutput {
     result: pdmsf_engine::BatchResult,
     weights: Vec<i128>,
     forest_weight: i128,
-    snapshots: u64,
 }
 
 /// Pre-resolved handles into the `pdmsf-obs` global registry for the
 /// `pdmsf_shard_*` metric families: one batch-latency histogram per shard
 /// (labeled `shard="<i>"`), routing rejects and queue-batch sizes.
 struct ServiceMetrics {
-    /// Per-shard batch latency (engine apply + weight sweeps), indexed by
-    /// shard.
+    /// Per-shard batch latency (the `shard.apply` phase: engine apply +
+    /// weight sweeps), indexed by shard.
     batch_ns: Vec<Arc<obs::Histogram>>,
     service_batches: Arc<obs::Counter>,
     routing_rejects: Arc<obs::Counter>,
@@ -625,33 +622,19 @@ impl ShardedService {
         // to this batch; untraced batches stay span-free.
         let trace_id = self.next_trace_id();
         let _trace_scope = obs::trace::scope(trace_id);
-        let batch_t0 = trace_id.is_some().then(Instant::now);
-        let batch_tspan =
-            obs::trace::TSpan::start(obs::trace::Phase::Batch, ops.len() as u64, trace_id.0);
-        let route_tspan = obs::trace::TSpan::start(obs::trace::Phase::Route, ops.len() as u64, 0);
+        let batch_span = TSpan::begin(Phase::Batch, None, ops.len() as u64, trace_id.0);
+        let route_span = TSpan::begin(Phase::Route, None, ops.len() as u64, 0);
         let routed = router::route(&mut self.tenants, &self.lookup, &self.shards, ops);
-        route_tspan.stop();
+        route_span.end();
         let slots = routed.slots.len();
 
-        // Per-slot histogram handles, cloned up front so the job closure
-        // captures only `Sync` data (`Arc<Histogram>` records via interior
-        // atomics). `None` throughout when metrics are off — the job then
-        // takes no clock readings at all.
-        let slot_hists: Vec<Option<Arc<obs::Histogram>>> = match &self.metrics {
-            Some(m) => {
-                m.service_batches.inc();
-                m.routing_rejects.add(routed.router_rejected as u64);
-                for sub in &routed.sub_batches {
-                    m.queue_batch_ops.record(sub.len() as u64);
-                }
-                routed
-                    .slots
-                    .iter()
-                    .map(|&s| Some(m.batch_ns[s].clone()))
-                    .collect()
+        if let Some(m) = &self.metrics {
+            m.service_batches.inc();
+            m.routing_rejects.add(routed.router_rejected as u64);
+            for sub in &routed.sub_batches {
+                m.queue_batch_ops.record(sub.len() as u64);
             }
-            None => (0..slots).map(|_| None).collect(),
-        };
+        }
 
         // Plan every touched shard's sub-batch on the caller thread (pure,
         // `&self` per engine) so the workers only run the `&mut` half.
@@ -669,18 +652,25 @@ impl ShardedService {
             let outputs_base = SendPtr(outputs.as_mut_ptr());
             let tenants = &self.tenants;
             let routed = &routed;
-            let slot_hists = &slot_hists;
+            // `None` when metrics are off: an untraced job then takes no
+            // clock readings at all.
+            let batch_ns = self.metrics.as_ref().map(|m| &m.batch_ns);
             // Each slot targets a distinct shard, takes its own plan and
             // writes its own output slot — all raw accesses are disjoint,
             // and `run_shards` blocks until every slot finished, so the
             // borrows outlive every access (scoped-spawn semantics).
             let job = |slot: usize| {
-                let engine = unsafe { &mut *shards_base.get().add(routed.slots[slot]) };
+                let shard = routed.slots[slot];
+                let engine = unsafe { &mut *shards_base.get().add(shard) };
                 let plan = unsafe { &mut *plans_base.get().add(slot) }
                     .take()
                     .expect("each slot claims its plan exactly once");
-                let snapshots_before = engine.stats().snapshots;
-                let started = slot_hists[slot].as_ref().map(|_| Instant::now());
+                let span = TSpan::begin(
+                    Phase::ShardApply,
+                    batch_ns.map(|h| &*h[shard]),
+                    shard as u64,
+                    plan.num_ops() as u64,
+                );
                 let result = engine.execute_planned(plan);
                 // All of this shard's tenant weight queries in one sweep
                 // over its forest (per-tenant sweeps would rescan the live
@@ -693,14 +683,11 @@ impl ShardedService {
                     })
                     .collect();
                 let weights = engine.forest_weights_in_ranges(&ranges);
-                if let (Some(hist), Some(t0)) = (&slot_hists[slot], started) {
-                    hist.record(t0.elapsed().as_nanos() as u64);
-                }
+                span.end();
                 let output = ShardOutput {
                     result,
                     weights,
                     forest_weight: engine.forest_weight(),
-                    snapshots: engine.stats().snapshots - snapshots_before,
                 };
                 unsafe { *outputs_base.get().add(slot) = Some(output) };
             };
@@ -712,13 +699,11 @@ impl ShardedService {
         }
 
         let result = self.reassemble(ops.len(), routed, outputs);
-        batch_tspan.stop();
-        if let Some(t0) = batch_t0 {
-            // Offer the finished batch to the flight recorder with its
-            // end-to-end latency; it is pinned only if `capture_next` was
-            // armed or the latency meets the capture threshold.
-            obs::trace::offer_capture(trace_id, t0.elapsed().as_nanos() as u64);
-        }
+        // Offer the finished batch to the flight recorder with its
+        // end-to-end latency (the batch span's length); it is pinned only
+        // if the batch is traced and `capture_next` was armed or the
+        // latency meets the capture threshold.
+        obs::trace::offer_capture(trace_id, batch_span.end());
         result
     }
 
@@ -768,20 +753,11 @@ impl ShardedService {
             .iter()
             .zip(&outputs)
             .zip(&routed.weight_reqs)
-            .map(|((&shard, out), reqs)| {
-                let s = out.result.summary;
-                ShardSummary {
-                    shard,
-                    ops: s.ops,
-                    applied_updates: s.applied_updates,
-                    cancelled_pairs: s.cancelled_pairs,
-                    rejected: s.rejected,
-                    queries: s.queries,
-                    unique_queries: s.unique_queries,
-                    weight_sweeps: reqs.len(),
-                    snapshots: out.snapshots,
-                    forest_weight: out.forest_weight,
-                }
+            .map(|((&shard, out), reqs)| ShardSummary {
+                shard,
+                batch: out.result.summary,
+                weight_sweeps: reqs.len(),
+                forest_weight: out.forest_weight,
             })
             .collect();
 

@@ -203,10 +203,11 @@
 //! Crate [`pdmsf_obs`] (re-exported as [`obs`]) is the stack's metrics
 //! core: a zero-dependency [`obs::Registry`] of named atomic counters,
 //! gauges and fixed-size **log2-bucketed latency histograms** (lock-free
-//! `record`, exact count/sum, mergeable snapshots, p50/p95/p99 estimates
-//! accurate to one power-of-two bucket), plus [`obs::Span`] /
-//! [`obs::PhaseTimer`] drop-guards for phase timing and a Prometheus
-//! text-format renderer ([`obs::Registry::render_text`]).
+//! `record`, exact count/sum, p50/p95/p99 estimates accurate to one
+//! power-of-two bucket), one phase guard ([`obs::trace::TSpan`]) that
+//! times a phase into a histogram and spans it on the ambient trace from
+//! the same clock readings, and a Prometheus text-format renderer
+//! ([`obs::Registry::render_text`]).
 //!
 //! Instrumentation follows a two-tier policy, keyed off the process-wide
 //! [`obs::global`] registry and named `pdmsf_<layer>_<metric>`:
@@ -247,10 +248,10 @@
 //! **TraceId propagation** is ambient, not parameter-threaded:
 //! [`ShardedService::enable_tracing`] allocates an id per batch and pins
 //! it in a thread-local scope ([`obs::trace::scope`]) for the batch's
-//! lifetime on the submitting thread. Spans ([`obs::trace::TSpan`]) read
-//! the ambient id, so routing, per-shard planning, engine
-//! plan/apply/snapshot phases and WAL append/fsync all
-//! attribute to the batch without any signature changes. The one explicit
+//! lifetime on the submitting thread. Phase guards ([`obs::trace::TSpan`])
+//! read the ambient id, so routing, per-shard planning and apply, engine
+//! plan/apply/snapshot phases and WAL append/fsync all attribute to the
+//! batch without any signature changes. The one explicit
 //! hand-off is the worker pool: each job snapshots its submitter's ambient
 //! id, and every slot — **including slots run by other threads** —
 //! re-scopes that id before running, so `pool.range` spans land in the
@@ -326,7 +327,7 @@ pub mod prelude {
         TenantId, TenantOp, TenantStream, TenantStreamSpec, UpdateOp, UpdateStream,
         UpdateStreamSpec, VertexId, WKey, Weight,
     };
-    pub use pdmsf_obs::{Counter, Gauge, Histogram, PhaseTimer, Registry, Span};
+    pub use pdmsf_obs::{Counter, Gauge, Histogram, Registry};
     pub use pdmsf_persist::{
         recover_engine, recover_service, EngineCheckpointExt, FlushPolicy, OpLogWriter,
         PersistError, RecoveryReport, ServiceCheckpointExt, SharedDisk,
