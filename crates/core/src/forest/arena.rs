@@ -1,6 +1,6 @@
 //! Structure-of-arrays storage for the chunked forest: [`ChunkArena`] (the
-//! chunk banks **and** the occurrence banks) and [`RowBank`] (the
-//! contiguous `CAdj` row store).
+//! chunk banks **and** the occurrence banks), [`RowBank`] (the contiguous
+//! `CAdj` row store) and [`SpanStore`] (the pooled per-vertex lists).
 //!
 //! The previous layout kept every per-chunk field — splay pointers, list
 //! metadata *and* the `O(J)`-sized `base`/`agg`/`memb` vectors — inside one
@@ -45,6 +45,13 @@
 //! is too small is the whole chunk relabelled evenly, an `O(n_c)` sweep.
 //! [`ChunkArena::occ_index`] recovers an index by binary search over the
 //! chunk's labels.
+//!
+//! The per-vertex lists (adjacency entries, occurrence ids) live in
+//! [`SpanStore`]s: every list of one kind is a span of one pooled backing
+//! `Vec`, stored as an offset and a length. A span's block holds the
+//! smallest power of two of items that fits its length, and blocks are
+//! recycled through one free list per size class, so no vertex owns a heap
+//! block or a `Vec` header.
 
 use pdmsf_graph::{VertexId, WKey};
 use std::ops::Range;
@@ -94,7 +101,9 @@ pub(crate) struct ChunkArena {
     pub(crate) occs: Vec<Vec<u32>>,
     /// Number of graph edges adjacent to this chunk (edges incident to
     /// vertices whose principal copy lies here); `n_c = occs.len() + adj_count`.
-    pub(crate) adj_count: Vec<usize>,
+    /// It counts adjacency entries, so it fits the `u32` offsets of the
+    /// adjacency [`SpanStore`].
+    pub(crate) adj_count: Vec<u32>,
     /// Chunk id (`id_c` in the paper); `NONE` for single-chunk lists.
     pub(crate) slot: Vec<u32>,
     /// [`RowBank`] slab handle (`NONE` iff `slot` is `NONE`).
@@ -112,7 +121,7 @@ pub(crate) struct ChunkArena {
     /// Order label within the chunk: labels strictly increase along the
     /// chunk's `occs` list, with gaps between them (see module docs).
     pub(crate) occ_label: Vec<u32>,
-    /// Position within the forest's `vertex_occs[vertex]` list.
+    /// Position within the forest's list of its vertex's occurrences.
     pub(crate) occ_vpos: Vec<u32>,
     /// Edge-store handle of the forest arc whose *tail* this occurrence is
     /// (`NONE` = no arc). The direction travels in the `OCC_ARC_FWD` flag.
@@ -164,7 +173,7 @@ impl ChunkArena {
     /// `n_c` of Invariant 1.
     #[inline]
     pub(crate) fn nc(&self, c: u32) -> usize {
-        self.occs[c as usize].len() + self.adj_count[c as usize]
+        self.occs[c as usize].len() + self.adj_count[c as usize] as usize
     }
 
     /// Allocate a chunk id as a detached, slotless singleton.
@@ -330,8 +339,8 @@ impl ChunkArena {
         c: u32,
         range: Range<usize>,
         vertex_chunk: &mut [u32],
-        degree: impl Fn(u32) -> usize,
-    ) -> usize {
+        degree: impl Fn(u32) -> u32,
+    ) -> u32 {
         let mut adj = 0;
         for &o in &self.occs[c as usize][range.clone()] {
             let oi = o as usize;
@@ -370,6 +379,173 @@ impl ChunkArena {
         for (i, &o) in occs[run].iter().enumerate() {
             self.occ_label[o as usize] = (below + (i as i64 + 1) * step) as u32;
         }
+    }
+}
+
+/// One list's place in a [`SpanStore`]: `len` items from `off`, in a block
+/// of [`block_cap`]`(len)` items.
+#[derive(Clone, Copy, Default)]
+struct Span {
+    off: u32,
+    len: u32,
+}
+
+/// Items in the block of a list of `len` items: the smallest power of two
+/// that fits (none for an empty list).
+#[inline]
+fn block_cap(len: u32) -> u32 {
+    if len == 0 {
+        0
+    } else {
+        len.next_power_of_two()
+    }
+}
+
+/// Lists `0..num_lists()` of `T`, pooled in one backing `Vec` (see module
+/// docs). A push that fills a list's block moves it to a block twice the
+/// size; a removal that leaves it at a power of two (or empty) moves it to
+/// a block half the size (or frees it). Blocks are never split or merged,
+/// so the live blocks and the free lists together tile the backing store.
+pub(crate) struct SpanStore<T> {
+    spans: Vec<Span>,
+    items: Vec<T>,
+    /// Offsets of retired blocks; `free[c]` holds blocks of `2^c` items.
+    free: Vec<Vec<u32>>,
+}
+
+impl<T: Copy> SpanStore<T> {
+    /// A store of `n` empty lists.
+    pub(crate) fn with_lists(n: usize) -> Self {
+        SpanStore {
+            spans: vec![Span::default(); n],
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Append an empty list.
+    pub(crate) fn add_list(&mut self) {
+        self.spans.push(Span::default());
+    }
+
+    /// Number of lists.
+    #[inline]
+    pub(crate) fn num_lists(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Length of list `i`.
+    #[inline]
+    pub(crate) fn len(&self, i: usize) -> usize {
+        self.spans[i].len as usize
+    }
+
+    /// The items of list `i`.
+    #[inline]
+    pub(crate) fn list(&self, i: usize) -> &[T] {
+        let Span { off, len } = self.spans[i];
+        &self.items[off as usize..(off + len) as usize]
+    }
+
+    /// Append `x` to list `i`.
+    pub(crate) fn push(&mut self, i: usize, x: T) {
+        let Span { off, len } = self.spans[i];
+        let grown = len.checked_add(1).expect("a list outgrew u32 lengths");
+        if len == block_cap(len) {
+            // The block is full (or absent): move to the next size class.
+            let moved = self.take_block(block_cap(grown), off as usize..(off + len) as usize, x);
+            if len > 0 {
+                self.free_block(off, len);
+            }
+            self.spans[i].off = moved;
+        }
+        let Span { off, .. } = self.spans[i];
+        self.items[(off + len) as usize] = x;
+        self.spans[i].len = grown;
+    }
+
+    /// Remove item `at` of list `i`; the list's last item takes its place.
+    pub(crate) fn swap_remove(&mut self, i: usize, at: usize) {
+        let Span { off, len } = self.spans[i];
+        self.items[(off as usize) + at] = self.items[(off + len - 1) as usize];
+        self.shrink(i);
+    }
+
+    /// Drop the last item of list `i`, moving the list to a smaller block
+    /// when its length falls to a power of two (or freeing its block when
+    /// it empties).
+    fn shrink(&mut self, i: usize) {
+        let Span { off, len } = self.spans[i];
+        let short = len - 1;
+        if block_cap(short) != block_cap(len) {
+            if short > 0 {
+                let pad = self.items[off as usize];
+                let moved = self.take_block(short, off as usize..(off + short) as usize, pad);
+                self.spans[i].off = moved;
+            }
+            self.free_block(off, block_cap(len));
+        }
+        self.spans[i].len = short;
+    }
+
+    /// A block of `cap` items (a power of two) holding a copy of the items
+    /// at `src` first: recycled from the size class's free list, or carved
+    /// from the end of the backing store (padded with `pad`).
+    fn take_block(&mut self, cap: u32, src: Range<usize>, pad: T) -> u32 {
+        let class = cap.trailing_zeros() as usize;
+        if let Some(off) = self.free.get_mut(class).and_then(Vec::pop) {
+            self.items.copy_within(src, off as usize);
+            return off;
+        }
+        let off = self.items.len();
+        let end = off + cap as usize;
+        assert!(
+            u32::try_from(end).is_ok(),
+            "pooled lists outgrew u32 offsets"
+        );
+        self.items.extend_from_within(src);
+        self.items.resize(end, pad);
+        off as u32
+    }
+
+    /// Retire the block of `cap` items at `off` into its class's free list.
+    fn free_block(&mut self, off: u32, cap: u32) {
+        let class = cap.trailing_zeros() as usize;
+        if self.free.len() <= class {
+            self.free.resize_with(class + 1, Vec::new);
+        }
+        self.free[class].push(off);
+    }
+
+    /// Assert the store's layout: every live span lies in a block of its
+    /// size class inside the backing store, no two blocks (live or free)
+    /// overlap, and live and free blocks together tile the backing store.
+    /// `O(lists + blocks)`; for `validate()`.
+    pub(crate) fn check_layout(&self) {
+        let mut blocks: Vec<(u32, u32, Option<usize>)> = self
+            .spans
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.len > 0)
+            .map(|(i, s)| (s.off, block_cap(s.len), Some(i)))
+            .collect();
+        for (class, offs) in self.free.iter().enumerate() {
+            blocks.extend(offs.iter().map(|&off| (off, 1 << class, None)));
+        }
+        blocks.sort_unstable_by_key(|&(off, _, _)| off);
+        let mut end = 0u64;
+        for (off, cap, owner) in blocks {
+            assert_eq!(
+                off as u64, end,
+                "block at {off} (list {owner:?}) overlaps its predecessor or leaves a gap"
+            );
+            end = off as u64 + cap as u64;
+        }
+        assert_eq!(
+            end,
+            self.items.len() as u64,
+            "blocks do not cover the store"
+        );
     }
 }
 
@@ -632,6 +808,40 @@ mod tests {
             relabels() > before,
             "200 inserts at one spot never relabelled"
         );
+    }
+
+    /// Lists grow into and shrink out of power-of-two blocks, keep their
+    /// items through every move, and reuse retired blocks of their size
+    /// class instead of growing the backing store.
+    #[test]
+    fn span_store_moves_lists_between_size_classes() {
+        let mut s: SpanStore<u32> = SpanStore::with_lists(2);
+        for x in 0..5 {
+            s.push(0, x);
+            s.check_layout();
+        }
+        assert_eq!(s.list(0), &[0, 1, 2, 3, 4]);
+        // Blocks of 1, 2, 4 and 8 were carved; the first three are free.
+        assert_eq!(s.items.len(), 1 + 2 + 4 + 8);
+        // List 1 grows through the retired blocks: no new carving.
+        for x in 10..14 {
+            s.push(1, x);
+        }
+        assert_eq!(s.items.len(), 15);
+        s.check_layout();
+        s.swap_remove(0, 1);
+        assert_eq!(s.list(0), &[0, 4, 2, 3], "back in a block of 4");
+        // List 1 holds the retired block of 4, so a new one was carved.
+        assert_eq!(s.items.len(), 19);
+        s.swap_remove(0, 0);
+        assert_eq!(s.list(0), &[3, 4, 2]);
+        s.check_layout();
+        while s.len(0) > 0 {
+            s.swap_remove(0, 0);
+            s.check_layout();
+        }
+        assert_eq!(s.list(1), &[10, 11, 12, 13]);
+        assert_eq!(s.items.len(), 19, "the blocks of 2 and 1 were reused");
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl ChunkedEulerForest {
                 continue;
             }
             let v = self.chunks.occ_vert(o);
-            let adj = &self.adj[v.index()];
+            let adj = self.adj.list(v.index());
             scanned += adj.len() as u64;
             for &a in adj {
                 let (key, other) = (a.key(), a.other);
@@ -534,7 +534,7 @@ impl ChunkedEulerForest {
             if !self.chunks.occ_principal(o) {
                 continue;
             }
-            let adj = &self.adj[self.chunks.occ_vert(o).index()];
+            let adj = self.adj.list(self.chunks.occ_vert(o).index());
             scanned += adj.len() as u64;
             for &a in adj {
                 let other = self.vertex_chunk[a.other.index()];
@@ -587,7 +587,7 @@ impl ChunkedEulerForest {
             if !self.chunks.occ_principal(o) {
                 continue;
             }
-            let adj = &self.adj[self.chunks.occ_vert(o).index()];
+            let adj = self.adj.list(self.chunks.occ_vert(o).index());
             scanned += adj.len() as u64;
             holds = holds
                 || adj.iter().any(|a| {

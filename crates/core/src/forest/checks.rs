@@ -1,8 +1,10 @@
 //! Exhaustive structural validation used by the test-suite.
 //!
 //! [`ChunkedEulerForest::validate`] brute-force checks every invariant the
-//! algorithm relies on: occurrence bookkeeping, Euler-tour/arc consistency,
-//! the tour-per-tree correspondence, principal copies, adjacency counts,
+//! algorithm relies on: the pooled per-vertex lists' layout, occurrence
+//! bookkeeping (a vertex holds occurrences iff it has an edge), Euler-tour/arc
+//! consistency, the tour-per-tree correspondence, principal copies,
+//! adjacency counts,
 //! Invariant 1's chunk-size bounds, `CAdj` rows and the LSDS aggregates —
 //! the latter against a straightforward array-of-structs reference walk
 //! that is deliberately *independent* of the SoA banks' pair-merge and
@@ -18,6 +20,27 @@ impl ChunkedEulerForest {
     /// description on the first violation.
     pub fn validate(&self, tree_edges: &[Edge]) {
         let num_chunks = self.chunks.len();
+        let n = self.num_vertices();
+        // ---- pooled per-vertex lists: one span per vertex in each store;
+        // live blocks are disjoint and in bounds, and with the free lists
+        // they tile each store ----
+        assert_eq!(self.adj.num_lists(), n, "adjacency spans per vertex");
+        assert_eq!(
+            self.vertex_occs.num_lists(),
+            n,
+            "occurrence spans per vertex"
+        );
+        self.adj.check_layout();
+        self.vertex_occs.check_layout();
+        // Graph degree of every vertex, from the edge records (a self-loop
+        // counts once, as it is listed once).
+        let mut graph_deg = vec![0usize; n];
+        self.edges.for_each(|_, rec| {
+            graph_deg[rec.edge.u.index()] += 1;
+            if rec.edge.v != rec.edge.u {
+                graph_deg[rec.edge.v.index()] += 1;
+            }
+        });
         // ---- occurrence / chunk bookkeeping (bank reads) ----
         for ci in 0..num_chunks {
             if !self.chunks.alive(ci as u32) {
@@ -47,14 +70,29 @@ impl ChunkedEulerForest {
                 );
             }
         }
-        for (v, occ_list) in self.vertex_occs.iter().enumerate() {
+        for (v, &gd) in graph_deg.iter().enumerate() {
+            let occ_list = self.vertex_occs.list(v);
             for (vpos, &o) in occ_list.iter().enumerate() {
                 assert!(self.chunks.occ_alive(o));
                 assert_eq!(self.chunks.occ_vert(o).index(), v);
                 assert_eq!(self.chunks.occ_vpos[o as usize] as usize, vpos);
             }
             let p = self.principal[v];
-            assert_ne!(p, NONE, "vertex {v} has no principal copy");
+            if gd == 0 {
+                // No edge, no tour: no occurrence, principal or chunk.
+                assert!(
+                    occ_list.is_empty(),
+                    "vertex {v} has no edge but holds {} occurrences",
+                    occ_list.len()
+                );
+                assert_eq!(p, NONE, "vertex {v} has no edge but a principal copy");
+                assert_eq!(
+                    self.vertex_chunk[v], NONE,
+                    "vertex {v} has no edge but a chunk"
+                );
+                continue;
+            }
+            assert_ne!(p, NONE, "vertex {v} has an edge but no principal copy");
             assert!(
                 occ_list.contains(&p),
                 "principal of {v} is not an occurrence of {v}"
@@ -75,7 +113,6 @@ impl ChunkedEulerForest {
         }
 
         // ---- forest structure: components and degrees ----
-        let n = self.num_vertices();
         let mut uf = UnionFind::new(n);
         let mut deg = vec![0usize; n];
         for e in tree_edges {
@@ -83,14 +120,15 @@ impl ChunkedEulerForest {
             deg[e.u.index()] += 1;
             deg[e.v.index()] += 1;
         }
-        // Occurrence count of v must be max(deg_T(v), 1).
+        // Occurrence count of v must be max(deg_T(v), 1) if v has an edge,
+        // and 0 otherwise.
         for (v, d) in deg.iter().enumerate() {
+            let expected = if graph_deg[v] > 0 { (*d).max(1) } else { 0 };
             assert_eq!(
-                self.vertex_occs[v].len(),
-                d.max(&1).to_owned(),
-                "vertex {v} has {} occurrences, expected {}",
-                self.vertex_occs[v].len(),
-                d.max(&1)
+                self.vertex_occs.len(v),
+                expected,
+                "vertex {v} has {} occurrences, expected {expected}",
+                self.vertex_occs.len(v),
             );
         }
         // All occurrences of a tree's vertices must live in the same list,
@@ -98,7 +136,7 @@ impl ChunkedEulerForest {
         let mut component_root: Vec<u32> = vec![NONE; n];
         for v in 0..n {
             let comp = uf.find(v);
-            for &o in &self.vertex_occs[v] {
+            for &o in self.vertex_occs.list(v) {
                 let root = self.tree_root(self.chunks.occ_chunk[o as usize]);
                 if component_root[comp] == NONE {
                     component_root[comp] = root;
@@ -170,10 +208,13 @@ impl ChunkedEulerForest {
         }
 
         // ---- adjacency lists: every entry mirrors a live edge incident to
-        // its vertex, no list repeats an edge, and every edge is listed at
-        // each endpoint (once in all for a self-loop) ----
+        // its vertex, no list repeats an edge, every edge is listed at each
+        // endpoint (once in all for a self-loop), and each span is as long
+        // as its vertex's degree ----
         let mut entries = 0usize;
-        for (v, list) in self.adj.iter().enumerate() {
+        for (v, &gd) in graph_deg.iter().enumerate() {
+            let list = self.adj.list(v);
+            assert_eq!(list.len(), gd, "adjacency span of vertex {v} vs its degree");
             let v = pdmsf_graph::VertexId::from(v);
             for &a in list {
                 let e = self
@@ -201,11 +242,11 @@ impl ChunkedEulerForest {
             if !self.chunks.alive(ci as u32) {
                 continue;
             }
-            let mut expected = 0usize;
+            let mut expected = 0u32;
             for &o in &self.chunks.occs[ci] {
                 let v = self.chunks.occ_vert(o);
                 if self.principal[v.index()] == o {
-                    expected += self.adj[v.index()].len();
+                    expected += self.degree(v);
                 }
             }
             assert_eq!(

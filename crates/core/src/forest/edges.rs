@@ -4,7 +4,8 @@
 //!
 //! All bookkeeping is flat: each edge lives in one [`EdgeRec`] slot of the
 //! forest's [`pdmsf_graph::EdgeSlotMap`], and each endpoint's adjacency
-//! list holds an inline [`AdjEntry`] (key and far endpoint) for it.
+//! list (a span of the forest's pooled [`super::SpanStore`]) holds an
+//! inline [`AdjEntry`] (key and far endpoint) for it.
 
 use super::{AdjEntry, ChunkedEulerForest, EdgeRec, NONE};
 use pdmsf_graph::{Edge, EdgeId, WKey};
@@ -27,11 +28,14 @@ impl ChunkedEulerForest {
 
     /// Register a new graph edge: adjacency lists, adjacency counts of the
     /// chunks holding the endpoints' principal copies, and the `CAdj` pair
-    /// entry. Does **not** touch the forest.
+    /// entry. Does **not** link the edge into the forest, but first gives
+    /// an endpoint with no edge yet its one-occurrence tour.
     ///
     /// # Panics
     /// Panics if the edge id is already registered.
     pub(crate) fn insert_graph_edge(&mut self, e: Edge) {
+        self.open_tour(e.u);
+        self.open_tour(e.v);
         self.edges.insert(
             e.id,
             EdgeRec {
@@ -40,9 +44,9 @@ impl ChunkedEulerForest {
                 bwd: NONE,
             },
         );
-        self.adj[e.u.index()].push(AdjEntry::new(e, e.u));
+        self.adj.push(e.u.index(), AdjEntry::new(e, e.u));
         if e.v != e.u {
-            self.adj[e.v.index()].push(AdjEntry::new(e, e.v));
+            self.adj.push(e.v.index(), AdjEntry::new(e, e.v));
         }
         let c1 = self.vertex_chunk[e.u.index()];
         let c2 = self.vertex_chunk[e.v.index()];
@@ -61,7 +65,9 @@ impl ChunkedEulerForest {
     /// caller cuts forest edges *after* calling this, exactly as in the
     /// paper's deletion procedure where `CAdj` is updated first). Returns the
     /// removed record; for a tree edge the caller passes it on to
-    /// [`ChunkedEulerForest::cut_removed_tree_edge`].
+    /// [`ChunkedEulerForest::cut_removed_tree_edge`]. An endpoint left
+    /// without edges keeps its tour until the update ends
+    /// ([`ChunkedEulerForest::close_edgeless_tours`]).
     ///
     /// # Panics
     /// Panics if the edge is not registered.
@@ -71,9 +77,12 @@ impl ChunkedEulerForest {
             .remove(id)
             .unwrap_or_else(|| panic!("edge {id:?} is not registered"));
         let e = rec.edge;
-        self.adj[e.u.index()].retain(|a| a.id != id);
-        if e.v != e.u {
-            self.adj[e.v.index()].retain(|a| a.id != id);
+        for v in [e.u, e.v] {
+            // A self-loop is listed once. Scans take minima over unique
+            // keys, so the order of a list does not matter.
+            if let Some(at) = self.adj.list(v.index()).iter().position(|a| a.id == id) {
+                self.adj.swap_remove(v.index(), at);
+            }
         }
         let c1 = self.vertex_chunk[e.u.index()];
         let c2 = self.vertex_chunk[e.v.index()];

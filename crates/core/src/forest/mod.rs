@@ -3,14 +3,18 @@
 //! One [`ChunkedEulerForest`] instance stores, for the dynamic graph it is
 //! given:
 //!
-//! * the **graph edges** (adjacency lists keyed by vertex; each entry carries
-//!   the edge's weight, id and far endpoint inline, so the `O(K)` edge scans
-//!   never load an edge record),
+//! * the **graph edges** (adjacency lists keyed by vertex, each a span of
+//!   one pooled store; each entry carries the edge's weight, id and far
+//!   endpoint inline, so the `O(K)` edge scans never load an edge record),
 //! * the **Euler tour of every tree** of the maintained spanning forest,
 //!   represented as a cyclic list of *vertex occurrences* (Section 2.1 /
 //!   Lemma 2.1) partitioned into **chunks** of `Θ(K)` elements
-//!   (Invariant 1),
-//! * one designated **principal copy** per vertex (Section 2.2),
+//!   (Invariant 1). A vertex with no incident edge holds no occurrence and
+//!   no chunk: its one-occurrence tour is created when its first edge
+//!   arrives and released at the end of the update that removes its last
+//!   edge,
+//! * one designated **principal copy** per vertex that has an edge
+//!   (Section 2.2),
 //! * per-chunk **CAdj rows** (minimum-weight edge between chunk pairs) and
 //!   **Memb** information, aggregated per list by a balanced **list sum data
 //!   structure** (here a splay-based sequence tree over the chunks — an
@@ -50,7 +54,7 @@ use pdmsf_graph::{Edge, EdgeId, VertexId, WKey, Weight};
 use pdmsf_pram::kernels::log2_ceil;
 use pdmsf_pram::CostMeter;
 
-pub(crate) use arena::{ChunkArena, RowBank};
+pub(crate) use arena::{ChunkArena, RowBank, SpanStore};
 
 /// Sentinel index ("null pointer") used by every arena in this module.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -144,18 +148,20 @@ pub struct ChunkedEulerForest {
     /// PRAM / sequential cost meter.
     pub meter: CostMeter,
 
-    // ---- graph + arc storage (one flat record per edge) ----
+    // ---- graph + arc storage (one flat record per edge; each vertex's
+    // adjacency entries are one span of a pooled store) ----
     pub(crate) edges: EdgeSlotMap<EdgeRec>,
-    pub(crate) adj: Vec<Vec<AdjEntry>>,
+    pub(crate) adj: SpanStore<AdjEntry>,
 
-    // ---- occurrences (per-vertex indexes; the occurrence *records* live
-    // in the flat banks of [`ChunkArena`]) ----
-    pub(crate) vertex_occs: Vec<Vec<u32>>,
+    // ---- occurrences (per-vertex spans of occurrence ids; the occurrence
+    // *records* live in the flat banks of [`ChunkArena`]) ----
+    pub(crate) vertex_occs: SpanStore<u32>,
+    /// Each vertex's principal copy (`NONE` for a vertex with no edge).
     pub(crate) principal: Vec<u32>,
     /// Chunk holding each vertex's principal copy (cache of the principal
     /// occurrence's `occ_chunk` bank entry, so the scan loops resolve
     /// "which chunk is the other endpoint in" with one load instead of a
-    /// pointer chain).
+    /// pointer chain; `NONE` for a vertex with no edge).
     pub(crate) vertex_chunk: Vec<u32>,
 
     // ---- chunks + occurrence banks / LSDS (structure-of-arrays, see
@@ -186,17 +192,18 @@ pub struct ChunkedEulerForest {
 
 impl ChunkedEulerForest {
     /// A forest over `n` isolated vertices with chunk parameter `k` and the
-    /// given cost model; every primitive runs on the calling thread.
+    /// given cost model; every primitive runs on the calling thread. No
+    /// vertex holds an occurrence or a chunk yet.
     pub fn new(n: usize, k: usize, model: CostModel) -> Self {
-        let mut forest = ChunkedEulerForest {
+        ChunkedEulerForest {
             k: k.max(2),
             model,
             meter: CostMeter::new(),
             edges: EdgeSlotMap::default(),
-            adj: Vec::new(),
-            vertex_occs: Vec::new(),
-            principal: Vec::new(),
-            vertex_chunk: Vec::new(),
+            adj: SpanStore::with_lists(n),
+            vertex_occs: SpanStore::with_lists(n),
+            principal: vec![NONE; n],
+            vertex_chunk: vec![NONE; n],
             chunks: ChunkArena::default(),
             rows: RowBank::default(),
             slot_owner: Vec::new(),
@@ -208,11 +215,7 @@ impl ChunkedEulerForest {
             scratch_slots: Vec::new(),
             touched: Vec::new(),
             stale: Vec::new(),
-        };
-        for _ in 0..n {
-            forest.add_vertex();
         }
-        forest
     }
 
     /// Chunk parameter `K`.
@@ -222,7 +225,7 @@ impl ChunkedEulerForest {
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.adj.len()
+        self.principal.len()
     }
 
     /// Number of live graph edges.
@@ -230,20 +233,51 @@ impl ChunkedEulerForest {
         self.edges.len()
     }
 
-    /// Append a new isolated vertex: one occurrence, one single-chunk list.
+    /// Append a new isolated vertex. Like every vertex with no edge, it
+    /// holds no occurrence and no chunk.
     pub fn add_vertex(&mut self) -> VertexId {
-        let v = VertexId::from(self.adj.len());
-        self.adj.push(Vec::new());
-        self.vertex_occs.push(Vec::new());
+        let v = VertexId::from(self.num_vertices());
+        self.adj.add_list();
+        self.vertex_occs.add_list();
         self.principal.push(NONE);
         self.vertex_chunk.push(NONE);
+        v
+    }
+
+    /// Give vertex `v` its one-occurrence tour, a slotless single-chunk
+    /// list, if it has none (it has no edge yet). Charges nothing: the
+    /// tour is what an isolated vertex's tour always was.
+    pub(crate) fn open_tour(&mut self, v: VertexId) {
+        if self.principal[v.index()] != NONE {
+            return;
+        }
         let c = self.chunks.alloc();
         let o = self.alloc_occ(v);
         self.chunks.insert_occ(c, 0, o);
         self.chunks.set_occ_principal(o, true);
         self.principal[v.index()] = o;
         self.vertex_chunk[v.index()] = c;
-        v
+    }
+
+    /// Release the tour of each endpoint of `e` that has no edge left (its
+    /// one occurrence and that occurrence's chunk). Runs at the end of the
+    /// update that deleted `e`, when such a tour is a one-occurrence,
+    /// slotless single-chunk list; charges nothing.
+    pub(crate) fn close_edgeless_tours(&mut self, e: Edge) {
+        for v in [e.u, e.v] {
+            let o = self.principal[v.index()];
+            if o == NONE || self.degree(v) > 0 {
+                continue;
+            }
+            let c = self.vertex_chunk[v.index()];
+            debug_assert_eq!(self.vertex_occs.len(v.index()), 1);
+            debug_assert_eq!(self.chunks.occs[c as usize], [o]);
+            debug_assert!(self.list_is_single_chunk(c) && self.chunks.slot[c as usize] == NONE);
+            self.free_occ(o);
+            self.chunks.free(c);
+            self.principal[v.index()] = NONE;
+            self.vertex_chunk[v.index()] = NONE;
+        }
     }
 
     /// Current structural statistics.
@@ -271,22 +305,18 @@ impl ChunkedEulerForest {
     // ---- arena helpers -------------------------------------------------
 
     pub(crate) fn alloc_occ(&mut self, v: VertexId) -> u32 {
-        let vpos = self.vertex_occs[v.index()].len() as u32;
+        let vpos = self.vertex_occs.len(v.index()) as u32;
         let id = self.chunks.occ_alloc(v, vpos);
-        self.vertex_occs[v.index()].push(id);
+        self.vertex_occs.push(v.index(), id);
         id
     }
 
     pub(crate) fn free_occ(&mut self, o: u32) {
         let v = self.chunks.occ_vert(o);
         let vpos = self.chunks.occ_vpos[o as usize] as usize;
-        // Remove from vertex_occs with swap_remove, fixing the moved entry.
-        let list = &mut self.vertex_occs[v.index()];
-        let last = list.len() - 1;
-        list.swap(vpos, last);
-        list.pop();
-        if vpos < list.len() {
-            let moved = list[vpos];
+        // Swap-remove it from its vertex's list, fixing the moved entry.
+        self.vertex_occs.swap_remove(v.index(), vpos);
+        if let Some(&moved) = self.vertex_occs.list(v.index()).get(vpos) {
             self.chunks.occ_vpos[moved as usize] = vpos as u32;
         }
         self.chunks.occ_release(o);
@@ -331,7 +361,7 @@ impl ChunkedEulerForest {
             if !self.chunks.occ_principal(o) {
                 continue;
             }
-            let adj = &self.adj[self.chunks.occ_vert(o).index()];
+            let adj = self.adj.list(self.chunks.occ_vert(o).index());
             scanned += adj.len() as u64;
             for &a in adj {
                 let key = a.key();
@@ -344,9 +374,10 @@ impl ChunkedEulerForest {
         best
     }
 
-    /// Degree of a vertex in the maintained graph.
-    pub(crate) fn degree(&self, v: VertexId) -> usize {
-        self.adj[v.index()].len()
+    /// Degree of a vertex in the maintained graph (a self-loop counts
+    /// once).
+    pub(crate) fn degree(&self, v: VertexId) -> u32 {
+        self.adj.len(v.index()) as u32
     }
 
     /// The current forest (tree) edges, sorted by id.
@@ -360,8 +391,9 @@ impl ChunkedEulerForest {
     }
 
     /// The chunks of each Euler-tour list, in list order — one entry per
-    /// tree of the maintained forest plus one per isolated vertex. Intended
-    /// for diagnostics, tests and the benchmark harness.
+    /// tree of the maintained forest, except that a vertex with no incident
+    /// edge has no list (a vertex whose only edges are self-loops has its
+    /// own). Intended for diagnostics, tests and the benchmark harness.
     pub fn lists(&self) -> Vec<Vec<usize>> {
         let mut roots: Vec<u32> = Vec::new();
         for c in 0..self.chunks.len() as u32 {

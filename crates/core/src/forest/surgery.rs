@@ -123,7 +123,7 @@ impl ChunkedEulerForest {
     }
 
     /// Whether the list containing occurrence `o` consists of exactly one
-    /// occurrence (its vertex is isolated in the forest).
+    /// occurrence (its vertex has no tree edge).
     pub(crate) fn occ_list_is_singleton(&self, o: u32) -> bool {
         let c = self.chunks.occ_chunk[o as usize];
         self.chunks.occs[c as usize].len() == 1 && self.list_is_single_chunk(c)
@@ -228,7 +228,7 @@ impl ChunkedEulerForest {
         let moved_adj = self
             .chunks
             .rechunk_occs(c2, 0..tail_len, &mut self.vertex_chunk, |v| {
-                adj[v as usize].len()
+                adj.len(v as usize) as u32
             });
         self.chunks.adj_count[c2 as usize] = moved_adj;
         self.chunks.adj_count[c as usize] -= moved_adj;
@@ -266,7 +266,7 @@ impl ChunkedEulerForest {
         let moved_adj =
             self.chunks
                 .rechunk_occs(c, offset..offset + moved_len, &mut self.vertex_chunk, |v| {
-                    adj[v as usize].len()
+                    adj.len(v as usize) as u32
                 });
         debug_assert_eq!(moved_adj, self.chunks.adj_count[nxt as usize]);
         self.chunks.adj_count[c as usize] += moved_adj;
@@ -482,15 +482,14 @@ impl ChunkedEulerForest {
         run.extend(guest_new.into_iter().chain(host_new));
         let at = self.chunks.occ_index(host) + 1;
         let moved = at..at + run.len();
-        // The guest's vector is dropped rather than left to its freed id:
-        // freed ids pile up (one per vertex that was ever isolated), and
-        // their kept capacities would add up.
+        // The guest's vector is dropped rather than left to its freed id,
+        // so a freed id keeps no capacity.
         self.chunks.occs[hc as usize].splice(at..at, run);
         let adj = &self.adj;
         let moved_adj = self
             .chunks
             .rechunk_occs(hc, moved.clone(), &mut self.vertex_chunk, |v| {
-                adj[v as usize].len()
+                adj.len(v as usize) as u32
             });
         debug_assert_eq!(moved_adj, self.chunks.adj_count[gc as usize]);
         self.chunks.adj_count[hc as usize] += moved_adj;
@@ -680,7 +679,7 @@ impl ChunkedEulerForest {
         let moved_adj = self
             .chunks
             .rechunk_occs(nc, 0..side.len(), &mut self.vertex_chunk, |v| {
-                adj[v as usize].len()
+                adj.len(v as usize) as u32
             });
         self.chunks.adj_count[nc as usize] = moved_adj;
         self.chunks.adj_count[c as usize] -= moved_adj;
@@ -697,12 +696,14 @@ impl ChunkedEulerForest {
     /// principal copy if necessary — to an occurrence in the same chunk when
     /// there is one, which moves no adjacency between rows — then delete it.
     fn remove_redundant_occurrence(&mut self, o: u32, v: VertexId) {
-        if self.vertex_occs[v.index()].len() < 2 {
+        if self.vertex_occs.len(v.index()) < 2 {
             return;
         }
         if self.chunks.occ_principal(o) {
             let c = self.chunks.occ_chunk[o as usize];
-            let others = self.vertex_occs[v.index()]
+            let others = self
+                .vertex_occs
+                .list(v.index())
                 .iter()
                 .copied()
                 .filter(|&other| other != o);
@@ -816,7 +817,7 @@ impl ChunkedEulerForest {
         for (i, &o) in occs.iter().enumerate() {
             acc += 1;
             if self.chunks.occ_principal(o) {
-                acc += self.degree(self.chunks.occ_vert(o));
+                acc += self.degree(self.chunks.occ_vert(o)) as usize;
             }
             if i + 1 < occs.len() {
                 best = Some(i);

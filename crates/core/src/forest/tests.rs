@@ -329,7 +329,29 @@ fn forest_stats_report_invariant_one() {
     drive_checked(&mut s, &stream, |_| ());
     let stats = s.forest_stats();
     assert!(stats.chunks >= 1);
-    assert!(stats.occurrences >= n);
+    // One occurrence per tree-edge end, and one for a vertex whose edges
+    // are all non-tree edges; a vertex with no edge holds none.
+    let graph = stream.replay_with(|_, _| ());
+    let mut has_edge = vec![false; n];
+    for e in graph.edges() {
+        has_edge[e.u.index()] = true;
+        has_edge[e.v.index()] = true;
+    }
+    let mut tree_degree = vec![0usize; n];
+    for id in s.forest_edges() {
+        let e = graph.edge_unchecked(id);
+        tree_degree[e.u.index()] += 1;
+        tree_degree[e.v.index()] += 1;
+    }
+    let expected: usize = (0..n)
+        .filter(|&v| has_edge[v])
+        .map(|v| tree_degree[v].max(1))
+        .sum();
+    assert!(
+        has_edge.contains(&false),
+        "the stream leaves no vertex edgeless"
+    );
+    assert_eq!(stats.occurrences, expected);
     // Invariant 1 upper bound (the graph is low-degree enough here).
     assert!(
         stats.max_nc <= 3 * s.chunk_parameter() + 8,
@@ -405,9 +427,11 @@ mod soa_vs_aos {
     //! Property test pinning the structure-of-arrays banks to a plain
     //! array-of-structs reference: after arbitrary update streams, the
     //! arena's `size` fields and row-bank `agg` slabs must equal what a
-    //! straightforward recursive walk over an AoS snapshot computes.
+    //! straightforward recursive walk over an AoS snapshot computes, and
+    //! the pooled per-vertex lists must hold what per-vertex `Vec`s rebuilt
+    //! from the edge records and occurrence banks hold.
 
-    use crate::forest::NONE;
+    use crate::forest::{AdjEntry, NONE};
     use crate::seq::SeqDynamicMsf;
     use pdmsf_graph::{DynamicMsf, Edge, EdgeId, VertexId, WKey, Weight};
     use proptest::prelude::*;
@@ -537,7 +561,13 @@ mod soa_vs_aos {
         // `vertex`/`vpos`, and the principal flag mirrors `principal[v]`
         // (with the `vertex_chunk` cache following the principal's chunk).
         let mut seen = 0usize;
-        for (v, list) in forest.vertex_occs.iter().enumerate() {
+        for v in 0..forest.num_vertices() {
+            let list = forest.vertex_occs.list(v);
+            if list.is_empty() {
+                assert_eq!(forest.principal[v], NONE, "tourless {v} has a principal");
+                assert_eq!(forest.vertex_chunk[v], NONE, "tourless {v} has a chunk");
+                continue;
+            }
             for (vpos, &o) in list.iter().enumerate() {
                 let occ = aos[o as usize].as_ref().expect("dead occ in a vertex list");
                 assert_eq!(occ.vertex as usize, v, "occ bank vertex of {o} diverged");
@@ -586,6 +616,45 @@ mod soa_vs_aos {
         });
         let carried = aos.iter().flatten().filter(|occ| occ.arc.is_some()).count();
         assert_eq!(carried, expected_arcs, "stray arc flags in the occ banks");
+    }
+
+    /// Pin the pooled per-vertex lists to the `Vec<Vec<_>>` layout they
+    /// replace: rebuild each vertex's adjacency list from the edge records
+    /// and its occurrence list from the occurrence banks, then require the
+    /// store's span of that vertex to hold the same items (in any order),
+    /// and the store's blocks to tile its backing store.
+    fn check_lists_against_aos(forest: &crate::forest::ChunkedEulerForest) {
+        let n = forest.num_vertices();
+        let mut adj: Vec<Vec<AdjEntry>> = vec![Vec::new(); n];
+        forest.edges.for_each(|_, rec| {
+            let e = rec.edge;
+            adj[e.u.index()].push(AdjEntry::new(e, e.u));
+            if e.v != e.u {
+                adj[e.v.index()].push(AdjEntry::new(e, e.v));
+            }
+        });
+        let mut occs: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for o in 0..forest.chunks.occ_len() as u32 {
+            if forest.chunks.occ_alive(o) {
+                occs[forest.chunks.occ_vert(o).index()].push(o);
+            }
+        }
+        for v in 0..n {
+            let mut pooled = forest.adj.list(v).to_vec();
+            pooled.sort_unstable_by_key(|a| a.id);
+            adj[v].sort_unstable_by_key(|a| a.id);
+            assert_eq!(pooled, adj[v], "pooled adjacency of {v} diverged");
+            let mut pooled = forest.vertex_occs.list(v).to_vec();
+            pooled.sort_unstable();
+            assert_eq!(pooled, occs[v], "pooled occurrences of {v} diverged");
+            assert_eq!(
+                occs[v].is_empty(),
+                adj[v].is_empty(),
+                "vertex {v}: a tour without an edge or an edge without a tour"
+            );
+        }
+        forest.adj.check_layout();
+        forest.vertex_occs.check_layout();
     }
 
     #[derive(Clone, Debug)]
@@ -656,6 +725,7 @@ mod soa_vs_aos {
             run_ops(12, 2, &ops, |s| {
                 check_against_aos(s.forest());
                 check_occs_against_aos(s.forest());
+                check_lists_against_aos(s.forest());
             });
         }
     }

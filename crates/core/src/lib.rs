@@ -46,6 +46,20 @@
 //!   and full-row rebuilds are linear sweeps over dense memory; slabs
 //!   recycle through a free list and a stride growth is one compacting
 //!   re-layout.
+//! * `SpanStore` pools the per-vertex lists: each vertex's adjacency
+//!   entries and its occurrence ids are one span (offset, length) of a
+//!   shared backing `Vec`, in a block of the smallest power of two that
+//!   fits, and retired blocks recycle through one free list per size
+//!   class. No vertex owns a heap block or a `Vec` header, so a vertex
+//!   costs a few words: two spans, its principal copy and that copy's
+//!   chunk.
+//!
+//! A vertex with no incident edge holds no occurrence, no chunk and no
+//! chunk-bank entry: its one-occurrence tour (what an isolated vertex's
+//! tour always is) is created when its first edge is registered and
+//! released at the end of the update that removes its last. Neither step
+//! charges the meter, so chunk ids scale with the trees that have edges,
+//! not with `n`, and every charge is what it was with a tour per vertex.
 //!
 //! With `K` fixed, an update's time is constant factors, and six choices
 //! cut them:
@@ -86,7 +100,8 @@
 //! `2 sqrt(n / log n)` entries — below `pdmsf_pram::kernels::PAR_CUTOFF`
 //! until roughly 1.3M vertices per engine, so a pooled scan could not pay.
 //! Bank layouts are pinned by SoA-vs-AoS reference-walk proptests over the
-//! chunk, row **and occurrence** banks, the seq/par/Kruskal lockstep
+//! chunk, row **and occurrence** banks and the pooled per-vertex lists,
+//! the seq/par/Kruskal lockstep
 //! proptest pins behaviour across chunk parameters and cost models, and
 //! `meter_charges_are_pinned` pins the exact charges.
 

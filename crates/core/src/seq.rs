@@ -240,6 +240,7 @@ impl DynamicMsf for SeqDynamicMsf {
         self.forest.meter.begin_op();
         let was_tree = self.forest.is_tree_edge(id);
         let rec = self.forest.delete_graph_edge(id);
+        let e = rec.edge;
         let delta = if !was_tree {
             MsfDelta::NONE
         } else {
@@ -254,6 +255,7 @@ impl DynamicMsf for SeqDynamicMsf {
             }
         };
         self.forest.recompute_stale();
+        self.forest.close_edgeless_tours(e);
         self.last_op = self.forest.meter.finish_op();
         delta
     }

@@ -5,36 +5,42 @@
 //! connectivity and exposes the path at once; `link` checks for a cycle
 //! the same way; `cut` roots at one endpoint and accesses the other, which
 //! exposes exactly the edge and its endpoints, and detaches them locally.
+//!
+//! A splay node is five `u32`s and a flag (24 bytes): its links, its edge
+//! slot (none for a vertex node) and the edge slot of the heaviest edge in
+//! its splay subtree. An edge's key and endpoints are stored once, in its
+//! slot, and aggregation compares keys through the slots.
 
 use pdmsf_graph::arena::EdgeIdIndex;
 use pdmsf_graph::{EdgeId, VertexId, WKey};
 
 const NONE: u32 = u32::MAX;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Node {
     parent: u32,
     child: [u32; 2],
+    /// The node's edge slot: `NONE` for a vertex node.
+    edge: u32,
+    /// Edge slot of the heaviest edge in this node's splay subtree
+    /// (including its own), `NONE` if the subtree holds no edge node.
+    max: u32,
     /// Lazy "reverse this splay subtree" flag (needed for `make_root`).
     flip: bool,
-    /// The node's own key: `Some` for edge nodes, `None` for vertex nodes.
-    val: Option<WKey>,
-    /// Maximum key in this node's splay subtree (including `val`).
-    agg: Option<WKey>,
-    /// Endpoints represented by this node: for an edge node, the edge's
-    /// endpoints; unused (`VertexId::NONE`) for vertex nodes.
-    ends: (VertexId, VertexId),
 }
 
+// A node holds no key or endpoints, only indices; keep it that small.
+const _: () = assert!(std::mem::size_of::<Node>() <= 24);
+
 impl Node {
-    fn new(val: Option<WKey>) -> Self {
+    /// A detached node for edge slot `edge` (`NONE`: a vertex node).
+    fn new(edge: u32) -> Self {
         Node {
             parent: NONE,
             child: [NONE, NONE],
+            edge,
+            max: edge,
             flip: false,
-            val,
-            agg: val,
-            ends: (VertexId::NONE, VertexId::NONE),
         }
     }
 }
@@ -50,11 +56,15 @@ pub struct LinkCutForest {
     nodes: Vec<Node>,
     /// Internal node index of each vertex.
     vertex_node: Vec<u32>,
-    /// Paged edge id -> internal edge node index (no hashing; the node itself
-    /// stores the endpoints).
+    /// Paged edge id -> internal edge node index (no hashing; the node's
+    /// edge slot holds the endpoints).
     edge_node: EdgeIdIndex,
-    /// Free list of edge nodes available for reuse.
-    free_nodes: Vec<u32>,
+    /// Key of the edge in each edge slot.
+    keys: Vec<WKey>,
+    /// Endpoints of the edge in each edge slot.
+    ends: Vec<(VertexId, VertexId)>,
+    /// Edge nodes and their edge slots freed by cuts, reused together.
+    free_edges: Vec<(u32, u32)>,
     num_edges: usize,
     /// `splay`'s push-down path, kept between calls to reuse its buffer.
     splay_path: Vec<u32>,
@@ -82,9 +92,9 @@ impl LinkCutForest {
 
     /// Append a new isolated vertex.
     pub fn add_vertex(&mut self) -> VertexId {
-        let node = self.alloc_node(None);
         let id = VertexId::from(self.vertex_node.len());
-        self.vertex_node.push(node);
+        self.vertex_node.push(self.nodes.len() as u32);
+        self.nodes.push(Node::new(NONE));
         id
     }
 
@@ -95,7 +105,9 @@ impl LinkCutForest {
 
     /// The endpoints of a live forest edge.
     pub fn edge_endpoints(&self, e: EdgeId) -> Option<(VertexId, VertexId)> {
-        self.edge_node.get(e).map(|n| self.nodes[n as usize].ends)
+        self.edge_node
+            .get(e)
+            .map(|n| self.ends[self.nodes[n as usize].edge as usize])
     }
 
     /// Whether `u` and `v` are in the same tree.
@@ -126,8 +138,20 @@ impl LinkCutForest {
             self.find_root(nv) != nu,
             "link({u:?}, {v:?}) would create a cycle"
         );
-        let enode = self.alloc_node(Some(key));
-        self.nodes[enode as usize].ends = (u, v);
+        let enode = match self.free_edges.pop() {
+            Some((enode, slot)) => {
+                self.keys[slot as usize] = key;
+                self.ends[slot as usize] = (u, v);
+                self.nodes[enode as usize] = Node::new(slot);
+                enode
+            }
+            None => {
+                self.keys.push(key);
+                self.ends.push((u, v));
+                self.nodes.push(Node::new((self.keys.len() - 1) as u32));
+                (self.nodes.len() - 1) as u32
+            }
+        };
         // Attach u - enode - v with two path-parent pointers: u still roots
         // its tree and its splay tree (the root find ran in v's tree), and
         // the fresh enode is a tree of its own.
@@ -146,7 +170,8 @@ impl LinkCutForest {
             .edge_node
             .remove(e)
             .unwrap_or_else(|| panic!("edge {e:?} is not in the forest"));
-        let (u, v) = self.nodes[enode as usize].ends;
+        let slot = self.nodes[enode as usize].edge;
+        let (u, v) = self.ends[slot as usize];
         let nu = self.vertex_node[u.index()];
         let nv = self.vertex_node[v.index()];
         // With u the root, accessing v exposes the path u, enode, v: v's
@@ -167,8 +192,8 @@ impl LinkCutForest {
         node.parent = NONE;
         node.child = [NONE, NONE];
         node.flip = false;
-        node.agg = node.val;
-        self.free_nodes.push(enode);
+        node.max = node.edge;
+        self.free_edges.push((enode, slot));
         self.num_edges -= 1;
     }
 
@@ -187,22 +212,13 @@ impl LinkCutForest {
         if self.find_root(nv) != nu {
             return None;
         }
-        self.nodes[nu as usize].agg
+        let max = self.nodes[nu as usize].max;
+        (max != NONE).then(|| self.keys[max as usize])
     }
 
     // ------------------------------------------------------------------
     // Internal splay-tree machinery.
     // ------------------------------------------------------------------
-
-    fn alloc_node(&mut self, val: Option<WKey>) -> u32 {
-        if let Some(idx) = self.free_nodes.pop() {
-            self.nodes[idx as usize] = Node::new(val);
-            idx
-        } else {
-            self.nodes.push(Node::new(val));
-            (self.nodes.len() - 1) as u32
-        }
-    }
 
     #[inline]
     fn is_splay_root(&self, x: u32) -> bool {
@@ -226,17 +242,18 @@ impl LinkCutForest {
 
     #[inline]
     fn pull_up(&mut self, x: u32) {
-        let mut agg = self.nodes[x as usize].val;
-        for c in self.nodes[x as usize].child {
-            if c != NONE {
-                agg = match (agg, self.nodes[c as usize].agg) {
-                    (Some(a), Some(b)) => Some(if a >= b { a } else { b }),
-                    (Some(a), None) => Some(a),
-                    (None, b) => b,
-                };
+        let node = self.nodes[x as usize];
+        let mut max = node.edge;
+        for c in node.child {
+            if c == NONE {
+                continue;
+            }
+            let m = self.nodes[c as usize].max;
+            if m != NONE && (max == NONE || self.keys[m as usize] > self.keys[max as usize]) {
+                max = m;
             }
         }
-        self.nodes[x as usize].agg = agg;
+        self.nodes[x as usize].max = max;
     }
 
     fn rotate(&mut self, x: u32) {

@@ -974,6 +974,31 @@ mod tests {
         }
     }
 
+    /// A vertex holds an Euler-tour occurrence iff it has an edge: an empty
+    /// structure, and the engine built on one, hold no chunk and no
+    /// occurrence; one link creates occurrences for exactly its two
+    /// endpoints (`validate()` checks which vertices hold them); cutting it
+    /// releases both.
+    #[test]
+    fn edgeless_vertices_hold_no_tour() {
+        let n = 1_000;
+        for stats in [
+            SeqDynamicMsf::new(n).forest_stats(),
+            Engine::new(n).structure().forest_stats(),
+        ] {
+            assert_eq!((stats.chunks, stats.occurrences), (0, 0));
+        }
+        let mut engine = Engine::new(n);
+        engine.execute(&[link(3, 7, 5)]);
+        let stats = engine.structure().forest_stats();
+        assert_eq!((stats.chunks, stats.occurrences), (1, 2));
+        engine.structure().validate();
+        engine.execute(&[Op::Cut { id: EdgeId(0) }]);
+        let stats = engine.structure().forest_stats();
+        assert_eq!((stats.chunks, stats.occurrences), (0, 0));
+        engine.structure().validate();
+    }
+
     #[test]
     fn cancelled_pairs_never_reach_the_structure() {
         let mut engine = Engine::new(6);

@@ -40,6 +40,12 @@ use crate::metrics::metrics;
 const UPD_LINK: u8 = 0;
 /// Update tag byte: a cut record follows.
 const UPD_CUT: u8 = 1;
+/// Encoded size of a link update: tag 1, id 4, u 4, v 4, weight 8, cancel
+/// flag 1.
+const LINK_BYTES: usize = 22;
+/// Encoded size of a cut update: tag 1, id 4, cancel flag 1 (the smallest
+/// update).
+const CUT_BYTES: usize = 6;
 
 /// A writable log device: an ordered byte sink with a durability barrier.
 /// The generic parameter of [`OpLogWriter`] — files in production, in-memory
@@ -204,8 +210,14 @@ impl<M: LogMedium + Send> OpSink for OpLogWriter<M> {
 }
 
 fn encode_batch(batch: &LoggedBatch) -> Vec<u8> {
-    // 8 (id_base) + 8 (count) + at most 18 bytes per update.
-    let mut out = Vec::with_capacity(16 + batch.updates.len() * 18);
+    // 8 (id_base) + 8 (count), then each update at its exact size.
+    let links = batch
+        .updates
+        .iter()
+        .filter(|u| matches!(u, PlannedUpdate::Link { .. }))
+        .count();
+    let cuts = batch.updates.len() - links;
+    let mut out = Vec::with_capacity(16 + links * LINK_BYTES + cuts * CUT_BYTES);
     out.extend_from_slice(&batch.id_base.to_le_bytes());
     out.extend_from_slice(&(batch.updates.len() as u64).to_le_bytes());
     for u in &batch.updates {
@@ -244,7 +256,8 @@ fn decode_batch(seq: u64, payload: &[u8]) -> Result<LoggedBatch, PersistError> {
             payload.len()
         )));
     }
-    let mut updates = Vec::with_capacity(count as usize);
+    // No record holds more updates than cuts fit in its payload.
+    let mut updates = Vec::with_capacity((count as usize).min((payload.len() - 16) / CUT_BYTES));
     for _ in 0..count {
         let tag = d.u8()?;
         let update = match tag {
@@ -400,6 +413,42 @@ mod tests {
                     cancelled: false,
                 },
             ],
+        }
+    }
+
+    /// A record is encoded into a buffer of exactly its size: 16 bytes of
+    /// header, 22 per link and 6 per cut.
+    #[test]
+    fn records_encode_into_buffers_of_their_exact_size() {
+        let link = |i: u32| PlannedUpdate::Link {
+            id: EdgeId(i),
+            u: VertexId(i),
+            v: VertexId(i + 1),
+            weight: Weight::new(i as i64),
+            cancelled: i.is_multiple_of(2),
+        };
+        let cut = |i: u32| PlannedUpdate::Cut {
+            id: EdgeId(i),
+            cancelled: false,
+        };
+        let all_links = (0..100).map(link).collect::<Vec<_>>();
+        let mixed = (0..100u32)
+            .map(|i| if i.is_multiple_of(3) { cut(i) } else { link(i) })
+            .collect::<Vec<_>>();
+        for (updates, links, cuts) in [(all_links, 100, 0), (mixed, 66, 34)] {
+            let b = LoggedBatch {
+                seq: 1,
+                id_base: 0,
+                updates,
+            };
+            let out = encode_batch(&b);
+            assert_eq!(out.len(), 16 + 22 * links + 6 * cuts);
+            assert_eq!(
+                out.capacity(),
+                out.len(),
+                "the buffer grew or was oversized"
+            );
+            assert_eq!(decode_batch(1, &out).unwrap(), b);
         }
     }
 

@@ -48,9 +48,17 @@
 //! * One [`core::EdgeRec`] per edge carries the edge *and* its Euler-tour
 //!   arc tails, replacing the seed's `HashMap<EdgeId, Edge>` +
 //!   `HashMap<EdgeId, (u32, u32)>` + `BTreeMap<EdgeId, Edge>` triple; the
-//!   link-cut tree keys its edge nodes the same way. Per-vertex caches
-//!   (principal flag, principal chunk) collapse the scan loops' pointer
-//!   chains into single array loads.
+//!   link-cut tree keys its edge nodes the same way, and its 24-byte splay
+//!   node holds only indices (an edge's key and endpoints are stored once,
+//!   in its edge slot). Per-vertex caches (principal flag, principal chunk)
+//!   collapse the scan loops' pointer chains into single array loads.
+//! * **Per-vertex state is a few words.** Each vertex's adjacency entries
+//!   and occurrence ids are spans (offset, length) of two pooled stores,
+//!   in power-of-two blocks recycled per size class, so no vertex owns a
+//!   heap block or a `Vec` header. A vertex with no edge holds no
+//!   occurrence and no chunk: its one-occurrence tour is created with its
+//!   first edge and released at the end of the update that removes its
+//!   last, so chunk ids scale with trees, not with `n`.
 //! * The LSDS itself is **structure-of-arrays**: splay topology
 //!   (`parent`/`left`/`right`/`size`) lives in flat `u32` banks, every
 //!   `CAdj`/`Memb` row lives contiguously in one backing row bank addressed
