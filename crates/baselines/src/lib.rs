@@ -5,7 +5,8 @@
 //! The paper positions its structure against the classical worst-case
 //! approaches (Frederickson's `O(sqrt m)` structure and its sparsified
 //! `O(sqrt n)` variant) and against the trivial ones. This crate implements
-//! the two bracketing baselines (the `paper` experiment times both):
+//! the two bracketing baselines (the tests use both as oracles, and
+//! `examples/road_network.rs` times both):
 //!
 //! * [`RecomputeMsf`] — recompute the forest from scratch (Kruskal) after
 //!   every update; `O(m log m)` per update. The "no data structure at all"

@@ -26,8 +26,10 @@
 //!   time vs a cold rebuild. Bars, on the largest engine cell: restore
 //!   ≥ `E5_FLOOR`× faster than the cold rebuild, and the checkpoint at
 //!   most `E5_MAX_BYTES_PER_EDGE` bytes per live edge.
-//! * `paper` → `BENCH_paper.json`: the paper's cost bounds as fitted
-//!   exponents, checked on every run (see `pdmsf_bench::paper`).
+//! * `paper` → `BENCH_paper.json`: the paper's cost bounds as exponents
+//!   fitted over meter counts, checked on every run. The file holds no
+//!   wall-clock time, so a full run reproduces it outside its `meta` line
+//!   (see `pdmsf_bench::paper`).
 
 use pdmsf_bench::{
     batch_records_to_json, bench_records_to_json, bursty_batch_stream, clustered_batch_stream,

@@ -193,24 +193,8 @@ pub fn drive_updates_each<M: DynamicMsf>(
     })
 }
 
-/// Drive only the update portion of a stream (see [`drive_updates_each`]).
-/// Returns (updates-only wall clock, number of updates).
-pub fn drive_updates_only<M: DynamicMsf>(
-    structure: &mut M,
-    stream: &UpdateStream,
-) -> (Duration, usize) {
-    let mut elapsed = Duration::ZERO;
-    let mut updates = 0usize;
-    drive_updates_each(structure, stream, |_, t| {
-        elapsed += t;
-        updates += 1;
-    });
-    (elapsed, updates)
-}
-
 /// Median wall clock, in nanoseconds, of `runs` Kruskal computations over
-/// `graph`: E0's machine-speed calibration, and the per-update cost of
-/// recomputing the forest from scratch.
+/// `graph`: E0's machine-speed calibration.
 pub fn kruskal_ns(graph: &DynGraph, runs: usize) -> f64 {
     let mut times: Vec<f64> = (0..runs.max(1))
         .map(|_| {
@@ -245,14 +229,11 @@ pub struct CostProfile {
 }
 
 /// Drive `structure` through the updates of `stream` and summarize their
-/// metered costs. Also returns the updates' wall clock.
-pub(crate) fn cost_profile(
-    mut structure: SeqDynamicMsf,
-    stream: &UpdateStream,
-) -> (CostProfile, Duration) {
+/// metered costs.
+pub(crate) fn cost_profile(mut structure: SeqDynamicMsf, stream: &UpdateStream) -> CostProfile {
     let (mut worst, mut total) = (CostReport::default(), CostReport::default());
-    let (mut updates, mut elapsed) = (0u64, Duration::ZERO);
-    drive_updates_each(&mut structure, stream, |s, t| {
+    let mut updates = 0u64;
+    drive_updates_each(&mut structure, stream, |s, _| {
         let c = s.last_op_cost();
         worst = CostReport {
             depth: worst.depth.max(c.depth),
@@ -261,10 +242,9 @@ pub(crate) fn cost_profile(
         };
         total = total.then(c);
         updates += 1;
-        elapsed += t;
     });
     let mean = |x: u64| x as f64 / updates.max(1) as f64;
-    let profile = CostProfile {
+    CostProfile {
         n: stream.num_vertices,
         k: structure.chunk_parameter(),
         updates,
@@ -272,8 +252,7 @@ pub(crate) fn cost_profile(
         mean_depth: mean(total.depth),
         mean_work: mean(total.work),
         peak_processors: worst.peak_processors,
-    };
-    (profile, elapsed)
+    }
 }
 
 /// The structure of Theorem 3.1: EREW accounting at the paper's
@@ -285,20 +264,7 @@ pub(crate) fn erew_msf(n: usize) -> SeqDynamicMsf {
 /// The per-update PRAM cost profile of the structure of Theorem 3.1 over a
 /// standard mixed stream.
 pub fn pram_profile(n: usize, ops: usize, seed: u64) -> CostProfile {
-    cost_profile(erew_msf(n), &mixed_stream(n, 2 * n, ops, seed)).0
-}
-
-/// Per-update mean wall-clock of the sequential structure with an explicit
-/// chunk parameter (used by the `K` ablation).
-pub fn seq_mean_update_time(n: usize, k: usize, ops: usize, seed: u64) -> Duration {
-    let stream = mixed_stream(n, 2 * n, ops, seed);
-    let mut msf = SeqDynamicMsf::with_parameters(n, k, CostModel::Sequential);
-    let (elapsed, updates) = drive_updates_only(&mut msf, &stream);
-    if updates == 0 {
-        Duration::ZERO
-    } else {
-        elapsed / updates as u32
-    }
+    cost_profile(erew_msf(n), &mixed_stream(n, 2 * n, ops, seed))
 }
 
 // ---------------------------------------------------------------------
@@ -580,6 +546,7 @@ pub fn persist_records_to_json(meta: &RunMeta, records: &[PersistRecord]) -> Str
 mod tests {
     use super::*;
     use pdmsf_baselines::NaiveDynamicMsf;
+    use pdmsf_graph::assert_matches_kruskal;
 
     fn test_meta() -> RunMeta {
         RunMeta {
@@ -710,9 +677,12 @@ mod tests {
         let stream = mixed_stream(24, 48, 100, 5);
         let mut a = SeqDynamicMsf::new(24);
         let mut b = NaiveDynamicMsf::new(24);
-        drive_updates_only(&mut a, &stream);
-        drive_updates_only(&mut b, &stream);
+        let mut updates = 0;
+        let graph = drive_updates_each(&mut a, &stream, |_, _| updates += 1);
+        drive_updates_each(&mut b, &stream, |_, _| ());
+        assert_eq!(updates, stream.ops.len());
         assert_eq!(a.forest_edges(), b.forest_edges());
+        assert_matches_kruskal(&a, &graph);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   cost-model substrate of `pdmsf-pram`. [`seq::SeqDynamicMsf::from_graph`]
 //!   builds the structure over a graph's live edges, which is how a
 //!   checkpoint (it stores only the graph) restores.
-//! * [`sparsify`] — the sparsification tree of Section 5 (Eppstein et al.),
-//!   generic over the per-level dynamic-MSF structure, which removes the
-//!   sparsity assumption (`m = O(n)`) without changing the asymptotic costs.
+//!
+//! The paper's Section 5 sparsification, which removes the `m = O(n)`
+//! assumption from the bounds, is not implemented: the structure serves
+//! graphs of any density as they are (PAPER.md, substitution 3).
 //!
 //! ## Performance architecture: SoA chunk banks + row bank
 //!
@@ -109,8 +110,6 @@
 
 pub mod forest;
 pub mod seq;
-pub mod sparsify;
 
 pub use forest::{ChunkedEulerForest, CostModel, EdgeRec, ForestStats};
 pub use seq::SeqDynamicMsf;
-pub use sparsify::SparsifiedMsf;

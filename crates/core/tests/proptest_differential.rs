@@ -6,7 +6,7 @@
 
 use pdmsf_baselines::RecomputeMsf;
 use pdmsf_core::seq::{default_parallel_k, default_sequential_k};
-use pdmsf_core::{CostModel, SeqDynamicMsf, SparsifiedMsf};
+use pdmsf_core::{CostModel, SeqDynamicMsf};
 use pdmsf_graph::{DegreeReduced, DynamicMsf, Edge, EdgeId, VertexId, Weight};
 use proptest::prelude::*;
 
@@ -163,13 +163,6 @@ proptest! {
     #[test]
     fn degree_reduced_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(8), 1..80)) {
         let structure = DegreeReduced::new(8, sequential(0, 3));
-        run_differential(8, &ops, structure, |_| ());
-    }
-
-    /// The sparsification wrapper preserves exactness.
-    #[test]
-    fn sparsified_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(8), 1..80)) {
-        let structure = SparsifiedMsf::with_leaves(8, 4, |n| sequential(n, 3));
         run_differential(8, &ops, structure, |_| ());
     }
 

@@ -18,7 +18,7 @@
 //!   truth by every test and by the recompute baseline,
 //! * [`msf`] — the [`DynamicMsf`] trait shared by all dynamic-MSF
 //!   implementations in the workspace (the paper's structure, the baselines,
-//!   the sparsification wrapper),
+//!   the degree-3 reduction wrapper),
 //! * [`degree`] — Frederickson's dynamic degree-3 reduction, exposed as the
 //!   wrapper [`DegreeReduced`],
 //! * [`generators`] — deterministic workload generators (random sparse

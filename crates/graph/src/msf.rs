@@ -2,9 +2,9 @@
 //! minimum-spanning-forest structure in the workspace.
 //!
 //! The paper's structure (sequential and parallel), the baselines
-//! (recompute-Kruskal, naive Euler-tour forest) and the composition wrappers
-//! (degree-3 reduction, sparsification) all implement this trait, which is
-//! what makes differential testing and the benchmark harness possible.
+//! (recompute-Kruskal, naive Euler-tour forest) and the degree-3 reduction
+//! wrapper all implement this trait, which is what makes differential
+//! testing and the benchmark harness possible.
 
 use crate::graph::{DynGraph, Edge};
 use crate::ids::{EdgeId, VertexId};
@@ -14,7 +14,7 @@ use crate::kruskal::kruskal_msf;
 ///
 /// A single edge insertion or deletion changes the minimum spanning forest by
 /// at most one edge in each direction (one edge may enter, one may leave), so
-/// the delta is a pair of options. The sparsification tree (paper Section 5)
+/// the delta is a pair of options. The paper's Section 5 sparsification
 /// relies on exactly this property when it propagates changes level by level.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MsfDelta {

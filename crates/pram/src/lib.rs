@@ -7,8 +7,9 @@
 //! update, `O(sqrt n log n)` work, and *no memory cell may be read or written
 //! by two processors in the same step*. No such machine exists; what can be
 //! reproduced on real hardware are the three quantities the theorem is about
-//! — parallel depth, total work, processor count — plus the exclusivity
-//! discipline itself. This crate provides exactly that:
+//! — parallel depth, total work, processor count. This crate meters them;
+//! the exclusivity discipline is argued from the paper's Lemma 3.1, not
+//! checked:
 //!
 //! * [`CostMeter`] / [`CostReport`] — per-operation and cumulative counters
 //!   for parallel depth (synchronous rounds), total work (primitive
@@ -16,16 +17,10 @@
 //!   `pdmsf-core` charges each primitive it runs to a meter by formula
 //!   (sequentially or as EREW rounds, per its cost model), which is what
 //!   the `paper` experiment fits and checks (`BENCH_paper.json`).
-//! * [`erew`] — an access logger that records `(step, cell, processor,
-//!   read/write)` tuples and detects EREW violations. The phased
-//!   tournament of Lemma 3.1 runs under it, in this crate's tests and in
-//!   the `paper` experiment's `erew` section; the structure's own accesses
-//!   are not logged.
 //! * [`kernels`] — [`log2_ceil`](kernels::log2_ceil), the depth formula
-//!   every charge builds on, and [`erew_tournament_min`], the phased
-//!   four-phase tournament of Lemma 3.1 ([`ExecMode::Simulated`] is the
-//!   only execution mode; see [`kernels::PAR_CUTOFF`] for why no scan fans
-//!   out over the pool).
+//!   every charge builds on ([`ExecMode::Simulated`] is the only execution
+//!   mode; see [`kernels::PAR_CUTOFF`] for why no scan fans out over the
+//!   pool).
 //! * [`pool`] — a lazily spawned, process-wide pool of parked worker
 //!   threads for the serving layer's coarse jobs (shard dispatch). A
 //!   submission publishes a borrowed closure over slots `0..n`, the
@@ -45,10 +40,7 @@
 //!   actually serving from.
 
 pub mod cost;
-pub mod erew;
 pub mod kernels;
 pub mod pool;
 
 pub use cost::{CostMeter, CostReport, ExecMode};
-pub use erew::{AccessKind, AccessLog, Violation};
-pub use kernels::erew_tournament_min;

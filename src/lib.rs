@@ -12,14 +12,15 @@
 //! * [`graph`] ([`pdmsf_graph`]) — the dynamic-graph substrate: weights,
 //!   [`graph::DynGraph`], the [`graph::DynamicMsf`] trait, Kruskal reference,
 //!   degree-3 reduction, workload generators,
-//! * [`pram`] ([`pdmsf_pram`]) — the EREW PRAM cost-model substrate,
+//! * [`pram`] ([`pdmsf_pram`]) — the EREW PRAM cost-model substrate: cost
+//!   meters and the worker pool,
 //! * [`dyntree`] ([`pdmsf_dyntree`]) — Sleator–Tarjan link-cut trees,
 //! * [`core`] ([`pdmsf_core`]) — the paper's contribution: one structure,
 //!   [`core::SeqDynamicMsf`], built from `(n, K, CostModel)` — the
 //!   sequential `O(sqrt(n log n))`-time structure (Theorem 1.2) and, with
 //!   EREW accounting at `K = sqrt n`, the `O(log n)`-depth /
-//!   `O(sqrt n)`-processor structure (Theorem 3.1) — and the
-//!   sparsification tree (Section 5),
+//!   `O(sqrt n)`-processor structure (Theorem 3.1); it serves graphs of
+//!   any density without the paper's Section 5 sparsification,
 //! * [`engine`] ([`pdmsf_engine`]) — the batched update/query serving layer
 //!   on top of that structure,
 //! * [`shard`] ([`pdmsf_shard`]) — the multi-tenant sharded serving layer
@@ -326,7 +327,6 @@ pub use pdmsf_shard::ShardedService;
 pub mod prelude {
     pub use pdmsf_baselines::{NaiveDynamicMsf, RecomputeMsf};
     pub use pdmsf_core::seq::SeqDynamicMsf;
-    pub use pdmsf_core::sparsify::SparsifiedMsf;
     pub use pdmsf_core::CostModel;
     pub use pdmsf_engine::{BatchResult, BatchSummary, Engine, Outcome, PlannedBatch, Reject};
     pub use pdmsf_graph::{
