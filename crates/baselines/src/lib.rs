@@ -272,14 +272,8 @@ mod tests {
                         structure.insert(e);
                     }
                 }
-                Some(UpdateOp::Insert { .. }) => {
-                    // The mirror already holds the new edge: it is the one
-                    // with the largest id.
-                    let newest = mirror
-                        .edges()
-                        .max_by_key(|e| e.id)
-                        .expect("insert leaves at least one edge");
-                    structure.insert(newest);
+                Some(&UpdateOp::Insert(e)) => {
+                    structure.insert(e);
                 }
                 Some(UpdateOp::Delete { id }) => {
                     structure.delete(*id);
@@ -410,10 +404,9 @@ mod tests {
                         b.insert(e);
                     }
                 }
-                Some(UpdateOp::Insert { .. }) => {
-                    let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-                    let da = a.insert(newest);
-                    let db = b.insert(newest);
+                Some(&UpdateOp::Insert(e)) => {
+                    let da = a.insert(e);
+                    let db = b.insert(e);
                     assert_eq!(da, db, "insert deltas diverged");
                 }
                 Some(UpdateOp::Delete { id }) => {

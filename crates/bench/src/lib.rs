@@ -12,7 +12,7 @@
 pub mod paper;
 
 use pdmsf_core::seq::default_parallel_k;
-use pdmsf_core::{CostModel, SeqDynamicMsf};
+use pdmsf_core::SeqDynamicMsf;
 use pdmsf_engine::{Engine, Op};
 use pdmsf_graph::{
     kruskal_msf, BatchKind, BatchStream, BatchStreamSpec, DynGraph, DynamicMsf, GraphSpec,
@@ -178,11 +178,9 @@ pub fn drive_updates_each<M: DynamicMsf>(
                 structure.insert(e);
             }
         }
-        Some(UpdateOp::Insert { .. }) => {
-            let newest =
-                (mirror.edges().max_by_key(|e| e.id)).expect("an insert leaves at least one edge");
+        Some(&UpdateOp::Insert(e)) => {
             let start = Instant::now();
-            structure.insert(newest);
+            structure.insert(e);
             after(structure, start.elapsed());
         }
         Some(UpdateOp::Delete { id }) => {
@@ -255,10 +253,9 @@ pub(crate) fn cost_profile(mut structure: SeqDynamicMsf, stream: &UpdateStream) 
     }
 }
 
-/// The structure of Theorem 3.1: EREW accounting at the paper's
-/// `K = sqrt n`.
+/// The structure of Theorem 3.1: the paper's `K = sqrt n`.
 pub(crate) fn erew_msf(n: usize) -> SeqDynamicMsf {
-    SeqDynamicMsf::with_parameters(n, default_parallel_k(n), CostModel::Erew)
+    SeqDynamicMsf::with_chunk_parameter(n, default_parallel_k(n))
 }
 
 /// The per-update PRAM cost profile of the structure of Theorem 3.1 over a

@@ -30,13 +30,13 @@
 //! reduction, available as [`pdmsf_graph::DegreeReduced`]).
 //!
 //! Cost accounting: every non-trivial primitive charges its cost to an
-//! embedded [`CostMeter`], either as sequential work (Theorem 1.2 accounting)
-//! or as EREW PRAM rounds (Theorem 3.1 accounting) depending on the
-//! configured [`CostModel`]. Costs are charged by formula next to the code
-//! they cost: logarithmic depths come from one function, `log_depth`, and
-//! the three minimum scans over a chunk's adjacency (short-list MWR, `γ`
-//! witness, pair rescan) compute and charge in one call,
-//! `scan_adjacent_min`.
+//! embedded [`CostMeter`] as EREW PRAM rounds (Theorem 3.1 accounting)
+//! whose work is the primitive's sequential cost, so the summed work is
+//! also the sequential time of Theorem 1.2. Costs are charged by formula
+//! next to the code they cost: logarithmic depths come from one function,
+//! `log_depth`, and the three minimum scans over a chunk's adjacency
+//! (short-list MWR, `γ` witness, pair rescan) compute and charge in one
+//! call, `scan_adjacent_min`.
 
 mod arena;
 mod cadj;
@@ -104,18 +104,6 @@ impl AdjEntry {
     }
 }
 
-/// How primitive operations are charged to the cost meter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum CostModel {
-    /// Sequential accounting (Theorem 1.2): every primitive is charged as
-    /// work performed by a single processor.
-    #[default]
-    Sequential,
-    /// EREW PRAM accounting (Theorem 3.1): scans become tournament trees /
-    /// parallel sweeps of logarithmic depth using one processor per element.
-    Erew,
-}
-
 /// Parallel depth of a tournament tree over `n` items, or of a walk up a
 /// balanced tree with `n` nodes: `⌈log₂ max(n, 2)⌉ + 1` rounds.
 #[inline]
@@ -144,8 +132,7 @@ pub struct ForestStats {
 pub struct ChunkedEulerForest {
     /// Chunk-size parameter `K`.
     pub(crate) k: usize,
-    pub(crate) model: CostModel,
-    /// PRAM / sequential cost meter.
+    /// EREW cost meter.
     pub meter: CostMeter,
 
     // ---- graph + arc storage (one flat record per edge; each vertex's
@@ -191,13 +178,12 @@ pub struct ChunkedEulerForest {
 }
 
 impl ChunkedEulerForest {
-    /// A forest over `n` isolated vertices with chunk parameter `k` and the
-    /// given cost model; every primitive runs on the calling thread. No
-    /// vertex holds an occurrence or a chunk yet.
-    pub fn new(n: usize, k: usize, model: CostModel) -> Self {
+    /// A forest over `n` isolated vertices with chunk parameter `k`; every
+    /// primitive runs on the calling thread. No vertex holds an occurrence
+    /// or a chunk yet.
+    pub fn new(n: usize, k: usize) -> Self {
         ChunkedEulerForest {
             k: k.max(2),
-            model,
             meter: CostMeter::new(),
             edges: EdgeSlotMap::default(),
             adj: SpanStore::with_lists(n),
@@ -334,15 +320,10 @@ impl ChunkedEulerForest {
 
     /// Charge a primitive whose sequential cost is `seq_work` and whose EREW
     /// parallelisation (per the paper's Lemmas 3.1-3.3) takes `par_depth`
-    /// rounds on `par_procs` processors.
+    /// rounds on `par_procs` processors: `seq_work` is the round's work.
     pub(crate) fn charge(&mut self, seq_work: u64, par_depth: u64, par_procs: u64) {
-        match self.model {
-            CostModel::Sequential => self.meter.sequential(seq_work),
-            CostModel::Erew => {
-                self.meter
-                    .round(par_procs.max(1), par_depth.max(1), seq_work.max(1))
-            }
-        }
+        self.meter
+            .round(par_procs.max(1), par_depth.max(1), seq_work.max(1))
     }
 
     /// The minimum key among the edges adjacent to chunk `c`'s principal

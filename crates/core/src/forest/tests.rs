@@ -1,8 +1,7 @@
 //! Tests of the chunked Euler-tour forest, driven through the structure
-//! front end under both cost models and differentially checked against the
-//! Kruskal reference and the baseline structures.
+//! front end at several chunk parameters and differentially checked against
+//! the Kruskal reference and the baseline structures.
 
-use crate::forest::CostModel;
 use crate::seq::{default_parallel_k, SeqDynamicMsf};
 use pdmsf_baselines::NaiveDynamicMsf;
 use pdmsf_graph::{
@@ -19,14 +18,9 @@ fn edge(id: u32, u: u32, v: u32, w: i64) -> Edge {
     }
 }
 
-/// A sequentially metered structure over `n` vertices at chunk parameter `k`.
-fn sequential(n: usize, k: usize) -> SeqDynamicMsf {
-    SeqDynamicMsf::with_parameters(n, k, CostModel::Sequential)
-}
-
-/// The EREW-metered structure of Theorem 3.1 at the paper's `K = ⌈√n⌉`.
+/// The structure of Theorem 3.1 at the paper's `K = ⌈√n⌉`.
 fn erew(n: usize) -> SeqDynamicMsf {
-    SeqDynamicMsf::with_parameters(n, default_parallel_k(n), CostModel::Erew)
+    SeqDynamicMsf::with_chunk_parameter(n, default_parallel_k(n))
 }
 
 /// Drive a structure through a stream, checking against Kruskal (and the
@@ -43,9 +37,8 @@ fn drive_checked<M: DynamicMsf>(
                     structure.insert(e);
                 }
             }
-            Some(UpdateOp::Insert { .. }) => {
-                let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-                structure.insert(newest);
+            Some(&UpdateOp::Insert(e)) => {
+                structure.insert(e);
             }
             Some(UpdateOp::Delete { id }) => {
                 structure.delete(*id);
@@ -58,7 +51,7 @@ fn drive_checked<M: DynamicMsf>(
 
 #[test]
 fn small_hand_driven_sequence() {
-    let mut s = sequential(6, 3);
+    let mut s = SeqDynamicMsf::with_chunk_parameter(6, 3);
     assert_eq!(
         s.insert(edge(0, 0, 1, 4)),
         pdmsf_graph::MsfDelta::added(EdgeId(0))
@@ -96,7 +89,7 @@ fn small_hand_driven_sequence() {
 
 #[test]
 fn isolated_vertices_and_self_loops() {
-    let mut s = sequential(3, 2);
+    let mut s = SeqDynamicMsf::with_chunk_parameter(3, 2);
     assert_eq!(s.insert(edge(0, 1, 1, 5)), pdmsf_graph::MsfDelta::NONE);
     s.validate();
     assert_eq!(s.delete(EdgeId(0)), pdmsf_graph::MsfDelta::NONE);
@@ -123,7 +116,7 @@ fn seq_matches_kruskal_small_chunks_mixed_stream() {
             },
             seed: seed + 100,
         });
-        let mut s = sequential(n, k);
+        let mut s = SeqDynamicMsf::with_chunk_parameter(n, k);
         drive_checked(&mut s, &stream, |m| m.validate());
     }
 }
@@ -161,7 +154,7 @@ fn seq_matches_kruskal_on_failure_stream() {
         kind: StreamKind::Failures,
         seed: 17,
     });
-    let mut s = sequential(36, 4);
+    let mut s = SeqDynamicMsf::with_chunk_parameter(36, 4);
     drive_checked(&mut s, &stream, |m| m.validate());
 }
 
@@ -174,7 +167,7 @@ fn seq_matches_kruskal_sliding_window() {
         kind: StreamKind::SlidingWindow { window: 60 },
         seed: 23,
     });
-    let mut s = sequential(n, 5);
+    let mut s = SeqDynamicMsf::with_chunk_parameter(n, 5);
     drive_checked(&mut s, &stream, |m| m.validate());
 }
 
@@ -203,9 +196,8 @@ fn par_produces_identical_forests_and_logarithmic_depth() {
                     seq.insert(e);
                 }
             }
-            Some(UpdateOp::Insert { .. }) => {
-                let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-                assert_eq!(par.insert(newest), seq.insert(newest));
+            Some(&UpdateOp::Insert(e)) => {
+                assert_eq!(par.insert(e), seq.insert(e));
             }
             Some(UpdateOp::Delete { id }) => {
                 assert_eq!(par.delete(*id), seq.delete(*id));
@@ -245,7 +237,7 @@ fn chunk_parameter_extremes_still_correct() {
             },
             seed: 41,
         });
-        let mut s = sequential(24, k);
+        let mut s = SeqDynamicMsf::with_chunk_parameter(24, k);
         drive_checked(&mut s, &stream, |m| m.validate());
     }
 }
@@ -261,7 +253,7 @@ fn seq_agrees_with_naive_baseline_including_deltas() {
         },
         seed: 47,
     });
-    let mut a = sequential(n, 4);
+    let mut a = SeqDynamicMsf::with_chunk_parameter(n, 4);
     let mut b = NaiveDynamicMsf::new(n);
     stream.replay_with(|_, op| match op {
         None => {}
@@ -276,9 +268,8 @@ fn seq_agrees_with_naive_baseline_including_deltas() {
                     assert_eq!(a.insert(e), b.insert(e));
                 }
             }
-            Some(UpdateOp::Insert { .. }) => {
-                let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-                assert_eq!(a.insert(newest), b.insert(newest), "insert deltas diverged");
+            Some(&UpdateOp::Insert(e)) => {
+                assert_eq!(a.insert(e), b.insert(e), "insert deltas diverged");
             }
             Some(UpdateOp::Delete { id }) => {
                 assert_eq!(a.delete(*id), b.delete(*id), "delete deltas diverged");
@@ -306,7 +297,7 @@ fn sparsified_seq_matches_kruskal_on_dense_graph() {
         },
         seed: 59,
     });
-    let mut s = sequential(n, 4);
+    let mut s = SeqDynamicMsf::with_chunk_parameter(n, 4);
     drive_checked(&mut s, &stream, |m| m.validate());
 }
 
@@ -325,7 +316,7 @@ fn forest_stats_report_invariant_one() {
         },
         seed: 67,
     });
-    let mut s = sequential(n, 6);
+    let mut s = SeqDynamicMsf::with_chunk_parameter(n, 6);
     drive_checked(&mut s, &stream, |_| ());
     let stats = s.forest_stats();
     assert!(stats.chunks >= 1);
@@ -378,7 +369,7 @@ fn deleting_a_non_minimum_edge_keeps_the_pair_entry_in_o1() {
     // id), plus three parallel non-tree edges between two far-apart
     // vertices, whose chunks end up holding them as one CAdj pair entry.
     let (n, k) = (24u32, 4usize);
-    let mut s = sequential(n as usize, k);
+    let mut s = SeqDynamicMsf::with_chunk_parameter(n as usize, k);
     for i in 0..n - 1 {
         s.insert(edge(i, i, i + 1, 1 + i as i64));
     }
@@ -673,7 +664,7 @@ mod soa_vs_aos {
     /// Apply `ops` to a fresh `n`-vertex structure at chunk parameter `k`,
     /// calling `check` after every op.
     fn run_ops(n: usize, k: usize, ops: &[Op], mut check: impl FnMut(&SeqDynamicMsf)) {
-        let mut s = super::sequential(n, k);
+        let mut s = SeqDynamicMsf::with_chunk_parameter(n, k);
         let mut live: Vec<Edge> = Vec::new();
         let mut next_id = 0u32;
         for op in ops {
@@ -766,7 +757,7 @@ fn links_at_one_spot_force_relabels() {
     let n = 96;
     for k in [2, 5] {
         let before = relabels();
-        let mut s = sequential(n, k);
+        let mut s = SeqDynamicMsf::with_chunk_parameter(n, k);
         for leaf in 1..n as u32 {
             s.insert(edge(leaf, 0, leaf, leaf as i64));
             s.validate();
@@ -786,7 +777,6 @@ fn links_at_one_spot_force_relabels() {
 /// tree edge by splicing a one-vertex tour: no general link runs.
 #[test]
 fn from_graph_matches_an_incremental_build() {
-    use crate::forest::CostModel;
     use crate::seq::default_sequential_k;
     let n = 64;
     let stream = UpdateStream::generate(&UpdateStreamSpec {
@@ -803,7 +793,7 @@ fn from_graph_matches_an_incremental_build() {
     });
     let split = 300;
     for k in [2, 5, default_sequential_k(n)] {
-        let mut incremental = SeqDynamicMsf::with_parameters(n, k, CostModel::Erew);
+        let mut incremental = SeqDynamicMsf::with_chunk_parameter(n, k);
         let mut bulk: Option<SeqDynamicMsf> = None;
         let mut step = 0;
         stream.replay_with(|mirror, op| {
@@ -813,11 +803,10 @@ fn from_graph_matches_an_incremental_build() {
                         incremental.insert(e);
                     }
                 }
-                Some(UpdateOp::Insert { .. }) => {
-                    let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-                    let delta = incremental.insert(newest);
+                Some(&UpdateOp::Insert(e)) => {
+                    let delta = incremental.insert(e);
                     if let Some(b) = bulk.as_mut() {
-                        assert_eq!(b.insert(newest), delta, "insert delta at K = {k}");
+                        assert_eq!(b.insert(e), delta, "insert delta at K = {k}");
                     }
                 }
                 Some(UpdateOp::Delete { id }) => {
@@ -830,7 +819,7 @@ fn from_graph_matches_an_incremental_build() {
             step += 1;
             if step == split {
                 let before = surgeries();
-                let built = SeqDynamicMsf::from_graph(mirror, k, CostModel::Erew);
+                let built = SeqDynamicMsf::from_graph(mirror, k);
                 let after = surgeries();
                 assert_eq!(after[2], before[2], "a general link ran in the bulk build");
                 assert_eq!(
@@ -868,16 +857,15 @@ fn meter_accumulates_costs_per_operation() {
 }
 
 /// The exact charges of one fixed mixed stream (n = 256, m = 512, 400
-/// updates) at the chunk parameters and cost models the structure runs
-/// with: `⌈√n⌉` and `⌈√(n log₂ n)⌉` under EREW accounting (the paper's
-/// Theorem 3.1 tables and the serving engines), `⌈√(n log₂ n)⌉`
-/// sequentially (Theorem 1.2), and `K = 4`, which maximises chunk churn.
-/// Summed depth and work and the peak processor count cover the base build
-/// and every update, so a change to any charge formula moves a number here.
-/// Every configuration takes all four link and cut paths.
+/// updates) at the chunk parameters the structure runs with: `⌈√n⌉` (the
+/// paper's Theorem 3.1 tables) and `⌈√(n log₂ n)⌉` (the serving engines;
+/// its work is Theorem 1.2's sequential time), and `K = 4`, which maximises
+/// chunk churn. Summed depth and work and the peak processor count cover
+/// the base build and every update, so a change to any charge formula
+/// moves a number here. Every configuration takes all four link and cut
+/// paths.
 #[test]
 fn meter_charges_are_pinned() {
-    use crate::forest::CostModel;
     use crate::seq::default_sequential_k;
     let n = 256;
     let stream = UpdateStream::generate(&UpdateStreamSpec {
@@ -895,25 +883,24 @@ fn meter_charges_are_pinned() {
     let sqrt_n = (n as f64).sqrt().ceil() as usize;
     let served = default_sequential_k(n);
     assert_eq!((sqrt_n, served), (16, 46));
-    let expected: [(usize, CostModel, [u64; 3]); 4] = [
-        (sqrt_n, CostModel::Erew, [88_399, 873_958, 117]),
-        (served, CostModel::Erew, [61_978, 325_195, 176]),
-        (served, CostModel::Sequential, [325_195, 325_195, 1]),
-        (4, CostModel::Sequential, [5_835_866, 5_835_866, 1]),
+    let expected: [(usize, [u64; 3]); 3] = [
+        (sqrt_n, [88_399, 873_958, 117]),
+        (served, [61_978, 325_195, 176]),
+        (4, [118_686, 5_835_866, 468]),
     ];
-    for (k, model, [depth, work, peak]) in expected {
+    for (k, [depth, work, peak]) in expected {
         let searches = || crate::forest::mwr::GAMMA_SEARCHES.with(|c| c.get());
         let before = searches();
         let paths_before = surgeries();
-        let mut s = SeqDynamicMsf::with_parameters(n, k, model);
+        let mut s = SeqDynamicMsf::with_chunk_parameter(n, k);
         drive_checked(&mut s, &stream, |_| {});
         let total = s.meter().total();
         assert_eq!(
             (total.depth, total.work, total.peak_processors),
             (depth, work, peak),
-            "charges moved at K = {k}, {model:?}"
+            "charges moved at K = {k}"
         );
-        assert!(searches() > before, "no γ search ran at K = {k}, {model:?}");
-        assert_every_path_ran(paths_before, &format!("the stream at K = {k}, {model:?}"));
+        assert!(searches() > before, "no γ search ran at K = {k}");
+        assert_every_path_ran(paths_before, &format!("the stream at K = {k}"));
     }
 }

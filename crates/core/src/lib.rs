@@ -10,12 +10,12 @@
 //!   (Invariant 1), with per-chunk `CAdj` rows, per-list aggregation trees
 //!   and the surgical operations of Lemma 2.1.
 //! * [`seq`] — [`seq::SeqDynamicMsf`], the one structure front end, built
-//!   from `(n, K, CostModel)`: the sequential structure of Theorem 1.2
-//!   (`O(sqrt(n log n))` worst-case time per update with
-//!   `K = sqrt(n log n)`) and, with [`CostModel::Erew`] at `K = sqrt n`, the
-//!   EREW PRAM structure of Theorem 3.1 / 1.1 (`O(log n)` parallel depth,
-//!   `O(sqrt n)` processors, `O(sqrt n log n)` work), metered with the
-//!   cost-model substrate of `pdmsf-pram`. [`seq::SeqDynamicMsf::from_graph`]
+//!   from `(n, K)` and metered in EREW rounds with the cost-model substrate
+//!   of `pdmsf-pram`: at `K = sqrt n` it is the EREW PRAM structure of
+//!   Theorem 3.1 / 1.1 (`O(log n)` parallel depth, `O(sqrt n)` processors,
+//!   `O(sqrt n log n)` work), and at `K = sqrt(n log n)` its metered work,
+//!   the primitives' sequential cost, is Theorem 1.2's `O(sqrt(n log n))`
+//!   worst-case time per update. [`seq::SeqDynamicMsf::from_graph`]
 //!   builds the structure over a graph's live edges, which is how a
 //!   checkpoint (it stores only the graph) restores.
 //!
@@ -103,7 +103,7 @@
 //! Bank layouts are pinned by SoA-vs-AoS reference-walk proptests over the
 //! chunk, row **and occurrence** banks and the pooled per-vertex lists,
 //! the seq/par/Kruskal lockstep
-//! proptest pins behaviour across chunk parameters and cost models, and
+//! proptest pins behaviour across chunk parameters, and
 //! `meter_charges_are_pinned` pins the exact charges.
 
 #![forbid(unsafe_code)]
@@ -111,5 +111,5 @@
 pub mod forest;
 pub mod seq;
 
-pub use forest::{ChunkedEulerForest, CostModel, EdgeRec, ForestStats};
+pub use forest::{ChunkedEulerForest, EdgeRec, ForestStats};
 pub use seq::SeqDynamicMsf;

@@ -7,28 +7,28 @@
 //! bookkeeping. Tree-edge membership needs no map of its own — it is a
 //! field of the per-edge record.
 //!
-//! The paper runs this one structure at two chunk parameters and costs it
-//! two ways; [`SeqDynamicMsf::with_parameters`] picks both:
+//! The structure is built from `(n, K)` alone
+//! ([`SeqDynamicMsf::with_chunk_parameter`]). Every primitive Section 3
+//! parallelises — tournament-tree row rebuilds (Lemma 3.1), per-entry LSDS
+//! trees `S_j` (Lemma 3.2), the `γ`/MWR search (Lemma 3.3) — is charged to
+//! the meter with its EREW depth, processor count and work, where the work
+//! is the primitive's sequential cost. The paper reads this one structure
+//! at two chunk parameters:
 //!
-//! * **Sequential** (Theorem 1.2, [`SeqDynamicMsf::new`]): with
-//!   `K = Θ(sqrt(n log n))` ([`default_sequential_k`]) every update costs
-//!   `O(J log J + K + log n) = O(sqrt(n log n))` worst-case time on sparse
-//!   graphs.
 //! * **EREW PRAM** (Theorem 3.1 / 1.1): with `K = sqrt n`
-//!   ([`default_parallel_k`]) and [`CostModel::Erew`], every primitive
-//!   Section 3 parallelises — tournament-tree row rebuilds (Lemma 3.1),
-//!   per-entry LSDS trees `S_j` (Lemma 3.2), the `γ`/MWR search (Lemma
-//!   3.3) — is charged with its parallel depth, processor count and work,
-//!   so the meter reports the `O(log n)` depth, `O(sqrt n)` processors and
-//!   `O(sqrt n log n)` work the theorem bounds.
+//!   ([`default_parallel_k`]) the meter reports the `O(log n)` depth,
+//!   `O(sqrt n)` processors and `O(sqrt n log n)` work the theorem bounds.
+//! * **Sequential** (Theorem 1.2, [`SeqDynamicMsf::new`]): with
+//!   `K = Θ(sqrt(n log n))` ([`default_sequential_k`]) the metered work,
+//!   which is the sequential time, is `O(J log J + K + log n) =
+//!   O(sqrt(n log n))` per update on sparse graphs.
 //!
-//! Every primitive runs on the calling thread, so the structure is
-//! bit-for-bit identical under both cost models at the same `K`; only the
-//! charged costs differ. The serving engines use EREW accounting at the
-//! sequential `K`: without `sqrt n` processors to run the `O(J)` row scans
-//! in `O(log J)` depth, the sequential trade-off is the faster one.
+//! Every primitive runs on the calling thread. The serving engines hold
+//! the structure at the sequential `K`: without `sqrt n` processors to run
+//! the `O(J)` row scans in `O(log J)` depth, the sequential trade-off is
+//! the faster one.
 
-use crate::forest::{log_depth, ChunkedEulerForest, CostModel, ForestStats};
+use crate::forest::{log_depth, ChunkedEulerForest, ForestStats};
 use pdmsf_dyntree::LinkCutForest;
 use pdmsf_graph::{kruskal_msf, DynGraph, DynamicMsf, Edge, EdgeId, MsfDelta, VertexId, WKey};
 use pdmsf_pram::{CostMeter, CostReport, ExecMode};
@@ -56,18 +56,17 @@ pub struct SeqDynamicMsf {
 }
 
 impl SeqDynamicMsf {
-    /// A structure over `n` isolated vertices with the default chunk
-    /// parameter `K = sqrt(n log n)` and sequential cost accounting.
+    /// A structure over `n` isolated vertices with the sequential chunk
+    /// parameter `K = sqrt(n log n)` — the structure every engine holds.
     pub fn new(n: usize) -> Self {
-        Self::with_parameters(n, default_sequential_k(n), CostModel::Sequential)
+        Self::with_chunk_parameter(n, default_sequential_k(n))
     }
 
-    /// A structure over `n` isolated vertices with chunk parameter `k` and
-    /// cost model `model` (Theorem 3.1's tables use [`default_parallel_k`]
-    /// with [`CostModel::Erew`]).
-    pub fn with_parameters(n: usize, k: usize, model: CostModel) -> Self {
+    /// A structure over `n` isolated vertices with chunk parameter `k`
+    /// (Theorem 3.1's tables use [`default_parallel_k`]).
+    pub fn with_chunk_parameter(n: usize, k: usize) -> Self {
         SeqDynamicMsf {
-            forest: ChunkedEulerForest::new(n, k, model),
+            forest: ChunkedEulerForest::new(n, k),
             lct: LinkCutForest::new(n),
             num_tree_edges: 0,
             forest_weight: 0,
@@ -76,8 +75,8 @@ impl SeqDynamicMsf {
     }
 
     /// A structure over the vertices and live edges of `graph`, at chunk
-    /// parameter `k` and cost model `model` (how a checkpoint, which holds
-    /// only the graph, restores). [`kruskal_msf`] picks the forest, which
+    /// parameter `k` (how a checkpoint, which holds only the graph,
+    /// restores). [`kruskal_msf`] picks the forest, which
     /// is unique under `WKey` order. A traversal of each tree then
     /// registers and links every tree edge as it is discovered, so each
     /// link attaches a one-vertex tour and takes the splice path; the
@@ -87,9 +86,9 @@ impl SeqDynamicMsf {
     /// The forest and every future answer and delta are those of any
     /// structure holding the same edges. The chunking is not (Invariant 1
     /// admits any), so later meter charges can differ.
-    pub fn from_graph(graph: &DynGraph, k: usize, model: CostModel) -> Self {
+    pub fn from_graph(graph: &DynGraph, k: usize) -> Self {
         let n = graph.num_vertices();
-        let mut s = Self::with_parameters(n, k, model);
+        let mut s = Self::with_chunk_parameter(n, k);
         let mut tree_adj: Vec<Vec<Edge>> = vec![Vec::new(); n];
         for id in kruskal_msf(graph).edges {
             let e = graph.edge_unchecked(id);

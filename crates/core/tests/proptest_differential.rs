@@ -5,8 +5,8 @@
 //! throughout.
 
 use pdmsf_baselines::RecomputeMsf;
-use pdmsf_core::seq::{default_parallel_k, default_sequential_k};
-use pdmsf_core::{CostModel, SeqDynamicMsf};
+use pdmsf_core::seq::default_parallel_k;
+use pdmsf_core::SeqDynamicMsf;
 use pdmsf_graph::{DegreeReduced, DynamicMsf, Edge, EdgeId, VertexId, Weight};
 use proptest::prelude::*;
 
@@ -16,16 +16,6 @@ use proptest::prelude::*;
 enum Op {
     Insert { u: u8, v: u8, w: u8 },
     DeleteNth(u8),
-}
-
-/// A sequentially metered structure over `n` vertices at chunk parameter `k`.
-fn sequential(n: usize, k: usize) -> SeqDynamicMsf {
-    SeqDynamicMsf::with_parameters(n, k, CostModel::Sequential)
-}
-
-/// An EREW-metered structure over `n` vertices at chunk parameter `k`.
-fn erew(n: usize, k: usize) -> SeqDynamicMsf {
-    SeqDynamicMsf::with_parameters(n, k, CostModel::Erew)
 }
 
 fn op_strategy(n: u8) -> impl Strategy<Value = Op> {
@@ -82,12 +72,12 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// The sequential structure (with a tiny chunk parameter, to maximise
-    /// chunk splits/merges and short-list transitions) matches the oracle on
+    /// The structure (with a tiny chunk parameter, to maximise chunk
+    /// splits/merges and short-list transitions) matches the oracle on
     /// arbitrary update sequences and never violates an internal invariant.
     #[test]
     fn seq_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(10), 1..120)) {
-        let structure = sequential(10, 2);
+        let structure = SeqDynamicMsf::with_chunk_parameter(10, 2);
         run_differential(10, &ops, structure, |s| s.validate());
     }
 
@@ -98,27 +88,26 @@ proptest! {
         run_differential(16, &ops, structure, |s| s.validate());
     }
 
-    /// The EREW-accounted structure at `K = sqrt n` is exactly equivalent.
+    /// The structure at the paper's parallel `K = sqrt n` is exactly
+    /// equivalent.
     #[test]
     fn par_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(12), 1..100)) {
-        let structure = erew(12, default_parallel_k(12));
+        let structure = SeqDynamicMsf::with_chunk_parameter(12, default_parallel_k(12));
         run_differential(12, &ops, structure, |s| s.validate());
     }
 
-    /// Four-way lockstep differential: identical randomized update streams
-    /// through the sequentially metered structure, the EREW-metered one at
-    /// the paper's `K = sqrt n` **and** at the serving engines'
-    /// `K = sqrt(n log n)`, and the Kruskal-based recompute reference —
-    /// asserting identical deltas, forests and MSF weight after every
-    /// single operation.
+    /// Three-way lockstep differential: identical randomized update streams
+    /// through the structure at the serving engines' `K = sqrt(n log n)`
+    /// and at the paper's parallel `K = sqrt n`, and the Kruskal-based
+    /// recompute reference — asserting identical deltas, forests and MSF
+    /// weight after every single operation.
     #[test]
     fn seq_par_and_kruskal_agree_in_lockstep(
         ops in proptest::collection::vec(op_strategy(14), 1..110),
     ) {
         let n = 14;
         let mut seq = SeqDynamicMsf::new(n);
-        let mut par_sim = erew(n, default_parallel_k(n));
-        let mut par_served = erew(n, default_sequential_k(n));
+        let mut par_sim = SeqDynamicMsf::with_chunk_parameter(n, default_parallel_k(n));
         let mut oracle = RecomputeMsf::new(n);
         let mut live: Vec<Edge> = Vec::new();
         let mut next_id = 0u32;
@@ -133,7 +122,7 @@ proptest! {
                     };
                     next_id += 1;
                     live.push(e);
-                    [seq.insert(e), par_sim.insert(e), par_served.insert(e), oracle.insert(e)]
+                    [seq.insert(e), par_sim.insert(e), oracle.insert(e)]
                 }
                 Op::DeleteNth(k) => {
                     if live.is_empty() {
@@ -141,19 +130,16 @@ proptest! {
                     }
                     let idx = k as usize % live.len();
                     let e = live.swap_remove(idx);
-                    [seq.delete(e.id), par_sim.delete(e.id), par_served.delete(e.id), oracle.delete(e.id)]
+                    [seq.delete(e.id), par_sim.delete(e.id), oracle.delete(e.id)]
                 }
             };
             prop_assert_eq!(deltas[0], deltas[1], "simulated par delta diverged from seq");
-            prop_assert_eq!(deltas[0], deltas[2], "served-K par delta diverged from seq");
-            prop_assert_eq!(deltas[0], deltas[3], "seq delta diverged from Kruskal oracle");
+            prop_assert_eq!(deltas[0], deltas[2], "seq delta diverged from Kruskal oracle");
             let forest = seq.forest_edges();
             prop_assert_eq!(&forest, &par_sim.forest_edges());
-            prop_assert_eq!(&forest, &par_served.forest_edges());
             prop_assert_eq!(&forest, &oracle.forest_edges());
             let weight = seq.forest_weight();
             prop_assert_eq!(weight, par_sim.forest_weight());
-            prop_assert_eq!(weight, par_served.forest_weight());
             prop_assert_eq!(weight, oracle.forest_weight());
         }
     }
@@ -162,7 +148,7 @@ proptest! {
     /// structure only ever sees degree <= 3).
     #[test]
     fn degree_reduced_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(8), 1..80)) {
-        let structure = DegreeReduced::new(8, sequential(0, 3));
+        let structure = DegreeReduced::new(8, SeqDynamicMsf::with_chunk_parameter(0, 3));
         run_differential(8, &ops, structure, |_| ());
     }
 
@@ -170,7 +156,7 @@ proptest! {
     /// exceed work, and every update reports a non-zero cost.
     #[test]
     fn pram_costs_are_well_formed(ops in proptest::collection::vec(op_strategy(12), 1..60)) {
-        let mut structure = erew(12, default_parallel_k(12));
+        let mut structure = SeqDynamicMsf::with_chunk_parameter(12, default_parallel_k(12));
         let mut live: Vec<Edge> = Vec::new();
         let mut next_id = 0u32;
         for op in &ops {

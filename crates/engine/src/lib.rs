@@ -47,6 +47,11 @@
 //!    unless cancelled, to the structure at once.
 //! 3. **Answer queries** at the post-update snapshot point.
 //!
+//! Recovery replays a logged record through the same planner and apply
+//! path ([`Engine::replay_logged`]): a record is valid iff planning the ops
+//! it implies reproduces it update for update, so the planner is the only
+//! code that decides whether a batch is valid.
+//!
 //! ## Semantics
 //!
 //! A batch is **observationally identical** to the following serial
@@ -84,11 +89,10 @@
 #![forbid(unsafe_code)]
 
 use pdmsf_core::seq::default_sequential_k;
-use pdmsf_core::{CostModel, SeqDynamicMsf};
+use pdmsf_core::SeqDynamicMsf;
 use pdmsf_graph::{DynGraph, DynamicMsf, Edge, EdgeId, VertexId};
 use pdmsf_obs as obs;
 use pdmsf_obs::trace::{Phase, TSpan};
-use std::collections::HashSet;
 use std::io;
 use std::sync::Arc;
 
@@ -96,7 +100,7 @@ mod plan;
 pub mod snapshot;
 
 pub use pdmsf_graph::BatchOp as Op;
-pub use plan::PlannedUpdate;
+pub use plan::{link_reject, query_reject, PlannedUpdate};
 pub use snapshot::QuerySnapshot;
 
 use plan::PlannedQuery;
@@ -278,28 +282,6 @@ const SNAPSHOT_MIN_QUERIES: usize = 8;
 /// structure directly.
 const SNAPSHOT_AMORTIZE: usize = 32;
 
-/// Validate a `Link`'s endpoints against a structure of `n` vertices. The
-/// single source of the link validation rules — shared by the planner and
-/// the replay check of logged records so the two can never desynchronize.
-pub(crate) fn link_reject(n: usize, u: VertexId, v: VertexId) -> Option<Reject> {
-    if u.index() >= n || v.index() >= n {
-        Some(Reject::EndpointOutOfRange)
-    } else if u == v {
-        Some(Reject::SelfLoop)
-    } else {
-        None
-    }
-}
-
-/// Validate a `QueryConnected`'s endpoints.
-pub(crate) fn query_reject(n: usize, u: VertexId, v: VertexId) -> Option<Reject> {
-    if u.index() >= n || v.index() >= n {
-        Some(Reject::EndpointOutOfRange)
-    } else {
-        None
-    }
-}
-
 /// A batch planned by [`Engine::plan_batch`], awaiting application through
 /// [`Engine::execute_planned`]. Opaque: it carries pre-assigned edge ids,
 /// the cancellation/dedup decisions and the provisional per-op outcomes.
@@ -453,7 +435,7 @@ impl Engine {
     pub fn with_chunk_parameter(n: usize, k: usize) -> Engine {
         Engine::assemble(
             DynGraph::new(n),
-            SeqDynamicMsf::with_parameters(n, k, CostModel::Erew),
+            SeqDynamicMsf::with_chunk_parameter(n, k),
             EngineStats::default(),
             0,
         )
@@ -503,7 +485,7 @@ impl Engine {
         stats: EngineStats,
         applied_seq: u64,
     ) -> Engine {
-        let msf = SeqDynamicMsf::from_graph(&graph, k, CostModel::Erew);
+        let msf = SeqDynamicMsf::from_graph(&graph, k);
         Engine::assemble(graph, msf, stats, applied_seq)
     }
 
@@ -790,21 +772,24 @@ impl Engine {
         applied
     }
 
-    /// Re-apply one logged batch during recovery. Validates that the record
-    /// is the *next* batch for this engine (`seq == applied_seq + 1`), that
-    /// it was planned against exactly this id-allocation frontier, and that
-    /// the planner could have produced it from this state (see below) —
-    /// then routes the updates through the normal
-    /// [`Engine::execute_planned`] path, so replay exercises the same
-    /// application code as live traffic.
-    ///
-    /// The whole record is checked against the mirror before anything
-    /// mutates: link ids run consecutively from `id_base`, link endpoints
-    /// are in range and distinct, each uncancelled cut names an edge that
-    /// was live before the record and is not cut earlier in it, and
-    /// cancelled links and cancelled cuts pair one-to-one, each cut after
-    /// its link. A record failing any of these returns `Err` and leaves the
+    /// Re-apply one logged batch during recovery. The record must be the
+    /// *next* batch for this engine (`seq == applied_seq + 1`), planned
+    /// against exactly this id-allocation frontier, and non-empty. Its ops
+    /// — a `Link { u, v, weight }` per logged link and a `Cut { id }` per
+    /// logged cut, in record order — are then planned by the planner live
+    /// batches use, so a record is valid iff the planner reproduces it: no
+    /// op is rejected and every planned update equals the logged one field
+    /// for field, ids and cancellation flags included. A valid record
+    /// applies through the normal [`Engine::execute_planned`] path, so
+    /// replay exercises the same application code as live traffic; any
+    /// other returns `Err` naming the first differing update and leaves the
     /// engine untouched.
+    ///
+    /// Replay restores the forest, the mirror and the sequence number, but
+    /// not every counter: queries, rejected ops and query-only batches are
+    /// never logged, so a recovered engine's [`EngineStats`] read lower for
+    /// `ops`, `queries`, `deduped_queries`, `rejected` and `batches` than the
+    /// live engine's did.
     ///
     /// Replay never re-records: the batch is already in the log. Call this
     /// only before attaching a sink for new traffic (the recovery driver in
@@ -827,106 +812,30 @@ impl Engine {
         if batch.updates.is_empty() {
             return Err("logged batch has no updates (never written by the engine)".to_string());
         }
-        self.check_record(&batch.updates)?;
-        let mut cancelled_pairs = 0usize;
-        let outcomes = batch
+        let ops: Vec<Op> = batch
             .updates
             .iter()
-            .map(|u| match *u {
-                PlannedUpdate::Link { id, .. } => Outcome::Linked { id },
-                PlannedUpdate::Cut { id, cancelled } => {
-                    cancelled_pairs += usize::from(cancelled);
-                    Outcome::Cut { id }
-                }
+            .map(|update| match *update {
+                PlannedUpdate::Link { u, v, weight, .. } => Op::Link { u, v, weight },
+                PlannedUpdate::Cut { id, .. } => Op::Cut { id },
             })
             .collect();
-        let planned = PlannedBatch {
-            plan: plan::BatchPlan {
-                updates: batch.updates.clone(),
-                unique_queries: Vec::new(),
-                query_refs: Vec::new(),
-                outcomes,
-                cancelled_pairs,
-                rejected: 0,
-            },
-            ops: batch.updates.len(),
-            id_base: batch.id_base as usize,
-        };
+        let planned = self.plan_batch(&ops);
+        // An accepted op plans one update and a rejected op none, so a plan
+        // that matches every logged update rejected nothing.
+        let (updates, outcomes) = (&planned.plan.updates, &planned.plan.outcomes);
+        if let Some(i) = (0..ops.len()).find(|&i| updates.get(i) != Some(&batch.updates[i])) {
+            return Err(format!(
+                "log record update {i}: logged {:?}, planned {:?}, op outcome {:?}",
+                batch.updates[i],
+                updates.get(i),
+                outcomes[i]
+            ));
+        }
         let saved = self.sink.take();
         let result = self.execute_planned(planned);
         self.sink = saved;
         Ok(result)
-    }
-
-    /// The read-only record check of [`Engine::replay_logged`]: could the
-    /// planner have produced `updates` from the current mirror?
-    fn check_record(&self, updates: &[PlannedUpdate]) -> Result<(), String> {
-        let n = self.graph.num_vertices();
-        let mut next_id = self.graph.edge_id_bound() as u64;
-        // Cancelled links still waiting for their cancelled cut.
-        let mut open: HashSet<EdgeId> = HashSet::new();
-        // Pre-record edges the record has already cut.
-        let mut cut: HashSet<EdgeId> = HashSet::new();
-        for (i, update) in updates.iter().enumerate() {
-            match *update {
-                PlannedUpdate::Link {
-                    id,
-                    u,
-                    v,
-                    cancelled,
-                    ..
-                } => {
-                    if u64::from(id.0) != next_id {
-                        return Err(format!(
-                            "log record update {i}: link id {} where the next id is {next_id}",
-                            id.0
-                        ));
-                    }
-                    next_id += 1;
-                    if let Some(reason) = link_reject(n, u, v) {
-                        return Err(format!(
-                            "log record update {i}: link {} is invalid ({})",
-                            id.0,
-                            reason.metric_label()
-                        ));
-                    }
-                    if cancelled {
-                        open.insert(id);
-                    }
-                }
-                PlannedUpdate::Cut {
-                    id,
-                    cancelled: true,
-                } => {
-                    if !open.remove(&id) {
-                        return Err(format!(
-                            "log record update {i}: cancelled cut of edge {} follows no \
-                             cancelled link of it",
-                            id.0
-                        ));
-                    }
-                }
-                PlannedUpdate::Cut {
-                    id,
-                    cancelled: false,
-                } => {
-                    if !self.graph.is_live(id) || !cut.insert(id) {
-                        return Err(format!(
-                            "log record update {i}: cut of edge {}, which was not live \
-                             before the record or is already cut in it",
-                            id.0
-                        ));
-                    }
-                }
-            }
-        }
-        match open.iter().min() {
-            Some(id) => Err(format!(
-                "log record: cancelled link {} has no cancelled cut",
-                id.0
-            )),
-            None => Ok(()),
-        }
     }
 
     fn answer_through_structure(msf: &mut SeqDynamicMsf, q: &PlannedQuery) -> Outcome {
@@ -1290,6 +1199,20 @@ mod tests {
         // The cut before its link, and a cancelled cut of a surviving link.
         assert_replay_refused(&mut engine, vec![pcut(3, true), plink(3, 0, 2, true)]);
         assert_replay_refused(&mut engine, vec![plink(3, 0, 2, false), pcut(3, true)]);
+        // A cut before its link, and a pair cut twice.
+        assert_replay_refused(
+            &mut engine,
+            vec![
+                plink(3, 0, 2, true),
+                pcut(4, true),
+                plink(4, 1, 3, true),
+                pcut(3, true),
+            ],
+        );
+        assert_replay_refused(
+            &mut engine,
+            vec![plink(3, 0, 2, true), pcut(3, true), pcut(3, true)],
+        );
         // The same record, paired properly, replays.
         let record = LoggedBatch {
             seq: engine.applied_seq() + 1,
@@ -1304,6 +1227,115 @@ mod tests {
                 .cancelled_pairs,
             1
         );
+        // Interleaved pairs replay too.
+        let mut engine = replay_base();
+        let record = LoggedBatch {
+            seq: engine.applied_seq() + 1,
+            id_base: 3,
+            updates: vec![
+                plink(3, 0, 2, true),
+                plink(4, 1, 3, true),
+                pcut(4, true),
+                pcut(3, true),
+            ],
+        };
+        let summary = engine.replay_logged(&record).unwrap().summary;
+        assert_eq!(summary.cancelled_pairs, 2);
+    }
+
+    /// The single-field mutations of `record` over `n` vertices: each link
+    /// with its id one off either way, its cancelled flag flipped, either
+    /// endpoint set to `n`, or made a self-loop; each cut with its cancelled
+    /// flag flipped, pointed at a never-allocated id, or duplicated.
+    fn single_field_mutations(record: &LoggedBatch, n: u32) -> Vec<Vec<PlannedUpdate>> {
+        let unallocated = EdgeId(record.id_base as u32 + record.updates.len() as u32);
+        let mut mutations = Vec::new();
+        for (i, &update) in record.updates.iter().enumerate() {
+            let mut replaced = |changed: PlannedUpdate| {
+                let mut updates = record.updates.clone();
+                updates[i] = changed;
+                mutations.push(updates);
+            };
+            match update {
+                PlannedUpdate::Link {
+                    id,
+                    u,
+                    v,
+                    weight,
+                    cancelled,
+                } => {
+                    let link = |id: u32, u: u32, v: u32, cancelled| PlannedUpdate::Link {
+                        id: EdgeId(id),
+                        u: VertexId(u),
+                        v: VertexId(v),
+                        weight,
+                        cancelled,
+                    };
+                    replaced(link(id.0 + 1, u.0, v.0, cancelled));
+                    replaced(link(id.0.wrapping_sub(1), u.0, v.0, cancelled));
+                    replaced(link(id.0, u.0, v.0, !cancelled));
+                    replaced(link(id.0, n, v.0, cancelled));
+                    replaced(link(id.0, u.0, n, cancelled));
+                    replaced(link(id.0, u.0, u.0, cancelled));
+                }
+                PlannedUpdate::Cut { id, cancelled } => {
+                    replaced(PlannedUpdate::Cut {
+                        id,
+                        cancelled: !cancelled,
+                    });
+                    replaced(PlannedUpdate::Cut {
+                        id: unallocated,
+                        cancelled,
+                    });
+                    let mut duplicated = record.updates.clone();
+                    duplicated.insert(i, update);
+                    mutations.push(duplicated);
+                }
+            }
+        }
+        mutations
+    }
+
+    /// Records a live engine wrote over bursty batches with flap pairs
+    /// replay into a twin that ends with the live forest and mirror, and
+    /// before each record replays, every single-field mutation of it is
+    /// refused with the twin untouched.
+    #[test]
+    fn replay_refuses_single_field_mutations_of_live_records() {
+        use pdmsf_graph::{BatchKind, BatchStream, BatchStreamSpec, GraphSpec};
+        let n = 24;
+        let mut cancelled_pairs = 0;
+        for seed in 0..6 {
+            let stream = BatchStream::generate(&BatchStreamSpec {
+                base: GraphSpec::RandomSparse { n, m: 40, seed },
+                batches: 12,
+                batch_size: 16,
+                kind: BatchKind::Bursty {
+                    query_permille: 200,
+                    flap_permille: 300,
+                },
+                seed,
+            });
+            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut live = Engine::with_chunk_parameter(n, 3);
+            live.set_sink(Box::new(VecSink(log.clone())));
+            live.execute(&stream.base_ops());
+            for batch in &stream.batches {
+                live.execute(batch);
+            }
+            let mut twin = Engine::with_chunk_parameter(n, 3);
+            for record in log.lock().unwrap().iter() {
+                for updates in single_field_mutations(record, n as u32) {
+                    assert_replay_refused(&mut twin, updates);
+                }
+                let replayed = twin.replay_logged(record).unwrap();
+                cancelled_pairs += replayed.summary.cancelled_pairs;
+            }
+            assert_eq!(twin.applied_seq(), live.applied_seq());
+            assert_eq!(twin.forest_edges(), live.forest_edges());
+            assert_eq!(twin.graph().to_image(), live.graph().to_image());
+        }
+        assert!(cancelled_pairs > 0, "no record held a cancelled pair");
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! assigns edge ids, validates every op, cancels opposing insert/delete
 //! pairs and partitions queries from updates.
 //!
+//! It is the engine's one validator: a replayed log record is valid iff
+//! this pass reproduces it, and the sharded router checks endpoints with
+//! its [`link_reject`] and [`query_reject`].
+//!
 //! The plan is computed against an immutable view of the engine's
 //! [`DynGraph`] mirror plus batch-local bookkeeping, so it performs no
 //! structural work at all — the expensive `O(sqrt(n) log n)` updates happen
@@ -10,6 +14,30 @@
 use crate::{Outcome, Reject};
 use pdmsf_graph::{BatchOp, DynGraph, EdgeId, VertexId, Weight};
 use std::collections::HashMap;
+
+/// Validate a `Link`'s endpoints against `n` vertices: the planner's link
+/// rule, which the sharded router applies against each tenant's vertex
+/// count too.
+pub fn link_reject(n: usize, u: VertexId, v: VertexId) -> Option<Reject> {
+    if u.index() >= n || v.index() >= n {
+        Some(Reject::EndpointOutOfRange)
+    } else if u == v {
+        Some(Reject::SelfLoop)
+    } else {
+        None
+    }
+}
+
+/// Validate a `QueryConnected`'s endpoints against `n` vertices (the
+/// planner's query rule, shared with the sharded router like
+/// [`link_reject`]).
+pub fn query_reject(n: usize, u: VertexId, v: VertexId) -> Option<Reject> {
+    if u.index() >= n || v.index() >= n {
+        Some(Reject::EndpointOutOfRange)
+    } else {
+        None
+    }
+}
 
 /// An update that survived validation, in arrival order — the planned form
 /// of a mutation, with its pre-assigned edge id and cancellation flag, and
@@ -99,7 +127,7 @@ pub(crate) fn plan(graph: &DynGraph, ops: &[BatchOp]) -> BatchPlan {
     for (i, op) in ops.iter().enumerate() {
         let outcome = match *op {
             BatchOp::Link { u, v, weight } => {
-                if let Some(reason) = crate::link_reject(n, u, v) {
+                if let Some(reason) = link_reject(n, u, v) {
                     rejected += 1;
                     Outcome::Rejected { reason }
                 } else {
@@ -141,7 +169,7 @@ pub(crate) fn plan(graph: &DynGraph, ops: &[BatchOp]) -> BatchPlan {
                 }
             }
             BatchOp::QueryConnected { u, v } => {
-                if let Some(reason) = crate::query_reject(n, u, v) {
+                if let Some(reason) = query_reject(n, u, v) {
                     rejected += 1;
                     Outcome::Rejected { reason }
                 } else {

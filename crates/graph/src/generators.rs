@@ -18,7 +18,7 @@
 //!   generator mirrors the id allocation of [`DynGraph`] (sequential ids in
 //!   insertion order), so a stream can be replayed against any structure.
 
-use crate::graph::DynGraph;
+use crate::graph::{DynGraph, Edge};
 use crate::ids::{EdgeId, TenantId, VertexId};
 use crate::weight::Weight;
 use rand::prelude::*;
@@ -151,19 +151,25 @@ fn random_weight<R: Rng>(rng: &mut R) -> Weight {
     Weight::new(rng.gen_range(1..=1_000_000))
 }
 
+/// An insert of a random edge (endpoints drawn before the weight) that
+/// will get id `id`.
+fn random_insert<R: Rng>(rng: &mut R, n: usize, id: u32) -> UpdateOp {
+    let (u, v) = random_pair(rng, n);
+    UpdateOp::Insert(Edge {
+        id: EdgeId(id),
+        u,
+        v,
+        weight: random_weight(rng),
+    })
+}
+
 /// One operation of an update stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateOp {
-    /// Insert an edge. Its id will be the next sequential id of the driving
-    /// [`DynGraph`] (the generator pre-computes those ids for `Delete` ops).
-    Insert {
-        /// First endpoint.
-        u: VertexId,
-        /// Second endpoint.
-        v: VertexId,
-        /// Weight.
-        weight: Weight,
-    },
+    /// Insert this edge. Its id is the next sequential id of the driving
+    /// [`DynGraph`] (the generator tracks the ids, as it does for `Delete`
+    /// ops).
+    Insert(Edge),
     /// Delete the edge with this (pre-computed) id.
     Delete {
         /// The id of the edge to delete.
@@ -236,12 +242,7 @@ impl UpdateStream {
                 for _ in 0..spec.ops {
                     let do_insert = live.is_empty() || rng.gen_range(0u32..1000) < insert_permille;
                     if do_insert && n >= 2 {
-                        let (u, v) = random_pair(&mut rng, n);
-                        ops.push(UpdateOp::Insert {
-                            u,
-                            v,
-                            weight: random_weight(&mut rng),
-                        });
+                        ops.push(random_insert(&mut rng, n, next_id));
                         live.push(EdgeId(next_id));
                         next_id += 1;
                     } else if !live.is_empty() {
@@ -258,12 +259,7 @@ impl UpdateStream {
                         let id = queue.pop_front().expect("window is non-empty");
                         ops.push(UpdateOp::Delete { id });
                     } else if n >= 2 {
-                        let (u, v) = random_pair(&mut rng, n);
-                        ops.push(UpdateOp::Insert {
-                            u,
-                            v,
-                            weight: random_weight(&mut rng),
-                        });
+                        ops.push(random_insert(&mut rng, n, next_id));
                         queue.push_back(EdgeId(next_id));
                         next_id += 1;
                     }
@@ -298,6 +294,10 @@ impl UpdateStream {
     /// Replay the stream against a [`DynGraph`] mirror, calling `f` after the
     /// base graph is built and then after every operation. Used by tests to
     /// differentially check dynamic structures against Kruskal.
+    ///
+    /// # Panics
+    /// Panics if the mirror allocates an inserted edge an id other than the
+    /// one its op carries.
     pub fn replay_with<F: FnMut(&DynGraph, Option<&UpdateOp>)>(&self, mut f: F) -> DynGraph {
         let mut g = DynGraph::new(self.num_vertices);
         for &(u, v, w) in &self.base_edges {
@@ -306,8 +306,9 @@ impl UpdateStream {
         f(&g, None);
         for op in &self.ops {
             match *op {
-                UpdateOp::Insert { u, v, weight } => {
-                    g.insert_edge(u, v, weight);
+                UpdateOp::Insert(e) => {
+                    let id = g.insert_edge(e.u, e.v, e.weight);
+                    assert_eq!(id, e.id, "the mirror allocated another id to an insert");
                 }
                 UpdateOp::Delete { id } => {
                     g.delete_edge(id);

@@ -39,7 +39,8 @@
 //!   only hold batches no caller was ever told succeeded.
 //! * **Recovery** ([`recover_engine`], [`recover_service`]): restore the
 //!   newest valid checkpoint, then replay the log tail through the engine's
-//!   normal batch-application path. The invariant — pinned by the
+//!   planner (a record replays only if re-planning its ops reproduces it)
+//!   and normal batch-application path. The invariant — pinned by the
 //!   fault-injection proptest in `tests/recovery.rs` — is
 //!   `restore(checkpoint(S)) + replay == S`, checked against an
 //!   uninterrupted twin by forest weights, component labels and a full

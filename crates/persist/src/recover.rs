@@ -8,7 +8,11 @@
 //!
 //! Replay routes through the engine's normal
 //! [`pdmsf_engine::Engine::replay_logged`] → `execute_planned` path, so a
-//! recovered engine exercised the same application code as the original.
+//! recovered engine exercised the same application code as the original,
+//! and each record is re-planned first: one the planner does not reproduce
+//! is refused. Queries, rejected ops and query-only batches are never
+//! logged, so over the replayed tail a recovered engine's `EngineStats`
+//! count fewer ops, queries, rejects and batches than the original did.
 //! Corruption never degrades silently: a damaged checkpoint refuses to
 //! restore, a torn log tail is truncated and **reported**, and a log that
 //! cannot reach the engine's expected next sequence number fails recovery

@@ -12,6 +12,8 @@
 //! A [`CostMeter`] accumulates rounds; [`CostMeter::finish_op`] snapshots the
 //! cost of one graph update so the experiments can report per-update
 //! worst-case and mean values, exactly the quantities in Theorems 1.1/3.1.
+//! A round's work is the sequential cost of the primitive it stands for, so
+//! the work a meter sums is also the sequential time of Theorem 1.2.
 
 /// How the structures execute their kernels.
 ///
@@ -79,12 +81,6 @@ impl CostMeter {
         self.total.depth += depth;
         self.total.work += work;
         self.total.peak_processors = self.total.peak_processors.max(processors);
-    }
-
-    /// Record sequential work performed by a single processor (`depth ==
-    /// work == amount`).
-    pub fn sequential(&mut self, amount: u64) {
-        self.round(1, amount, amount);
     }
 
     /// Start measuring a new operation (clears the per-operation counters).
@@ -156,17 +152,6 @@ mod tests {
         m.finish_op();
         assert_eq!(m.worst_op().depth, 10);
         assert_eq!(m.num_ops(), 2);
-    }
-
-    #[test]
-    fn sequential_charges_single_processor() {
-        let mut m = CostMeter::new();
-        m.begin_op();
-        m.sequential(5);
-        let op = m.finish_op();
-        assert_eq!(op.depth, 5);
-        assert_eq!(op.work, 5);
-        assert_eq!(op.peak_processors, 1);
     }
 
     #[test]

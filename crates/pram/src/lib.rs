@@ -14,9 +14,9 @@
 //! * [`CostMeter`] / [`CostReport`] — per-operation and cumulative counters
 //!   for parallel depth (synchronous rounds), total work (primitive
 //!   operations) and peak processors per round. The structure in
-//!   `pdmsf-core` charges each primitive it runs to a meter by formula
-//!   (sequentially or as EREW rounds, per its cost model), which is what
-//!   the `paper` experiment fits and checks (`BENCH_paper.json`).
+//!   `pdmsf-core` charges each primitive it runs to a meter by formula,
+//!   as EREW rounds whose work is the primitive's sequential cost, which
+//!   is what the `paper` experiment fits and checks (`BENCH_paper.json`).
 //! * [`kernels`] — [`log2_ceil`](kernels::log2_ceil), the depth formula
 //!   every charge builds on ([`ExecMode::Simulated`] is the only execution
 //!   mode; see [`kernels::PAR_CUTOFF`] for why no scan fans out over the

@@ -481,31 +481,6 @@ fn slot_span(slot: usize) -> obs::trace::TSpan<'static> {
     )
 }
 
-/// A raw pointer that may cross thread boundaries. Slots receive disjoint
-/// indices, so reconstructing per-slot `&mut` references from the base
-/// pointer is sound; the pool blocks until every slot finishes, keeping the
-/// underlying borrow alive.
-#[derive(Clone, Copy)]
-pub struct SendPtr<T>(pub *mut T);
-
-// SAFETY: the only field is the pointer. Moving it to another thread hands
-// that thread `T`s to mutate, hence `T: Send`; every user gives each slot a
-// disjoint range behind it and the submitter blocks until all slots finish.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: sharing `&SendPtr` only shares the address; the per-slot accesses
-// through it stay disjoint as above, so no `&T` is shared between threads.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// The wrapped pointer. Going through a method (rather than field
-    /// access) makes edition-2021 closures capture the `Sync` wrapper, not
-    /// the bare raw pointer.
-    #[inline]
-    pub fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,16 +525,18 @@ mod tests {
         let mut data = vec![0u64; 1000];
         let shards = 8usize;
         let shard_len = data.len().div_ceil(shards);
-        let n = data.len();
-        let base = SendPtr(data.as_mut_ptr());
+        // Each slot borrows its own chunk through its own lock.
+        let chunks: Vec<_> = (data.chunks_mut(shard_len))
+            .enumerate()
+            .map(|(i, chunk)| Mutex::new(Some((i * shard_len, chunk))))
+            .collect();
         run_shards(shards, |i| {
-            let start = i * shard_len;
-            let end = (start + shard_len).min(n);
-            for j in start..end {
-                // SAFETY: only shard `i` writes indices `start..end`.
-                unsafe { *base.get().add(j) = j as u64 };
+            let (start, chunk) = chunks[i].lock().unwrap().take().unwrap();
+            for (j, x) in chunk.iter_mut().enumerate() {
+                *x = (start + j) as u64;
             }
         });
+        drop(chunks);
         for (i, x) in data.iter().enumerate() {
             assert_eq!(*x, i as u64);
         }

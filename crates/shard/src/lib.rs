@@ -32,8 +32,9 @@
 //!   the caller thread ([`Engine::plan_batch`] — pure, `&self`), then
 //!   **applies** all non-empty shard batches concurrently as the slots of
 //!   one `pdmsf_pram::pool` job — the caller and the idle workers each
-//!   claim the next unclaimed shard slot — and each shard batch
-//!   ([`Engine::execute_planned`]) reuses the full
+//!   claim the next unclaimed shard slot, which borrows its shard's engine
+//!   and plan through a per-slot lock (the crate has no `unsafe`) — and
+//!   each shard batch ([`Engine::execute_planned`]) reuses the full
 //!   plan/cancel/dedup/snapshot pipeline internally. Outcomes are
 //!   reassembled into the caller's original op order.
 //!
@@ -76,19 +77,25 @@
 //! assert_eq!(result.outcomes[3], pdmsf_engine::Outcome::ForestWeight { weight: 7 });
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pdmsf_engine::{BatchSummary, Engine, Outcome, PlannedBatch};
 use pdmsf_graph::{TenantId, TenantOp, VertexId};
 use pdmsf_obs as obs;
 use pdmsf_obs::trace::{Phase, TSpan};
-use pdmsf_pram::pool::{self, SendPtr};
+use pdmsf_pram::pool;
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 mod router;
 
 use router::Routed;
 pub use router::Source;
+
+/// Why a dispatch cell's lock cannot be poisoned: no slot panics while it
+/// holds one (it only moves a value in or out).
+const UNPOISONED: &str = "a dispatch cell is never locked across a panic";
 
 /// One tenant to register with a [`ShardedService`].
 #[derive(Clone, Copy, Debug)]
@@ -638,33 +645,37 @@ impl ShardedService {
 
         // Plan every touched shard's sub-batch on the caller thread (pure,
         // `&self` per engine) so the workers only run the `&mut` half.
-        let mut plans: Vec<Option<PlannedBatch>> = routed
+        let plans: Vec<PlannedBatch> = routed
             .slots
             .iter()
             .zip(&routed.sub_batches)
-            .map(|(&s, sub)| Some(self.shards[s].plan_batch(sub)))
+            .map(|(&s, sub)| self.shards[s].plan_batch(sub))
             .collect();
 
-        let mut outputs: Vec<Option<ShardOutput>> = (0..slots).map(|_| None).collect();
+        // Each slot borrows its shard's engine and plan out of its own
+        // cell and hands its output back through another, so each lock is
+        // taken once, by the one slot that owns it. `run_shards` blocks
+        // until every slot finished (scoped-spawn semantics).
+        let outputs: Vec<Mutex<Option<ShardOutput>>> =
+            (0..slots).map(|_| Mutex::new(None)).collect();
         {
-            let shards_base = SendPtr(self.shards.as_mut_ptr());
-            let plans_base = SendPtr(plans.as_mut_ptr());
-            let outputs_base = SendPtr(outputs.as_mut_ptr());
+            let mut engines: Vec<Option<&mut Engine>> = self.shards.iter_mut().map(Some).collect();
+            let lent: Vec<_> = (routed.slots.iter())
+                .zip(plans)
+                .map(|(&shard, plan)| {
+                    let engine = engines[shard].take().expect("a shard fills one slot");
+                    Mutex::new(Some((engine, plan)))
+                })
+                .collect();
             let tenants = &self.tenants;
             let routed = &routed;
             // `None` when metrics are off: an untraced job then takes no
             // clock readings at all.
             let batch_ns = self.metrics.as_ref().map(|m| &m.batch_ns);
-            // Each slot targets a distinct shard, takes its own plan and
-            // writes its own output slot — all raw accesses are disjoint,
-            // and `run_shards` blocks until every slot finished, so the
-            // borrows outlive every access (scoped-spawn semantics).
             let job = |slot: usize| {
                 let shard = routed.slots[slot];
-                let engine = unsafe { &mut *shards_base.get().add(shard) };
-                let plan = unsafe { &mut *plans_base.get().add(slot) }
-                    .take()
-                    .expect("each slot claims its plan exactly once");
+                let (engine, plan) = (lent[slot].lock().expect(UNPOISONED).take())
+                    .expect("each slot claims its shard exactly once");
                 let span = TSpan::begin(
                     Phase::ShardApply,
                     batch_ns.map(|h| &*h[shard]),
@@ -689,7 +700,7 @@ impl ShardedService {
                     weights,
                     forest_weight: engine.forest_weight(),
                 };
-                unsafe { *outputs_base.get().add(slot) = Some(output) };
+                *outputs[slot].lock().expect(UNPOISONED) = Some(output);
             };
             if concurrent {
                 pool::run_shards(slots, job);
@@ -697,6 +708,10 @@ impl ShardedService {
                 (0..slots).for_each(job);
             }
         }
+        let outputs = outputs
+            .into_iter()
+            .map(|cell| cell.into_inner().expect(UNPOISONED))
+            .collect();
 
         let result = self.reassemble(ops.len(), routed, outputs);
         // Offer the finished batch to the flight recorder with its

@@ -7,10 +7,12 @@
 //! * **Validation against the tenant, not the shard.** A shard engine hosts
 //!   several tenants, so its own range checks are too permissive: vertex 9
 //!   of a 4-vertex tenant may be a perfectly valid vertex *of the shard*
-//!   (it belongs to the next tenant's block). Every endpoint is therefore
-//!   checked against the tenant's vertex space here, and invalid operations
-//!   are resolved to [`Outcome::Rejected`] immediately — they never reach a
-//!   shard, and they consume no edge id (exactly like a per-tenant engine).
+//!   (it belongs to the next tenant's block). Every link and connectivity
+//!   query is therefore checked here by the planner's own rules
+//!   ([`link_reject`], [`query_reject`]) against the tenant's vertex
+//!   count, and invalid operations are resolved to [`Outcome::Rejected`]
+//!   immediately — they never reach a shard, and they consume no edge id
+//!   (exactly like a per-tenant engine).
 //! * **Identifier translation.** Vertices shift by the tenant's block base.
 //!   Edge ids translate through the tenant's id map: the router *pre-
 //!   assigns* the shard-global id of every forwarded link by mirroring the
@@ -34,7 +36,7 @@
 //! other query of the batch observes.
 
 use crate::TenantState;
-use pdmsf_engine::{Engine, Op, Outcome, Reject};
+use pdmsf_engine::{link_reject, query_reject, Engine, Op, Outcome, Reject};
 use pdmsf_graph::{BatchOp, EdgeId, TenantId, TenantOp, VertexId};
 use std::collections::HashMap;
 
@@ -154,16 +156,9 @@ pub(crate) fn route(
         let translate = |v: VertexId| VertexId(base + v.0);
         let source = match op.op {
             BatchOp::Link { u, v, weight } => {
-                if u.index() >= tn || v.index() >= tn {
+                if let Some(reason) = link_reject(tn, u, v) {
                     router_rejected += 1;
-                    Source::Ready(Outcome::Rejected {
-                        reason: Reject::EndpointOutOfRange,
-                    })
-                } else if u == v {
-                    router_rejected += 1;
-                    Source::Ready(Outcome::Rejected {
-                        reason: Reject::SelfLoop,
-                    })
+                    Source::Ready(Outcome::Rejected { reason })
                 } else {
                     let slot = slot_for(
                         shard,
@@ -215,11 +210,9 @@ pub(crate) fn route(
                 }
             }
             BatchOp::QueryConnected { u, v } => {
-                if u.index() >= tn || v.index() >= tn {
+                if let Some(reason) = query_reject(tn, u, v) {
                     router_rejected += 1;
-                    Source::Ready(Outcome::Rejected {
-                        reason: Reject::EndpointOutOfRange,
-                    })
+                    Source::Ready(Outcome::Rejected { reason })
                 } else {
                     let slot = slot_for(
                         shard,

@@ -19,9 +19,8 @@ fn drive<M: DynamicMsf>(msf: &mut M, stream: &UpdateStream) -> (i128, std::time:
                 msf.insert(e);
             }
         }
-        Some(UpdateOp::Insert { .. }) => {
-            let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-            msf.insert(newest);
+        Some(&UpdateOp::Insert(e)) => {
+            msf.insert(e);
         }
         Some(UpdateOp::Delete { id }) => {
             msf.delete(*id);

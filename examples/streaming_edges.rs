@@ -26,8 +26,7 @@ fn main() {
     // start empty; its chunk parameter is sized for the copies it will
     // hold, about one per live edge end plus one per vertex.
     let copies = n + 2 * window;
-    let inner =
-        SeqDynamicMsf::with_parameters(0, default_sequential_k(copies), CostModel::Sequential);
+    let inner = SeqDynamicMsf::with_chunk_parameter(0, default_sequential_k(copies));
     let mut msf = DegreeReduced::new(n, inner);
     println!(
         "sliding window over {n} vertices, window = {window} edges, {} stream operations",
@@ -42,9 +41,8 @@ fn main() {
                     msf.insert(e);
                 }
             }
-            Some(UpdateOp::Insert { .. }) => {
-                let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-                msf.insert(newest);
+            Some(&UpdateOp::Insert(e)) => {
+                msf.insert(e);
             }
             Some(UpdateOp::Delete { id }) => {
                 msf.delete(*id);

@@ -16,10 +16,11 @@
 //!   meters and the worker pool,
 //! * [`dyntree`] ([`pdmsf_dyntree`]) — Sleator–Tarjan link-cut trees,
 //! * [`core`] ([`pdmsf_core`]) — the paper's contribution: one structure,
-//!   [`core::SeqDynamicMsf`], built from `(n, K, CostModel)` — the
-//!   sequential `O(sqrt(n log n))`-time structure (Theorem 1.2) and, with
-//!   EREW accounting at `K = sqrt n`, the `O(log n)`-depth /
-//!   `O(sqrt n)`-processor structure (Theorem 3.1); it serves graphs of
+//!   [`core::SeqDynamicMsf`], built from `(n, K)` and metered in EREW
+//!   rounds — at `K = sqrt n` the `O(log n)`-depth /
+//!   `O(sqrt n)`-processor structure (Theorem 3.1), and at
+//!   `K = sqrt(n log n)` the sequential `O(sqrt(n log n))`-time structure
+//!   (Theorem 1.2), whose time is the metered work; it serves graphs of
 //!   any density without the paper's Section 5 sparsification,
 //! * [`engine`] ([`pdmsf_engine`]) — the batched update/query serving layer
 //!   on top of that structure,
@@ -89,11 +90,10 @@
 //! Kruskal calibration, and `-- e0 gate` fails when the calibrated mixed-
 //! stream rate falls below 1/1.5 of the committed snapshot's.
 //!
-//! Built with [`core::CostModel::Erew`], the structure charges each
-//! primitive Section 3 parallelises — the row tournaments, the `γ`/MWR
-//! argmin scans and the per-entry LSDS refreshes — as EREW PRAM rounds,
-//! by formula, and runs it on the calling thread, so its forests are
-//! bit-for-bit those of the sequentially metered structure. The paper picks
+//! The structure charges each primitive Section 3 parallelises — the row
+//! tournaments, the `γ`/MWR argmin scans and the per-entry LSDS refreshes
+//! — as EREW PRAM rounds, by formula, whose work is the primitive's
+//! sequential cost, and runs it on the calling thread. The paper picks
 //! `K = sqrt n` for `sqrt n` processors and `K = sqrt(n log n)` for one;
 //! the serving engines run on a few cores, so they build the structure at
 //! the sequential `K` ([`core::seq::default_sequential_k`]). At 32 768
@@ -116,7 +116,7 @@
 //!   id-allocating mirror sees them, keeping ids identical to a serial
 //!   execution), and **dedups queries**,
 //! * **applies** the surviving updates, in arrival order, through the
-//!   engine's one structure, an EREW-metered [`core::SeqDynamicMsf`] at
+//!   engine's one structure, a [`core::SeqDynamicMsf`] at
 //!   `K = sqrt(n log n)` (see above),
 //! * **answers all queries at one snapshot point** (after the batch's
 //!   updates): the forest is captured once into flat component labels
@@ -197,7 +197,9 @@
 //!   batches no caller was ever told succeeded.
 //! * **Recovery** ([`persist::recover_engine`],
 //!   [`persist::recover_service`]): newest valid checkpoint + replay of the
-//!   log tail through the engine's normal batch-execution path. The
+//!   log tail: the engine re-plans each record's ops with the planner live
+//!   batches use, refuses the record unless the plan reproduces it, and
+//!   applies it through the normal batch-execution path. The
 //!   invariant `restore(checkpoint(S)) + replay == S` is pinned by a
 //!   fault-injection proptest (crashes at arbitrary byte offsets, bit rot
 //!   in checkpoint and log) against an uninterrupted twin. Experiment E5
@@ -327,7 +329,6 @@ pub use pdmsf_shard::ShardedService;
 pub mod prelude {
     pub use pdmsf_baselines::{NaiveDynamicMsf, RecomputeMsf};
     pub use pdmsf_core::seq::SeqDynamicMsf;
-    pub use pdmsf_core::CostModel;
     pub use pdmsf_engine::{BatchResult, BatchSummary, Engine, Outcome, PlannedBatch, Reject};
     pub use pdmsf_graph::{
         assert_matches_kruskal, kruskal_msf, BatchKind, BatchOp, BatchStream, BatchStreamSpec,

@@ -1,15 +1,15 @@
 //! Workspace-level integration tests: every dynamic-MSF implementation in the
-//! workspace (the paper's structure under sequential and EREW accounting,
-//! the degree-reduction wrapper, and both baselines) is driven through the
+//! workspace (the paper's structure at its sequential and parallel chunk
+//! parameters, the degree-reduction wrapper, and both baselines) is driven through the
 //! same update streams and must produce identical forests, identical deltas
 //! and forests identical to the static Kruskal reference.
 
 use pdmsf::core::seq::default_parallel_k;
 use pdmsf::prelude::*;
 
-/// The EREW-metered structure of Theorem 3.1 at the paper's `K = ⌈√n⌉`.
+/// The structure of Theorem 3.1 at the paper's `K = ⌈√n⌉`.
 fn erew(n: usize) -> SeqDynamicMsf {
-    SeqDynamicMsf::with_parameters(n, default_parallel_k(n), CostModel::Erew)
+    SeqDynamicMsf::with_chunk_parameter(n, default_parallel_k(n))
 }
 
 fn drive_and_check<M: DynamicMsf>(structure: &mut M, stream: &UpdateStream) {
@@ -20,9 +20,8 @@ fn drive_and_check<M: DynamicMsf>(structure: &mut M, stream: &UpdateStream) {
                     structure.insert(e);
                 }
             }
-            Some(UpdateOp::Insert { .. }) => {
-                let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-                structure.insert(newest);
+            Some(&UpdateOp::Insert(e)) => {
+                structure.insert(e);
             }
             Some(UpdateOp::Delete { id }) => {
                 structure.delete(*id);
@@ -67,9 +66,8 @@ fn deltas_agree_between_paper_structure_and_baseline() {
                     assert_eq!(a.insert(e), b.insert(e));
                 }
             }
-            Some(UpdateOp::Insert { .. }) => {
-                let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-                assert_eq!(a.insert(newest), b.insert(newest));
+            Some(&UpdateOp::Insert(e)) => {
+                assert_eq!(a.insert(e), b.insert(e));
             }
             Some(UpdateOp::Delete { id }) => {
                 assert_eq!(a.delete(*id), b.delete(*id));
@@ -136,7 +134,7 @@ fn failure_streams_disconnect_and_reconnect_consistently() {
                     naive.insert(e);
                 }
             }
-            Some(UpdateOp::Insert { .. }) => unreachable!("failure streams only delete"),
+            Some(UpdateOp::Insert(_)) => unreachable!("failure streams only delete"),
             Some(UpdateOp::Delete { id }) => {
                 seq.delete(*id);
                 naive.delete(*id);
@@ -163,9 +161,8 @@ fn parallel_cost_model_reports_sublinear_depth_scaling() {
                     msf.insert(e);
                 }
             }
-            Some(UpdateOp::Insert { .. }) => {
-                let newest = mirror.edges().max_by_key(|e| e.id).unwrap();
-                msf.insert(newest);
+            Some(&UpdateOp::Insert(e)) => {
+                msf.insert(e);
             }
             Some(UpdateOp::Delete { id }) => {
                 msf.delete(*id);
