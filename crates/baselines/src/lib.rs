@@ -72,10 +72,6 @@ impl DynamicMsf for RecomputeMsf {
         self.mirror.num_vertices()
     }
 
-    fn add_vertex(&mut self) -> VertexId {
-        self.mirror.add_vertex()
-    }
-
     fn insert(&mut self, e: Edge) -> MsfDelta {
         let mid = self.mirror.insert_edge(e.u, e.v, e.weight);
         self.to_mirror.insert(e.id, mid);
@@ -160,10 +156,6 @@ impl NaiveDynamicMsf {
 impl DynamicMsf for NaiveDynamicMsf {
     fn num_vertices(&self) -> usize {
         self.forest.num_vertices()
-    }
-
-    fn add_vertex(&mut self) -> VertexId {
-        self.forest.add_vertex()
     }
 
     fn insert(&mut self, e: Edge) -> MsfDelta {

@@ -423,11 +423,6 @@ impl<T: Copy> SpanStore<T> {
         }
     }
 
-    /// Append an empty list.
-    pub(crate) fn add_list(&mut self) {
-        self.spans.push(Span::default());
-    }
-
     /// Number of lists.
     #[inline]
     pub(crate) fn num_lists(&self) -> usize {

@@ -27,7 +27,7 @@
 //! The structure is deliberately *degree-agnostic*: it is correct for any
 //! vertex degree; the `K ≤ n_c ≤ 3K` bound of Invariant 1 is only guaranteed
 //! when the caller bounds the degree (the paper does so via Frederickson's
-//! reduction, available as [`pdmsf_graph::DegreeReduced`]).
+//! reduction, which is not implemented; PAPER.md, substitution 4).
 //!
 //! Cost accounting: every non-trivial primitive charges its cost to an
 //! embedded [`CostMeter`] as EREW PRAM rounds (Theorem 3.1 accounting)
@@ -217,17 +217,6 @@ impl ChunkedEulerForest {
     /// Number of live graph edges.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Append a new isolated vertex. Like every vertex with no edge, it
-    /// holds no occurrence and no chunk.
-    pub fn add_vertex(&mut self) -> VertexId {
-        let v = VertexId::from(self.num_vertices());
-        self.adj.add_list();
-        self.vertex_occs.add_list();
-        self.principal.push(NONE);
-        self.vertex_chunk.push(NONE);
-        v
     }
 
     /// Give vertex `v` its one-occurrence tour, a slotless single-chunk

@@ -768,14 +768,13 @@ impl ChunkedEulerForest {
                     self.touch(c2);
                     continue;
                 }
-                // A single occurrence dominates n_c (possible only without
-                // the degree-3 reduction); nothing further to do.
+                // A single occurrence dominates n_c (a high-degree
+                // principal copy); nothing further to do.
                 break;
             } else if !single && nc < self.k {
                 // Merge with a neighbour, but never create a chunk that
                 // immediately violates the upper bound again (possible when a
-                // single high-degree principal dominates `n_c`, i.e. when the
-                // caller did not apply the degree-3 reduction) — that would
+                // single high-degree principal dominates `n_c`) — that would
                 // make the split/merge loop cycle.
                 let next_ok = self
                     .next_chunk(c)

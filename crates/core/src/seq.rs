@@ -191,13 +191,6 @@ impl DynamicMsf for SeqDynamicMsf {
         self.forest.num_vertices()
     }
 
-    fn add_vertex(&mut self) -> VertexId {
-        let v = self.forest.add_vertex();
-        let v2 = self.lct.add_vertex();
-        debug_assert_eq!(v, v2);
-        v
-    }
-
     fn insert(&mut self, e: Edge) -> MsfDelta {
         self.forest.meter.begin_op();
         self.forest.insert_graph_edge(e);

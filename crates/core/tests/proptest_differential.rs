@@ -7,7 +7,7 @@
 use pdmsf_baselines::RecomputeMsf;
 use pdmsf_core::seq::default_parallel_k;
 use pdmsf_core::SeqDynamicMsf;
-use pdmsf_graph::{DegreeReduced, DynamicMsf, Edge, EdgeId, VertexId, Weight};
+use pdmsf_graph::{DynamicMsf, Edge, EdgeId, VertexId, Weight};
 use proptest::prelude::*;
 
 /// A compact encoding of an update sequence: weights index into a small
@@ -142,14 +142,6 @@ proptest! {
             prop_assert_eq!(weight, par_sim.forest_weight());
             prop_assert_eq!(weight, oracle.forest_weight());
         }
-    }
-
-    /// The degree-3 reduction wrapper preserves exactness (the inner
-    /// structure only ever sees degree <= 3).
-    #[test]
-    fn degree_reduced_structure_matches_oracle(ops in proptest::collection::vec(op_strategy(8), 1..80)) {
-        let structure = DegreeReduced::new(8, SeqDynamicMsf::with_chunk_parameter(0, 3));
-        run_differential(8, &ops, structure, |_| ());
     }
 
     /// PRAM accounting sanity: depth never exceeds work, processors never

@@ -53,9 +53,10 @@ impl Node {
 /// and a [`WKey`] and are represented internally as their own nodes.
 #[derive(Clone, Debug, Default)]
 pub struct LinkCutForest {
+    /// Vertex `v` is node `v`; edge nodes follow the `num_vertices` vertex
+    /// nodes.
     nodes: Vec<Node>,
-    /// Internal node index of each vertex.
-    vertex_node: Vec<u32>,
+    num_vertices: usize,
     /// Paged edge id -> internal edge node index (no hashing; the node's
     /// edge slot holds the endpoints).
     edge_node: EdgeIdIndex,
@@ -73,29 +74,21 @@ pub struct LinkCutForest {
 impl LinkCutForest {
     /// A forest of `n` isolated vertices.
     pub fn new(n: usize) -> Self {
-        let mut forest = LinkCutForest::default();
-        for _ in 0..n {
-            forest.add_vertex();
+        LinkCutForest {
+            nodes: vec![Node::new(NONE); n],
+            num_vertices: n,
+            ..LinkCutForest::default()
         }
-        forest
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.vertex_node.len()
+        self.num_vertices
     }
 
     /// Number of live forest edges.
     pub fn num_edges(&self) -> usize {
         self.num_edges
-    }
-
-    /// Append a new isolated vertex.
-    pub fn add_vertex(&mut self) -> VertexId {
-        let id = VertexId::from(self.vertex_node.len());
-        self.vertex_node.push(self.nodes.len() as u32);
-        self.nodes.push(Node::new(NONE));
-        id
     }
 
     /// Whether the forest currently contains the given edge.
@@ -115,7 +108,7 @@ impl LinkCutForest {
         if u == v {
             return true;
         }
-        let (nu, nv) = (self.vertex_node[u.index()], self.vertex_node[v.index()]);
+        let (nu, nv) = (self.vertex_node(u), self.vertex_node(v));
         let ru = self.find_root(nu);
         let rv = self.find_root(nv);
         ru == rv
@@ -129,8 +122,7 @@ impl LinkCutForest {
     pub fn link(&mut self, u: VertexId, v: VertexId, e: EdgeId, key: WKey) {
         assert!(u != v, "cannot link a vertex to itself");
         assert!(!self.contains_edge(e), "edge {e:?} already in the forest");
-        let nu = self.vertex_node[u.index()];
-        let nv = self.vertex_node[v.index()];
+        let (nu, nv) = (self.vertex_node(u), self.vertex_node(v));
         // Once u roots its tree, v's tree has another root unless they are
         // connected.
         self.make_root(nu);
@@ -172,8 +164,7 @@ impl LinkCutForest {
             .unwrap_or_else(|| panic!("edge {e:?} is not in the forest"));
         let slot = self.nodes[enode as usize].edge;
         let (u, v) = self.ends[slot as usize];
-        let nu = self.vertex_node[u.index()];
-        let nv = self.vertex_node[v.index()];
+        let (nu, nv) = (self.vertex_node(u), self.vertex_node(v));
         // With u the root, accessing v exposes the path u, enode, v: v's
         // splay tree holds exactly these three nodes, u and enode to its left.
         self.make_root(nu);
@@ -204,8 +195,7 @@ impl LinkCutForest {
         if u == v {
             return None;
         }
-        let nu = self.vertex_node[u.index()];
-        let nv = self.vertex_node[v.index()];
+        let (nu, nv) = (self.vertex_node(u), self.vertex_node(v));
         self.make_root(nu);
         // The root find leaves u at the root of the splay tree of the path
         // from v's root to v, so u's aggregate covers the u–v path.
@@ -214,6 +204,13 @@ impl LinkCutForest {
         }
         let max = self.nodes[nu as usize].max;
         (max != NONE).then(|| self.keys[max as usize])
+    }
+
+    /// The node of vertex `v`.
+    #[inline]
+    fn vertex_node(&self, v: VertexId) -> u32 {
+        assert!(v.index() < self.num_vertices, "vertex {v:?} out of range");
+        v.0
     }
 
     // ------------------------------------------------------------------
@@ -485,6 +482,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of range")]
+    fn vertices_past_n_are_refused() {
+        // Node 2 exists, but it is the edge node, not a vertex.
+        let mut f = LinkCutForest::new(2);
+        f.link(VertexId(0), VertexId(1), EdgeId(0), key(1, 0));
+        f.connected(VertexId(0), VertexId(2));
+    }
+
+    #[test]
     fn edge_endpoints_are_reported() {
         let mut f = LinkCutForest::new(3);
         f.link(VertexId(2), VertexId(0), EdgeId(5), key(4, 5));
@@ -716,15 +722,5 @@ mod tests {
             }
             assert_all_pairs_agree(&mut f, &oracle, n);
         }
-    }
-
-    #[test]
-    fn add_vertex_grows_forest() {
-        let mut f = LinkCutForest::new(1);
-        let v = f.add_vertex();
-        assert_eq!(v, VertexId(1));
-        assert_eq!(f.num_vertices(), 2);
-        f.link(VertexId(0), v, EdgeId(0), key(1, 0));
-        assert!(f.connected(VertexId(0), v));
     }
 }

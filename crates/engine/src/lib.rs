@@ -167,7 +167,8 @@ impl Reject {
         self as usize
     }
 
-    /// Every reject reason, in [`Reject::metric_index`] order.
+    /// Every reject reason, in declaration order: each reason's position
+    /// is its index into the engine's per-reason counters.
     pub const ALL: [Reject; 4] = [
         Reject::UnknownOrDeadEdge,
         Reject::EndpointOutOfRange,

@@ -7,9 +7,9 @@
 //! the flat alternatives:
 //!
 //! * [`EdgeIdIndex`] — a paged `EdgeId -> u32` index. Pages are allocated on
-//!   demand, so sparse id regions (such as the degree-reduction's auxiliary
-//!   ids starting at [`crate::degree::AUX_EDGE_BASE`]) cost one page, not the
-//!   whole dense range. A lookup is two array loads and never hashes.
+//!   demand, so a sparse id region (a few ids far above the rest) costs one
+//!   page, not the whole dense range. A lookup is two array loads and never
+//!   hashes.
 //! * [`EdgeSlotMap`] — a slot map that **interns** each live [`EdgeId`] into
 //!   a dense `u32` slot (with a free-list, so slot storage stays proportional
 //!   to the number of *live* edges no matter how many ids history has
@@ -24,9 +24,8 @@ use crate::ids::EdgeId;
 /// Sentinel handle ("null pointer") used by the arena layer.
 pub const NO_HANDLE: u32 = u32::MAX;
 
-// 64Ki-entry pages keep the page directory tiny (32Ki entries even for ids
-// near `u32::MAX`, i.e. the degree-reduction's auxiliary range) while a page
-// is only 256KiB.
+// 64Ki-entry pages keep the page directory tiny (64Ki entries even for ids
+// near `u32::MAX`) while a page is only 256KiB.
 const PAGE_BITS: usize = 16;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
@@ -261,7 +260,6 @@ pub fn edges_where<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degree::AUX_EDGE_BASE;
 
     #[test]
     fn slot_map_interns_and_reuses_slots() {
@@ -284,19 +282,22 @@ mod tests {
         assert_eq!(m.len(), 2);
     }
 
+    /// Ids in an auxiliary region far above the dense ones still intern
+    /// into dense slots.
     #[test]
     fn slot_map_handles_sparse_aux_ids_without_dense_allocation() {
+        const HIGH: u32 = 3_000_000_000;
         let mut m: EdgeSlotMap<u64> = EdgeSlotMap::default();
         m.insert(EdgeId(3), 30);
-        m.insert(EdgeId(AUX_EDGE_BASE), 40);
-        m.insert(EdgeId(AUX_EDGE_BASE + 1), 50);
-        assert_eq!(m.get_by_id(EdgeId(AUX_EDGE_BASE)), Some(&40));
+        m.insert(EdgeId(HIGH), 40);
+        m.insert(EdgeId(HIGH + 1), 50);
+        assert_eq!(m.get_by_id(EdgeId(HIGH)), Some(&40));
         assert_eq!(m.len(), 3);
         // Slot storage stays dense even though the id space is not.
         assert!(m.ids.len() <= 3);
-        assert_eq!(m.remove(EdgeId(AUX_EDGE_BASE)), Some(40));
-        assert_eq!(m.get_by_id(EdgeId(AUX_EDGE_BASE)), None);
-        assert_eq!(m.get_by_id(EdgeId(AUX_EDGE_BASE + 1)), Some(&50));
+        assert_eq!(m.remove(EdgeId(HIGH)), Some(40));
+        assert_eq!(m.get_by_id(EdgeId(HIGH)), None);
+        assert_eq!(m.get_by_id(EdgeId(HIGH + 1)), Some(&50));
     }
 
     #[test]

@@ -49,8 +49,7 @@ pub enum GraphSpec {
     },
     /// Preferential attachment: vertices arrive one at a time and attach
     /// `attach` edges to endpoints chosen proportionally to degree. Produces
-    /// the skewed degree distributions that make the degree-3 reduction
-    /// matter.
+    /// skewed degree distributions: a few high-degree hubs.
     PreferentialAttachment {
         /// Number of vertices.
         n: usize,

@@ -56,7 +56,8 @@ struct EdgeSlot {
 
 /// A dynamic weighted undirected multigraph as an edge-id table.
 ///
-/// * vertices are dense indices `0..num_vertices()` and can be appended,
+/// * vertices are dense indices `0..num_vertices()`, fixed when the graph
+///   is built,
 /// * edges get stable ids; deleting an edge retires its id (ids are never
 ///   reused so they stay valid as deterministic tie-breakers),
 /// * self-loops and parallel edges are allowed (the MSF simply never uses a
@@ -96,13 +97,6 @@ impl DynGraph {
     #[inline]
     pub fn edge_id_bound(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Append a new isolated vertex and return its id.
-    pub fn add_vertex(&mut self) -> VertexId {
-        let id = VertexId::from(self.num_vertices);
-        self.num_vertices += 1;
-        id
     }
 
     /// Insert an edge `{u, v}` with the given weight; returns its new id.
@@ -245,7 +239,7 @@ impl DynGraph {
             edges.push(EdgeSlot {
                 u: VertexId(u),
                 v: VertexId(v),
-                weight: Weight::from_raw(image.edge_weight[i]),
+                weight: Weight::new(image.edge_weight[i]),
                 alive,
             });
         }
@@ -319,16 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn add_vertex_grows_graph() {
-        let mut g = DynGraph::new(1);
-        let v = g.add_vertex();
-        assert_eq!(v, VertexId(1));
-        assert_eq!(g.num_vertices(), 2);
-        g.insert_edge(VertexId(0), v, w(1));
-        assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
     fn edges_iterator_skips_deleted() {
         let mut g = DynGraph::new(3);
         let a = g.insert_edge(VertexId(0), VertexId(1), w(1));
@@ -387,18 +371,15 @@ mod tests {
     }
 
     /// The vertex count is stored, not derived from the largest endpoint:
-    /// isolated vertices past every edge survive the round trip, whether
-    /// the graph was built with them or grew them.
+    /// isolated vertices past every edge survive the round trip.
     #[test]
     fn image_keeps_trailing_isolated_vertices() {
         let mut g = DynGraph::new(5);
         let e = g.insert_edge(VertexId(0), VertexId(1), w(2));
-        let grown = g.add_vertex();
-        assert_eq!(grown, VertexId(5));
         let image = g.to_image();
-        assert_eq!(image.num_vertices, 6);
+        assert_eq!(image.num_vertices, 5);
         let back = DynGraph::from_image(&image).expect("a valid image imports");
-        assert_eq!(back.num_vertices(), 6);
+        assert_eq!(back.num_vertices(), 5);
         assert_eq!(back.num_edges(), 1);
         assert_eq!(back.edge(e), g.edge(e));
         assert_eq!(back.to_image(), image);

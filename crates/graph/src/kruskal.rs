@@ -16,7 +16,7 @@ use crate::weight::WKey;
 pub struct MsfSummary {
     /// The forest edges, sorted by increasing edge id.
     pub edges: Vec<EdgeId>,
-    /// Total weight of the forest (`-inf` edges contribute 0).
+    /// Total weight of the forest.
     pub total_weight: i128,
     /// Number of connected components of the graph (isolated vertices count).
     pub components: usize,
@@ -109,16 +109,6 @@ mod tests {
         let msf = kruskal_msf(&g);
         assert_eq!(msf.edges, vec![e]);
         assert_eq!(msf.total_weight, 4);
-    }
-
-    #[test]
-    fn neg_inf_edges_always_selected_but_weigh_zero() {
-        let mut g = DynGraph::new(3);
-        let aux = g.insert_edge(VertexId(0), VertexId(1), Weight::NEG_INF);
-        let real = g.insert_edge(VertexId(1), VertexId(2), w(9));
-        let msf = kruskal_msf(&g);
-        assert_eq!(msf.edges, vec![aux, real]);
-        assert_eq!(msf.total_weight, 9);
     }
 
     #[test]

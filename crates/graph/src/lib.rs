@@ -9,18 +9,15 @@
 //! * [`ids`] — strongly-typed vertex / edge identifiers,
 //! * [`arena`] — the flat, index-based edge bookkeeping layer
 //!   ([`EdgeSlotMap`], [`EdgeIdIndex`]),
-//! * [`weight`] — a totally ordered weight domain with a `-inf` element
-//!   (needed by Frederickson's degree-3 reduction) and deterministic
-//!   tie-breaking so the minimum spanning forest is unique,
+//! * [`weight`] — a totally ordered weight domain (every `i64`) with
+//!   deterministic tie-breaking so the minimum spanning forest is unique,
 //! * [`graph`] — a dynamic multigraph ([`DynGraph`]) with edge insertion and
 //!   deletion,
 //! * [`unionfind`] / [`kruskal`] — the static reference MSF used as ground
 //!   truth by every test and by the recompute baseline,
 //! * [`msf`] — the [`DynamicMsf`] trait shared by all dynamic-MSF
-//!   implementations in the workspace (the paper's structure, the baselines,
-//!   the degree-3 reduction wrapper),
-//! * [`degree`] — Frederickson's dynamic degree-3 reduction, exposed as the
-//!   wrapper [`DegreeReduced`],
+//!   implementations in the workspace (the paper's structure and the
+//!   baselines),
 //! * [`generators`] — deterministic workload generators (random sparse
 //!   graphs, grids, preferential attachment, update streams, batched
 //!   update/query streams — bursty hotspots with flapping links, tenant-
@@ -28,9 +25,12 @@
 //!   multi-tenant streams with Zipf-skewed tenant popularity consumed by
 //!   the sharded serving layer) used by the examples, tests and the
 //!   benchmark harness.
+//!
+//! The paper also takes maximum degree 3 as given, through Frederickson's
+//! reduction. That reduction is not implemented (PAPER.md, substitution
+//! 4): every structure accepts vertices of any degree.
 
 pub mod arena;
-pub mod degree;
 pub mod generators;
 pub mod graph;
 pub mod ids;
@@ -40,7 +40,6 @@ pub mod unionfind;
 pub mod weight;
 
 pub use arena::{EdgeIdIndex, EdgeSlotMap, NO_HANDLE};
-pub use degree::DegreeReduced;
 pub use generators::{
     BatchKind, BatchOp, BatchStream, BatchStreamSpec, GraphSpec, StreamKind, TenantOp,
     TenantStream, TenantStreamSpec, UpdateOp, UpdateStream, UpdateStreamSpec,

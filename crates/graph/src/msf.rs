@@ -1,9 +1,8 @@
 //! The [`DynamicMsf`] trait — the common interface of every dynamic
 //! minimum-spanning-forest structure in the workspace.
 //!
-//! The paper's structure (sequential and parallel), the baselines
-//! (recompute-Kruskal, naive Euler-tour forest) and the degree-3 reduction
-//! wrapper all implement this trait, which is what makes differential
+//! The paper's structure and the baselines (recompute-Kruskal, naive
+//! link-cut forest) implement this trait, which is what makes differential
 //! testing and the benchmark harness possible.
 
 use crate::graph::{DynGraph, Edge};
@@ -14,8 +13,7 @@ use crate::kruskal::kruskal_msf;
 ///
 /// A single edge insertion or deletion changes the minimum spanning forest by
 /// at most one edge in each direction (one edge may enter, one may leave), so
-/// the delta is a pair of options. The paper's Section 5 sparsification
-/// relies on exactly this property when it propagates changes level by level.
+/// the delta is a pair of options.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MsfDelta {
     /// Edge that entered the forest as a result of the update, if any.
@@ -72,11 +70,8 @@ impl MsfDelta {
 /// reads rebalance internal state. This mirrors the paper, where queries are
 /// also updates to the auxiliary structures.
 pub trait DynamicMsf {
-    /// Number of vertices currently managed.
+    /// Number of vertices, fixed when the structure is built.
     fn num_vertices(&self) -> usize;
-
-    /// Append a new isolated vertex and return its id.
-    fn add_vertex(&mut self) -> VertexId;
 
     /// Insert an edge (id allocated by the caller, endpoints must be in
     /// range) and return the change to the forest.
@@ -94,7 +89,7 @@ pub trait DynamicMsf {
     /// All current forest edges, sorted by increasing id.
     fn forest_edges(&self) -> Vec<EdgeId>;
 
-    /// Total weight of the forest (`-inf` edges contribute 0).
+    /// Total weight of the forest.
     fn forest_weight(&self) -> i128;
 
     /// Whether `u` and `v` are in the same tree of the forest (equivalently,

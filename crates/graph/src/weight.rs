@@ -1,82 +1,41 @@
 //! The weight domain used throughout the workspace.
 //!
 //! The paper works with an arbitrary real weight function `w : E -> R`. For a
-//! reproducible, exactly-testable implementation we use 64-bit integers and
-//! reserve the minimum value as `-inf`:
-//!
-//! * `-inf` weights are required by Frederickson's degree-3 reduction (the
-//!   auxiliary path edges between the copies of a split vertex must always be
-//!   spanning-forest edges),
-//! * ties between equal finite weights are broken by [`EdgeId`], which makes
-//!   the minimum spanning forest *unique* and lets the test-suite compare the
-//!   dynamic structures against the static Kruskal reference edge-for-edge.
+//! reproducible, exactly-testable implementation we use 64-bit integers
+//! (every `i64` is a weight), and ties between equal weights are broken by
+//! [`EdgeId`], which makes the minimum spanning forest *unique* and lets the
+//! test-suite compare the dynamic structures against the static Kruskal
+//! reference edge-for-edge.
 
 use crate::ids::EdgeId;
 use std::fmt;
 
-/// An edge weight: a 64-bit integer, or negative infinity.
-///
-/// The raw value `i64::MIN` is reserved for [`Weight::NEG_INF`]; constructing
-/// a finite weight with that value panics.
+/// An edge weight: any 64-bit integer.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Weight(i64);
 
 impl Weight {
-    /// Negative infinity — strictly smaller than every finite weight.
-    pub const NEG_INF: Weight = Weight(i64::MIN);
-    /// The largest representable finite weight.
+    /// The largest weight.
     pub const MAX: Weight = Weight(i64::MAX);
-    /// The smallest representable finite weight.
-    pub const MIN_FINITE: Weight = Weight(i64::MIN + 1);
     /// Zero.
     pub const ZERO: Weight = Weight(0);
 
-    /// A finite weight.
-    ///
-    /// # Panics
-    /// Panics if `value == i64::MIN`, which is reserved for `-inf`.
+    /// The weight `value`.
     #[inline]
     pub fn new(value: i64) -> Self {
-        assert!(
-            value != i64::MIN,
-            "i64::MIN is reserved for Weight::NEG_INF"
-        );
         Weight(value)
     }
 
-    /// The raw value (with `-inf` mapped to `i64::MIN`).
+    /// The raw value.
     #[inline]
     pub fn raw(self) -> i64 {
         self.0
     }
 
-    /// Rebuild a weight from its [`Weight::raw`] encoding.
-    ///
-    /// Unlike [`Weight::new`], `i64::MIN` is accepted and decodes to
-    /// [`Weight::NEG_INF`] — stored weights legitimately include `-inf`
-    /// (the degree-reduction's auxiliary path edges), so deserialization
-    /// must round-trip every value `raw()` can produce.
-    #[inline]
-    pub fn from_raw(value: i64) -> Self {
-        Weight(value)
-    }
-
-    /// Whether this weight is `-inf`.
-    #[inline]
-    pub fn is_neg_inf(self) -> bool {
-        self.0 == i64::MIN
-    }
-
-    /// The value as an `i128` for overflow-free summation (`-inf` counts as 0,
-    /// which is what the degree-reduction wrapper wants when reporting the
-    /// weight of the user-visible forest).
+    /// The value as an `i128`, for overflow-free summation.
     #[inline]
     pub fn as_summable(self) -> i128 {
-        if self.is_neg_inf() {
-            0
-        } else {
-            self.0 as i128
-        }
+        i128::from(self.0)
     }
 }
 
@@ -88,11 +47,7 @@ impl From<i64> for Weight {
 
 impl fmt::Debug for Weight {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_neg_inf() {
-            write!(f, "-inf")
-        } else {
-            write!(f, "{}", self.0)
-        }
+        write!(f, "{}", self.0)
     }
 }
 
@@ -163,23 +118,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn neg_inf_is_smallest() {
-        assert!(Weight::NEG_INF < Weight::new(i64::MIN + 1));
-        assert!(Weight::NEG_INF < Weight::new(0));
-        assert!(Weight::NEG_INF < Weight::MAX);
-        assert!(Weight::NEG_INF.is_neg_inf());
-        assert!(!Weight::new(0).is_neg_inf());
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved")]
-    fn cannot_build_finite_neg_inf() {
-        let _ = Weight::new(i64::MIN);
-    }
-
-    #[test]
-    fn summable_treats_neg_inf_as_zero() {
-        assert_eq!(Weight::NEG_INF.as_summable(), 0);
+    fn summable_is_the_value() {
         assert_eq!(Weight::new(-5).as_summable(), -5);
     }
 
@@ -203,7 +142,6 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(format!("{}", Weight::NEG_INF), "-inf");
         assert_eq!(format!("{}", Weight::new(12)), "12");
         assert_eq!(format!("{:?}", WKey::PLUS_INF), "∞");
     }

@@ -1,6 +1,5 @@
-//! Property-based tests for the graph substrate: Kruskal invariants, the
-//! degree-3 reduction, union-find behaviour and workload-generator
-//! guarantees.
+//! Property-based tests for the graph substrate: Kruskal invariants,
+//! union-find behaviour and workload-generator guarantees.
 
 use pdmsf_graph::{
     kruskal_msf, DynGraph, GraphSpec, StreamKind, UnionFind, UpdateStream, UpdateStreamSpec,

@@ -265,7 +265,7 @@ fn decode_batch(seq: u64, payload: &[u8]) -> Result<LoggedBatch, PersistError> {
                 id: EdgeId(d.u32()?),
                 u: VertexId(d.u32()?),
                 v: VertexId(d.u32()?),
-                weight: Weight::from_raw(d.i64()?),
+                weight: Weight::new(d.i64()?),
                 cancelled: match d.u8()? {
                     0 => false,
                     1 => true,

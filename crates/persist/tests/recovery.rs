@@ -53,10 +53,17 @@ fn concretise(n: usize, raw_batches: &[Vec<RawOp>]) -> Vec<Vec<Op>> {
                         live.push(EdgeId(next_id));
                         next_id += 1;
                     }
+                    // Both ends of the weight range ride through the WAL,
+                    // checkpoints and the forest's weight sums.
+                    let weight = match w {
+                        0 => i64::MIN,
+                        u8::MAX => i64::MAX,
+                        w => i64::from(w),
+                    };
                     Op::Link {
                         u,
                         v,
-                        weight: Weight::new(w as i64),
+                        weight: Weight::new(weight),
                     }
                 }
                 RawOp::CutNth(k) => {

@@ -3,12 +3,8 @@
 //! "graph stream with expiry" workload that motivates fully dynamic MSF —
 //! every arrival is an insertion, every expiry a deletion).
 //!
-//! Uses the degree-reduction wrapper so the core structure only ever sees
-//! vertices of degree at most 3, exactly as the paper assumes.
-//!
 //! Run with `cargo run --release --example streaming_edges`.
 
-use pdmsf::core::seq::default_sequential_k;
 use pdmsf::prelude::*;
 
 fn main() {
@@ -21,13 +17,9 @@ fn main() {
         seed: 4,
     });
 
-    // The paper's structure behind Frederickson's degree-3 reduction. The
-    // wrapper owns the vertex-copy bookkeeping, so the inner structure must
-    // start empty; its chunk parameter is sized for the copies it will
-    // hold, about one per live edge end plus one per vertex.
-    let copies = n + 2 * window;
-    let inner = SeqDynamicMsf::with_chunk_parameter(0, default_sequential_k(copies));
-    let mut msf = DegreeReduced::new(n, inner);
+    // The paper's structure at the sequential chunk parameter, as every
+    // engine holds it.
+    let mut msf = SeqDynamicMsf::new(n);
     println!(
         "sliding window over {n} vertices, window = {window} edges, {} stream operations",
         stream.len()

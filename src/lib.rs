@@ -11,7 +11,7 @@
 //!
 //! * [`graph`] ([`pdmsf_graph`]) — the dynamic-graph substrate: weights,
 //!   [`graph::DynGraph`], the [`graph::DynamicMsf`] trait, Kruskal reference,
-//!   degree-3 reduction, workload generators,
+//!   workload generators,
 //! * [`pram`] ([`pdmsf_pram`]) — the EREW PRAM cost-model substrate: cost
 //!   meters and the worker pool,
 //! * [`dyntree`] ([`pdmsf_dyntree`]) — Sleator–Tarjan link-cut trees,
@@ -44,9 +44,9 @@
 //!   that resolves with a single indexed load. The `O(K)`-edge scans of the
 //!   chunked forest do not even do that: each adjacency entry carries the
 //!   edge's weight, id and far endpoint inline (16 bytes), and the full edge
-//!   is looked up by id only for a scan's winner. Sparse id regions (the
-//!   degree-reduction's auxiliary ids) are handled by a paged id index
-//!   ([`graph::EdgeIdIndex`]).
+//!   is looked up by id only for a scan's winner. The id-to-slot lookup
+//!   is a paged id index ([`graph::EdgeIdIndex`]), so sparse id regions
+//!   cost one page each.
 //! * One [`core::EdgeRec`] per edge carries the edge *and* its Euler-tour
 //!   arc tails, replacing the seed's `HashMap<EdgeId, Edge>` +
 //!   `HashMap<EdgeId, (u32, u32)>` + `BTreeMap<EdgeId, Edge>` triple; the
@@ -332,9 +332,9 @@ pub mod prelude {
     pub use pdmsf_engine::{BatchResult, BatchSummary, Engine, Outcome, PlannedBatch, Reject};
     pub use pdmsf_graph::{
         assert_matches_kruskal, kruskal_msf, BatchKind, BatchOp, BatchStream, BatchStreamSpec,
-        DegreeReduced, DynGraph, DynamicMsf, Edge, EdgeId, GraphSpec, MsfDelta, StreamKind,
-        TenantId, TenantOp, TenantStream, TenantStreamSpec, UpdateOp, UpdateStream,
-        UpdateStreamSpec, VertexId, WKey, Weight,
+        DynGraph, DynamicMsf, Edge, EdgeId, GraphSpec, MsfDelta, StreamKind, TenantId, TenantOp,
+        TenantStream, TenantStreamSpec, UpdateOp, UpdateStream, UpdateStreamSpec, VertexId, WKey,
+        Weight,
     };
     pub use pdmsf_obs::{Counter, Gauge, Histogram, Registry};
     pub use pdmsf_persist::{

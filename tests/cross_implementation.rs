@@ -1,8 +1,8 @@
 //! Workspace-level integration tests: every dynamic-MSF implementation in the
 //! workspace (the paper's structure at its sequential and parallel chunk
-//! parameters, the degree-reduction wrapper, and both baselines) is driven through the
-//! same update streams and must produce identical forests, identical deltas
-//! and forests identical to the static Kruskal reference.
+//! parameters, and both baselines) is driven through the same update
+//! streams and must produce identical forests, identical deltas and forests
+//! identical to the static Kruskal reference.
 
 use pdmsf::core::seq::default_parallel_k;
 use pdmsf::prelude::*;
@@ -50,7 +50,6 @@ fn all_implementations_match_kruskal_on_the_same_stream() {
     drive_and_check(&mut erew(n), &stream);
     drive_and_check(&mut NaiveDynamicMsf::new(n), &stream);
     drive_and_check(&mut RecomputeMsf::new(n), &stream);
-    drive_and_check(&mut DegreeReduced::new(n, SeqDynamicMsf::new(0)), &stream);
 }
 
 #[test]
@@ -78,10 +77,10 @@ fn deltas_agree_between_paper_structure_and_baseline() {
     });
 }
 
+/// Preferential attachment produces high-degree hubs, which the structure
+/// takes as they are at both chunk parameters.
 #[test]
-fn degree_reduced_parallel_structure_on_skewed_graph() {
-    // Preferential attachment produces high-degree hubs; the degree-reduction
-    // wrapper keeps the core structure within the paper's assumptions.
+fn both_chunk_parameters_match_kruskal_on_skewed_graph() {
     let n = 48;
     let stream = UpdateStream::generate(&UpdateStreamSpec {
         base: GraphSpec::PreferentialAttachment {
@@ -95,14 +94,14 @@ fn degree_reduced_parallel_structure_on_skewed_graph() {
         },
         seed: 6,
     });
-    drive_and_check(&mut DegreeReduced::new(n, erew(0)), &stream);
+    drive_and_check(&mut erew(n), &stream);
+    drive_and_check(&mut SeqDynamicMsf::new(n), &stream);
 }
 
-/// The plain structure, under both cost models, at densities up to
-/// m = 12n: nothing sparsifies a dense graph first (the name is that of
-/// the sparsification test this sweep used to drive).
+/// The plain structure, at both chunk parameters, at densities up to
+/// m = 12n: nothing sparsifies a dense graph first.
 #[test]
-fn sparsified_structure_handles_density_sweep() {
+fn both_chunk_parameters_handle_density_sweep() {
     let n = 24;
     for density in [2usize, 6, 12] {
         let stream = mixed_stream(n, density * n, 150, density as u64 + 10);
