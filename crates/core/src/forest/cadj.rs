@@ -5,17 +5,23 @@
 //! chunks (Section 2.2). This module owns:
 //!
 //! * slot allocation / release (short lists carry no id — Section 6),
-//! * full row rebuilds by scanning the `O(K)` edges adjacent to a chunk
-//!   (Lemma 2.2; in the EREW model this is the tournament-tree construction
-//!   of Lemma 3.1),
-//! * the symmetric "cross update" of every other chunk's row,
 //! * the single pair entry an edge insertion or deletion changes (Section
 //!   2.6): rows hold exact minima, so a deletion rescans the pair only when
 //!   it removes the pair's minimum and is `O(1)` otherwise,
-//! * the global per-entry refresh of aggregate vectors (the second half of
-//!   `UpdateAdj`, Lemma 2.3). Walks stop at the first *stale* chunk and
-//!   subtree sweeps skip stale chunks: a stale chunk and all its ancestors
-//!   get their whole aggregate recomputed later (see [`super::splay`]).
+//! * three primitives, each written once, that every larger row change
+//!   goes through:
+//!   - `rebuild_rows` rebuilds the row of one chunk, or of both halves of
+//!     a split, by scanning the `O(K)` edges adjacent to it (Lemma 2.2; in
+//!     the EREW model the tournament-tree construction of Lemma 3.1);
+//!   - `sweep_other_rows` is the symmetric "cross update" of every other
+//!     chunk's row, run by the rebuild, by an id's release and by the row
+//!     merge of a chunk merge;
+//!   - `refresh_entries_for_chunks` and `refresh_entries_path` push a
+//!     slice of changed entries up the per-entry aggregate trees (the
+//!     second half of `UpdateAdj`, Lemma 2.3). Walks stop at the first
+//!     *stale* chunk and subtree sweeps skip stale chunks: a stale chunk
+//!     and all its ancestors get their whole aggregate recomputed later
+//!     (see [`super::splay`]).
 //!
 //! Rows live in the forest's [`super::RowBank`]: one slab per slotted chunk,
 //! recycled through the bank's free list, so the frequent short-list slot
@@ -28,6 +34,34 @@ use std::ops::Range;
 /// Up to this many changed entries (or dirty chunks) are refreshed by one
 /// leaf-to-root walk each; more take one sweep (or one splay) instead.
 const PATH_REFRESH_MAX: usize = 8;
+
+/// The way an entry refresh went, indexing the test-only [`REFRESHES`]
+/// counters together with the number of entries it refreshed.
+#[cfg(test)]
+#[derive(Clone, Copy)]
+enum Refresh {
+    Walk = 0,
+    Sweep = 1,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Entry refreshes run on this thread: path walks of one and of two
+    /// entries, then subtree sweeps of one and of two entries, so tests
+    /// can check that their streams take every branch.
+    pub(crate) static REFRESHES: std::cell::Cell<[u64; 4]> =
+        const { std::cell::Cell::new([0; 4]) };
+}
+
+#[cfg(test)]
+fn count_refresh(branch: Refresh, entries: usize) {
+    debug_assert!(matches!(entries, 1 | 2));
+    REFRESHES.with(|n| {
+        let mut counts = n.get();
+        counts[2 * branch as usize + entries - 1] += 1;
+        n.set(counts);
+    });
+}
 
 impl ChunkedEulerForest {
     /// Allocate a chunk id, growing the id space (and the row bank's stride)
@@ -54,9 +88,8 @@ impl ChunkedEulerForest {
     }
 
     /// Attach an id and an (all-`∞`) row slab to chunk `c` without
-    /// rebuilding its row — the caller rebuilds, either singly
-    /// ([`Self::rebuild_row`]) or batched for a split pair
-    /// ([`Self::rebuild_rows_pair`]).
+    /// rebuilding its row — the caller rebuilds it with
+    /// [`Self::rebuild_rows`], alone or with its split partner.
     pub(crate) fn attach_slot(&mut self, c: u32) {
         debug_assert_eq!(self.chunks.slot[c as usize], NONE);
         let s = self.alloc_slot(c);
@@ -79,7 +112,7 @@ impl ChunkedEulerForest {
             return;
         }
         self.attach_slot(c);
-        self.rebuild_row(c);
+        self.rebuild_rows(&[c]);
     }
 
     /// Scan the edges adjacent to chunk `c`'s principal copies into `row`
@@ -105,73 +138,103 @@ impl ChunkedEulerForest {
         scanned
     }
 
-    /// Rebuild the rows of a freshly split pair `(c, c2)` in one batched
-    /// pass: both rows are scanned, the symmetric entries of every other row
-    /// are updated in a **single** sweep over the id space, and the affected
-    /// aggregates are refreshed once for both entries. Compared to two
-    /// independent [`Self::rebuild_row`] calls this halves the cross-update
-    /// and refresh traffic of every chunk split.
-    pub(crate) fn rebuild_rows_pair(&mut self, c: u32, c2: u32) {
-        let s1 = self.chunks.slot[c as usize];
-        let s2 = self.chunks.slot[c2 as usize];
-        debug_assert!(s1 != NONE && s2 != NONE);
-        let cap = self.slot_cap();
-        let mut row1 = std::mem::take(&mut self.scratch_row);
-        row1.clear();
-        row1.resize(cap, WKey::PLUS_INF);
-        let mut row2 = std::mem::take(&mut self.scratch_row2);
-        row2.clear();
-        row2.resize(cap, WKey::PLUS_INF);
-        let scanned = self.scan_row(c, &mut row1) + self.scan_row(c2, &mut row2);
-        debug_assert_eq!(
-            row1[s2 as usize], row2[s1 as usize],
-            "asymmetric pair entry"
-        );
-
-        // One cross-update sweep for both new columns.
-        let mut dirty = std::mem::take(&mut self.scratch_dirty);
-        dirty.clear();
-        let mut cross = 0u64;
-        for (other_slot, &owner) in self.slot_owner.iter().enumerate().take(cap) {
-            if owner == NONE || owner == c || owner == c2 {
-                continue;
-            }
-            cross += 1;
-            let row = self.rows.base_mut(self.chunks.row[owner as usize]);
-            let mut changed = false;
-            if row[s1 as usize] != row1[other_slot] {
-                row[s1 as usize] = row1[other_slot];
-                changed = true;
-            }
-            if row[s2 as usize] != row2[other_slot] {
-                row[s2 as usize] = row2[other_slot];
-                changed = true;
-            }
-            if changed {
-                dirty.push(owner);
-            }
+    /// Recompute the `CAdj` rows of `cs` — one chunk, or the two halves of a
+    /// fresh split — by scanning the edges adjacent to them, propagate the
+    /// symmetric entries into every other row in one sweep, and refresh all
+    /// aggregates: a path refresh of each chunk's own list (splay) and one
+    /// refresh of the changed entries in the lists whose rows changed. This
+    /// is the workhorse of Lemma 2.2 / 3.1. Each fresh row is built in its
+    /// own scratch buffer; a chunk without an id has no row to rebuild.
+    pub(crate) fn rebuild_rows(&mut self, cs: &[u32]) {
+        debug_assert!(matches!(cs.len(), 1 | 2), "one chunk or a split pair");
+        let mut slots = [NONE; 2];
+        for (s, &c) in slots.iter_mut().zip(cs) {
+            *s = self.chunks.slot[c as usize];
         }
-        self.rows
-            .base_mut(self.chunks.row[c as usize])
-            .copy_from_slice(&row1);
-        self.rows
-            .base_mut(self.chunks.row[c2 as usize])
-            .copy_from_slice(&row2);
-        self.scratch_row = row1;
-        self.scratch_row2 = row2;
-        let occs =
-            (self.chunks.occs[c as usize].len() + self.chunks.occs[c2 as usize].len()) as u64;
+        let slots = &slots[..cs.len()];
+        if slots.contains(&NONE) {
+            debug_assert_eq!(cs.len(), 1, "a split pair without ids");
+            return;
+        }
+        let cap = self.slot_cap();
+        let mut fresh = [
+            std::mem::take(&mut self.scratch_row),
+            std::mem::take(&mut self.scratch_row2),
+        ];
+        let (mut scanned, mut occs) = (0u64, 0u64);
+        for (row, &c) in fresh.iter_mut().zip(cs) {
+            row.clear();
+            row.resize(cap, WKey::PLUS_INF);
+            scanned += self.scan_row(c, row);
+            occs += self.chunks.occs[c as usize].len() as u64;
+        }
+        if let [s1, s2] = *slots {
+            debug_assert_eq!(
+                fresh[0][s2 as usize], fresh[1][s1 as usize],
+                "asymmetric pair entry"
+            );
+        }
+        let fresh_rows = &fresh[..cs.len()];
+        let (cross, dirty) = self.sweep_other_rows(cs, |row, other_slot| {
+            let mut changed = false;
+            for (&s, fresh) in slots.iter().zip(fresh_rows) {
+                if row[s as usize] != fresh[other_slot] {
+                    row[s as usize] = fresh[other_slot];
+                    changed = true;
+                }
+            }
+            changed
+        });
+        for (&c, row) in cs.iter().zip(fresh_rows) {
+            self.rows
+                .base_mut(self.chunks.row[c as usize])
+                .copy_from_slice(row);
+        }
+        [self.scratch_row, self.scratch_row2] = fresh;
+        // Sequential: O(K + J), the scans of both chunks of a pair charged
+        // as one. EREW: tournament trees of depth O(log K) with O(K)
+        // processors build the rows, then O(1) rounds with O(J) processors
+        // perform the cross update (Lemma 3.1).
         self.charge(
             scanned + occs + cross + cap as u64,
             log_depth(scanned as usize),
             (scanned + cross).max(1),
         );
-        // Own-list path refresh for both changed rows, then targeted entry
-        // refresh for the other lists whose rows changed.
-        self.splay(c);
-        self.splay(c2);
-        self.refresh_entries_pair_for_chunks(&mut dirty, s1, s2);
-        self.scratch_dirty = dirty;
+        // Path refresh in each chunk's own list (first half of UpdateAdj) …
+        for &c in cs {
+            self.splay(c);
+        }
+        // … and entry refresh in the lists whose rows changed (second half
+        // of UpdateAdj, restricted to where it has any effect).
+        self.refresh_entries_for_chunks(dirty, slots);
+    }
+
+    /// The cross update of Lemma 2.2 / 3.1: hand the row of every slotted
+    /// chunk outside `skip`, with that chunk's id, to `update`, which
+    /// rewrites the row's entries for the changed ids and says whether any
+    /// changed. Returns the number of rows visited and the chunks whose
+    /// rows changed, in the `scratch_dirty` buffer that
+    /// [`Self::refresh_entries_for_chunks`] hands back. Charges nothing:
+    /// each caller charges its own formula.
+    pub(crate) fn sweep_other_rows(
+        &mut self,
+        skip: &[u32],
+        mut update: impl FnMut(&mut [WKey], usize) -> bool,
+    ) -> (u64, Vec<u32>) {
+        let mut dirty = std::mem::take(&mut self.scratch_dirty);
+        dirty.clear();
+        let mut visited = 0u64;
+        for (other_slot, &owner) in self.slot_owner.iter().enumerate() {
+            if owner == NONE || skip.contains(&owner) {
+                continue;
+            }
+            visited += 1;
+            let row = self.rows.base_mut(self.chunks.row[owner as usize]);
+            if update(row, other_slot) {
+                dirty.push(owner);
+            }
+        }
+        (visited, dirty)
     }
 
     /// Take chunk `c`'s id away (it became the only chunk of its list):
@@ -186,21 +249,9 @@ impl ChunkedEulerForest {
         }
         // Clear the column `s` in every other row, remembering which chunks
         // actually held a finite entry.
-        let mut dirty = std::mem::take(&mut self.scratch_dirty);
-        dirty.clear();
-        let mut work = 0u64;
-        for other_slot in 0..self.slot_owner.len() {
-            let owner = self.slot_owner[other_slot];
-            if owner == NONE || owner == c {
-                continue;
-            }
-            work += 1;
-            let cell = &mut self.rows.base_mut(self.chunks.row[owner as usize])[s as usize];
-            if *cell != WKey::PLUS_INF {
-                *cell = WKey::PLUS_INF;
-                dirty.push(owner);
-            }
-        }
+        let (work, dirty) = self.sweep_other_rows(&[c], |row, _| {
+            std::mem::replace(&mut row[s as usize], WKey::PLUS_INF) != WKey::PLUS_INF
+        });
         // Retire the slab into the bank's free list.
         self.rows.free(self.chunks.row[c as usize]);
         debug_assert!(
@@ -213,97 +264,45 @@ impl ChunkedEulerForest {
         self.slot_owner[s as usize] = NONE;
         self.slot_free.push(s);
         self.charge(work + 1, 1, work.max(1));
-        self.refresh_entry_for_chunks(&mut dirty, s);
-        self.scratch_dirty = dirty;
+        self.refresh_entries_for_chunks(dirty, &[s]);
     }
 
-    /// Recompute chunk `c`'s entire `CAdj` row by scanning the edges adjacent
-    /// to it, propagate the symmetric entries into every other row, and
-    /// refresh all aggregates (path refresh via splay + global entry
-    /// refresh). This is the workhorse of Lemma 2.2 / 3.1.
-    pub(crate) fn rebuild_row(&mut self, c: u32) {
-        let s = self.chunks.slot[c as usize];
-        if s == NONE {
-            return;
-        }
-        let cap = self.slot_cap();
-        let mut row = std::mem::take(&mut self.scratch_row);
-        row.clear();
-        row.resize(cap, WKey::PLUS_INF);
-        let scanned = self.scan_row(c, &mut row);
-        // Cross update: symmetric entries in every other row, remembering
-        // which chunks actually changed (only their lists need an entry
-        // refresh below).
-        let mut dirty = std::mem::take(&mut self.scratch_dirty);
-        dirty.clear();
-        let mut cross = 0u64;
-        for (other_slot, &owner) in self.slot_owner.iter().enumerate().take(cap) {
-            if owner == NONE || owner == c {
-                continue;
-            }
-            cross += 1;
-            let cell = &mut self.rows.base_mut(self.chunks.row[owner as usize])[s as usize];
-            if *cell != row[other_slot] {
-                *cell = row[other_slot];
-                dirty.push(owner);
-            }
-        }
-        // Copy the fresh row into the slab; the scratch stays for next time.
-        self.rows
-            .base_mut(self.chunks.row[c as usize])
-            .copy_from_slice(&row);
-        self.scratch_row = row;
-        // Sequential: O(K + J). EREW: tournament trees of depth O(log K) with
-        // O(K) processors build the row, then O(1) rounds with O(J)
-        // processors perform the cross update (Lemma 3.1).
-        let occs = self.chunks.occs[c as usize].len() as u64;
-        self.charge(
-            scanned + occs + cross + cap as u64,
-            log_depth(scanned as usize),
-            (scanned + cross).max(1),
-        );
-        // Path refresh in c's own list (first half of UpdateAdj) …
-        self.splay(c);
-        // … and entry refresh in the lists whose rows changed (second half
-        // of UpdateAdj, restricted to where it has any effect).
-        self.refresh_entry_for_chunks(&mut dirty, s);
-        self.scratch_dirty = dirty;
-    }
-
-    /// Refresh entry `s` of the aggregate vectors above the given chunks,
-    /// whose `base[s]` just changed (the per-entry trees `S_j` of Lemma 2.3
-    /// / Section 3 — `O(1)` work per level). For a handful of dirty chunks
-    /// this walks one leaf-to-root path each (overlapping paths converge
-    /// because every walk recomputes from the *current* child aggregates);
-    /// for many dirty chunks one bottom-up sweep per affected list is
-    /// cheaper. `dirty` is consumed (left in an unspecified state for reuse
-    /// as scratch).
-    pub(crate) fn refresh_entry_for_chunks(&mut self, dirty: &mut Vec<u32>, s: u32) {
+    /// Refresh entries `slots` of the aggregate vectors above the chunks in
+    /// `dirty`, whose `base` rows just changed there (the per-entry trees
+    /// `S_j` of Lemma 2.3 / Section 3 — `O(1)` work per level and entry).
+    /// For a handful of dirty chunks this walks one leaf-to-root path each
+    /// (overlapping paths converge because every walk recomputes from the
+    /// *current* child aggregates); for many dirty chunks one bottom-up
+    /// sweep per affected list is cheaper. `dirty` is the `scratch_dirty`
+    /// buffer and goes back there.
+    pub(crate) fn refresh_entries_for_chunks(&mut self, mut dirty: Vec<u32>, slots: &[u32]) {
         if dirty.is_empty() {
             self.charge(1, 1, 1);
-            return;
-        }
-        if dirty.len() <= PATH_REFRESH_MAX {
-            for &c in dirty.iter() {
-                self.refresh_entry_path(c, s);
+        } else if dirty.len() <= PATH_REFRESH_MAX {
+            for &c in &dirty {
+                self.refresh_entries_path(c, slots);
             }
-            return;
+        } else {
+            #[cfg(test)]
+            count_refresh(Refresh::Sweep, slots.len());
+            for c in dirty.iter_mut() {
+                *c = self.tree_root(*c);
+            }
+            dirty.sort_unstable();
+            dirty.dedup();
+            let mut visited = 0u64;
+            for &root in &dirty {
+                visited += self.refresh_entries_subtree(root, slots);
+            }
+            self.charge(visited.max(1), log_depth(visited as usize), visited.max(1));
         }
-        for c in dirty.iter_mut() {
-            *c = self.tree_root(*c);
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        let mut visited = 0u64;
-        for &root in dirty.iter() {
-            visited += self.refresh_entry_subtree(root, s);
-        }
-        self.charge(visited.max(1), log_depth(visited as usize), visited.max(1));
+        self.scratch_dirty = dirty;
     }
 
-    /// Bottom-up recomputation of entry `s` in the subtree rooted at `c`,
-    /// skipping stale chunks. Returns the number of chunks visited.
-    fn refresh_entry_subtree(&mut self, c: u32, s: u32) -> u64 {
+    /// Bottom-up recomputation of entries `slots` in the subtree rooted at
+    /// `c`, skipping stale chunks. Returns the visits to charge: the
+    /// subtree's chunks once per entry.
+    fn refresh_entries_subtree(&mut self, c: u32, slots: &[u32]) -> u64 {
         // Explicit traversal: `order` ends up parent-before-children, so the
         // reverse iteration below recomputes children before parents.
         let mut order = std::mem::take(&mut self.scratch_order);
@@ -325,134 +324,57 @@ impl ChunkedEulerForest {
             }
         }
         for &node in order.iter().rev() {
-            let row = self.chunks.row[node as usize];
-            if row == NONE || self.chunks.stale(node) {
+            if self.chunks.row[node as usize] == NONE || self.chunks.stale(node) {
                 continue;
             }
-            let mut agg = self.rows.base(row)[s as usize];
-            for child in [
-                self.chunks.left[node as usize],
-                self.chunks.right[node as usize],
-            ] {
-                if child == NONE {
-                    continue;
-                }
-                let ca = self.rows.agg(self.chunks.row[child as usize])[s as usize];
-                if ca < agg {
-                    agg = ca;
-                }
+            for &s in slots {
+                self.refresh_agg_entry(node, s);
             }
-            self.rows.agg_mut(row)[s as usize] = agg;
         }
-        let visited = order.len() as u64;
+        let visited = (order.len() * slots.len()) as u64;
         self.scratch_order = order;
         visited
     }
 
-    /// Dual-entry variant of [`Self::refresh_entry_for_chunks`], used by the
-    /// batched split rebuild: each walk refreshes both entries at once.
-    pub(crate) fn refresh_entries_pair_for_chunks(
-        &mut self,
-        dirty: &mut Vec<u32>,
-        s1: u32,
-        s2: u32,
-    ) {
-        if dirty.is_empty() {
-            self.charge(1, 1, 1);
-            return;
-        }
-        if dirty.len() <= PATH_REFRESH_MAX {
-            for &c in dirty.iter() {
-                self.refresh_entry_pair_path(c, s1, s2);
-            }
-            return;
-        }
-        for c in dirty.iter_mut() {
-            *c = self.tree_root(*c);
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        let mut visited = 0u64;
-        for &root in dirty.iter() {
-            visited += self.refresh_entry_subtree(root, s1);
-            visited += self.refresh_entry_subtree(root, s2);
-        }
-        self.charge(visited.max(1), log_depth(visited as usize), visited.max(1));
-    }
-
-    /// Leaf-to-root walk refreshing two entries at once (one traversal, two
-    /// `O(1)` recomputations per level), up to the first stale chunk.
-    fn refresh_entry_pair_path(&mut self, c: u32, s1: u32, s2: u32) {
+    /// Recompute entries `slots` of the aggregates on the leaf-to-root path
+    /// of chunk `c` (the paper's `UpdateAdj` path refresh for changed `CAdj`
+    /// entries, Lemma 2.3): one walk, `O(1)` work per level and entry
+    /// instead of the full `O(J)`-vector pull-up a structural splay
+    /// performs. The walk ends at the first stale chunk: it and every chunk
+    /// above it are recomputed in full later. Membership is untouched —
+    /// `Memb` only changes when ids move.
+    pub(crate) fn refresh_entries_path(&mut self, c: u32, slots: &[u32]) {
+        #[cfg(test)]
+        count_refresh(Refresh::Walk, slots.len());
         let mut node = c;
         let mut steps = 0u64;
         while !self.chunks.stale(node) {
             steps += 1;
-            let row = self.chunks.row[node as usize];
-            let base = self.rows.base(row);
-            let mut a1 = base[s1 as usize];
-            let mut a2 = base[s2 as usize];
-            for child in [
-                self.chunks.left[node as usize],
-                self.chunks.right[node as usize],
-            ] {
-                if child == NONE {
-                    continue;
-                }
-                let cagg = self.rows.agg(self.chunks.row[child as usize]);
-                if cagg[s1 as usize] < a1 {
-                    a1 = cagg[s1 as usize];
-                }
-                if cagg[s2 as usize] < a2 {
-                    a2 = cagg[s2 as usize];
-                }
+            for &s in slots {
+                self.refresh_agg_entry(node, s);
             }
             let parent = self.chunks.parent[node as usize];
-            let agg = self.rows.agg_mut(row);
-            agg[s1 as usize] = a1;
-            agg[s2 as usize] = a2;
             if parent == NONE {
                 break;
             }
             node = parent;
         }
+        // One processor per level in the per-entry trees S_j (Lemma 3.2),
+        // whatever the number of entries.
         self.charge(steps.max(1), log_depth(steps as usize), steps.max(1));
     }
 
-    /// Recompute entry `s` of the aggregates on the leaf-to-root path of
-    /// chunk `c` (the paper's `UpdateAdj` path refresh for a *single*
-    /// changed `CAdj` entry, Lemma 2.3): `O(1)` work per level instead of
-    /// the full `O(J)`-vector pull-up a structural splay performs. The walk
-    /// ends at the first stale chunk: it and every chunk above it are
-    /// recomputed in full later. Membership is untouched — `Memb` only
-    /// changes when ids move.
-    pub(crate) fn refresh_entry_path(&mut self, c: u32, s: u32) {
-        let mut node = c;
-        let mut steps = 0u64;
-        while !self.chunks.stale(node) {
-            steps += 1;
-            let row = self.chunks.row[node as usize];
-            let mut agg = self.rows.base(row)[s as usize];
-            for child in [
-                self.chunks.left[node as usize],
-                self.chunks.right[node as usize],
-            ] {
-                if child == NONE {
-                    continue;
-                }
-                let ca = self.rows.agg(self.chunks.row[child as usize])[s as usize];
-                if ca < agg {
-                    agg = ca;
-                }
+    /// Recompute entry `s` of slotted chunk `c`'s aggregate from its own row
+    /// and its children's aggregates. `O(1)`.
+    fn refresh_agg_entry(&mut self, c: u32, s: u32) {
+        let row = self.chunks.row[c as usize];
+        let mut agg = self.rows.base(row)[s as usize];
+        for child in [self.chunks.left[c as usize], self.chunks.right[c as usize]] {
+            if child != NONE {
+                agg = agg.min(self.rows.agg(self.chunks.row[child as usize])[s as usize]);
             }
-            let parent = self.chunks.parent[node as usize];
-            self.rows.agg_mut(row)[s as usize] = agg;
-            if parent == NONE {
-                break;
-            }
-            node = parent;
         }
-        // One processor per level in the per-entry tree S_j (Lemma 3.2).
-        self.charge(steps.max(1), log_depth(steps as usize), steps.max(1));
+        self.rows.agg_mut(row)[s as usize] = agg;
     }
 
     /// Cheap path for a *single* new edge between two id-bearing chunks
@@ -482,10 +404,10 @@ impl ChunkedEulerForest {
         }
         self.charge(2, 1, 2);
         if touched1 {
-            self.refresh_entry_path(c1, s2);
+            self.refresh_entries_path(c1, &[s2]);
         }
         if touched2 && c2 != c1 {
-            self.refresh_entry_path(c2, s1);
+            self.refresh_entries_path(c2, &[s1]);
         }
     }
 
@@ -507,9 +429,9 @@ impl ChunkedEulerForest {
         let best = self.scan_adjacent_min(c1, 2, |f, other| f.vertex_chunk[other.index()] == c2);
         self.rows.base_mut(self.chunks.row[c1 as usize])[s2 as usize] = best;
         self.rows.base_mut(self.chunks.row[c2 as usize])[s1 as usize] = best;
-        self.refresh_entry_path(c1, s2);
+        self.refresh_entries_path(c1, &[s2]);
         if c2 != c1 {
-            self.refresh_entry_path(c2, s1);
+            self.refresh_entries_path(c2, &[s1]);
         }
     }
 
@@ -519,7 +441,7 @@ impl ChunkedEulerForest {
     /// entries by them and refresh only the entries that changed — up to
     /// [`PATH_REFRESH_MAX`] changed entries of `c` walk their paths, more
     /// splay `c`, and the symmetric entries go through
-    /// [`Self::refresh_entry_for_chunks`]. No rescan of `c`'s other edges.
+    /// [`Self::refresh_entries_for_chunks`]. No rescan of `c`'s other edges.
     pub(crate) fn lower_row_by_arrivals(&mut self, c: u32, range: Range<usize>) {
         let s = self.chunks.slot[c as usize];
         debug_assert_ne!(s, NONE, "only slotted chunks have rows to lower");
@@ -564,14 +486,13 @@ impl ChunkedEulerForest {
         dirty.dedup();
         if changed.len() <= PATH_REFRESH_MAX {
             for &so in &changed {
-                self.refresh_entry_path(c, so);
+                self.refresh_entries_path(c, &[so]);
             }
         } else {
             self.splay(c);
         }
-        self.refresh_entry_for_chunks(&mut dirty, s);
         self.scratch_slots = changed;
-        self.scratch_dirty = dirty;
+        self.refresh_entries_for_chunks(dirty, &[s]);
     }
 
     /// Cut fast path: whether an edge of the principals at `range` of

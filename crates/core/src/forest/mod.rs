@@ -161,8 +161,11 @@ pub struct ChunkedEulerForest {
     pub(crate) slot_owner: Vec<u32>,
     pub(crate) slot_free: Vec<u32>,
 
-    // ---- scratch buffers reused by the CAdj upkeep (row rebuilds,
-    // targeted entry refreshes, stale-aggregate recomputation) ----
+    // ---- scratch buffers reused by the CAdj upkeep: the fresh rows of
+    // `rebuild_rows` (one buffer per chunk of a split pair), the dirty
+    // chunks a `sweep_other_rows` hands to `refresh_entries_for_chunks`,
+    // the changed entries of a link splice, and the traversal order of
+    // subtree sweeps and stale-aggregate recomputation ----
     pub(crate) scratch_row: Vec<WKey>,
     pub(crate) scratch_row2: Vec<WKey>,
     pub(crate) scratch_order: Vec<u32>,

@@ -201,8 +201,10 @@ impl ChunkedEulerForest {
         let deg = self.degree(v);
         self.chunks.adj_count[c_old as usize] -= deg;
         self.chunks.adj_count[c_new as usize] += deg;
-        self.rebuild_row(c_old);
-        self.rebuild_row(c_new);
+        // Two single rebuilds, not a pair: a pair charges its two scans as
+        // one.
+        self.rebuild_rows(&[c_old]);
+        self.rebuild_rows(&[c_new]);
         self.touch(c_old);
         self.touch(c_new);
     }
@@ -240,7 +242,7 @@ impl ChunkedEulerForest {
         }
         self.attach_slot(c2);
         self.tree_insert_after(c, c2);
-        self.rebuild_rows_pair(c, c2);
+        self.rebuild_rows(&[c, c2]);
         self.touch(c);
         self.touch(c2);
         c2
@@ -348,24 +350,15 @@ impl ChunkedEulerForest {
 
         // Cross update: every other chunk's entry for the merged chunk is
         // the minimum of its entries for the two old chunks.
-        let mut dirty = std::mem::take(&mut self.scratch_dirty);
-        dirty.clear();
-        let mut cross = 0u64;
-        for other_slot in 0..cap {
-            let owner = self.slot_owner[other_slot];
-            if owner == NONE || owner == c || owner == nxt {
-                continue;
-            }
-            cross += 1;
-            let row = self.rows.base_mut(self.chunks.row[owner as usize]);
-            if row[s_nxt] < row[s_c] {
+        let (cross, dirty) = self.sweep_other_rows(&[c, nxt], |row, _| {
+            let lowered = row[s_nxt] < row[s_c];
+            if lowered {
                 row[s_c] = row[s_nxt];
-                dirty.push(owner);
             }
-        }
+            lowered
+        });
         self.charge(cap as u64 + cross, 1, (cap as u64 + cross).max(1));
-        self.refresh_entry_for_chunks(&mut dirty, s_c as u32);
-        self.scratch_dirty = dirty;
+        self.refresh_entries_for_chunks(dirty, &[s_c as u32]);
     }
 
     // ------------------------------------------------------------------
@@ -685,7 +678,7 @@ impl ChunkedEulerForest {
         self.chunks.adj_count[c as usize] -= moved_adj;
         self.charge(len as u64, log_depth(len), len as u64);
         if rebuild {
-            self.rebuild_row(c);
+            self.rebuild_rows(&[c]);
         }
         self.touch(c);
         self.touch(nc);

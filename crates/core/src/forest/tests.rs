@@ -723,17 +723,24 @@ fn surgeries() -> [u64; 4] {
 /// Every link and cut path (splice, in-chunk extraction, general link,
 /// general cut) ran since the counters read `before`.
 fn assert_every_path_ran(before: [u64; 4], what: &str) {
-    let after = surgeries();
-    for (path, name) in [
+    let paths = [
         "splice",
         "in-chunk extraction",
         "general link",
         "general cut",
-    ]
-    .iter()
-    .enumerate()
-    {
-        assert!(after[path] > before[path], "no {name} ran in {what}");
+    ];
+    assert_each_ran(before, surgeries(), paths, what);
+}
+
+/// Each counter, named by `names`, moved from `before` to `after`.
+fn assert_each_ran<const N: usize>(
+    before: [u64; N],
+    after: [u64; N],
+    names: [&str; N],
+    what: &str,
+) {
+    for ((before, after), name) in before.into_iter().zip(after).zip(names) {
+        assert!(after > before, "no {name} ran in {what}");
     }
 }
 
@@ -856,7 +863,8 @@ fn meter_accumulates_costs_per_operation() {
 /// chunk churn. Summed depth and work and the peak processor count cover
 /// the base build and every update, so a change to any charge formula
 /// moves a number here. Every configuration takes all four link and cut
-/// paths.
+/// paths and all four entry-refresh branches (a path walk or a subtree
+/// sweep, of one entry or of a split pair's two), so the pin covers each.
 #[test]
 fn meter_charges_are_pinned() {
     use crate::seq::default_sequential_k;
@@ -885,6 +893,8 @@ fn meter_charges_are_pinned() {
         let searches = || crate::forest::mwr::GAMMA_SEARCHES.with(|c| c.get());
         let before = searches();
         let paths_before = surgeries();
+        let refreshes = || crate::forest::cadj::REFRESHES.with(|c| c.get());
+        let refreshes_before = refreshes();
         let mut s = SeqDynamicMsf::with_chunk_parameter(n, k);
         drive_checked(&mut s, &stream, |_| {});
         let total = s.meter().total();
@@ -894,6 +904,14 @@ fn meter_charges_are_pinned() {
             "charges moved at K = {k}"
         );
         assert!(searches() > before, "no γ search ran at K = {k}");
-        assert_every_path_ran(paths_before, &format!("the stream at K = {k}"));
+        let what = format!("the stream at K = {k}");
+        assert_every_path_ran(paths_before, &what);
+        let branches = [
+            "one-entry walk",
+            "two-entry walk",
+            "one-entry sweep",
+            "two-entry sweep",
+        ];
+        assert_each_ran(refreshes_before, refreshes(), branches, &what);
     }
 }

@@ -101,10 +101,12 @@
 //! `2 sqrt(n / log n)` entries — below `pdmsf_pram::kernels::PAR_CUTOFF`
 //! until roughly 1.3M vertices per engine, so a pooled scan could not pay.
 //! Bank layouts are pinned by SoA-vs-AoS reference-walk proptests over the
-//! chunk, row **and occurrence** banks and the pooled per-vertex lists,
-//! the seq/par/Kruskal lockstep
-//! proptest pins behaviour across chunk parameters, and
-//! `meter_charges_are_pinned` pins the exact charges.
+//! chunk, row **and occurrence** banks and the pooled per-vertex lists.
+//! Behaviour across chunk parameters is pinned by
+//! `tests/proptest_differential.rs` (the structure at `K = 2`, `√n` and
+//! `√(n log n)` against a recompute-from-scratch oracle and Kruskal) and by
+//! `small_k_streams_validate_after_every_op` (every invariant after every
+//! op at `K = 2`), and `meter_charges_are_pinned` pins the exact charges.
 
 #![forbid(unsafe_code)]
 

@@ -3,7 +3,7 @@
 //! Aggregate histograms (the rest of this crate) tell us *that* p95
 //! degrades under load, but not *why*: one slow batch hides behind a
 //! thousand fast ones. This module captures per-batch **timelines** —
-//! structured [`TraceEvent`]s (begin/end/instant, monotonic nanoseconds,
+//! structured [`TraceEvent`]s (span begin/end, monotonic nanoseconds,
 //! thread id, a [`TraceId`] tying every event to its batch, a [`Phase`]
 //! tag and two free `u64` args) written into a process-wide lock-free
 //! [`Ring`] buffer — and keeps only the pathological ones.
@@ -161,7 +161,7 @@ impl Phase {
     }
 }
 
-/// Span boundary or point event.
+/// Span boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -170,8 +170,6 @@ pub enum EventKind {
     /// Span end (matches the most recent unmatched Begin of the same
     /// trace/thread/phase).
     End = 1,
-    /// Point-in-time marker.
-    Instant = 2,
 }
 
 impl EventKind {
@@ -179,7 +177,6 @@ impl EventKind {
         Some(match v {
             0 => EventKind::Begin,
             1 => EventKind::End,
-            2 => EventKind::Instant,
             _ => return None,
         })
     }
@@ -199,7 +196,7 @@ pub struct TraceEvent {
     pub trace: u64,
     /// Phase tag.
     pub phase: Phase,
-    /// Begin / End / Instant.
+    /// Begin / End.
     pub kind: EventKind,
     /// First free argument (phase-specific: op counts, shard ids, ...).
     pub arg0: u64,
@@ -391,18 +388,13 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn tracing on, allocating the global ring with `capacity` slots on
-/// first call (the capacity is fixed by whoever enables first; later
-/// calls just re-enable). Idempotent.
-pub fn enable(capacity: usize) {
-    RING.get_or_init(|| Ring::new(capacity));
+/// Turn tracing on, allocating the global ring of
+/// [`DEFAULT_RING_CAPACITY`] slots on first call (later calls just
+/// re-enable). Idempotent.
+pub fn enable_default() {
+    RING.get_or_init(|| Ring::new(DEFAULT_RING_CAPACITY));
     let _ = EPOCH.get_or_init(Instant::now);
     ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// [`enable`] with [`DEFAULT_RING_CAPACITY`].
-pub fn enable_default() {
-    enable(DEFAULT_RING_CAPACITY);
 }
 
 /// Turn tracing off. The ring and any pinned captures are retained.
@@ -656,19 +648,12 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         let ph = match e.kind {
             EventKind::Begin => "B",
             EventKind::End => "E",
-            EventKind::Instant => "i",
-        };
-        let scope = if e.kind == EventKind::Instant {
-            ",\"s\":\"t\""
-        } else {
-            ""
         };
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\"{},\"pid\":1,\"tid\":{},\"ts\":{}.{:03},\"args\":{{\"trace\":{},\"arg0\":{},\"arg1\":{}}}}}{}\n",
+            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{}.{:03},\"args\":{{\"trace\":{},\"arg0\":{},\"arg1\":{}}}}}{}\n",
             e.phase.name(),
             e.phase.layer(),
             ph,
-            scope,
             e.tid,
             e.ts_ns / 1_000,
             e.ts_ns % 1_000,
@@ -683,9 +668,9 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 }
 
 /// Render events as a compact indented text timeline: one line per
-/// completed span (`+start duration name`), nested spans indented,
-/// instants as points. Spans still open at the end of the event window
-/// render with an unknown duration.
+/// completed span (`+start duration name`), nested spans indented.
+/// Spans still open at the end of the event window render with an
+/// unknown duration.
 pub fn text_timeline(events: &[TraceEvent]) -> String {
     struct Line {
         start_ns: u64,
@@ -726,24 +711,6 @@ pub fn text_timeline(events: &[TraceEvent]) -> String {
                         ),
                     });
                 }
-            }
-            EventKind::Instant => {
-                let depth = open.iter().filter(|o| o.tid == e.tid).count();
-                lines.push(Line {
-                    start_ns: e.ts_ns,
-                    seq: e.seq,
-                    depth,
-                    text: format!(
-                        "+{:>12} {:>12}  {} trace={} tid={} args=({}, {})",
-                        us(e.ts_ns),
-                        "·",
-                        e.phase.name(),
-                        e.trace,
-                        e.tid,
-                        e.arg0,
-                        e.arg1
-                    ),
-                });
             }
         }
     }
@@ -793,7 +760,6 @@ pub fn phase_durations(events: &[TraceEvent]) -> Vec<(Phase, u64)> {
                     totals[b.phase as usize] += e.ts_ns.saturating_sub(b.ts_ns);
                 }
             }
-            EventKind::Instant => {}
         }
     }
     Phase::ALL
@@ -838,8 +804,9 @@ mod tests {
     #[test]
     fn ring_wraparound_keeps_the_newest_capacity_events() {
         let ring = Ring::new(8);
+        let kind = |i: u64| [EventKind::Begin, EventKind::End][i as usize % 2];
         for i in 0..20u64 {
-            ring.emit(i * 10, 1, 7, Phase::Apply, EventKind::Instant, i, 0);
+            ring.emit(i * 10, 1, 7, Phase::Apply, kind(i), i, 0);
         }
         let snap = ring.snapshot();
         assert_eq!(ring.written(), 20);
@@ -852,6 +819,7 @@ mod tests {
             assert_eq!(e.ts_ns, (e.seq - 1) * 10);
             assert_eq!(e.trace, 7);
             assert_eq!(e.phase, Phase::Apply);
+            assert_eq!(e.kind, kind(e.seq - 1));
         }
     }
 
@@ -913,7 +881,7 @@ mod tests {
                             t + 1,
                             t + 1,
                             Phase::PoolRange,
-                            EventKind::Instant,
+                            [EventKind::Begin, EventKind::End][i as usize % 2],
                             i,
                             i.wrapping_mul(2654435761).wrapping_add(t + 1),
                         );
@@ -945,14 +913,16 @@ mod tests {
             ev(1, 0, 1, 3, Phase::Batch, EventKind::Begin, 96, 0),
             ev(2, 1_500, 1, 3, Phase::Plan, EventKind::Begin, 0, 0),
             ev(3, 2_750, 1, 3, Phase::Plan, EventKind::End, 0, 0),
-            ev(4, 3_000, 2, 3, Phase::WalFsync, EventKind::Instant, 8, 0),
-            ev(5, 10_123, 1, 3, Phase::Batch, EventKind::End, 0, 0),
+            ev(4, 3_000, 2, 3, Phase::WalFsync, EventKind::Begin, 8, 0),
+            ev(5, 3_400, 2, 3, Phase::WalFsync, EventKind::End, 0, 0),
+            ev(6, 10_123, 1, 3, Phase::Batch, EventKind::End, 0, 0),
         ];
         let golden = "{\"traceEvents\":[\n\
 {\"name\":\"service.batch\",\"cat\":\"shard\",\"ph\":\"B\",\"pid\":1,\"tid\":1,\"ts\":0.000,\"args\":{\"trace\":3,\"arg0\":96,\"arg1\":0}},\n\
 {\"name\":\"engine.plan\",\"cat\":\"engine\",\"ph\":\"B\",\"pid\":1,\"tid\":1,\"ts\":1.500,\"args\":{\"trace\":3,\"arg0\":0,\"arg1\":0}},\n\
 {\"name\":\"engine.plan\",\"cat\":\"engine\",\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":2.750,\"args\":{\"trace\":3,\"arg0\":0,\"arg1\":0}},\n\
-{\"name\":\"wal.fsync\",\"cat\":\"persist\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":2,\"ts\":3.000,\"args\":{\"trace\":3,\"arg0\":8,\"arg1\":0}},\n\
+{\"name\":\"wal.fsync\",\"cat\":\"persist\",\"ph\":\"B\",\"pid\":1,\"tid\":2,\"ts\":3.000,\"args\":{\"trace\":3,\"arg0\":8,\"arg1\":0}},\n\
+{\"name\":\"wal.fsync\",\"cat\":\"persist\",\"ph\":\"E\",\"pid\":1,\"tid\":2,\"ts\":3.400,\"args\":{\"trace\":3,\"arg0\":0,\"arg1\":0}},\n\
 {\"name\":\"service.batch\",\"cat\":\"shard\",\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":10.123,\"args\":{\"trace\":3,\"arg0\":0,\"arg1\":0}}\n\
 ],\"displayTimeUnit\":\"ms\"}\n";
         assert_eq!(chrome_trace_json(&events), golden);
@@ -966,8 +936,9 @@ mod tests {
             ev(3, 1_200, 1, 3, Phase::Snapshot, EventKind::Begin, 4, 0),
             ev(4, 1_700, 1, 3, Phase::Snapshot, EventKind::End, 0, 0),
             ev(5, 2_000, 1, 3, Phase::Apply, EventKind::End, 0, 0),
-            ev(6, 2_500, 2, 3, Phase::WalAppend, EventKind::Instant, 1, 16),
-            ev(7, 3_000, 1, 3, Phase::Batch, EventKind::End, 0, 0),
+            ev(6, 2_500, 2, 3, Phase::WalAppend, EventKind::Begin, 1, 16),
+            ev(7, 2_600, 2, 3, Phase::WalAppend, EventKind::End, 0, 0),
+            ev(8, 3_000, 1, 3, Phase::Batch, EventKind::End, 0, 0),
         ];
         let text = text_timeline(&events);
         let lines: Vec<&str> = text.lines().collect();
@@ -977,6 +948,7 @@ mod tests {
         assert!(lines[2].starts_with("    ") && lines[2].contains("engine.snapshot"));
         assert!(lines[2].contains("0.500us"));
         assert!(lines[3].contains("wal.append") && lines[3].contains("args=(1, 16)"));
+        assert!(!lines[3].starts_with(' ') && lines[3].contains("0.100us"));
     }
 
     #[test]
@@ -1024,7 +996,7 @@ mod tests {
         // The global tracer is process-wide; this test shares it with any
         // other test that enables tracing, so it filters by its own ids.
         let _serial = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        enable(1024);
+        enable_default();
         assert!(enabled());
         let id = next_id();
         assert!(id.is_some());
@@ -1068,7 +1040,7 @@ mod tests {
     #[test]
     fn a_guard_records_its_own_span_and_an_idle_guard_nothing() {
         let _serial = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        enable(1024);
+        enable_default();
         let hist = Histogram::new();
         let id = next_id();
         let ns = {
@@ -1098,7 +1070,7 @@ mod tests {
     #[test]
     fn capture_retention_keeps_the_slowest() {
         let _serial = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        enable(1024);
+        enable_default();
         // Fill well past CAPTURE_SLOTS with ascending latencies; drain and
         // check only the slowest survived. Uses its own ids to coexist
         // with the other global-tracer test.

@@ -245,7 +245,7 @@
 //!
 //! Histograms say *that* the tail is slow; [`obs::trace`] says *why*. The
 //! trace core is a process-global **lock-free ring** of fixed capacity
-//! holding structured [`obs::trace::TraceEvent`]s — begin/end/instant, a
+//! holding structured [`obs::trace::TraceEvent`]s — span begin/end, a
 //! shared monotonic-ns epoch, a stable per-thread id, a batch-scoped
 //! [`obs::trace::TraceId`], an [`obs::trace::Phase`] tag and two payload
 //! words. Writers claim a slot with one relaxed `fetch_add` and publish
