@@ -2,13 +2,10 @@
 //! chunk banks **and** the occurrence banks), [`RowBank`] (the contiguous
 //! `CAdj` row store) and [`SpanStore`] (the pooled per-vertex lists).
 //!
-//! The previous layout kept every per-chunk field — splay pointers, list
-//! metadata *and* the `O(J)`-sized `base`/`agg`/`memb` vectors — inside one
-//! ~100-byte `Chunk` struct, so the two dominant hot-path loops (`pull_up`
-//! and entry-wise row refresh) touched a handful of `u32`s per node while
-//! dragging whole cache lines of unrelated fields along, and every row was a
-//! separately allocated `Vec` found behind a pointer chase. This module
-//! splits that record by access pattern:
+//! Per-chunk state is split by access pattern, so that the two dominant
+//! hot-path loops (`pull_up` and entry-wise row refresh), which touch a
+//! handful of `u32`s per node, drag no unrelated fields through the cache,
+//! and no row sits behind a pointer of its own:
 //!
 //! * a **hot topology bank** (`parent` / `left` / `right` / `size`, flat
 //!   `Vec<u32>`s): splay rotations, `tree_root`, rank and neighbour walks
@@ -16,25 +13,22 @@
 //! * a **list-metadata bank** (`occs`, `adj_count`, `slot`, `row`, flags):
 //!   consulted by surgery and rebalancing, not by tree walks;
 //! * the [`RowBank`]: every `base` and `agg` row lives contiguously in one
-//!   backing `Vec<WKey>` (and every `memb` row in one `Vec<bool>`), addressed
-//!   by a compact slab handle that encodes `(offset, len)` as
-//!   `offset = slab * stride`, `len = stride`. Entry-wise merges, argmin
-//!   scans and row rebuilds become linear sweeps over dense memory.
+//!   backing `Vec<WKey>`, addressed by a compact slab handle: slab `h`
+//!   holds a chunk's two rows, `stride` keys each, from `2 · h · stride`.
+//!   Entry-wise merges, the `γ` minimum and row rebuilds are linear sweeps
+//!   over dense memory.
 //!
 //! Slabs are recycled through a free list (the frequent short-list slot
 //! transitions never hit the allocator), and when the chunk-id capacity
 //! (`J`, the row length) grows, [`RowBank::grow_stride`] re-lays out the
-//! backing store in one pass — the same `O(slabs · J)` cost the old layout
-//! paid to resize every boxed row, but as a single compacting sweep.
+//! backing store in one compacting `O(slabs · J)` sweep.
 //!
-//! Since the scheduler PR the arena also owns the **occurrence banks**: the
-//! last array-of-structs holdout (`Occ { vertex, chunk, pos, vpos, arc,
-//! principal, alive }`, ~24 bytes of mixed-purpose record per Euler-tour
-//! occurrence) is split into flat `u32` banks (`occ_vertex` / `occ_chunk` /
-//! `occ_label` / `occ_vpos` / `occ_arc`) plus a one-byte flag bank, so the
-//! re-chunking loops in surgery (split/merge, splice, extraction) and the
-//! principal-copy scans in the MWR search sweep one dense bank each instead
-//! of striding over fat records.
+//! The arena also owns the **occurrence banks**: an Euler-tour
+//! occurrence's fields live in flat `u32` banks (`occ_vertex` /
+//! `occ_chunk` / `occ_label` / `occ_vpos` / `occ_arc`) plus a one-byte flag
+//! bank, so the re-chunking loops in surgery (split/merge, splice,
+//! extraction) and the principal-copy scans in the MWR search each sweep
+//! one dense bank.
 //!
 //! An occurrence records its place in its chunk as an **order label**, not
 //! an index: labels strictly increase along each chunk's `occs` and leave
@@ -64,15 +58,11 @@ use super::NONE;
 const LABEL_END: i64 = 1 << 32;
 
 #[cfg(test)]
-thread_local! {
-    /// Whole-chunk relabels run on this thread, so tests can check that
-    /// their operations force some.
-    pub(crate) static RELABELS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
+use super::events::{count, Event};
 
 const ALIVE: u8 = 1;
 const QUEUED: u8 = 2;
-/// The chunk's `agg`/`memb` await recomputation. Never set between public
+/// The chunk's `agg` awaits recomputation. Never set between public
 /// operations.
 const STALE: u8 = 4;
 
@@ -112,8 +102,7 @@ pub(crate) struct ChunkArena {
 
     free_ids: Vec<u32>,
 
-    // ---- occurrence banks (the SoA form of the former `Occ` record,
-    // indexed by occurrence id) ----
+    // ---- occurrence banks, indexed by occurrence id ----
     /// Vertex of the occurrence (raw [`VertexId`] index).
     pub(crate) occ_vertex: Vec<u32>,
     /// Chunk holding the occurrence.
@@ -371,7 +360,7 @@ impl ChunkArena {
         let step = (above - below) / (run.len() as i64 + 1);
         if step == 0 {
             #[cfg(test)]
-            RELABELS.with(|n| n.set(n.get() + 1));
+            count(Event::Relabel);
             let whole = 0..occs.len();
             self.label_run(c, whole);
             return;
@@ -546,15 +535,13 @@ impl<T: Copy> SpanStore<T> {
 
 /// Contiguous storage for the per-chunk `CAdj` rows (see module docs).
 ///
-/// Every slab holds one chunk's `base` row, `agg` row (both `stride`
-/// [`WKey`]s, laid out back-to-back in `keys`) and `memb` row (`stride`
-/// bools in `memb`). A slab handle is a dense `u32`; offsets are
-/// `slab * 2 * stride` into `keys` and `slab * stride` into `memb`.
+/// Every slab holds one chunk's `base` row and `agg` row, both `stride`
+/// [`WKey`]s, laid out back-to-back in `keys`. A slab handle is a dense
+/// `u32`; a slab starts at `slab * 2 * stride`.
 #[derive(Default)]
 pub(crate) struct RowBank {
     stride: usize,
     keys: Vec<WKey>,
-    memb: Vec<bool>,
     free: Vec<u32>,
     slabs: usize,
 }
@@ -583,24 +570,16 @@ impl RowBank {
         slab as usize * 2 * self.stride
     }
 
-    #[inline]
-    fn memb_off(&self, slab: u32) -> usize {
-        slab as usize * self.stride
-    }
-
-    /// Allocate a slab with all-`∞` rows and all-`false` membership,
-    /// recycling a retired slab when possible.
+    /// Allocate a slab with all-`∞` rows, recycling a retired slab when
+    /// possible.
     pub(crate) fn alloc(&mut self) -> u32 {
         if let Some(slab) = self.free.pop() {
             let ko = self.key_off(slab);
             self.keys[ko..ko + 2 * self.stride].fill(WKey::PLUS_INF);
-            let mo = self.memb_off(slab);
-            self.memb[mo..mo + self.stride].fill(false);
             slab
         } else {
             self.keys
                 .resize(self.keys.len() + 2 * self.stride, WKey::PLUS_INF);
-            self.memb.resize(self.memb.len() + self.stride, false);
             self.slabs += 1;
             (self.slabs - 1) as u32
         }
@@ -614,8 +593,7 @@ impl RowBank {
     }
 
     /// Grow every row to `new_stride` entries, preserving slab contents
-    /// (new entries are `∞` / `false`). One compacting sweep over the
-    /// backing stores.
+    /// (new entries are `∞`). One compacting sweep over the backing store.
     pub(crate) fn grow_stride(&mut self, new_stride: usize) {
         debug_assert!(new_stride >= self.stride);
         if new_stride == self.stride {
@@ -631,14 +609,7 @@ impl RowBank {
             keys[new + new_stride..new + new_stride + self.stride]
                 .copy_from_slice(&self.keys[old + self.stride..old + 2 * self.stride]);
         }
-        let mut memb = vec![false; self.slabs * new_stride];
-        for slab in 0..self.slabs {
-            let old = slab * self.stride;
-            let new = slab * new_stride;
-            memb[new..new + self.stride].copy_from_slice(&self.memb[old..old + self.stride]);
-        }
         self.keys = keys;
-        self.memb = memb;
         self.stride = new_stride;
     }
 
@@ -668,19 +639,6 @@ impl RowBank {
         let o = self.key_off(slab) + self.stride;
         let s = self.stride;
         &mut self.keys[o..o + s]
-    }
-
-    #[inline]
-    pub(crate) fn memb(&self, slab: u32) -> &[bool] {
-        let o = self.memb_off(slab);
-        &self.memb[o..o + self.stride]
-    }
-
-    #[inline]
-    pub(crate) fn memb_mut(&mut self, slab: u32) -> &mut [bool] {
-        let o = self.memb_off(slab);
-        let s = self.stride;
-        &mut self.memb[o..o + s]
     }
 
     /// The `base` and `agg` rows of one slab, both mutable (they are
@@ -718,13 +676,6 @@ impl RowBank {
             s,
         )
     }
-
-    /// Mutable `memb` row of `dst` with the shared `memb` row of `src`.
-    #[inline]
-    pub(crate) fn memb_pair(&mut self, dst: u32, src: u32) -> (&mut [bool], &[bool]) {
-        let s = self.stride;
-        disjoint_mut(&mut self.memb, dst as usize * s, src as usize * s, s)
-    }
 }
 
 /// Split one backing slice into a mutable window at `dst` and a shared
@@ -744,6 +695,7 @@ fn disjoint_mut<T>(v: &mut [T], dst: usize, src: usize, len: usize) -> (&mut [T]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forest::events::counted;
 
     #[test]
     fn chunk_arena_allocates_and_recycles_ids() {
@@ -784,7 +736,7 @@ mod tests {
             let o = a.occ_alloc(VertexId(0), 0);
             a.insert_occ(c, at, o);
         }
-        let relabels = || RELABELS.with(|n| n.get());
+        let relabels = || counted(Event::Relabel);
         let before = relabels();
         for i in 0..200 {
             let o = a.occ_alloc(VertexId(0), 0);
@@ -848,7 +800,6 @@ mod tests {
         assert_eq!((s0, s1), (0, 1));
         assert_eq!(b.num_slabs(), 2);
         b.base_mut(s0)[2] = WKey::new(pdmsf_graph::Weight::new(9), pdmsf_graph::EdgeId(1));
-        b.memb_mut(s0)[1] = true;
         b.free(s0);
         assert_eq!(b.num_free(), 1);
         // Reuse resets contents; no new slab is carved.
@@ -858,7 +809,6 @@ mod tests {
         assert_eq!(b.num_free(), 0);
         assert!(b.base(s2).iter().all(|k| *k == WKey::PLUS_INF));
         assert!(b.agg(s2).iter().all(|k| *k == WKey::PLUS_INF));
-        assert!(b.memb(s2).iter().all(|m| !*m));
     }
 
     #[test]
@@ -871,17 +821,15 @@ mod tests {
         b.base_mut(s0).copy_from_slice(&[k(1, 0), k(2, 1)]);
         b.agg_mut(s0).copy_from_slice(&[k(3, 2), k(4, 3)]);
         b.base_mut(s1)[1] = k(5, 4);
-        b.memb_mut(s1)[0] = true;
         b.grow_stride(5);
         assert_eq!(b.stride(), 5);
         assert_eq!(&b.base(s0)[..2], &[k(1, 0), k(2, 1)]);
         assert_eq!(&b.agg(s0)[..2], &[k(3, 2), k(4, 3)]);
         assert!(b.base(s0)[2..].iter().all(|x| *x == WKey::PLUS_INF));
         assert_eq!(b.base(s1)[1], k(5, 4));
-        assert_eq!(b.memb(s1), &[true, false, false, false, false]);
-        // Backing stores are exactly slabs × stride — contiguous, no gaps.
+        // The backing store is exactly slabs × 2 × stride — contiguous, no
+        // gaps.
         assert_eq!(b.keys.len(), 2 * 2 * 5);
-        assert_eq!(b.memb.len(), 2 * 5);
     }
 
     #[test]
@@ -903,15 +851,12 @@ mod tests {
         }
         assert!(b.agg(s0).iter().all(|x| *x == k(4)));
         // Same in the other direction (dst above src in the backing store).
+        b.base_mut(s0).fill(k(7));
         {
             let (dst, src) = b.base_pair(s1, s0);
             dst.copy_from_slice(src);
         }
-        {
-            let (dst, _src) = b.memb_pair(s1, s0);
-            dst.fill(true);
-        }
-        assert_eq!(b.memb(s1), &[true, true, true]);
-        assert_eq!(b.memb(s0), &[false, false, false]);
+        assert!(b.base(s1).iter().all(|x| *x == k(7)));
+        assert!(b.agg(s1).iter().all(|x| *x == k(4)), "a row window spilled");
     }
 }

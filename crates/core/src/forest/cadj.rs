@@ -35,33 +35,8 @@ use std::ops::Range;
 /// leaf-to-root walk each; more take one sweep (or one splay) instead.
 const PATH_REFRESH_MAX: usize = 8;
 
-/// The way an entry refresh went, indexing the test-only [`REFRESHES`]
-/// counters together with the number of entries it refreshed.
 #[cfg(test)]
-#[derive(Clone, Copy)]
-enum Refresh {
-    Walk = 0,
-    Sweep = 1,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Entry refreshes run on this thread: path walks of one and of two
-    /// entries, then subtree sweeps of one and of two entries, so tests
-    /// can check that their streams take every branch.
-    pub(crate) static REFRESHES: std::cell::Cell<[u64; 4]> =
-        const { std::cell::Cell::new([0; 4]) };
-}
-
-#[cfg(test)]
-fn count_refresh(branch: Refresh, entries: usize) {
-    debug_assert!(matches!(entries, 1 | 2));
-    REFRESHES.with(|n| {
-        let mut counts = n.get();
-        counts[2 * branch as usize + entries - 1] += 1;
-        n.set(counts);
-    });
-}
+use super::events::{count, Event};
 
 impl ChunkedEulerForest {
     /// Allocate a chunk id, growing the id space (and the row bank's stride)
@@ -284,7 +259,10 @@ impl ChunkedEulerForest {
             }
         } else {
             #[cfg(test)]
-            count_refresh(Refresh::Sweep, slots.len());
+            count(match slots.len() {
+                1 => Event::OneEntrySweep,
+                _ => Event::TwoEntrySweep,
+            });
             for c in dirty.iter_mut() {
                 *c = self.tree_root(*c);
             }
@@ -303,26 +281,9 @@ impl ChunkedEulerForest {
     /// `c`, skipping stale chunks. Returns the visits to charge: the
     /// subtree's chunks once per entry.
     fn refresh_entries_subtree(&mut self, c: u32, slots: &[u32]) -> u64 {
-        // Explicit traversal: `order` ends up parent-before-children, so the
-        // reverse iteration below recomputes children before parents.
         let mut order = std::mem::take(&mut self.scratch_order);
-        order.clear();
-        order.push(c);
-        let mut next = 0usize;
-        while next < order.len() {
-            let node = order[next];
-            next += 1;
-            let (l, r) = (
-                self.chunks.left[node as usize],
-                self.chunks.right[node as usize],
-            );
-            if l != NONE {
-                order.push(l);
-            }
-            if r != NONE {
-                order.push(r);
-            }
-        }
+        self.collect_subtree(c, |_| true, &mut order);
+        // Reversed, the walk recomputes children before parents.
         for &node in order.iter().rev() {
             if self.chunks.row[node as usize] == NONE || self.chunks.stale(node) {
                 continue;
@@ -341,11 +302,13 @@ impl ChunkedEulerForest {
     /// entries, Lemma 2.3): one walk, `O(1)` work per level and entry
     /// instead of the full `O(J)`-vector pull-up a structural splay
     /// performs. The walk ends at the first stale chunk: it and every chunk
-    /// above it are recomputed in full later. Membership is untouched —
-    /// `Memb` only changes when ids move.
+    /// above it are recomputed in full later.
     pub(crate) fn refresh_entries_path(&mut self, c: u32, slots: &[u32]) {
         #[cfg(test)]
-        count_refresh(Refresh::Walk, slots.len());
+        count(match slots.len() {
+            1 => Event::OneEntryWalk,
+            _ => Event::TwoEntryWalk,
+        });
         let mut node = c;
         let mut steps = 0u64;
         while !self.chunks.stale(node) {

@@ -15,11 +15,12 @@
 //!   edge,
 //! * one designated **principal copy** per vertex that has an edge
 //!   (Section 2.2),
-//! * per-chunk **CAdj rows** (minimum-weight edge between chunk pairs) and
-//!   **Memb** information, aggregated per list by a balanced **list sum data
-//!   structure** (here a splay-based sequence tree over the chunks — an
-//!   amortised stand-in for the paper's 2-3 tree; PAPER.md lists the
-//!   substitutions),
+//! * per-chunk **CAdj rows** (minimum-weight edge between chunk pairs),
+//!   aggregated per list by a balanced **list sum data structure** (here a
+//!   splay-based sequence tree over the chunks — an amortised stand-in for
+//!   the paper's 2-3 tree; PAPER.md lists the substitutions). The paper's
+//!   second aggregate, the bits of which chunk ids a list holds, is not
+//!   kept: the `γ` search marks one list's chunk ids by walking its tree,
 //! * the **surgical operations** (split / join / reroot of tours) that edge
 //!   insertions and deletions reduce to, and
 //! * the **minimum-weight-replacement (MWR) search** of Lemma 2.4 / 3.3.
@@ -42,6 +43,8 @@ mod arena;
 mod cadj;
 mod checks;
 mod edges;
+#[cfg(test)]
+mod events;
 mod mwr;
 mod splay;
 mod surgery;
@@ -161,22 +164,24 @@ pub struct ChunkedEulerForest {
     pub(crate) slot_owner: Vec<u32>,
     pub(crate) slot_free: Vec<u32>,
 
-    // ---- scratch buffers reused by the CAdj upkeep: the fresh rows of
-    // `rebuild_rows` (one buffer per chunk of a split pair), the dirty
-    // chunks a `sweep_other_rows` hands to `refresh_entries_for_chunks`,
-    // the changed entries of a link splice, and the traversal order of
-    // subtree sweeps and stale-aggregate recomputation ----
+    // ---- scratch buffers reused by the CAdj upkeep and the γ search: the
+    // fresh rows of `rebuild_rows` (one buffer per chunk of a split pair),
+    // the dirty chunks a `sweep_other_rows` hands to
+    // `refresh_entries_for_chunks`, the changed entries of a link splice,
+    // the order of every subtree walk (`collect_subtree`) and the γ
+    // search's marks of one list's chunk ids ----
     pub(crate) scratch_row: Vec<WKey>,
     pub(crate) scratch_row2: Vec<WKey>,
     pub(crate) scratch_order: Vec<u32>,
     pub(crate) scratch_dirty: Vec<u32>,
     pub(crate) scratch_slots: Vec<u32>,
+    pub(crate) scratch_marks: Vec<bool>,
 
     /// Chunks touched by the current operation, pending Invariant-1 fix-up
     /// (a stack; membership is the `queued` flag on each chunk).
     pub(crate) touched: Vec<u32>,
-    /// Slotted chunks whose `agg`/`memb` await recomputation (membership is
-    /// the `stale` flag; see [`splay`]). Empty between public operations.
+    /// Slotted chunks whose `agg` awaits recomputation (membership is the
+    /// `stale` flag; see [`splay`]). Empty between public operations.
     pub(crate) stale: Vec<u32>,
 }
 
@@ -202,6 +207,7 @@ impl ChunkedEulerForest {
             scratch_order: Vec::new(),
             scratch_dirty: Vec::new(),
             scratch_slots: Vec::new(),
+            scratch_marks: Vec::new(),
             touched: Vec::new(),
             stale: Vec::new(),
         }

@@ -5,9 +5,12 @@
 //! structural operations; we use a splay tree keyed by list position, which
 //! supports the same operation set (insert / delete / split / join /
 //! leaf-to-root refresh) with amortised `O(log J)` structural cost. Every
-//! touched node needs its `O(J)`-sized aggregate vectors recomputed, exactly
-//! as in Lemma 2.3, so the per-operation aggregate cost is `O(J log J)`
-//! amortised.
+//! touched node needs its `O(J)`-sized aggregate recomputed, exactly as in
+//! Lemma 2.3, so the per-operation aggregate cost is `O(J log J)`
+//! amortised. The aggregate is the entry-wise minimum of the subtree's
+//! `CAdj` rows. The paper's second aggregate, the bits of which chunk ids
+//! a list holds, is not kept: its one reader, the `γ` search, marks one
+//! list's chunk ids itself (see [`super::mwr`]).
 //!
 //! An update touches the same few chunks many times (rotations, joins,
 //! splits, row rebuilds), so aggregates are recomputed **once per update**:
@@ -23,8 +26,11 @@
 //!
 //! All topology lives in the flat banks of [`super::ChunkArena`]
 //! (`parent` / `left` / `right` / `size`), so the rotation and walk loops
-//! below touch four `u32` arrays and nothing else; aggregate vectors are
-//! dense [`super::RowBank`] slabs merged in place.
+//! below touch four `u32` arrays and nothing else; aggregates are dense
+//! [`super::RowBank`] rows merged in place.
+//! [`ChunkedEulerForest::collect_subtree`] is the one top-down walk of a
+//! subtree, shared by the stale recompute, the entry-refresh sweeps and
+//! the `γ` search's marking.
 
 use super::{log_depth, ChunkedEulerForest, NONE};
 
@@ -36,7 +42,7 @@ impl ChunkedEulerForest {
     }
 
     /// Recompute `size` of `c` from its children and mark a slotted `c`
-    /// stale (its `agg` and `memb` wait for [`Self::recompute_stale`]).
+    /// stale (its `agg` waits for [`Self::recompute_stale`]).
     /// `O(1)`.
     pub(crate) fn pull_up(&mut self, c: u32) {
         let ci = c as usize;
@@ -73,18 +79,7 @@ impl ChunkedEulerForest {
             }
             let root = self.tree_root(c);
             debug_assert!(self.chunks.stale(root), "stale chunk under a fresh root");
-            order.clear();
-            order.push(root);
-            let mut next = 0;
-            while next < order.len() {
-                let node = order[next] as usize;
-                next += 1;
-                for child in [self.chunks.left[node], self.chunks.right[node]] {
-                    if child != NONE && self.chunks.stale(child) {
-                        order.push(child);
-                    }
-                }
-            }
+            self.collect_subtree(root, |child| self.chunks.stale(child), &mut order);
             for &node in order.iter().rev() {
                 self.recompute_aggregate(node);
                 self.chunks.set_stale(node, false);
@@ -95,24 +90,39 @@ impl ChunkedEulerForest {
         self.scratch_order = order;
     }
 
-    /// Recompute `agg` and `memb` of slotted chunk `c` from its own row and
-    /// its children's (fresh) aggregates. `O(slot_cap)`.
+    /// The chunks of the subtree rooted at `root` that the walk reaches, in
+    /// `order`, every parent before its children: the walk descends only
+    /// into children that pass `descend`. Reversed, `order` visits children
+    /// before parents. `O(chunks reached)`; charges nothing.
+    pub(crate) fn collect_subtree(
+        &self,
+        root: u32,
+        descend: impl Fn(u32) -> bool,
+        order: &mut Vec<u32>,
+    ) {
+        order.clear();
+        order.push(root);
+        let mut next = 0;
+        while next < order.len() {
+            let node = order[next] as usize;
+            next += 1;
+            for child in [self.chunks.left[node], self.chunks.right[node]] {
+                if child != NONE && descend(child) {
+                    order.push(child);
+                }
+            }
+        }
+    }
+
+    /// Recompute `agg` of slotted chunk `c` from its own row and its
+    /// children's (fresh) aggregates. `O(slot_cap)`.
     fn recompute_aggregate(&mut self, c: u32) {
         let ci = c as usize;
-        let (l, r, slot) = (
-            self.chunks.left[ci],
-            self.chunks.right[ci],
-            self.chunks.slot[ci],
-        );
+        let (l, r) = (self.chunks.left[ci], self.chunks.right[ci]);
         let row = self.chunks.row[ci];
-        {
-            // agg := base, memb := {slot}, in place on the slab.
-            let (base, agg) = self.rows.base_and_agg_mut(row);
-            agg.copy_from_slice(base);
-            let memb = self.rows.memb_mut(row);
-            memb.fill(false);
-            memb[slot as usize] = true;
-        }
+        // agg := base, in place on the slab.
+        let (base, agg) = self.rows.base_and_agg_mut(row);
+        agg.copy_from_slice(base);
         for child in [l, r] {
             if child == NONE {
                 continue;
@@ -125,10 +135,6 @@ impl ChunkedEulerForest {
                 if *ca < *a {
                     *a = *ca;
                 }
-            }
-            let (memb, cmemb) = self.rows.memb_pair(row, crow);
-            for (m, cm) in memb.iter_mut().zip(cmemb) {
-                *m |= *cm;
             }
         }
     }
@@ -174,7 +180,7 @@ impl ChunkedEulerForest {
 
     /// Splay `c` to the root of its list's tree (this is also the paper's
     /// `UpdateAdj` path refresh: every node on the leaf-to-root path gets its
-    /// aggregate vectors recomputed, here by marking it stale).
+    /// aggregate recomputed, here by marking it stale).
     pub(crate) fn splay(&mut self, c: u32) {
         let mut rotations: u64 = 0;
         while self.chunks.parent[c as usize] != NONE {

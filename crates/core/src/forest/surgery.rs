@@ -41,33 +41,8 @@ use super::{log_depth, ChunkedEulerForest, EdgeRec, NONE};
 use pdmsf_graph::{Edge, VertexId};
 use std::ops::Range;
 
-/// The path a link or cut took, indexing the test-only [`SURGERIES`]
-/// counters.
 #[cfg(test)]
-#[derive(Clone, Copy)]
-pub(crate) enum Surgery {
-    Splice = 0,
-    Extraction = 1,
-    GeneralLink = 2,
-    GeneralCut = 3,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Links and cuts run on this thread, per [`Surgery`] path, so tests
-    /// can check that their streams take every path.
-    pub(crate) static SURGERIES: std::cell::Cell<[u64; 4]> =
-        const { std::cell::Cell::new([0; 4]) };
-}
-
-#[cfg(test)]
-fn count_surgery(path: Surgery) {
-    SURGERIES.with(|n| {
-        let mut counts = n.get();
-        counts[path as usize] += 1;
-        n.set(counts);
-    });
-}
+use super::events::{count, Event};
 
 impl ChunkedEulerForest {
     // ------------------------------------------------------------------
@@ -438,11 +413,11 @@ impl ChunkedEulerForest {
         };
         let (host_new, closing) = if splice {
             #[cfg(test)]
-            count_surgery(Surgery::Splice);
+            count(Event::Splice);
             self.splice_tour(host, guest)
         } else {
             #[cfg(test)]
-            count_surgery(Surgery::GeneralLink);
+            count(Event::GeneralLink);
             self.link_tours(host, guest)
         };
         self.set_link_arcs(h, host, host_new, closing, host_is_u);
@@ -621,13 +596,13 @@ impl ChunkedEulerForest {
             // Both tails in one chunk: the run after the first up to the
             // second is a whole side, and it never wraps.
             #[cfg(test)]
-            count_surgery(Surgery::Extraction);
+            count(Event::Extraction);
             let (px, py) = (self.chunks.occ_index(x), self.chunks.occ_index(y));
             let (lo, hi) = (px.min(py), px.max(py));
             self.extract_side(c, lo + 1..hi + 1);
         } else {
             #[cfg(test)]
-            count_surgery(Surgery::GeneralCut);
+            count(Event::GeneralCut);
             // The tails lie in different chunks, so chunk ranks order them.
             if self.chunk_rank(c) < self.chunk_rank(cy) {
                 let (p1, rest) = self.list_split_after_occ(x);

@@ -2,11 +2,12 @@
 //! front end at several chunk parameters and differentially checked against
 //! the Kruskal reference and the baseline structures.
 
+use crate::forest::events::{counted, Event};
 use crate::seq::{default_parallel_k, SeqDynamicMsf};
 use pdmsf_baselines::NaiveDynamicMsf;
 use pdmsf_graph::{
-    assert_matches_kruskal, DynamicMsf, Edge, EdgeId, GraphSpec, StreamKind, UpdateOp,
-    UpdateStream, UpdateStreamSpec, VertexId, Weight,
+    assert_matches_kruskal, DynamicMsf, Edge, EdgeId, GraphSpec, MsfDelta, StreamKind, UpdateOp,
+    UpdateStream, UpdateStreamSpec, VertexId, WKey, Weight,
 };
 
 fn edge(id: u32, u: u32, v: u32, w: i64) -> Edge {
@@ -694,12 +695,12 @@ mod soa_vs_aos {
         /// before reading list roots, and take every link and cut path.
         #[test]
         fn small_k_streams_validate_after_every_op(ops in proptest::collection::vec(op_strategy(16), 80..160)) {
-            let searches = || crate::forest::mwr::GAMMA_SEARCHES.with(|c| c.get());
-            let before = searches();
-            let paths_before = super::surgeries();
+            use super::{assert_each_ran, counts, counted, Event, PATHS};
+            let before = counted(Event::GammaSearch);
+            let paths_before = counts(PATHS);
             run_ops(16, 2, &ops, |s| s.validate());
-            prop_assert!(searches() > before, "the stream never reached the γ search");
-            super::assert_every_path_ran(paths_before, "a small-K stream");
+            prop_assert!(counted(Event::GammaSearch) > before, "the stream never reached the γ search");
+            assert_each_ran(paths_before, PATHS, "a small-K stream");
         }
 
         /// Tiny K maximises chunk churn (splits, merges, slot transitions),
@@ -715,32 +716,31 @@ mod soa_vs_aos {
     }
 }
 
-/// The per-path link and cut counters of this thread.
-fn surgeries() -> [u64; 4] {
-    crate::forest::surgery::SURGERIES.with(|c| c.get())
+/// Every link and cut path, by name.
+const PATHS: [(Event, &str); 4] = [
+    (Event::Splice, "splice"),
+    (Event::Extraction, "in-chunk extraction"),
+    (Event::GeneralLink, "general link"),
+    (Event::GeneralCut, "general cut"),
+];
+
+/// Every entry-refresh branch, by name.
+const REFRESHES: [(Event, &str); 4] = [
+    (Event::OneEntryWalk, "one-entry walk"),
+    (Event::TwoEntryWalk, "two-entry walk"),
+    (Event::OneEntrySweep, "one-entry sweep"),
+    (Event::TwoEntrySweep, "two-entry sweep"),
+];
+
+/// This thread's counts of `events`.
+fn counts<const N: usize>(events: [(Event, &str); N]) -> [u64; N] {
+    events.map(|(event, _)| counted(event))
 }
 
-/// Every link and cut path (splice, in-chunk extraction, general link,
-/// general cut) ran since the counters read `before`.
-fn assert_every_path_ran(before: [u64; 4], what: &str) {
-    let paths = [
-        "splice",
-        "in-chunk extraction",
-        "general link",
-        "general cut",
-    ];
-    assert_each_ran(before, surgeries(), paths, what);
-}
-
-/// Each counter, named by `names`, moved from `before` to `after`.
-fn assert_each_ran<const N: usize>(
-    before: [u64; N],
-    after: [u64; N],
-    names: [&str; N],
-    what: &str,
-) {
-    for ((before, after), name) in before.into_iter().zip(after).zip(names) {
-        assert!(after > before, "no {name} ran in {what}");
+/// Each of `events` ran since its count read `before`.
+fn assert_each_ran<const N: usize>(before: [u64; N], events: [(Event, &str); N], what: &str) {
+    for ((event, name), before) in events.into_iter().zip(before) {
+        assert!(counted(event) > before, "no {name} ran in {what}");
     }
 }
 
@@ -753,7 +753,7 @@ fn assert_each_ran<const N: usize>(
 /// relabels happen.
 #[test]
 fn links_at_one_spot_force_relabels() {
-    let relabels = || crate::forest::arena::RELABELS.with(|c| c.get());
+    let relabels = || counted(Event::Relabel);
     let n = 96;
     for k in [2, 5] {
         let before = relabels();
@@ -818,12 +818,16 @@ fn from_graph_matches_an_incremental_build() {
             }
             step += 1;
             if step == split {
-                let before = surgeries();
+                let (splices, general_links) =
+                    (counted(Event::Splice), counted(Event::GeneralLink));
                 let built = SeqDynamicMsf::from_graph(mirror, k);
-                let after = surgeries();
-                assert_eq!(after[2], before[2], "a general link ran in the bulk build");
                 assert_eq!(
-                    after[0] - before[0],
+                    counted(Event::GeneralLink),
+                    general_links,
+                    "a general link ran in the bulk build"
+                );
+                assert_eq!(
+                    counted(Event::Splice) - splices,
                     built.num_forest_edges() as u64,
                     "every tree edge is spliced"
                 );
@@ -840,6 +844,127 @@ fn from_graph_matches_an_incremental_build() {
         assert!(bulk.num_forest_edges() > 0);
         bulk.validate();
         incremental.validate();
+    }
+}
+
+/// The vertices reached from `from` over the edges of `forest`.
+fn reach(n: usize, forest: &[Edge], from: VertexId) -> Vec<bool> {
+    let mut seen = vec![false; n];
+    seen[from.index()] = true;
+    let mut stack = vec![from];
+    while let Some(x) = stack.pop() {
+        for e in forest.iter().filter(|e| e.touches(x)) {
+            let y = e.other(x);
+            if !seen[y.index()] {
+                seen[y.index()] = true;
+                stack.push(y);
+            }
+        }
+    }
+    seen
+}
+
+/// Cuts that split one tree into two sides of several chunks each, while
+/// two more trees hold chunk ids (their edges were inserted in turn with
+/// the first tree's, so the trees' ids interleave), at K = 2 and K = 3.
+/// Each cut runs the γ search, which must return the lightest live edge
+/// with one endpoint on each side (the sides found by a walk over the
+/// remaining forest edges), and the structure validates. The first tree is
+/// cut until no cut leaves both sides big, which runs out of replacements.
+#[test]
+fn gamma_search_matches_brute_force_beside_other_trees() {
+    const SIZE: u32 = 20;
+    let n = 3 * SIZE as usize;
+    for k in [2usize, 3] {
+        // Three paths, tree t on vertices t·SIZE .. (t + 1)·SIZE, then
+        // non-tree edges inside the first, heavier than every path edge.
+        let mut live: Vec<Edge> = Vec::new();
+        for i in 0..SIZE - 1 {
+            for t in 0..3 {
+                let v = t * SIZE + i;
+                live.push(edge(live.len() as u32, v, v + 1, 1 + i as i64));
+            }
+        }
+        for u in 0..SIZE {
+            for v in (u + 2..SIZE).step_by(3) {
+                let w = 100 + ((u * 37 + v * 11) % 50) as i64;
+                live.push(edge(live.len() as u32, u, v, w));
+            }
+        }
+        let mut s = SeqDynamicMsf::with_chunk_parameter(n, k);
+        for &e in &live {
+            s.insert(e);
+        }
+        s.validate();
+        // A side of more than 3K/2 + 1 vertices has more than 3K tour
+        // occurrences, so it cannot be one chunk.
+        let min_side = 2 * k + 2;
+        let (mut cuts, mut replaced) = (0, 0);
+        loop {
+            let f = s.forest();
+            for v in [SIZE, 2 * SIZE] {
+                let c = f.vertex_chunk[v as usize];
+                assert_ne!(
+                    f.chunks.slot[c as usize],
+                    crate::forest::NONE,
+                    "tree of {v} holds no id"
+                );
+            }
+            let forest: Vec<Edge> = s
+                .forest_edges()
+                .into_iter()
+                .map(|id| {
+                    *live
+                        .iter()
+                        .find(|e| e.id == id)
+                        .expect("forest edges are live")
+                })
+                .collect();
+            // The first tree's most even cut that leaves both sides big.
+            let side = |cut: Edge, from: VertexId| {
+                let rest: Vec<Edge> = forest.iter().copied().filter(|e| e.id != cut.id).collect();
+                reach(n, &rest, from)
+            };
+            let size = |side: &[bool]| side.iter().filter(|&&x| x).count();
+            let Some((cut, a, b)) = forest
+                .iter()
+                .filter(|e| e.u.0 < SIZE)
+                .map(|&cut| (cut, side(cut, cut.u), side(cut, cut.v)))
+                .filter(|(_, a, b)| size(a).min(size(b)) >= min_side)
+                .max_by_key(|(cut, a, b)| (size(a).min(size(b)), std::cmp::Reverse(cut.id)))
+            else {
+                break;
+            };
+            let crosses = |e: &&Edge| {
+                let (u, v) = (e.u.index(), e.v.index());
+                (a[u] && b[v]) || (b[u] && a[v])
+            };
+            let lightest = live
+                .iter()
+                .filter(|e| e.id != cut.id)
+                .filter(crosses)
+                .min_by_key(|e| WKey::new(e.weight, e.id))
+                .copied();
+            let expected = match lightest {
+                Some(r) => MsfDelta::swap(r.id, cut.id),
+                None => MsfDelta::removed(cut.id),
+            };
+            let searches = counted(Event::GammaSearch);
+            assert_eq!(s.delete(cut.id), expected, "cut of {:?} at K = {k}", cut.id);
+            assert!(
+                counted(Event::GammaSearch) > searches,
+                "the cut of {:?} at K = {k} ran no γ search",
+                cut.id
+            );
+            s.validate();
+            live.retain(|e| e.id != cut.id);
+            cuts += 1;
+            replaced += lightest.is_some() as usize;
+        }
+        assert!(
+            replaced >= 2 && cuts > replaced,
+            "{cuts} cuts, {replaced} replaced at K = {k}"
+        );
     }
 }
 
@@ -890,11 +1015,9 @@ fn meter_charges_are_pinned() {
         (4, [118_686, 5_835_866, 468]),
     ];
     for (k, [depth, work, peak]) in expected {
-        let searches = || crate::forest::mwr::GAMMA_SEARCHES.with(|c| c.get());
-        let before = searches();
-        let paths_before = surgeries();
-        let refreshes = || crate::forest::cadj::REFRESHES.with(|c| c.get());
-        let refreshes_before = refreshes();
+        let before = counted(Event::GammaSearch);
+        let paths_before = counts(PATHS);
+        let refreshes_before = counts(REFRESHES);
         let mut s = SeqDynamicMsf::with_chunk_parameter(n, k);
         drive_checked(&mut s, &stream, |_| {});
         let total = s.meter().total();
@@ -903,15 +1026,12 @@ fn meter_charges_are_pinned() {
             (depth, work, peak),
             "charges moved at K = {k}"
         );
-        assert!(searches() > before, "no γ search ran at K = {k}");
+        assert!(
+            counted(Event::GammaSearch) > before,
+            "no γ search ran at K = {k}"
+        );
         let what = format!("the stream at K = {k}");
-        assert_every_path_ran(paths_before, &what);
-        let branches = [
-            "one-entry walk",
-            "two-entry walk",
-            "one-entry sweep",
-            "two-entry sweep",
-        ];
-        assert_each_ran(refreshes_before, refreshes(), branches, &what);
+        assert_each_ran(paths_before, PATHS, &what);
+        assert_each_ran(refreshes_before, REFRESHES, &what);
     }
 }

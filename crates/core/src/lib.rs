@@ -1,9 +1,12 @@
 //! # pdmsf-core
 //!
 //! The paper's contribution: worst-case deterministic (parallel) dynamic
-//! minimum spanning forest built from chunked Euler tours, `CAdj`/`Memb`
+//! minimum spanning forest built from chunked Euler tours, `CAdj`
 //! connectivity vectors, a list-sum data structure (LSDS) and
-//! minimum-weight-replacement (MWR) search.
+//! minimum-weight-replacement (MWR) search. The LSDS aggregates the `CAdj`
+//! minima only: the paper's second aggregate, which chunk ids a list
+//! holds, is replaced by the MWR search marking one list's ids by walking
+//! its tree.
 //!
 //! * [`forest`] — the central data structure: Euler tours of the MSF trees
 //!   stored as lists of vertex occurrences, partitioned into chunks
@@ -41,12 +44,11 @@
 //!   are sweeps over dense banks, with no per-occurrence struct left
 //!   anywhere.
 //! * `RowBank` stores every `CAdj` `base`/`agg` row contiguously in one
-//!   backing `Vec<WKey>` (and every `Memb` row in one `Vec<bool>`),
-//!   addressed by compact slab handles (`offset = slab · stride`,
-//!   `len = stride`). The aggregates' entry-wise merges, the `γ`/MWR argmin
-//!   and full-row rebuilds are linear sweeps over dense memory; slabs
-//!   recycle through a free list and a stride growth is one compacting
-//!   re-layout.
+//!   backing `Vec<WKey>`, addressed by compact slab handles (a slab holds a
+//!   chunk's two rows, `stride` keys each). The aggregates' entry-wise
+//!   merges, the `γ`/MWR argmin and full-row rebuilds are linear sweeps
+//!   over dense memory; slabs recycle through a free list and a stride
+//!   growth is one compacting re-layout.
 //! * `SpanStore` pools the per-vertex lists: each vertex's adjacency
 //!   entries and its occurrence ids are one span (offset, length) of a
 //!   shared backing `Vec`, in a block of the smallest power of two that

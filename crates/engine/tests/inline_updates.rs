@@ -12,9 +12,8 @@ use pdmsf_engine::{Engine, Op, Outcome};
 use pdmsf_graph::{kruskal_msf, EdgeId, GraphSpec, VertexId, Weight};
 use pdmsf_pram::pool;
 
-/// Large enough that `CAdj` rows at `K = sqrt n` pass `PAR_CUTOFF`: an
-/// engine with pooled kernels at that `K` submitted about 170 jobs per
-/// update on this stream.
+/// A served engine's size. The test guards that none of its updates, at
+/// this size and on a pool four workers wide, submits a pool job.
 const N: usize = 16_384;
 
 #[test]

@@ -63,16 +63,16 @@
 //!   last, so chunk ids scale with trees, not with `n`.
 //! * The LSDS itself is **structure-of-arrays**: splay topology
 //!   (`parent`/`left`/`right`/`size`) lives in flat `u32` banks, every
-//!   `CAdj`/`Memb` row lives contiguously in one backing row bank addressed
-//!   by slab handles, and the Euler-tour **occurrence records** live in
-//!   flat `occ_*` banks of the same arena (vertex / chunk / order label /
-//!   arc / flags) — so `pull_up`, entry-wise merges, argmin scans, the
-//!   surgery re-chunking loops and the principal-copy scans are all linear
-//!   sweeps over dense memory; no per-chunk or per-occurrence struct exists
-//!   anywhere (see the `pdmsf-core` crate docs for the bank layout). An
-//!   occurrence's order label leaves gaps to its neighbours, so an
-//!   in-chunk insertion or deletion touches no other occurrence unless a
-//!   gap runs out and the chunk is relabelled.
+//!   `CAdj` row and its aggregate live contiguously in one backing row bank
+//!   addressed by slab handles, and the Euler-tour **occurrence records**
+//!   live in flat `occ_*` banks of the same arena (vertex / chunk / order
+//!   label / arc / flags) — so `pull_up`, entry-wise merges, argmin scans,
+//!   the surgery re-chunking loops and the principal-copy scans are all
+//!   linear sweeps over dense memory; no per-chunk or per-occurrence
+//!   struct exists anywhere (see the `pdmsf-core` crate docs for the bank
+//!   layout). An occurrence's order label leaves gaps to its neighbours,
+//!   so an in-chunk insertion or deletion touches no other occurrence
+//!   unless a gap runs out and the chunk is relabelled.
 //! * Aggregate upkeep is *targeted*: chunk merges use the paper's
 //!   entry-wise row minimum instead of an `O(K)` rescan (Lemma 2.2/3.1),
 //!   an edge deletion rescans its chunk pair only when it removes the
