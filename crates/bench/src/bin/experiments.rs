@@ -363,13 +363,13 @@ const E1_FLOOR: f64 = 1.3;
 const E1_REPS: usize = 3;
 
 /// E1: batch-engine throughput — the batched path (preprocessing,
-/// cancellation, one query snapshot per batch) vs the one-op-at-a-time
-/// engine path on identical bursty and tenant-clustered batch streams.
+/// cancellation, query dedup) vs the one-op-at-a-time engine path on
+/// identical bursty and tenant-clustered batch streams.
 /// Emits `BENCH_batch_throughput.json` with the same run-metadata stamping
 /// as E0, then checks [`E1_FLOOR`].
 fn e1_batch_throughput(quick: bool) -> Result<(), String> {
     println!("\n== E1: batch engine throughput (writes BENCH_batch_throughput.json) ==");
-    println!("paths: batched (plan + cancel + dedup + one snapshot) vs one-by-one");
+    println!("paths: batched (plan + cancel + dedup) vs one-by-one");
     println!("(same ops through the same structure, no batch leverage); identical");
     println!("outcomes, so the ratio is pure batching leverage");
     let (sizes, batch_sizes, total_ops): (&[usize], &[usize], usize) = if quick {

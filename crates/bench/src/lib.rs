@@ -137,8 +137,8 @@ pub fn drive_engine_batched(engine: &mut Engine, stream: &BatchStream) -> (Durat
 }
 
 /// Same stream, but every op runs as its own single-op batch through
-/// [`Engine::execute`] — no cancellation, no dedup, no snapshot: the
-/// baseline the batched path is measured against.
+/// [`Engine::execute`] — no cancellation and no dedup: the baseline the
+/// batched path is measured against.
 pub fn drive_engine_one_by_one(engine: &mut Engine, stream: &BatchStream) -> (Duration, usize) {
     drive_engine(engine, stream, |engine, ops| {
         for op in ops {

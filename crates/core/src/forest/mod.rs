@@ -359,6 +359,15 @@ impl ChunkedEulerForest {
         self.adj.len(v.index()) as u32
     }
 
+    /// Whether `u` and `v` lie in one tree of the forest: `u == v`, or both
+    /// hold a tour and their principal copies' chunks lie in one list (a
+    /// vertex with no edge holds no tour). Read-only: the two root walks do
+    /// not splay, so a query costs the depth of the list's tree.
+    pub(crate) fn connected(&self, u: VertexId, v: VertexId) -> bool {
+        let (cu, cv) = (self.vertex_chunk[u.index()], self.vertex_chunk[v.index()]);
+        u == v || (cu != NONE && cv != NONE && self.tree_root(cu) == self.tree_root(cv))
+    }
+
     /// The current forest (tree) edges, sorted by id.
     pub fn tree_edges(&self) -> Vec<Edge> {
         edges_where(&self.edges, |r| r.fwd != NONE, |r| r.edge)

@@ -3,9 +3,11 @@
 //! [`SeqDynamicMsf`] combines the chunked Euler-tour forest
 //! ([`crate::forest::ChunkedEulerForest`]) with a Sleator–Tarjan link-cut
 //! tree (one "heaviest edge on the `u`–`v` path" query per insertion, which
-//! also tells whether `u` and `v` are connected) and the usual forest
-//! bookkeeping. Tree-edge membership needs no map of its own — it is a
-//! field of the per-edge record.
+//! also tells the insertion whether `u` and `v` are connected) and the usual
+//! forest bookkeeping. Tree-edge membership needs no map of its own — it is
+//! a field of the per-edge record. A connectivity query reads the Euler-tour
+//! lists alone: two vertices are connected iff their principal copies lie in
+//! one list, which two read-only walks to the list's root decide.
 //!
 //! The structure is built from `(n, K)` alone
 //! ([`SeqDynamicMsf::with_chunk_parameter`]). Every primitive Section 3
@@ -273,6 +275,6 @@ impl DynamicMsf for SeqDynamicMsf {
     }
 
     fn connected(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.lct.connected(u, v)
+        self.forest.connected(u, v)
     }
 }

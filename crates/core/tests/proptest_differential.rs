@@ -2,7 +2,9 @@
 //! the paper's structures must always produce exactly the forest that the
 //! recompute-from-scratch baseline produces, for every prefix of the
 //! sequence, and the structural invariants of the chunked forest must hold
-//! throughout.
+//! throughout. Connectivity answers are checked against the baseline's
+//! union-find over its live edges, which shares no code with the
+//! structure's Euler-tour test.
 
 use pdmsf_baselines::RecomputeMsf;
 use pdmsf_core::seq::default_parallel_k;
@@ -25,7 +27,8 @@ fn op_strategy(n: u8) -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Apply the ops to both structures, checking forests after every step.
+/// Apply the ops to both structures, checking forests and the connectivity
+/// of every vertex pair (`u == v` included) after every step.
 fn run_differential<M: DynamicMsf>(n: usize, ops: &[Op], mut structure: M, validate: impl Fn(&M)) {
     let mut oracle = RecomputeMsf::new(n);
     let mut live: Vec<Edge> = Vec::new();
@@ -62,6 +65,16 @@ fn run_differential<M: DynamicMsf>(n: usize, ops: &[Op], mut structure: M, valid
             "forest diverged from the recompute oracle"
         );
         assert_eq!(structure.forest_weight(), oracle.forest_weight());
+        for u in 0..n as u32 {
+            for v in 0..n as u32 {
+                let (u, v) = (VertexId(u), VertexId(v));
+                assert_eq!(
+                    structure.connected(u, v),
+                    oracle.connected(u, v),
+                    "connectivity of ({u:?}, {v:?}) diverged from the oracle's union-find"
+                );
+            }
+        }
         validate(&structure);
     }
 }

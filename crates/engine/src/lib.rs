@@ -19,10 +19,9 @@
 //!    would — ids stay stable across both execution paths).
 //! 2. **Query partitioning with a single snapshot point** — all queries of
 //!    a batch are answered against the forest *after* the batch's updates
-//!    (the batch's snapshot point). The engine captures the forest once
-//!    into flat component labels ([`QuerySnapshot`]) and answers each
-//!    connectivity query with two array loads, in one serial loop, instead
-//!    of paying a `&mut`-self link-cut tree walk per query.
+//!    (the batch's snapshot point), in one serial loop, from the structure's
+//!    Euler-tour lists: two vertices are connected iff their principal
+//!    copies lie in one list, two read-only walks to the list's root.
 //! 3. **Deduplication** — repeated questions (the common case in serving
 //!    traffic) collapse to one computed answer; duplicate deletes and other
 //!    invalid operations are rejected up front with a per-op
@@ -97,11 +96,9 @@ use std::io;
 use std::sync::Arc;
 
 mod plan;
-pub mod snapshot;
 
 pub use pdmsf_graph::BatchOp as Op;
 pub use plan::{link_reject, query_reject, PlannedUpdate};
-pub use snapshot::QuerySnapshot;
 
 use plan::PlannedQuery;
 
@@ -223,7 +220,9 @@ pub struct BatchSummary {
     pub queries: usize,
     /// Distinct answers computed for those queries.
     pub unique_queries: usize,
-    /// Query snapshots captured to answer them (0 or 1).
+    /// Always 0: queries are answered from the structure, and no snapshot
+    /// is captured. The field stays because the repository benchmark's
+    /// per-layer report reads it (`engine.snapshots_per_batch`).
     pub snapshots: u64,
 }
 
@@ -254,7 +253,10 @@ pub struct EngineStats {
     pub queries: u64,
     /// Queries answered from another query's computed answer (duplicates).
     pub deduped_queries: u64,
-    /// Query snapshots captured.
+    /// Query snapshots captured: 0 for batches this build runs, since no
+    /// snapshot is captured, while a restored engine keeps its
+    /// checkpointed count. The field stays because the repository
+    /// benchmark's per-layer report reads it (`engine.snapshots_per_batch`).
     pub snapshots: u64,
 }
 
@@ -268,20 +270,8 @@ impl EngineStats {
         self.rejected += s.rejected as u64;
         self.queries += s.queries as u64;
         self.deduped_queries += (s.queries - s.unique_queries) as u64;
-        self.snapshots += s.snapshots;
     }
 }
-
-/// Minimum unique queries before a snapshot is ever considered.
-const SNAPSHOT_MIN_QUERIES: usize = 8;
-
-/// A snapshot capture walks all `n` vertices; one structure query walks a
-/// (splaying) tree path, which costs roughly this many vertex-label visits.
-/// The engine captures a snapshot only when
-/// `unique_queries * SNAPSHOT_AMORTIZE >= n`, i.e. when the `O(n)` capture
-/// is amortized by the per-query savings; below that it answers through the
-/// structure directly.
-const SNAPSHOT_AMORTIZE: usize = 32;
 
 /// A batch planned by [`Engine::plan_batch`], awaiting application through
 /// [`Engine::execute_planned`]. Opaque: it carries pre-assigned edge ids,
@@ -336,7 +326,6 @@ struct EngineMetrics {
     /// so a scrape attributes rejects without a log dive.
     ops_rejected: [Arc<obs::Counter>; Reject::ALL.len()],
     queries: Arc<obs::Counter>,
-    snapshots: Arc<obs::Counter>,
 }
 
 impl EngineMetrics {
@@ -345,10 +334,7 @@ impl EngineMetrics {
         EngineMetrics {
             plan_ns: r.histogram("pdmsf_engine_plan_ns", "batch planning phase latency"),
             apply_ns: r.histogram("pdmsf_engine_apply_ns", "batch update-apply phase latency"),
-            snapshot_ns: r.histogram(
-                "pdmsf_engine_snapshot_ns",
-                "query-answering phase latency (snapshot capture or structure queries)",
-            ),
+            snapshot_ns: r.histogram("pdmsf_engine_snapshot_ns", "query-answering phase latency"),
             batches: r.counter("pdmsf_engine_batches_total", "batches executed"),
             ops: r.counter("pdmsf_engine_ops_total", "operations processed"),
             updates_applied: r.counter(
@@ -368,7 +354,6 @@ impl EngineMetrics {
                 )
             }),
             queries: r.counter("pdmsf_engine_queries_total", "queries answered"),
-            snapshots: r.counter("pdmsf_engine_snapshots_total", "query snapshots captured"),
         }
     }
 
@@ -379,7 +364,6 @@ impl EngineMetrics {
         self.updates_applied.add(s.applied_updates as u64);
         self.pairs_cancelled.add(s.cancelled_pairs as u64);
         self.queries.add(s.queries as u64);
-        self.snapshots.add(s.snapshots);
         if s.rejected > 0 {
             // Attribute each reject to its reason series; rejected outcome
             // slots are final (query backfill only touches accepted query
@@ -570,8 +554,7 @@ impl Engine {
             .filter(|&i| ranges[i as usize].0 < ranges[i as usize].1)
             .collect();
         order.sort_by_key(|&i| ranges[i as usize].0);
-        for id in self.msf.forest_edges() {
-            let e = self.graph.edge_unchecked(id);
+        for e in self.msf.forest().tree_edges() {
             // Last range starting at or before e.u, if any.
             let pos = order.partition_point(|&i| ranges[i as usize].0 <= e.u);
             if pos == 0 {
@@ -593,7 +576,7 @@ impl Engine {
     /// Execute one batch with full batch preprocessing: plan (id
     /// assignment, validation, cancellation, query dedup), apply the
     /// surviving updates through the structure, then answer all queries at
-    /// the snapshot point through one [`QuerySnapshot`].
+    /// the snapshot point from the structure's Euler-tour lists.
     ///
     /// Equivalent to [`Engine::plan_batch`] followed by
     /// [`Engine::execute_planned`]; the split form lets a serving layer
@@ -688,29 +671,25 @@ impl Engine {
         let applied = Engine::apply_updates(&mut self.graph, &mut self.msf, &plan.updates);
         span.end();
 
-        let mut snapshots = 0;
         if !plan.unique_queries.is_empty() {
-            let unique = plan.unique_queries.len();
-            let snapshot_pays = unique >= SNAPSHOT_MIN_QUERIES
-                && unique * SNAPSHOT_AMORTIZE >= self.graph.num_vertices();
             let span = TSpan::begin(
                 Phase::Snapshot,
                 metrics.map(|m| &*m.snapshot_ns),
-                unique as u64,
-                snapshot_pays as u64,
+                plan.unique_queries.len() as u64,
+                0,
             );
-            let answers: Vec<Outcome> = if !snapshot_pays {
-                // Small query sets: a snapshot's O(n) capture would dominate.
-                let msf = &mut self.msf;
-                plan.unique_queries
-                    .iter()
-                    .map(|q| Engine::answer_through_structure(msf, q))
-                    .collect()
-            } else {
-                snapshots = 1;
-                let snap = QuerySnapshot::capture(&self.graph, &self.msf);
-                snapshot::answer_queries(&snap, &plan.unique_queries)
-            };
+            let answers: Vec<Outcome> = plan
+                .unique_queries
+                .iter()
+                .map(|q| match *q {
+                    PlannedQuery::Connected { u, v } => Outcome::Connected {
+                        connected: self.msf.connected(u, v),
+                    },
+                    PlannedQuery::ForestWeight => Outcome::ForestWeight {
+                        weight: self.msf.forest_weight(),
+                    },
+                })
+                .collect();
             span.end();
             for &(out, slot) in &plan.query_refs {
                 plan.outcomes[out] = answers[slot];
@@ -724,7 +703,7 @@ impl Engine {
             rejected: plan.rejected,
             queries: plan.query_refs.len(),
             unique_queries: plan.unique_queries.len(),
-            snapshots,
+            snapshots: 0,
         };
         self.stats.absorb(&summary);
         if let Some(m) = metrics {
@@ -837,17 +816,6 @@ impl Engine {
         let result = self.execute_planned(planned);
         self.sink = saved;
         Ok(result)
-    }
-
-    fn answer_through_structure(msf: &mut SeqDynamicMsf, q: &PlannedQuery) -> Outcome {
-        match *q {
-            PlannedQuery::Connected { u, v } => Outcome::Connected {
-                connected: msf.connected(u, v),
-            },
-            PlannedQuery::ForestWeight => Outcome::ForestWeight {
-                weight: msf.forest_weight(),
-            },
-        }
     }
 }
 

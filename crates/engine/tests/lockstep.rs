@@ -1,7 +1,9 @@
 //! Lockstep property tests: batched engine execution must be
 //! **observationally identical** to applying the same operations one at a
 //! time against [`SeqDynamicMsf`] (with queries answered at the batch's
-//! snapshot point) and to a Kruskal recompute over the mirror graph —
+//! snapshot point, connectivity by a union-find over the reference
+//! mirror's live edges, so that it shares no code with the engine's) and
+//! to a Kruskal recompute over the mirror graph —
 //! per-op outcomes, forest edge sets and forest weights all agree, for
 //! every batch of every generated stream, under hostile inputs: duplicate
 //! cuts, cuts of unknown ids, opposing insert/delete pairs, self-loops,
@@ -11,7 +13,7 @@ use pdmsf_core::SeqDynamicMsf;
 use pdmsf_engine::{Engine, Op, Outcome, Reject};
 use pdmsf_graph::{
     kruskal_msf, BatchKind, BatchStream, BatchStreamSpec, DynGraph, DynamicMsf, EdgeId, GraphSpec,
-    VertexId, Weight,
+    UnionFind, VertexId, Weight,
 };
 use proptest::prelude::*;
 
@@ -48,7 +50,8 @@ fn raw_op() -> impl Strategy<Value = RawOp> {
 
 /// Reference executor: the documented batch semantics implemented the
 /// straightforward way — one op at a time against `SeqDynamicMsf` plus a
-/// `DynGraph` mirror, queries deferred to the end of the batch.
+/// `DynGraph` mirror, queries deferred to the end of the batch and
+/// connectivity read off a union-find over the mirror's live edges.
 struct Reference {
     graph: DynGraph,
     msf: SeqDynamicMsf,
@@ -111,10 +114,14 @@ impl Reference {
             };
             outcomes.push(outcome);
         }
+        let mut components = UnionFind::new(n);
+        for e in self.graph.edges() {
+            components.union(e.u.index(), e.v.index());
+        }
         for (i, op) in deferred {
             outcomes[i] = match op {
                 Op::QueryConnected { u, v } => Outcome::Connected {
-                    connected: self.msf.connected(u, v),
+                    connected: components.same(u.index(), v.index()),
                 },
                 Op::QueryForestWeight => Outcome::ForestWeight {
                     weight: self.msf.forest_weight(),

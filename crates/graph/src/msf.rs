@@ -65,10 +65,9 @@ impl MsfDelta {
 /// [`EdgeId`], see [`crate::weight::WKey`]) of the edge set fed to them via
 /// [`DynamicMsf::insert`] / [`DynamicMsf::delete`].
 ///
-/// Some query methods take `&mut self`: several implementations answer
-/// connectivity queries with self-adjusting structures (link-cut trees) whose
-/// reads rebalance internal state. This mirrors the paper, where queries are
-/// also updates to the auxiliary structures.
+/// [`DynamicMsf::connected`] takes `&mut self` because the naive baseline
+/// answers it with a link-cut tree, whose reads splay. The paper's structure
+/// answers it read-only, from its Euler-tour lists.
 pub trait DynamicMsf {
     /// Number of vertices, fixed when the structure is built.
     fn num_vertices(&self) -> usize;

@@ -19,8 +19,7 @@
 //! * **Smaller structures.** The paper's update bound is `O(sqrt(n) log n)`
 //!   per update — sublinear in `n` — so a shard with `n_shard << n_total`
 //!   vertices makes each update cheaper in the bound (`K = sqrt(n log n)`
-//!   shrinks with the shard), and the engine's `O(n)` query-snapshot
-//!   capture shrinks with it. On its own this is not a measured throughput
+//!   shrinks with the shard). On its own this is not a measured throughput
 //!   win. Against one flat engine over the merged stream on a 2-core
 //!   machine, 4 and 8 shards on a skewed 16-tenant stream ran at
 //!   0.77–1.24× the flat engine's ops/s over two full runs (0.48–1.24×
@@ -35,7 +34,8 @@
 //!   claim the next unclaimed shard slot, which borrows its shard's engine
 //!   and plan through a per-slot lock (the crate has no `unsafe`) — and
 //!   each shard batch ([`Engine::execute_planned`]) reuses the full
-//!   plan/cancel/dedup/snapshot pipeline internally. Outcomes are
+//!   plan/cancel/dedup pipeline internally and answers its queries at the
+//!   post-update point from the Euler-tour lists. Outcomes are
 //!   reassembled into the caller's original op order.
 //!
 //! ## Identifier translation

@@ -4,10 +4,10 @@
 //!
 //! Each burst goes through [`Engine::execute`]: batch planning cancels the
 //! flap pairs before they reach the `O(sqrt(n) log n)` update path, queries
-//! are deduplicated and answered from one post-update snapshot, and the
-//! per-op outcomes come back index-aligned with the burst. Every few bursts
-//! the maintained forest is checked against a Kruskal recompute over the
-//! engine's mirror graph.
+//! are deduplicated and answered at one post-update point from the
+//! structure's Euler-tour lists, and the per-op outcomes come back
+//! index-aligned with the burst. Every few bursts the maintained forest is
+//! checked against a Kruskal recompute over the engine's mirror graph.
 //!
 //! Run with `cargo run --release --example batch_server`.
 
@@ -53,12 +53,11 @@ fn main() {
             let s = engine.stats();
             println!(
                 "after {:>2} bursts: forest weight = {:>12}, cancelled pairs = {:>4}, \
-                 deduped queries = {:>4}, snapshots = {:>2}",
+                 deduped queries = {:>4}",
                 i + 1,
                 engine.forest_weight(),
                 s.cancelled_pairs,
                 s.deduped_queries,
-                s.snapshots
             );
             assert_matches_kruskal(engine.structure(), engine.graph());
         }
@@ -73,11 +72,10 @@ fn main() {
     );
     println!(
         "batch leverage: {} updates skipped as cancelled flap pairs, {} of {} queries \
-         answered from a duplicate's result, {} snapshots captured",
+         answered from a duplicate's result",
         2 * stats.cancelled_pairs,
         stats.deduped_queries,
         stats.queries,
-        stats.snapshots
     );
     println!("{answered_true} connectivity probes answered true");
 }

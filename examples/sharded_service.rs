@@ -4,8 +4,8 @@
 //! concurrent pool job, outcomes reassembled with tenant-local ids.
 //!
 //! Per burst the demo prints nothing; every few bursts it prints the
-//! per-shard summaries (applied / cancelled / rejected, forest weights,
-//! snapshots) and cross-checks each shard's forest against a Kruskal
+//! per-shard summaries (applied / cancelled / rejected, queries, forest
+//! weights) and cross-checks each shard's forest against a Kruskal
 //! recompute of its mirror.
 //!
 //! Run with `cargo run --release --example sharded_service`.
@@ -81,7 +81,7 @@ fn main() {
             for s in &result.summary.per_shard {
                 println!(
                     "  shard {}: {:>4} ops, {:>3} applied, {:>3} cancelled pairs, \
-                     {:>2} rejected, {:>3} queries ({:>3} unique), {} snapshots, \
+                     {:>2} rejected, {:>3} queries ({:>3} unique), \
                      forest weight {:>12}",
                     s.shard,
                     s.ops,
@@ -90,7 +90,6 @@ fn main() {
                     s.rejected,
                     s.queries,
                     s.unique_queries,
-                    s.snapshots,
                     s.forest_weight,
                 );
                 assert_matches_kruskal(

@@ -119,10 +119,9 @@
 //!   engine's one structure, a [`core::SeqDynamicMsf`] at
 //!   `K = sqrt(n log n)` (see above),
 //! * **answers all queries at one snapshot point** (after the batch's
-//!   updates): the forest is captured once into flat component labels
-//!   ([`engine::QuerySnapshot`], `O(n + f·α)`) and every connectivity query
-//!   becomes two array loads — instead of a `&mut`-self link-cut-tree walk
-//!   per query — in one serial loop.
+//!   updates), in one serial loop, from the structure's Euler-tour lists:
+//!   two vertices are connected iff their principal copies lie in one
+//!   list, which two read-only walks to the list's root decide.
 //!
 //! The worker pool ([`pram::pool`]) carries only the serving layer's
 //! coarse jobs: shard dispatch. It serves **multiple jobs concurrently**
@@ -157,17 +156,17 @@
 //! sub-batch on the caller thread** ([`Engine::plan_batch`], pure) and
 //! **applies all touched shards concurrently** — one
 //! [`Engine::execute_planned`] slot per shard in one pool job, each
-//! internally reusing the full plan/cancel/dedup/snapshot pipeline — then
+//! internally reusing the full plan/cancel/dedup/query pipeline — then
 //! reassembles outcomes into the caller's op order with tenant-local ids.
 //!
 //! Independent shard batches run concurrently. Each shard also holds
-//! `n_shard << n_total` vertices, so its `O(sqrt(n) log n)` updates and
-//! `O(n)` query snapshots are cheaper in the bound, but that alone is not
-//! a measured win: against one flat engine over the merged stream on a
-//! 2-core machine, 4 and 8 shards on a skewed stream ran at 0.77–1.24×
-//! its ops/s (see the `pdmsf-shard` crate docs). Semantics are pinned by a
-//! lockstep proptest (sharded == one flat engine per tenant == Kruskal per
-//! tenant, under unknown tenants, pinning, empty shards and hostile ids).
+//! `n_shard << n_total` vertices, so its `O(sqrt(n) log n)` updates are
+//! cheaper in the bound, but that alone is not a measured win: against one
+//! flat engine over the merged stream on a 2-core machine, 4 and 8 shards
+//! on a skewed stream ran at 0.77–1.24× its ops/s (see the `pdmsf-shard`
+//! crate docs). Semantics are pinned by a lockstep proptest (sharded == one
+//! flat engine per tenant == Kruskal per tenant, under unknown tenants,
+//! pinning, empty shards and hostile ids).
 //! The repository benchmark (`perfbench`, workload `serve`) drives an
 //! 8-shard durable service end to end.
 //!

@@ -29,7 +29,6 @@ const GOLDEN_FAMILIES: &[(&str, &str)] = &[
     ("pdmsf_engine_plan_ns", "histogram"),
     ("pdmsf_engine_queries_total", "counter"),
     ("pdmsf_engine_snapshot_ns", "histogram"),
-    ("pdmsf_engine_snapshots_total", "counter"),
     ("pdmsf_engine_updates_applied_total", "counter"),
     // persist (always on)
     ("pdmsf_persist_checkpoint_bytes_total", "counter"),
