@@ -1,6 +1,7 @@
 //! Structure-of-arrays storage for the chunked forest: [`ChunkArena`] (the
-//! chunk banks **and** the occurrence banks), [`RowBank`] (the contiguous
-//! `CAdj` row store) and [`SpanStore`] (the pooled per-vertex lists).
+//! chunk banks **and** the occurrence banks), [`RowBank`] (the chunk-id
+//! table and its contiguous `CAdj` row store) and [`SpanStore`] (the pooled
+//! per-vertex lists).
 //!
 //! Per-chunk state is split by access pattern, so that the two dominant
 //! hot-path loops (`pull_up` and entry-wise row refresh), which touch a
@@ -10,18 +11,19 @@
 //! * a **hot topology bank** (`parent` / `left` / `right` / `size`, flat
 //!   `Vec<u32>`s): splay rotations, `tree_root`, rank and neighbour walks
 //!   read only these four arrays, at 4 bytes per node per array;
-//! * a **list-metadata bank** (`occs`, `adj_count`, `slot`, `row`, flags):
+//! * a **list-metadata bank** (`occs`, `adj_count`, `slot`, flags):
 //!   consulted by surgery and rebalancing, not by tree walks;
-//! * the [`RowBank`]: every `base` and `agg` row lives contiguously in one
-//!   backing `Vec<WKey>`, addressed by a compact slab handle: slab `h`
-//!   holds a chunk's two rows, `stride` keys each, from `2 · h · stride`.
-//!   Entry-wise merges, the `γ` minimum and row rebuilds are linear sweeps
-//!   over dense memory.
+//! * the [`RowBank`]: the one chunk-id table (`id_c < J` in the paper).
+//!   It hands out the ids, records each id's owner chunk, and stores id
+//!   `id`'s `base` and `agg` rows, `J` keys each, contiguously from
+//!   `2 · id · J` in one backing `Vec<WKey>`. Entry-wise merges, the `γ`
+//!   minimum and row rebuilds are linear sweeps over dense memory.
 //!
-//! Slabs are recycled through a free list (the frequent short-list slot
-//! transitions never hit the allocator), and when the chunk-id capacity
-//! (`J`, the row length) grows, [`RowBank::grow_stride`] re-lays out the
-//! backing store in one compacting `O(slabs · J)` sweep.
+//! A released id is handed out again before any id never used, so the
+//! frequent short-list id transitions never hit the allocator; an id's
+//! slab is materialized when the id is first handed out, and when the id
+//! capacity (`J`, the row length) grows, [`RowBank::grow_stride`] re-lays
+//! out the backing store in one compacting `O(ids · J)` sweep.
 //!
 //! The arena also owns the **occurrence banks**: an Euler-tour
 //! occurrence's fields live in flat `u32` banks (`occ_vertex` /
@@ -94,10 +96,9 @@ pub(crate) struct ChunkArena {
     /// It counts adjacency entries, so it fits the `u32` offsets of the
     /// adjacency [`SpanStore`].
     pub(crate) adj_count: Vec<u32>,
-    /// Chunk id (`id_c` in the paper); `NONE` for single-chunk lists.
+    /// Chunk id (`id_c` in the paper), which also addresses the chunk's
+    /// [`RowBank`] rows; `NONE` for single-chunk lists.
     pub(crate) slot: Vec<u32>,
-    /// [`RowBank`] slab handle (`NONE` iff `slot` is `NONE`).
-    pub(crate) row: Vec<u32>,
     flags: Vec<u8>,
 
     free_ids: Vec<u32>,
@@ -176,7 +177,6 @@ impl ChunkArena {
             self.occs[ci].clear();
             self.adj_count[ci] = 0;
             self.slot[ci] = NONE;
-            self.row[ci] = NONE;
             self.flags[ci] = ALIVE;
             id
         } else {
@@ -187,16 +187,14 @@ impl ChunkArena {
             self.occs.push(Vec::new());
             self.adj_count.push(0);
             self.slot.push(NONE);
-            self.row.push(NONE);
             self.flags.push(ALIVE);
             (self.parent.len() - 1) as u32
         }
     }
 
-    /// Retire a chunk id. The caller must have released its slot/row first.
+    /// Retire a chunk. The caller must have released its id first.
     pub(crate) fn free(&mut self, c: u32) {
         debug_assert_eq!(self.slot[c as usize], NONE);
-        debug_assert_eq!(self.row[c as usize], NONE);
         let ci = c as usize;
         self.occs[ci].clear();
         // A stale entry may remain on the `touched` stack; `flush_rebalance`
@@ -533,76 +531,100 @@ impl<T: Copy> SpanStore<T> {
     }
 }
 
-/// Contiguous storage for the per-chunk `CAdj` rows (see module docs).
+/// The chunk-id table and its contiguous `CAdj` row store (see module
+/// docs).
 ///
-/// Every slab holds one chunk's `base` row and `agg` row, both `stride`
-/// [`WKey`]s, laid out back-to-back in `keys`. A slab handle is a dense
-/// `u32`; a slab starts at `slab * 2 * stride`.
+/// Ids come from `0..J`: the last released id first, else the lowest id
+/// never handed out, so the ids ever handed out form the prefix
+/// `0..owner.len()`. Id `id` holds its owner chunk's `base` row and `agg`
+/// row, both `J` [`WKey`]s, back-to-back in `keys` from `2 · id · J`, and
+/// `keys` holds exactly one such slab per id ever handed out.
 #[derive(Default)]
 pub(crate) struct RowBank {
+    /// The row length `J`, which is also the id capacity.
     stride: usize,
     keys: Vec<WKey>,
+    /// The chunk holding each id ever handed out (`NONE` once released).
+    owner: Vec<u32>,
+    /// Released ids, the last released on top.
     free: Vec<u32>,
-    slabs: usize,
 }
 
 impl RowBank {
-    /// Current row length (`J` upper bound, the forest's `slot_cap`).
+    /// Current row length and id capacity (`J`, the forest's `slot_cap`).
     #[inline]
     pub(crate) fn stride(&self) -> usize {
         self.stride
     }
 
-    /// Number of slabs currently allocated (live + free).
+    /// Number of ids ever handed out: ids `0..ids()`, live or released.
     #[inline]
-    pub(crate) fn num_slabs(&self) -> usize {
-        self.slabs
+    pub(crate) fn ids(&self) -> usize {
+        self.owner.len()
     }
 
-    /// Number of retired slabs awaiting reuse.
+    /// Number of live ids.
     #[inline]
-    pub(crate) fn num_free(&self) -> usize {
-        self.free.len()
+    pub(crate) fn live(&self) -> usize {
+        self.owner.len() - self.free.len()
+    }
+
+    /// Whether every id below `J` is live, so the next id needs a larger
+    /// `J` ([`Self::grow_stride`]).
+    #[inline]
+    pub(crate) fn full(&self) -> bool {
+        self.free.is_empty() && self.owner.len() == self.stride
+    }
+
+    /// The chunk holding id `id` (`NONE` for a released id).
+    #[inline]
+    pub(crate) fn owner(&self, id: u32) -> u32 {
+        self.owner[id as usize]
     }
 
     #[inline]
-    fn key_off(&self, slab: u32) -> usize {
-        slab as usize * 2 * self.stride
+    fn key_off(&self, id: u32) -> usize {
+        id as usize * 2 * self.stride
     }
 
-    /// Allocate a slab with all-`∞` rows, recycling a retired slab when
-    /// possible.
-    pub(crate) fn alloc(&mut self) -> u32 {
-        if let Some(slab) = self.free.pop() {
-            let ko = self.key_off(slab);
+    /// Hand an id with all-`∞` rows to chunk `owner`: the last released
+    /// id, else the lowest id never handed out, whose slab is appended to
+    /// the store. The table must not be [`Self::full`].
+    pub(crate) fn alloc(&mut self, owner: u32) -> u32 {
+        debug_assert!(!self.full(), "every id below J is live");
+        if let Some(id) = self.free.pop() {
+            let ko = self.key_off(id);
             self.keys[ko..ko + 2 * self.stride].fill(WKey::PLUS_INF);
-            slab
+            self.owner[id as usize] = owner;
+            id
         } else {
             self.keys
                 .resize(self.keys.len() + 2 * self.stride, WKey::PLUS_INF);
-            self.slabs += 1;
-            (self.slabs - 1) as u32
+            self.owner.push(owner);
+            (self.owner.len() - 1) as u32
         }
     }
 
-    /// Retire a slab for reuse. Contents are reset on the next [`Self::alloc`].
-    pub(crate) fn free(&mut self, slab: u32) {
-        debug_assert!((slab as usize) < self.slabs, "freeing an unknown slab");
-        debug_assert!(!self.free.contains(&slab), "double free of slab {slab}");
-        self.free.push(slab);
+    /// Release id `id` for reuse. Its rows are reset when it is handed out
+    /// again.
+    pub(crate) fn free(&mut self, id: u32) {
+        debug_assert_ne!(self.owner[id as usize], NONE, "double release of id {id}");
+        self.owner[id as usize] = NONE;
+        self.free.push(id);
     }
 
-    /// Grow every row to `new_stride` entries, preserving slab contents
-    /// (new entries are `∞`). One compacting sweep over the backing store.
+    /// Grow `J` to `new_stride`, preserving every row's entries (new
+    /// entries are `∞`). One compacting sweep over the backing store.
     pub(crate) fn grow_stride(&mut self, new_stride: usize) {
         debug_assert!(new_stride >= self.stride);
         if new_stride == self.stride {
             return;
         }
-        let mut keys = vec![WKey::PLUS_INF; self.slabs * 2 * new_stride];
-        for slab in 0..self.slabs {
-            let old = slab * 2 * self.stride;
-            let new = slab * 2 * new_stride;
+        let ids = self.owner.len();
+        let mut keys = vec![WKey::PLUS_INF; ids * 2 * new_stride];
+        for id in 0..ids {
+            let old = id * 2 * self.stride;
+            let new = id * 2 * new_stride;
             // base
             keys[new..new + self.stride].copy_from_slice(&self.keys[old..old + self.stride]);
             // agg
@@ -613,45 +635,69 @@ impl RowBank {
         self.stride = new_stride;
     }
 
+    /// Assert the table's layout: `J` bounds the ids, the store holds
+    /// exactly one slab per id ever handed out, and the released ids are
+    /// exactly the ids without an owner, each listed once. `O(ids)`; for
+    /// `validate()`.
+    pub(crate) fn check_table(&self) {
+        assert!(self.owner.len() <= self.stride, "an id at or above J");
+        assert_eq!(
+            self.keys.len(),
+            self.owner.len() * 2 * self.stride,
+            "the store does not hold one slab per id ever handed out"
+        );
+        let mut released = self.free.clone();
+        released.sort_unstable();
+        released.dedup();
+        assert_eq!(released.len(), self.free.len(), "an id released twice");
+        let unowned: Vec<u32> = (0..self.owner.len() as u32)
+            .filter(|&id| self.owner(id) == NONE)
+            .collect();
+        assert_eq!(
+            released, unowned,
+            "released ids and ids without an owner differ"
+        );
+    }
+
     // ---- row accessors -------------------------------------------------
 
     #[inline]
-    pub(crate) fn base(&self, slab: u32) -> &[WKey] {
-        let o = self.key_off(slab);
+    pub(crate) fn base(&self, id: u32) -> &[WKey] {
+        let o = self.key_off(id);
         &self.keys[o..o + self.stride]
     }
 
     #[inline]
-    pub(crate) fn base_mut(&mut self, slab: u32) -> &mut [WKey] {
-        let o = self.key_off(slab);
+    pub(crate) fn base_mut(&mut self, id: u32) -> &mut [WKey] {
+        let o = self.key_off(id);
         let s = self.stride;
         &mut self.keys[o..o + s]
     }
 
     #[inline]
-    pub(crate) fn agg(&self, slab: u32) -> &[WKey] {
-        let o = self.key_off(slab) + self.stride;
+    pub(crate) fn agg(&self, id: u32) -> &[WKey] {
+        let o = self.key_off(id) + self.stride;
         &self.keys[o..o + self.stride]
     }
 
     #[inline]
-    pub(crate) fn agg_mut(&mut self, slab: u32) -> &mut [WKey] {
-        let o = self.key_off(slab) + self.stride;
+    pub(crate) fn agg_mut(&mut self, id: u32) -> &mut [WKey] {
+        let o = self.key_off(id) + self.stride;
         let s = self.stride;
         &mut self.keys[o..o + s]
     }
 
-    /// The `base` and `agg` rows of one slab, both mutable (they are
-    /// adjacent halves of the slab).
+    /// The `base` and `agg` rows of one id, both mutable (they are
+    /// adjacent halves of its slab).
     #[inline]
-    pub(crate) fn base_and_agg_mut(&mut self, slab: u32) -> (&mut [WKey], &mut [WKey]) {
-        let o = self.key_off(slab);
+    pub(crate) fn base_and_agg_mut(&mut self, id: u32) -> (&mut [WKey], &mut [WKey]) {
+        let o = self.key_off(id);
         let s = self.stride;
         self.keys[o..o + 2 * s].split_at_mut(s)
     }
 
-    /// Mutable `agg` row of `dst` together with the shared `agg` row of a
-    /// *different* slab `src` — the borrow shape of `pull_up`'s entry-wise
+    /// Mutable `agg` row of id `dst` together with the shared `agg` row of
+    /// a *different* id `src` — the borrow shape of `pull_up`'s entry-wise
     /// child merges.
     #[inline]
     pub(crate) fn agg_pair(&mut self, dst: u32, src: u32) -> (&mut [WKey], &[WKey]) {
@@ -720,7 +766,6 @@ mod tests {
         assert!(a.occs[c2 as usize].is_empty());
         assert_eq!(a.adj_count[c2 as usize], 0);
         assert_eq!(a.slot[c2 as usize], NONE);
-        assert_eq!(a.row[c2 as usize], NONE);
         assert_eq!(a.len(), 2);
     }
 
@@ -791,32 +836,71 @@ mod tests {
         assert_eq!(s.items.len(), 19, "the blocks of 2 and 1 were reused");
     }
 
+    /// The chunk-id table hands out the lowest never-used id first and a
+    /// released id before that, resets a reused id's rows to `∞`, holds one
+    /// slab per id ever handed out (the peak number of live ids), and keeps
+    /// every live row's entries when `J` grows.
     #[test]
-    fn row_bank_alloc_free_reuses_slabs() {
+    fn row_bank_hands_out_ids_with_one_slab_each() {
+        let k = |w: i64, id: u32| WKey::new(pdmsf_graph::Weight::new(w), pdmsf_graph::EdgeId(id));
         let mut b = RowBank::default();
+        assert!(b.full(), "an empty table has no id to hand out");
         b.grow_stride(4);
-        let s0 = b.alloc();
-        let s1 = b.alloc();
-        assert_eq!((s0, s1), (0, 1));
-        assert_eq!(b.num_slabs(), 2);
-        b.base_mut(s0)[2] = WKey::new(pdmsf_graph::Weight::new(9), pdmsf_graph::EdgeId(1));
-        b.free(s0);
-        assert_eq!(b.num_free(), 1);
-        // Reuse resets contents; no new slab is carved.
-        let s2 = b.alloc();
-        assert_eq!(s2, s0);
-        assert_eq!(b.num_slabs(), 2);
-        assert_eq!(b.num_free(), 0);
-        assert!(b.base(s2).iter().all(|k| *k == WKey::PLUS_INF));
-        assert!(b.agg(s2).iter().all(|k| *k == WKey::PLUS_INF));
+        let ids: Vec<u32> = (10..13).map(|c| b.alloc(c)).collect();
+        assert_eq!(ids, [0, 1, 2], "lowest never-used id first");
+        assert_eq!((b.owner(0), b.owner(1), b.owner(2)), (10, 11, 12));
+        assert_eq!(b.keys.len(), 3 * 2 * 4);
+        b.check_table();
+
+        // A released id is the next one handed out, with both rows reset,
+        // and no slab is added.
+        b.base_mut(1)[2] = k(9, 1);
+        b.agg_mut(1)[3] = k(8, 2);
+        b.free(1);
+        assert_eq!((b.owner(1), b.live()), (NONE, 2));
+        b.check_table();
+        assert_eq!(b.alloc(13), 1);
+        assert_eq!(b.owner(1), 13);
+        assert!(b.base(1).iter().all(|x| *x == WKey::PLUS_INF));
+        assert!(b.agg(1).iter().all(|x| *x == WKey::PLUS_INF));
+        assert_eq!(b.keys.len(), 3 * 2 * 4);
+
+        // Released ids come back last released first, then the lowest
+        // never-used id takes a new slab.
+        b.free(0);
+        b.free(2);
+        assert_eq!([b.alloc(14), b.alloc(15), b.alloc(16)], [2, 0, 3]);
+        assert!(b.full());
+        assert_eq!((b.ids(), b.live()), (4, 4));
+        assert_eq!(b.keys.len(), 4 * 2 * 4, "one slab per id ever handed out");
+        b.check_table();
+
+        // Growing J keeps every live row's entries; the new ones read `∞`.
+        for id in 0..4u32 {
+            b.base_mut(id)
+                .copy_from_slice(&[k(1, id), k(2, id), k(3, id), k(4, id)]);
+            b.agg_mut(id)[id as usize] = k(5, id);
+        }
+        b.grow_stride(8);
+        assert_eq!(b.keys.len(), 4 * 2 * 8);
+        for id in 0..4u32 {
+            assert_eq!(&b.base(id)[..4], &[k(1, id), k(2, id), k(3, id), k(4, id)]);
+            assert_eq!(b.agg(id)[id as usize], k(5, id));
+            let fresh = b.base(id)[4..].iter().chain(&b.agg(id)[4..]);
+            assert!(fresh.copied().all(|x| x == WKey::PLUS_INF));
+        }
+        assert!(!b.full());
+        assert_eq!(b.alloc(17), 4);
+        assert_eq!(b.keys.len(), 5 * 2 * 8);
+        b.check_table();
     }
 
     #[test]
     fn row_bank_grow_stride_preserves_rows() {
         let mut b = RowBank::default();
         b.grow_stride(2);
-        let s0 = b.alloc();
-        let s1 = b.alloc();
+        let s0 = b.alloc(0);
+        let s1 = b.alloc(1);
         let k = |w: i64, id: u32| WKey::new(pdmsf_graph::Weight::new(w), pdmsf_graph::EdgeId(id));
         b.base_mut(s0).copy_from_slice(&[k(1, 0), k(2, 1)]);
         b.agg_mut(s0).copy_from_slice(&[k(3, 2), k(4, 3)]);
@@ -827,7 +911,7 @@ mod tests {
         assert_eq!(&b.agg(s0)[..2], &[k(3, 2), k(4, 3)]);
         assert!(b.base(s0)[2..].iter().all(|x| *x == WKey::PLUS_INF));
         assert_eq!(b.base(s1)[1], k(5, 4));
-        // The backing store is exactly slabs × 2 × stride — contiguous, no
+        // The backing store is exactly ids × 2 × stride — contiguous, no
         // gaps.
         assert_eq!(b.keys.len(), 2 * 2 * 5);
     }
@@ -836,8 +920,8 @@ mod tests {
     fn row_bank_pair_accessors_split_disjoint_slabs() {
         let mut b = RowBank::default();
         b.grow_stride(3);
-        let s0 = b.alloc();
-        let s1 = b.alloc();
+        let s0 = b.alloc(0);
+        let s1 = b.alloc(1);
         let k = |w: i64| WKey::new(pdmsf_graph::Weight::new(w), pdmsf_graph::EdgeId(0));
         b.agg_mut(s0).fill(k(9));
         b.agg_mut(s1).fill(k(4));

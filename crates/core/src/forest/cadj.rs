@@ -4,7 +4,8 @@
 //! of a graph edge whose endpoints have their principal copies in the two
 //! chunks (Section 2.2). This module owns:
 //!
-//! * slot allocation / release (short lists carry no id — Section 6),
+//! * attaching and releasing chunk ids (short lists carry no id — Section
+//!   6),
 //! * the single pair entry an edge insertion or deletion changes (Section
 //!   2.6): rows hold exact minima, so a deletion rescans the pair only when
 //!   it removes the pair's minimum and is `O(1)` otherwise,
@@ -23,8 +24,9 @@
 //!     and all its ancestors get their whole aggregate recomputed later
 //!     (see [`super::splay`]).
 //!
-//! Rows live in the forest's [`super::RowBank`]: one slab per slotted chunk,
-//! recycled through the bank's free list, so the frequent short-list slot
+//! Ids and rows come from one table, the forest's [`super::RowBank`]: a
+//! slotted chunk's rows live at its id, and a released id (rows and all) is
+//! handed out again before a new one, so the frequent short-list id
 //! transitions never allocate.
 
 use super::{log_depth, ChunkedEulerForest, NONE};
@@ -39,47 +41,24 @@ const PATH_REFRESH_MAX: usize = 8;
 use super::events::{count, Event};
 
 impl ChunkedEulerForest {
-    /// Allocate a chunk id, growing the id space (and the row bank's stride)
-    /// when necessary.
-    fn alloc_slot(&mut self, owner: u32) -> u32 {
-        if self.slot_free.is_empty() {
-            let old_cap = self.slot_owner.len();
-            let new_cap = (old_cap * 2).max(16);
-            self.slot_owner.resize(new_cap, NONE);
-            for s in (old_cap..new_cap).rev() {
-                self.slot_free.push(s as u32);
-            }
-            // One compacting sweep re-lays every row to the new width.
-            self.rows.grow_stride(new_cap);
-            self.charge(
-                (new_cap * self.rows.num_slabs().max(1)) as u64,
-                1,
-                new_cap as u64,
-            );
-        }
-        let s = self.slot_free.pop().expect("slot free list refilled above");
-        self.slot_owner[s as usize] = owner;
-        s
-    }
-
-    /// Attach an id and an (all-`∞`) row slab to chunk `c` without
-    /// rebuilding its row — the caller rebuilds it with
-    /// [`Self::rebuild_rows`], alone or with its split partner.
+    /// Attach an id with all-`∞` rows to chunk `c` without rebuilding its
+    /// row — the caller rebuilds it with [`Self::rebuild_rows`], alone or
+    /// with its split partner. When every id below `J` is live, `J` doubles
+    /// first (at least 16): one compacting sweep re-lays every row to the
+    /// new width.
     pub(crate) fn attach_slot(&mut self, c: u32) {
         debug_assert_eq!(self.chunks.slot[c as usize], NONE);
-        let s = self.alloc_slot(c);
-        debug_assert_eq!(
-            self.rows.stride(),
-            self.slot_cap(),
-            "row width must track the chunk-id capacity"
-        );
-        let row = self.rows.alloc();
-        self.chunks.slot[c as usize] = s;
-        self.chunks.row[c as usize] = row;
+        if self.rows.full() {
+            let old_cap = self.slot_cap();
+            let new_cap = (old_cap * 2).max(16);
+            self.rows.grow_stride(new_cap);
+            // All `old_cap` ids are live, so the sweep copies that many slabs.
+            self.charge((new_cap * old_cap.max(1)) as u64, 1, new_cap as u64);
+        }
+        self.chunks.slot[c as usize] = self.rows.alloc(c);
     }
 
-    /// Give chunk `c` an id: allocate its row slab (recycled from the bank's
-    /// free list when possible), rebuild its row from its adjacent edges,
+    /// Give chunk `c` an id, rebuild its row from its adjacent edges,
     /// propagate the symmetric entries and refresh every aggregate that
     /// mentions the new id.
     pub(crate) fn give_slot(&mut self, c: u32) {
@@ -160,10 +139,8 @@ impl ChunkedEulerForest {
             }
             changed
         });
-        for (&c, row) in cs.iter().zip(fresh_rows) {
-            self.rows
-                .base_mut(self.chunks.row[c as usize])
-                .copy_from_slice(row);
+        for (&s, row) in slots.iter().zip(fresh_rows) {
+            self.rows.base_mut(s).copy_from_slice(row);
         }
         [self.scratch_row, self.scratch_row2] = fresh;
         // Sequential: O(K + J), the scans of both chunks of a pair charged
@@ -199,13 +176,13 @@ impl ChunkedEulerForest {
         let mut dirty = std::mem::take(&mut self.scratch_dirty);
         dirty.clear();
         let mut visited = 0u64;
-        for (other_slot, &owner) in self.slot_owner.iter().enumerate() {
+        for other_slot in 0..self.rows.ids() {
+            let owner = self.rows.owner(other_slot as u32);
             if owner == NONE || skip.contains(&owner) {
                 continue;
             }
             visited += 1;
-            let row = self.rows.base_mut(self.chunks.row[owner as usize]);
-            if update(row, other_slot) {
+            if update(self.rows.base_mut(other_slot as u32), other_slot) {
                 dirty.push(owner);
             }
         }
@@ -227,17 +204,10 @@ impl ChunkedEulerForest {
         let (work, dirty) = self.sweep_other_rows(&[c], |row, _| {
             std::mem::replace(&mut row[s as usize], WKey::PLUS_INF) != WKey::PLUS_INF
         });
-        // Retire the slab into the bank's free list.
-        self.rows.free(self.chunks.row[c as usize]);
-        debug_assert!(
-            self.rows.num_free() <= self.rows.num_slabs(),
-            "free-slab accounting drifted"
-        );
+        // Release the id; its rows are reset when it is handed out again.
+        self.rows.free(s);
         self.chunks.slot[c as usize] = NONE;
-        self.chunks.row[c as usize] = NONE;
         self.chunks.set_stale(c, false);
-        self.slot_owner[s as usize] = NONE;
-        self.slot_free.push(s);
         self.charge(work + 1, 1, work.max(1));
         self.refresh_entries_for_chunks(dirty, &[s]);
     }
@@ -285,7 +255,7 @@ impl ChunkedEulerForest {
         self.collect_subtree(c, |_| true, &mut order);
         // Reversed, the walk recomputes children before parents.
         for &node in order.iter().rev() {
-            if self.chunks.row[node as usize] == NONE || self.chunks.stale(node) {
+            if self.chunks.slot[node as usize] == NONE || self.chunks.stale(node) {
                 continue;
             }
             for &s in slots {
@@ -330,14 +300,14 @@ impl ChunkedEulerForest {
     /// Recompute entry `s` of slotted chunk `c`'s aggregate from its own row
     /// and its children's aggregates. `O(1)`.
     fn refresh_agg_entry(&mut self, c: u32, s: u32) {
-        let row = self.chunks.row[c as usize];
-        let mut agg = self.rows.base(row)[s as usize];
+        let own = self.chunks.slot[c as usize];
+        let mut agg = self.rows.base(own)[s as usize];
         for child in [self.chunks.left[c as usize], self.chunks.right[c as usize]] {
             if child != NONE {
-                agg = agg.min(self.rows.agg(self.chunks.row[child as usize])[s as usize]);
+                agg = agg.min(self.rows.agg(self.chunks.slot[child as usize])[s as usize]);
             }
         }
-        self.rows.agg_mut(row)[s as usize] = agg;
+        self.rows.agg_mut(own)[s as usize] = agg;
     }
 
     /// Cheap path for a *single* new edge between two id-bearing chunks
@@ -351,7 +321,7 @@ impl ChunkedEulerForest {
         }
         let mut touched1 = false;
         {
-            let cell = &mut self.rows.base_mut(self.chunks.row[c1 as usize])[s2 as usize];
+            let cell = &mut self.rows.base_mut(s1)[s2 as usize];
             if key < *cell {
                 *cell = key;
                 touched1 = true;
@@ -359,7 +329,7 @@ impl ChunkedEulerForest {
         }
         let mut touched2 = false;
         {
-            let cell = &mut self.rows.base_mut(self.chunks.row[c2 as usize])[s1 as usize];
+            let cell = &mut self.rows.base_mut(s2)[s1 as usize];
             if key < *cell {
                 *cell = key;
                 touched2 = true;
@@ -385,13 +355,13 @@ impl ChunkedEulerForest {
         if s1 == NONE || s2 == NONE {
             return;
         }
-        if self.rows.base(self.chunks.row[c1 as usize])[s2 as usize] != key {
+        if self.rows.base(s1)[s2 as usize] != key {
             self.charge(1, 1, 1);
             return;
         }
         let best = self.scan_adjacent_min(c1, 2, |f, other| f.vertex_chunk[other.index()] == c2);
-        self.rows.base_mut(self.chunks.row[c1 as usize])[s2 as usize] = best;
-        self.rows.base_mut(self.chunks.row[c2 as usize])[s1 as usize] = best;
+        self.rows.base_mut(s1)[s2 as usize] = best;
+        self.rows.base_mut(s2)[s1 as usize] = best;
         self.refresh_entries_path(c1, &[s2]);
         if c2 != c1 {
             self.refresh_entries_path(c2, &[s1]);
@@ -408,7 +378,6 @@ impl ChunkedEulerForest {
     pub(crate) fn lower_row_by_arrivals(&mut self, c: u32, range: Range<usize>) {
         let s = self.chunks.slot[c as usize];
         debug_assert_ne!(s, NONE, "only slotted chunks have rows to lower");
-        let row = self.chunks.row[c as usize];
         let mut changed = std::mem::take(&mut self.scratch_slots);
         changed.clear();
         let mut dirty = std::mem::take(&mut self.scratch_dirty);
@@ -428,13 +397,13 @@ impl ChunkedEulerForest {
                     continue;
                 }
                 let key = a.key();
-                let cell = &mut self.rows.base_mut(row)[so as usize];
+                let cell = &mut self.rows.base_mut(s)[so as usize];
                 if key < *cell {
                     *cell = key;
                     changed.push(so);
                 }
                 if other != c {
-                    let cell = &mut self.rows.base_mut(self.chunks.row[other as usize])[s as usize];
+                    let cell = &mut self.rows.base_mut(so)[s as usize];
                     if key < *cell {
                         *cell = key;
                         dirty.push(other);
@@ -464,7 +433,7 @@ impl ChunkedEulerForest {
     /// hold exact minima over unique keys, so otherwise every entry stays.
     /// Charged as a scan of those edges.
     pub(crate) fn run_holds_a_minimum(&mut self, c: u32, range: Range<usize>) -> bool {
-        let row = self.rows.base(self.chunks.row[c as usize]);
+        let row = self.rows.base(self.chunks.slot[c as usize]);
         let mut scanned = 0u64;
         let mut holds = false;
         for &o in &self.chunks.occs[c as usize][range] {

@@ -4,12 +4,12 @@
 //! algorithm relies on: the pooled per-vertex lists' layout, occurrence
 //! bookkeeping (a vertex holds occurrences iff it has an edge), Euler-tour/arc
 //! consistency, the tour-per-tree correspondence, principal copies,
-//! adjacency counts,
-//! Invariant 1's chunk-size bounds, `CAdj` rows and the LSDS aggregates —
-//! the latter against a straightforward array-of-structs reference walk
-//! that is deliberately *independent* of the SoA banks' pair-merge and
-//! in-place-refresh code paths. It is `O(n·m)` and only meant for tests on
-//! small inputs.
+//! adjacency counts, the chunk-id table (a bijection between live ids and
+//! slotted chunks), Invariant 1's chunk-size bounds, `CAdj` rows and the
+//! LSDS aggregates — the latter against a straightforward array-of-structs
+//! reference walk that is deliberately *independent* of the SoA banks'
+//! pair-merge and in-place-refresh code paths. It is `O(n·m)` and only
+//! meant for tests on small inputs.
 
 use super::{AdjEntry, ChunkedEulerForest, NONE};
 use pdmsf_graph::{Edge, EdgeId, UnionFind, WKey};
@@ -256,7 +256,10 @@ impl ChunkedEulerForest {
         }
 
         // ---- slot discipline: single-chunk lists have no id, multi-chunk
-        // lists have ids on every chunk; slots and row slabs pair up ----
+        // lists have ids on every chunk, and the chunk-id table is a
+        // bijection between live ids and slotted chunks ----
+        self.rows.check_table();
+        let mut slotted = 0;
         for ci in 0..num_chunks {
             if !self.chunks.alive(ci as u32) {
                 continue;
@@ -270,14 +273,13 @@ impl ChunkedEulerForest {
                 assert_eq!(slot, NONE, "single-chunk list {ci} carries an id");
             }
             if slot != NONE {
-                assert_eq!(self.slot_owner[slot as usize], ci as u32);
+                slotted += 1;
+                assert_eq!(self.rows.owner(slot), ci as u32, "id {slot} of chunk {ci}");
             }
-            assert_eq!(
-                slot == NONE,
-                self.chunks.row[ci] == NONE,
-                "chunk {ci}: slot and row-bank slab must be paired"
-            );
         }
+        // Each slotted chunk owns its own id, so equal counts leave no live
+        // id that its chunk does not hold.
+        assert_eq!(slotted, self.rows.live(), "a live id no chunk holds");
 
         // ---- Invariant 1: n_c ≤ 3K unless one occurrence carries it, and
         // a chunk of a multi-chunk list below K cannot merge with either
@@ -331,7 +333,7 @@ impl ChunkedEulerForest {
                 continue;
             }
             let s = self.chunks.slot[ci] as usize;
-            for (t, cell) in self.rows.base(self.chunks.row[ci]).iter().enumerate() {
+            for (t, cell) in self.rows.base(s as u32).iter().enumerate() {
                 assert_eq!(
                     *cell, brute[s][t],
                     "CAdj[{ci}][slot {t}] is stale (slot {s})"
@@ -357,7 +359,7 @@ impl ChunkedEulerForest {
             while let Some(node) = stack.pop() {
                 subtree += 1;
                 let ni = node as usize;
-                for (t, cell) in self.rows.base(self.chunks.row[ni]).iter().enumerate() {
+                for (t, cell) in self.rows.base(self.chunks.slot[ni]).iter().enumerate() {
                     if *cell < expected_agg[t] {
                         expected_agg[t] = *cell;
                     }
@@ -374,7 +376,7 @@ impl ChunkedEulerForest {
                 "chunk {ci} subtree size mismatch"
             );
             assert_eq!(
-                self.rows.agg(self.chunks.row[ci]),
+                self.rows.agg(self.chunks.slot[ci]),
                 &expected_agg[..],
                 "chunk {ci} aggregate is stale"
             );

@@ -15,12 +15,15 @@
 //!   edge,
 //! * one designated **principal copy** per vertex that has an edge
 //!   (Section 2.2),
-//! * per-chunk **CAdj rows** (minimum-weight edge between chunk pairs),
-//!   aggregated per list by a balanced **list sum data structure** (here a
-//!   splay-based sequence tree over the chunks — an amortised stand-in for
-//!   the paper's 2-3 tree; PAPER.md lists the substitutions). The paper's
-//!   second aggregate, the bits of which chunk ids a list holds, is not
-//!   kept: the `γ` search marks one list's chunk ids by walking its tree,
+//! * a **chunk id** (`id_c < J`) for every chunk of a multi-chunk list
+//!   and its **CAdj row** (minimum-weight edge between chunk pairs), both
+//!   from one chunk-id table that stores a chunk's rows at its id
+//!   (Sections 2.2 and 6); the rows are aggregated per list by a balanced
+//!   **list sum data structure** (here a splay-based sequence tree over
+//!   the chunks — an amortised stand-in for the paper's 2-3 tree;
+//!   PAPER.md lists the substitutions). The paper's second aggregate, the
+//!   bits of which chunk ids a list holds, is not kept: the `γ` search
+//!   marks one list's chunk ids by walking its tree,
 //! * the **surgical operations** (split / join / reroot of tours) that edge
 //!   insertions and deletions reduce to, and
 //! * the **minimum-weight-replacement (MWR) search** of Lemma 2.4 / 3.3.
@@ -157,12 +160,9 @@ pub struct ChunkedEulerForest {
     // ---- chunks + occurrence banks / LSDS (structure-of-arrays, see
     // [`arena`]) ----
     pub(crate) chunks: ChunkArena,
-    /// Contiguous `CAdj` row store; `chunks.row[c]` is the slab handle.
+    /// The chunk-id table: hands out the ids and stores each id's `CAdj`
+    /// rows, so `chunks.slot[c]` addresses chunk `c`'s rows.
     pub(crate) rows: RowBank,
-
-    // ---- chunk id (slot) allocation ----
-    pub(crate) slot_owner: Vec<u32>,
-    pub(crate) slot_free: Vec<u32>,
 
     // ---- scratch buffers reused by the CAdj upkeep and the γ search: the
     // fresh rows of `rebuild_rows` (one buffer per chunk of a split pair),
@@ -200,8 +200,6 @@ impl ChunkedEulerForest {
             vertex_chunk: vec![NONE; n],
             chunks: ChunkArena::default(),
             rows: RowBank::default(),
-            slot_owner: Vec::new(),
-            slot_free: Vec::new(),
             scratch_row: Vec::new(),
             scratch_row2: Vec::new(),
             scratch_order: Vec::new(),
@@ -278,7 +276,7 @@ impl ChunkedEulerForest {
         }
         ForestStats {
             chunks,
-            slots: self.slot_owner.len() - self.slot_free.len(),
+            slots: self.rows.live(),
             occurrences,
             max_nc,
             edges: self.edges.len(),
@@ -376,27 +374,5 @@ impl ChunkedEulerForest {
     /// The ids of the current forest (tree) edges, sorted.
     pub fn tree_edge_ids(&self) -> Vec<EdgeId> {
         sorted_ids_where(&self.edges, |r| r.fwd != NONE)
-    }
-
-    /// The chunks of each Euler-tour list, in list order — one entry per
-    /// tree of the maintained forest, except that a vertex with no incident
-    /// edge has no list (a vertex whose only edges are self-loops has its
-    /// own). Intended for diagnostics, tests and the benchmark harness.
-    pub fn lists(&self) -> Vec<Vec<usize>> {
-        let mut roots: Vec<u32> = Vec::new();
-        for c in 0..self.chunks.len() as u32 {
-            if self.chunks.alive(c) && self.chunks.parent[c as usize] == NONE {
-                roots.push(c);
-            }
-        }
-        roots
-            .into_iter()
-            .map(|r| {
-                self.chunks_of_list(r)
-                    .into_iter()
-                    .map(|c| c as usize)
-                    .collect()
-            })
-            .collect()
     }
 }

@@ -88,7 +88,7 @@ impl ChunkedEulerForest {
             in_a[self.chunks.slot[c as usize] as usize] = true;
         }
         self.scratch_order = order;
-        let agg = self.rows.agg(self.chunks.row[root_a as usize]);
+        let agg = self.rows.agg(self.chunks.slot[root_a as usize]);
         let winner = (0..cap)
             .filter(|&i| !in_a[i])
             .min_by_key(|&i| agg[i])
@@ -101,7 +101,7 @@ impl ChunkedEulerForest {
         let best = winner.map_or(WKey::PLUS_INF, |(expected_key, slot)| {
             // Scan the O(K) edges adjacent to the winning chunk for the
             // lightest one whose other endpoint lies in list a.
-            let chunk = self.slot_owner[slot];
+            let chunk = self.rows.owner(slot as u32);
             debug_assert_eq!(self.tree_root(chunk), root_b, "γ won outside list b");
             let best = self.scan_adjacent_min(chunk, 1, |f, other| {
                 let so = f.chunks.slot[f.vertex_chunk[other.index()] as usize];

@@ -38,7 +38,7 @@ impl ChunkedEulerForest {
     /// Current chunk-id capacity (`J` upper bound); rows/aggregates are sized
     /// to this.
     pub(crate) fn slot_cap(&self) -> usize {
-        self.slot_owner.len()
+        self.rows.stride()
     }
 
     /// Recompute `size` of `c` from its children and mark a slotted `c`
@@ -119,18 +119,18 @@ impl ChunkedEulerForest {
     fn recompute_aggregate(&mut self, c: u32) {
         let ci = c as usize;
         let (l, r) = (self.chunks.left[ci], self.chunks.right[ci]);
-        let row = self.chunks.row[ci];
+        let s = self.chunks.slot[ci];
         // agg := base, in place on the slab.
-        let (base, agg) = self.rows.base_and_agg_mut(row);
+        let (base, agg) = self.rows.base_and_agg_mut(s);
         agg.copy_from_slice(base);
         for child in [l, r] {
             if child == NONE {
                 continue;
             }
-            let crow = self.chunks.row[child as usize];
-            debug_assert!(crow != NONE, "child chunk without a slot");
+            let cs = self.chunks.slot[child as usize];
+            debug_assert!(cs != NONE, "child chunk without a slot");
             // Lemma 3.2's entry-wise merge.
-            let (agg, cagg) = self.rows.agg_pair(row, crow);
+            let (agg, cagg) = self.rows.agg_pair(s, cs);
             for (a, ca) in agg.iter_mut().zip(cagg) {
                 if *ca < *a {
                     *a = *ca;
@@ -374,31 +374,5 @@ impl ChunkedEulerForest {
         self.chunks.right[c as usize] = NONE;
         self.pull_up(c);
         self.tree_join(l, r)
-    }
-
-    /// Collect the chunks of the list rooted at `root`, in list order.
-    /// Read-only (does not restructure the tree).
-    pub(crate) fn chunks_of_list(&self, root: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        if root == NONE {
-            return out;
-        }
-        // Iterative in-order traversal with an explicit stack.
-        let mut stack = Vec::new();
-        let mut cur = root;
-        loop {
-            while cur != NONE {
-                stack.push(cur);
-                cur = self.chunks.left[cur as usize];
-            }
-            match stack.pop() {
-                None => break,
-                Some(node) => {
-                    out.push(node);
-                    cur = self.chunks.right[node as usize];
-                }
-            }
-        }
-        out
     }
 }

@@ -290,30 +290,28 @@ impl ChunkedEulerForest {
         let s_c = self.chunks.slot[c as usize];
         let s_nxt = self.chunks.slot[nxt as usize];
         debug_assert!(s_c != NONE && s_nxt != NONE, "multi-chunk list without ids");
-        let (s_c, s_nxt) = (s_c as usize, s_nxt as usize);
+        let (i_c, i_nxt) = (s_c as usize, s_nxt as usize);
         let cap = self.slot_cap();
-        let row_c = self.chunks.row[c as usize];
-        let row_nxt = self.chunks.row[nxt as usize];
 
         // Self-entry: edges between c and nxt (either direction) and nxt's
         // own self-edges all become self-edges of the merged chunk.
-        let mut self_entry = self.rows.base(row_c)[s_c];
+        let mut self_entry = self.rows.base(s_c)[i_c];
         for key in [
-            self.rows.base(row_c)[s_nxt],
-            self.rows.base(row_nxt)[s_c],
-            self.rows.base(row_nxt)[s_nxt],
+            self.rows.base(s_c)[i_nxt],
+            self.rows.base(s_nxt)[i_c],
+            self.rows.base(s_nxt)[i_nxt],
         ] {
             if key < self_entry {
                 self_entry = key;
             }
         }
-        self.rows.base_mut(row_c)[s_c] = self_entry;
+        self.rows.base_mut(s_c)[i_c] = self_entry;
 
         // Entry-wise minimum of the remaining entries (the folded self-entry
         // already is the minimum of its column, so a plain entry-wise min is
         // equivalent). The two rows are disjoint bank slabs.
         {
-            let (dst, src) = self.rows.base_pair(row_c, row_nxt);
+            let (dst, src) = self.rows.base_pair(s_c, s_nxt);
             for (d, s) in dst.iter_mut().zip(src) {
                 if *s < *d {
                     *d = *s;
@@ -326,14 +324,14 @@ impl ChunkedEulerForest {
         // Cross update: every other chunk's entry for the merged chunk is
         // the minimum of its entries for the two old chunks.
         let (cross, dirty) = self.sweep_other_rows(&[c, nxt], |row, _| {
-            let lowered = row[s_nxt] < row[s_c];
+            let lowered = row[i_nxt] < row[i_c];
             if lowered {
-                row[s_c] = row[s_nxt];
+                row[i_c] = row[i_nxt];
             }
             lowered
         });
         self.charge(cap as u64 + cross, 1, (cap as u64 + cross).max(1));
-        self.refresh_entries_for_chunks(dirty, &[s_c as u32]);
+        self.refresh_entries_for_chunks(dirty, &[s_c]);
     }
 
     // ------------------------------------------------------------------

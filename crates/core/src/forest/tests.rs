@@ -354,7 +354,7 @@ fn pair_entry(s: &SeqDynamicMsf, a: u32, b: u32) -> pdmsf_graph::WKey {
     let (ca, cb) = (f.vertex_chunk[a as usize], f.vertex_chunk[b as usize]);
     let sb = f.chunks.slot[cb as usize];
     assert_ne!(sb, crate::forest::NONE, "chunk of {b} carries no id");
-    f.rows.base(f.chunks.row[ca as usize])[sb as usize]
+    f.rows.base(f.chunks.slot[ca as usize])[sb as usize]
 }
 
 #[test]
@@ -473,10 +473,10 @@ mod soa_vs_aos {
                 Some(AosChunk {
                     left: forest.chunks.left[ci],
                     right: forest.chunks.right[ci],
-                    base: if forest.chunks.row[ci] == NONE {
+                    base: if forest.chunks.slot[ci] == NONE {
                         Vec::new()
                     } else {
-                        forest.rows.base(forest.chunks.row[ci]).to_vec()
+                        forest.rows.base(forest.chunks.slot[ci]).to_vec()
                     },
                 })
             })
@@ -492,9 +492,9 @@ mod soa_vs_aos {
                 forest.chunks.size[c as usize], expected_size,
                 "SoA size of chunk {c} diverged from the AoS walk"
             );
-            if forest.chunks.row[c as usize] != NONE {
+            if forest.chunks.slot[c as usize] != NONE {
                 assert_eq!(
-                    forest.rows.agg(forest.chunks.row[c as usize]),
+                    forest.rows.agg(forest.chunks.slot[c as usize]),
                     &expected_agg[..],
                     "SoA agg of chunk {c} diverged from the AoS walk"
                 );
@@ -703,8 +703,9 @@ mod soa_vs_aos {
             assert_each_ran(paths_before, PATHS, "a small-K stream");
         }
 
-        /// Tiny K maximises chunk churn (splits, merges, slot transitions),
-        /// exercising every RowBank alloc/free/grow path.
+        /// Tiny K maximises chunk churn (splits, merges, id transitions),
+        /// exercising every path of the chunk-id table: fresh ids, reused
+        /// ids and growths of `J`.
         #[test]
         fn soa_banks_match_aos_reference(ops in proptest::collection::vec(op_strategy(12), 1..100)) {
             run_ops(12, 2, &ops, |s| {

@@ -43,12 +43,13 @@
 //!   extraction) and the principal-copy scans of the MWR/row-rebuild paths
 //!   are sweeps over dense banks, with no per-occurrence struct left
 //!   anywhere.
-//! * `RowBank` stores every `CAdj` `base`/`agg` row contiguously in one
-//!   backing `Vec<WKey>`, addressed by compact slab handles (a slab holds a
-//!   chunk's two rows, `stride` keys each). The aggregates' entry-wise
+//! * `RowBank` is the one chunk-id table: it hands out the ids
+//!   (`id_c < J`), records each id's owner chunk, and stores every `CAdj`
+//!   `base`/`agg` row contiguously in one backing `Vec<WKey>`, a slotted
+//!   chunk's two rows (`J` keys each) at its id. The aggregates' entry-wise
 //!   merges, the `γ`/MWR argmin and full-row rebuilds are linear sweeps
-//!   over dense memory; slabs recycle through a free list and a stride
-//!   growth is one compacting re-layout.
+//!   over dense memory; a released id, rows and all, is handed out again
+//!   before a new one, and a growth of `J` is one compacting re-layout.
 //! * `SpanStore` pools the per-vertex lists: each vertex's adjacency
 //!   entries and its occurrence ids are one span (offset, length) of a
 //!   shared backing `Vec`, in a block of the smallest power of two that

@@ -52,7 +52,6 @@ pub fn default_parallel_k(n: usize) -> usize {
 pub struct SeqDynamicMsf {
     forest: ChunkedEulerForest,
     lct: LinkCutForest,
-    num_tree_edges: usize,
     forest_weight: i128,
     last_op: CostReport,
 }
@@ -70,7 +69,6 @@ impl SeqDynamicMsf {
         SeqDynamicMsf {
             forest: ChunkedEulerForest::new(n, k),
             lct: LinkCutForest::new(n),
-            num_tree_edges: 0,
             forest_weight: 0,
             last_op: CostReport::default(),
         }
@@ -160,8 +158,16 @@ impl SeqDynamicMsf {
 
     /// Validate every internal invariant (test-only helper, `O(n·m)`).
     pub fn validate(&self) {
+        // The Euler-tour forest and the link-cut tree hold the same edges.
         let edges = self.forest.tree_edges();
-        assert_eq!(edges.len(), self.num_tree_edges, "tree-edge count drifted");
+        assert_eq!(edges.len(), self.lct.num_edges(), "tree-edge counts differ");
+        for e in &edges {
+            assert!(
+                self.lct.contains_edge(e.id),
+                "tree edge {:?} is not in the link-cut tree",
+                e.id
+            );
+        }
         self.forest.validate(&edges);
     }
 
@@ -174,16 +180,14 @@ impl SeqDynamicMsf {
         self.lct.link(e.u, e.v, e.id, WKey::new(e.weight, e.id));
         self.charge_lct();
         self.forest.link_tree_edge(e);
-        self.num_tree_edges += 1;
         self.forest_weight += e.weight.as_summable();
     }
 
-    /// Remove `e` from the link-cut tree and the weight/count bookkeeping
-    /// (the Euler-tour cut is the caller's next step).
+    /// Remove `e` from the link-cut tree and the weight bookkeeping (the
+    /// Euler-tour cut is the caller's next step).
     fn remove_forest_edge(&mut self, e: Edge) {
         self.lct.cut(e.id);
         self.charge_lct();
-        self.num_tree_edges -= 1;
         self.forest_weight -= e.weight.as_summable();
     }
 }
@@ -271,7 +275,7 @@ impl DynamicMsf for SeqDynamicMsf {
     }
 
     fn num_forest_edges(&self) -> usize {
-        self.num_tree_edges
+        self.lct.num_edges()
     }
 
     fn connected(&mut self, u: VertexId, v: VertexId) -> bool {

@@ -322,7 +322,8 @@ impl UpdateStream {
 /// One operation of a *batched* stream: the update/query mix a serving
 /// front-end sees. Unlike [`UpdateOp`], batched streams carry explicit
 /// read operations (connectivity, forest weight) so the batch engine's
-/// snapshot query answering is exercised on realistic traffic.
+/// query answering, after each batch's updates, is exercised on realistic
+/// traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchOp {
     /// Insert an edge. Its id is the next sequential id of the driving

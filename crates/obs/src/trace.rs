@@ -101,7 +101,7 @@ pub enum Phase {
     Plan = 2,
     /// Engine apply (mirror and structure, in arrival order).
     Apply = 3,
-    /// Engine query snapshot point.
+    /// Engine query answering, after the batch's updates.
     Snapshot = 4,
     /// WAL record append (persist layer).
     WalAppend = 5,

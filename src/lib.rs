@@ -63,8 +63,8 @@
 //!   last, so chunk ids scale with trees, not with `n`.
 //! * The LSDS itself is **structure-of-arrays**: splay topology
 //!   (`parent`/`left`/`right`/`size`) lives in flat `u32` banks, every
-//!   `CAdj` row and its aggregate live contiguously in one backing row bank
-//!   addressed by slab handles, and the Euler-tour **occurrence records**
+//!   `CAdj` row and its aggregate live contiguously in one backing row
+//!   store at the chunk's id, and the Euler-tour **occurrence records**
 //!   live in flat `occ_*` banks of the same arena (vertex / chunk / order
 //!   label / arc / flags) — so `pull_up`, entry-wise merges, argmin scans,
 //!   the surgery re-chunking loops and the principal-copy scans are all
@@ -78,10 +78,10 @@
 //!   an edge deletion rescans its chunk pair only when it removes the
 //!   pair's minimum, single-entry `CAdj` changes refresh one leaf-to-root
 //!   path per affected list (Lemma 2.3) instead of splaying whole vectors,
-//!   split pairs rebuild both rows in one batched pass, and retired row
-//!   slabs are recycled through the bank's free list. The `O(J)` aggregate
-//!   vectors of the chunks an update touches are recomputed once per
-//!   update, not at every rotation that touches them.
+//!   split pairs rebuild both rows in one batched pass, and a released
+//!   chunk id is handed out again, rows and all, before a new one. The
+//!   `O(J)` aggregate vectors of the chunks an update touches are
+//!   recomputed once per update, not at every rotation that touches them.
 //!
 //! There is one forest type and one bookkeeping store; no map-backed
 //! baseline is kept. Its speed is tracked over time instead:
