@@ -1,6 +1,5 @@
-//! Experiment driver: prints the evaluation tables, writes the
-//! machine-readable benchmark JSON artifacts and checks every experiment's
-//! bar.
+//! Experiment driver: times the cells each experiment's bar reads, writes
+//! the machine-readable benchmark JSON artifacts and checks every bar.
 //!
 //! Usage:
 //! ```text
@@ -16,14 +15,20 @@
 //! trajectory gate, the paper's bounds, and the same-process speed ratios
 //! of E1 and E5, which every run checks.
 //!
-//! * E0 → `BENCH_update_time.json`: updates/s on insert, delete and mixed
-//!   streams, with a same-process Kruskal calibration (`gate` compares the
-//!   calibrated mixed rate against the committed snapshot).
+//! Every experiment times only the cells a bar reads, and every timed cell
+//! checks its result: forest = Kruskal (E0), batched = one-by-one (E1),
+//! restored = original (E5).
+//!
+//! * E0 → `BENCH_update_time.json`: updates/s on the mixed stream at
+//!   n = 10 000 (full runs add n = 100 000), with a same-process Kruskal
+//!   calibration (`gate` compares the calibrated rate against the
+//!   committed snapshot).
 //! * E1 → `BENCH_batch_throughput.json`: batched vs one-op-at-a-time
-//!   engine paths over bursty and clustered batch streams. Bar: batched
-//!   ≥ `E1_FLOOR`× one-by-one on the bursty stream's largest cell.
-//! * E5 → `BENCH_persist.json`: checkpoint size, checkpoint/restore wall
-//!   time vs a cold rebuild. Bars, on the largest engine cell: restore
+//!   engine paths over one bursty batch stream (quick: n = 1 000, batch
+//!   256; full: n = 10 000, batch 1 024). Bar: batched ≥ `E1_FLOOR`×
+//!   one-by-one.
+//! * E5 → `BENCH_persist.json`: one n = 65 536 engine's checkpoint size
+//!   and checkpoint/restore wall time vs a cold rebuild. Bars: restore
 //!   ≥ `E5_FLOOR`× faster than the cold rebuild, and the checkpoint at
 //!   most `E5_MAX_BYTES_PER_EDGE` bytes per live edge.
 //! * `paper` → `BENCH_paper.json`: the paper's cost bounds as exponents
@@ -32,16 +37,14 @@
 //!   (see `pdmsf_bench::paper`).
 
 use pdmsf_bench::{
-    batch_records_to_json, bench_records_to_json, bursty_batch_stream, clustered_batch_stream,
-    drive_engine_batched, drive_engine_one_by_one, drive_updates_each, failure_stream,
-    insert_stream, kruskal_ns, mixed_stream, paper, persist_records_to_json, tenant_stream,
-    BatchRecord, BenchRecord, PersistRecord, RunMeta,
+    batch_records_to_json, bench_records_to_json, bursty_batch_stream, drive_engine_batched,
+    drive_engine_one_by_one, drive_updates_each, kruskal_ns, mixed_stream, paper,
+    persist_records_to_json, BatchRecord, BenchRecord, PersistRecord, RunMeta,
 };
 use pdmsf_core::SeqDynamicMsf;
 use pdmsf_engine::Engine;
-use pdmsf_graph::{kruskal_msf, BatchStream, DynamicMsf, EdgeId, TenantId, UpdateStream};
-use pdmsf_persist::{EngineCheckpointExt, ServiceCheckpointExt};
-use pdmsf_shard::{ShardedService, TenantSpec};
+use pdmsf_graph::{kruskal_msf, BatchStream, DynamicMsf, EdgeId};
+use pdmsf_persist::EngineCheckpointExt;
 use std::time::{Duration, Instant};
 
 /// Median of a non-empty rate sample (upper median; sorts in place).
@@ -68,8 +71,7 @@ fn time_arm(
     (engine.forest_weight(), engine.forest_edges())
 }
 
-/// Vertex counts of a full `paper` run (`quick` runs the first three) and
-/// of E5's engine cells.
+/// Vertex counts of a full `paper` run (`quick` runs the first three).
 const SIZES: [usize; 5] = [1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16];
 
 /// Every experiment selector, in run order.
@@ -142,13 +144,11 @@ fn main() {
     }
 }
 
-/// One experiment's bar. `cell` holds the two medians of a same-process
-/// ratio (`numerator / denominator`: machine speed cancels out), and the
-/// ratio must reach `floor`. A missing cell, a non-finite median or a
-/// denominator that is not positive fails: a bar never passes for want of
-/// a measurement.
-fn check_bar(name: &str, cell: Option<(f64, f64)>, floor: f64) -> Result<String, String> {
-    let (num, den) = cell.ok_or_else(|| format!("{name}: no measured cell (floor {floor:.2}x)"))?;
+/// One experiment's bar. `(num, den)` holds the two medians of a
+/// same-process ratio (`num / den`: machine speed cancels out), and the
+/// ratio must reach `floor`. A non-finite median or a denominator that is
+/// not positive fails: a bar never passes for want of a measurement.
+fn check_bar(name: &str, (num, den): (f64, f64), floor: f64) -> Result<String, String> {
     if !(num.is_finite() && den.is_finite() && den > 0.0) {
         return Err(format!(
             "{name}: no valid ratio ({num} over {den}; floor {floor:.2}x)"
@@ -171,8 +171,8 @@ const SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_update_
 /// machine speed as the timed updates) is E0's calibration.
 const CALIBRATION_RUNS_PER_REP: usize = 3;
 
-/// The mixed cell whose final graph E0's calibration times: the largest `n`
-/// that quick and full runs share, so the two stay comparable.
+/// E0's one quick cell, whose final graph the calibration times: full
+/// runs time it too, so the two stay comparable.
 const CALIBRATION_N: usize = 10_000;
 
 /// Timed repetitions of every mixed cell (the gate reads their median).
@@ -183,12 +183,13 @@ const MIXED_REPS: usize = 5;
 const MAX_SLOWDOWN: f64 = 1.5;
 
 /// E0: the machine-readable update-time benchmark — updates/s of the
-/// sequential structure on insert-only, delete-only and mixed streams.
+/// sequential structure on the mixed stream (m = 2n, 2 000 updates) at
+/// n = [`CALIBRATION_N`], and at n = 100 000 too in full runs.
 /// Emits `BENCH_update_time.json` (stamped with git SHA, `K`, core count,
 /// pool width and `calibration_ns`: the median Kruskal time over the final
-/// graph of the `n = CALIBRATION_N` mixed cell). Every cell checks the structure's forest weight against Kruskal
-/// on the stream's final graph, so the benchmark doubles as a large-`n`
-/// differential test.
+/// graph of the `n = CALIBRATION_N` cell). Every rep checks the
+/// structure's forest weight against Kruskal on the stream's final graph,
+/// so the benchmark doubles as a large-`n` differential test.
 ///
 /// With `gate`, the committed snapshot is read first and the run fails
 /// (see [`gate_decision`]) when the mixed stream's median rate × the
@@ -199,83 +200,53 @@ fn e0_bench_json(quick: bool, gate: bool) -> Result<(), String> {
     println!("\n== E0: update-time benchmark (writes BENCH_update_time.json) ==");
     // Read the committed snapshot before this run overwrites it.
     let snapshot = gate.then(|| std::fs::read_to_string(SNAPSHOT).ok());
-    let (sizes_mixed, sizes_rest): (&[usize], &[usize]) = if quick {
-        (&[1_000, 10_000], &[1_000, 10_000])
+    let sizes: &[usize] = if quick {
+        &[CALIBRATION_N]
     } else {
-        (&[1_000, 10_000, 100_000], &[1_000, 10_000])
+        &[CALIBRATION_N, 100_000]
     };
-    let ops = 2_000usize;
-    type StreamMaker = fn(usize, usize) -> UpdateStream;
-    let streams: [(&str, &[usize], StreamMaker); 3] = [
-        ("insert", sizes_rest, |n, ops| {
-            insert_stream(n, 2 * n, ops, 71)
-        }),
-        ("delete", sizes_rest, |n, ops| {
-            // Failure streams generate one delete per base edge; size the
-            // base graph to cover the requested op count, then truncate so
-            // every stream times exactly `ops` operations.
-            let mut stream = failure_stream(n, (2 * n).max(ops), 72);
-            stream.ops.truncate(ops);
-            stream
-        }),
-        ("mixed", sizes_mixed, |n, ops| {
-            mixed_stream(n, 2 * n, ops, 73)
-        }),
-    ];
     let mut records: Vec<BenchRecord> = Vec::new();
-    // Median mixed-stream updates/s per n, for the gate.
+    // Median updates/s per n, for the gate.
     let mut mixed_medians: Vec<(usize, f64)> = Vec::new();
     let mut calibration_samples: Vec<f64> = Vec::new();
-    println!("{:>8} {:>8} {:>14}", "stream", "n", "median (op/s)");
-    for (stream_name, sizes, make) in streams {
-        let reps = if stream_name == "mixed" {
-            MIXED_REPS
-        } else {
-            1
-        };
-        for &n in sizes {
-            let stream = make(n, ops);
-            let mut rates = Vec::new();
-            for _ in 0..reps {
-                let mut arena = SeqDynamicMsf::new(n);
-                let (mut elapsed, mut updates) = (Duration::ZERO, 0usize);
-                let final_graph = drive_updates_each(&mut arena, &stream, |_, t| {
-                    elapsed += t;
-                    updates += 1;
-                });
-                assert_eq!(
-                    arena.forest_weight(),
-                    kruskal_msf(&final_graph).total_weight,
-                    "E0 {stream_name} n = {n}: forest weight differs from Kruskal"
-                );
-                records.push(BenchRecord {
-                    structure: "arena-seq".to_string(),
-                    stream: stream_name.to_string(),
-                    n,
-                    k: arena.chunk_parameter(),
-                    ops: updates,
-                    elapsed_ns: elapsed.as_nanos(),
-                });
-                rates.push(records.last().unwrap().ops_per_sec());
-                if stream_name == "mixed" && n == CALIBRATION_N {
-                    calibration_samples
-                        .extend((0..CALIBRATION_RUNS_PER_REP).map(|_| kruskal_ns(&final_graph, 1)));
-                }
+    for &n in sizes {
+        let stream = mixed_stream(n, 2 * n, 2_000, 73);
+        let mut rates = Vec::new();
+        for _ in 0..MIXED_REPS {
+            let mut arena = SeqDynamicMsf::new(n);
+            let (mut elapsed, mut updates) = (Duration::ZERO, 0usize);
+            let final_graph = drive_updates_each(&mut arena, &stream, |_, t| {
+                elapsed += t;
+                updates += 1;
+            });
+            assert_eq!(
+                arena.forest_weight(),
+                kruskal_msf(&final_graph).total_weight,
+                "E0 mixed n = {n}: forest weight differs from Kruskal"
+            );
+            records.push(BenchRecord {
+                structure: "arena-seq".to_string(),
+                stream: "mixed".to_string(),
+                n,
+                k: arena.chunk_parameter(),
+                ops: updates,
+                elapsed_ns: elapsed.as_nanos(),
+            });
+            rates.push(records.last().unwrap().ops_per_sec());
+            if n == CALIBRATION_N {
+                calibration_samples
+                    .extend((0..CALIBRATION_RUNS_PER_REP).map(|_| kruskal_ns(&final_graph, 1)));
             }
-            let m = median(&mut rates);
-            if stream_name == "mixed" {
-                mixed_medians.push((n, m));
-            }
-            println!("{stream_name:>8} {n:>8} {m:>14.0}");
         }
+        let m = median(&mut rates);
+        mixed_medians.push((n, m));
+        println!("mixed n = {n}: median {m:.0} updates/s");
     }
-    let runs = calibration_samples.len();
-    let calibration_ns = if runs == 0 {
-        0.0
-    } else {
-        median(&mut calibration_samples)
-    };
-    println!("calibration: Kruskal over the n = {CALIBRATION_N} mixed graph, median of {runs} runs: {calibration_ns:.0} ns");
+    let calibration_ns = median(&mut calibration_samples);
+    println!(
+        "calibration: Kruskal over the n = {CALIBRATION_N} mixed graph, median of {} runs: {calibration_ns:.0} ns",
+        calibration_samples.len()
+    );
     let meta = RunMeta::collect();
     let json = bench_records_to_json("update_time", &meta, calibration_ns, &records);
     let path = "BENCH_update_time.json";
@@ -356,92 +327,63 @@ fn json_number(line: &str, key: &str) -> Option<f64> {
 }
 
 /// E1's bar: batched ≥ this × one-by-one, medians of [`E1_REPS`] reps, on
-/// the bursty stream at the run's largest `n` and batch size.
+/// the run's one bursty cell.
 const E1_FLOOR: f64 = 1.3;
 
-/// Timed repetitions of every E1 cell, quick or full.
+/// Timed repetitions of E1's cell, quick or full.
 const E1_REPS: usize = 3;
 
+/// Timed batches of E1's cell, quick or full.
+const E1_BATCHES: usize = 8;
+
 /// E1: batch-engine throughput — the batched path (preprocessing,
-/// cancellation, query dedup) vs the one-op-at-a-time engine path on
-/// identical bursty and tenant-clustered batch streams.
-/// Emits `BENCH_batch_throughput.json` with the same run-metadata stamping
-/// as E0, then checks [`E1_FLOOR`].
+/// cancellation, query dedup) vs the one-op-at-a-time engine path on one
+/// bursty batch stream: n = 1 000 with batches of 256 ops (quick), or
+/// n = 10 000 with batches of 1 024 (full). Both arms must end on the same
+/// forest. Emits `BENCH_batch_throughput.json` with the same run-metadata
+/// stamping as E0, then checks [`E1_FLOOR`].
 fn e1_batch_throughput(quick: bool) -> Result<(), String> {
     println!("\n== E1: batch engine throughput (writes BENCH_batch_throughput.json) ==");
     println!("paths: batched (plan + cancel + dedup) vs one-by-one");
     println!("(same ops through the same structure, no batch leverage); identical");
     println!("outcomes, so the ratio is pure batching leverage");
-    let (sizes, batch_sizes, total_ops): (&[usize], &[usize], usize) = if quick {
-        (&[1_000], &[32, 256], 2_048)
-    } else {
-        (&[1_000, 10_000], &[16, 64, 256, 1_024], 8_192)
-    };
-    type StreamMaker = fn(usize, usize, usize, usize, u64) -> BatchStream;
-    let streams: [(&str, StreamMaker); 2] = [
-        ("bursty", bursty_batch_stream),
-        ("clustered", clustered_batch_stream),
-    ];
+    let (n, batch_size) = if quick { (1_000, 256) } else { (10_000, 1_024) };
+    let stream = bursty_batch_stream(n, 2 * n, E1_BATCHES, batch_size, 81);
     let mut records: Vec<BatchRecord> = Vec::new();
-    let (bar_n, bar_batch) = (sizes[sizes.len() - 1], batch_sizes[batch_sizes.len() - 1]);
-    let mut bar_cell = None;
-    println!(
-        "{:>10} {:>8} {:>7} {:>16} {:>16} {:>12}",
-        "stream", "n", "batch", "batched (op/s)", "1-by-1 (op/s)", "batched/1x1"
-    );
-    for (stream_name, make) in streams {
-        for &n in sizes {
-            for &batch_size in batch_sizes {
-                let batches = (total_ops / batch_size).max(1);
-                let stream = make(n, 2 * n, batches, batch_size, 81);
-                let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-                for _ in 0..E1_REPS {
-                    let mut run = |path: &str, engine: &Engine, t: Duration, ops: usize| -> f64 {
-                        records.push(BatchRecord {
-                            path: path.to_string(),
-                            stream: stream_name.to_string(),
-                            n,
-                            k: engine.structure().chunk_parameter(),
-                            batch_size,
-                            batches,
-                            ops,
-                            elapsed_ns: t.as_nanos(),
-                        });
-                        records.last().unwrap().ops_per_sec()
-                    };
-                    let batched = time_arm(
-                        Engine::new(n),
-                        &stream,
-                        drive_engine_batched,
-                        |e, t, ops| rates[0].push(run("batched", e, t, ops)),
-                    );
-                    let serial = time_arm(
-                        Engine::new(n),
-                        &stream,
-                        drive_engine_one_by_one,
-                        |e, t, ops| rates[1].push(run("one-by-one", e, t, ops)),
-                    );
-                    // The two paths must agree — this benchmark doubles as a
-                    // large-n differential test of the batch semantics.
-                    assert_eq!(batched, serial);
-                }
-                let m_batched = median(&mut rates[0]);
-                let m_serial = median(&mut rates[1]);
-                println!(
-                    "{:>10} {:>8} {:>7} {:>16.0} {:>16.0} {:>11.2}x",
-                    stream_name,
-                    n,
-                    batch_size,
-                    m_batched,
-                    m_serial,
-                    m_batched / m_serial
-                );
-                if (stream_name, n, batch_size) == ("bursty", bar_n, bar_batch) {
-                    bar_cell = Some((m_batched, m_serial));
-                }
-            }
-        }
+    let mut rates: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    for _ in 0..E1_REPS {
+        let mut run = |path: &str, engine: &Engine, t: Duration, ops: usize| -> f64 {
+            records.push(BatchRecord {
+                path: path.to_string(),
+                stream: "bursty".to_string(),
+                n,
+                k: engine.structure().chunk_parameter(),
+                batch_size,
+                batches: E1_BATCHES,
+                ops,
+                elapsed_ns: t.as_nanos(),
+            });
+            records.last().unwrap().ops_per_sec()
+        };
+        let batched = time_arm(
+            Engine::new(n),
+            &stream,
+            drive_engine_batched,
+            |e, t, ops| rates[0].push(run("batched", e, t, ops)),
+        );
+        let serial = time_arm(
+            Engine::new(n),
+            &stream,
+            drive_engine_one_by_one,
+            |e, t, ops| rates[1].push(run("one-by-one", e, t, ops)),
+        );
+        // The two paths must agree — this benchmark doubles as a large-n
+        // differential test of the batch semantics.
+        assert_eq!(batched, serial);
     }
+    let m_batched = median(&mut rates[0]);
+    let m_serial = median(&mut rates[1]);
+    println!("batched {m_batched:.0} op/s, one-by-one {m_serial:.0} op/s");
     let meta = RunMeta::collect();
     let json = batch_records_to_json(&meta, &records);
     let path = "BENCH_batch_throughput.json";
@@ -452,194 +394,93 @@ fn e1_batch_throughput(quick: bool) -> Result<(), String> {
         meta.git_sha,
         meta.threads
     );
-    let name = format!("E1 bursty n = {bar_n} batch {bar_batch}: batched / one-by-one");
-    println!("{}", check_bar(&name, bar_cell, E1_FLOOR)?);
+    let name = format!("E1 bursty n = {n} batch {batch_size}: batched / one-by-one");
+    println!("{}", check_bar(&name, (m_batched, m_serial), E1_FLOOR)?);
     Ok(())
 }
 
-/// E5's bar: restoring the largest engine cell from its checkpoint is at
-/// least this × faster than rebuilding it cold.
+/// E5's bar: restoring E5's engine from its checkpoint is at least this ×
+/// faster than rebuilding it cold.
 const E5_FLOOR: f64 = 10.0;
 
-/// E5's size bar: the largest engine cell's checkpoint takes at most this
-/// many bytes per live edge. Its mirror's edge slots take about 17 (17 B a
-/// slot, dead slots included); adjacency lists, at 4 B an entry and two
-/// entries a live edge, would not fit under the bar again.
+/// E5's size bar: the engine's checkpoint takes at most this many bytes
+/// per live edge. Its mirror's edge slots take about 17 (17 B a slot, dead
+/// slots included); adjacency lists, at 4 B an entry and two entries a
+/// live edge, would not fit under the bar again.
 const E5_MAX_BYTES_PER_EDGE: f64 = 20.0;
 
-/// Operations per E5 cell beyond the base graph.
+/// Vertices of E5's engine.
+const E5_N: usize = 1 << 16;
+
+/// Operations of E5's engine beyond the base graph.
 const E5_OPS: usize = 1_500;
 
-/// E5: persistence warm start — checkpoint size and wall time, restore
+/// E5: persistence warm start — one engine at n = [`E5_N`] (a bursty
+/// stream, m = 2n), its checkpoint size and wall time, and its restore
 /// (warm-start) wall time against rebuilding the same state cold by
-/// replaying the full op stream through the normal execution path: one
-/// engine cell per size in [`SIZES`] plus a sharded-service cell. Emits
+/// replaying the full op stream through the normal execution path. Checks
+/// the restored engine against the original (forest weight) and emits
 /// `BENCH_persist.json` with the same run-metadata stamping as the other
-/// artifacts, and differentially checks every restored state against the
-/// original (forest weight) before recording it. Then checks both bars on
-/// the largest engine cell: [`E5_FLOOR`] (one rep: the cell's restore is
-/// well over the floor, beyond the clock's swing) and
+/// artifacts. Then checks both bars: [`E5_FLOOR`] (one rep: the restore
+/// is well over the floor, beyond the clock's swing) and
 /// [`E5_MAX_BYTES_PER_EDGE`] (deterministic), reported as the allowance
 /// over the measured size, which must reach 1.
 fn e5_persist() -> Result<(), String> {
     println!("\n== E5: persistence warm start (writes BENCH_persist.json) ==");
-    println!(
-        "{:>8} {:>8} {:>7} {:>7} {:>11} {:>10} {:>11} {:>10} {:>8}",
-        "scenario",
-        "n",
-        "ops",
-        "edges",
-        "ckpt bytes",
-        "ckpt us",
-        "restore us",
-        "cold us",
-        "speedup"
-    );
-    let us = |ns: u128| ns as f64 / 1e3;
     let batch_size = 16usize;
-    let batches = E5_OPS / batch_size;
-    let mut records: Vec<PersistRecord> = Vec::new();
-
-    for n in SIZES {
-        let stream = bursty_batch_stream(n, 2 * n, batches, batch_size, 7);
-        let build = || {
-            let mut engine = Engine::new(stream.num_vertices);
-            let base = stream.base_ops();
-            engine.execute(&base);
-            let mut ops = base.len();
-            for batch in &stream.batches {
-                engine.execute(batch);
-                ops += batch.len();
-            }
-            (engine, ops)
-        };
-        let start = Instant::now();
-        let (engine, ops) = build();
-        let cold = start.elapsed();
-        let mut blob = Vec::new();
-        let start = Instant::now();
-        engine.checkpoint(&mut blob).unwrap();
-        let ckpt = start.elapsed();
-        let start = Instant::now();
-        let restored = Engine::restore(&blob[..]).unwrap();
-        let restore = start.elapsed();
-        assert_eq!(
-            restored.forest_weight(),
-            engine.forest_weight(),
-            "restored engine diverged at n={n}"
-        );
-        records.push(PersistRecord {
-            scenario: "engine".into(),
-            n: stream.num_vertices,
-            k: engine.structure().chunk_parameter(),
-            ops,
-            live_edges: engine.graph().num_edges(),
-            checkpoint_bytes: blob.len(),
-            checkpoint_ns: ckpt.as_nanos(),
-            restore_ns: restore.as_nanos(),
-            cold_rebuild_ns: cold.as_nanos(),
-        });
-        let r = records.last().unwrap();
-        println!(
-            "{:>8} {:>8} {:>7} {:>7} {:>11} {:>10.1} {:>11.1} {:>10.1} {:>7.1}x",
-            r.scenario,
-            r.n,
-            r.ops,
-            r.live_edges,
-            r.checkpoint_bytes,
-            us(r.checkpoint_ns),
-            us(r.restore_ns),
-            us(r.cold_rebuild_ns),
-            r.speedup()
-        );
+    let stream = bursty_batch_stream(E5_N, 2 * E5_N, E5_OPS / batch_size, batch_size, 7);
+    let start = Instant::now();
+    let mut engine = Engine::new(E5_N);
+    let base = stream.base_ops();
+    engine.execute(&base);
+    let mut ops = base.len();
+    for batch in &stream.batches {
+        engine.execute(batch);
+        ops += batch.len();
     }
-
-    // The sharded-service cell: checkpoint_all / restore_all over every
-    // shard plus the tenant table, at the middle benchmark size.
-    {
-        let tenants = 8usize;
-        let tenant_n = SIZES[SIZES.len() / 2] / tenants;
-        let stream = tenant_stream(tenants, tenant_n, batches, batch_size, 400, 11);
-        let specs: Vec<TenantSpec> = (0..tenants)
-            .map(|t| TenantSpec::new(TenantId(t as u32), tenant_n))
-            .collect();
-        let build = || {
-            let mut service = ShardedService::new(4, &specs);
-            let base = stream.base_ops();
-            service.execute(&base);
-            let mut ops = base.len();
-            for batch in &stream.batches {
-                service.execute(batch);
-                ops += batch.len();
-            }
-            (service, ops)
-        };
-        let start = Instant::now();
-        let (service, ops) = build();
-        let cold = start.elapsed();
-        let mut blob = Vec::new();
-        let start = Instant::now();
-        service.checkpoint_all(&mut blob).unwrap();
-        let ckpt = start.elapsed();
-        let start = Instant::now();
-        let restored = ShardedService::restore_all(&blob[..]).unwrap();
-        let restore = start.elapsed();
-        assert_eq!(
-            restored.total_forest_weight(),
-            service.total_forest_weight(),
-            "restored service diverged"
-        );
-        let live: usize = (0..service.num_shards())
-            .map(|s| service.shard_engine(s).graph().num_edges())
-            .sum();
-        records.push(PersistRecord {
-            scenario: "service".into(),
-            n: tenants * tenant_n,
-            // Each shard sizes its K from the vertices it hosts; stamp the
-            // largest shard's.
-            k: (0..service.num_shards())
-                .map(|s| service.shard_engine(s).structure().chunk_parameter())
-                .max()
-                .expect("a service has at least one shard"),
-            ops,
-            live_edges: live,
-            checkpoint_bytes: blob.len(),
-            checkpoint_ns: ckpt.as_nanos(),
-            restore_ns: restore.as_nanos(),
-            cold_rebuild_ns: cold.as_nanos(),
-        });
-        let r = records.last().unwrap();
-        println!(
-            "{:>8} {:>8} {:>7} {:>7} {:>11} {:>10.1} {:>11.1} {:>10.1} {:>7.1}x",
-            r.scenario,
-            r.n,
-            r.ops,
-            r.live_edges,
-            r.checkpoint_bytes,
-            us(r.checkpoint_ns),
-            us(r.restore_ns),
-            us(r.cold_rebuild_ns),
-            r.speedup()
-        );
-    }
-
-    let json = persist_records_to_json(&RunMeta::collect(), &records);
+    let cold = start.elapsed();
+    let mut blob = Vec::new();
+    let start = Instant::now();
+    engine.checkpoint(&mut blob).unwrap();
+    let ckpt = start.elapsed();
+    let start = Instant::now();
+    let restored = Engine::restore(&blob[..]).unwrap();
+    let restore = start.elapsed();
+    assert_eq!(
+        restored.forest_weight(),
+        engine.forest_weight(),
+        "restored engine diverged at n = {E5_N}"
+    );
+    let r = PersistRecord {
+        scenario: "engine".into(),
+        n: E5_N,
+        k: engine.structure().chunk_parameter(),
+        ops,
+        live_edges: engine.graph().num_edges(),
+        checkpoint_bytes: blob.len(),
+        checkpoint_ns: ckpt.as_nanos(),
+        restore_ns: restore.as_nanos(),
+        cold_rebuild_ns: cold.as_nanos(),
+    };
+    println!(
+        "engine n = {E5_N}: {} ops, {} live edges; checkpoint {} B in {:?}, restore {:?}, cold rebuild {:?}",
+        r.ops, r.live_edges, r.checkpoint_bytes, ckpt, restore, cold
+    );
+    let json = persist_records_to_json(&RunMeta::collect(), std::slice::from_ref(&r));
     let path = "BENCH_persist.json";
     std::fs::write(path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote {path} ({} records)", records.len());
-    let n = SIZES[SIZES.len() - 1];
-    let cell = records.iter().find(|r| r.scenario == "engine" && r.n == n);
+    println!("wrote {path}");
     let bars = [
         check_bar(
-            &format!("E5 engine n = {n}: cold rebuild / restore"),
-            cell.map(|r| (r.cold_rebuild_ns as f64, r.restore_ns as f64)),
+            &format!("E5 engine n = {E5_N}: cold rebuild / restore"),
+            (r.cold_rebuild_ns as f64, r.restore_ns as f64),
             E5_FLOOR,
         ),
         check_bar(
             &format!(
-                "E5 engine n = {n}: {E5_MAX_BYTES_PER_EDGE} B / checkpoint bytes per live edge"
+                "E5 engine n = {E5_N}: {E5_MAX_BYTES_PER_EDGE} B / checkpoint bytes per live edge"
             ),
-            cell.map(|r| (E5_MAX_BYTES_PER_EDGE, r.bytes_per_live_edge())),
+            (E5_MAX_BYTES_PER_EDGE, r.bytes_per_live_edge()),
             1.0,
         ),
     ];
@@ -692,17 +533,15 @@ mod tests {
 
     #[test]
     fn a_bar_passes_at_its_floor_and_fails_below() {
-        let ok = check_bar("E1 cell", Some((2.6, 2.0)), 1.3).unwrap();
+        let ok = check_bar("E1 cell", (2.6, 2.0), 1.3).unwrap();
         assert_eq!(ok, "E1 cell: 1.30x (floor 1.30x)");
-        assert!(check_bar("E5 cell", Some((100.0, 10.0)), 10.0).is_ok());
-        let miss = check_bar("E1 cell", Some((1.29, 1.0)), 1.3).unwrap_err();
+        assert!(check_bar("E5 cell", (100.0, 10.0), 10.0).is_ok());
+        let miss = check_bar("E1 cell", (1.29, 1.0), 1.3).unwrap_err();
         assert_eq!(miss, "E1 cell: 1.29x (floor 1.30x)");
     }
 
     #[test]
     fn a_bar_without_a_valid_measurement_fails() {
-        let missing = check_bar("E5 cell", None, 10.0).unwrap_err();
-        assert!(missing.contains("no measured cell"), "{missing}");
         for cell in [
             (f64::NAN, 1.0),
             (1.0, f64::NAN),
@@ -711,11 +550,11 @@ mod tests {
             (f64::INFINITY, 1.0),
             (1.0, -1.0),
         ] {
-            let err = check_bar("E1 cell", Some(cell), 1.3).unwrap_err();
+            let err = check_bar("E1 cell", cell, 1.3).unwrap_err();
             assert!(err.contains("no valid ratio"), "{cell:?}: {err}");
         }
         // A zero numerator is a measured ratio of 0, below any floor.
-        assert!(check_bar("E5 cell", Some((0.0, 1.0)), 10.0).is_err());
+        assert!(check_bar("E5 cell", (0.0, 1.0), 10.0).is_err());
     }
 
     /// A snapshot whose mixed cells run at `rates` (n, updates/s) with the
@@ -725,7 +564,6 @@ mod tests {
             git_sha: "snap".into(),
             cores: 2,
             threads: 1,
-            par_cutoff: 512,
         };
         let records: Vec<BenchRecord> = rates
             .iter()

@@ -3,11 +3,12 @@
 //! The paper has no experimental section, so the `experiments` binary in
 //! this crate defines the evaluation: `paper` checks the paper's cost
 //! bounds ([`paper`]), and E0, E1 and E5 measure this system (update
-//! throughput, batching, persistence), each checking its own bar. This crate provides the common machinery: stream construction
-//! (update streams, batched update/query streams and tenant-tagged
-//! multi-tenant streams), structure and batch-engine drivers, wall-clock
-//! and cost-meter measurement, and the machine-readable record types
-//! behind the `BENCH_*.json` files.
+//! throughput, batching, persistence), each timing only the cells its own
+//! bar reads. This crate provides the common machinery: stream
+//! construction (mixed update streams, bursty batched update/query streams
+//! and tenant-tagged multi-tenant streams), structure and batch-engine
+//! drivers, wall-clock and cost-meter measurement, and the
+//! machine-readable record types behind the `BENCH_*.json` files.
 
 pub mod paper;
 
@@ -21,19 +22,6 @@ use pdmsf_graph::{
 use pdmsf_pram::CostReport;
 use std::time::{Duration, Instant};
 
-/// Insert-only stream over a random sparse graph (the "growing network"
-/// workload of the `BENCH_update_time.json` pipeline).
-pub fn insert_stream(n: usize, m: usize, ops: usize, seed: u64) -> UpdateStream {
-    UpdateStream::generate(&UpdateStreamSpec {
-        base: GraphSpec::RandomSparse { n, m, seed },
-        ops,
-        kind: StreamKind::Mixed {
-            insert_permille: 1000,
-        },
-        seed: seed ^ 0x1A5E,
-    })
-}
-
 /// Standard mixed insert/delete stream over a random sparse graph.
 pub fn mixed_stream(n: usize, m: usize, ops: usize, seed: u64) -> UpdateStream {
     UpdateStream::generate(&UpdateStreamSpec {
@@ -43,16 +31,6 @@ pub fn mixed_stream(n: usize, m: usize, ops: usize, seed: u64) -> UpdateStream {
             insert_permille: 500,
         },
         seed: seed ^ 0x5EED,
-    })
-}
-
-/// Delete-only failure stream (adversarial for the MWR search).
-pub fn failure_stream(n: usize, m: usize, seed: u64) -> UpdateStream {
-    UpdateStream::generate(&UpdateStreamSpec {
-        base: GraphSpec::RandomSparse { n, m, seed },
-        ops: m,
-        kind: StreamKind::Failures,
-        seed: seed ^ 0xFA11,
     })
 }
 
@@ -78,30 +56,9 @@ pub fn bursty_batch_stream(
     })
 }
 
-/// Tenant-clustered batched stream: each batch's traffic stays inside one
-/// vertex block (the E1 multi-tenant workload).
-pub fn clustered_batch_stream(
-    n: usize,
-    m: usize,
-    batches: usize,
-    batch_size: usize,
-    seed: u64,
-) -> BatchStream {
-    BatchStream::generate(&BatchStreamSpec {
-        base: GraphSpec::RandomSparse { n, m, seed },
-        batches,
-        batch_size,
-        kind: BatchKind::Clustered {
-            clusters: 8,
-            query_permille: 500,
-        },
-        seed: seed ^ 0xC105,
-    })
-}
-
 /// Multi-tenant tenant-tagged stream with Zipf-skewed tenant popularity and
 /// bursty per-tenant traffic (flap pairs, duplicate queries) — the serving
-/// workload of E5's service cell and of perfbench `serve`.
+/// workload of perfbench `serve`.
 /// `zipf_permille = 0` gives uniform popularity.
 pub fn tenant_stream(
     tenants: usize,
@@ -293,9 +250,8 @@ impl BenchRecord {
 }
 
 /// Run-level metadata stamped into the benchmark JSON so perf trajectories
-/// across PRs stay attributable: which commit produced the numbers, how many
-/// cores the machine offered, how wide the worker pool was, and the pooling
-/// cutoff in force.
+/// stay attributable: which commit produced the numbers, how many cores the
+/// machine offered and how wide the worker pool was.
 #[derive(Clone, Debug)]
 pub struct RunMeta {
     /// `git rev-parse HEAD` of the working tree (`"unknown"` outside git),
@@ -307,8 +263,6 @@ pub struct RunMeta {
     pub cores: usize,
     /// Worker-pool width (workers + the calling thread).
     pub threads: usize,
-    /// [`pdmsf_pram::kernels::PAR_CUTOFF`] at build time.
-    pub par_cutoff: usize,
 }
 
 impl RunMeta {
@@ -336,7 +290,6 @@ impl RunMeta {
             },
             cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             threads: pdmsf_pram::pool::parallelism(),
-            par_cutoff: pdmsf_pram::kernels::PAR_CUTOFF,
         }
     }
 
@@ -349,8 +302,8 @@ impl RunMeta {
     /// pairs) appended inside the object.
     pub fn to_json_with(&self, extra: &str) -> String {
         format!(
-            "{{\"git_sha\": \"{}\", \"cores\": {}, \"threads\": {}, \"par_cutoff\": {}{extra}}}",
-            self.git_sha, self.cores, self.threads, self.par_cutoff
+            "{{\"git_sha\": \"{}\", \"cores\": {}, \"threads\": {}{extra}}}",
+            self.git_sha, self.cores, self.threads
         )
     }
 }
@@ -550,7 +503,6 @@ mod tests {
             git_sha: "deadbeef".into(),
             cores: 2,
             threads: 4,
-            par_cutoff: 512,
         }
     }
 
@@ -577,12 +529,11 @@ mod tests {
         let meta = test_meta();
         let json = bench_records_to_json("update_time", &meta, 2_500_000.0, &records);
         assert!(json.contains("\"benchmark\": \"update_time\""));
-        assert!(json.contains("\"par_cutoff\": 512, \"calibration_ns\": 2500000}"));
+        assert!(json.contains("\"threads\": 4, \"calibration_ns\": 2500000}"));
         assert!(json.contains("\"structure\": \"arena-seq\""));
         assert!(json.contains("\"ops_per_sec\": 250000.00"));
         assert!(json.contains("\"git_sha\": \"deadbeef\""));
         assert!(json.contains("\"cores\": 2, \"threads\": 4"));
-        assert!(json.contains("\"par_cutoff\": 512"));
         assert!(json.contains("\"k\": 100"));
         // Exactly one separating comma between the two records (meta is an
         // inline object, not a record).
@@ -646,7 +597,7 @@ mod tests {
     #[test]
     fn every_writer_stamps_cores_next_to_threads() {
         let meta = test_meta();
-        let both = "\"meta\": {\"git_sha\": \"deadbeef\", \"cores\": 2, \"threads\": 4, \"par_cutoff\": 512";
+        let both = "\"meta\": {\"git_sha\": \"deadbeef\", \"cores\": 2, \"threads\": 4";
         for json in [
             bench_records_to_json("update_time", &meta, 0.0, &[]),
             paper::paper_json(&meta, &[], &[], &[]),
@@ -665,7 +616,6 @@ mod tests {
         let meta = RunMeta::collect();
         assert!(meta.cores >= 1);
         assert!(meta.threads >= 1);
-        assert_eq!(meta.par_cutoff, pdmsf_pram::kernels::PAR_CUTOFF);
         assert!(!meta.git_sha.is_empty());
     }
 

@@ -138,10 +138,9 @@
 //! out-of-range endpoints.
 //! Experiment E1 (`cargo run --release -p pdmsf-bench --bin experiments --
 //! e1`) measures the batched path against running every op as its own
-//! single-op batch on bursty and tenant-clustered streams, records the
-//! trajectory in `BENCH_batch_throughput.json`, and fails unless the
-//! batched path is at least 1.3× faster on the bursty stream's largest
-//! cell.
+//! single-op batch on one bursty stream, records the trajectory in
+//! `BENCH_batch_throughput.json`, and fails unless the batched path is at
+//! least 1.3× faster.
 //!
 //! ## The sharded serving layer
 //!
