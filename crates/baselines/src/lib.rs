@@ -140,14 +140,14 @@ impl NaiveDynamicMsf {
     }
 
     fn add_to_forest(&mut self, e: Edge) {
-        self.forest.link(e.u, e.v, e.id, WKey::new(e.weight, e.id));
+        self.forest.link(e.u, e.v, WKey::new(e.weight, e.id));
         self.tree_edges.insert(e.id, e);
         self.forest_weight += e.weight.as_summable();
     }
 
     fn remove_from_forest(&mut self, id: EdgeId) -> Edge {
         let e = self.tree_edges.remove(&id).expect("not a forest edge");
-        self.forest.cut(id);
+        self.forest.cut(e.u, e.v);
         self.forest_weight -= e.weight.as_summable();
         e
     }
@@ -168,15 +168,11 @@ impl DynamicMsf for NaiveDynamicMsf {
         if e.u == e.v {
             return MsfDelta::NONE;
         }
-        if !self.forest.connected(e.u, e.v) {
+        let Some(heaviest) = self.forest.path_max(e.u, e.v) else {
             self.add_to_forest(e);
             return MsfDelta::added(e.id);
-        }
+        };
         // Same tree: replace the heaviest path edge if the new edge is lighter.
-        let heaviest = self
-            .forest
-            .path_max(e.u, e.v)
-            .expect("connected vertices have a path");
         if WKey::new(e.weight, e.id) < heaviest {
             self.remove_from_forest(heaviest.edge);
             self.add_to_forest(e);
@@ -204,10 +200,11 @@ impl DynamicMsf for NaiveDynamicMsf {
                 continue;
             }
             let crosses = {
-                let au = self.forest.connected(cand.u, e.u);
-                let bu = self.forest.connected(cand.v, e.u);
-                let av = self.forest.connected(cand.u, e.v);
-                let bv = self.forest.connected(cand.v, e.v);
+                let mut linked = |x, y| x == y || self.forest.path_max(x, y).is_some();
+                let au = linked(cand.u, e.u);
+                let bu = linked(cand.v, e.u);
+                let av = linked(cand.u, e.v);
+                let bv = linked(cand.v, e.v);
                 (au && bv) || (av && bu)
             };
             if crosses {
@@ -243,7 +240,7 @@ impl DynamicMsf for NaiveDynamicMsf {
     }
 
     fn connected(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.forest.connected(u, v)
+        u == v || self.forest.path_max(u, v).is_some()
     }
 }
 

@@ -20,6 +20,8 @@ use pdmsf_graph::{
     StreamKind, TenantStream, TenantStreamSpec, UpdateOp, UpdateStream, UpdateStreamSpec,
 };
 use pdmsf_pram::CostReport;
+use std::path::Path;
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 /// Standard mixed insert/delete stream over a random sparse graph.
@@ -254,8 +256,9 @@ impl BenchRecord {
 /// machine offered and how wide the worker pool was.
 #[derive(Clone, Debug)]
 pub struct RunMeta {
-    /// `git rev-parse HEAD` of the working tree (`"unknown"` outside git),
-    /// with a `-dirty` suffix when uncommitted changes were present.
+    /// `git rev-parse HEAD` of the checkout the binary was built from
+    /// (`"unknown"` outside git), with a `-dirty` suffix when uncommitted
+    /// changes were present, whatever the working directory.
     pub git_sha: String,
     /// Cores available to the process (`available_parallelism`), stamped
     /// next to `threads` because `PDMSF_POOL_THREADS` can make the pool
@@ -268,26 +271,8 @@ pub struct RunMeta {
 impl RunMeta {
     /// Collect the metadata of the current process / checkout.
     pub fn collect() -> RunMeta {
-        let git_sha = std::process::Command::new("git")
-            .args(["rev-parse", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string());
-        let dirty = std::process::Command::new("git")
-            .args(["status", "--porcelain"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .is_some_and(|o| !o.stdout.is_empty());
         RunMeta {
-            git_sha: if dirty && git_sha != "unknown" {
-                format!("{git_sha}-dirty")
-            } else {
-                git_sha
-            },
+            git_sha: git_sha_at(Path::new(env!("CARGO_MANIFEST_DIR"))),
             cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             threads: pdmsf_pram::pool::parallelism(),
         }
@@ -305,6 +290,24 @@ impl RunMeta {
             "{{\"git_sha\": \"{}\", \"cores\": {}, \"threads\": {}{extra}}}",
             self.git_sha, self.cores, self.threads
         )
+    }
+}
+
+/// `git rev-parse HEAD` of the checkout holding `dir`, with `-dirty` when
+/// `git status` lists changes; `"unknown"` when `dir` is in no checkout or
+/// `git` is not installed.
+fn git_sha_at(dir: &Path) -> String {
+    let git = |args: &[&str]| {
+        let out = Command::new("git").arg("-C").arg(dir).args(args).output();
+        (out.ok().filter(|o| o.status.success()))
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]).filter(|sha| !sha.is_empty()) {
+        None => "unknown".to_string(),
+        Some(sha) if git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty()) => {
+            format!("{sha}-dirty")
+        }
+        Some(sha) => sha,
     }
 }
 
@@ -609,6 +612,36 @@ mod tests {
                 "meta line missing cores/threads: {json}"
             );
         }
+    }
+
+    /// The stamp reads the checkout it is pointed at, not the working
+    /// directory: a fresh directory outside any checkout reads `"unknown"`,
+    /// and this crate's directory a full commit id, when `git` is installed
+    /// and the sources are a checkout.
+    #[test]
+    fn git_sha_reads_the_checkout_it_is_given() {
+        let outside = std::env::temp_dir().join(format!("pdmsf-git-sha-{}", std::process::id()));
+        std::fs::create_dir_all(&outside).unwrap();
+        let sha = git_sha_at(&outside);
+        std::fs::remove_dir(&outside).unwrap();
+        assert_eq!(sha, "unknown");
+
+        let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let in_checkout = Command::new("git")
+            .arg("-C")
+            .arg(manifest)
+            .args(["rev-parse", "--is-inside-work-tree"])
+            .output()
+            .is_ok_and(|o| o.status.success());
+        if !in_checkout {
+            return;
+        }
+        let sha = git_sha_at(manifest);
+        let hex = sha.strip_suffix("-dirty").unwrap_or(&sha);
+        assert!(
+            hex.len() == 40 && hex.bytes().all(|b| b.is_ascii_hexdigit()),
+            "{sha}"
+        );
     }
 
     #[test]

@@ -158,16 +158,16 @@ impl SeqDynamicMsf {
 
     /// Validate every internal invariant (test-only helper, `O(n·m)`).
     pub fn validate(&self) {
-        // The Euler-tour forest and the link-cut tree hold the same edges.
+        // Each Euler-tour tree edge cuts from a copy of the link-cut tree by
+        // its endpoints, with its own key, and the copy ends empty: the two
+        // trees hold the same edges between the same endpoints.
         let edges = self.forest.tree_edges();
-        assert_eq!(edges.len(), self.lct.num_edges(), "tree-edge counts differ");
+        let mut lct = self.lct.clone();
         for e in &edges {
-            assert!(
-                self.lct.contains_edge(e.id),
-                "tree edge {:?} is not in the link-cut tree",
-                e.id
-            );
+            let key = WKey::new(e.weight, e.id);
+            assert_eq!(lct.cut(e.u, e.v), key, "tree edge {:?}", e.id);
         }
+        assert_eq!(lct.num_edges(), 0, "link-cut edges outside the forest");
         self.forest.validate(&edges);
     }
 
@@ -177,7 +177,7 @@ impl SeqDynamicMsf {
     }
 
     fn add_forest_edge(&mut self, e: Edge) {
-        self.lct.link(e.u, e.v, e.id, WKey::new(e.weight, e.id));
+        self.lct.link(e.u, e.v, WKey::new(e.weight, e.id));
         self.charge_lct();
         self.forest.link_tree_edge(e);
         self.forest_weight += e.weight.as_summable();
@@ -186,7 +186,8 @@ impl SeqDynamicMsf {
     /// Remove `e` from the link-cut tree and the weight bookkeeping (the
     /// Euler-tour cut is the caller's next step).
     fn remove_forest_edge(&mut self, e: Edge) {
-        self.lct.cut(e.id);
+        let key = self.lct.cut(e.u, e.v);
+        debug_assert_eq!(key, WKey::new(e.weight, e.id), "cut another edge");
         self.charge_lct();
         self.forest_weight -= e.weight.as_summable();
     }

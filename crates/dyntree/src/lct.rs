@@ -1,18 +1,19 @@
 //! Link-cut trees over splay trees, with maximum-`WKey` path aggregation.
 //!
-//! Each operation makes at most two accesses: `path_max` roots the tree at
-//! one endpoint and finds the root from the other, which answers
-//! connectivity and exposes the path at once; `link` checks for a cycle
-//! the same way; `cut` roots at one endpoint and accesses the other, which
-//! exposes exactly the edge and its endpoints, and detaches them locally.
+//! The forest has the three operations the dynamic MSF calls, each with at
+//! most two accesses. `path_max` roots the tree at one endpoint and finds
+//! the root from the other, which answers connectivity and exposes the
+//! path at once; `link` checks for a cycle the same way; `cut` roots at one
+//! endpoint and accesses the other, which exposes the edge between them,
+//! if there is one, and detaches it locally. A forest edge is named by its
+//! endpoints: two trees never share an edge, so a pair names at most one.
 //!
-//! A splay node is five `u32`s and a flag (24 bytes): its links, its edge
-//! slot (none for a vertex node) and the edge slot of the heaviest edge in
-//! its splay subtree. An edge's key and endpoints are stored once, in its
-//! slot, and aggregation compares keys through the slots.
+//! A splay node is four `u32`s and a flag (20 bytes): its links and the
+//! heaviest edge node in its splay subtree. Vertex `v` is node `v`, the
+//! edge nodes follow the `n` vertex nodes, and edge node `x` keeps its key
+//! at `keys[x − n]`, so aggregation compares keys through node indices.
 
-use pdmsf_graph::arena::EdgeIdIndex;
-use pdmsf_graph::{EdgeId, VertexId, WKey};
+use pdmsf_graph::{VertexId, WKey};
 
 const NONE: u32 = u32::MAX;
 
@@ -20,53 +21,45 @@ const NONE: u32 = u32::MAX;
 struct Node {
     parent: u32,
     child: [u32; 2],
-    /// The node's edge slot: `NONE` for a vertex node.
-    edge: u32,
-    /// Edge slot of the heaviest edge in this node's splay subtree
-    /// (including its own), `NONE` if the subtree holds no edge node.
+    /// The heaviest edge node in this node's splay subtree (itself
+    /// included), `NONE` if the subtree holds no edge node.
     max: u32,
     /// Lazy "reverse this splay subtree" flag (needed for `make_root`).
     flip: bool,
 }
 
-// A node holds no key or endpoints, only indices; keep it that small.
-const _: () = assert!(std::mem::size_of::<Node>() <= 24);
+// A node holds no key, only indices; keep it that small.
+const _: () = assert!(std::mem::size_of::<Node>() <= 20);
 
 impl Node {
-    /// A detached node for edge slot `edge` (`NONE`: a vertex node).
-    fn new(edge: u32) -> Self {
+    /// A detached node whose subtree's heaviest edge node is `max`: itself
+    /// for an edge node, `NONE` for a vertex node.
+    fn new(max: u32) -> Self {
         Node {
             parent: NONE,
             child: [NONE, NONE],
-            edge,
-            max: edge,
+            max,
             flip: false,
         }
     }
 }
 
-/// A forest of rooted trees supporting `link`, `cut`, `connected` and
-/// "heaviest edge on the path between two vertices" queries, all in
-/// amortised `O(log n)`.
+/// A forest of rooted trees supporting `link`, `cut` and "heaviest edge on
+/// the path between two vertices" queries, all in amortised `O(log n)`.
 ///
-/// Vertices are identified by [`VertexId`]; forest edges carry an [`EdgeId`]
-/// and a [`WKey`] and are represented internally as their own nodes.
+/// Vertices are identified by [`VertexId`]. A forest edge carries a
+/// [`WKey`], is named by its two endpoints, and is represented internally
+/// as a node of its own.
 #[derive(Clone, Debug, Default)]
 pub struct LinkCutForest {
     /// Vertex `v` is node `v`; edge nodes follow the `num_vertices` vertex
     /// nodes.
     nodes: Vec<Node>,
     num_vertices: usize,
-    /// Paged edge id -> internal edge node index (no hashing; the node's
-    /// edge slot holds the endpoints).
-    edge_node: EdgeIdIndex,
-    /// Key of the edge in each edge slot.
+    /// The key of edge node `x`, at `x − num_vertices`.
     keys: Vec<WKey>,
-    /// Endpoints of the edge in each edge slot.
-    ends: Vec<(VertexId, VertexId)>,
-    /// Edge nodes and their edge slots freed by cuts, reused together.
-    free_edges: Vec<(u32, u32)>,
-    num_edges: usize,
+    /// Edge nodes freed by cuts, reused by links.
+    free: Vec<u32>,
     /// `splay`'s push-down path, kept between calls to reuse its buffer.
     splay_path: Vec<u32>,
 }
@@ -88,40 +81,14 @@ impl LinkCutForest {
 
     /// Number of live forest edges.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.keys.len() - self.free.len()
     }
 
-    /// Whether the forest currently contains the given edge.
-    pub fn contains_edge(&self, e: EdgeId) -> bool {
-        self.edge_node.get(e).is_some()
-    }
-
-    /// The endpoints of a live forest edge.
-    pub fn edge_endpoints(&self, e: EdgeId) -> Option<(VertexId, VertexId)> {
-        self.edge_node
-            .get(e)
-            .map(|n| self.ends[self.nodes[n as usize].edge as usize])
-    }
-
-    /// Whether `u` and `v` are in the same tree.
-    pub fn connected(&mut self, u: VertexId, v: VertexId) -> bool {
-        if u == v {
-            return true;
-        }
-        let (nu, nv) = (self.vertex_node(u), self.vertex_node(v));
-        let ru = self.find_root(nu);
-        let rv = self.find_root(nv);
-        ru == rv
-    }
-
-    /// Add the edge `e = {u, v}` with key `key` to the forest.
+    /// Add the edge `{u, v}` with key `key` to the forest.
     ///
     /// # Panics
-    /// Panics if `u` and `v` are already connected, if `u == v`, or if `e` is
-    /// already present.
-    pub fn link(&mut self, u: VertexId, v: VertexId, e: EdgeId, key: WKey) {
-        assert!(u != v, "cannot link a vertex to itself");
-        assert!(!self.contains_edge(e), "edge {e:?} already in the forest");
+    /// Panics if `u` and `v` are already connected (`u == v` included).
+    pub fn link(&mut self, u: VertexId, v: VertexId, key: WKey) {
         let (nu, nv) = (self.vertex_node(u), self.vertex_node(v));
         // Once u roots its tree, v's tree has another root unless they are
         // connected.
@@ -130,62 +97,40 @@ impl LinkCutForest {
             self.find_root(nv) != nu,
             "link({u:?}, {v:?}) would create a cycle"
         );
-        let enode = match self.free_edges.pop() {
-            Some((enode, slot)) => {
-                self.keys[slot as usize] = key;
-                self.ends[slot as usize] = (u, v);
-                self.nodes[enode as usize] = Node::new(slot);
-                enode
-            }
-            None => {
-                self.keys.push(key);
-                self.ends.push((u, v));
-                self.nodes.push(Node::new((self.keys.len() - 1) as u32));
-                (self.nodes.len() - 1) as u32
-            }
-        };
+        let enode = self.free.pop().unwrap_or_else(|| {
+            self.keys.push(key);
+            self.nodes.push(Node::new(NONE));
+            (self.nodes.len() - 1) as u32
+        });
+        self.keys[enode as usize - self.num_vertices] = key;
+        self.nodes[enode as usize] = Node::new(enode);
         // Attach u - enode - v with two path-parent pointers: u still roots
         // its tree and its splay tree (the root find ran in v's tree), and
         // the fresh enode is a tree of its own.
         self.nodes[nu as usize].parent = enode;
         self.nodes[enode as usize].parent = nv;
-        self.edge_node.set(e, enode);
-        self.num_edges += 1;
     }
 
-    /// Remove the edge `e` from the forest.
+    /// Remove the forest edge `{u, v}` and return its key.
     ///
     /// # Panics
-    /// Panics if the edge is not present.
-    pub fn cut(&mut self, e: EdgeId) {
-        let enode = self
-            .edge_node
-            .remove(e)
-            .unwrap_or_else(|| panic!("edge {e:?} is not in the forest"));
-        let slot = self.nodes[enode as usize].edge;
-        let (u, v) = self.ends[slot as usize];
+    /// Panics if `{u, v}` is not a forest edge.
+    pub fn cut(&mut self, u: VertexId, v: VertexId) -> WKey {
         let (nu, nv) = (self.vertex_node(u), self.vertex_node(v));
-        // With u the root, accessing v exposes the path u, enode, v: v's
-        // splay tree holds exactly these three nodes, u and enode to its left.
+        // With u the root, accessing v leaves the u–v path in v's splay
+        // tree, all of it to v's left: the pair is an edge iff that left
+        // subtree is u and one edge node.
         self.make_root(nu);
         self.access(nv);
-        let left = self.nodes[nv as usize].child[0];
-        debug_assert!(
-            (left == nu && self.nodes[nu as usize].child.contains(&enode))
-                || (left == enode && self.nodes[enode as usize].child.contains(&nu)),
-            "edge {e:?} does not join its endpoints"
-        );
+        let enode = self.edge_beside(nu, self.nodes[nv as usize].child[0]);
+        assert!(enode != NONE, "({u:?}, {v:?}) is not a forest edge");
         self.nodes[nv as usize].child[0] = NONE;
         self.pull_up(nv);
         // u keeps its other subtrees (they hang off it by path-parent
         // pointers) and is left alone in its splay tree.
-        let node = &mut self.nodes[nu as usize];
-        node.parent = NONE;
-        node.child = [NONE, NONE];
-        node.flip = false;
-        node.max = node.edge;
-        self.free_edges.push((enode, slot));
-        self.num_edges -= 1;
+        self.nodes[nu as usize] = Node::new(NONE);
+        self.free.push(enode);
+        self.key(enode)
     }
 
     /// The heaviest edge (by `WKey`) on the path from `u` to `v`, or `None`
@@ -203,7 +148,7 @@ impl LinkCutForest {
             return None;
         }
         let max = self.nodes[nu as usize].max;
-        (max != NONE).then(|| self.keys[max as usize])
+        (max != NONE).then(|| self.key(max))
     }
 
     /// The node of vertex `v`.
@@ -211,6 +156,29 @@ impl LinkCutForest {
     fn vertex_node(&self, v: VertexId) -> u32 {
         assert!(v.index() < self.num_vertices, "vertex {v:?} out of range");
         v.0
+    }
+
+    /// The key of edge node `x`.
+    #[inline]
+    fn key(&self, x: u32) -> WKey {
+        self.keys[x as usize - self.num_vertices]
+    }
+
+    /// The edge node `e` if the splay subtree at `top` is `nu` and `e`, one
+    /// the other's only child; else `NONE`.
+    fn edge_beside(&self, nu: u32, top: u32) -> u32 {
+        let below = match self.nodes.get(top as usize).map(|t| t.child) {
+            Some([NONE, c] | [c, NONE]) if c != NONE => c,
+            _ => return NONE,
+        };
+        // A vertex node's index is below every edge node's.
+        let e = top.max(below);
+        let pair = top.min(below) == nu && e as usize >= self.num_vertices;
+        if pair && self.nodes[below as usize].child == [NONE, NONE] {
+            e
+        } else {
+            NONE
+        }
     }
 
     // ------------------------------------------------------------------
@@ -239,14 +207,17 @@ impl LinkCutForest {
 
     #[inline]
     fn pull_up(&mut self, x: u32) {
-        let node = self.nodes[x as usize];
-        let mut max = node.edge;
-        for c in node.child {
+        let mut max = if x as usize >= self.num_vertices {
+            x
+        } else {
+            NONE
+        };
+        for c in self.nodes[x as usize].child {
             if c == NONE {
                 continue;
             }
             let m = self.nodes[c as usize].max;
-            if m != NONE && (max == NONE || self.keys[m as usize] > self.keys[max as usize]) {
+            if m != NONE && (max == NONE || self.key(m) > self.key(max)) {
                 max = m;
             }
         }
@@ -312,32 +283,24 @@ impl LinkCutForest {
     }
 
     /// Make the path from `x` to the root of its represented tree preferred,
-    /// and splay `x` to the root of its splay tree. Returns the last
-    /// path-parent jump (the classical `access` return value).
-    fn access(&mut self, x: u32) -> u32 {
+    /// and splay `x` to the root of its splay tree.
+    fn access(&mut self, x: u32) {
         self.splay(x);
-        // Detach the preferred child below x.
-        let right = self.nodes[x as usize].child[1];
-        if right != NONE {
+        // Detach the preferred child below x; it keeps x as its
+        // path-parent (its parent pointer stays).
+        if self.nodes[x as usize].child[1] != NONE {
             self.nodes[x as usize].child[1] = NONE;
-            // `right` keeps x as its path-parent (parent pointer stays).
             self.pull_up(x);
         }
-        let mut last = x;
         while self.nodes[x as usize].parent != NONE {
             let p = self.nodes[x as usize].parent;
             self.splay(p);
-            // Replace p's preferred child with x.
-            let old = self.nodes[p as usize].child[1];
+            // x replaces p's preferred child, which keeps p as its
+            // path-parent.
             self.nodes[p as usize].child[1] = x;
-            if old != NONE {
-                // old keeps p as path-parent.
-            }
             self.pull_up(p);
             self.splay(x);
-            last = p;
         }
-        last
     }
 
     /// Make `x` the root of its represented tree.
@@ -368,7 +331,7 @@ impl LinkCutForest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdmsf_graph::Weight;
+    use pdmsf_graph::{EdgeId, Weight};
     use proptest::prelude::*;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
@@ -377,29 +340,36 @@ mod tests {
         WKey::new(Weight::new(w), EdgeId(e))
     }
 
-    /// Brute-force forest oracle: adjacency lists + BFS path search.
-    #[derive(Default)]
+    fn vx(i: usize) -> VertexId {
+        VertexId::from(i)
+    }
+
+    /// Connectivity as the forest answers it: through `path_max`.
+    fn connected(f: &mut LinkCutForest, u: usize, v: usize) -> bool {
+        u == v || f.path_max(vx(u), vx(v)).is_some()
+    }
+
+    /// Brute-force forest oracle: adjacency lists + DFS path search.
     struct Oracle {
         adj: Vec<Vec<(usize, WKey)>>,
-        edges: std::collections::HashMap<EdgeId, (usize, usize, WKey)>,
     }
 
     impl Oracle {
         fn new(n: usize) -> Self {
             Oracle {
                 adj: vec![Vec::new(); n],
-                edges: Default::default(),
             }
         }
-        fn link(&mut self, u: usize, v: usize, e: EdgeId, k: WKey) {
+        fn link(&mut self, u: usize, v: usize, k: WKey) {
             self.adj[u].push((v, k));
             self.adj[v].push((u, k));
-            self.edges.insert(e, (u, v, k));
         }
-        fn cut(&mut self, e: EdgeId) {
-            let (u, v, k) = self.edges.remove(&e).unwrap();
-            self.adj[u].retain(|&(x, kk)| !(x == v && kk == k));
-            self.adj[v].retain(|&(x, kk)| !(x == u && kk == k));
+        /// Remove the edge `{u, v}` and return its key.
+        fn cut(&mut self, u: usize, v: usize) -> WKey {
+            let at = self.adj[u].iter().position(|&(x, _)| x == v).unwrap();
+            let (_, k) = self.adj[u].swap_remove(at);
+            self.adj[v].retain(|&(x, _)| x != u);
+            k
         }
         fn path(&self, u: usize, v: usize) -> Option<Vec<WKey>> {
             // DFS returning the edge keys along the unique path, if any.
@@ -444,41 +414,40 @@ mod tests {
     #[test]
     fn single_path_queries() {
         let mut f = LinkCutForest::new(5);
-        f.link(VertexId(0), VertexId(1), EdgeId(0), key(5, 0));
-        f.link(VertexId(1), VertexId(2), EdgeId(1), key(9, 1));
-        f.link(VertexId(2), VertexId(3), EdgeId(2), key(2, 2));
-        assert!(f.connected(VertexId(0), VertexId(3)));
-        assert!(!f.connected(VertexId(0), VertexId(4)));
-        assert_eq!(f.path_max(VertexId(0), VertexId(3)), Some(key(9, 1)));
-        assert_eq!(f.path_max(VertexId(2), VertexId(3)), Some(key(2, 2)));
-        assert_eq!(f.path_max(VertexId(0), VertexId(0)), None);
-        assert_eq!(f.path_max(VertexId(0), VertexId(4)), None);
+        f.link(vx(0), vx(1), key(5, 0));
+        f.link(vx(1), vx(2), key(9, 1));
+        f.link(vx(2), vx(3), key(2, 2));
+        assert_eq!(f.path_max(vx(0), vx(3)), Some(key(9, 1)));
+        assert_eq!(f.path_max(vx(2), vx(3)), Some(key(2, 2)));
+        assert_eq!(f.path_max(vx(0), vx(0)), None);
+        assert_eq!(f.path_max(vx(0), vx(4)), None);
     }
 
     #[test]
     fn cut_splits_tree() {
         let mut f = LinkCutForest::new(4);
-        f.link(VertexId(0), VertexId(1), EdgeId(0), key(1, 0));
-        f.link(VertexId(1), VertexId(2), EdgeId(1), key(2, 1));
-        f.link(VertexId(2), VertexId(3), EdgeId(2), key(3, 2));
-        f.cut(EdgeId(1));
-        assert!(f.connected(VertexId(0), VertexId(1)));
-        assert!(f.connected(VertexId(2), VertexId(3)));
-        assert!(!f.connected(VertexId(1), VertexId(2)));
+        f.link(vx(0), vx(1), key(1, 0));
+        f.link(vx(1), vx(2), key(2, 1));
+        f.link(vx(2), vx(3), key(3, 2));
+        // A cut names its edge by its endpoints, in either order.
+        assert_eq!(f.cut(vx(2), vx(1)), key(2, 1));
+        assert!(connected(&mut f, 0, 1));
+        assert!(connected(&mut f, 2, 3));
+        assert!(!connected(&mut f, 1, 2));
         assert_eq!(f.num_edges(), 2);
         // Relink differently.
-        f.link(VertexId(0), VertexId(3), EdgeId(3), key(7, 3));
-        assert!(f.connected(VertexId(1), VertexId(2)));
-        assert_eq!(f.path_max(VertexId(1), VertexId(2)), Some(key(7, 3)));
+        f.link(vx(0), vx(3), key(7, 3));
+        assert!(connected(&mut f, 1, 2));
+        assert_eq!(f.path_max(vx(1), vx(2)), Some(key(7, 3)));
     }
 
     #[test]
     #[should_panic(expected = "cycle")]
     fn linking_connected_vertices_panics() {
         let mut f = LinkCutForest::new(3);
-        f.link(VertexId(0), VertexId(1), EdgeId(0), key(1, 0));
-        f.link(VertexId(1), VertexId(2), EdgeId(1), key(1, 1));
-        f.link(VertexId(0), VertexId(2), EdgeId(2), key(1, 2));
+        f.link(vx(0), vx(1), key(1, 0));
+        f.link(vx(1), vx(2), key(1, 1));
+        f.link(vx(0), vx(2), key(1, 2));
     }
 
     #[test]
@@ -486,22 +455,42 @@ mod tests {
     fn vertices_past_n_are_refused() {
         // Node 2 exists, but it is the edge node, not a vertex.
         let mut f = LinkCutForest::new(2);
-        f.link(VertexId(0), VertexId(1), EdgeId(0), key(1, 0));
-        f.connected(VertexId(0), VertexId(2));
+        f.link(vx(0), vx(1), key(1, 0));
+        f.path_max(vx(0), vx(2));
+    }
+
+    /// The path 0 – 1 – 2 and the isolated vertex 3.
+    fn path_and_a_vertex() -> LinkCutForest {
+        let mut f = LinkCutForest::new(4);
+        f.link(vx(0), vx(1), key(1, 0));
+        f.link(vx(1), vx(2), key(2, 1));
+        f
     }
 
     #[test]
-    fn edge_endpoints_are_reported() {
-        let mut f = LinkCutForest::new(3);
-        f.link(VertexId(2), VertexId(0), EdgeId(5), key(4, 5));
-        assert_eq!(
-            f.edge_endpoints(EdgeId(5)),
-            Some((VertexId(2), VertexId(0)))
-        );
-        assert!(f.contains_edge(EdgeId(5)));
-        f.cut(EdgeId(5));
-        assert!(!f.contains_edge(EdgeId(5)));
-        assert_eq!(f.edge_endpoints(EdgeId(5)), None);
+    #[should_panic(expected = "not a forest edge")]
+    fn cutting_two_non_adjacent_vertices_of_one_tree_panics() {
+        path_and_a_vertex().cut(vx(0), vx(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a forest edge")]
+    fn cutting_vertices_of_two_trees_panics() {
+        path_and_a_vertex().cut(vx(2), vx(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a forest edge")]
+    fn cutting_a_vertex_with_itself_panics() {
+        path_and_a_vertex().cut(vx(1), vx(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a forest edge")]
+    fn cutting_an_edge_twice_panics() {
+        let mut f = path_and_a_vertex();
+        assert_eq!(f.cut(vx(0), vx(1)), key(1, 0));
+        f.cut(vx(1), vx(0));
     }
 
     #[test]
@@ -511,7 +500,7 @@ mod tests {
             let n = 2 + (trial % 9) * 7;
             let mut f = LinkCutForest::new(n);
             let mut oracle = Oracle::new(n);
-            let mut live: Vec<EdgeId> = Vec::new();
+            let mut live: Vec<(usize, usize)> = Vec::new();
             let mut next_edge = 0u32;
             for _step in 0..300 {
                 let op = rng.gen_range(0..10);
@@ -521,28 +510,29 @@ mod tests {
                     let v = rng.gen_range(0..n);
                     if u != v && !oracle.connected(u, v) {
                         let k = key(rng.gen_range(1..100), next_edge);
-                        let e = EdgeId(next_edge);
                         next_edge += 1;
-                        f.link(VertexId::from(u), VertexId::from(v), e, k);
-                        oracle.link(u, v, e, k);
-                        live.push(e);
+                        f.link(vx(u), vx(v), k);
+                        oracle.link(u, v, k);
+                        live.push((u, v));
                     }
                 } else if op < 6 && !live.is_empty() {
                     let idx = rng.gen_range(0..live.len());
-                    let e = live.swap_remove(idx);
-                    f.cut(e);
-                    oracle.cut(e);
+                    let (mut u, mut v) = live.swap_remove(idx);
+                    if rng.gen_range(0..2) == 0 {
+                        (u, v) = (v, u);
+                    }
+                    assert_eq!(f.cut(vx(u), vx(v)), oracle.cut(u, v), "cut({u}, {v})");
                 } else {
                     let u = rng.gen_range(0..n);
                     let v = rng.gen_range(0..n);
                     assert_eq!(
-                        f.connected(VertexId::from(u), VertexId::from(v)),
+                        connected(&mut f, u, v),
                         oracle.connected(u, v),
                         "connectivity mismatch (n={n}, u={u}, v={v})"
                     );
                     if u != v {
                         assert_eq!(
-                            f.path_max(VertexId::from(u), VertexId::from(v)),
+                            f.path_max(vx(u), vx(v)),
                             oracle.path_max(u, v),
                             "path_max mismatch (n={n}, u={u}, v={v})"
                         );
@@ -560,52 +550,40 @@ mod tests {
         let mut oracle = Oracle::new(n);
         for i in 0..n - 1 {
             let k = key((i as i64 * 37) % 101, i as u32);
-            f.link(
-                VertexId::from(i),
-                VertexId::from(i + 1),
-                EdgeId(i as u32),
-                k,
-            );
-            oracle.link(i, i + 1, EdgeId(i as u32), k);
+            f.link(vx(i), vx(i + 1), k);
+            oracle.link(i, i + 1, k);
         }
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         for _ in 0..50 {
             let u = rng.gen_range(0..n);
             let v = rng.gen_range(0..n);
             if u != v {
-                assert_eq!(
-                    f.path_max(VertexId::from(u), VertexId::from(v)),
-                    oracle.path_max(u, v)
-                );
+                assert_eq!(f.path_max(vx(u), vx(v)), oracle.path_max(u, v));
             }
         }
         // Cut every third edge and re-check connectivity structure.
         for i in (0..n - 1).step_by(3) {
-            f.cut(EdgeId(i as u32));
-            oracle.cut(EdgeId(i as u32));
+            assert_eq!(f.cut(vx(i), vx(i + 1)), oracle.cut(i, i + 1));
         }
         for _ in 0..100 {
             let u = rng.gen_range(0..n);
             let v = rng.gen_range(0..n);
-            assert_eq!(
-                f.connected(VertexId::from(u), VertexId::from(v)),
-                oracle.connected(u, v)
-            );
+            assert_eq!(connected(&mut f, u, v), oracle.connected(u, v));
         }
     }
 
-    /// Every pair's `connected` and `path_max` answers against the oracle's.
+    /// Every pair's connectivity and `path_max` answers against the
+    /// oracle's.
     fn assert_all_pairs_agree(f: &mut LinkCutForest, oracle: &Oracle, n: usize) {
         for u in 0..n {
             for v in 0..n {
-                let (vu, vv) = (VertexId::from(u), VertexId::from(v));
                 assert_eq!(
-                    f.connected(vu, vv),
+                    connected(f, u, v),
                     oracle.connected(u, v),
                     "connected({u}, {v})"
                 );
                 assert_eq!(
-                    f.path_max(vu, vv),
+                    f.path_max(vx(u), vx(v)),
                     oracle.path_max(u, v),
                     "path_max({u}, {v})"
                 );
@@ -624,31 +602,21 @@ mod tests {
         let mut oracle = Oracle::new(n);
         let k = |i: usize| key((i as i64 * 7) % 5, i as u32);
         for i in 0..n - 1 {
-            f.link(
-                VertexId::from(i),
-                VertexId::from(i + 1),
-                EdgeId(i as u32),
-                k(i),
-            );
-            oracle.link(i, i + 1, EdgeId(i as u32), k(i));
+            f.link(vx(i), vx(i + 1), k(i));
+            oracle.link(i, i + 1, k(i));
         }
         for i in 0..n - 1 {
-            f.path_max(VertexId::from(n - 1 - i), VertexId::from(i / 2));
-            f.cut(EdgeId(i as u32));
-            oracle.cut(EdgeId(i as u32));
+            f.path_max(vx(n - 1 - i), vx(i / 2));
+            assert_eq!(f.cut(vx(i), vx(i + 1)), k(i));
+            oracle.cut(i, i + 1);
             assert_all_pairs_agree(&mut f, &oracle, n);
-            f.link(
-                VertexId::from(i + 1),
-                VertexId::from(i),
-                EdgeId(i as u32),
-                k(i),
-            );
-            oracle.link(i + 1, i, EdgeId(i as u32), k(i));
+            f.link(vx(i + 1), vx(i), k(i));
+            oracle.link(i + 1, i, k(i));
             assert_all_pairs_agree(&mut f, &oracle, n);
         }
         for i in (0..n - 1).rev() {
-            f.cut(EdgeId(i as u32));
-            oracle.cut(EdgeId(i as u32));
+            assert_eq!(f.cut(vx(i + 1), vx(i)), k(i));
+            oracle.cut(i + 1, i);
             assert_all_pairs_agree(&mut f, &oracle, n);
         }
         assert_eq!(f.num_edges(), 0);
@@ -661,7 +629,7 @@ mod tests {
         Link(u8, u8, u8),
         /// Cut the k-th live edge (mod the live count).
         Cut(u8),
-        /// Ask `connected` and `path_max` of two vertices (mod n).
+        /// Ask connectivity and `path_max` of two vertices (mod n).
         Query(u8, u8),
     }
 
@@ -676,10 +644,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-        /// Random link / cut / `connected` / `path_max` sequences on small
-        /// forests agree with a naive path walk. Every link first asks
-        /// `path_max` of its endpoints, which must be `None` (they are in
-        /// different trees), as an insertion does.
+        /// Random link / cut / `path_max` sequences on small forests agree
+        /// with a naive path walk, and every cut returns its edge's key.
+        /// Every link first asks `path_max` of its endpoints, which must be
+        /// `None` (they are in different trees), as an insertion does.
         #[test]
         fn random_sequences_match_a_naive_path_walk(
             n in 2usize..12,
@@ -687,7 +655,7 @@ mod tests {
         ) {
             let mut f = LinkCutForest::new(n);
             let mut oracle = Oracle::new(n);
-            let mut live: Vec<EdgeId> = Vec::new();
+            let mut live: Vec<(usize, usize)> = Vec::new();
             for (next, op) in ops.iter().enumerate() {
                 match *op {
                     Op::Link(u, v, w) => {
@@ -695,27 +663,23 @@ mod tests {
                         if u == v || oracle.connected(u, v) {
                             continue;
                         }
-                        let (vu, vv) = (VertexId::from(u), VertexId::from(v));
-                        prop_assert_eq!(f.path_max(vu, vv), None);
-                        let e = EdgeId(next as u32);
-                        let k = key(w as i64, e.0);
-                        f.link(vu, vv, e, k);
-                        oracle.link(u, v, e, k);
-                        live.push(e);
+                        prop_assert_eq!(f.path_max(vx(u), vx(v)), None);
+                        let k = key(w as i64, next as u32);
+                        f.link(vx(u), vx(v), k);
+                        oracle.link(u, v, k);
+                        live.push((u, v));
                     }
                     Op::Cut(k) => {
                         if live.is_empty() {
                             continue;
                         }
-                        let e = live.swap_remove(k as usize % live.len());
-                        f.cut(e);
-                        oracle.cut(e);
+                        let (u, v) = live.swap_remove(k as usize % live.len());
+                        prop_assert_eq!(f.cut(vx(u), vx(v)), oracle.cut(u, v));
                     }
                     Op::Query(u, v) => {
                         let (u, v) = (u as usize % n, v as usize % n);
-                        let (vu, vv) = (VertexId::from(u), VertexId::from(v));
-                        prop_assert_eq!(f.connected(vu, vv), oracle.connected(u, v));
-                        prop_assert_eq!(f.path_max(vu, vv), oracle.path_max(u, v));
+                        prop_assert_eq!(connected(&mut f, u, v), oracle.connected(u, v));
+                        prop_assert_eq!(f.path_max(vx(u), vx(v)), oracle.path_max(u, v));
                     }
                 }
                 prop_assert_eq!(f.num_edges(), live.len());

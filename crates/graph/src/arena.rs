@@ -4,19 +4,16 @@
 //! The dynamic structures look edges up by [`EdgeId`] on every primitive of
 //! every update. Routing those lookups through hash or tree maps puts
 //! hashing and pointer-chasing on the hottest loops, so this module provides
-//! the flat alternatives:
-//!
-//! * [`EdgeIdIndex`] — a paged `EdgeId -> u32` index. Pages are allocated on
-//!   demand, so a sparse id region (a few ids far above the rest) costs one
-//!   page, not the whole dense range. A lookup is two array loads and never
-//!   hashes.
-//! * [`EdgeSlotMap`] — a slot map that **interns** each live [`EdgeId`] into
-//!   a dense `u32` slot (with a free-list, so slot storage stays proportional
-//!   to the number of *live* edges no matter how many ids history has
-//!   consumed). The slot is a stable handle for the lifetime of the edge:
-//!   callers store handles (the chunked forest's Euler-tour arc tails) and
-//!   resolve them with a single indexed load, skipping even the id-to-slot
-//!   translation.
+//! the flat alternative: [`EdgeSlotMap`], a slot map that **interns** each
+//! live [`EdgeId`] into a dense `u32` slot (with a free-list, so slot
+//! storage stays proportional to the number of *live* edges no matter how
+//! many ids history has consumed). The slot is a stable handle for the
+//! lifetime of the edge: callers store handles (the chunked forest's
+//! Euler-tour arc tails) and resolve them with a single indexed load,
+//! skipping even the id-to-slot translation. That translation is a paged
+//! `EdgeId -> u32` index: pages are allocated on demand, so a sparse id
+//! region (a few ids far above the rest) costs one page, not the whole dense
+//! range, and a lookup is two array loads that never hash.
 
 use crate::graph::Edge;
 use crate::ids::EdgeId;
@@ -31,32 +28,32 @@ const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
 /// Paged `EdgeId -> u32` index (see module docs).
 #[derive(Clone, Debug, Default)]
-pub struct EdgeIdIndex {
+struct EdgeIdIndex {
     pages: Vec<Option<Box<[u32; PAGE_SIZE]>>>,
     len: usize,
 }
 
 impl EdgeIdIndex {
     /// An empty index.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Number of ids currently mapped.
     #[inline]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
     /// Whether no id is mapped.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The value mapped to `id`, if any.
     #[inline]
-    pub fn get(&self, id: EdgeId) -> Option<u32> {
+    fn get(&self, id: EdgeId) -> Option<u32> {
         let page = id.index() >> PAGE_BITS;
         match self.pages.get(page) {
             Some(Some(p)) => {
@@ -75,7 +72,7 @@ impl EdgeIdIndex {
     ///
     /// # Panics
     /// Panics if `value == NO_HANDLE` (reserved as the empty marker).
-    pub fn set(&mut self, id: EdgeId, value: u32) -> Option<u32> {
+    fn set(&mut self, id: EdgeId, value: u32) -> Option<u32> {
         assert_ne!(value, NO_HANDLE, "NO_HANDLE is reserved");
         let page = id.index() >> PAGE_BITS;
         if page >= self.pages.len() {
@@ -94,7 +91,7 @@ impl EdgeIdIndex {
     }
 
     /// Remove the mapping for `id`, returning it if present.
-    pub fn remove(&mut self, id: EdgeId) -> Option<u32> {
+    fn remove(&mut self, id: EdgeId) -> Option<u32> {
         let page = id.index() >> PAGE_BITS;
         let p = self.pages.get_mut(page)?.as_mut()?;
         let slot = &mut p[id.index() & (PAGE_SIZE - 1)];
@@ -174,13 +171,6 @@ impl<T: Copy> EdgeSlotMap<T> {
     #[inline]
     pub fn handle_of(&self, id: EdgeId) -> Option<u32> {
         self.index.get(id)
-    }
-
-    /// The id owning a live handle.
-    #[inline]
-    pub fn id_of(&self, handle: u32) -> EdgeId {
-        debug_assert!(!self.ids[handle as usize].is_none(), "stale edge handle");
-        self.ids[handle as usize]
     }
 
     /// Resolve a live handle (hot path).
@@ -271,7 +261,6 @@ mod tests {
         assert_eq!(m.get(a), &"a");
         assert_eq!(m.get_by_id(EdgeId(7)), Some(&"b"));
         assert_eq!(m.handle_of(EdgeId(7)), Some(b));
-        assert_eq!(m.id_of(b), EdgeId(7));
 
         assert_eq!(m.remove(EdgeId(0)), Some("a"));
         assert_eq!(m.handle_of(EdgeId(0)), None);

@@ -8,7 +8,7 @@
 //!
 //! * [`ids`] — strongly-typed vertex / edge identifiers,
 //! * [`arena`] — the flat, index-based edge bookkeeping layer
-//!   ([`EdgeSlotMap`], [`EdgeIdIndex`]),
+//!   ([`EdgeSlotMap`]),
 //! * [`weight`] — a totally ordered weight domain (every `i64`) with
 //!   deterministic tie-breaking so the minimum spanning forest is unique,
 //! * [`graph`] — a dynamic multigraph ([`DynGraph`]) with edge insertion and
@@ -39,7 +39,7 @@ pub mod msf;
 pub mod unionfind;
 pub mod weight;
 
-pub use arena::{EdgeIdIndex, EdgeSlotMap, NO_HANDLE};
+pub use arena::{EdgeSlotMap, NO_HANDLE};
 pub use generators::{
     BatchKind, BatchOp, BatchStream, BatchStreamSpec, GraphSpec, StreamKind, TenantOp,
     TenantStream, TenantStreamSpec, UpdateOp, UpdateStream, UpdateStreamSpec,

@@ -142,24 +142,12 @@ pub fn stable_shard(id: TenantId, shards: usize) -> usize {
     (x % shards as u64) as usize
 }
 
-/// Registered tenant state: placement, vertex block, and the tenant-local →
-/// shard-global edge-id map (index = tenant-local id).
-pub(crate) struct TenantState {
-    pub(crate) shard: u32,
-    /// First vertex of the tenant's block in its shard engine.
-    pub(crate) base: u32,
-    /// Size of the tenant's vertex space.
-    pub(crate) vertices: u32,
-    /// Tenant-local edge id (index) → shard-global edge id.
-    pub(crate) edge_ids: Vec<pdmsf_graph::EdgeId>,
-}
-
 /// One tenant's registration: placement, vertex block and the
-/// tenant-local → shard-global edge-id map. Produced by
-/// [`ShardedService::export_tenants`]; the persistence layer's
-/// tenant-table section stores the first four fields, and
-/// [`ShardedService::from_restored_parts`] validates them and derives the
-/// map from the shard mirrors.
+/// tenant-local → shard-global edge-id map. The service holds one per
+/// tenant and [`ShardedService::export_tenants`] copies them out; the
+/// persistence layer's tenant-table section stores the first four fields,
+/// and [`ShardedService::from_restored_parts`] validates them and derives
+/// the map from the shard mirrors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TenantRecord {
     /// The tenant's id.
@@ -304,7 +292,7 @@ impl ServiceMetrics {
 /// The multi-tenant sharded serving layer. See the crate docs.
 pub struct ShardedService {
     shards: Vec<Engine>,
-    tenants: Vec<TenantState>,
+    tenants: Vec<TenantRecord>,
     /// Tenant id → dense index into `tenants`.
     lookup: HashMap<TenantId, u32>,
     stats: ServiceStats,
@@ -357,7 +345,8 @@ impl ShardedService {
             };
             let prev = lookup.insert(spec.id, states.len() as u32);
             assert!(prev.is_none(), "duplicate tenant id {:?}", spec.id);
-            states.push(TenantState {
+            states.push(TenantRecord {
+                id: spec.id,
                 shard: shard as u32,
                 base: u32::try_from(shard_vertices[shard]).expect("shard vertex space fits u32"),
                 vertices: u32::try_from(spec.vertices).expect("tenant vertex space fits u32"),
@@ -448,21 +437,7 @@ impl ShardedService {
     /// Export the tenant table in dense registration order (the persistence
     /// layer serializes this next to the per-shard engine sections).
     pub fn export_tenants(&self) -> Vec<TenantRecord> {
-        let mut ids = vec![TenantId(0); self.tenants.len()];
-        for (&id, &ix) in &self.lookup {
-            ids[ix as usize] = id;
-        }
-        self.tenants
-            .iter()
-            .zip(ids)
-            .map(|(t, id)| TenantRecord {
-                id,
-                shard: t.shard,
-                base: t.base,
-                vertices: t.vertices,
-                edge_ids: t.edge_ids.clone(),
-            })
-            .collect()
+        self.tenants.clone()
     }
 
     /// Assemble a service from restored parts (the checkpoint/restore path
@@ -485,7 +460,7 @@ impl ShardedService {
         let mut lookup = HashMap::with_capacity(tenants.len());
         let mut states = Vec::with_capacity(tenants.len());
         let mut blocks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shards.len()];
-        for rec in tenants {
+        for mut rec in tenants {
             let shard = rec.shard as usize;
             if shard >= shards.len() {
                 return Err(format!(
@@ -510,12 +485,8 @@ impl ShardedService {
             if lookup.insert(rec.id, states.len() as u32).is_some() {
                 return Err(format!("duplicate tenant id {:?}", rec.id));
             }
-            states.push(TenantState {
-                shard: rec.shard,
-                base: rec.base,
-                vertices: rec.vertices,
-                edge_ids: Vec::new(),
-            });
+            rec.edge_ids = Vec::new();
+            states.push(rec);
         }
         for (shard, list) in blocks.iter_mut().enumerate() {
             list.sort_unstable();

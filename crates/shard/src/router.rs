@@ -35,7 +35,7 @@
 //! updates have been applied — the same post-update snapshot point every
 //! other query of the batch observes.
 
-use crate::TenantState;
+use crate::TenantRecord;
 use pdmsf_engine::{link_reject, query_reject, Engine, Op, Outcome, Reject};
 use pdmsf_graph::{BatchOp, EdgeId, TenantId, TenantOp, VertexId};
 use std::collections::HashMap;
@@ -103,7 +103,7 @@ pub(crate) struct Routed {
 /// edge-id maps (pre-assigned link ids); engines are read for their id
 /// frontier.
 pub(crate) fn route(
-    tenants: &mut [TenantState],
+    tenants: &mut [TenantRecord],
     lookup: &HashMap<TenantId, u32>,
     shards: &[Engine],
     ops: &[TenantOp],

@@ -45,15 +45,17 @@
 //!   chunked forest do not even do that: each adjacency entry carries the
 //!   edge's weight, id and far endpoint inline (16 bytes), and the full edge
 //!   is looked up by id only for a scan's winner. The id-to-slot lookup
-//!   is a paged id index ([`graph::EdgeIdIndex`]), so sparse id regions
+//!   is a paged id index private to the slot map, so sparse id regions
 //!   cost one page each.
 //! * One [`core::EdgeRec`] per edge carries the edge *and* its Euler-tour
 //!   arc tails, replacing the seed's `HashMap<EdgeId, Edge>` +
-//!   `HashMap<EdgeId, (u32, u32)>` + `BTreeMap<EdgeId, Edge>` triple; the
-//!   link-cut tree keys its edge nodes the same way, and its 24-byte splay
-//!   node holds only indices (an edge's key and endpoints are stored once,
-//!   in its edge slot). Per-vertex caches (principal flag, principal chunk)
-//!   collapse the scan loops' pointer chains into single array loads.
+//!   `HashMap<EdgeId, (u32, u32)>` + `BTreeMap<EdgeId, Edge>` triple. The
+//!   link-cut tree keeps no id table at all: a forest edge is named by its
+//!   endpoints, edge node `x` keeps its key at `keys[x − n]`, and its
+//!   20-byte splay node holds only indices (its links and the heaviest
+//!   edge node below it). Per-vertex caches (principal flag, principal
+//!   chunk) collapse the scan loops' pointer chains into single array
+//!   loads.
 //! * **Per-vertex state is a few words.** Each vertex's adjacency entries
 //!   and occurrence ids are spans (offset, length) of two pooled stores,
 //!   in power-of-two blocks recycled per size class, so no vertex owns a
