@@ -232,7 +232,7 @@ pub fn pram_profile(n: usize, ops: usize, seed: u64) -> CostProfile {
 pub struct BenchRecord {
     /// Structure label (`"arena-seq"`).
     pub structure: String,
-    /// Stream label (`"insert"`, `"delete"`, `"mixed"`).
+    /// Stream label (`"mixed"`, the one stream E0 times).
     pub stream: String,
     /// Number of vertices.
     pub n: usize,
@@ -381,7 +381,7 @@ pub fn bench_records_to_json(
 pub struct BatchRecord {
     /// Engine path (`"batched"` / `"one-by-one"`).
     pub path: String,
-    /// Stream label (`"bursty"` / `"clustered"`).
+    /// Stream label (`"bursty"`, the one stream E1 times).
     pub stream: String,
     /// Number of vertices.
     pub n: usize,
@@ -435,7 +435,7 @@ pub fn batch_records_to_json(meta: &RunMeta, records: &[BatchRecord]) -> String 
 /// through the engine from scratch.
 #[derive(Clone, Debug)]
 pub struct PersistRecord {
-    /// Scenario label (`"engine"` / `"service"`).
+    /// Scenario label (`"engine"`, the one scenario E5 times).
     pub scenario: String,
     /// Number of vertices.
     pub n: usize,

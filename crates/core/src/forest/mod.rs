@@ -122,7 +122,8 @@ pub(crate) fn log_depth(n: usize) -> u64 {
 pub struct ForestStats {
     /// Number of live chunks.
     pub chunks: usize,
-    /// Number of allocated chunk ids (`J` in the paper's terms).
+    /// Number of live chunk ids, one per chunk of a multi-chunk list. The
+    /// id capacity `J` (`slot_cap()`) is at least this.
     pub slots: usize,
     /// Number of live occurrences across all Euler tours.
     pub occurrences: usize,

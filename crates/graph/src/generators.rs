@@ -193,8 +193,8 @@ pub enum StreamKind {
         window: usize,
     },
     /// Delete-only "failure" stream over the base graph's edges, in random
-    /// order (used for the adversarial MWR experiments: most deletions hit
-    /// forest edges).
+    /// order: most deletions hit forest edges, so most take the
+    /// replacement search.
     Failures,
 }
 
@@ -357,11 +357,6 @@ impl BatchOp {
     /// Whether this operation mutates the graph.
     pub fn is_update(&self) -> bool {
         matches!(self, BatchOp::Link { .. } | BatchOp::Cut { .. })
-    }
-
-    /// Whether this operation is a read-only query.
-    pub fn is_query(&self) -> bool {
-        !self.is_update()
     }
 }
 

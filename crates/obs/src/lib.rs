@@ -35,11 +35,13 @@
 //! `[2^(i-1), 2^i)`, and the last bucket is unbounded. A quantile estimate
 //! first finds the bucket containing the target rank — always the same
 //! bucket as the exact sample quantile, since counts are exact — then
-//! interpolates by rank position inside it, so the estimate is off by at
-//! most one bucket width (a factor of 2 in the worst case, typically much
-//! less). Count and sum are exact. Concurrent snapshots are weakly
-//! consistent (a racing record may appear in `count` but not yet in its
-//! bucket); quiesce recorders before asserting exact totals.
+//! interpolates by rank position inside it and bounds the result by the
+//! exact `min` and `max`, so the estimate is off by at most one bucket
+//! width (a factor of 2 in the worst case, typically much less) and a
+//! single sample reads exactly. Count and sum are exact. Concurrent
+//! snapshots are weakly consistent (a racing record may appear in `count`
+//! but not yet in its bucket); quiesce recorders before asserting exact
+//! totals.
 //!
 //! ## Naming conventions
 //!
@@ -242,15 +244,17 @@ impl Default for HistSnapshot {
 
 impl HistSnapshot {
     /// Estimate the `q`-quantile (`0.0..=1.0`): find the bucket holding
-    /// the target rank, then interpolate by rank position inside it. The
-    /// estimate falls in the same bucket as the exact sample quantile.
-    /// Returns 0 on an empty snapshot.
+    /// the target rank, then interpolate by rank position inside it,
+    /// bounded by the exact `min` and `max`. The estimate falls in the
+    /// same bucket as the exact sample quantile. Returns 0 on an empty
+    /// snapshot.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
+        let mut estimate = bucket_upper(BUCKETS - 1);
         for (i, &c) in self.buckets.iter().enumerate() {
             if c == 0 {
                 continue;
@@ -260,11 +264,15 @@ impl HistSnapshot {
                 let hi = bucket_upper(i);
                 let within = rank - seen; // 1..=c
                 let width = hi - lo;
-                return lo + ((width as u128 * within as u128) / c as u128) as u64;
+                estimate = lo + ((width as u128 * within as u128) / c as u128) as u64;
+                break;
             }
             seen += c;
         }
-        bucket_upper(BUCKETS - 1)
+        // A bucket's top can pass every sample in it (one 1 000 ns sample
+        // would read 1 023). Not `clamp`: a snapshot racing a record can
+        // read `min > max`, and `clamp` panics on that.
+        estimate.max(self.min).min(self.max)
     }
 }
 
@@ -592,6 +600,7 @@ mod tests {
             let exact =
                 values[((q * values.len() as f64).ceil() as usize).clamp(1, values.len()) - 1];
             let est = snap.quantile(q);
+            assert!((snap.min..=snap.max).contains(&est), "q={q}: {est}");
             assert_eq!(
                 bucket_index(est),
                 bucket_index(exact),
@@ -612,11 +621,13 @@ mod tests {
     #[test]
     fn quantiles_of_empty_and_singleton() {
         assert_eq!(HistSnapshot::default().quantile(0.5), 0);
-        let h = Histogram::new();
-        h.record(42);
-        let s = h.snapshot();
-        for &q in &[0.0, 0.5, 1.0] {
-            assert_eq!(bucket_index(s.quantile(q)), bucket_index(42));
+        for v in [42, 1_000] {
+            let h = Histogram::new();
+            h.record(v);
+            let s = h.snapshot();
+            for &q in &[0.0, 0.5, 0.99, 1.0] {
+                assert_eq!(s.quantile(q), v, "q={q}");
+            }
         }
     }
 

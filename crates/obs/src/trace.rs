@@ -3,17 +3,20 @@
 //! Aggregate histograms (the rest of this crate) tell us *that* p95
 //! degrades under load, but not *why*: one slow batch hides behind a
 //! thousand fast ones. This module captures per-batch **timelines** —
-//! structured [`TraceEvent`]s (span begin/end, monotonic nanoseconds,
-//! thread id, a [`TraceId`] tying every event to its batch, a [`Phase`]
-//! tag and two free `u64` args) written into a process-wide lock-free
-//! [`Ring`] buffer — and keeps only the pathological ones.
+//! finished [`Span`]s (start and end in monotonic nanoseconds, thread id,
+//! a [`TraceId`] tying every span to its batch, a [`Phase`] tag and two
+//! free `u64` args) written into a process-wide lock-free [`Ring`]
+//! buffer — and keeps only the pathological ones.
 //!
 //! ## One phase guard
 //!
 //! Every timed phase of the stack goes through [`TSpan`]: it spans the
 //! phase on the ambient trace and, when given a histogram, records the
 //! phase's length there too. Both come from the same two clock readings,
-//! so a histogram sample equals its span's `End.ts − Begin.ts` exactly.
+//! so a histogram sample equals its span's `end_ns − start_ns` exactly.
+//! The guard writes its span to the ring when the phase ends, in one
+//! slot: a phase still running is not in the ring, and a ring wrap drops
+//! whole spans, never half of one.
 //!
 //! ## Two-tier cost policy
 //!
@@ -23,9 +26,10 @@
 //!   relaxed atomic load plus a predictable branch at begin, and one
 //!   branch on drop. No clock read, no TLS access, no ring write. The
 //!   `obs_overhead` bench gates this path.
-//! * **On:** one clock read, one compare-exchange taking the slot and six
-//!   atomic stores per event into a pre-allocated ring slot. No locks, no
-//!   allocation, no syscalls on the emit path.
+//! * **On:** two clock reads per span and, when it ends, one
+//!   compare-exchange taking the slot and seven atomic stores into a
+//!   pre-allocated ring slot. No locks, no allocation, no syscalls on the
+//!   emit path.
 //!
 //! ## TraceId propagation
 //!
@@ -41,9 +45,9 @@
 //!
 //! ## Flight recorder
 //!
-//! The ring is a sliding window: old events are overwritten. Tail-based
-//! retention ([`offer_capture`]) promotes a batch's events to a pinned
-//! capture buffer when its end-to-end latency exceeds a configured
+//! The ring is a sliding window: old spans are overwritten. Tail-based
+//! retention ([`offer_capture`]) promotes a finished batch's spans to a
+//! pinned capture buffer when its end-to-end latency exceeds a configured
 //! threshold ([`set_capture_threshold_ns`]) or when a caller armed
 //! [`capture_next`]. The pinned buffer holds at most [`CAPTURE_SLOTS`]
 //! traces and evicts the *fastest* one on overflow, so under sustained
@@ -52,18 +56,20 @@
 //!
 //! ## Export
 //!
-//! [`chrome_trace_json`] renders events in the Chrome trace-event JSON
-//! format (loadable in Perfetto / `about://tracing`); [`text_timeline`]
-//! renders a compact indented text timeline for terminals and logs.
+//! [`chrome_trace_json`] renders spans as Chrome trace-event JSON
+//! complete events (loadable in Perfetto / `about://tracing`);
+//! [`text_timeline`] renders a compact indented text timeline for
+//! terminals and logs.
 
 use std::cell::Cell;
+use std::cmp::Reverse;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::Histogram;
 
-/// Ring capacity used by [`enable_default`]: 64Ki events ≈ 3 MiB, several
+/// Ring capacity used by [`enable_default`]: 64Ki spans ≈ 3.5 MiB, several
 /// thousand batches of window at typical span counts.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
@@ -88,7 +94,7 @@ impl TraceId {
     }
 }
 
-/// Which phase of the stack an event describes. The tag doubles as the
+/// Which phase of the stack a span describes. The tag doubles as the
 /// span name (`name`) and layer (`cat`) in the Chrome export.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -161,58 +167,48 @@ impl Phase {
     }
 }
 
-/// Span boundary.
+/// One finished span, as returned by [`Ring::snapshot`] / [`spans`].
+/// Plain data: sortable, cloneable, exportable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum EventKind {
-    /// Span start.
-    Begin = 0,
-    /// Span end (matches the most recent unmatched Begin of the same
-    /// trace/thread/phase).
-    End = 1,
-}
-
-impl EventKind {
-    fn from_u8(v: u8) -> Option<EventKind> {
-        Some(match v {
-            0 => EventKind::Begin,
-            1 => EventKind::End,
-            _ => return None,
-        })
-    }
-}
-
-/// One decoded trace event, as returned by [`Ring::snapshot`] /
-/// [`events`]. Plain data: sortable, cloneable, exportable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Global emission sequence number (1-based, total order of writes).
+pub struct Span {
+    /// Global write sequence number (1-based, total order of writes).
     pub seq: u64,
-    /// Monotonic nanoseconds since the trace clock epoch ([`now_ns`]).
-    pub ts_ns: u64,
+    /// Monotonic nanoseconds since the trace clock epoch ([`now_ns`]) when
+    /// the phase began.
+    pub start_ns: u64,
+    /// The same clock when the phase ended.
+    pub end_ns: u64,
     /// Stable per-thread id (small integers in emission-thread order).
     pub tid: u64,
-    /// The batch this event belongs to (raw [`TraceId`]).
+    /// The batch this span belongs to (raw [`TraceId`]).
     pub trace: u64,
     /// Phase tag.
     pub phase: Phase,
-    /// Begin / End.
-    pub kind: EventKind,
     /// First free argument (phase-specific: op counts, shard ids, ...).
     pub arg0: u64,
     /// Second free argument.
     pub arg1: u64,
 }
 
-/// One ring slot: the event fields as independent atomics plus a
+/// The order of [`Ring::snapshot`] and [`text_timeline`]: by start, each
+/// span before the spans it encloses. On equal starts the later end goes
+/// first, then the later write (an enclosing span ends, and is written,
+/// after the spans inside it).
+fn order_key(s: &Span) -> (u64, Reverse<u64>, Reverse<u64>) {
+    (s.start_ns, Reverse(s.end_ns), Reverse(s.seq))
+}
+
+/// One ring slot: the span's fields as independent atomics plus a
 /// sequence word — 0 while empty, [`BUSY`] while a writer owns the slot,
-/// otherwise the published event's sequence number — validated around
+/// otherwise the published span's sequence number — validated around
 /// reads, so a torn read across a ring lap is detected and discarded
-/// rather than surfacing as a frankenevent.
+/// rather than surfacing as a frankenspan.
+#[derive(Default)]
 struct Slot {
     seq: AtomicU64,
-    ts: AtomicU64,
-    /// Packed `tid << 16 | phase << 8 | kind`.
+    start: AtomicU64,
+    end: AtomicU64,
+    /// Packed `tid << 8 | phase`.
     meta: AtomicU64,
     trace: AtomicU64,
     arg0: AtomicU64,
@@ -222,37 +218,23 @@ struct Slot {
 /// [`Slot::seq`] while a writer owns the slot.
 const BUSY: u64 = u64::MAX;
 
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            ts: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            trace: AtomicU64::new(0),
-            arg0: AtomicU64::new(0),
-            arg1: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A lock-free fixed-capacity ring buffer of [`TraceEvent`]s. Writers
-/// claim a slot with one `fetch_add` and overwrite the oldest event once
-/// the ring is full; readers snapshot without stopping writers (events
+/// A lock-free fixed-capacity ring buffer of finished [`Span`]s. Writers
+/// claim a slot with one `fetch_add` and overwrite the oldest span once
+/// the ring is full; readers snapshot without stopping writers (spans
 /// overwritten mid-read are detected via the per-slot sequence word and
 /// skipped). A writer that finds its slot owned by another writer, or
-/// already holding a later event, drops its event instead of waiting.
+/// already holding a later span, drops its span instead of waiting.
 pub struct Ring {
     slots: Box<[Slot]>,
-    /// Total events ever written; `head % capacity` is the next slot.
+    /// Total spans ever written; `head % capacity` is the next slot.
     head: AtomicU64,
 }
 
 impl Ring {
-    /// A ring holding at most `capacity` events (min 1).
+    /// A ring holding at most `capacity` spans (min 1).
     pub fn new(capacity: usize) -> Ring {
-        let capacity = capacity.max(1);
         Ring {
-            slots: (0..capacity).map(|_| Slot::empty()).collect(),
+            slots: (0..capacity.max(1)).map(|_| Slot::default()).collect(),
             head: AtomicU64::new(0),
         }
     }
@@ -262,22 +244,22 @@ impl Ring {
         self.slots.len()
     }
 
-    /// Total events ever written (wrapped ones included).
+    /// Total spans ever written (wrapped ones included).
     pub fn written(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Write one event. Lock-free: one `fetch_add`, one compare-exchange
-    /// that takes the slot, and six stores (fenced against the sequence
-    /// word so readers see whole events or nothing).
+    /// Write one finished span. Lock-free: one `fetch_add`, one
+    /// compare-exchange that takes the slot, and seven stores (fenced
+    /// against the sequence word so readers see whole spans or nothing).
     #[allow(clippy::too_many_arguments)]
     pub fn emit(
         &self,
-        ts_ns: u64,
+        start_ns: u64,
+        end_ns: u64,
         tid: u64,
         trace: u64,
         phase: Phase,
-        kind: EventKind,
         arg0: u64,
         arg1: u64,
     ) {
@@ -285,10 +267,10 @@ impl Ring {
         let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
         // Take the slot before touching its fields. A writer lapped on
         // the same slot by a later one would otherwise interleave its
-        // stores with the later event after that event was published,
+        // stores with the later span after that span was published,
         // which no reader could detect. Acquire on success pairs with the
         // previous owner's release store of its sequence number, so that
-        // event's field stores come before ours.
+        // span's field stores come before ours.
         let mut cur = slot.seq.load(Ordering::Relaxed);
         loop {
             if cur == BUSY || cur > idx + 1 {
@@ -307,28 +289,29 @@ impl Ring {
         // word, when it re-checks `seq`. The release store of `idx + 1`
         // pairs with the reader's acquire load of `s1`.
         fence(Ordering::Release);
-        slot.ts.store(ts_ns, Ordering::Relaxed);
-        slot.meta.store(
-            (tid << 16) | ((phase as u64) << 8) | kind as u64,
-            Ordering::Relaxed,
-        );
+        slot.start.store(start_ns, Ordering::Relaxed);
+        slot.end.store(end_ns, Ordering::Relaxed);
+        slot.meta
+            .store((tid << 8) | phase as u64, Ordering::Relaxed);
         slot.trace.store(trace, Ordering::Relaxed);
         slot.arg0.store(arg0, Ordering::Relaxed);
         slot.arg1.store(arg1, Ordering::Relaxed);
         slot.seq.store(idx + 1, Ordering::Release);
     }
 
-    /// Decode every currently-valid event, sorted by `(ts_ns, seq)`.
-    /// Weakly consistent under concurrent writing: events overwritten
-    /// while being read are detected (sequence mismatch) and skipped.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
+    /// Decode every currently-valid span, sorted by start with each span
+    /// before the spans it encloses. Weakly consistent under concurrent
+    /// writing: spans overwritten while being read are detected (sequence
+    /// mismatch) and skipped.
+    pub fn snapshot(&self) -> Vec<Span> {
         let mut out = Vec::with_capacity(self.slots.len());
         for slot in self.slots.iter() {
             let s1 = slot.seq.load(Ordering::Acquire);
             if s1 == 0 || s1 == BUSY {
                 continue;
             }
-            let ts = slot.ts.load(Ordering::Relaxed);
+            let start_ns = slot.start.load(Ordering::Relaxed);
+            let end_ns = slot.end.load(Ordering::Relaxed);
             let meta = slot.meta.load(Ordering::Relaxed);
             let trace = slot.trace.load(Ordering::Relaxed);
             let arg0 = slot.arg0.load(Ordering::Relaxed);
@@ -339,24 +322,21 @@ impl Ring {
             if s1 != s2 {
                 continue; // overwritten mid-read
             }
-            let (Some(phase), Some(kind)) = (
-                Phase::from_u8(((meta >> 8) & 0xff) as u8),
-                EventKind::from_u8((meta & 0xff) as u8),
-            ) else {
+            let Some(phase) = Phase::from_u8((meta & 0xff) as u8) else {
                 continue;
             };
-            out.push(TraceEvent {
+            out.push(Span {
                 seq: s1,
-                ts_ns: ts,
-                tid: meta >> 16,
+                start_ns,
+                end_ns,
+                tid: meta >> 8,
                 trace,
                 phase,
-                kind,
                 arg0,
                 arg1,
             });
         }
-        out.sort_by_key(|e| (e.ts_ns, e.seq));
+        out.sort_by_key(order_key);
         out
     }
 }
@@ -388,18 +368,12 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn tracing on, allocating the global ring of
-/// [`DEFAULT_RING_CAPACITY`] slots on first call (later calls just
-/// re-enable). Idempotent.
+/// Turn tracing on for the rest of the process, allocating the global
+/// ring of [`DEFAULT_RING_CAPACITY`] slots on first call. Idempotent.
 pub fn enable_default() {
     RING.get_or_init(|| Ring::new(DEFAULT_RING_CAPACITY));
     let _ = EPOCH.get_or_init(Instant::now);
     ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turn tracing off. The ring and any pinned captures are retained.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
 }
 
 /// Monotonic nanoseconds since the process trace epoch. All threads
@@ -470,46 +444,40 @@ pub fn scope(id: TraceId) -> ScopeGuard {
     ScopeGuard { prev, active: true }
 }
 
-/// Write one event stamped `ts_ns` against `id`. Inert when tracing is
-/// off or `id` is [`TraceId::NONE`].
-#[inline]
-fn emit_at(id: TraceId, ts_ns: u64, phase: Phase, kind: EventKind, arg0: u64, arg1: u64) {
-    if !enabled() || !id.is_some() {
-        return;
-    }
-    let Some(ring) = RING.get() else { return };
-    ring.emit(ts_ns, thread_id(), id.0, phase, kind, arg0, arg1);
-}
-
-/// The phase guard: spans one phase on the **ambient** trace id (Begin at
-/// [`TSpan::begin`], End at [`TSpan::end`] or drop) and records the
-/// phase's length into an optional histogram. The clock is read once at
-/// begin and once at end, and only when the guard has a histogram or an
-/// ambient trace; the two readings stamp the span's events and their
-/// difference is the histogram sample. With neither, `begin` is one
-/// relaxed load + branch and drop is one branch — the zero-cost tier.
+/// The phase guard: spans one phase on the **ambient** trace id, from
+/// [`TSpan::begin`] to [`TSpan::end`] or drop, and records the phase's
+/// length into an optional histogram. The clock is read once at begin and
+/// once at end, and only when the guard has a histogram or an ambient
+/// trace; the two readings are the span's `start_ns` and `end_ns`, and
+/// their difference is the histogram sample. The span reaches the ring,
+/// in one slot, when it ends. With neither, `begin` is one relaxed load +
+/// branch and drop is one branch — the zero-cost tier.
 pub struct TSpan<'a> {
     id: TraceId,
     phase: Phase,
     hist: Option<&'a Histogram>,
     /// Clock reading at begin ([`now_ns`]); 0 while unclocked.
-    begin_ns: u64,
+    start_ns: u64,
+    arg0: u64,
+    arg1: u64,
 }
 
 impl<'a> TSpan<'a> {
     /// Begin `phase` on the current trace (inert if none), timing it into
-    /// `hist` if given. `arg0`/`arg1` ride on the Begin event.
+    /// `hist` if given. `arg0`/`arg1` ride on the span. Writes nothing to
+    /// the ring.
     #[inline]
     pub fn begin(phase: Phase, hist: Option<&'a Histogram>, arg0: u64, arg1: u64) -> TSpan<'a> {
         let mut span = TSpan {
             id: current(),
             phase,
             hist,
-            begin_ns: 0,
+            start_ns: 0,
+            arg0,
+            arg1,
         };
         if span.clocked() {
-            span.begin_ns = now_ns();
-            emit_at(span.id, span.begin_ns, phase, EventKind::Begin, arg0, arg1);
+            span.start_ns = now_ns();
         }
         span
     }
@@ -525,14 +493,26 @@ impl<'a> TSpan<'a> {
         self.id.is_some() || self.hist.is_some()
     }
 
-    /// Read the clock, emit End and record the sample, once.
+    /// Read the clock, write the span and record the sample, once.
     fn finish(&mut self) -> u64 {
         if !self.clocked() {
             return 0;
         }
         let end_ns = now_ns();
-        let ns = end_ns.saturating_sub(self.begin_ns);
-        emit_at(self.id, end_ns, self.phase, EventKind::End, 0, 0);
+        if self.id.is_some() {
+            if let Some(ring) = RING.get() {
+                ring.emit(
+                    self.start_ns,
+                    end_ns,
+                    thread_id(),
+                    self.id.0,
+                    self.phase,
+                    self.arg0,
+                    self.arg1,
+                );
+            }
+        }
+        let ns = end_ns.saturating_sub(self.start_ns);
         if let Some(hist) = self.hist.take() {
             hist.record(ns);
         }
@@ -547,26 +527,23 @@ impl Drop for TSpan<'_> {
     }
 }
 
-/// Every currently-valid event in the global ring, sorted by time.
-/// Empty when tracing was never enabled.
-pub fn events() -> Vec<TraceEvent> {
-    match RING.get() {
-        Some(r) => r.snapshot(),
-        None => Vec::new(),
-    }
+/// Every currently-valid span in the global ring, in [`Ring::snapshot`]
+/// order. Empty when tracing was never enabled.
+pub fn spans() -> Vec<Span> {
+    RING.get().map_or_else(Vec::new, Ring::snapshot)
 }
 
 // ---- flight recorder ----
 
-/// One batch's events, promoted out of the ring by the flight recorder.
+/// One batch's spans, promoted out of the ring by the flight recorder.
 #[derive(Clone, Debug)]
 pub struct CapturedTrace {
     /// The batch's raw [`TraceId`].
     pub trace: u64,
     /// End-to-end batch latency reported by the promoting layer.
     pub total_ns: u64,
-    /// The batch's events, time-sorted.
-    pub events: Vec<TraceEvent>,
+    /// The batch's spans, in [`Ring::snapshot`] order.
+    pub spans: Vec<Span>,
 }
 
 /// Arm the flight recorder to capture the next batch offered via
@@ -581,11 +558,12 @@ pub fn set_capture_threshold_ns(ns: u64) {
     CAPTURE_THRESHOLD_NS.store(ns, Ordering::Relaxed);
 }
 
-/// Offer a finished batch to the flight recorder: promotes its events
+/// Offer a finished batch to the flight recorder: promotes its spans
 /// out of the ring into the pinned capture buffer if `capture_next` was
 /// armed or `total_ns` meets the threshold. Returns whether the batch
 /// was pinned. Layers that know a batch's end-to-end latency (the
-/// sharded service, the serve harness) call this once per traced batch.
+/// sharded service, the serve harness) call this once per traced batch,
+/// after its spans have ended.
 pub fn offer_capture(id: TraceId, total_ns: u64) -> bool {
     if !enabled() || !id.is_some() {
         return false;
@@ -597,14 +575,14 @@ pub fn offer_capture(id: TraceId, total_ns: u64) -> bool {
             return false;
         }
     }
-    let events: Vec<TraceEvent> = events().into_iter().filter(|e| e.trace == id.0).collect();
-    if events.is_empty() {
+    let spans: Vec<Span> = spans().into_iter().filter(|s| s.trace == id.0).collect();
+    if spans.is_empty() {
         return false;
     }
     let capture = CapturedTrace {
         trace: id.0,
         total_ns,
-        events,
+        spans,
     };
     let mut pinned = CAPTURED.lock().unwrap_or_else(|e| e.into_inner());
     if pinned.len() < CAPTURE_SLOTS {
@@ -630,137 +608,78 @@ pub fn offer_capture(id: TraceId, total_ns: u64) -> bool {
 pub fn take_captured() -> Vec<CapturedTrace> {
     let mut pinned = CAPTURED.lock().unwrap_or_else(|e| e.into_inner());
     let mut out = std::mem::take(&mut *pinned);
-    out.sort_by_key(|c| std::cmp::Reverse(c.total_ns));
+    out.sort_by_key(|c| Reverse(c.total_ns));
     out
 }
 
 // ---- exporters ----
 
-/// Render events as Chrome trace-event JSON (the `traceEvents` array
-/// format Perfetto and `about://tracing` load). Timestamps are exported
-/// in microseconds with nanosecond precision; `pid` is fixed at 1 (one
+/// Render spans as Chrome trace-event JSON (the `traceEvents` array
+/// format Perfetto and `about://tracing` load), one complete event
+/// (`"ph":"X"`) per span. Timestamps and durations are exported in
+/// microseconds with nanosecond precision; `pid` is fixed at 1 (one
 /// process), `tid` is the stable per-thread id, `cat` the emitting
 /// layer, and the trace id plus both args ride in `args`.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
+pub fn chrome_trace_json(spans: &[Span]) -> String {
+    let us = |ns: u64| format!("{}.{:03}", ns / 1_000, ns % 1_000);
     let mut out = String::new();
     out.push_str("{\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        let ph = match e.kind {
-            EventKind::Begin => "B",
-            EventKind::End => "E",
-        };
+    for (i, s) in spans.iter().enumerate() {
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{}.{:03},\"args\":{{\"trace\":{},\"arg0\":{},\"arg1\":{}}}}}{}\n",
-            e.phase.name(),
-            e.phase.layer(),
-            ph,
-            e.tid,
-            e.ts_ns / 1_000,
-            e.ts_ns % 1_000,
-            e.trace,
-            e.arg0,
-            e.arg1,
-            if i + 1 < events.len() { "," } else { "" }
+            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"trace\":{},\"arg0\":{},\"arg1\":{}}}}}{}\n",
+            s.phase.name(),
+            s.phase.layer(),
+            s.tid,
+            us(s.start_ns),
+            us(s.end_ns.saturating_sub(s.start_ns)),
+            s.trace,
+            s.arg0,
+            s.arg1,
+            if i + 1 < spans.len() { "," } else { "" }
         ));
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
     out
 }
 
-/// Render events as a compact indented text timeline: one line per
-/// completed span (`+start duration name`), nested spans indented.
-/// Spans still open at the end of the event window render with an
-/// unknown duration.
-pub fn text_timeline(events: &[TraceEvent]) -> String {
-    struct Line {
-        start_ns: u64,
-        seq: u64,
-        depth: usize,
-        text: String,
-    }
+/// Render spans as a compact indented text timeline: one line per span
+/// (`+start duration name`) in [`Ring::snapshot`] order, indented once
+/// per span that encloses it on its thread.
+pub fn text_timeline(spans: &[Span]) -> String {
     let us = |ns: u64| format!("{}.{:03}us", ns / 1_000, ns % 1_000);
-    let mut lines: Vec<Line> = Vec::new();
-    // Open Begin events per thread, matched LIFO by (trace, phase).
-    let mut open: Vec<&TraceEvent> = Vec::new();
-    for e in events {
-        match e.kind {
-            EventKind::Begin => open.push(e),
-            EventKind::End => {
-                let found = open
-                    .iter()
-                    .rposition(|b| b.tid == e.tid && b.trace == e.trace && b.phase == e.phase);
-                if let Some(i) = found {
-                    let b = open.remove(i);
-                    let depth = open
-                        .iter()
-                        .filter(|o| o.tid == b.tid && o.ts_ns <= b.ts_ns)
-                        .count();
-                    lines.push(Line {
-                        start_ns: b.ts_ns,
-                        seq: b.seq,
-                        depth,
-                        text: format!(
-                            "+{:>12} {:>12}  {} trace={} tid={} args=({}, {})",
-                            us(b.ts_ns),
-                            us(e.ts_ns.saturating_sub(b.ts_ns)),
-                            b.phase.name(),
-                            b.trace,
-                            b.tid,
-                            b.arg0,
-                            b.arg1
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    for b in open {
-        lines.push(Line {
-            start_ns: b.ts_ns,
-            seq: b.seq,
-            depth: 0,
-            text: format!(
-                "+{:>12} {:>12}  {} trace={} tid={} args=({}, {}) [unclosed]",
-                us(b.ts_ns),
-                "?",
-                b.phase.name(),
-                b.trace,
-                b.tid,
-                b.arg0,
-                b.arg1
-            ),
-        });
-    }
-    lines.sort_by_key(|l| (l.start_ns, l.seq));
+    let mut sorted: Vec<&Span> = spans.iter().collect();
+    sorted.sort_by_key(|s| order_key(s));
     let mut out = String::new();
-    for l in lines {
-        out.push_str(&"  ".repeat(l.depth));
-        out.push_str(&l.text);
-        out.push('\n');
+    for (i, s) in sorted.iter().enumerate() {
+        // In this order a span's enclosers are the earlier spans on its
+        // thread that end no earlier than it does.
+        let depth = sorted[..i]
+            .iter()
+            .filter(|o| o.tid == s.tid && o.end_ns >= s.end_ns)
+            .count();
+        out.push_str(&"  ".repeat(depth));
+        out.push_str(&format!(
+            "+{:>12} {:>12}  {} trace={} tid={} args=({}, {})\n",
+            us(s.start_ns),
+            us(s.end_ns.saturating_sub(s.start_ns)),
+            s.phase.name(),
+            s.trace,
+            s.tid,
+            s.arg0,
+            s.arg1
+        ));
     }
     out
 }
 
-/// Sum of closed-span durations per phase across `events`, as
-/// `(phase, total_ns)` pairs in phase order. This is thread-time: a phase
-/// running on `k` workers concurrently counts `k×`, so its share of a
-/// batch can exceed 1.0.
-pub fn phase_durations(events: &[TraceEvent]) -> Vec<(Phase, u64)> {
+/// Sum of span lengths per phase across `spans`, as `(phase, total_ns)`
+/// pairs in phase order. This is thread-time: a phase running on `k`
+/// workers concurrently counts `k×`, so its share of a batch can exceed
+/// 1.0.
+pub fn phase_durations(spans: &[Span]) -> Vec<(Phase, u64)> {
     let mut totals = [0u64; Phase::ALL.len()];
-    let mut open: Vec<&TraceEvent> = Vec::new();
-    for e in events {
-        match e.kind {
-            EventKind::Begin => open.push(e),
-            EventKind::End => {
-                let found = open
-                    .iter()
-                    .rposition(|b| b.tid == e.tid && b.trace == e.trace && b.phase == e.phase);
-                if let Some(i) = found {
-                    let b = open.remove(i);
-                    totals[b.phase as usize] += e.ts_ns.saturating_sub(b.ts_ns);
-                }
-            }
-        }
+    for s in spans {
+        totals[s.phase as usize] += s.end_ns.saturating_sub(s.start_ns);
     }
     Phase::ALL
         .into_iter()
@@ -778,24 +697,15 @@ mod tests {
     /// the parallel test harness can't interleave their capture cycles.
     static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
-    #[allow(clippy::too_many_arguments)]
-    fn ev(
-        seq: u64,
-        ts: u64,
-        tid: u64,
-        trace: u64,
-        phase: Phase,
-        kind: EventKind,
-        a0: u64,
-        a1: u64,
-    ) -> TraceEvent {
-        TraceEvent {
+    /// A span of trace 3.
+    fn span(seq: u64, start: u64, end: u64, tid: u64, phase: Phase, a0: u64, a1: u64) -> Span {
+        Span {
             seq,
-            ts_ns: ts,
+            start_ns: start,
+            end_ns: end,
             tid,
-            trace,
+            trace: 3,
             phase,
-            kind,
             arg0: a0,
             arg1: a1,
         }
@@ -804,22 +714,22 @@ mod tests {
     #[test]
     fn ring_wraparound_keeps_the_newest_capacity_events() {
         let ring = Ring::new(8);
-        let kind = |i: u64| [EventKind::Begin, EventKind::End][i as usize % 2];
         for i in 0..20u64 {
-            ring.emit(i * 10, 1, 7, Phase::Apply, kind(i), i, 0);
+            ring.emit(i * 10, i * 10 + 5, 1, 7, Phase::Apply, i, 0);
         }
         let snap = ring.snapshot();
         assert_eq!(ring.written(), 20);
         assert_eq!(snap.len(), 8);
-        // Exactly the last 8 emissions survive, in order.
-        let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
+        // Exactly the last 8 writes survive, in order.
+        let seqs: Vec<u64> = snap.iter().map(|s| s.seq).collect();
         assert_eq!(seqs, (13..=20).collect::<Vec<u64>>());
-        for e in &snap {
-            assert_eq!(e.arg0, e.seq - 1);
-            assert_eq!(e.ts_ns, (e.seq - 1) * 10);
-            assert_eq!(e.trace, 7);
-            assert_eq!(e.phase, Phase::Apply);
-            assert_eq!(e.kind, kind(e.seq - 1));
+        for s in &snap {
+            assert_eq!(s.arg0, s.seq - 1);
+            assert_eq!(
+                (s.start_ns, s.end_ns),
+                ((s.seq - 1) * 10, (s.seq - 1) * 10 + 5)
+            );
+            assert_eq!((s.tid, s.trace, s.phase), (1, 7, Phase::Apply));
         }
     }
 
@@ -828,12 +738,14 @@ mod tests {
         let ring = Ring::new(0); // clamped to 1
         assert_eq!(ring.capacity(), 1);
         assert!(ring.snapshot().is_empty());
-        ring.emit(5, 2, 3, Phase::Plan, EventKind::Begin, 0, 0);
-        ring.emit(9, 2, 3, Phase::Plan, EventKind::End, 0, 0);
+        ring.emit(5, 9, 2, 3, Phase::Plan, 0, 0);
+        ring.emit(10, 12, 2, 3, Phase::Apply, 0, 0);
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].kind, EventKind::End);
-        assert_eq!(snap[0].ts_ns, 9);
+        assert_eq!(
+            (snap[0].phase, snap[0].start_ns, snap[0].end_ns),
+            (Phase::Apply, 10, 12)
+        );
     }
 
     #[test]
@@ -842,9 +754,24 @@ mod tests {
         use std::sync::{Arc, Barrier};
         let ring = Arc::new(Ring::new(64));
         let stop = Arc::new(AtomicBool::new(false));
+        // Every field of a written span is a function of (trace, arg0):
+        // a decoded span violating it is a torn read the seq check failed
+        // to catch.
+        let check = |s: &Span| {
+            assert_eq!(
+                s.arg1,
+                s.arg0.wrapping_mul(2654435761).wrapping_add(s.trace),
+                "torn span decoded: {s:?}"
+            );
+            assert_eq!(
+                (s.start_ns, s.end_ns, s.tid),
+                (s.arg0, s.arg0 + s.trace, s.trace),
+                "torn span decoded: {s:?}"
+            );
+        };
         // The writers start only once the reader runs, and the reader
-        // validates at least one event before it honours `stop` (the
-        // quiesced ring holds 64 valid events), so it always checks some.
+        // validates at least one span before it honours `stop` (the
+        // quiesced ring holds 64 valid spans), so it always checks some.
         let started = Arc::new(Barrier::new(2));
         let reader = {
             let ring = ring.clone();
@@ -854,16 +781,8 @@ mod tests {
                 started.wait();
                 let mut validated = 0usize;
                 while !(stop.load(Ordering::Relaxed) && validated > 0) {
-                    // arg1 is a deterministic function of (trace, arg0): any
-                    // decoded event violating it is a torn read the seq
-                    // check failed to catch.
-                    for e in ring.snapshot() {
-                        assert_eq!(
-                            e.arg1,
-                            e.arg0.wrapping_mul(2654435761).wrapping_add(e.trace),
-                            "torn event decoded: {e:?}"
-                        );
-                        assert_eq!(e.tid, e.trace);
+                    for s in ring.snapshot() {
+                        check(&s);
                         validated += 1;
                     }
                 }
@@ -878,10 +797,10 @@ mod tests {
                     for i in 0..5_000u64 {
                         ring.emit(
                             i,
+                            i + t + 1,
                             t + 1,
                             t + 1,
                             Phase::PoolRange,
-                            [EventKind::Begin, EventKind::End][i as usize % 2],
                             i,
                             i.wrapping_mul(2654435761).wrapping_add(t + 1),
                         );
@@ -894,101 +813,116 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         let validated = reader.join().expect("reader");
-        assert!(validated > 0, "the reader never saw a valid event");
+        assert!(validated > 0, "the reader never saw a valid span");
         // Quiesced: a final snapshot decodes a full, consistent ring.
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 64);
         assert_eq!(ring.written(), 4 * 5_000);
-        for e in snap {
-            assert_eq!(
-                e.arg1,
-                e.arg0.wrapping_mul(2654435761).wrapping_add(e.trace)
-            );
-        }
+        snap.iter().for_each(check);
     }
 
     #[test]
     fn chrome_trace_json_golden() {
-        let events = [
-            ev(1, 0, 1, 3, Phase::Batch, EventKind::Begin, 96, 0),
-            ev(2, 1_500, 1, 3, Phase::Plan, EventKind::Begin, 0, 0),
-            ev(3, 2_750, 1, 3, Phase::Plan, EventKind::End, 0, 0),
-            ev(4, 3_000, 2, 3, Phase::WalFsync, EventKind::Begin, 8, 0),
-            ev(5, 3_400, 2, 3, Phase::WalFsync, EventKind::End, 0, 0),
-            ev(6, 10_123, 1, 3, Phase::Batch, EventKind::End, 0, 0),
+        let spans = [
+            span(3, 0, 10_123, 1, Phase::Batch, 96, 0),
+            span(1, 1_500, 2_750, 1, Phase::Plan, 0, 0),
+            span(2, 3_000, 3_400, 2, Phase::WalFsync, 8, 0),
         ];
         let golden = "{\"traceEvents\":[\n\
-{\"name\":\"service.batch\",\"cat\":\"shard\",\"ph\":\"B\",\"pid\":1,\"tid\":1,\"ts\":0.000,\"args\":{\"trace\":3,\"arg0\":96,\"arg1\":0}},\n\
-{\"name\":\"engine.plan\",\"cat\":\"engine\",\"ph\":\"B\",\"pid\":1,\"tid\":1,\"ts\":1.500,\"args\":{\"trace\":3,\"arg0\":0,\"arg1\":0}},\n\
-{\"name\":\"engine.plan\",\"cat\":\"engine\",\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":2.750,\"args\":{\"trace\":3,\"arg0\":0,\"arg1\":0}},\n\
-{\"name\":\"wal.fsync\",\"cat\":\"persist\",\"ph\":\"B\",\"pid\":1,\"tid\":2,\"ts\":3.000,\"args\":{\"trace\":3,\"arg0\":8,\"arg1\":0}},\n\
-{\"name\":\"wal.fsync\",\"cat\":\"persist\",\"ph\":\"E\",\"pid\":1,\"tid\":2,\"ts\":3.400,\"args\":{\"trace\":3,\"arg0\":0,\"arg1\":0}},\n\
-{\"name\":\"service.batch\",\"cat\":\"shard\",\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":10.123,\"args\":{\"trace\":3,\"arg0\":0,\"arg1\":0}}\n\
+{\"name\":\"service.batch\",\"cat\":\"shard\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0.000,\"dur\":10.123,\"args\":{\"trace\":3,\"arg0\":96,\"arg1\":0}},\n\
+{\"name\":\"engine.plan\",\"cat\":\"engine\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":1.500,\"dur\":1.250,\"args\":{\"trace\":3,\"arg0\":0,\"arg1\":0}},\n\
+{\"name\":\"wal.fsync\",\"cat\":\"persist\",\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":3.000,\"dur\":0.400,\"args\":{\"trace\":3,\"arg0\":8,\"arg1\":0}}\n\
 ],\"displayTimeUnit\":\"ms\"}\n";
-        assert_eq!(chrome_trace_json(&events), golden);
+        assert_eq!(chrome_trace_json(&spans), golden);
     }
 
     #[test]
-    fn text_timeline_pairs_spans_and_indents_nesting() {
-        let events = [
-            ev(1, 0, 1, 3, Phase::Batch, EventKind::Begin, 96, 0),
-            ev(2, 1_000, 1, 3, Phase::Apply, EventKind::Begin, 0, 0),
-            ev(3, 1_200, 1, 3, Phase::Snapshot, EventKind::Begin, 4, 0),
-            ev(4, 1_700, 1, 3, Phase::Snapshot, EventKind::End, 0, 0),
-            ev(5, 2_000, 1, 3, Phase::Apply, EventKind::End, 0, 0),
-            ev(6, 2_500, 2, 3, Phase::WalAppend, EventKind::Begin, 1, 16),
-            ev(7, 2_600, 2, 3, Phase::WalAppend, EventKind::End, 0, 0),
-            ev(8, 3_000, 1, 3, Phase::Batch, EventKind::End, 0, 0),
+    fn text_timeline_indents_nested_spans() {
+        // Out of order, as any caller may pass them. On an equal start the
+        // later end goes first (the batch encloses the route span, though
+        // numbered before it here), and on an equal interval the later
+        // write (the append encloses the fsync written before it).
+        let spans = [
+            span(1, 0, 3_000, 1, Phase::Batch, 96, 0),
+            span(2, 1_200, 1_700, 1, Phase::Snapshot, 4, 0),
+            span(3, 2_500, 2_600, 2, Phase::WalFsync, 1, 0),
+            span(4, 2_500, 2_600, 2, Phase::WalAppend, 1, 16),
+            span(5, 1_000, 2_000, 1, Phase::Apply, 0, 0),
+            span(6, 0, 800, 1, Phase::Route, 96, 0),
         ];
-        let text = text_timeline(&events);
+        let text = text_timeline(&spans);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("service.batch") && lines[0].contains("3.000us"));
-        assert!(lines[1].starts_with("  ") && lines[1].contains("engine.apply"));
-        assert!(lines[2].starts_with("    ") && lines[2].contains("engine.snapshot"));
-        assert!(lines[2].contains("0.500us"));
-        assert!(lines[3].contains("wal.append") && lines[3].contains("args=(1, 16)"));
-        assert!(!lines[3].starts_with(' ') && lines[3].contains("0.100us"));
+        assert_eq!(lines.len(), 6);
+        assert!(lines[0].starts_with('+') && lines[0].contains("service.batch"));
+        assert!(lines[0].contains("3.000us"));
+        assert!(lines[1].starts_with("  +") && lines[1].contains("service.route"));
+        assert!(lines[2].starts_with("  +") && lines[2].contains("engine.apply"));
+        assert!(lines[3].starts_with("    +") && lines[3].contains("engine.snapshot"));
+        assert!(lines[3].contains("0.500us"));
+        assert!(lines[4].contains("wal.append") && lines[4].contains("args=(1, 16)"));
+        assert!(lines[4].starts_with('+') && lines[4].contains("0.100us"));
+        assert!(lines[5].starts_with("  +") && lines[5].contains("wal.fsync"));
     }
 
     #[test]
     fn phase_durations_sum_closed_spans() {
-        let events = [
-            ev(1, 0, 1, 3, Phase::Apply, EventKind::Begin, 0, 0),
-            ev(2, 100, 1, 3, Phase::Apply, EventKind::End, 0, 0),
-            ev(3, 200, 1, 3, Phase::Apply, EventKind::Begin, 0, 0),
-            ev(4, 500, 1, 3, Phase::Apply, EventKind::End, 0, 0),
-            ev(5, 600, 2, 3, Phase::WalFsync, EventKind::Begin, 0, 0),
-            ev(6, 850, 2, 3, Phase::WalFsync, EventKind::End, 0, 0),
-            // Unclosed span contributes nothing.
-            ev(7, 900, 1, 3, Phase::Plan, EventKind::Begin, 0, 0),
+        let spans = [
+            span(1, 0, 100, 1, Phase::Apply, 0, 0),
+            span(2, 200, 500, 1, Phase::Apply, 0, 0),
+            span(3, 600, 850, 2, Phase::WalFsync, 0, 0),
         ];
-        let durs = phase_durations(&events);
+        let durs = phase_durations(&spans);
         assert_eq!(durs, vec![(Phase::Apply, 400), (Phase::WalFsync, 250)]);
     }
 
     #[test]
     fn phase_durations_sum_overlapping_spans_across_threads() {
-        let events = [
+        let spans = [
             // Two workers applying concurrently: [0,100] and [50,180]
             // overlap, and both count in full.
-            ev(1, 0, 1, 3, Phase::Apply, EventKind::Begin, 0, 0),
-            ev(2, 50, 2, 3, Phase::Apply, EventKind::Begin, 0, 0),
-            ev(3, 100, 1, 3, Phase::Apply, EventKind::End, 0, 0),
-            ev(4, 180, 2, 3, Phase::Apply, EventKind::End, 0, 0),
+            span(1, 0, 100, 1, Phase::Apply, 0, 0),
+            span(2, 50, 180, 2, Phase::Apply, 0, 0),
             // Disjoint second apply window on worker 1: [300,350].
-            ev(5, 300, 1, 3, Phase::Apply, EventKind::Begin, 0, 0),
-            ev(6, 350, 1, 3, Phase::Apply, EventKind::End, 0, 0),
+            span(3, 300, 350, 1, Phase::Apply, 0, 0),
             // Single-threaded phase.
-            ev(7, 400, 1, 3, Phase::WalFsync, EventKind::Begin, 0, 0),
-            ev(8, 650, 1, 3, Phase::WalFsync, EventKind::End, 0, 0),
-            // Unclosed span contributes nothing.
-            ev(9, 700, 1, 3, Phase::Plan, EventKind::Begin, 0, 0),
+            span(4, 400, 650, 1, Phase::WalFsync, 0, 0),
         ];
         assert_eq!(
-            phase_durations(&events),
+            phase_durations(&spans),
             vec![(Phase::Apply, 280), (Phase::WalFsync, 250)]
         );
+    }
+
+    /// The batch's one slot is written when it ends, after the spans
+    /// inside it, so a ring too small for the batch's inner spans still
+    /// keeps the batch whole.
+    #[test]
+    fn a_span_outliving_the_ring_window_is_kept_whole() {
+        let ring = Ring::new(4);
+        for i in 0..10u64 {
+            ring.emit(100 * i + 10, 100 * i + 60, 1, 3, Phase::PoolRange, i, i + 1);
+        }
+        ring.emit(0, 1_000, 1, 3, Phase::Batch, 96, 0);
+        let snap = ring.snapshot();
+        assert_eq!(snap.len(), 4);
+        assert_eq!(
+            (snap[0].phase, snap[0].start_ns, snap[0].end_ns),
+            (Phase::Batch, 0, 1_000)
+        );
+        assert_eq!(
+            phase_durations(&snap),
+            vec![(Phase::Batch, 1_000), (Phase::PoolRange, 3 * 50)]
+        );
+        let text = text_timeline(&snap);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].starts_with('+') && lines[0].contains("service.batch"));
+        for line in &lines[1..] {
+            assert!(
+                line.starts_with("  +") && line.contains("pool.range"),
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -1008,17 +942,10 @@ mod tests {
             span.end();
         }
         assert_ne!(current(), id, "scope must restore on drop");
-        let mine: Vec<TraceEvent> = events().into_iter().filter(|e| e.trace == id.0).collect();
-        let shape: Vec<(Phase, EventKind)> = mine.iter().map(|e| (e.phase, e.kind)).collect();
-        assert_eq!(
-            shape,
-            [
-                (Phase::Batch, EventKind::Begin),
-                (Phase::WalFsync, EventKind::Begin),
-                (Phase::WalFsync, EventKind::End),
-                (Phase::Batch, EventKind::End),
-            ]
-        );
+        let mine: Vec<Span> = spans().into_iter().filter(|s| s.trace == id.0).collect();
+        let shape: Vec<Phase> = mine.iter().map(|s| s.phase).collect();
+        assert_eq!(shape, [Phase::Batch, Phase::WalFsync]);
+        assert!(mine[0].start_ns <= mine[1].start_ns && mine[1].end_ns <= mine[0].end_ns);
         assert_eq!((mine[0].arg0, mine[1].arg0, mine[1].arg1), (11, 1, 2));
 
         // Threshold capture: too fast → not pinned; armed → pinned.
@@ -1031,12 +958,12 @@ mod tests {
         let mine: Vec<&CapturedTrace> = captured.iter().filter(|c| c.trace == id.0).collect();
         assert_eq!(mine.len(), 1);
         assert_eq!(mine[0].total_ns, 1_000);
-        assert_eq!(mine[0].events.len(), 4);
+        assert_eq!(mine[0].spans.len(), 2);
     }
 
-    /// A guard with a histogram under an ambient trace records exactly
-    /// `End.ts − Begin.ts` of the span it emitted; a guard with neither
-    /// reads no clock and emits nothing.
+    /// A guard with a histogram under an ambient trace writes one span
+    /// when it ends, and records exactly that span's `end_ns − start_ns`;
+    /// a guard with neither reads no clock and writes nothing.
     #[test]
     fn a_guard_records_its_own_span_and_an_idle_guard_nothing() {
         let _serial = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -1045,26 +972,30 @@ mod tests {
         let id = next_id();
         let ns = {
             let _g = scope(id);
-            TSpan::begin(Phase::Snapshot, Some(&hist), 3, 1).end()
+            let guard = TSpan::begin(Phase::Snapshot, Some(&hist), 3, 1);
+            assert!(
+                spans().iter().all(|s| s.trace != id.0),
+                "begin wrote to the ring"
+            );
+            guard.end()
         };
-        let mine: Vec<TraceEvent> = events().into_iter().filter(|e| e.trace == id.0).collect();
-        assert_eq!(mine.len(), 2);
+        let mine: Vec<Span> = spans().into_iter().filter(|s| s.trace == id.0).collect();
+        assert_eq!(mine.len(), 1);
         assert_eq!(
-            (mine[0].kind, mine[1].kind),
-            (EventKind::Begin, EventKind::End)
+            (mine[0].phase, mine[0].arg0, mine[0].arg1),
+            (Phase::Snapshot, 3, 1)
         );
-        assert_eq!((mine[0].arg0, mine[0].arg1), (3, 1));
-        let span_ns = mine[1].ts_ns - mine[0].ts_ns;
+        let span_ns = mine[0].end_ns - mine[0].start_ns;
         let s = hist.snapshot();
         assert_eq!((s.count, s.sum, ns), (1, span_ns, span_ns));
 
         // No scope is active here, so these guards have neither.
-        let before = events();
+        let before = spans();
         assert_eq!(TSpan::begin(Phase::Plan, None, 0, 0).end(), 0);
         {
             let _idle = TSpan::begin(Phase::Apply, None, 0, 0);
         }
-        assert_eq!(events(), before, "an idle guard emitted an event");
+        assert_eq!(spans(), before, "an idle guard wrote a span");
     }
 
     #[test]

@@ -257,15 +257,6 @@ impl<'a> Dec<'a> {
             .collect())
     }
 
-    pub fn lane_u64(&mut self) -> Result<Vec<u64>, PersistError> {
-        let n = self.lane_len(8)?;
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
     pub fn lane_i64(&mut self) -> Result<Vec<i64>, PersistError> {
         let n = self.lane_len(8)?;
         let raw = self.take(n * 8)?;

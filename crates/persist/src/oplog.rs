@@ -98,8 +98,6 @@ pub struct OpLogWriter<M: LogMedium> {
     unsynced: u64,
     /// Sequence number of the last record written (0 before any).
     last_seq: u64,
-    /// Records written over the writer's lifetime.
-    records: u64,
 }
 
 impl<M: LogMedium> OpLogWriter<M> {
@@ -115,7 +113,6 @@ impl<M: LogMedium> OpLogWriter<M> {
             policy,
             unsynced: 0,
             last_seq: 0,
-            records: 0,
         })
     }
 
@@ -129,7 +126,6 @@ impl<M: LogMedium> OpLogWriter<M> {
             policy,
             unsynced: 0,
             last_seq,
-            records: 0,
         }
     }
 
@@ -150,12 +146,6 @@ impl<M: LogMedium> OpLogWriter<M> {
     /// Sequence number of the last record written (0 if none yet).
     pub fn last_seq(&self) -> u64 {
         self.last_seq
-    }
-
-    /// Records written through this writer (excludes records already on the
-    /// medium when resuming).
-    pub fn records_written(&self) -> u64 {
-        self.records
     }
 
     /// Sync and hand back the medium.
@@ -195,7 +185,6 @@ impl<M: LogMedium + Send> OpSink for OpLogWriter<M> {
         m.wal_bytes.add(16 + payload.len() as u64);
         m.wal_records.inc();
         self.last_seq = seq;
-        self.records += 1;
         self.unsynced += 1;
         let due = match self.policy {
             FlushPolicy::EveryBatch => true,

@@ -76,8 +76,9 @@ struct Job {
     panic: Option<Box<dyn std::any::Any + Send>>,
     /// The submitting thread's ambient [`obs::trace::TraceId`] (0 = none),
     /// snapshotted at submission. Every slot runs under it, whichever
-    /// thread claims it, so trace events attribute to the batch that
-    /// submitted the job rather than to whatever the thread was doing.
+    /// thread claims it, so its `pool.range` span attributes to the batch
+    /// that submitted the job rather than to whatever the thread was
+    /// doing.
     trace: u64,
 }
 

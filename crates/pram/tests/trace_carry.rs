@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use pdmsf_obs::trace::{self, EventKind, Phase};
+use pdmsf_obs::trace::{self, Phase};
 use pdmsf_pram::pool;
 
 #[test]
@@ -44,19 +44,19 @@ fn a_slot_run_on_a_worker_traces_under_the_submitters_id() {
     }
     assert_eq!(pool::parallelism(), 2);
 
-    let begins: Vec<_> = trace::events()
+    let ranges: Vec<_> = trace::spans()
         .into_iter()
-        .filter(|e| e.phase == Phase::PoolRange && e.kind == EventKind::Begin)
+        .filter(|e| e.phase == Phase::PoolRange)
         .collect();
-    assert!(!begins.is_empty(), "no pool.range span was emitted");
-    for e in &begins {
+    assert!(!ranges.is_empty(), "no pool.range span was emitted");
+    for e in &ranges {
         assert_eq!(e.trace, id.0, "a pool.range span left the batch: {e:?}");
         assert!(e.arg0 < e.arg1 && e.arg1 <= 4, "bad slot range: {e:?}");
     }
-    let on_worker: Vec<_> = begins.iter().filter(|e| e.tid != submitter).collect();
+    let on_worker: Vec<_> = ranges.iter().filter(|e| e.tid != submitter).collect();
     assert!(
         !on_worker.is_empty(),
-        "no pool.range span came from a worker thread: {begins:?}"
+        "no pool.range span came from a worker thread: {ranges:?}"
     );
     assert!(
         on_worker.iter().all(|e| e.arg0 >= 1),

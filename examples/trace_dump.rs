@@ -67,17 +67,17 @@ fn main() {
 
     println!("=== flight-recorder capture ===\n");
     println!(
-        "trace {} | {:.1} us end-to-end | {} events\n",
+        "trace {} | {:.1} us end-to-end | {} spans\n",
         cap.trace,
         cap.total_ns as f64 / 1e3,
-        cap.events.len()
+        cap.spans.len()
     );
 
     println!("=== text timeline ===\n");
-    print!("{}", obs::trace::text_timeline(&cap.events));
+    print!("{}", obs::trace::text_timeline(&cap.spans));
 
     println!("\n=== per-phase totals ===\n");
-    for (phase, ns) in obs::trace::phase_durations(&cap.events) {
+    for (phase, ns) in obs::trace::phase_durations(&cap.spans) {
         println!(
             "{:<18} [{}] {:>10.1} us",
             phase.name(),
@@ -87,9 +87,9 @@ fn main() {
     }
 
     // The acceptance check: one TraceId, spans from all four layers.
-    let ids: BTreeSet<u64> = cap.events.iter().map(|e| e.trace).collect();
+    let ids: BTreeSet<u64> = cap.spans.iter().map(|s| s.trace).collect();
     assert_eq!(ids.len(), 1, "a capture holds exactly one trace id");
-    let layers: BTreeSet<&str> = cap.events.iter().map(|e| e.phase.layer()).collect();
+    let layers: BTreeSet<&str> = cap.spans.iter().map(|s| s.phase.layer()).collect();
     for layer in ["shard", "engine", "pool", "persist"] {
         assert!(
             layers.contains(layer),
@@ -102,5 +102,5 @@ fn main() {
     );
 
     println!("\n=== Chrome trace-event JSON (paste into Perfetto) ===\n");
-    println!("{}", obs::trace::chrome_trace_json(&cap.events));
+    println!("{}", obs::trace::chrome_trace_json(&cap.spans));
 }

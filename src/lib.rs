@@ -245,16 +245,18 @@
 //!
 //! Histograms say *that* the tail is slow; [`obs::trace`] says *why*. The
 //! trace core is a process-global **lock-free ring** of fixed capacity
-//! holding structured [`obs::trace::TraceEvent`]s — span begin/end, a
-//! shared monotonic-ns epoch, a stable per-thread id, a batch-scoped
+//! holding finished [`obs::trace::Span`]s, one slot each — start and end
+//! on a shared monotonic-ns epoch, a stable per-thread id, a batch-scoped
 //! [`obs::trace::TraceId`], an [`obs::trace::Phase`] tag and two payload
-//! words. Writers claim a slot with one relaxed `fetch_add` and publish
-//! with a seqlock-style sequence word; readers ([`obs::trace::events`])
-//! validate the sequence before and after loading, so a torn slot is
-//! skipped, never misread. The same two-tier cost policy applies: with
-//! tracing off ([`obs::trace::enabled`] false) every emit is one relaxed
-//! load and a branch — no clock read, no TLS, no ring traffic (the
-//! `obs_overhead` bench gate asserts this stays < 2%).
+//! words. A phase guard writes its span when the phase ends, so a ring
+//! wrap drops whole spans, never half of one. Writers claim a slot with
+//! one relaxed `fetch_add` and publish with a seqlock-style sequence word;
+//! readers ([`obs::trace::spans`]) validate the sequence before and after
+//! loading, so a torn slot is skipped, never misread. The same two-tier
+//! cost policy applies: with tracing off ([`obs::trace::enabled`] false)
+//! every emit is one relaxed load and a branch — no clock read, no TLS,
+//! no ring traffic (the `obs_overhead` bench gate asserts this stays
+//! < 2%).
 //!
 //! **TraceId propagation** is ambient, not parameter-threaded:
 //! [`ShardedService::enable_tracing`] allocates an id per batch and pins
@@ -275,8 +277,9 @@
 //! armed or the latency meets [`obs::trace::set_capture_threshold_ns`],
 //! and when the buffer is full the *fastest* pinned capture is evicted —
 //! retention converges to the slowest batches seen. Captures export as
-//! Chrome trace-event JSON ([`obs::trace::chrome_trace_json`], loadable in
-//! Perfetto / `about://tracing`), a compact text timeline
+//! Chrome trace-event JSON, one complete (`"ph":"X"`) event per span
+//! ([`obs::trace::chrome_trace_json`], loadable in Perfetto /
+//! `about://tracing`), a compact text timeline
 //! ([`obs::trace::text_timeline`]) or per-phase totals
 //! ([`obs::trace::phase_durations`]). `examples/trace_dump.rs` walks the
 //! whole path on a live four-layer workload.

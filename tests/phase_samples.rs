@@ -1,32 +1,23 @@
 //! One guard per phase: a phase's histogram sample is exactly its trace
-//! span's `End.ts − Begin.ts`, because both come from the same two clock
+//! span's `end_ns − start_ns`, because both come from the same two clock
 //! readings. Pinned for the engine's query phase, on a one-query and a
 //! nine-query batch, and for the WAL append.
 //!
 //! The registry and the trace ring are process-global, so these tests run
 //! in a binary of their own. Each reads only the histogram families no
-//! other test here records into, and only its own trace ids' events.
+//! other test here records into, and only its own trace ids' spans.
 
 use pdmsf::obs;
-use pdmsf::obs::trace::{self, EventKind, Phase, TraceId};
+use pdmsf::obs::trace::{self, Phase, TraceId};
 use pdmsf::persist::{FlushPolicy, OpLogWriter};
 use pdmsf::prelude::*;
 
-/// The lengths of the closed `phase` spans traced under `id`.
+/// The lengths of the `phase` spans traced under `id`.
 fn span_lengths(id: TraceId, phase: Phase) -> Vec<u64> {
-    let events: Vec<_> = trace::events()
+    trace::spans()
         .into_iter()
-        .filter(|e| e.trace == id.0 && e.phase == phase)
-        .collect();
-    events
-        .chunks(2)
-        .map(|pair| {
-            assert_eq!(
-                (pair[0].kind, pair[1].kind),
-                (EventKind::Begin, EventKind::End)
-            );
-            pair[1].ts_ns - pair[0].ts_ns
-        })
+        .filter(|s| s.trace == id.0 && s.phase == phase)
+        .map(|s| s.end_ns - s.start_ns)
         .collect()
 }
 

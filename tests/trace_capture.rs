@@ -61,13 +61,13 @@ fn traced_batch_attributes_all_four_layers_to_one_id() {
     );
     let cap = &captured[0];
     assert!(cap.total_ns > 0);
-    assert!(!cap.events.is_empty());
+    assert!(!cap.spans.is_empty());
 
     // One id across the whole capture, spans from all four layers.
-    let ids: BTreeSet<u64> = cap.events.iter().map(|e| e.trace).collect();
+    let ids: BTreeSet<u64> = cap.spans.iter().map(|s| s.trace).collect();
     assert_eq!(ids.len(), 1, "a capture holds exactly one trace id");
     assert_eq!(ids.iter().next().copied(), Some(cap.trace));
-    let layers: BTreeSet<&str> = cap.events.iter().map(|e| e.phase.layer()).collect();
+    let layers: BTreeSet<&str> = cap.spans.iter().map(|s| s.phase.layer()).collect();
     for layer in ["shard", "engine", "pool", "persist"] {
         assert!(
             layers.contains(layer),
@@ -76,8 +76,8 @@ fn traced_batch_attributes_all_four_layers_to_one_id() {
     }
 
     // Phase attribution: the batch span dominates, and apply/plan/WAL all
-    // accumulated closed spans.
-    let durations = obs::trace::phase_durations(&cap.events);
+    // accumulated spans.
+    let durations = obs::trace::phase_durations(&cap.spans);
     let ns_of = |p: obs::trace::Phase| {
         durations
             .iter()
@@ -97,18 +97,18 @@ fn traced_batch_attributes_all_four_layers_to_one_id() {
     );
     assert!(batch_ns >= ns_of(obs::trace::Phase::Route));
 
-    // The exporter renders every event and Perfetto's required fields.
-    let json = obs::trace::chrome_trace_json(&cap.events);
+    // The exporter renders one complete event per span, with Perfetto's
+    // required fields.
+    let json = obs::trace::chrome_trace_json(&cap.spans);
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.contains("\"name\":\"service.batch\""));
     assert!(json.contains("\"name\":\"wal.append\""));
-    assert!(json.contains("\"ph\":\"B\""));
-    assert!(json.contains("\"ph\":\"E\""));
     assert_eq!(
-        json.matches("{\"name\":").count(),
-        cap.events.len(),
-        "one JSON object per captured event"
+        json.matches("\"ph\":\"X\"").count(),
+        cap.spans.len(),
+        "one complete event per captured span"
     );
+    assert_eq!(json.matches("{\"name\":").count(), cap.spans.len());
 
     // Untraced services stay span-free: a fresh service without
     // enable_tracing must not offer anything to the recorder.
